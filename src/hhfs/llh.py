@@ -87,6 +87,20 @@ class _MeritScan:
         """Merit the mask would have if bit b were flipped."""
         return self._merit(*self._flipped_sums(b))
 
+    def flip_merits(self, positions: np.ndarray) -> np.ndarray:
+        """``flip_merit`` of every position at once, bit-identical: the
+        same float64 operations elementwise, with k == 0 scoring 0.0."""
+        on = self.bits[positions]
+        fc = self.fc[positions]
+        row = self.row[positions]
+        k = np.where(on, self.k - 1, self.k + 1)
+        sum_cf = np.where(on, self.sum_cf - fc, self.sum_cf + fc)
+        sum_ff = np.where(on, self.sum_ff - 2.0 * (row - self.diag[positions]),
+                          self.sum_ff + 2.0 * row)
+        empty = k == 0
+        return np.where(empty, 0.0,
+                        sum_cf / np.sqrt(np.where(empty, 1.0, k + sum_ff)))
+
     def flip(self, b: int) -> None:
         """Commit the flip of bit b."""
         self.k, self.sum_cf, self.sum_ff = self._flipped_sums(b)
@@ -122,21 +136,15 @@ def sdhc(mask: FeatureMask, ctx: LlhContext, bit_domain: str = ALL) -> FeatureMa
     """Steepest-descent step: scan the full Hamming-1 neighborhood within
     the bit domain and move to the best neighbor, but only if it is
     strictly better than the input. Ties pick the lowest flipped index."""
-    scan = _MeritScan(ctx.cache, mask.bits)
     positions = _domain_positions(mask.bits, bit_domain)
     if positions.size == 0:
         return mask
-    current = scan.merit()
-    best_bit = -1
-    best_merit = current
-    for b in positions:
-        m = scan.flip_merit(b)
-        if m > best_merit:
-            best_merit = m
-            best_bit = int(b)
-    if best_bit < 0:
-        return mask
-    return mask.flip(best_bit)
+    scan = _MeritScan(ctx.cache, mask.bits)
+    merits = scan.flip_merits(positions)
+    best = int(np.argmax(merits))  # first occurrence: lowest flipped index
+    if merits[best] > scan.merit():
+        return mask.flip(int(positions[best]))
+    return mask
 
 
 def _sweep_climb(mask: FeatureMask, ctx: LlhContext, bit_domain: str,

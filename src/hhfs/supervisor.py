@@ -159,7 +159,8 @@ def evaluate_chromosome(chromosome: Chromosome, incumbent: FeatureMask,
     for gene in chromosome.genes:
         out = llh.apply(int(gene), mask, ctx)
         if stats is not None:
-            merit_after = cfs_merit(out, ctx.cache)
+            # a heuristic that declines to move returns its input object
+            merit_after = merit_before if out is mask else cfs_merit(out, ctx.cache)
             stats.record(int(gene), merit_before, merit_after)
             merit_before = merit_after
         mask = out
@@ -234,21 +235,23 @@ def _next_generation(population: list[Chromosome], fits: np.ndarray,
 def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
                    search_protocol: CvProtocol,
                    report_protocols: dict[str, CvProtocol] | None = None,
-                   cache: CorrelationCache | None = None,
-                   fitness_cache_enabled: bool = True) -> SupervisorResult:
+                   cache: CorrelationCache | None = None) -> SupervisorResult:
     """Run the supervisor GA once and return the final incumbent.
 
     Per generation: every chromosome is evaluated from the same incumbent
     snapshot; the best resulting mask replaces the incumbent only if its
     fitness strictly improves; selection, crossover and mutation then
     produce the next population. After the last generation the incumbent
-    is re-evaluated under each reporting protocol.
+    is re-evaluated under each reporting protocol. Datasets with fewer
+    than 2 features are rejected: SWPD needs two dimensions to swap.
     """
+    if dataset.n_features < 2:
+        raise ValueError("the supervisor needs at least 2 features, "
+                         f"dataset {dataset.name!r} has {dataset.n_features}")
     start = time.perf_counter()
     if cache is None:
         cache = build_cache(dataset)
-    evaluator = FitnessEvaluator(dataset, search_protocol,
-                                 cache_enabled=fitness_cache_enabled)
+    evaluator = FitnessEvaluator(dataset, search_protocol)
     init_rng = np.random.default_rng([cfg.seed, 0])
     ga_rng = np.random.default_rng([cfg.seed, 2])
 

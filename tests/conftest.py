@@ -164,6 +164,34 @@ def cv_accuracy_bruteforce(dataset: Dataset, mask: FeatureMask, folds: int,
     return sum(accs) / len(accs)
 
 
+def cv_accuracy_cdist_reference(d: Dataset, mask: FeatureMask, proto) -> float:
+    """Repeated stratified-CV 1NN accuracy from one full ``cdist`` matrix
+    and freshly built folds: the fitness computation the faster engine
+    path must equal bitwise."""
+    from scipy.spatial.distance import cdist
+
+    from hhfs.dataset import stratified_folds
+
+    idx = mask.selected_indices()
+    if idx.size == 0:
+        return 0.0
+    Xs = d.features[:, idx]
+    dists = cdist(Xs, Xs, "sqeuclidean")
+    accs = []
+    for r in range(proto.repeats):
+        fa = stratified_folds(d, proto.folds, proto.base_seed + r)
+        correct = 0
+        for fold in range(proto.folds):
+            test = fa.test_indices(fold)
+            if test.size == 0:
+                continue
+            train = fa.train_indices(fold)
+            nn = np.argmin(dists[np.ix_(test, train)], axis=1)
+            correct += int(np.sum(d.labels[train[nn]] == d.labels[test]))
+        accs.append(correct / d.n_instances)
+    return sum(accs) / len(accs)
+
+
 # ------------------------------------------------------------- stub RNG
 
 class StubRng:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cv_accuracy_bruteforce, random_mask
+from conftest import (cv_accuracy_bruteforce, cv_accuracy_cdist_reference,
+                      random_mask)
 from hhfs.dataset import Dataset
 from hhfs.evaluation import CvProtocol, FitnessEvaluator, cv_accuracy, predict_1nn
 from hhfs.mask import FeatureMask
@@ -52,6 +55,15 @@ class TestCvAccuracy:
     def test_dimension_mismatch(self, small_dataset):
         with pytest.raises(ValueError):
             cv_accuracy(small_dataset, FeatureMask([1, 0]), CvProtocol(folds=2))
+
+    def test_mask_checks_come_before_fold_building(self):
+        # 10 folds cannot split 4 instances, but neither check needs folds
+        d = Dataset.from_arrays("toy", [[0.0], [0.1], [1.0], [0.9]],
+                                [0, 0, 1, 1])
+        proto = CvProtocol(folds=10)
+        assert cv_accuracy(d, FeatureMask.zeros(1), proto) == 0.0
+        with pytest.raises(ValueError, match="does not match"):
+            cv_accuracy(d, FeatureMask([1, 0]), proto)
 
     def test_repeats_equal_mean_of_single_repeats(self, small_dataset):
         mask = FeatureMask([1, 1, 0, 1, 0, 0, 1, 0])
@@ -136,12 +148,13 @@ class TestFitnessEvaluator:
     def test_cache_transparency(self, small_dataset):
         rng = np.random.default_rng(3)
         masks = [random_mask(8, rng) for _ in range(10)] * 2
-        cached = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=4))
-        plain = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=4),
-                                 cache_enabled=False)
-        assert [cached(m) for m in masks] == [plain(m) for m in masks]
-        assert plain.hits == 0
-        assert plain.computations == len(masks)
+        proto = CvProtocol(folds=5, base_seed=4)
+        cached = FitnessEvaluator(small_dataset, proto)
+        assert ([cached(m) for m in masks]
+                == [cv_accuracy(small_dataset, m, proto) for m in masks])
+        distinct = len({m.key() for m in masks})
+        assert cached.computations == distinct
+        assert cached.hits == len(masks) - distinct
 
 
 def test_accuracy_always_in_unit_interval(small_dataset):
@@ -150,3 +163,40 @@ def test_accuracy_always_in_unit_interval(small_dataset):
     for _ in range(20):
         acc = cv_accuracy(small_dataset, random_mask(8, rng), proto)
         assert 0.0 <= acc <= 1.0
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """Integer-level features with repeated rows, so many 1NN distances
+    tie exactly; 2 or 6 classes; several masks over one protocol."""
+    class_count = draw(st.sampled_from([2, 6]))
+    n_features = draw(st.integers(1, 5))
+    levels = draw(st.integers(2, 4))
+    row = st.lists(st.integers(0, levels - 1), min_size=n_features,
+                   max_size=n_features)
+    # one row beyond one per class, so no fold holds every row
+    rows = draw(st.lists(row, min_size=class_count + 1, max_size=20))
+    repeats_of = draw(st.lists(st.integers(0, len(rows) - 1), max_size=16))
+    rows += [rows[i] for i in repeats_of]
+    n = len(rows)
+    labels = list(range(class_count)) + draw(st.lists(
+        st.integers(0, class_count - 1), min_size=n - class_count,
+        max_size=n - class_count))
+    d = Dataset.from_arrays("ties", rows, labels)
+    proto = CvProtocol(folds=draw(st.integers(2, min(10, n))),
+                       repeats=draw(st.integers(1, 3)),
+                       base_seed=draw(st.integers(0, 2**16)))
+    bits = st.lists(st.integers(0, 1), min_size=n_features, max_size=n_features)
+    masks = [FeatureMask(b) for b in draw(st.lists(bits, min_size=1, max_size=4))]
+    return d, masks, proto
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_cases())
+def test_fitness_equals_cdist_reference_exactly(case):
+    d, masks, proto = case
+    evaluator = FitnessEvaluator(d, proto)
+    for mask in masks * 2:  # the second pass is served from the memo
+        expected = cv_accuracy_cdist_reference(d, mask, proto)
+        assert cv_accuracy(d, mask, proto) == expected
+        assert evaluator(mask) == expected

@@ -71,6 +71,49 @@ class TestSdhc:
             else:
                 assert out == mask
 
+    @pytest.mark.parametrize("bit_domain", [ALL, ZEROS, ONES])
+    def test_matches_oracle_on_tie_heavy_caches(self, bit_domain):
+        # entries from {0, 1/4, 1/2}: every merit sum is exact, so equal
+        # neighbors tie bitwise in the scan and in the oracle alike
+        rng = np.random.default_rng(17)
+        ties_taken = 0
+        for _ in range(300):
+            fc = rng.integers(0, 3, size=7) / 4.0
+            upper = np.triu(rng.integers(0, 3, size=(7, 7)) / 4.0, 1)
+            cache = cache_from_values(fc, upper + upper.T)
+            mask = random_mask(7, rng)
+            positions = {ALL: range(7), ZEROS: np.flatnonzero(mask.bits == 0),
+                         ONES: np.flatnonzero(mask.bits)}[bit_domain]
+            out = sdhc(mask, make_ctx(cache), bit_domain=bit_domain)
+            best_bit, best_merit = best_flip_oracle(mask, cache, positions)
+            if best_merit > cfs_merit(mask, cache):
+                assert out == mask.flip(best_bit)
+                ties_taken += sum(cfs_merit(mask.flip(int(b)), cache) == best_merit
+                                  for b in positions) > 1
+            else:
+                assert out == mask
+        assert ties_taken > 10
+
+    def test_single_selected_bit_flip_scores_zero(self):
+        # dropping the only selected feature leaves k == 0, merit 0.0,
+        # which is never strictly better and never hides a better flip
+        for fc0 in (0.0, 0.5):
+            cache = cache_from_values([fc0, 0.3, 0.7], np.zeros((3, 3)))
+            mask = FeatureMask([1, 0, 0])
+            assert best_flip_oracle(mask, cache, [0]) == (0, 0.0)
+            assert sdhc(mask, make_ctx(cache), bit_domain=ONES) == mask
+            assert sdhc(mask, make_ctx(cache)) == FeatureMask([1, 0, 1])
+
+    def test_vector_scan_equals_scalar_scan_bitwise(self):
+        rng = np.random.default_rng(18)
+        for n in (1, 2, 9, 40):
+            cache = random_cache(n, seed=n)
+            for _ in range(20):
+                bits = rng.integers(0, 2, size=n)
+                scan = llh._MeritScan(cache, bits)
+                vector = scan.flip_merits(np.arange(n))
+                assert vector.tolist() == [scan.flip_merit(b) for b in range(n)]
+
     def test_unique_improving_bit_is_taken(self):
         cache = cache_from_values([0.1, 0.1, 0.9], np.eye(3))
         ctx = make_ctx(cache)

@@ -5,12 +5,12 @@ from conftest import StubRng, best_flip_oracle
 from hhfs.correlation import build_cache, cfs_merit
 from hhfs.dataset import Dataset
 from hhfs.evaluation import CvProtocol, FitnessEvaluator
-from hhfs.llh import LlhContext
+from hhfs.llh import LlhContext, apply
 from hhfs.mask import FeatureMask
-from hhfs.supervisor import (Chromosome, SupervisorConfig, evaluate_chromosome,
-                             mutate_chromosome, random_chromosome,
-                             roulette_select, run_supervisor,
-                             single_point_crossover)
+from hhfs.supervisor import (Chromosome, LlhStats, SupervisorConfig,
+                             evaluate_chromosome, mutate_chromosome,
+                             random_chromosome, roulette_select,
+                             run_supervisor, single_point_crossover)
 
 
 class TestChromosome:
@@ -101,6 +101,26 @@ class TestEvaluateChromosome:
             mask, _ = evaluate_chromosome(Chromosome(genes), incumbent, ctx,
                                           evaluator)
             assert cfs_merit(mask, cache) >= cfs_merit(incumbent, cache)
+
+    def test_stats_equal_a_replay_that_recomputes_every_merit(self, small_dataset):
+        # the statistics skip heuristics that return their input; the
+        # counts must not notice
+        cache = build_cache(small_dataset)
+        evaluator = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=0))
+        incumbent = FeatureMask([1, 0, 1, 1, 0, 0, 1, 0])
+        rng = np.random.default_rng(6)
+        stats, expected = LlhStats(), LlhStats()
+        for i in range(40):
+            chrom = random_chromosome(16, rng)
+            ctx = LlhContext(cache=cache, rng=np.random.default_rng([8, i]))
+            evaluate_chromosome(chrom, incumbent, ctx, evaluator, stats)
+            replay = LlhContext(cache=cache, rng=np.random.default_rng([8, i]))
+            mask = incumbent
+            for gene in chrom.genes:
+                out = apply(int(gene), mask, replay)
+                expected.record(int(gene), cfs_merit(mask, cache), cfs_merit(out, cache))
+                mask = out
+        assert stats.as_dict() == expected.as_dict()
 
     def test_snapshot_evaluations_are_order_independent(self, small_dataset):
         cache = build_cache(small_dataset)
@@ -294,6 +314,11 @@ class TestRunSupervisor:
         result = run_supervisor(small_dataset,
                                 self.small_config(elitism=0, generations=3), proto)
         assert len(result.history) == 3
+
+    def test_rejects_single_feature_dataset_up_front(self):
+        d = Dataset.from_arrays("one", [[0.0], [0.1], [1.0], [0.9]], [0, 0, 1, 1])
+        with pytest.raises(ValueError, match="at least 2 features"):
+            run_supervisor(d, self.small_config(), CvProtocol(folds=2))
 
     def test_subset_size_bounded_by_feature_count(self, small_dataset):
         proto = CvProtocol(folds=5, repeats=1, base_seed=7)
