@@ -16,10 +16,10 @@ import sys
 
 from .dataset import min_max_normalize
 from .evaluation import CvProtocol
-from .experiment import (ExperimentSpec, dump_correlation_caches,
-                         full_feature_baseline, load_config,
-                         render_comparison, run_experiment, summary_text,
-                         verify_report)
+from .experiment import (SUPERVISOR_KNOBS, ExperimentSpec,
+                         dump_correlation_caches, full_feature_baseline,
+                         load_config, render_comparison, run_experiment,
+                         summary_text, verify_report)
 from .llh import describe_catalog
 
 
@@ -45,12 +45,8 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
     if args.report_repeats is not None:
         changes["report_repeats"] = tuple(
             int(tok) for tok in args.report_repeats.split(",") if tok.strip())
-    sup_changes = {}
-    for key in ("generations", "population_size", "p_crossover", "p_mutation",
-                "nllh", "elitism", "mutn_rate"):
-        value = getattr(args, key)
-        if value is not None:
-            sup_changes[key] = value
+    sup_changes = {f.name: getattr(args, f.name) for f in SUPERVISOR_KNOBS
+                   if getattr(args, f.name) is not None}
     if sup_changes:
         changes["supervisor"] = dataclasses.replace(spec.supervisor, **sup_changes)
     return dataclasses.replace(spec, **changes) if changes else spec
@@ -122,13 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--runs", type=int)
     run_p.add_argument("--seed", type=int, help="master seed")
     run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--generations", type=int)
-    run_p.add_argument("--population-size", dest="population_size", type=int)
-    run_p.add_argument("--p-crossover", dest="p_crossover", type=float)
-    run_p.add_argument("--p-mutation", dest="p_mutation", type=float)
-    run_p.add_argument("--nllh", type=int, help="chromosome length")
-    run_p.add_argument("--elitism", type=int)
-    run_p.add_argument("--mutn-rate", dest="mutn_rate", type=float)
+    for knob in SUPERVISOR_KNOBS:
+        run_p.add_argument("--" + knob.name.replace("_", "-"), dest=knob.name,
+                           type=type(knob.default),
+                           help=f"overrides [supervisor] {knob.name}")
     run_p.add_argument("--cv-folds", dest="cv_folds", type=int)
     run_p.add_argument("--search-repeats", dest="search_repeats", type=int,
                        help="CV repeats for search-time fitness")

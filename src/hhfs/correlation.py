@@ -10,6 +10,12 @@ selected features and r_ff the mean absolute feature-feature correlation
 over the selected pairs (Hall's CFS score). High merit means features
 that track the class while not tracking each other.
 
+One implementation, ``_MeritScan``, works from the row vector ff @ bits:
+the selected class-correlation sum over the root of k plus the selected
+off-diagonal feature-feature sum (bits @ row minus the diagonal), which
+is the form above and finite. ``cfs_merit`` is the scan's merit, so it
+scores a mask exactly as the local searches do.
+
 All correlations are absolute values: a strongly negative correlate
 predicts just as well as a positive one. Zero-variance vectors correlate
 0 with everything by convention, which keeps constant columns harmless.
@@ -119,26 +125,80 @@ def build_cache(d) -> CorrelationCache:
     return CorrelationCache(feature_feature=ff, feature_class=fc)
 
 
-def cfs_merit(mask: FeatureMask, cache: CorrelationCache) -> float:
-    """Merit of the selected subset; 0.0 for the empty mask.
+class _MeritScan:
+    """Incremental merit over single-bit flips of a working mask.
 
-    With k selected features, sum_cf the selected feature-class
-    correlations and sum_ff the selected off-diagonal feature-feature
-    correlations (ordered pairs), the score is
-    sum_cf / sqrt(k + sum_ff), algebraically equal to the k*r_cf form.
-    The denominator is at least sqrt(k), so the score is always finite.
+    Keeps the selected count k, the selected class-correlation sum, the
+    selected off-diagonal feature-feature sum (ordered pairs), and the
+    vector row[b] = sum_{i selected} ff[b, i]. A candidate flip is then
+    scored in O(1) and committed in O(N).
     """
+
+    def __init__(self, cache: CorrelationCache, bits: np.ndarray):
+        self.ff = cache.feature_feature
+        self.fc = cache.feature_class
+        self.diag = np.diagonal(self.ff)
+        self.bits = bits.astype(bool).copy()
+        sel = np.flatnonzero(self.bits)
+        self.k = sel.size
+        self.sum_cf = float(self.fc[sel].sum())
+        self.row = self.ff @ self.bits.astype(np.float64)
+        self.sum_ff = float(self.bits @ self.row) - float(self.diag[sel].sum())
+
+    @staticmethod
+    def _merit(k: int, sum_cf: float, sum_ff: float) -> float:
+        if k == 0:
+            return 0.0
+        return sum_cf / math.sqrt(k + sum_ff)
+
+    def merit(self) -> float:
+        return self._merit(self.k, self.sum_cf, self.sum_ff)
+
+    def _flipped_sums(self, b: int) -> tuple[int, float, float]:
+        if self.bits[b]:
+            cross = self.row[b] - self.diag[b]
+            return self.k - 1, self.sum_cf - self.fc[b], self.sum_ff - 2.0 * cross
+        return self.k + 1, self.sum_cf + self.fc[b], self.sum_ff + 2.0 * self.row[b]
+
+    def flip_merit(self, b: int) -> float:
+        """Merit the mask would have if bit b were flipped."""
+        return self._merit(*self._flipped_sums(b))
+
+    def flip_merits(self, positions: np.ndarray) -> np.ndarray:
+        """``flip_merit`` of every position at once, bit-identical: the
+        same float64 operations elementwise, with k == 0 scoring 0.0."""
+        on = self.bits[positions]
+        fc = self.fc[positions]
+        row = self.row[positions]
+        k = np.where(on, self.k - 1, self.k + 1)
+        sum_cf = np.where(on, self.sum_cf - fc, self.sum_cf + fc)
+        sum_ff = np.where(on, self.sum_ff - 2.0 * (row - self.diag[positions]),
+                          self.sum_ff + 2.0 * row)
+        empty = k == 0
+        return np.where(empty, 0.0,
+                        sum_cf / np.sqrt(np.where(empty, 1.0, k + sum_ff)))
+
+    def flip(self, b: int) -> None:
+        """Commit the flip of bit b."""
+        self.k, self.sum_cf, self.sum_ff = self._flipped_sums(b)
+        if self.bits[b]:
+            self.row -= self.ff[:, b]
+            self.bits[b] = False
+        else:
+            self.row += self.ff[:, b]
+            self.bits[b] = True
+
+    def mask(self) -> FeatureMask:
+        return FeatureMask(self.bits.astype(np.uint8))
+
+
+def cfs_merit(mask: FeatureMask, cache: CorrelationCache) -> float:
+    """Merit of the selected subset (the ``_MeritScan`` merit); 0.0 for
+    the empty mask."""
     if mask.n != cache.n_features:
         raise ValueError(
             f"mask over {mask.n} features does not match cache of {cache.n_features}")
-    idx = mask.selected_indices()
-    k = idx.size
-    if k == 0:
-        return 0.0
-    sum_cf = float(cache.feature_class[idx].sum())
-    sub = cache.feature_feature[np.ix_(idx, idx)]
-    sum_ff = float(sub.sum()) - float(np.trace(sub))
-    return sum_cf / math.sqrt(k + sum_ff)
+    return _MeritScan(cache, mask.bits).merit()
 
 
 def dump_cache_csv(cache: CorrelationCache, path) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import configparser
 import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,18 @@ from .evaluation import CvProtocol, cv_accuracy
 from .mask import FeatureMask
 from .published import BASELINE_REFERENCE
 from .supervisor import SupervisorConfig, SupervisorResult, run_supervisor
+
+
+# the [supervisor] config keys and `hhfs run` flags, typed and defaulted by
+# SupervisorConfig; each run's seed comes from master_seed instead
+SUPERVISOR_KNOBS = tuple(f for f in fields(SupervisorConfig) if f.name != "seed")
+
+_SECTION_KEYS = {
+    "experiment": {"runs", "master_seed", "out_dir"},
+    "supervisor": {f.name for f in SUPERVISOR_KNOBS},
+    "cv": {"folds", "search_repeats", "report_repeats"},
+}
+_DATASET_KEYS = {"path", "label_column", "has_header", "missing_token"}
 
 
 @dataclass(frozen=True)
@@ -302,26 +314,30 @@ def load_config(path) -> ExperimentSpec:
     """Parse an INI experiment config.
 
     Sections: [experiment] (runs, master_seed, out_dir), [supervisor]
-    (population_size, generations, p_crossover, p_mutation, nllh, elitism,
-    mutn_rate), [cv] (folds, search_repeats, report_repeats as a
-    comma-separated list), and one [datasets.<name>] per dataset with
-    path, label_column (index or name), has_header, missing_token.
+    (the SUPERVISOR_KNOBS, defaulting as in SupervisorConfig), [cv]
+    (folds, search_repeats, report_repeats as a comma-separated list), and
+    one [datasets.<name>] per dataset with path, label_column (index or
+    name), has_header, missing_token. An unknown section or key raises
+    ValueError.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
 
+    for section in parser.sections():
+        known = (_DATASET_KEYS if section.startswith("datasets.")
+                 else _SECTION_KEYS.get(section))
+        if known is None:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        unknown = sorted(set(parser.options(section)) - known)
+        if unknown:
+            raise ValueError(
+                f"{path}: unknown key(s) in [{section}]: {', '.join(unknown)}")
+
     sup = parser["supervisor"] if parser.has_section("supervisor") else {}
-    supervisor = SupervisorConfig(
-        population_size=int(sup.get("population_size", 30)),
-        generations=int(sup.get("generations", 200)),
-        p_crossover=float(sup.get("p_crossover", 0.7)),
-        p_mutation=float(sup.get("p_mutation", 0.1)),
-        nllh=int(sup.get("nllh", 16)),
-        elitism=int(sup.get("elitism", 1)),
-        mutn_rate=float(sup.get("mutn_rate", 0.1)),
-    )
+    supervisor = SupervisorConfig(**{
+        f.name: type(f.default)(sup[f.name]) for f in SUPERVISOR_KNOBS if f.name in sup})
     cv = parser["cv"] if parser.has_section("cv") else {}
     exp = parser["experiment"] if parser.has_section("experiment") else {}
 

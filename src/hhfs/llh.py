@@ -5,23 +5,25 @@ rules (SDHC, NAHC, DBHC, RMHC), each in three bit-domain variants that
 consider every bit, only the 0-bits (can only add features), or only the
 1-bits (can only drop features). Ids 13-16 are merit-oblivious mutational
 moves (SWPD, DIMM, HYPM, MUTN) that perturb the mask unconditionally.
+Merits come from ``correlation._MeritScan``; this module holds the rules.
 
 Every heuristic is a pure function of (mask, rng state): it never mutates
-its input and replaying a seed replays the output bit-exactly. One call
-does one bounded pass - SDHC scans one Hamming-1 neighborhood, NAHC/DBHC
-sweep the positions once - so the cost of applying a whole chromosome of
-heuristics stays predictable.
+its input and replaying a seed replays the output bit-exactly. A call
+that leaves every bit unchanged returns its input object, so callers can
+tell "did not move" by identity. One call does one bounded pass - SDHC
+scans one Hamming-1 neighborhood, NAHC/DBHC sweep the positions once -
+so the cost of applying a whole chromosome of heuristics stays
+predictable.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .correlation import CorrelationCache, cfs_merit
+from .correlation import CorrelationCache, _MeritScan
 from .mask import FeatureMask
 
 ALL = "all"
@@ -44,92 +46,18 @@ class LlhContext:
         if not 0.0 < self.mutn_rate < 1.0:
             raise ValueError("mutn_rate must lie in (0, 1)")
 
-    def merit(self, mask: FeatureMask) -> float:
-        return cfs_merit(mask, self.cache)
 
-
-class _MeritScan:
-    """Incremental merit over single-bit flips of a working mask.
-
-    Keeps the selected count k, the selected class-correlation sum, the
-    selected off-diagonal feature-feature sum (ordered pairs), and the
-    vector row[b] = sum_{i selected} ff[b, i]. A candidate flip is then
-    scored in O(1) and committed in O(N).
-    """
-
-    def __init__(self, cache: CorrelationCache, bits: np.ndarray):
-        self.ff = cache.feature_feature
-        self.fc = cache.feature_class
-        self.diag = np.diagonal(self.ff)
-        self.bits = bits.astype(bool).copy()
-        sel = np.flatnonzero(self.bits)
-        self.k = sel.size
-        self.sum_cf = float(self.fc[sel].sum())
-        self.row = self.ff @ self.bits.astype(np.float64)
-        self.sum_ff = float(self.bits @ self.row) - float(self.diag[sel].sum())
-
-    @staticmethod
-    def _merit(k: int, sum_cf: float, sum_ff: float) -> float:
-        if k == 0:
-            return 0.0
-        return sum_cf / math.sqrt(k + sum_ff)
-
-    def merit(self) -> float:
-        return self._merit(self.k, self.sum_cf, self.sum_ff)
-
-    def _flipped_sums(self, b: int) -> tuple[int, float, float]:
-        if self.bits[b]:
-            cross = self.row[b] - self.diag[b]
-            return self.k - 1, self.sum_cf - self.fc[b], self.sum_ff - 2.0 * cross
-        return self.k + 1, self.sum_cf + self.fc[b], self.sum_ff + 2.0 * self.row[b]
-
-    def flip_merit(self, b: int) -> float:
-        """Merit the mask would have if bit b were flipped."""
-        return self._merit(*self._flipped_sums(b))
-
-    def flip_merits(self, positions: np.ndarray) -> np.ndarray:
-        """``flip_merit`` of every position at once, bit-identical: the
-        same float64 operations elementwise, with k == 0 scoring 0.0."""
-        on = self.bits[positions]
-        fc = self.fc[positions]
-        row = self.row[positions]
-        k = np.where(on, self.k - 1, self.k + 1)
-        sum_cf = np.where(on, self.sum_cf - fc, self.sum_cf + fc)
-        sum_ff = np.where(on, self.sum_ff - 2.0 * (row - self.diag[positions]),
-                          self.sum_ff + 2.0 * row)
-        empty = k == 0
-        return np.where(empty, 0.0,
-                        sum_cf / np.sqrt(np.where(empty, 1.0, k + sum_ff)))
-
-    def flip(self, b: int) -> None:
-        """Commit the flip of bit b."""
-        self.k, self.sum_cf, self.sum_ff = self._flipped_sums(b)
-        if self.bits[b]:
-            self.row -= self.ff[:, b]
-            self.bits[b] = False
-        else:
-            self.row += self.ff[:, b]
-            self.bits[b] = True
-
-    def mask(self) -> FeatureMask:
-        return FeatureMask(self.bits.astype(np.uint8))
-
-
-def _domain_positions(bits: np.ndarray, bit_domain: str) -> np.ndarray:
-    """Ascending indices of the bits the domain allows to flip."""
+def _domain_positions(bits: np.ndarray, bit_domain: str,
+                      order: np.ndarray | None = None) -> np.ndarray:
+    """Positions of ``order`` (default ascending) the domain lets flip."""
+    order = np.arange(bits.size) if order is None else order
     if bit_domain == ALL:
-        return np.arange(bits.size)
+        return order
     if bit_domain == ZEROS:
-        return np.flatnonzero(bits == 0)
+        return order[bits[order] == 0]
     if bit_domain == ONES:
-        return np.flatnonzero(bits != 0)
+        return order[bits[order] != 0]
     raise ValueError(f"unknown bit domain {bit_domain!r}")
-
-
-def _in_domain(bit: bool, bit_domain: str) -> bool:
-    return (bit_domain == ALL
-            or (bit_domain == ZEROS and not bit)
-            or (bit_domain == ONES and bit))
 
 
 def sdhc(mask: FeatureMask, ctx: LlhContext, bit_domain: str = ALL) -> FeatureMask:
@@ -150,14 +78,12 @@ def sdhc(mask: FeatureMask, ctx: LlhContext, bit_domain: str = ALL) -> FeatureMa
 def _sweep_climb(mask: FeatureMask, ctx: LlhContext, bit_domain: str,
                  order: np.ndarray) -> FeatureMask:
     """One pass over ``order``: tentatively flip each in-domain bit and
-    keep the flip iff it strictly improves the working mask's merit."""
+    keep the flip iff it strictly improves the working mask's merit. A bit
+    changes only at its one visit, so the input's domain holds throughout."""
     scan = _MeritScan(ctx.cache, mask.bits)
     current = scan.merit()
     changed = False
-    for b in order:
-        b = int(b)
-        if not _in_domain(bool(scan.bits[b]), bit_domain):
-            continue
+    for b in _domain_positions(mask.bits, bit_domain, order).tolist():
         candidate = scan.flip_merit(b)
         if candidate > current:
             scan.flip(b)
@@ -194,7 +120,8 @@ def rmhc(mask: FeatureMask, ctx: LlhContext, bit_domain: str = ALL) -> FeatureMa
 
 def swpd(mask: FeatureMask, ctx: LlhContext) -> FeatureMask:
     """Swap the bit values at two distinct random dimensions. Preserves
-    the selected count; accepted unconditionally."""
+    the selected count; accepted unconditionally. Equal bits leave the
+    mask as it is."""
     n = mask.n
     if n < 2:
         raise ValueError("swap needs at least 2 dimensions")
@@ -202,6 +129,8 @@ def swpd(mask: FeatureMask, ctx: LlhContext) -> FeatureMask:
     j = int(ctx.rng.integers(n - 1))
     if j >= i:
         j += 1
+    if mask.bits[i] == mask.bits[j]:
+        return mask
     bits = mask.bits.copy()
     bits[i], bits[j] = bits[j], bits[i]
     return FeatureMask(bits)
@@ -215,17 +144,24 @@ def dimm(mask: FeatureMask, ctx: LlhContext) -> FeatureMask:
     return mask
 
 
+def _flip_coins(mask: FeatureMask, rng: np.random.Generator,
+                rate: float) -> FeatureMask:
+    """Flip each bit whose ``rng.random(n)`` coin is below rate, if any."""
+    coins = rng.random(mask.n) < rate
+    if not coins.any():
+        return mask
+    return FeatureMask(np.where(coins, mask.bits ^ 1, mask.bits))
+
+
 def hypm(mask: FeatureMask, ctx: LlhContext) -> FeatureMask:
     """Flip every bit independently with probability 0.5 - a large,
     restart-like jump."""
-    coins = ctx.rng.random(mask.n) < 0.5
-    return FeatureMask(np.where(coins, mask.bits ^ 1, mask.bits))
+    return _flip_coins(mask, ctx.rng, 0.5)
 
 
 def mutn(mask: FeatureMask, ctx: LlhContext) -> FeatureMask:
     """Flip every bit independently with probability ctx.mutn_rate."""
-    coins = ctx.rng.random(mask.n) < ctx.mutn_rate
-    return FeatureMask(np.where(coins, mask.bits ^ 1, mask.bits))
+    return _flip_coins(mask, ctx.rng, ctx.mutn_rate)
 
 
 @dataclass(frozen=True)

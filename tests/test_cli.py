@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from hhfs.cli import main
+from hhfs.cli import _apply_overrides, build_parser, main
+from hhfs.experiment import load_config
+from hhfs.supervisor import SupervisorConfig
 from test_experiment import write_dataset_csv
 
 
@@ -63,6 +65,18 @@ def test_run_overrides_take_effect(project):
     assert report["config"]["master_seed"] == 9
     assert report["config"]["supervisor"]["generations"] == 1
     assert list(report["aggregate"].keys()) == ["1x3"]
+
+
+def test_every_supervisor_flag_overrides(project):
+    _, cfg = project
+    args = build_parser().parse_args([
+        "run", "--config", str(cfg), "--population-size", "5",
+        "--generations", "3", "--p-crossover", "0.5", "--p-mutation", "0.2",
+        "--nllh", "4", "--elitism", "2", "--mutn-rate", "0.3"])
+    spec = _apply_overrides(load_config(cfg), args)
+    assert spec.supervisor == SupervisorConfig(
+        population_size=5, generations=3, p_crossover=0.5, p_mutation=0.2,
+        nllh=4, elitism=2, mutn_rate=0.3)
 
 
 def test_run_unknown_dataset_exits(project):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import (cache_from_values, merit_from_cache_direct,
                       merit_from_data, pearson_twopass, random_cache,
                       random_mask, synthetic_dataset)
-from hhfs.correlation import (CorrelationCache, build_cache, cfs_merit,
-                              class_correlation, pearson)
+from hhfs.correlation import (CorrelationCache, _MeritScan, build_cache,
+                              cfs_merit, class_correlation, pearson)
 from hhfs.dataset import Dataset
 from hhfs.mask import FeatureMask
 
@@ -168,6 +168,16 @@ class TestCfsMerit:
             mask = random_mask(12, rng)
             assert cfs_merit(mask, cache) == pytest.approx(
                 merit_from_cache_direct(mask.bits, cache), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [166, 34])
+    def test_equals_scan_merit_bitwise(self, n):
+        # one merit implementation: the local searches and the statistics
+        # must score a mask identically, not merely within rounding
+        cache = random_cache(n)
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            mask = random_mask(n, rng)
+            assert cfs_merit(mask, cache) == _MeritScan(cache, mask.bits).merit()
 
     def test_matches_cache_free_recomputation(self):
         d = synthetic_dataset(n_instances=35, n_features=8, seed=9)

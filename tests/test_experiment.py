@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +97,38 @@ label_column = -1
         assert spec.supervisor.p_mutation == 0.1
         assert spec.cv_folds == 10
         assert spec.report_repeats == (10, 5)
+
+    def test_benchmark_config_loads_supervisor_defaults(self):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "benchmark.ini"
+        spec = load_config(cfg)
+        assert spec.supervisor == SupervisorConfig()
+        assert [d.name for d in spec.datasets] == [
+            "ionosphere", "sonar", "dermatology", "spectf", "musk"]
+
+    @pytest.mark.parametrize("body, match", [
+        ("[supervisor]\ngeneration = 5\n", r"\[supervisor\]: generation"),
+        ("[supervisor]\nseed = 5\n", r"\[supervisor\]: seed"),
+        ("[cv]\nfold = 5\n", r"\[cv\]: fold"),
+        ("[experiment]\nrun = 5\n", r"\[experiment\]: run"),
+        ("[datasets.a]\npath = a.csv\nlabel = 0\n", r"\[datasets.a\]: label"),
+        ("[superviser]\ngenerations = 5\n", r"unknown section \[superviser\]"),
+    ], ids=["supervisor", "supervisor-seed", "cv", "experiment", "dataset",
+            "section"])
+    def test_unknown_section_or_key_rejected(self, tmp_path, body, match):
+        cfg = write_config(tmp_path, "[datasets.x]\npath = x.csv\n" + body)
+        with pytest.raises(ValueError, match=match):
+            load_config(cfg)
+
+    def test_supervisor_values_typed_by_field_default(self, tmp_path):
+        cfg = write_config(tmp_path, "[datasets.x]\npath = x.csv\n[supervisor]\n"
+                                     "generations = 7\np_crossover = 1\n")
+        sup = load_config(cfg).supervisor
+        assert sup.generations == 7 and type(sup.generations) is int
+        assert sup.p_crossover == 1.0 and type(sup.p_crossover) is float
+        cfg = write_config(tmp_path, "[datasets.x]\npath = x.csv\n"
+                                     "[supervisor]\ngenerations = 7.5\n")
+        with pytest.raises(ValueError):
+            load_config(cfg)
 
     def test_label_column_by_name(self, tmp_path):
         cfg = write_config(tmp_path, "[datasets.x]\npath = x.csv\nlabel_column = klass\n")

@@ -5,7 +5,7 @@ from conftest import (StubRng, best_flip_oracle, cache_from_values,
                       exhaustive_best_mask, random_cache, random_mask,
                       synthetic_dataset)
 from hhfs import llh
-from hhfs.correlation import build_cache, cfs_merit
+from hhfs.correlation import _MeritScan, build_cache, cfs_merit
 from hhfs.llh import (ALL, ONES, ZEROS, CATALOG, HILL_CLIMBER_IDS,
                       MUTATIONAL_IDS, LlhContext, dbhc, dimm, hypm, mutn,
                       nahc, rmhc, sdhc, swpd)
@@ -49,6 +49,27 @@ class TestCatalog:
             out1 = llh.apply(llh_id, mask, make_ctx(cache, np.random.default_rng(99)))
             out2 = llh.apply(llh_id, mask, make_ctx(cache, np.random.default_rng(99)))
             assert out1 == out2
+
+    def test_unmoved_output_is_input(self):
+        # a heuristic that changes no bit returns its input object, so
+        # callers can skip re-scoring it by identity
+        rng = np.random.default_rng(21)
+        unmoved = np.zeros(17, dtype=int)
+        for n in (2, 3, 9, 34):
+            cache = random_cache(n, seed=n)
+            for trial in range(60):
+                mask = random_mask(n, rng)
+                for llh_id in range(1, 17):
+                    ctx = make_ctx(cache, np.random.default_rng([n, trial, llh_id]))
+                    out = llh.apply(llh_id, mask, ctx)
+                    if np.array_equal(out.bits, mask.bits):
+                        assert out is mask, CATALOG[llh_id].name
+                        unmoved[llh_id] += 1
+                    else:
+                        assert out is not mask
+        # every heuristic declined to move at least once (n = 2 and 3
+        # give SWPD equal bits and HYPM/MUTN coinless draws)
+        assert unmoved[1:].min() > 0, unmoved
 
     def test_mutn_rate_validation(self):
         with pytest.raises(ValueError):
@@ -110,7 +131,7 @@ class TestSdhc:
             cache = random_cache(n, seed=n)
             for _ in range(20):
                 bits = rng.integers(0, 2, size=n)
-                scan = llh._MeritScan(cache, bits)
+                scan = _MeritScan(cache, bits)
                 vector = scan.flip_merits(np.arange(n))
                 assert vector.tolist() == [scan.flip_merit(b) for b in range(n)]
 
@@ -291,7 +312,7 @@ class TestSwpd:
         forced = StubRng(integers=[0, 1])  # dims 0 and 2, both 1
         mask = FeatureMask([1, 0, 1])
         out = swpd(mask, make_ctx(random_cache(3), forced))
-        assert out == mask
+        assert out is mask
 
     def test_selected_count_preserved(self):
         rng = np.random.default_rng(50)
@@ -315,7 +336,7 @@ class TestDimm:
     def test_forced_keep(self):
         forced = StubRng(integers=[1], randoms=[0.9])
         mask = FeatureMask([0, 0, 0])
-        assert dimm(mask, make_ctx(random_cache(3), forced)) == mask
+        assert dimm(mask, make_ctx(random_cache(3), forced)) is mask
 
     def test_mean_changed_bits(self):
         rng = np.random.default_rng(52)
@@ -337,7 +358,7 @@ class TestHypm:
     def test_all_keep_coins_identity(self):
         forced = StubRng(randoms=[[0.9, 0.8, 0.7, 0.6]])
         mask = FeatureMask([1, 0, 1, 1])
-        assert hypm(mask, make_ctx(random_cache(4), forced)) == mask
+        assert hypm(mask, make_ctx(random_cache(4), forced)) is mask
 
     def test_mean_hamming_distance(self):
         rng = np.random.default_rng(54)
@@ -366,7 +387,7 @@ class TestMutn:
             rng = StubRng(randoms=[[0.0001, 0.0001, 0.0001]])
             mutn_rate = 1e-9
         mask = FeatureMask([1, 0, 1])
-        assert mutn(mask, Ctx()) == mask
+        assert mutn(mask, Ctx()) is mask
 
     def test_mean_flip_count(self):
         rng = np.random.default_rng(56)
