@@ -23,10 +23,11 @@ rows = [
     "4.7,135,0.3,benign",
     "6.0,152,0.9,malign",
 ]
-tmp = Path(tempfile.mkdtemp()) / "toy.csv"
-tmp.write_text("\n".join(rows) + "\n")
+with tempfile.TemporaryDirectory() as workdir:
+    csv_path = Path(workdir) / "toy.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    dataset = load_csv(csv_path, label_column=-1, name="toy")
 
-dataset = load_csv(tmp, label_column=-1, name="toy")
 print(f"loaded {dataset.name}: {dataset.n_instances} instances, "
       f"{dataset.n_features} features, {dataset.class_count} classes")
 print("labels densified in order of first appearance:", dataset.labels.tolist())

@@ -22,8 +22,6 @@ from hhfs.experiment import (DatasetConfig, ExperimentSpec, render_comparison,
                              run_experiment, verify_report)
 from hhfs.supervisor import SupervisorConfig
 
-workdir = Path(tempfile.mkdtemp())
-
 try:
     from sklearn.datasets import load_breast_cancer
     data = load_breast_cancer()
@@ -36,37 +34,39 @@ except ImportError:
     X[:, :4] += labels[:, None] * np.array([1.8, 1.5, 1.2, 0.9])
     source = "synthetic fallback"
 
-csv_path = workdir / "wdbc.csv"
-with open(csv_path, "w") as fh:
-    for x, y in zip(X, labels):
-        fh.write(",".join(repr(float(v)) for v in x) + f",{int(y)}\n")
-print(f"dataset: {source} -> {csv_path}")
+with tempfile.TemporaryDirectory() as tmp:
+    workdir = Path(tmp)
+    csv_path = workdir / "wdbc.csv"
+    with open(csv_path, "w") as fh:
+        for x, y in zip(X, labels):
+            fh.write(",".join(repr(float(v)) for v in x) + f",{int(y)}\n")
+    print(f"dataset: {source} -> {csv_path}")
 
-spec = ExperimentSpec(
-    datasets=(DatasetConfig(name="wdbc", path=str(csv_path)),),
-    runs=3,
-    supervisor=SupervisorConfig(population_size=10, generations=15),
-    cv_folds=10,
-    search_repeats=1,
-    report_repeats=(10, 5),
-    master_seed=1,
-    out_dir=str(workdir / "results"),
-)
+    spec = ExperimentSpec(
+        datasets=(DatasetConfig(name="wdbc", path=str(csv_path)),),
+        runs=3,
+        supervisor=SupervisorConfig(population_size=10, generations=15),
+        cv_folds=10,
+        search_repeats=1,
+        report_repeats=(10, 5),
+        master_seed=1,
+        out_dir=str(workdir / "results"),
+    )
 
-reports = run_experiment(spec, progress=print)
-report = reports[0]
-verify_report(report)  # aggregates must be recomputable from the runs
+    reports = run_experiment(spec, progress=print)
+    report = reports[0]
+    verify_report(report)  # aggregates must be recomputable from the runs
 
-agg = report["aggregate"]["10x10"]
-print(f"\nbaseline (all {report['n_features']} features): "
-      f"{report['baseline']['10x10']:.4f}")
-print(f"best of {spec.runs} runs: {agg['best']:.4f} with m={agg['best_m']}; "
-      f"mean {agg['mean']:.4f}, mean m {agg['mean_m']:.1f}")
+    agg = report["aggregate"]["10x10"]
+    print(f"\nbaseline (all {report['n_features']} features): "
+          f"{report['baseline']['10x10']:.4f}")
+    print(f"best of {spec.runs} runs: {agg['best']:.4f} with m={agg['best_m']}; "
+          f"mean {agg['mean']:.4f}, mean m {agg['mean_m']:.1f}")
 
-out = Path(spec.out_dir) / "wdbc"
-print(f"\nfiles written: {sorted(p.name for p in out.iterdir())}")
-loaded = json.loads((out / "report.json").read_text())
-print("report round-trips through JSON:", loaded == report)
+    out = Path(spec.out_dir) / "wdbc"
+    print(f"\nfiles written: {sorted(p.name for p in out.iterdir())}")
+    loaded = json.loads((out / "report.json").read_text())
+    print("report round-trips through JSON:", loaded == report)
 
 print("\ncomparison table (no published reference rows exist for this")
 print("dataset, so the engine is trivially the row maximum):")

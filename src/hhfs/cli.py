@@ -16,44 +16,28 @@ import sys
 
 from .dataset import min_max_normalize
 from .evaluation import CvProtocol
-from .experiment import (SUPERVISOR_KNOBS, ExperimentSpec,
+from .experiment import (KNOBS, VALUE_PARSERS, ExperimentSpec,
                          dump_correlation_caches, full_feature_baseline,
                          load_config, render_comparison, run_experiment,
-                         summary_text, verify_report)
+                         summary_text, verify_report, with_knobs)
 from .llh import describe_catalog
 
 
 def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
-    changes = {}
+    """``spec`` with every knob flag given on the command line."""
+    given = {k.field.name: getattr(args, k.field.name, None) for k in KNOBS}
+    return with_knobs(spec, {n: v for n, v in given.items() if v is not None})
+
+
+def _cmd_run(args) -> int:
+    spec = _apply_overrides(load_config(args.config), args)
     if args.dataset:
         keep = {name.lower() for name in args.dataset}
         chosen = tuple(d for d in spec.datasets if d.name.lower() in keep)
         missing = keep - {d.name.lower() for d in chosen}
         if missing:
             raise SystemExit(f"unknown dataset(s): {', '.join(sorted(missing))}")
-        changes["datasets"] = chosen
-    if args.runs is not None:
-        changes["runs"] = args.runs
-    if args.seed is not None:
-        changes["master_seed"] = args.seed
-    if args.out is not None:
-        changes["out_dir"] = args.out
-    if args.cv_folds is not None:
-        changes["cv_folds"] = args.cv_folds
-    if args.search_repeats is not None:
-        changes["search_repeats"] = args.search_repeats
-    if args.report_repeats is not None:
-        changes["report_repeats"] = tuple(
-            int(tok) for tok in args.report_repeats.split(",") if tok.strip())
-    sup_changes = {f.name: getattr(args, f.name) for f in SUPERVISOR_KNOBS
-                   if getattr(args, f.name) is not None}
-    if sup_changes:
-        changes["supervisor"] = dataclasses.replace(spec.supervisor, **sup_changes)
-    return dataclasses.replace(spec, **changes) if changes else spec
-
-
-def _cmd_run(args) -> int:
-    spec = _apply_overrides(load_config(args.config), args)
+        spec = dataclasses.replace(spec, datasets=chosen)
     if args.dump_cache:
         for path in dump_correlation_caches(spec):
             print(f"wrote {path}")
@@ -68,21 +52,20 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    spec = load_config(args.config)
+    spec = _apply_overrides(load_config(args.config), args)
     entries = {d.name.lower(): d for d in spec.datasets}
     entry = entries.get(args.dataset.lower())
     if entry is None:
         raise SystemExit(f"unknown dataset {args.dataset!r}; "
                          f"config defines: {', '.join(sorted(entries))}")
     dataset = min_max_normalize(entry.load())
-    folds = args.cv_folds if args.cv_folds is not None else spec.cv_folds
-    repeats = args.repeats
-    seed = args.seed if args.seed is not None else spec.master_seed
-    proto = CvProtocol(folds=folds, repeats=repeats, base_seed=seed)
+    proto = CvProtocol(folds=spec.cv_folds, repeats=args.repeats,
+                       base_seed=spec.master_seed)
     acc = full_feature_baseline(dataset, proto)
     print(f"{dataset.name}: {dataset.n_instances} instances, "
           f"{dataset.n_features} features, {dataset.class_count} classes")
-    print(f"full-feature 1NN accuracy ({proto.label()}-fold CV, seed {seed}): {acc:.4f}")
+    print(f"full-feature 1NN accuracy ({proto.label()}-fold CV, "
+          f"seed {spec.master_seed}): {acc:.4f}")
     return 0
 
 
@@ -115,18 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="INI experiment config")
     run_p.add_argument("--dataset", action="append",
                        help="restrict to this dataset (repeatable)")
-    run_p.add_argument("--runs", type=int)
-    run_p.add_argument("--seed", type=int, help="master seed")
-    run_p.add_argument("--out", help="output directory")
-    for knob in SUPERVISOR_KNOBS:
-        run_p.add_argument("--" + knob.name.replace("_", "-"), dest=knob.name,
-                           type=type(knob.default),
-                           help=f"overrides [supervisor] {knob.name}")
-    run_p.add_argument("--cv-folds", dest="cv_folds", type=int)
-    run_p.add_argument("--search-repeats", dest="search_repeats", type=int,
-                       help="CV repeats for search-time fitness")
-    run_p.add_argument("--report-repeats", dest="report_repeats",
-                       help="comma-separated CV repeats for reporting, e.g. 10,5")
     run_p.add_argument("--dump-cache", action="store_true",
                        help="write each dataset's correlation cache as CSV")
     run_p.set_defaults(func=_cmd_run)
@@ -134,10 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
     base_p = sub.add_parser("baseline", help="full-feature 1NN CV accuracy")
     base_p.add_argument("--config", required=True)
     base_p.add_argument("--dataset", required=True)
-    base_p.add_argument("--cv-folds", dest="cv_folds", type=int)
     base_p.add_argument("--repeats", type=int, default=10)
-    base_p.add_argument("--seed", type=int)
     base_p.set_defaults(func=_cmd_baseline)
+    # every knob is a run flag; baseline takes the CV folds and seed too
+    for k in KNOBS:
+        for p in (run_p, base_p) if k.flag in ("--cv-folds", "--seed") else (run_p,):
+            p.add_argument(k.flag, dest=k.field.name, type=VALUE_PARSERS[k.field.type],
+                           metavar=k.flag[2:].replace("-", "_").upper(),
+                           help=f"overrides [{k.section}] {k.key}")
 
     explain_p = sub.add_parser("explain-llh", help="list the low-level heuristics")
     explain_p.set_defaults(func=_cmd_explain_llh)

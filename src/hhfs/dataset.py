@@ -91,8 +91,8 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = False,
     ``label_column`` is a column index (negative allowed) or, with a
     header, a column name. Feature cells equal to ``missing_token`` are
     imputed with the column mean over the non-missing cells; any other
-    non-numeric feature cell is an error. Labels are densified to
-    0..class_count-1 in order of first appearance.
+    non-numeric or non-finite (``nan``, ``inf``) feature cell is an error.
+    Labels are densified to 0..class_count-1 in order of first appearance.
     """
     path = Path(path)
     with open(path, newline="") as fh:
@@ -128,7 +128,8 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = False,
             raise DatasetError(f"{path}: label column {label_column} out of range")
 
     feature_cols = [j for j in range(ncols) if j != label_idx]
-    X = np.empty((len(rows), len(feature_cols)), dtype=np.float64)
+    X = np.full((len(rows), len(feature_cols)), np.nan)
+    missing = np.zeros(X.shape, dtype=bool)
     labels = []
     for i, row in enumerate(rows):
         label = row[label_idx].strip()
@@ -138,7 +139,7 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = False,
         for jj, j in enumerate(feature_cols):
             cell = row[j].strip()
             if cell == missing_token or cell == "":
-                X[i, jj] = np.nan
+                missing[i, jj] = True
                 continue
             try:
                 X[i, jj] = float(cell)
@@ -146,16 +147,22 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = False,
                 raise DatasetError(
                     f"{path}: non-numeric cell {cell!r} at row {i}, column {j}") from None
 
+    # only missing_token marks a missing cell: one reading nan or inf is an error
+    bad = np.argwhere(~(missing | np.isfinite(X)))
+    if bad.size:
+        i, j = bad[0][0], feature_cols[bad[0][1]]
+        raise DatasetError(f"{path}: non-finite cell {rows[i][j].strip()!r} "
+                           f"at row {i}, column {j}")
+
     # mean-impute missing cells, column by column
     for jj in range(X.shape[1]):
-        col = X[:, jj]
-        missing = np.isnan(col)
-        if missing.any():
-            observed = col[~missing]
+        col, gaps = X[:, jj], missing[:, jj]
+        if gaps.any():
+            observed = col[~gaps]
             if observed.size == 0:
                 raise DatasetError(
                     f"{path}: column {feature_cols[jj]} has no observed values to impute from")
-            col[missing] = observed.mean()
+            col[gaps] = observed.mean()
 
     return Dataset.from_arrays(name or path.stem, X, labels)
 

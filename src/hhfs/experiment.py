@@ -17,8 +17,9 @@ from __future__ import annotations
 import configparser
 import csv
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import Field, asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,18 +29,6 @@ from .evaluation import CvProtocol, cv_accuracy
 from .mask import FeatureMask
 from .published import BASELINE_REFERENCE
 from .supervisor import SupervisorConfig, SupervisorResult, run_supervisor
-
-
-# the [supervisor] config keys and `hhfs run` flags, typed and defaulted by
-# SupervisorConfig; each run's seed comes from master_seed instead
-SUPERVISOR_KNOBS = tuple(f for f in fields(SupervisorConfig) if f.name != "seed")
-
-_SECTION_KEYS = {
-    "experiment": {"runs", "master_seed", "out_dir"},
-    "supervisor": {f.name for f in SUPERVISOR_KNOBS},
-    "cv": {"folds", "search_repeats", "report_repeats"},
-}
-_DATASET_KEYS = {"path", "label_column", "has_header", "missing_token"}
 
 
 @dataclass(frozen=True)
@@ -74,11 +63,20 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("need at least 1 run")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
         if not self.report_repeats:
             raise ValueError("need at least one reporting protocol")
+        # building the protocols runs their fold and repeat checks
+        self.search_protocol(self.master_seed)
+        self.report_protocols()
 
     def run_seed(self, run_index: int) -> int:
         return self.master_seed + run_index
+
+    def search_protocol(self, seed: int) -> CvProtocol:
+        return CvProtocol(folds=self.cv_folds, repeats=self.search_repeats,
+                          base_seed=seed)
 
     def report_protocols(self) -> dict[str, CvProtocol]:
         # reporting folds are seeded by the master seed, fixed across runs
@@ -90,6 +88,56 @@ class ExperimentSpec:
 
     def primary_label(self) -> str:
         return f"{self.report_repeats[0]}x{self.cv_folds}"
+
+
+class Knob(NamedTuple):
+    """One config key: its [section] and key, the ExperimentSpec or
+    SupervisorConfig field it sets (type and default) and its flag."""
+
+    section: str
+    key: str
+    field: Field
+    flag: str
+
+
+def _knob(section: str, name: str, key: str = "", flag: str = "") -> Knob:
+    owner = SupervisorConfig if section == "supervisor" else ExperimentSpec
+    f = next(f for f in fields(owner) if f.name == name)
+    return Knob(section, key or name, f, flag or "--" + name.replace("_", "-"))
+
+
+# Every [experiment], [supervisor] and [cv] key. A run's supervisor seed
+# comes from master_seed, so SupervisorConfig.seed is no key.
+KNOBS = (
+    _knob("experiment", "runs"),
+    _knob("experiment", "master_seed", flag="--seed"),
+    _knob("experiment", "out_dir", flag="--out"),
+    *(_knob("supervisor", f.name) for f in fields(SupervisorConfig) if f.name != "seed"),
+    _knob("cv", "cv_folds", key="folds"),
+    _knob("cv", "search_repeats"),
+    _knob("cv", "report_repeats"),
+)
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+# value parser per declared field type (annotations are strings here); a
+# label column is an index or a header name
+VALUE_PARSERS = {
+    "int": int, "float": float, "str": str, "tuple[int, ...]": int_list,
+    "bool": lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
+    "int | str": lambda text: int(text) if text.lstrip("+-").isdecimal() else text,
+}
+
+
+def with_knobs(spec: ExperimentSpec, values: dict[str, object]) -> ExperimentSpec:
+    """``spec`` with the knob fields named in ``values`` set to them."""
+    sup = {k.field.name for k in KNOBS if k.section == "supervisor"}
+    supervisor = replace(spec.supervisor, **{n: v for n, v in values.items() if n in sup})
+    return replace(spec, supervisor=supervisor,
+                   **{n: v for n, v in values.items() if n not in sup})
 
 
 def full_feature_baseline(d: Dataset, proto: CvProtocol) -> float:
@@ -166,9 +214,8 @@ def run_dataset(dataset: Dataset, spec: ExperimentSpec,
     for r in range(spec.runs):
         seed = spec.run_seed(r)
         cfg = replace(spec.supervisor, seed=seed)
-        search = CvProtocol(folds=spec.cv_folds, repeats=spec.search_repeats,
-                            base_seed=seed)
-        result = run_supervisor(dataset, cfg, search, report_protocols, cache=cache)
+        result = run_supervisor(dataset, cfg, spec.search_protocol(seed),
+                                report_protocols, cache=cache)
         runs.append(_run_record(r, result))
         timings.append(result.wall_time)
         if progress is not None:
@@ -180,12 +227,10 @@ def run_dataset(dataset: Dataset, spec: ExperimentSpec,
         "n_instances": dataset.n_instances,
         "n_features": dataset.n_features,
         "class_count": dataset.class_count,
-        "config": {
-            "runs": spec.runs,
-            "master_seed": spec.master_seed,
-            "cv_folds": spec.cv_folds,
-            "search_repeats": spec.search_repeats,
-            "report_repeats": list(spec.report_repeats),
+        "config": {  # every knob but where the files go; tuples as JSON reads them
+            **{k.field.name: list(v) if isinstance(v, tuple) else v
+               for k in KNOBS if k.section != "supervisor" and k.field.name != "out_dir"
+               for v in [getattr(spec, k.field.name)]},
             "supervisor": asdict(replace(spec.supervisor, seed=spec.master_seed)),
         },
         "baseline": baseline,
@@ -311,67 +356,44 @@ def dump_correlation_caches(spec: ExperimentSpec) -> list[Path]:
 
 
 def load_config(path) -> ExperimentSpec:
-    """Parse an INI experiment config.
-
-    Sections: [experiment] (runs, master_seed, out_dir), [supervisor]
-    (the SUPERVISOR_KNOBS, defaulting as in SupervisorConfig), [cv]
-    (folds, search_repeats, report_repeats as a comma-separated list), and
-    one [datasets.<name>] per dataset with path, label_column (index or
-    name), has_header, missing_token. An unknown section or key raises
-    ValueError.
-    """
+    """Parse an INI experiment config: [experiment], [supervisor] and [cv]
+    take the KNOBS keys, each [datasets.<name>] the DatasetConfig fields but
+    ``name``. A missing key keeps its field's default; an unknown section or
+    key, or a value its field cannot take, raises ValueError naming it."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
 
-    for section in parser.sections():
-        known = (_DATASET_KEYS if section.startswith("datasets.")
-                 else _SECTION_KEYS.get(section))
-        if known is None:
-            raise ValueError(f"{path}: unknown section [{section}]")
-        unknown = sorted(set(parser.options(section)) - known)
+    def values(section: str, by_key: dict[str, Field]) -> dict[str, object]:
+        unknown = sorted(set(parser.options(section)) - by_key.keys())
         if unknown:
             raise ValueError(
                 f"{path}: unknown key(s) in [{section}]: {', '.join(unknown)}")
+        parsed = {}
+        for key, text in parser.items(section):
+            f = by_key[key]
+            parse = VALUE_PARSERS[f.type]
+            try:
+                parsed[f.name] = parse(text)
+            except (KeyError, ValueError):  # KeyError: not a boolean
+                raise ValueError(f"{path}: [{section}] {key} = {text!r} "
+                                 f"is not a valid {f.type}") from None
+        return parsed
 
-    sup = parser["supervisor"] if parser.has_section("supervisor") else {}
-    supervisor = SupervisorConfig(**{
-        f.name: type(f.default)(sup[f.name]) for f in SUPERVISOR_KNOBS if f.name in sup})
-    cv = parser["cv"] if parser.has_section("cv") else {}
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-
+    dataset_fields = {f.name: f for f in fields(DatasetConfig) if f.name != "name"}
+    knob_values: dict[str, object] = {}
     datasets = []
     for section in parser.sections():
-        if not section.startswith("datasets."):
-            continue
-        entry = parser[section]
-        if "path" not in entry:
-            raise ValueError(f"[{section}] is missing the 'path' key")
-        label_column: int | str = entry.get("label_column", "-1")
-        try:
-            label_column = int(label_column)
-        except ValueError:
-            pass  # column referenced by header name
-        datasets.append(DatasetConfig(
-            name=section.split(".", 1)[1],
-            path=entry["path"],
-            label_column=label_column,
-            has_header=entry.getboolean("has_header", False),
-            missing_token=entry.get("missing_token", "?"),
-        ))
+        knobs = {k.key: k.field for k in KNOBS if k.section == section}
+        if section.startswith("datasets."):
+            entry = values(section, dataset_fields)
+            if "path" not in entry:
+                raise ValueError(f"[{section}] is missing the 'path' key")
+            datasets.append(DatasetConfig(name=section.split(".", 1)[1], **entry))
+        elif knobs:
+            knob_values |= values(section, knobs)
+        else:
+            raise ValueError(f"{path}: unknown section [{section}]")
     if not datasets:
         raise ValueError(f"{path}: no [datasets.<name>] sections found")
-
-    report_repeats = tuple(
-        int(tok) for tok in str(cv.get("report_repeats", "10, 5")).split(",") if tok.strip())
-    return ExperimentSpec(
-        datasets=tuple(datasets),
-        runs=int(exp.get("runs", 10)),
-        supervisor=supervisor,
-        cv_folds=int(cv.get("folds", 10)),
-        search_repeats=int(cv.get("search_repeats", 1)),
-        report_repeats=report_repeats,
-        master_seed=int(exp.get("master_seed", 0)),
-        out_dir=str(exp.get("out_dir", "results")),
-    )
+    return with_knobs(ExperimentSpec(datasets=tuple(datasets)), knob_values)

@@ -1,9 +1,15 @@
+import argparse
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from hhfs.cli import _apply_overrides, build_parser, main
-from hhfs.experiment import load_config
+from hhfs.dataset import load_csv, min_max_normalize
+from hhfs.evaluation import CvProtocol
+from hhfs.experiment import full_feature_baseline, load_config
 from hhfs.supervisor import SupervisorConfig
 from test_experiment import write_dataset_csv
 
@@ -68,15 +74,44 @@ def test_run_overrides_take_effect(project):
 
 
 def test_every_supervisor_flag_overrides(project):
-    _, cfg = project
+    tmp_path, cfg = project
     args = build_parser().parse_args([
         "run", "--config", str(cfg), "--population-size", "5",
         "--generations", "3", "--p-crossover", "0.5", "--p-mutation", "0.2",
-        "--nllh", "4", "--elitism", "2", "--mutn-rate", "0.3"])
+        "--nllh", "4", "--elitism", "2", "--mutn-rate", "0.3",
+        "--runs", "4", "--seed", "8", "--out", str(tmp_path / "o3"),
+        "--cv-folds", "4", "--search-repeats", "2", "--report-repeats", "3, 2"])
     spec = _apply_overrides(load_config(cfg), args)
-    assert spec.supervisor == SupervisorConfig(
-        population_size=5, generations=3, p_crossover=0.5, p_mutation=0.2,
-        nllh=4, elitism=2, mutn_rate=0.3)
+    assert spec == dataclasses.replace(
+        load_config(cfg), runs=4, master_seed=8, out_dir=str(tmp_path / "o3"),
+        cv_folds=4, search_repeats=2, report_repeats=(3, 2),
+        supervisor=SupervisorConfig(
+            population_size=5, generations=3, p_crossover=0.5, p_mutation=0.2,
+            nllh=4, elitism=2, mutn_rate=0.3))
+
+
+def test_baseline_cv_folds_and_seed_take_effect(project, capsys):
+    tmp_path, cfg = project
+    assert main(["baseline", "--config", str(cfg), "--dataset", "alpha",
+                 "--repeats", "2", "--cv-folds", "4", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    dataset = min_max_normalize(load_csv(tmp_path / "alpha.csv", name="alpha"))
+    acc = full_feature_baseline(dataset, CvProtocol(folds=4, repeats=2, base_seed=7))
+    assert f"(2x4-fold CV, seed 7): {acc:.4f}" in out
+
+
+def test_readme_synopsis_lists_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    synopsis = {cmd.split()[0]: cmd for cmd in block.split("hhfs ") if cmd.strip()}
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command in ("run", "baseline"):
+        options = {s for a in subparsers.choices[command]._actions
+                   for s in a.option_strings} - {"-h", "--help"}
+        missing = {s for s in options  # whole option strings, not prefixes
+                   if not re.search(re.escape(s) + r"(?![\w-])", synopsis[command])}
+        assert not missing, f"README's `hhfs {command}` synopsis lacks {missing}"
 
 
 def test_run_unknown_dataset_exits(project):

@@ -60,6 +60,18 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="non-numeric"):
             load_csv(path, label_column=-1)
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "-INF"])
+    def test_non_finite_feature_error(self, tmp_path, cell):
+        path = write_csv(tmp_path, f"A,1,?\nB,3,{cell}\n")
+        with pytest.raises(DatasetError,
+                           match=f"data.csv: non-finite cell '{cell}' at row 1, column 2"):
+            load_csv(path, label_column=0)
+
+    def test_nan_as_missing_token_is_imputed(self, tmp_path):
+        path = write_csv(tmp_path, "2.0,A\nnan,B\n4.0,A\n")
+        d = load_csv(path, label_column=1, missing_token="nan")
+        assert d.features[1, 0] == pytest.approx(3.0)
+
     def test_single_class_error(self, tmp_path):
         path = write_csv(tmp_path, "1,2,A\n3,4,A\n")
         with pytest.raises(DatasetError, match="2 classes"):

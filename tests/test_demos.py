@@ -17,9 +17,10 @@ def test_all_five_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_zero(demo, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path))  # demos write to mkdtemp()
+    env = dict(os.environ, TMPDIR=str(tmp_path))  # demos write to temp dirs
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert list(tmp_path.iterdir()) == [], "the demo left files in its temp dir"

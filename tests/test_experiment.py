@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -104,6 +106,10 @@ label_column = -1
         assert spec.supervisor == SupervisorConfig()
         assert [d.name for d in spec.datasets] == [
             "ionosphere", "sonar", "dermatology", "spectf", "musk"]
+        assert dataclasses.replace(spec, datasets=()) == ExperimentSpec(datasets=())
+        assert (spec.runs, spec.master_seed, spec.out_dir, spec.cv_folds,
+                spec.search_repeats, spec.report_repeats) == (
+                    10, 0, "results", 10, 1, (10, 5))
 
     @pytest.mark.parametrize("body, match", [
         ("[supervisor]\ngeneration = 5\n", r"\[supervisor\]: generation"),
@@ -117,6 +123,23 @@ label_column = -1
     def test_unknown_section_or_key_rejected(self, tmp_path, body, match):
         cfg = write_config(tmp_path, "[datasets.x]\npath = x.csv\n" + body)
         with pytest.raises(ValueError, match=match):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("body, where", [
+        ("[supervisor]\ngenerations = 7.5\n", "[supervisor] generations = '7.5'"),
+        ("[experiment]\nruns = ten\n", "[experiment] runs = 'ten'"),
+        ("[cv]\nreport_repeats = 10;5\n", "[cv] report_repeats = '10;5'"),
+        ("has_header = maybe\n", "[datasets.x] has_header = 'maybe'"),
+    ], ids=["supervisor", "experiment", "cv", "dataset"])
+    def test_malformed_value_rejected_with_location(self, tmp_path, body, where):
+        cfg = write_config(tmp_path, "[datasets.x]\npath = x.csv\n" + body)
+        with pytest.raises(ValueError, match=re.escape(f"{cfg}: {where} is not a valid")):
+            load_config(cfg)
+
+    def test_unrunnable_cv_rejected_before_reading_csv(self, tmp_path):
+        cfg = write_config(tmp_path, f"[datasets.x]\npath = {tmp_path / 'absent.csv'}\n"
+                                     "[cv]\nfolds = 1\n")
+        with pytest.raises(ValueError, match="need at least 2 folds"):
             load_config(cfg)
 
     def test_supervisor_values_typed_by_field_default(self, tmp_path):
@@ -134,6 +157,8 @@ label_column = -1
         cfg = write_config(tmp_path, "[datasets.x]\npath = x.csv\nlabel_column = klass\n")
         spec = load_config(cfg)
         assert spec.datasets[0].label_column == "klass"
+        cfg = write_config(tmp_path, "[datasets.x]\npath = x.csv\nlabel_column = -2\n")
+        assert load_config(cfg).datasets[0].label_column == -2
 
     def test_missing_file_and_missing_sections(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -144,6 +169,21 @@ label_column = -1
         cfg2 = write_config(tmp_path, "[datasets.x]\nlabel_column = 3\n")
         with pytest.raises(ValueError, match="path"):
             load_config(cfg2)
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("changes, match", [
+        ({"runs": 0}, "at least 1 run"),
+        ({"report_repeats": ()}, "reporting protocol"),
+        ({"cv_folds": 1}, "at least 2 folds"),
+        ({"search_repeats": 0}, "at least 1 repeat"),
+        ({"report_repeats": (10, 0)}, "at least 1 repeat"),
+        ({"master_seed": -1}, "non-negative"),
+    ], ids=["runs", "no-report", "folds", "search-repeats", "report-repeat",
+            "master-seed"])
+    def test_unrunnable_spec_rejected_at_construction(self, changes, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec(datasets=(), **changes)
 
 
 class TestRunSeeds:
