@@ -13,8 +13,9 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 
-from .dataset import min_max_normalize
+from .dataset import DatasetError, min_max_normalize
 from .evaluation import CvProtocol
 from .experiment import (KNOBS, VALUE_PARSERS, ExperimentSpec,
                          dump_correlation_caches, full_feature_baseline,
@@ -29,8 +30,24 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
     return with_knobs(spec, {n: v for n, v in given.items() if v is not None})
 
 
+@contextmanager
+def _input_errors():
+    """Turn a bad config, option value or dataset file into one stderr
+    line and exit status 2."""
+    try:
+        yield
+    except (ValueError, FileNotFoundError, DatasetError) as exc:
+        print(f"hhfs: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _load_spec(args) -> ExperimentSpec:
+    with _input_errors():
+        return _apply_overrides(load_config(args.config), args)
+
+
 def _cmd_run(args) -> int:
-    spec = _apply_overrides(load_config(args.config), args)
+    spec = _load_spec(args)
     if args.dataset:
         keep = {name.lower() for name in args.dataset}
         chosen = tuple(d for d in spec.datasets if d.name.lower() in keep)
@@ -52,15 +69,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    spec = _apply_overrides(load_config(args.config), args)
+    spec = _load_spec(args)
     entries = {d.name.lower(): d for d in spec.datasets}
     entry = entries.get(args.dataset.lower())
     if entry is None:
         raise SystemExit(f"unknown dataset {args.dataset!r}; "
                          f"config defines: {', '.join(sorted(entries))}")
-    dataset = min_max_normalize(entry.load())
-    proto = CvProtocol(folds=spec.cv_folds, repeats=args.repeats,
-                       base_seed=spec.master_seed)
+    with _input_errors():
+        dataset = min_max_normalize(entry.load())
+        proto = CvProtocol(folds=spec.cv_folds, repeats=args.repeats,
+                           base_seed=spec.master_seed)
     acc = full_feature_baseline(dataset, proto)
     print(f"{dataset.name}: {dataset.n_instances} instances, "
           f"{dataset.n_features} features, {dataset.class_count} classes")

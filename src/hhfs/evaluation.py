@@ -127,17 +127,29 @@ class FitnessEvaluator:
         self.computations = 0
         self.hits = 0
 
-    def fitness(self, mask: FeatureMask) -> float:
-        key = mask.key()
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
+    def compute(self, mask: FeatureMask) -> float:
+        """One CV evaluation of ``mask``, bypassing the memo."""
         idx = _selected_columns(self.dataset, mask)
-        value = _split_accuracy(self.dataset, idx, self._splits) if idx.size else 0.0
-        self.computations += 1
-        self._cache[key] = value
-        return value
+        return _split_accuracy(self.dataset, idx, self._splits) if idx.size else 0.0
+
+    def fitnesses(self, masks: list[FeatureMask], mapper=map) -> list[float]:
+        """The fitness of each mask, in order, with the counters moved as
+        consecutive ``fitness`` calls would move them: each distinct mask
+        not yet memoized is computed once, through
+        ``mapper(self.compute, masks)``, and every other lookup is a hit."""
+        keys = [mask.key() for mask in masks]
+        todo: dict[bytes, FeatureMask] = {}
+        for key, mask in zip(keys, masks):
+            if key not in self._cache:
+                todo.setdefault(key, mask)
+        values = list(mapper(self.compute, todo.values()))
+        self._cache.update(zip(todo, values))
+        self.computations += len(todo)
+        self.hits += len(keys) - len(todo)
+        return [self._cache[key] for key in keys]
+
+    def fitness(self, mask: FeatureMask) -> float:
+        return self.fitnesses([mask])[0]
 
     def __call__(self, mask: FeatureMask) -> float:
         return self.fitness(mask)

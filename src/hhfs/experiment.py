@@ -201,23 +201,26 @@ def verify_report(report: dict) -> None:
 
 
 def run_dataset(dataset: Dataset, spec: ExperimentSpec,
-                progress=None) -> tuple[dict, list[float]]:
+                progress=None) -> tuple[dict, list[dict[str, float]]]:
     """All runs for one already-loaded dataset. Returns the report dict
-    and the per-run wall times (kept out of the report)."""
+    and, per run, its wall seconds in total and per phase (kept out of
+    the report), keyed by their timings.csv column names."""
     dataset = min_max_normalize(dataset)
     cache = build_cache(dataset)
     report_protocols = spec.report_protocols()
     baseline = {label: full_feature_baseline(dataset, proto)
                 for label, proto in report_protocols.items()}
     runs: list[dict] = []
-    timings: list[float] = []
+    timings: list[dict[str, float]] = []
     for r in range(spec.runs):
         seed = spec.run_seed(r)
         cfg = replace(spec.supervisor, seed=seed)
         result = run_supervisor(dataset, cfg, spec.search_protocol(seed),
                                 report_protocols, cache=cache)
         runs.append(_run_record(r, result))
-        timings.append(result.wall_time)
+        timings.append({"wall_time_seconds": result.wall_time,
+                        **{f"{phase}_seconds": t
+                           for phase, t in result.phase_seconds.items()}})
         if progress is not None:
             primary = result.reported[spec.primary_label()]
             progress(f"  run {r}: accuracy[{spec.primary_label()}]={primary:.4f} "
@@ -240,7 +243,8 @@ def run_dataset(dataset: Dataset, spec: ExperimentSpec,
     return report, timings
 
 
-def write_report_files(report: dict, timings: list[float], out_dir: Path) -> None:
+def write_report_files(report: dict, timings: list[dict[str, float]],
+                       out_dir: Path) -> None:
     out = out_dir / report["dataset"]
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w") as fh:
@@ -256,9 +260,9 @@ def write_report_files(report: dict, timings: list[float], out_dir: Path) -> Non
                                  repr(best_fit)])
     with open(out / "timings.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["run", "wall_time_seconds"])
-        for r, t in enumerate(timings):
-            writer.writerow([r, f"{t:.3f}"])
+        writer.writerow(["run", *timings[0]])
+        for r, row in enumerate(timings):
+            writer.writerow([r, *(f"{t:.3f}" for t in row.values())])
 
 
 def write_summary_csv(reports: list[dict], path: Path) -> None:

@@ -87,5 +87,9 @@ class FeatureMask:
     def __hash__(self) -> int:
         return hash(self.key())
 
+    def __reduce__(self):
+        # rebuilt through __init__, so an unpickled mask is read-only too
+        return FeatureMask, (self.bits,)
+
     def __repr__(self) -> str:
         return f"FeatureMask({self.to01()!r})"

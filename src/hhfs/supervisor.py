@@ -11,11 +11,20 @@ Reproducibility contract: all randomness derives from the run seed. The
 heuristic stream of chromosome i in generation g is seeded by
 (seed, 1, g, i), so evaluations are order-independent within a generation
 and the whole run is bit-exact replayable.
+
+That independence is what spreads a generation over every core the
+process may run on: its heuristic sequences, then its distinct unmemoized
+masks, are mapped over a pool of forked workers, which inherit the dataset,
+the correlation cache and the evaluator's folds. The results, counters
+included, are the same for any number of workers.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,6 +139,9 @@ class SupervisorResult:
     fitness_computations: int
     fitness_cache_hits: int
     wall_time: float
+    # wall seconds spent in each phase of the run: heuristics, fitness,
+    # ga, report; the rest of wall_time is set-up
+    phase_seconds: dict[str, float]
 
     @property
     def m(self) -> int:
@@ -145,6 +157,23 @@ def random_chromosome(nllh: int, rng: np.random.Generator) -> Chromosome:
     return Chromosome(rng.integers(1, NUM_LLH + 1, size=nllh))
 
 
+def _apply_genes(genes: np.ndarray, incumbent: FeatureMask, ctx: LlhContext,
+                 stats: LlhStats | None = None) -> FeatureMask:
+    """Apply the heuristics left to right, each consuming the previous
+    output, starting from the incumbent; return the final mask."""
+    mask = incumbent
+    merit_before = cfs_merit(mask, ctx.cache) if stats is not None else 0.0
+    for gene in genes:
+        out = llh.apply(int(gene), mask, ctx)
+        if stats is not None:
+            # a heuristic that declines to move returns its input object
+            merit_after = merit_before if out is mask else cfs_merit(out, ctx.cache)
+            stats.record(int(gene), merit_before, merit_after)
+            merit_before = merit_after
+        mask = out
+    return mask
+
+
 def evaluate_chromosome(chromosome: Chromosome, incumbent: FeatureMask,
                         ctx: LlhContext, evaluator,
                         stats: LlhStats | None = None) -> tuple[FeatureMask, float]:
@@ -154,16 +183,7 @@ def evaluate_chromosome(chromosome: Chromosome, incumbent: FeatureMask,
     The incumbent itself is never modified. The chromosome's fitness field
     is set to the returned accuracy.
     """
-    mask = incumbent
-    merit_before = cfs_merit(mask, ctx.cache) if stats is not None else 0.0
-    for gene in chromosome.genes:
-        out = llh.apply(int(gene), mask, ctx)
-        if stats is not None:
-            # a heuristic that declines to move returns its input object
-            merit_after = merit_before if out is mask else cfs_merit(out, ctx.cache)
-            stats.record(int(gene), merit_before, merit_after)
-            merit_before = merit_after
-        mask = out
+    mask = _apply_genes(chromosome.genes, incumbent, ctx, stats)
     fit = float(evaluator(mask))
     chromosome.fitness = fit
     return mask, fit
@@ -232,6 +252,79 @@ def _next_generation(population: list[Chromosome], fits: np.ndarray,
     return elites + mutated
 
 
+@dataclass(frozen=True, eq=False)
+class _HeuristicRuns:
+    """Applies one chromosome's genes per task; pool workers inherit it."""
+
+    cache: CorrelationCache
+    seed: int
+    mutn_rate: float
+
+    def apply(self, task: tuple[int, int, np.ndarray, FeatureMask]):
+        """Task ``(generation, index, genes, incumbent)``: the final mask,
+        None when it is the incumbent, and the task's LlhStats counts."""
+        gen, i, genes, incumbent = task
+        ctx = LlhContext(cache=self.cache,
+                         rng=np.random.default_rng([self.seed, 1, gen, i]),
+                         mutn_rate=self.mutn_rate)
+        stats = LlhStats()
+        mask = _apply_genes(genes, incumbent, ctx, stats)
+        return (None if mask is incumbent else mask,
+                stats.invocations, stats.improvements)
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_inherited: tuple = ()  # in a pool worker: the objects shared at fork
+
+
+def _inherit(shared: tuple) -> None:
+    global _inherited
+    _inherited = shared
+
+
+def _call_inherited(call: tuple[int, str, object]):
+    owner, method, arg = call
+    return getattr(_inherited[owner], method)(arg)
+
+
+@contextmanager
+def _generation_map(workers: int, shared: tuple):
+    """A ``map(method, items)`` for methods of the objects in ``shared``.
+
+    With two or more workers and the fork start method, the calls run in a
+    pool of forked workers, which inherit ``shared`` rather than receive
+    it; only the method name, the items and the results cross the pipes.
+    Otherwise, and inside a daemonic process (a pool worker, which may not
+    fork), this is builtin ``map``. The pool does not outlive the block.
+    """
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        yield map
+        return
+    # fork, not spawn: a spawned worker would re-import and need the
+    # dataset, cache and folds pickled to it for every run; forked workers
+    # run only engine code that is already imported
+    pool = multiprocessing.get_context("fork").Pool(workers, _inherit, (shared,))
+
+    def pooled(method, items):
+        owner = next(k for k, obj in enumerate(shared) if obj is method.__self__)
+        return pool.map(_call_inherited, [(owner, method.__name__, x) for x in items])
+    try:
+        yield pooled
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.close()
+        pool.join()
+
+
 def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
                    search_protocol: CvProtocol,
                    report_protocols: dict[str, CvProtocol] | None = None,
@@ -244,6 +337,11 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     produce the next population. After the last generation the incumbent
     is re-evaluated under each reporting protocol. Datasets with fewer
     than 2 features are rejected: SWPD needs two dimensions to swap.
+
+    A generation runs in two mapped phases: every chromosome's heuristics,
+    then the fitness of its distinct masks not yet memoized. They use one
+    worker per usable core, at most one per chromosome, and run in-process
+    when that is one worker.
     """
     if dataset.n_features < 2:
         raise ValueError("the supervisor needs at least 2 features, "
@@ -252,6 +350,7 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     if cache is None:
         cache = build_cache(dataset)
     evaluator = FitnessEvaluator(dataset, search_protocol)
+    heuristics = _HeuristicRuns(cache, cfg.seed, cfg.mutn_rate)
     init_rng = np.random.default_rng([cfg.seed, 0])
     ga_rng = np.random.default_rng([cfg.seed, 2])
 
@@ -264,33 +363,43 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
 
     stats = LlhStats()
     history: list[GenerationRecord] = []
-    for gen in range(cfg.generations):
-        masks: list[FeatureMask] = []
-        fits = np.empty(len(population), dtype=np.float64)
-        for i, chrom in enumerate(population):
-            ctx = LlhContext(cache=cache,
-                             rng=np.random.default_rng([cfg.seed, 1, gen, i]),
-                             mutn_rate=cfg.mutn_rate)
-            mask_i, fit_i = evaluate_chromosome(chrom, incumbent, ctx,
-                                                evaluator, stats)
-            masks.append(mask_i)
-            fits[i] = fit_i
-        best_i = int(np.argmax(fits))
-        if fits[best_i] > incumbent_fitness:
-            incumbent = masks[best_i]
-            incumbent_fitness = float(fits[best_i])
-        history.append(GenerationRecord(
-            generation=gen,
-            best_chromosome_fitness=float(fits[best_i]),
-            incumbent_fitness=incumbent_fitness,
-            incumbent_m=incumbent.selected_count(),
-        ))
-        population = _next_generation(population, fits, cfg, ga_rng)
+    phases = dict.fromkeys(("heuristics", "fitness", "ga", "report"), 0.0)
+    workers = min(_usable_cores(), cfg.population_size)
+    with _generation_map(workers, (heuristics, evaluator)) as mapper:
+        for gen in range(cfg.generations):
+            t0 = time.perf_counter()
+            masks: list[FeatureMask] = []
+            tasks = [(gen, i, chrom.genes, incumbent)
+                     for i, chrom in enumerate(population)]
+            for mask_i, invocations, improvements in mapper(heuristics.apply, tasks):
+                masks.append(incumbent if mask_i is None else mask_i)
+                stats.invocations += invocations
+                stats.improvements += improvements
+            t1 = time.perf_counter()
+            fits = np.array(evaluator.fitnesses(masks, mapper), dtype=np.float64)
+            t2 = time.perf_counter()
+            best_i = int(np.argmax(fits))
+            if fits[best_i] > incumbent_fitness:
+                incumbent = masks[best_i]
+                incumbent_fitness = float(fits[best_i])
+            history.append(GenerationRecord(
+                generation=gen,
+                best_chromosome_fitness=float(fits[best_i]),
+                incumbent_fitness=incumbent_fitness,
+                incumbent_m=incumbent.selected_count(),
+            ))
+            population = _next_generation(population, fits, cfg, ga_rng)
+            phases["heuristics"] += t1 - t0
+            phases["fitness"] += t2 - t1
+            phases["ga"] += time.perf_counter() - t2
 
+    t0 = time.perf_counter()
     reported = {
         label: cv_accuracy(dataset, incumbent, proto)
         for label, proto in (report_protocols or {}).items()
     }
+    end = time.perf_counter()
+    phases["report"] = end - t0
     return SupervisorResult(
         mask=incumbent,
         search_fitness=incumbent_fitness,
@@ -302,6 +411,6 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
         initial_m=initial_m,
         fitness_computations=evaluator.computations,
         fitness_cache_hits=evaluator.hits,
-        wall_time=time.perf_counter() - start,
+        wall_time=end - start,
+        phase_seconds=phases,
     )
-

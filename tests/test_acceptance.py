@@ -103,7 +103,7 @@ class TestQuantitativeReproduction:
         report = _uci_report("ionosphere")
         agg = report["aggregate"]["10x10"]
         baseline = report["baseline"]["10x10"]
-        slowest = max(report["_timings"])
+        slowest = max(t["wall_time_seconds"] for t in report["_timings"])
         detail = (f"best={agg['best']:.4f} mean={agg['mean']:.4f} "
                   f"best_m={agg['best_m']} baseline={baseline:.4f} "
                   f"slowest run {slowest:.0f}s")

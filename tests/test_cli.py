@@ -1,7 +1,10 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,6 +115,43 @@ def test_readme_synopsis_lists_every_option():
         missing = {s for s in options  # whole option strings, not prefixes
                    if not re.search(re.escape(s) + r"(?![\w-])", synopsis[command])}
         assert not missing, f"README's `hhfs {command}` synopsis lacks {missing}"
+
+
+def test_bad_config_value_is_one_line_and_status_2(project):
+    tmp_path, cfg = project
+    cfg.write_text(cfg.read_text().replace("generations = 2", "generations = 7.5"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "hhfs.cli", "run", "--config", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == (f"hhfs: error: {cfg}: [supervisor] generations = '7.5' "
+                           "is not a valid int\n")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--config", "{tmp}/absent.ini"], "config file not found: {tmp}/absent.ini"),
+    (["run", "--config", "{cfg}", "--population-size", "1"],
+     "population size must be at least 2"),
+    (["baseline", "--config", "{cfg}", "--dataset", "alpha", "--repeats", "0"],
+     "need at least 1 repeat"),
+    (["baseline", "--config", "{tmp}/absent.ini", "--dataset", "alpha"],
+     "config file not found: {tmp}/absent.ini"),
+    (["baseline", "--config", "{cfg}", "--dataset", "ghost_file"], "ghost.csv"),
+])
+def test_input_errors_exit_2_with_one_line(project, capsys, argv, message):
+    tmp_path, cfg = project
+    cfg.write_text(cfg.read_text()
+                   + f"\n[datasets.ghost_file]\npath = {tmp_path / 'ghost.csv'}\n")
+    fill = dict(tmp=tmp_path, cfg=cfg)
+    with pytest.raises(SystemExit) as exit_info:
+        main([a.format(**fill) for a in argv])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hhfs: error: ") and err.count("\n") == 1
+    assert message.format(**fill) in err
 
 
 def test_run_unknown_dataset_exits(project):

@@ -157,6 +157,39 @@ class TestFitnessEvaluator:
         assert cached.hits == len(masks) - distinct
 
 
+    def test_batch_memo_counts_as_sequential_calls(self, small_dataset):
+        rng = np.random.default_rng(12)
+        a, b, c = (random_mask(8, rng) for _ in range(3))
+        assert len({a.key(), b.key(), c.key()}) == 3
+        proto = CvProtocol(folds=5, base_seed=6)
+        ev = FitnessEvaluator(small_dataset, proto)
+        computed = []
+
+        def recording_map(fn, masks):
+            masks = list(masks)
+            computed.extend(masks)
+            return map(fn, masks)
+
+        values = ev.fitnesses([a, b, a, c, b], recording_map)
+        assert values == [cv_accuracy(small_dataset, m, proto) for m in (a, b, a, c, b)]
+        assert (ev.computations, ev.hits) == (3, 2)
+        assert computed == [a, b, c]  # first-occurrence order, once each
+        # memoized masks are hits and reach no map
+        assert ev.fitnesses([c, a], recording_map) == [values[3], values[0]]
+        assert (ev.computations, ev.hits) == (3, 4)
+        assert computed == [a, b, c]
+        assert ev(b) == values[1] and (ev.computations, ev.hits) == (3, 5)
+
+    def test_batch_failure_leaves_counts_and_memo_unchanged(self, small_dataset):
+        ev = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=6))
+        good = FeatureMask([1, 0, 1, 0, 1, 0, 1, 0])
+        with pytest.raises(ValueError, match="does not match"):
+            ev.fitnesses([good, FeatureMask([1, 0, 1])])
+        assert (ev.computations, ev.hits) == (0, 0)
+        ev(good)
+        assert (ev.computations, ev.hits) == (1, 0)
+
+
 def test_accuracy_always_in_unit_interval(small_dataset):
     rng = np.random.default_rng(8)
     proto = CvProtocol(folds=6, repeats=1, base_seed=5)

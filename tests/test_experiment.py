@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import re
@@ -214,7 +215,13 @@ class TestRunExperiment:
             name = report["dataset"]
             assert (out / name / "report.json").exists()
             assert (out / name / "history.csv").exists()
-            assert (out / name / "timings.csv").exists()
+            with open(out / name / "timings.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["run", "wall_time_seconds", "heuristics_seconds",
+                               "fitness_seconds", "ga_seconds", "report_seconds"]
+            assert [row[0] for row in rows[1:]] == ["0", "1"]
+            assert all(float(t) >= 0 for row in rows[1:] for t in row[1:])
+            assert "seconds" not in (out / name / "report.json").read_text()
             verify_report(report)
             assert len(report["runs"]) == 2
             for label in ("2x3", "1x3"):

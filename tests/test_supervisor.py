@@ -1,16 +1,21 @@
+import dataclasses
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from conftest import StubRng, best_flip_oracle
+from conftest import StubRng, best_flip_oracle, synthetic_dataset
+from hhfs import llh, supervisor
 from hhfs.correlation import build_cache, cfs_merit
 from hhfs.dataset import Dataset
 from hhfs.evaluation import CvProtocol, FitnessEvaluator
 from hhfs.llh import LlhContext, apply
 from hhfs.mask import FeatureMask
 from hhfs.supervisor import (Chromosome, LlhStats, SupervisorConfig,
-                             evaluate_chromosome, mutate_chromosome,
-                             random_chromosome, roulette_select,
-                             run_supervisor, single_point_crossover)
+                             SupervisorResult, evaluate_chromosome,
+                             mutate_chromosome, random_chromosome,
+                             roulette_select, run_supervisor,
+                             single_point_crossover)
 
 
 class TestChromosome:
@@ -324,3 +329,108 @@ class TestRunSupervisor:
         proto = CvProtocol(folds=5, repeats=1, base_seed=7)
         result = run_supervisor(small_dataset, self.small_config(), proto)
         assert 0 < result.m <= small_dataset.n_features
+
+
+WALL_CLOCK = {"wall_time", "phase_seconds"}
+
+
+def outcome(result: SupervisorResult) -> dict:
+    """Every SupervisorResult field but the wall-clock ones, in a form
+    that compares with ==."""
+    plain = {"mask": FeatureMask.to01, "llh_stats": LlhStats.as_dict,
+             "history": lambda h: [dataclasses.astuple(r) for r in h]}
+    return {f.name: plain.get(f.name, lambda v: v)(getattr(result, f.name))
+            for f in dataclasses.fields(result) if f.name not in WALL_CLOCK}
+
+
+def run_on_cores(monkeypatch, cores, dataset, cfg, proto, report=None):
+    monkeypatch.setattr(supervisor, "_usable_cores", lambda: cores)
+    result = run_supervisor(dataset, cfg, proto, report)
+    assert multiprocessing.active_children() == []
+    return result
+
+
+def _run_in_daemon(args):
+    dataset, cfg, proto = args
+    supervisor._usable_cores = lambda: 2
+    return outcome(run_supervisor(dataset, cfg, proto))
+
+
+class TestPooledGeneration:
+    """A generation mapped over 2 or 3 forked workers gives what the
+    in-process path gives, counters included."""
+
+    DATASETS = {
+        "two_class": dict(n_instances=40, n_features=8, n_informative=3, seed=3),
+        "six_class": dict(n_instances=60, n_features=10, n_informative=5,
+                          class_count=6, seed=5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DATASETS))
+    def test_any_core_count_gives_the_same_result(self, monkeypatch, name):
+        d = synthetic_dataset(name=name, **self.DATASETS[name])
+        report = {"2x5": CvProtocol(folds=5, repeats=2, base_seed=1)}
+        for seed in (1, 2, 3):
+            cfg = SupervisorConfig(population_size=8, generations=4, seed=seed)
+            proto = CvProtocol(folds=5, repeats=1, base_seed=seed)
+            results = [run_on_cores(monkeypatch, cores, d, cfg, proto, report)
+                       for cores in (1, 2, 3)]
+            assert outcome(results[1]) == outcome(results[0])
+            assert outcome(results[2]) == outcome(results[0])
+
+    def test_repeated_uncached_mask_in_one_generation(self, monkeypatch):
+        # three features leave 8 masks for 12 chromosomes, so a generation
+        # produces the same not-yet-memoized mask more than once
+        d = synthetic_dataset(n_instances=30, n_features=3, n_informative=2, seed=8)
+        cfg = SupervisorConfig(population_size=12, generations=3, seed=4)
+        proto = CvProtocol(folds=3, repeats=1, base_seed=4)
+        repeats = []
+        batch = FitnessEvaluator.fitnesses
+
+        def counting(ev, masks, mapper=map):
+            new = [m.key() for m in masks if m.key() not in ev._cache]
+            repeats.append(len(new) - len(set(new)))
+            return batch(ev, masks, mapper)
+
+        monkeypatch.setattr(FitnessEvaluator, "fitnesses", counting)
+        results = [run_on_cores(monkeypatch, cores, d, cfg, proto) for cores in (1, 2, 3)]
+        assert sum(repeats) > 0
+        assert outcome(results[1]) == outcome(results[0])
+        assert outcome(results[2]) == outcome(results[0])
+        first = results[0]
+        evaluations = 1 + cfg.generations * cfg.population_size
+        assert first.fitness_computations + first.fitness_cache_hits == evaluations
+        assert first.fitness_computations <= 8
+
+    def test_worker_error_propagates_and_leaves_no_process(self, monkeypatch,
+                                                           small_dataset):
+        def exploding(mask, ctx):
+            raise RuntimeError("SWPD exploded")
+
+        swpd = next(i for i, info in llh.CATALOG.items() if info.name == "SWPD")
+        monkeypatch.setitem(llh.CATALOG, swpd,
+                            dataclasses.replace(llh.CATALOG[swpd], func=exploding))
+        monkeypatch.setattr(supervisor, "_usable_cores", lambda: 2)
+        cfg = SupervisorConfig(population_size=6, generations=3, seed=2)
+        with pytest.raises(RuntimeError, match="SWPD exploded"):
+            run_supervisor(small_dataset, cfg, CvProtocol(folds=5, base_seed=2))
+        assert multiprocessing.active_children() == []
+
+    def test_runs_in_process_inside_a_pool_worker(self, monkeypatch, small_dataset):
+        # a daemonic pool worker may not fork; the run must not try
+        cfg = SupervisorConfig(population_size=6, generations=3, seed=6)
+        proto = CvProtocol(folds=5, base_seed=6)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inside = pool.apply_async(
+                _run_in_daemon, ((small_dataset, cfg, proto),)).get(timeout=60)
+        assert inside == outcome(run_on_cores(monkeypatch, 1, small_dataset, cfg, proto))
+
+    def test_phase_seconds(self, monkeypatch, small_dataset):
+        cfg = SupervisorConfig(population_size=6, generations=3, seed=6)
+        result = run_on_cores(monkeypatch, 2, small_dataset, cfg,
+                              CvProtocol(folds=5, base_seed=6),
+                              {"1x5": CvProtocol(folds=5, base_seed=0)})
+        phases = result.phase_seconds
+        assert list(phases) == ["heuristics", "fitness", "ga", "report"]
+        assert all(t > 0 for t in phases.values())
+        assert sum(phases.values()) <= result.wall_time
