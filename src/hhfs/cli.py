@@ -79,7 +79,7 @@ def _cmd_baseline(args) -> int:
         dataset = min_max_normalize(entry.load())
         proto = CvProtocol(folds=spec.cv_folds, repeats=args.repeats,
                            base_seed=spec.master_seed)
-    acc = full_feature_baseline(dataset, proto)
+        acc = full_feature_baseline(dataset, proto)
     print(f"{dataset.name}: {dataset.n_instances} instances, "
           f"{dataset.n_features} features, {dataset.class_count} classes")
     print(f"full-feature 1NN accuracy ({proto.label()}-fold CV, "

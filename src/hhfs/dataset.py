@@ -77,12 +77,6 @@ class FoldAssignment:
     k: int
     seed: int
 
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_of != fold)
-
 
 def load_csv(path, label_column: int | str = -1, has_header: bool = False,
              missing_token: str = "?", name: str | None = None) -> Dataset:
@@ -164,7 +158,10 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = False,
                     f"{path}: column {feature_cols[jj]} has no observed values to impute from")
             col[gaps] = observed.mean()
 
-    return Dataset.from_arrays(name or path.stem, X, labels)
+    try:
+        return Dataset.from_arrays(name or path.stem, X, labels)
+    except DatasetError as exc:  # e.g. a single class
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def min_max_normalize(d: Dataset) -> Dataset:

@@ -1,17 +1,64 @@
 """Wrapper fitness: 1-nearest-neighbor accuracy under repeated stratified CV.
 
 The supervisor judges a mask by how well a 1NN classifier does when it
-only sees the selected features. Distances are squared Euclidean over the
-selected columns (same argmin as Euclidean, cheaper), computed once per
-unordered pair of instances with ``pdist``, whose per-pair kernel is the
-one ``cdist`` runs, so the matrix is bit-identical to ``cdist(Xs, Xs)`` at
-half the cost. 1NN ties go to the lowest training-row index so evaluation
-is fully deterministic. The empty mask scores 0.0 without running the
-classifier.
+only sees the selected features. The reference distances are squared
+Euclidean over the selected columns (same argmin as Euclidean, cheaper) as
+``pdist`` computes them, which is bit-identical to ``cdist``. 1NN ties go
+to the lowest training-row index so evaluation is fully deterministic. The
+empty mask scores 0.0 without running the classifier.
 
 Repeating the k-fold split ``repeats`` times with seeds base_seed,
 base_seed+1, ... and averaging gives the "r x k fold CV" protocols used
 for reporting; searches typically run with repeats=1 for speed.
+
+Gram screen. Row i's neighbour is the argmin over the rows j outside its
+fold of ``p_ij``, pdist's computed value of ``d_ij = |x_i - x_j|^2``. As
+``d_ij = s_i + e_ij`` with ``s_i = |x_i|^2`` and ``e_ij = s_j - 2 x_i.x_j``,
+and ``s_i`` is constant along row i, the screen takes the argmin of ``e``
+instead, from one matrix product over k + 1 columns:
+``[x_i, 1] . [-2 x_j, s^_j]``, where ``s^_j`` is the computed ``s_j``. Its
+columns keep their original order, same-fold entries are set to inf, and
+the row minimum ``m`` and runner-up ``m2`` are read off.
+
+Error bound. In the standard model ``fl(a op b) = (a op b)(1 + d) + h``
+with ``|d| <= u = 2^-53`` and a subnormal term ``|h| <= 2^-1075`` for
+products, ``gamma_m = m u / (1 - m u)``, ``r_i = |x_i|`` and
+``R_i = r_i + max_j r_j``:
+
+* pdist sums k non-negative terms ``fl(fl(x_il - x_jl)^2)`` in some
+  order, each within ``(1 + d)^3`` of its exact value, so
+  ``|p_ij - d_ij| <= gamma_{k+2} d_ij + k 2^-1074 <= gamma_{k+2} R_i^2 + k 2^-1074``.
+* a dot product of length m, in any order and with or without fused
+  multiply-adds, is within ``gamma_m`` times the sum of the absolute
+  products; so ``|s^_j - s_j| <= gamma_k s_j`` and the product's entry
+  ``E_ij`` is within ``gamma_{k+1} (2 r_i r_j + s^_j)`` of
+  ``s^_j - 2 x_i.x_j`` (plus ``(k + 1) 2^-1075`` each). Together
+  ``|E_ij - e_ij| <= 2 gamma_{k+2} R_i^2 + (k + 1) 2^-1074``.
+
+Hence ``p_ij = s_i + E_ij + t_ij`` with
+``|t_ij| <= b_i = 3 gamma_{k+2} R_i^2 + (2k + 1) 2^-1074``. If
+``m2 - m > 2 b_i``, every other column j has
+``p_ij >= s_i + m2 - b_i > s_i + m + b_i >= p_ia`` at the screen's argmin
+a: the screen found pdist's unique argmin. The screen tests
+``fl(m2 - m) > 8 (k + 2) (u R^_i^2 + 2^-1074)``, ``R^_i`` from the
+computed norms. For any k < 2^40, ``gamma_{k+2} <= 1.01 (k + 2) u``, so
+``2 b_i <= 6.1 (k + 2) u R_i^2 + (4k + 2) 2^-1074``, and the rest of the
+constant 8 covers the roundings of ``R^_i`` (relative ``gamma_k + 3u``),
+of the test's own arithmetic and of ``m2 - m``. A row that fails the test
+is ambiguous, whether from an exact tie (duplicate rows, integer levels),
+a near tie, or cancellation in ``s_j - 2 x_i.x_j`` when the columns carry
+a large common offset; the screen needs ``16 max_j s^_j`` finite and is
+skipped otherwise. Every ambiguous row is recomputed with
+``cdist(x[rows], x, "sqeuclidean")``, pdist's bits, and takes the masked
+argmin there, which also keeps the lowest-index tie-breaking. So every
+row's neighbour is pdist's, whatever the data.
+
+When a screen's first repeat leaves more than a quarter of the rows
+ambiguous (tie-heavy data such as ordinal cells), the evaluator stops
+screening and takes the exact path, ``squareform(pdist(x))`` and the
+masked argmin, for this mask and the rest of its life: resolving that many
+rows, more again over further repeats, costs at least half a pdist on top
+of the product, so the screen no longer pays.
 """
 
 from __future__ import annotations
@@ -19,9 +66,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
-from .dataset import Dataset, stratified_folds
+from .dataset import Dataset, DatasetError, stratified_folds
 from .mask import FeatureMask
 
 
@@ -57,22 +104,24 @@ def predict_1nn(train_features: np.ndarray, train_labels: np.ndarray,
     return int(train_labels[int(np.argmin(dists))])
 
 
-Splits = list[list[tuple[np.ndarray, np.ndarray]]]
+_U = np.finfo(np.float64).eps / 2  # unit roundoff, 2^-53
+_ETA = np.finfo(np.float64).smallest_subnormal  # 2^-1074
+_SCREEN_MAX = np.finfo(np.float64).max / 16
 
 
-def _protocol_splits(d: Dataset, proto: CvProtocol) -> Splits:
-    """Per repeat, the ``(test, train)`` index pairs of its non-empty
-    folds; repeat r uses fold seed ``base_seed + r``."""
-    splits = []
+def _protocol_folds(d: Dataset, proto: CvProtocol) -> list[np.ndarray]:
+    """Per repeat, each instance's fold (``FoldAssignment.fold_of``);
+    repeat r uses fold seed ``base_seed + r``. Rejects a split that leaves
+    some instance no training row."""
+    folds = []
     for r in range(proto.repeats):
-        fa = stratified_folds(d, proto.folds, proto.base_seed + r)
-        folds = []
-        for fold in range(proto.folds):
-            test = fa.test_indices(fold)
-            if test.size:
-                folds.append((test, fa.train_indices(fold)))
-        splits.append(folds)
-    return splits
+        fold_of = stratified_folds(d, proto.folds, proto.base_seed + r).fold_of
+        if (fold_of == fold_of[0]).all():
+            raise DatasetError(
+                f"{d.name}: {proto.label()} CV puts all {d.n_instances} instances "
+                f"in one fold (every class has one member), leaving no training rows")
+        folds.append(fold_of)
+    return folds
 
 
 def _selected_columns(d: Dataset, mask: FeatureMask) -> np.ndarray:
@@ -80,20 +129,6 @@ def _selected_columns(d: Dataset, mask: FeatureMask) -> np.ndarray:
         raise ValueError(
             f"mask over {mask.n} features does not match dataset with {d.n_features}")
     return mask.selected_indices()
-
-
-def _split_accuracy(d: Dataset, idx: np.ndarray, splits: Splits) -> float:
-    """Mean over repeats of the 1NN accuracy over that repeat's folds,
-    seeing only the (non-empty) columns ``idx``."""
-    dists = squareform(pdist(d.features[:, idx], "sqeuclidean"))
-    accs = []
-    for folds in splits:
-        correct = 0
-        for test, train in folds:
-            nn = np.argmin(dists[test[:, None], train], axis=1)
-            correct += int(np.sum(d.labels[train[nn]] == d.labels[test]))
-        accs.append(correct / d.n_instances)
-    return sum(accs) / len(accs)
 
 
 def cv_accuracy(d: Dataset, mask: FeatureMask, proto: CvProtocol) -> float:
@@ -106,7 +141,7 @@ def cv_accuracy(d: Dataset, mask: FeatureMask, proto: CvProtocol) -> float:
     idx = _selected_columns(d, mask)
     if idx.size == 0:
         return 0.0
-    return _split_accuracy(d, idx, _protocol_splits(d, proto))
+    return FitnessEvaluator(d, proto)._split_accuracy(idx)
 
 
 class FitnessEvaluator:
@@ -116,13 +151,24 @@ class FitnessEvaluator:
     equals ``cv_accuracy`` bitwise. The cache key is the raw bit pattern,
     so a hit returns the stored accuracy with zero classification work.
     ``computations`` counts actual CV evaluations and ``hits`` counts
-    cache returns.
+    cache returns. Screens reuse one n x n work matrix, allocated at the
+    first; ``_screening`` turns false for good, and the matrix is
+    dropped, once a screen leaves too many rows ambiguous.
     """
 
     def __init__(self, dataset: Dataset, protocol: CvProtocol):
         self.dataset = dataset
         self.protocol = protocol
-        self._splits = _protocol_splits(dataset, protocol)
+        self._folds = _protocol_folds(dataset, protocol)
+        # per repeat, the (rows, columns) index of each non-empty fold's
+        # block of same-fold pairs, which the argmin must not see
+        self._same_fold = []
+        for fold_of in self._folds:
+            sizes = np.bincount(fold_of, minlength=protocol.folds)
+            members = np.split(np.argsort(fold_of, kind="stable"), np.cumsum(sizes)[:-1])
+            self._same_fold.append([(m[:, None], m) for m in members if m.size])
+        self._screening = True
+        self._work: np.ndarray | None = None  # the screen's n x n matrix
         self._cache: dict[bytes, float] = {}
         self.computations = 0
         self.hits = 0
@@ -130,7 +176,75 @@ class FitnessEvaluator:
     def compute(self, mask: FeatureMask) -> float:
         """One CV evaluation of ``mask``, bypassing the memo."""
         idx = _selected_columns(self.dataset, mask)
-        return _split_accuracy(self.dataset, idx, self._splits) if idx.size else 0.0
+        return self._split_accuracy(idx) if idx.size else 0.0
+
+    def _screen(self, Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """The screen matrix ``E`` and each row's ambiguity threshold (see
+        the module docstring), or None where ``16 max s_j`` overflows."""
+        n, k = Xs.shape
+        sq = np.einsum("ij,ij->i", Xs, Xs)
+        if not sq.max() <= _SCREEN_MAX:
+            return None
+        if self._work is None:
+            self._work = np.empty((n, n))
+        E = np.matmul(np.hstack([Xs, np.ones((n, 1))]),
+                      np.hstack([-2.0 * Xs, sq[:, None]]).T, out=self._work)
+        r = np.sqrt(sq)
+        return E, 8.0 * (k + 2) * (_U * (r + r.max()) ** 2 + _ETA)
+
+    def _nearest(self, D: np.ndarray, bound: np.ndarray | None):
+        """Per repeat, each row's argmin over the columns of ``D`` outside
+        its fold, lowest index first; the last repeat leaves ``D``
+        overwritten. With a screen's ``bound``, also per repeat the rows it
+        leaves ambiguous, or None when they are more than a quarter of the
+        rows in the first repeat."""
+        n = len(D)
+        rows = np.arange(n)
+        nearest, unsure = [], []
+        last = len(self._same_fold) - 1
+        for t, blocks in enumerate(self._same_fold):
+            saved = [D[block] for block in blocks] if t < last else []
+            for block in blocks:
+                D[block] = np.inf
+            nn = D.argmin(axis=1)
+            nearest.append(nn)
+            if bound is not None:
+                m = D[rows, nn]
+                D[rows, nn] = np.inf
+                redo = np.flatnonzero(~(D.min(axis=1) - m > bound))
+                D[rows, nn] = m
+                if t == 0 and 4 * redo.size > n:
+                    return nearest, None
+                unsure.append(redo)
+            for block, values in zip(blocks, saved):
+                D[block] = values
+        return nearest, unsure
+
+    def _split_accuracy(self, idx: np.ndarray) -> float:
+        """Mean over repeats of the 1NN accuracy over that repeat's folds,
+        seeing only the (non-empty) columns ``idx``."""
+        d = self.dataset
+        Xs = d.features[:, idx]
+        screen = self._screen(Xs) if self._screening else None
+        unsure = None
+        if screen is not None:
+            nearest, unsure = self._nearest(*screen)
+            if unsure is None:  # tie-heavy data: the screen does not pay here
+                self._screening = False
+                self._work = None
+        if unsure is None:
+            nearest, _ = self._nearest(squareform(pdist(Xs, "sqeuclidean")), None)
+        elif any(redo.size for redo in unsure):
+            ambiguous = np.unique(np.concatenate(unsure))
+            exact = cdist(Xs[ambiguous], Xs, "sqeuclidean")
+            for nn, fold_of, redo in zip(nearest, self._folds, unsure):
+                W = exact[np.searchsorted(ambiguous, redo)]
+                W[fold_of[redo, None] == fold_of] = np.inf
+                nn[redo] = W.argmin(axis=1)
+        labels = d.labels
+        n = d.n_instances
+        accs = [int(np.count_nonzero(labels[nn] == labels)) / n for nn in nearest]
+        return sum(accs) / len(accs)
 
     def fitnesses(self, masks: list[FeatureMask], mapper=map) -> list[float]:
         """The fitness of each mask, in order, with the counters moved as

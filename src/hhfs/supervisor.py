@@ -15,19 +15,24 @@ and the whole run is bit-exact replayable.
 That independence is what spreads a generation over every core the
 process may run on: its heuristic sequences, then its distinct unmemoized
 masks, are mapped over a pool of forked workers, which inherit the dataset,
-the correlation cache and the evaluator's folds. The results, counters
-included, are the same for any number of workers.
+the correlation cache and the evaluator's folds, and run BLAS on one
+thread each. The results, counters included, are the same for any number
+of workers.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import multiprocessing
 import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import llh
 from .correlation import CorrelationCache, build_cache, cfs_merit
@@ -280,10 +285,43 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _loaded_openblas() -> list[ctypes.CDLL]:
+    """The OpenBLAS libraries of numpy's and scipy's wheels that this
+    process has loaded; opened with RTLD_NOLOAD, so none is loaded here."""
+    noload = getattr(os, "RTLD_NOLOAD", None)
+    if noload is None:  # no dlopen on this platform
+        return []
+    libs = []
+    for package in (np, scipy):
+        libdir = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(glob.glob(str(libdir / "*openblas*"))):
+            try:
+                libs.append(ctypes.CDLL(path, mode=noload))
+            except OSError:  # shipped but not loaded
+                pass
+    return libs
+
+
+def _one_blas_thread() -> None:
+    """Run every loaded OpenBLAS on one thread in this process. A no-op
+    where none is loaded."""
+    for lib in _loaded_openblas():
+        for name in ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
 _inherited: tuple = ()  # in a pool worker: the objects shared at fork
 
 
 def _inherit(shared: tuple) -> None:
+    # the workers already fill every core; BLAS threads of their own, by
+    # default one per core in each worker, would only contend for them
+    _one_blas_thread()
     global _inherited
     _inherited = shared
 

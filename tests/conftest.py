@@ -153,8 +153,8 @@ def cv_accuracy_bruteforce(dataset: Dataset, mask: FeatureMask, folds: int,
         fa = stratified_folds(dataset, folds, base_seed + r)
         correct = 0
         for fold in range(folds):
-            test = fa.test_indices(fold)
-            train = fa.train_indices(fold)
+            test = np.flatnonzero(fa.fold_of == fold)
+            train = np.flatnonzero(fa.fold_of != fold)
             for t in test:
                 label = predict_1nn(dataset.features[train],
                                     dataset.labels[train],
@@ -182,10 +182,10 @@ def cv_accuracy_cdist_reference(d: Dataset, mask: FeatureMask, proto) -> float:
         fa = stratified_folds(d, proto.folds, proto.base_seed + r)
         correct = 0
         for fold in range(proto.folds):
-            test = fa.test_indices(fold)
+            test = np.flatnonzero(fa.fold_of == fold)
             if test.size == 0:
                 continue
-            train = fa.train_indices(fold)
+            train = np.flatnonzero(fa.fold_of != fold)
             nn = np.argmin(dists[np.ix_(test, train)], axis=1)
             correct += int(np.sum(d.labels[train[nn]] == d.labels[test]))
         accs.append(correct / d.n_instances)

@@ -140,11 +140,19 @@ def test_bad_config_value_is_one_line_and_status_2(project):
     (["baseline", "--config", "{tmp}/absent.ini", "--dataset", "alpha"],
      "config file not found: {tmp}/absent.ini"),
     (["baseline", "--config", "{cfg}", "--dataset", "ghost_file"], "ghost.csv"),
+    (["baseline", "--config", "{cfg}", "--dataset", "one_class"],
+     "{tmp}/one_class.csv: need at least 2 classes, found 1"),
+    (["baseline", "--config", "{cfg}", "--dataset", "singletons"],
+     "singletons: 10x3 CV puts all 3 instances in one fold"),
 ])
 def test_input_errors_exit_2_with_one_line(project, capsys, argv, message):
     tmp_path, cfg = project
+    (tmp_path / "one_class.csv").write_text("1,2,A\n3,4,A\n")
+    (tmp_path / "singletons.csv").write_text("1,2,A\n3,4,B\n5,6,C\n")
     cfg.write_text(cfg.read_text()
-                   + f"\n[datasets.ghost_file]\npath = {tmp_path / 'ghost.csv'}\n")
+                   + f"\n[datasets.ghost_file]\npath = {tmp_path / 'ghost.csv'}\n"
+                   + f"\n[datasets.one_class]\npath = {tmp_path / 'one_class.csv'}\n"
+                   + f"\n[datasets.singletons]\npath = {tmp_path / 'singletons.csv'}\n")
     fill = dict(tmp=tmp_path, cfg=cfg)
     with pytest.raises(SystemExit) as exit_info:
         main([a.format(**fill) for a in argv])

@@ -74,7 +74,8 @@ class TestLoadCsv:
 
     def test_single_class_error(self, tmp_path):
         path = write_csv(tmp_path, "1,2,A\n3,4,A\n")
-        with pytest.raises(DatasetError, match="2 classes"):
+        with pytest.raises(DatasetError,
+                           match=r"data\.csv: need at least 2 classes, found 1"):
             load_csv(path, label_column=-1)
 
     def test_missing_file_error(self, tmp_path):

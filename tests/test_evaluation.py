@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from conftest import (cv_accuracy_bruteforce, cv_accuracy_cdist_reference,
                       random_mask)
-from hhfs.dataset import Dataset
+from hhfs import evaluation
+from hhfs.dataset import Dataset, DatasetError
 from hhfs.evaluation import CvProtocol, FitnessEvaluator, cv_accuracy, predict_1nn
 from hhfs.mask import FeatureMask
 
@@ -201,7 +205,10 @@ def test_accuracy_always_in_unit_interval(small_dataset):
 @st.composite
 def tie_heavy_cases(draw):
     """Integer-level features with repeated rows, so many 1NN distances
-    tie exactly; 2 or 6 classes; several masks over one protocol."""
+    tie exactly; 2 or 6 classes; several masks over one protocol. Levels
+    may be spaced by an inexact step on top of a large common offset,
+    where the Gram screen's cancellation is catastrophic, and a constant
+    column may be present, so a mask can select nothing but constants."""
     class_count = draw(st.sampled_from([2, 6]))
     n_features = draw(st.integers(1, 5))
     levels = draw(st.integers(2, 4))
@@ -215,16 +222,20 @@ def tie_heavy_cases(draw):
     labels = list(range(class_count)) + draw(st.lists(
         st.integers(0, class_count - 1), min_size=n - class_count,
         max_size=n - class_count))
-    d = Dataset.from_arrays("ties", rows, labels)
+    X = np.array(rows, dtype=np.float64)
+    if draw(st.booleans()):
+        X = np.hstack([X, np.full((n, 1), float(draw(st.integers(0, 3))))])
+    X = draw(st.sampled_from([0.0, 1e6])) + X * draw(st.sampled_from([1.0, 0.1, 1e-3]))
+    d = Dataset.from_arrays("ties", X, labels)
     proto = CvProtocol(folds=draw(st.integers(2, min(10, n))),
-                       repeats=draw(st.integers(1, 3)),
+                       repeats=draw(st.sampled_from([1, 2, 3, 10])),
                        base_seed=draw(st.integers(0, 2**16)))
-    bits = st.lists(st.integers(0, 1), min_size=n_features, max_size=n_features)
+    bits = st.lists(st.integers(0, 1), min_size=d.n_features, max_size=d.n_features)
     masks = [FeatureMask(b) for b in draw(st.lists(bits, min_size=1, max_size=4))]
     return d, masks, proto
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(tie_heavy_cases())
 def test_fitness_equals_cdist_reference_exactly(case):
     d, masks, proto = case
@@ -233,3 +244,142 @@ def test_fitness_equals_cdist_reference_exactly(case):
         expected = cv_accuracy_cdist_reference(d, mask, proto)
         assert cv_accuracy(d, mask, proto) == expected
         assert evaluator(mask) == expected
+        assert evaluator.compute(mask) == expected
+
+
+def offset_dataset(offset: float, seed: int = 4) -> Dataset:
+    """120 rows over 6 features on 5 levels spaced 0.01 apart, plus a
+    constant column: exact ties everywhere, and with a large offset the
+    Gram entries cancel catastrophically."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 5, size=(120, 6)) * 0.01
+    X = np.hstack([X, np.full((120, 1), 0.5)]) + offset
+    return Dataset.from_arrays("offset", X, rng.integers(0, 3, size=120))
+
+
+class TestGramScreen:
+    """The screen must give pdist's neighbours whatever the data; where it
+    leaves too many rows undecided it stops screening."""
+
+    def test_generic_data_is_screened_and_exact(self, small_dataset):
+        rng = np.random.default_rng(9)
+        for proto in (CvProtocol(folds=10, repeats=1, base_seed=2),
+                      CvProtocol(folds=10, repeats=10, base_seed=2)):
+            ev = FitnessEvaluator(small_dataset, proto)
+            for _ in range(10):
+                mask = random_mask(8, rng)
+                assert ev.compute(mask) == cv_accuracy_cdist_reference(
+                    small_dataset, mask, proto)
+                assert cv_accuracy(small_dataset, mask, proto) == ev.compute(mask)
+            assert ev._screening
+
+    def test_few_ambiguous_rows_are_resolved_exactly(self, monkeypatch):
+        # generic rows plus three copies under other labels: rows whose
+        # nearest neighbour is a copied pair tie, and the rest do not
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(80, 4))
+        X[[40, 41, 42]] = X[[10, 20, 30]]
+        labels = rng.integers(0, 2, size=80)
+        labels[[40, 41, 42]] = 1 - labels[[10, 20, 30]]
+        d = Dataset.from_arrays("copies", X, labels)
+        resolved = []
+
+        def counting_cdist(xa, xb, metric):
+            resolved.append(len(xa))
+            return cdist(xa, xb, metric)
+
+        monkeypatch.setattr(evaluation, "cdist", counting_cdist)
+        for repeats in (1, 10):
+            proto = CvProtocol(folds=10, repeats=repeats, base_seed=1)
+            ev = FitnessEvaluator(d, proto)
+            assert ev.compute(FeatureMask.ones(4)) == cv_accuracy_cdist_reference(
+                d, FeatureMask.ones(4), proto)
+            assert ev._screening
+        assert resolved and all(0 < rows <= 20 for rows in resolved)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_tie_heavy_data_turns_the_screen_off(self, offset):
+        d = offset_dataset(offset)
+        proto = CvProtocol(folds=10, repeats=10, base_seed=3)
+        ev = FitnessEvaluator(d, proto)
+        assert ev.compute(FeatureMask([1, 0, 0, 0, 0, 0, 0])) == \
+            cv_accuracy_cdist_reference(d, FeatureMask([1, 0, 0, 0, 0, 0, 0]), proto)
+        assert not ev._screening
+        rng = np.random.default_rng(1)
+        for _ in range(5):  # the exact path from now on
+            mask = random_mask(7, rng)
+            assert ev.compute(mask) == cv_accuracy_cdist_reference(d, mask, proto)
+        assert not ev._screening
+
+    def test_every_row_ambiguous_with_only_constant_columns(self):
+        d = offset_dataset(0.0)
+        only_constant = FeatureMask([0, 0, 0, 0, 0, 0, 1])
+        for repeats in (1, 10):
+            proto = CvProtocol(folds=10, repeats=repeats, base_seed=5)
+            ev = FitnessEvaluator(d, proto)
+            expected = cv_accuracy_cdist_reference(d, only_constant, proto)
+            assert ev.compute(only_constant) == expected
+            assert cv_accuracy(d, only_constant, proto) == expected
+            assert not ev._screening
+
+    def test_large_offset_full_mask_matches_reference(self):
+        # every column selected: distances from 0.01 steps on top of 7e12
+        d = offset_dataset(1e6, seed=8)
+        for repeats in (1, 10):
+            proto = CvProtocol(folds=10, repeats=repeats, base_seed=repeats)
+            for mask in (FeatureMask.ones(7), FeatureMask([1, 1, 1, 1, 1, 1, 0])):
+                assert cv_accuracy(d, mask, proto) == cv_accuracy_cdist_reference(
+                    d, mask, proto)
+
+    def test_near_ties_under_a_large_offset(self):
+        # rows 0.1 apart around 1e6: the screen's rounding error is the
+        # size of the gaps between a row's nearest neighbours
+        mask = FeatureMask.ones(5)
+        proto = CvProtocol(folds=10, repeats=1, base_seed=0)
+        for seed in (2, 5, 6):
+            rng = np.random.default_rng(seed)
+            d = Dataset.from_arrays("near", 1e6 + 0.1 * rng.normal(size=(120, 5)),
+                                    rng.integers(0, 3, size=120))
+            assert cv_accuracy(d, mask, proto) == cv_accuracy_cdist_reference(
+                d, mask, proto)
+
+    def test_huge_values_skip_the_screen(self):
+        # 16 max |x|^2 overflows: no screen for this mask, and no warning
+        X = np.array([[1e153, 0.0], [2e153, 1.0], [-1e153, 0.5], [3e153, 0.2]])
+        d = Dataset.from_arrays("huge", X, [0, 1, 0, 1])
+        proto = CvProtocol(folds=2, repeats=2, base_seed=0)
+        ev = FitnessEvaluator(d, proto)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ev.compute(FeatureMask([1, 1])) == \
+                cv_accuracy_cdist_reference(d, FeatureMask([1, 1]), proto)
+        assert ev._screening
+
+
+class TestDegenerateFolds:
+    def test_classes_smaller_than_the_fold_count_leave_folds_empty(self):
+        # classes of 3 and 4 over 6 folds: folds 4 and 5 stay empty
+        d = Dataset.from_arrays("small", [[0.0], [0.2], [0.4], [1.0], [1.1],
+                                          [1.3], [0.3]], [0, 0, 0, 1, 1, 1, 1])
+        proto = CvProtocol(folds=6, repeats=3, base_seed=2)
+        ev = FitnessEvaluator(d, proto)
+        assert all(np.bincount(f, minlength=6)[4:].sum() == 0 for f in ev._folds)
+        expected = cv_accuracy_cdist_reference(d, FeatureMask([1]), proto)
+        assert ev(FeatureMask([1])) == expected
+        assert expected == cv_accuracy_bruteforce(d, FeatureMask([1]), 6, 3, 2)
+
+    def test_as_many_folds_as_instances(self):
+        d = Dataset.from_arrays("six", [[0.0], [0.3], [0.1], [1.0], [0.9], [0.6]],
+                                [0, 0, 0, 1, 1, 1])
+        proto = CvProtocol(folds=6, repeats=2, base_seed=1)
+        assert cv_accuracy(d, FeatureMask([1]), proto) == \
+            cv_accuracy_bruteforce(d, FeatureMask([1]), 6, 2, 1)
+
+    def test_a_fold_holding_every_instance_fails_early(self):
+        # one member per class: stratified dealing puts all in fold 0
+        d = Dataset.from_arrays("singletons", [[0.0], [1.0], [2.0]], [0, 1, 2])
+        with pytest.raises(DatasetError, match=r"singletons: 1x3 CV puts all 3 "
+                                               r"instances in one fold"):
+            FitnessEvaluator(d, CvProtocol(folds=3))
+        with pytest.raises(DatasetError, match="no training rows"):
+            cv_accuracy(d, FeatureMask([1]), CvProtocol(folds=2))

@@ -1,10 +1,14 @@
+import ctypes
 import dataclasses
 import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
 
-from conftest import StubRng, best_flip_oracle, synthetic_dataset
+from conftest import (StubRng, best_flip_oracle, cv_accuracy_cdist_reference,
+                      synthetic_dataset)
 from hhfs import llh, supervisor
 from hhfs.correlation import build_cache, cfs_merit
 from hhfs.dataset import Dataset
@@ -350,6 +354,45 @@ def run_on_cores(monkeypatch, cores, dataset, cfg, proto, report=None):
     return result
 
 
+def threads_function(lib, verb: str):
+    """The ``get`` or ``set`` thread-count function of an OpenBLAS."""
+    return next(getattr(lib, name) for name in (
+        f"scipy_openblas_{verb}_num_threads64_", f"scipy_openblas_{verb}_num_threads",
+        f"openblas_{verb}_num_threads") if hasattr(lib, name))
+
+
+def blas_threads() -> list[int]:
+    """The thread count of every OpenBLAS this process has loaded."""
+    counts = []
+    for lib in supervisor._loaded_openblas():
+        get = threads_function(lib, "get")
+        get.argtypes, get.restype = [], ctypes.c_int
+        counts.append(get())
+    return counts
+
+
+def set_blas_threads(counts: list[int]) -> None:
+    for lib, count in zip(supervisor._loaded_openblas(), counts):
+        put = threads_function(lib, "set")
+        put.argtypes, put.restype = [ctypes.c_int], None
+        put(count)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The parent runs BLAS on two threads, so that it differs from the
+    pool workers, which run it on one."""
+    before = blas_threads()
+    set_blas_threads([2] * len(before))
+    yield
+    set_blas_threads(before)
+
+
+class _BlasProbe:
+    def threads(self, _task):
+        return blas_threads()
+
+
 def _run_in_daemon(args):
     dataset, cfg, proto = args
     supervisor._usable_cores = lambda: 2
@@ -367,7 +410,8 @@ class TestPooledGeneration:
     }
 
     @pytest.mark.parametrize("name", sorted(DATASETS))
-    def test_any_core_count_gives_the_same_result(self, monkeypatch, name):
+    def test_any_core_count_gives_the_same_result(self, monkeypatch, two_blas_threads,
+                                                  name):
         d = synthetic_dataset(name=name, **self.DATASETS[name])
         report = {"2x5": CvProtocol(folds=5, repeats=2, base_seed=1)}
         for seed in (1, 2, 3):
@@ -434,3 +478,54 @@ class TestPooledGeneration:
         assert list(phases) == ["heuristics", "fitness", "ga", "report"]
         assert all(t > 0 for t in phases.values())
         assert sum(phases.values()) <= result.wall_time
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="pool workers need the fork start method")
+    def test_pool_workers_run_blas_on_one_thread(self, two_blas_threads):
+        before = blas_threads()
+        if not before:
+            pytest.skip("no OpenBLAS loaded")
+        assert before == [2] * len(before)
+        probe = _BlasProbe()
+        with supervisor._generation_map(2, (probe,)) as mapper:
+            inside = list(mapper(probe.threads, range(4)))
+        assert inside == [[1] * len(before)] * 4
+        assert blas_threads() == before
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="pool workers need the fork start method")
+    def test_interrupt_mid_generation_propagates_and_leaves_no_process(
+            self, monkeypatch, small_dataset):
+        parent = os.getpid()
+        original = supervisor._HeuristicRuns.apply
+
+        def apply(runs, task):  # named as the method the workers look up
+            if task[:2] == (1, 0) and os.getpid() != parent:
+                os.kill(parent, signal.SIGINT)  # Ctrl-C reaching the parent
+            return original(runs, task)
+
+        monkeypatch.setattr(supervisor._HeuristicRuns, "apply", apply)
+        monkeypatch.setattr(supervisor, "_usable_cores", lambda: 2)
+        cfg = SupervisorConfig(population_size=6, generations=4, seed=2)
+        with pytest.raises(KeyboardInterrupt):
+            run_supervisor(small_dataset, cfg, CvProtocol(folds=5, base_seed=2))
+        assert multiprocessing.active_children() == []
+
+    def test_all_constant_columns(self, monkeypatch):
+        # every distance ties at 0, so each row's neighbour is the lowest
+        # row outside its fold, and every merit is 0
+        X = np.ones((30, 4)) * [1.0, 2.0, 3.0, 4.0]
+        d = Dataset.from_arrays("constant", X, np.arange(30) % 2)
+        cfg = SupervisorConfig(population_size=6, generations=3, seed=1)
+        proto = CvProtocol(folds=5, base_seed=1)
+        report = {"2x5": CvProtocol(folds=5, repeats=2, base_seed=0)}
+        results = [run_on_cores(monkeypatch, cores, d, cfg, proto, report)
+                   for cores in (1, 2)]
+        assert outcome(results[1]) == outcome(results[0])
+        result = results[0]
+        assert result.search_fitness == result.initial_fitness
+        assert result.search_fitness == cv_accuracy_cdist_reference(d, result.mask, proto)
+        assert result.reported["2x5"] == cv_accuracy_cdist_reference(
+            d, result.mask, report["2x5"])
+        assert not result.llh_stats.improvements.any()
