@@ -19,8 +19,7 @@ from .llh import CATALOG, LlhContext, LlhInfo
 from .llh import apply as apply_llh
 from .mask import FeatureMask
 from .supervisor import (Chromosome, SupervisorConfig, SupervisorResult,
-                         evaluate_chromosome, mutate_chromosome,
-                         roulette_select, run_supervisor,
+                         mutate_chromosome, roulette_select, run_supervisor,
                          single_point_crossover)
 
 __version__ = "0.1.0"
@@ -46,7 +45,6 @@ __all__ = [
     "cfs_merit",
     "class_correlation",
     "cv_accuracy",
-    "evaluate_chromosome",
     "full_feature_baseline",
     "load_config",
     "load_csv",

@@ -32,8 +32,8 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
 
 @contextmanager
 def _input_errors():
-    """Turn a bad config, option value or dataset file into one stderr
-    line and exit status 2."""
+    """Turn a bad config, option value, dataset name or dataset file into
+    one stderr line and exit status 2."""
     try:
         yield
     except (ValueError, FileNotFoundError, DatasetError) as exc:
@@ -53,7 +53,8 @@ def _cmd_run(args) -> int:
         chosen = tuple(d for d in spec.datasets if d.name.lower() in keep)
         missing = keep - {d.name.lower() for d in chosen}
         if missing:
-            raise SystemExit(f"unknown dataset(s): {', '.join(sorted(missing))}")
+            with _input_errors():
+                raise ValueError(f"unknown dataset(s): {', '.join(sorted(missing))}")
         spec = dataclasses.replace(spec, datasets=chosen)
     if args.dump_cache:
         for path in dump_correlation_caches(spec):
@@ -71,11 +72,11 @@ def _cmd_run(args) -> int:
 def _cmd_baseline(args) -> int:
     spec = _load_spec(args)
     entries = {d.name.lower(): d for d in spec.datasets}
-    entry = entries.get(args.dataset.lower())
-    if entry is None:
-        raise SystemExit(f"unknown dataset {args.dataset!r}; "
-                         f"config defines: {', '.join(sorted(entries))}")
     with _input_errors():
+        entry = entries.get(args.dataset.lower())
+        if entry is None:
+            raise ValueError(f"unknown dataset {args.dataset!r}; "
+                             f"config defines: {', '.join(sorted(entries))}")
         dataset = min_max_normalize(entry.load())
         proto = CvProtocol(folds=spec.cv_folds, repeats=args.repeats,
                            base_seed=spec.master_seed)

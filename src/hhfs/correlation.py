@@ -23,6 +23,7 @@ predicts just as well as a positive one. Zero-variance vectors correlate
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -131,14 +132,15 @@ class _MeritScan:
     Keeps the selected count k, the selected class-correlation sum, the
     selected off-diagonal feature-feature sum (ordered pairs), and the
     vector row[b] = sum_{i selected} ff[b, i]. A candidate flip is then
-    scored in O(1) and committed in O(N).
+    scored in O(1) and committed in O(N). The heuristics take and return
+    scans; a scan built from bits scores them exactly as ``cfs_merit``.
     """
 
     def __init__(self, cache: CorrelationCache, bits: np.ndarray):
         self.ff = cache.feature_feature
         self.fc = cache.feature_class
         self.diag = np.diagonal(self.ff)
-        self.bits = bits.astype(bool).copy()
+        self.bits = np.array(bits, dtype=bool)
         sel = np.flatnonzero(self.bits)
         self.k = sel.size
         self.sum_cf = float(self.fc[sel].sum())
@@ -188,8 +190,14 @@ class _MeritScan:
             self.row += self.ff[:, b]
             self.bits[b] = True
 
+    def copy(self) -> "_MeritScan":
+        """An independent scan in the same state."""
+        twin = copy.copy(self)
+        twin.bits, twin.row = self.bits.copy(), self.row.copy()
+        return twin
+
     def mask(self) -> FeatureMask:
-        return FeatureMask(self.bits.astype(np.uint8))
+        return FeatureMask(self.bits)
 
 
 def cfs_merit(mask: FeatureMask, cache: CorrelationCache) -> float:

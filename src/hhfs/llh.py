@@ -7,13 +7,18 @@ consider every bit, only the 0-bits (can only add features), or only the
 moves (SWPD, DIMM, HYPM, MUTN) that perturb the mask unconditionally.
 Merits come from ``correlation._MeritScan``; this module holds the rules.
 
-Every heuristic is a pure function of (mask, rng state): it never mutates
-its input and replaying a seed replays the output bit-exactly. A call
-that leaves every bit unchanged returns its input object, so callers can
-tell "did not move" by identity. One call does one bounded pass - SDHC
-scans one Hamming-1 neighborhood, NAHC/DBHC sweep the positions once -
-so the cost of applying a whole chromosome of heuristics stays
-predictable.
+Heuristics act on merit scans: each takes a ``_MeritScan`` of the working
+mask and returns one, so a chromosome's genes hand one scan from heuristic
+to heuristic, and masks exist only at the chromosome's edge (``apply``
+wraps a single call in them). Every heuristic is a pure function of
+(scan, rng state): it never mutates its input and replaying a seed
+replays the output bit-exactly. A call that leaves every bit unchanged
+returns its input object, so callers can tell "did not move" by identity;
+a call that moves returns a fresh scan of its output bits, never one
+carried forward incrementally, so every merit depends on the bits alone.
+One call does one bounded pass - SDHC scans one Hamming-1 neighborhood,
+NAHC/DBHC sweep the positions once - so the cost of applying a whole
+chromosome of heuristics stays predictable.
 """
 
 from __future__ import annotations
@@ -60,108 +65,112 @@ def _domain_positions(bits: np.ndarray, bit_domain: str,
     raise ValueError(f"unknown bit domain {bit_domain!r}")
 
 
-def sdhc(mask: FeatureMask, ctx: LlhContext, bit_domain: str = ALL) -> FeatureMask:
+def _flipped(scan: _MeritScan, ctx: LlhContext, b) -> _MeritScan:
+    """A fresh scan of the input's bits with bit(s) ``b`` inverted."""
+    bits = scan.bits.copy()
+    bits[b] ^= True
+    return _MeritScan(ctx.cache, bits)
+
+
+def sdhc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan:
     """Steepest-descent step: scan the full Hamming-1 neighborhood within
     the bit domain and move to the best neighbor, but only if it is
     strictly better than the input. Ties pick the lowest flipped index."""
-    positions = _domain_positions(mask.bits, bit_domain)
+    positions = _domain_positions(scan.bits, bit_domain)
     if positions.size == 0:
-        return mask
-    scan = _MeritScan(ctx.cache, mask.bits)
+        return scan
     merits = scan.flip_merits(positions)
     best = int(np.argmax(merits))  # first occurrence: lowest flipped index
     if merits[best] > scan.merit():
-        return mask.flip(int(positions[best]))
-    return mask
+        return _flipped(scan, ctx, int(positions[best]))
+    return scan
 
 
-def _sweep_climb(mask: FeatureMask, ctx: LlhContext, bit_domain: str,
-                 order: np.ndarray) -> FeatureMask:
+def _sweep_climb(scan: _MeritScan, ctx: LlhContext, bit_domain: str,
+                 order: np.ndarray) -> _MeritScan:
     """One pass over ``order``: tentatively flip each in-domain bit and
     keep the flip iff it strictly improves the working mask's merit. A bit
-    changes only at its one visit, so the input's domain holds throughout."""
-    scan = _MeritScan(ctx.cache, mask.bits)
-    current = scan.merit()
+    changes only at its one visit, so the input's domain holds throughout.
+    The pass works on a copy; a moved result is scanned afresh, so its
+    merit does not carry the pass's incremental rounding."""
+    work = scan.copy()
+    current = work.merit()
     changed = False
-    for b in _domain_positions(mask.bits, bit_domain, order).tolist():
-        candidate = scan.flip_merit(b)
+    for b in _domain_positions(scan.bits, bit_domain, order).tolist():
+        candidate = work.flip_merit(b)
         if candidate > current:
-            scan.flip(b)
+            work.flip(b)
             current = candidate
             changed = True
-    return scan.mask() if changed else mask
+    return _MeritScan(ctx.cache, work.bits) if changed else scan
 
 
-def nahc(mask: FeatureMask, ctx: LlhContext, bit_domain: str = ALL) -> FeatureMask:
+def nahc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan:
     """Next-ascent sweep in fixed order, index 0 (most significant, by
     convention) to N-1. Several bits may change in one call."""
-    return _sweep_climb(mask, ctx, bit_domain, np.arange(mask.n))
+    return _sweep_climb(scan, ctx, bit_domain, np.arange(scan.bits.size))
 
 
-def dbhc(mask: FeatureMask, ctx: LlhContext, bit_domain: str = ALL) -> FeatureMask:
+def dbhc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan:
     """Like nahc, but the positions are visited in a fresh uniformly
     random permutation drawn from the context RNG."""
-    return _sweep_climb(mask, ctx, bit_domain, ctx.rng.permutation(mask.n))
+    return _sweep_climb(scan, ctx, bit_domain, ctx.rng.permutation(scan.bits.size))
 
 
-def rmhc(mask: FeatureMask, ctx: LlhContext, bit_domain: str = ALL) -> FeatureMask:
+def rmhc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan:
     """Flip one uniformly random in-domain bit; accept if the merit is
     greater than or equal to the input's (non-strict, so plateaus can be
     walked). An empty domain returns the input untouched."""
-    positions = _domain_positions(mask.bits, bit_domain)
+    positions = _domain_positions(scan.bits, bit_domain)
     if positions.size == 0:
-        return mask
+        return scan
     b = int(positions[int(ctx.rng.integers(positions.size))])
-    scan = _MeritScan(ctx.cache, mask.bits)
     if scan.flip_merit(b) >= scan.merit():
-        return mask.flip(b)
-    return mask
+        return _flipped(scan, ctx, b)
+    return scan
 
 
-def swpd(mask: FeatureMask, ctx: LlhContext) -> FeatureMask:
+def swpd(scan: _MeritScan, ctx: LlhContext) -> _MeritScan:
     """Swap the bit values at two distinct random dimensions. Preserves
     the selected count; accepted unconditionally. Equal bits leave the
     mask as it is."""
-    n = mask.n
+    n = scan.bits.size
     if n < 2:
         raise ValueError("swap needs at least 2 dimensions")
     i = int(ctx.rng.integers(n))
     j = int(ctx.rng.integers(n - 1))
     if j >= i:
         j += 1
-    if mask.bits[i] == mask.bits[j]:
-        return mask
-    bits = mask.bits.copy()
-    bits[i], bits[j] = bits[j], bits[i]
-    return FeatureMask(bits)
+    if scan.bits[i] == scan.bits[j]:
+        return scan
+    return _flipped(scan, ctx, [i, j])  # unequal bits: the swap flips both
 
 
-def dimm(mask: FeatureMask, ctx: LlhContext) -> FeatureMask:
+def dimm(scan: _MeritScan, ctx: LlhContext) -> _MeritScan:
     """Pick one random dimension and flip its bit with probability 0.5."""
-    b = int(ctx.rng.integers(mask.n))
+    b = int(ctx.rng.integers(scan.bits.size))
     if ctx.rng.random() < 0.5:
-        return mask.flip(b)
-    return mask
+        return _flipped(scan, ctx, b)
+    return scan
 
 
-def _flip_coins(mask: FeatureMask, rng: np.random.Generator,
-                rate: float) -> FeatureMask:
-    """Flip each bit whose ``rng.random(n)`` coin is below rate, if any."""
-    coins = rng.random(mask.n) < rate
+def _flip_coins(scan: _MeritScan, ctx: LlhContext, rate: float) -> _MeritScan:
+    """Flip each bit whose ``ctx.rng.random(n)`` coin is below rate, if any."""
+    coins = ctx.rng.random(scan.bits.size) < rate
     if not coins.any():
-        return mask
-    return FeatureMask(np.where(coins, mask.bits ^ 1, mask.bits))
+        return scan
+    return _flipped(scan, ctx, coins)
 
 
-def hypm(mask: FeatureMask, ctx: LlhContext) -> FeatureMask:
+def hypm(scan: _MeritScan, ctx: LlhContext) -> _MeritScan:
     """Flip every bit independently with probability 0.5 - a large,
     restart-like jump."""
-    return _flip_coins(mask, ctx.rng, 0.5)
+    return _flip_coins(scan, ctx, 0.5)
 
 
-def mutn(mask: FeatureMask, ctx: LlhContext) -> FeatureMask:
+def mutn(scan: _MeritScan, ctx: LlhContext) -> _MeritScan:
     """Flip every bit independently with probability ctx.mutn_rate."""
-    return _flip_coins(mask, ctx.rng, ctx.mutn_rate)
+    return _flip_coins(scan, ctx, ctx.mutn_rate)
 
 
 @dataclass(frozen=True)
@@ -173,7 +182,7 @@ class LlhInfo:
     name: str
     kind: str  # "hill-climber" or "mutational"
     description: str
-    func: Callable[[FeatureMask, LlhContext], FeatureMask]
+    func: Callable[[_MeritScan, LlhContext], _MeritScan]
 
 
 def _make_catalog() -> dict[int, LlhInfo]:
@@ -194,8 +203,8 @@ def _make_catalog() -> dict[int, LlhInfo]:
         for domain, domain_desc in domains:
             suffix = "" if domain == ALL else f"-{domain}"
 
-            def bound(mask, ctx, _func=func, _domain=domain):
-                return _func(mask, ctx, bit_domain=_domain)
+            def bound(scan, ctx, _func=func, _domain=domain):
+                return _func(scan, ctx, bit_domain=_domain)
 
             catalog[next_id] = LlhInfo(
                 id=next_id,
@@ -224,11 +233,14 @@ MUTATIONAL_IDS = tuple(i for i, info in CATALOG.items() if info.kind == "mutatio
 
 
 def apply(llh_id: int, mask: FeatureMask, ctx: LlhContext) -> FeatureMask:
-    """Apply the heuristic with the given id (1..16) to the mask."""
+    """Apply the heuristic with the given id (1..16) to the mask; the
+    input object when no bit changes."""
     info = CATALOG.get(int(llh_id))
     if info is None:
         raise ValueError(f"unknown low-level heuristic id {llh_id}")
-    return info.func(mask, ctx)
+    scan = _MeritScan(ctx.cache, mask.bits)
+    out = info.func(scan, ctx)
+    return mask if out is scan else out.mask()
 
 
 def describe_catalog() -> str:

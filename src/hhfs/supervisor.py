@@ -35,7 +35,7 @@ import numpy as np
 import scipy
 
 from . import llh
-from .correlation import CorrelationCache, build_cache, cfs_merit
+from .correlation import CorrelationCache, _MeritScan, build_cache
 from .dataset import Dataset
 from .evaluation import CvProtocol, FitnessEvaluator, cv_accuracy
 from .llh import NUM_LLH, LlhContext
@@ -45,10 +45,9 @@ from .mask import FeatureMask
 @dataclass
 class Chromosome:
     """Fixed-length sequence of heuristic ids (values 1..16, repeats
-    allowed) plus the accuracy from its last evaluation."""
+    allowed)."""
 
     genes: np.ndarray
-    fitness: float | None = None
 
     def __post_init__(self):
         genes = np.asarray(self.genes, dtype=np.int64)
@@ -59,7 +58,7 @@ class Chromosome:
         self.genes = genes
 
     def copy(self) -> "Chromosome":
-        return Chromosome(self.genes.copy(), self.fitness)
+        return Chromosome(self.genes.copy())
 
 
 @dataclass(frozen=True)
@@ -92,6 +91,8 @@ class SupervisorConfig:
             raise ValueError("chromosomes need at least one gene")
         if not 0 <= self.elitism < self.population_size:
             raise ValueError("elitism must lie in 0..population_size-1")
+        if not 0.0 < self.mutn_rate < 1.0:
+            raise ValueError("mutn_rate must lie in (0, 1)")
 
 
 @dataclass
@@ -160,38 +161,6 @@ class SupervisorResult:
 
 def random_chromosome(nllh: int, rng: np.random.Generator) -> Chromosome:
     return Chromosome(rng.integers(1, NUM_LLH + 1, size=nllh))
-
-
-def _apply_genes(genes: np.ndarray, incumbent: FeatureMask, ctx: LlhContext,
-                 stats: LlhStats | None = None) -> FeatureMask:
-    """Apply the heuristics left to right, each consuming the previous
-    output, starting from the incumbent; return the final mask."""
-    mask = incumbent
-    merit_before = cfs_merit(mask, ctx.cache) if stats is not None else 0.0
-    for gene in genes:
-        out = llh.apply(int(gene), mask, ctx)
-        if stats is not None:
-            # a heuristic that declines to move returns its input object
-            merit_after = merit_before if out is mask else cfs_merit(out, ctx.cache)
-            stats.record(int(gene), merit_before, merit_after)
-            merit_before = merit_after
-        mask = out
-    return mask
-
-
-def evaluate_chromosome(chromosome: Chromosome, incumbent: FeatureMask,
-                        ctx: LlhContext, evaluator,
-                        stats: LlhStats | None = None) -> tuple[FeatureMask, float]:
-    """Apply the chromosome's heuristics left to right, each consuming the
-    previous output, starting from the incumbent; score the final mask.
-
-    The incumbent itself is never modified. The chromosome's fitness field
-    is set to the returned accuracy.
-    """
-    mask = _apply_genes(chromosome.genes, incumbent, ctx, stats)
-    fit = float(evaluator(mask))
-    chromosome.fitness = fit
-    return mask, fit
 
 
 def roulette_select(fitnesses, rng: np.random.Generator) -> int:
@@ -266,15 +235,21 @@ class _HeuristicRuns:
     mutn_rate: float
 
     def apply(self, task: tuple[int, int, np.ndarray, FeatureMask]):
-        """Task ``(generation, index, genes, incumbent)``: the final mask,
-        None when it is the incumbent, and the task's LlhStats counts."""
+        """Task ``(generation, index, genes, incumbent)``: apply the genes
+        left to right, each to the previous one's output, starting from
+        the incumbent. Returns the final mask, None when every heuristic
+        returned its input, and the task's LlhStats counts."""
         gen, i, genes, incumbent = task
         ctx = LlhContext(cache=self.cache,
                          rng=np.random.default_rng([self.seed, 1, gen, i]),
                          mutn_rate=self.mutn_rate)
         stats = LlhStats()
-        mask = _apply_genes(genes, incumbent, ctx, stats)
-        return (None if mask is incumbent else mask,
+        start = scan = _MeritScan(self.cache, incumbent.bits)
+        for gene in genes.tolist():
+            out = llh.CATALOG[gene].func(scan, ctx)
+            stats.record(gene, scan.merit(), out.merit())
+            scan = out
+        return (None if scan is start else scan.mask(),
                 stats.invocations, stats.improvements)
 
 

@@ -27,7 +27,7 @@ from hhfs.dataset import (Dataset, fold_class_counts, load_csv,
 from hhfs.evaluation import CvProtocol, cv_accuracy, predict_1nn
 from hhfs.experiment import (DatasetConfig, ExperimentSpec, run_dataset,
                              run_experiment, verify_report)
-from hhfs.llh import HILL_CLIMBER_IDS, CATALOG, LlhContext, apply, sdhc
+from hhfs.llh import HILL_CLIMBER_IDS, CATALOG, LlhContext, apply
 from hhfs.mask import FeatureMask
 from hhfs.supervisor import (SupervisorConfig, mutate_chromosome,
                              random_chromosome, roulette_select,
@@ -198,6 +198,8 @@ class TestPropertyCriteria:
                    f"{elapsed:.1f}s, violations={violations}")
 
     def test_criterion_7_sdhc_oracle_equivalence(self):
+        sdhc = 1
+        assert CATALOG[sdhc].name == "SDHC"
         mismatches = 0
         checked = 0
         for seed in range(5):
@@ -208,7 +210,7 @@ class TestPropertyCriteria:
             rng = np.random.default_rng(300 + seed)
             for _ in range(100):
                 mask = random_mask(d.n_features, rng)
-                out = sdhc(mask, ctx)
+                out = apply(sdhc, mask, ctx)
                 best_bit, best_merit = best_flip_oracle(mask, cache,
                                                         range(d.n_features))
                 expected = (mask.flip(best_bit)
@@ -219,7 +221,7 @@ class TestPropertyCriteria:
             # drive one mask to a fixed point: no neighbor may beat it
             mask = random_mask(d.n_features, rng)
             for _ in range(4 * d.n_features):
-                nxt = sdhc(mask, ctx)
+                nxt = apply(sdhc, mask, ctx)
                 if nxt == mask:
                     break
                 mask = nxt

@@ -144,6 +144,7 @@ def test_bad_config_value_is_one_line_and_status_2(project):
      "{tmp}/one_class.csv: need at least 2 classes, found 1"),
     (["baseline", "--config", "{cfg}", "--dataset", "singletons"],
      "singletons: 10x3 CV puts all 3 instances in one fold"),
+    (["run", "--config", "{cfg}", "--mutn-rate", "0"], "mutn_rate must lie in (0, 1)"),
 ])
 def test_input_errors_exit_2_with_one_line(project, capsys, argv, message):
     tmp_path, cfg = project
@@ -162,10 +163,12 @@ def test_input_errors_exit_2_with_one_line(project, capsys, argv, message):
     assert message.format(**fill) in err
 
 
-def test_run_unknown_dataset_exits(project):
+def test_run_unknown_dataset_exits(project, capsys):
     _, cfg = project
-    with pytest.raises(SystemExit):
-        main(["run", "--config", str(cfg), "--dataset", "ghost"])
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(cfg), "--dataset", "ghost", "--dataset", "alpha"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == "hhfs: error: unknown dataset(s): ghost\n"
 
 
 def test_run_dump_cache(project):
@@ -184,10 +187,13 @@ def test_baseline_command(project, capsys):
     assert "alpha" in out
 
 
-def test_baseline_unknown_dataset(project):
+def test_baseline_unknown_dataset(project, capsys):
     _, cfg = project
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exit_info:
         main(["baseline", "--config", str(cfg), "--dataset", "ghost"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == ("hhfs: error: unknown dataset 'ghost'; "
+                                       "config defines: alpha\n")
 
 
 def test_compare_command(project, capsys):

@@ -143,6 +143,12 @@ label_column = -1
         with pytest.raises(ValueError, match="need at least 2 folds"):
             load_config(cfg)
 
+    def test_out_of_range_mutn_rate_rejected_before_reading_csv(self, tmp_path):
+        cfg = write_config(tmp_path, f"[datasets.x]\npath = {tmp_path / 'absent.csv'}\n"
+                                     "[supervisor]\nmutn_rate = 0\n")
+        with pytest.raises(ValueError, match=re.escape("mutn_rate must lie in (0, 1)")):
+            load_config(cfg)
+
     def test_supervisor_values_typed_by_field_default(self, tmp_path):
         cfg = write_config(tmp_path, "[datasets.x]\npath = x.csv\n[supervisor]\n"
                                      "generations = 7\np_crossover = 1\n")

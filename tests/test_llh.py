@@ -7,15 +7,34 @@ from conftest import (StubRng, best_flip_oracle, cache_from_values,
 from hhfs import llh
 from hhfs.correlation import _MeritScan, build_cache, cfs_merit
 from hhfs.llh import (ALL, ONES, ZEROS, CATALOG, HILL_CLIMBER_IDS,
-                      MUTATIONAL_IDS, LlhContext, dbhc, dimm, hypm, mutn,
-                      nahc, rmhc, sdhc, swpd)
+                      MUTATIONAL_IDS, LlhContext)
 from hhfs.mask import FeatureMask
+
+ID_OF = {info.name: i for i, info in CATALOG.items()}
 
 
 def make_ctx(cache, rng=None, mutn_rate=0.1):
     return LlhContext(cache=cache,
                       rng=rng if rng is not None else np.random.default_rng(0),
                       mutn_rate=mutn_rate)
+
+
+def on_masks(name):
+    """The catalog heuristic ``name`` as a function of masks, called
+    through ``llh.apply``; hill-climbers take a bit domain."""
+    def call(mask, ctx, bit_domain=ALL):
+        suffix = "" if bit_domain == ALL else f"-{bit_domain}"
+        return llh.apply(ID_OF[name + suffix], mask, ctx)
+    return call
+
+
+sdhc, nahc, dbhc, rmhc, swpd, dimm, hypm, mutn = map(on_masks, (
+    "SDHC", "NAHC", "DBHC", "RMHC", "SWPD", "DIMM", "HYPM", "MUTN"))
+
+
+def scan_fields(scan):
+    """A scan's state, as bytes where it is an array, for bitwise checks."""
+    return (scan.bits.tobytes(), scan.k, scan.sum_cf, scan.sum_ff, scan.row.tobytes())
 
 
 class TestCatalog:
@@ -70,6 +89,29 @@ class TestCatalog:
         # every heuristic declined to move at least once (n = 2 and 3
         # give SWPD equal bits and HYPM/MUTN coinless draws)
         assert unmoved[1:].min() > 0, unmoved
+
+    def test_gene_boundary_returns_input_or_fresh_scan(self):
+        # a heuristic hands the next one either its input scan, untouched,
+        # or a scan of its output bits built afresh, whose every field
+        # equals a new _MeritScan's bitwise: never one carried forward
+        rng = np.random.default_rng(22)
+        moved = np.zeros(17, dtype=int)
+        for n in (2, 3, 9, 34):
+            cache = random_cache(n, seed=100 + n)
+            for trial in range(40):
+                scan = _MeritScan(cache, rng.integers(0, 2, size=n))
+                before = scan_fields(scan)
+                for llh_id in range(1, 17):
+                    ctx = make_ctx(cache, np.random.default_rng([n, trial, llh_id]))
+                    out = CATALOG[llh_id].func(scan, ctx)
+                    assert scan_fields(scan) == before, CATALOG[llh_id].name
+                    if np.array_equal(out.bits, scan.bits):
+                        assert out is scan, CATALOG[llh_id].name
+                    else:
+                        fresh = _MeritScan(cache, out.bits)
+                        assert scan_fields(out) == scan_fields(fresh), CATALOG[llh_id].name
+                        moved[llh_id] += 1
+        assert moved[1:].min() > 0, moved
 
     def test_mutn_rate_validation(self):
         with pytest.raises(ValueError):

@@ -16,8 +16,8 @@ from hhfs.evaluation import CvProtocol, FitnessEvaluator
 from hhfs.llh import LlhContext, apply
 from hhfs.mask import FeatureMask
 from hhfs.supervisor import (Chromosome, LlhStats, SupervisorConfig,
-                             SupervisorResult, evaluate_chromosome,
-                             mutate_chromosome, random_chromosome,
+                             SupervisorResult, mutate_chromosome,
+                             random_chromosome,
                              roulette_select, run_supervisor,
                              single_point_crossover)
 
@@ -57,39 +57,46 @@ class TestSupervisorConfig:
             SupervisorConfig(generations=0)
         with pytest.raises(ValueError):
             SupervisorConfig(elitism=30, population_size=30)
+        for rate in (0.0, 1.0, -0.1):
+            with pytest.raises(ValueError, match=r"mutn_rate must lie in \(0, 1\)"):
+                SupervisorConfig(mutn_rate=rate)
+
+
+def run_genes(runs, genes, incumbent, gen=0, i=0):
+    """Task (gen, i) of ``runs``: the final mask (the incumbent object when
+    no heuristic moved) and the task's LlhStats."""
+    mask, invocations, improvements = runs.apply((gen, i, np.asarray(genes), incumbent))
+    return (incumbent if mask is None else mask,
+            LlhStats(invocations=invocations, improvements=improvements))
 
 
 class TestEvaluateChromosome:
-    def test_all_dimm_with_keep_coins_is_identity(self, small_dataset):
-        cache = build_cache(small_dataset)
-        evaluator = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=0))
-        incumbent = FeatureMask([1, 0, 1, 0, 1, 0, 1, 0])
+    """A chromosome's heuristics, as the supervisor applies them."""
+
+    def test_all_dimm_with_keep_coins_is_identity(self, small_dataset, monkeypatch):
         # 16 DIMM calls, each drawing a position then a keep coin
-        rng = StubRng(integers=[0] * 16, randoms=[0.9] * 16)
-        ctx = LlhContext(cache=cache, rng=rng)
-        chrom = Chromosome(np.full(16, 14))
-        mask, fit = evaluate_chromosome(chrom, incumbent, ctx, evaluator)
-        assert mask == incumbent
-        assert fit == evaluator(incumbent)
-        assert chrom.fitness == fit
+        stub = StubRng(integers=[0] * 16, randoms=[0.9] * 16)
+        monkeypatch.setattr(supervisor, "LlhContext",
+                            lambda cache, rng, mutn_rate: LlhContext(cache, stub, mutn_rate))
+        runs = supervisor._HeuristicRuns(build_cache(small_dataset), 0, 0.1)
+        incumbent = FeatureMask([1, 0, 1, 0, 1, 0, 1, 0])
+        mask, invocations, improvements = runs.apply((0, 0, np.full(16, 14), incumbent))
+        assert mask is None
+        assert invocations[14] == 16 and improvements.sum() == 0
 
     def test_incumbent_is_never_modified(self, small_dataset):
-        cache = build_cache(small_dataset)
-        evaluator = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=0))
+        runs = supervisor._HeuristicRuns(build_cache(small_dataset), 1, 0.1)
         incumbent = FeatureMask([1, 1, 0, 0, 1, 0, 0, 1])
         before = incumbent.bits.copy()
-        ctx = LlhContext(cache=cache, rng=np.random.default_rng(1))
-        evaluate_chromosome(Chromosome(np.array([15] * 16)), incumbent, ctx,
-                            evaluator)
+        mask, _ = run_genes(runs, [15] * 16, incumbent)
+        assert mask != incumbent
         np.testing.assert_array_equal(incumbent.bits, before)
 
     def test_all_sdhc_chromosome_matches_greedy_replay(self, small_dataset):
         cache = build_cache(small_dataset)
-        evaluator = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=0))
+        runs = supervisor._HeuristicRuns(cache, 2, 0.1)
         incumbent = FeatureMask([0, 1, 0, 0, 1, 0, 1, 0])
-        ctx = LlhContext(cache=cache, rng=np.random.default_rng(2))
-        chrom = Chromosome(np.ones(16, dtype=int))
-        mask, _ = evaluate_chromosome(chrom, incumbent, ctx, evaluator)
+        mask, _ = run_genes(runs, np.ones(16, dtype=int), incumbent)
 
         expected = incumbent
         for _ in range(16):
@@ -97,43 +104,45 @@ class TestEvaluateChromosome:
                                                     range(expected.n))
             if best_merit > cfs_merit(expected, cache):
                 expected = expected.flip(best_bit)
+        assert expected != incumbent
         assert mask == expected
 
     def test_hill_climber_chromosome_never_decreases_merit(self, small_dataset):
         cache = build_cache(small_dataset)
-        evaluator = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=0))
+        runs = supervisor._HeuristicRuns(cache, 3, 0.1)
         rng = np.random.default_rng(3)
-        for _ in range(25):
+        for i in range(25):
             genes = rng.integers(1, 13, size=16)  # hill-climbers only
             incumbent = FeatureMask.random(8, rng)
-            ctx = LlhContext(cache=cache, rng=rng)
-            mask, _ = evaluate_chromosome(Chromosome(genes), incumbent, ctx,
-                                          evaluator)
+            mask, _ = run_genes(runs, genes, incumbent, i=i)
             assert cfs_merit(mask, cache) >= cfs_merit(incumbent, cache)
 
     def test_stats_equal_a_replay_that_recomputes_every_merit(self, small_dataset):
         # the statistics skip heuristics that return their input; the
         # counts must not notice
         cache = build_cache(small_dataset)
-        evaluator = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=0))
+        runs = supervisor._HeuristicRuns(cache, 8, 0.1)
         incumbent = FeatureMask([1, 0, 1, 1, 0, 0, 1, 0])
         rng = np.random.default_rng(6)
         stats, expected = LlhStats(), LlhStats()
         for i in range(40):
             chrom = random_chromosome(16, rng)
-            ctx = LlhContext(cache=cache, rng=np.random.default_rng([8, i]))
-            evaluate_chromosome(chrom, incumbent, ctx, evaluator, stats)
-            replay = LlhContext(cache=cache, rng=np.random.default_rng([8, i]))
+            _, task_stats = run_genes(runs, chrom.genes, incumbent, gen=5, i=i)
+            stats.invocations += task_stats.invocations
+            stats.improvements += task_stats.improvements
+            replay = LlhContext(cache=cache, rng=np.random.default_rng([8, 1, 5, i]))
             mask = incumbent
             for gene in chrom.genes:
                 out = apply(int(gene), mask, replay)
                 expected.record(int(gene), cfs_merit(mask, cache), cfs_merit(out, cache))
                 mask = out
+        assert expected.improvements.sum() > 0
         assert stats.as_dict() == expected.as_dict()
 
     def test_snapshot_evaluations_are_order_independent(self, small_dataset):
         cache = build_cache(small_dataset)
         evaluator = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=0))
+        runs = supervisor._HeuristicRuns(cache, 7, 0.1)
         incumbent = FeatureMask([1, 0, 1, 1, 0, 0, 1, 0])
         rng = np.random.default_rng(4)
         chroms = [random_chromosome(16, rng) for _ in range(6)]
@@ -141,16 +150,11 @@ class TestEvaluateChromosome:
         def evaluate_in(order):
             outputs = {}
             for i in order:
-                ctx = LlhContext(cache=cache, rng=np.random.default_rng([7, i]))
-                outputs[i] = evaluate_chromosome(chroms[i].copy(), incumbent,
-                                                 ctx, evaluator)
+                mask, stats = run_genes(runs, chroms[i].genes, incumbent, i=i)
+                outputs[i] = mask, evaluator(mask), stats.as_dict()
             return outputs
 
-        forward = evaluate_in(range(6))
-        backward = evaluate_in(reversed(range(6)))
-        for i in range(6):
-            assert forward[i][0] == backward[i][0]
-            assert forward[i][1] == backward[i][1]
+        assert evaluate_in(range(6)) == evaluate_in(reversed(range(6)))
 
 
 class TestRouletteSelect:
