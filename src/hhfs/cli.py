@@ -32,8 +32,8 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
 
 @contextmanager
 def _input_errors():
-    """Turn a bad config, option value, dataset name or dataset file into
-    one stderr line and exit status 2."""
+    """Turn a bad config, option value, dataset name, dataset file or
+    report file into one stderr line and exit status 2."""
     try:
         yield
     except (ValueError, FileNotFoundError, DatasetError) as exc:
@@ -93,14 +93,26 @@ def _cmd_explain_llh(_args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    for path in args.report:
-        with open(path) as fh:
+def _load_report(path: str) -> dict:
+    """The report.json at ``path``; unless it records a failed dataset,
+    its aggregate must pass ``verify_report``."""
+    with open(path) as fh:
+        try:
             report = json.load(fh)
+            if "error" not in report:
+                verify_report(report)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return report
+
+
+def _cmd_compare(args) -> int:
+    with _input_errors():
+        reports = [_load_report(path) for path in args.report]
+    for report in reports:
         if "error" in report:
             print(f"{report['dataset']}: no results ({report['error']})")
             continue
-        verify_report(report)
         print(render_comparison(report))
         print()
     return 0

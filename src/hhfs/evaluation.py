@@ -246,24 +246,14 @@ class FitnessEvaluator:
         accs = [int(np.count_nonzero(labels[nn] == labels)) / n for nn in nearest]
         return sum(accs) / len(accs)
 
-    def fitnesses(self, masks: list[FeatureMask], mapper=map) -> list[float]:
-        """The fitness of each mask, in order, with the counters moved as
-        consecutive ``fitness`` calls would move them: each distinct mask
-        not yet memoized is computed once, through
-        ``mapper(self.compute, masks)``, and every other lookup is a hit."""
-        keys = [mask.key() for mask in masks]
-        todo: dict[bytes, FeatureMask] = {}
-        for key, mask in zip(keys, masks):
-            if key not in self._cache:
-                todo.setdefault(key, mask)
-        values = list(mapper(self.compute, todo.values()))
-        self._cache.update(zip(todo, values))
-        self.computations += len(todo)
-        self.hits += len(keys) - len(todo)
-        return [self._cache[key] for key in keys]
-
     def fitness(self, mask: FeatureMask) -> float:
-        return self.fitnesses([mask])[0]
-
-    def __call__(self, mask: FeatureMask) -> float:
-        return self.fitness(mask)
+        """The memoized ``compute``: a mask seen before is a hit; any other
+        is computed, stored and counted, in that order, so a computation
+        that raises leaves the memo and the counters as they were."""
+        key = mask.key()
+        if key in self._cache:
+            self.hits += 1
+            return self._cache[key]
+        value = self._cache[key] = self.compute(mask)
+        self.computations += 1
+        return value

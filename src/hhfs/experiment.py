@@ -27,7 +27,7 @@ from .correlation import build_cache, dump_cache_csv
 from .dataset import Dataset, load_csv, min_max_normalize
 from .evaluation import CvProtocol, cv_accuracy
 from .mask import FeatureMask
-from .published import BASELINE_REFERENCE
+from .published import BASELINE_REFERENCE, HHFS_REFERENCE
 from .supervisor import SupervisorConfig, SupervisorResult, run_supervisor
 
 
@@ -80,14 +80,12 @@ class ExperimentSpec:
 
     def report_protocols(self) -> dict[str, CvProtocol]:
         # reporting folds are seeded by the master seed, fixed across runs
-        return {
-            f"{r}x{self.cv_folds}": CvProtocol(
-                folds=self.cv_folds, repeats=r, base_seed=self.master_seed)
-            for r in self.report_repeats
-        }
+        protocols = [CvProtocol(folds=self.cv_folds, repeats=r, base_seed=self.master_seed)
+                     for r in self.report_repeats]
+        return {proto.label(): proto for proto in protocols}
 
     def primary_label(self) -> str:
-        return f"{self.report_repeats[0]}x{self.cv_folds}"
+        return next(iter(self.report_protocols()))
 
 
 class Knob(NamedTuple):
@@ -327,15 +325,20 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> list[dict]:
 
 
 def render_comparison(report: dict, references=None) -> str:
-    """Table of this engine's accuracy against published reference numbers
-    (percent scale), with the row maximum marked by '*'."""
+    """Table of this engine's best accuracy against published reference
+    numbers (percent scale), per protocol: the paper's own best where
+    ``HHFS_REFERENCE`` has the dataset, then the baselines; the row
+    maximum is marked by '*'."""
     if references is None:
         references = BASELINE_REFERENCE
     name = report["dataset"]
     lines = [f"{name}: accuracy vs published baselines (percent)"]
     refs = references.get(name, [])
+    published = HHFS_REFERENCE.get(name, {})
     for label, agg in report["aggregate"].items():
         row: list[tuple[str, float]] = [(f"this engine ({label})", agg["best"] * 100.0)]
+        if label in published:
+            row.append((f"HHFS, published ({label})", published[label]["best"] * 100.0))
         row += [(f"{method} ({proto})", pct)
                 for method, proto, pct in refs if proto == label]
         best = max(v for _, v in row)

@@ -11,28 +11,14 @@ Reproducibility contract: all randomness derives from the run seed. The
 heuristic stream of chromosome i in generation g is seeded by
 (seed, 1, g, i), so evaluations are order-independent within a generation
 and the whole run is bit-exact replayable.
-
-That independence is what spreads a generation over every core the
-process may run on: its heuristic sequences, then its distinct unmemoized
-masks, are mapped over a pool of forked workers, which inherit the dataset,
-the correlation cache and the evaluator's folds, and run BLAS on one
-thread each. The results, counters included, are the same for any number
-of workers.
 """
 
 from __future__ import annotations
 
-import ctypes
-import glob
-import multiprocessing
-import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import llh
 from .correlation import CorrelationCache, _MeritScan, build_cache
@@ -226,116 +212,21 @@ def _next_generation(population: list[Chromosome], fits: np.ndarray,
     return elites + mutated
 
 
-@dataclass(frozen=True, eq=False)
-class _HeuristicRuns:
-    """Applies one chromosome's genes per task; pool workers inherit it."""
-
-    cache: CorrelationCache
-    seed: int
-    mutn_rate: float
-
-    def apply(self, task: tuple[int, int, np.ndarray, FeatureMask]):
-        """Task ``(generation, index, genes, incumbent)``: apply the genes
-        left to right, each to the previous one's output, starting from
-        the incumbent. Returns the final mask, None when every heuristic
-        returned its input, and the task's LlhStats counts."""
-        gen, i, genes, incumbent = task
-        ctx = LlhContext(cache=self.cache,
-                         rng=np.random.default_rng([self.seed, 1, gen, i]),
-                         mutn_rate=self.mutn_rate)
-        stats = LlhStats()
-        start = scan = _MeritScan(self.cache, incumbent.bits)
-        for gene in genes.tolist():
-            out = llh.CATALOG[gene].func(scan, ctx)
-            stats.record(gene, scan.merit(), out.merit())
-            scan = out
-        return (None if scan is start else scan.mask(),
-                stats.invocations, stats.improvements)
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _loaded_openblas() -> list[ctypes.CDLL]:
-    """The OpenBLAS libraries of numpy's and scipy's wheels that this
-    process has loaded; opened with RTLD_NOLOAD, so none is loaded here."""
-    noload = getattr(os, "RTLD_NOLOAD", None)
-    if noload is None:  # no dlopen on this platform
-        return []
-    libs = []
-    for package in (np, scipy):
-        libdir = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
-        for path in sorted(glob.glob(str(libdir / "*openblas*"))):
-            try:
-                libs.append(ctypes.CDLL(path, mode=noload))
-            except OSError:  # shipped but not loaded
-                pass
-    return libs
-
-
-def _one_blas_thread() -> None:
-    """Run every loaded OpenBLAS on one thread in this process. A no-op
-    where none is loaded."""
-    for lib in _loaded_openblas():
-        for name in ("scipy_openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                break
-
-
-_inherited: tuple = ()  # in a pool worker: the objects shared at fork
-
-
-def _inherit(shared: tuple) -> None:
-    # the workers already fill every core; BLAS threads of their own, by
-    # default one per core in each worker, would only contend for them
-    _one_blas_thread()
-    global _inherited
-    _inherited = shared
-
-
-def _call_inherited(call: tuple[int, str, object]):
-    owner, method, arg = call
-    return getattr(_inherited[owner], method)(arg)
-
-
-@contextmanager
-def _generation_map(workers: int, shared: tuple):
-    """A ``map(method, items)`` for methods of the objects in ``shared``.
-
-    With two or more workers and the fork start method, the calls run in a
-    pool of forked workers, which inherit ``shared`` rather than receive
-    it; only the method name, the items and the results cross the pipes.
-    Otherwise, and inside a daemonic process (a pool worker, which may not
-    fork), this is builtin ``map``. The pool does not outlive the block.
-    """
-    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        yield map
-        return
-    # fork, not spawn: a spawned worker would re-import and need the
-    # dataset, cache and folds pickled to it for every run; forked workers
-    # run only engine code that is already imported
-    pool = multiprocessing.get_context("fork").Pool(workers, _inherit, (shared,))
-
-    def pooled(method, items):
-        owner = next(k for k, obj in enumerate(shared) if obj is method.__self__)
-        return pool.map(_call_inherited, [(owner, method.__name__, x) for x in items])
-    try:
-        yield pooled
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.close()
-        pool.join()
+def _apply_genes(cache: CorrelationCache, cfg: SupervisorConfig, gen: int, i: int,
+                 genes: np.ndarray, incumbent: FeatureMask,
+                 stats: LlhStats) -> FeatureMask:
+    """Apply chromosome i's genes in generation ``gen`` left to right, each
+    to the previous one's output, starting from the incumbent, and record
+    every call in ``stats``. Returns the final mask: the incumbent object
+    itself when every heuristic returned its input."""
+    ctx = LlhContext(cache=cache, rng=np.random.default_rng([cfg.seed, 1, gen, i]),
+                     mutn_rate=cfg.mutn_rate)
+    start = scan = _MeritScan(cache, incumbent.bits)
+    for gene in genes.tolist():
+        out = llh.CATALOG[gene].func(scan, ctx)
+        stats.record(gene, scan.merit(), out.merit())
+        scan = out
+    return incumbent if scan is start else scan.mask()
 
 
 def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
@@ -350,11 +241,6 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     produce the next population. After the last generation the incumbent
     is re-evaluated under each reporting protocol. Datasets with fewer
     than 2 features are rejected: SWPD needs two dimensions to swap.
-
-    A generation runs in two mapped phases: every chromosome's heuristics,
-    then the fitness of its distinct masks not yet memoized. They use one
-    worker per usable core, at most one per chromosome, and run in-process
-    when that is one worker.
     """
     if dataset.n_features < 2:
         raise ValueError("the supervisor needs at least 2 features, "
@@ -363,48 +249,40 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     if cache is None:
         cache = build_cache(dataset)
     evaluator = FitnessEvaluator(dataset, search_protocol)
-    heuristics = _HeuristicRuns(cache, cfg.seed, cfg.mutn_rate)
     init_rng = np.random.default_rng([cfg.seed, 0])
     ga_rng = np.random.default_rng([cfg.seed, 2])
 
     incumbent = FeatureMask.random(dataset.n_features, init_rng)
     population = [random_chromosome(cfg.nllh, init_rng)
                   for _ in range(cfg.population_size)]
-    incumbent_fitness = evaluator(incumbent)
+    incumbent_fitness = evaluator.fitness(incumbent)
     initial_fitness = incumbent_fitness
     initial_m = incumbent.selected_count()
 
     stats = LlhStats()
     history: list[GenerationRecord] = []
     phases = dict.fromkeys(("heuristics", "fitness", "ga", "report"), 0.0)
-    workers = min(_usable_cores(), cfg.population_size)
-    with _generation_map(workers, (heuristics, evaluator)) as mapper:
-        for gen in range(cfg.generations):
-            t0 = time.perf_counter()
-            masks: list[FeatureMask] = []
-            tasks = [(gen, i, chrom.genes, incumbent)
-                     for i, chrom in enumerate(population)]
-            for mask_i, invocations, improvements in mapper(heuristics.apply, tasks):
-                masks.append(incumbent if mask_i is None else mask_i)
-                stats.invocations += invocations
-                stats.improvements += improvements
-            t1 = time.perf_counter()
-            fits = np.array(evaluator.fitnesses(masks, mapper), dtype=np.float64)
-            t2 = time.perf_counter()
-            best_i = int(np.argmax(fits))
-            if fits[best_i] > incumbent_fitness:
-                incumbent = masks[best_i]
-                incumbent_fitness = float(fits[best_i])
-            history.append(GenerationRecord(
-                generation=gen,
-                best_chromosome_fitness=float(fits[best_i]),
-                incumbent_fitness=incumbent_fitness,
-                incumbent_m=incumbent.selected_count(),
-            ))
-            population = _next_generation(population, fits, cfg, ga_rng)
-            phases["heuristics"] += t1 - t0
-            phases["fitness"] += t2 - t1
-            phases["ga"] += time.perf_counter() - t2
+    for gen in range(cfg.generations):
+        t0 = time.perf_counter()
+        masks = [_apply_genes(cache, cfg, gen, i, chrom.genes, incumbent, stats)
+                 for i, chrom in enumerate(population)]
+        t1 = time.perf_counter()
+        fits = np.array([evaluator.fitness(mask) for mask in masks], dtype=np.float64)
+        t2 = time.perf_counter()
+        best_i = int(np.argmax(fits))
+        if fits[best_i] > incumbent_fitness:
+            incumbent = masks[best_i]
+            incumbent_fitness = float(fits[best_i])
+        history.append(GenerationRecord(
+            generation=gen,
+            best_chromosome_fitness=float(fits[best_i]),
+            incumbent_fitness=incumbent_fitness,
+            incumbent_m=incumbent.selected_count(),
+        ))
+        population = _next_generation(population, fits, cfg, ga_rng)
+        phases["heuristics"] += t1 - t0
+        phases["fitness"] += t2 - t1
+        phases["ga"] += time.perf_counter() - t2
 
     t0 = time.perf_counter()
     reported = {

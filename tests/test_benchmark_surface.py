@@ -1,6 +1,7 @@
 """The engine calls the benchmark under perfbench/ makes still work: its
 per-heuristic micro timings and a traced supervisor run (``--trace 1``)."""
 
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -41,5 +42,12 @@ def test_traced_supervisor_run_completes(perfbench, dataset):
             dataset, cfg, hhfs.CvProtocol(folds=5, base_seed=1),
             {"5x2": hhfs.CvProtocol(folds=5, repeats=2, base_seed=1)})
     assert len(result.history) == 2
-    assert [s[tracing.NAME] for s in tracer.spans].count("run_supervisor") == 1
-    assert layers.search_breakdown(tracer.spans)["search_s"] > 0
+    names = [s[tracing.NAME] for s in tracer.spans]
+    assert names.count("run_supervisor") == 1
+    # every fitness call, the initial incumbent's and one per chromosome,
+    # runs in this process, where the tracer sees it
+    assert names.count("FitnessEvaluator.fitness") == 1 + 2 * 4
+    breakdown = layers.search_breakdown(tracer.spans)
+    assert breakdown["search_s"] > 0
+    assert breakdown["fitness_share"] > 0
+    assert multiprocessing.active_children() == []

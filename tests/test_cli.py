@@ -207,6 +207,34 @@ def test_compare_command(project, capsys):
     assert "*" in out
 
 
+def _sonar_report(best: float) -> dict:
+    runs = [{"run": 0, "m": 20, "accuracy": {"10x10": 0.9}}]
+    return {"dataset": "sonar", "runs": runs,
+            "aggregate": {"10x10": {"best": best, "best_percent": best * 100.0,
+                                   "best_run": 0, "best_m": 20, "mean": 0.9,
+                                   "mean_percent": 90.0, "mean_m": 20.0}}}
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file or directory: '{path}'"),
+    ('{"dataset": "sonar", "runs": [', "{path}: Expecting value: line 1 column 31"),
+    (json.dumps(_sonar_report(0.95)),
+     "{path}: report aggregate for sonar is inconsistent with its per-run records"),
+], ids=["missing", "truncated", "inconsistent"])
+def test_compare_bad_report_exits_2_with_one_line(tmp_path, capsys, content, message):
+    good, path = tmp_path / "good.json", tmp_path / "report.json"
+    good.write_text(json.dumps(_sonar_report(0.9)))
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["compare", "--report", str(good), "--report", str(path)])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # nothing is rendered before every report has loaded
+    assert err.startswith("hhfs: error: ") and err.count("\n") == 1
+    assert message.format(path=path) in err
+
+
 def test_run_partial_failure_returns_nonzero(project, tmp_path):
     _, cfg = project
     body = cfg.read_text() + f"\n[datasets.ghost]\npath = {tmp_path / 'ghost.csv'}\n"

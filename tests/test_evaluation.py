@@ -137,16 +137,16 @@ class TestFitnessEvaluator:
     def test_memoization_skips_recomputation(self, small_dataset):
         ev = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=2))
         mask = FeatureMask([1, 0, 1, 0, 1, 0, 1, 0])
-        first = ev(mask)
+        first = ev.fitness(mask)
         assert (ev.computations, ev.hits) == (1, 0)
-        second = ev(FeatureMask([1, 0, 1, 0, 1, 0, 1, 0]))
+        second = ev.fitness(FeatureMask([1, 0, 1, 0, 1, 0, 1, 0]))
         assert second == first
         assert (ev.computations, ev.hits) == (1, 1)
 
     def test_distinct_masks_computed_independently(self, small_dataset):
         ev = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=2))
-        ev(FeatureMask([1, 0, 1, 0, 1, 0, 1, 0]))
-        ev(FeatureMask([1, 0, 1, 0, 1, 0, 1, 1]))
+        ev.fitness(FeatureMask([1, 0, 1, 0, 1, 0, 1, 0]))
+        ev.fitness(FeatureMask([1, 0, 1, 0, 1, 0, 1, 1]))
         assert ev.computations == 2
 
     def test_cache_transparency(self, small_dataset):
@@ -154,44 +154,46 @@ class TestFitnessEvaluator:
         masks = [random_mask(8, rng) for _ in range(10)] * 2
         proto = CvProtocol(folds=5, base_seed=4)
         cached = FitnessEvaluator(small_dataset, proto)
-        assert ([cached(m) for m in masks]
+        assert ([cached.fitness(m) for m in masks]
                 == [cv_accuracy(small_dataset, m, proto) for m in masks])
         distinct = len({m.key() for m in masks})
         assert cached.computations == distinct
         assert cached.hits == len(masks) - distinct
 
 
-    def test_batch_memo_counts_as_sequential_calls(self, small_dataset):
+    def test_batch_memo_counts_as_sequential_calls(self, small_dataset, monkeypatch):
         rng = np.random.default_rng(12)
         a, b, c = (random_mask(8, rng) for _ in range(3))
         assert len({a.key(), b.key(), c.key()}) == 3
         proto = CvProtocol(folds=5, base_seed=6)
         ev = FitnessEvaluator(small_dataset, proto)
         computed = []
+        compute = FitnessEvaluator.compute
 
-        def recording_map(fn, masks):
-            masks = list(masks)
-            computed.extend(masks)
-            return map(fn, masks)
+        def recording(self, mask):
+            computed.append(mask)
+            return compute(self, mask)
 
-        values = ev.fitnesses([a, b, a, c, b], recording_map)
+        monkeypatch.setattr(FitnessEvaluator, "compute", recording)
+        values = [ev.fitness(m) for m in (a, b, a, c, b)]
         assert values == [cv_accuracy(small_dataset, m, proto) for m in (a, b, a, c, b)]
         assert (ev.computations, ev.hits) == (3, 2)
         assert computed == [a, b, c]  # first-occurrence order, once each
-        # memoized masks are hits and reach no map
-        assert ev.fitnesses([c, a], recording_map) == [values[3], values[0]]
+        # memoized masks are hits and compute nothing
+        assert [ev.fitness(c), ev.fitness(a)] == [values[3], values[0]]
         assert (ev.computations, ev.hits) == (3, 4)
         assert computed == [a, b, c]
-        assert ev(b) == values[1] and (ev.computations, ev.hits) == (3, 5)
 
-    def test_batch_failure_leaves_counts_and_memo_unchanged(self, small_dataset):
+    def test_failing_fitness_call_leaves_counts_and_memo_unchanged(self, small_dataset):
         ev = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=6))
         good = FeatureMask([1, 0, 1, 0, 1, 0, 1, 0])
+        ev.fitness(good)
         with pytest.raises(ValueError, match="does not match"):
-            ev.fitnesses([good, FeatureMask([1, 0, 1])])
-        assert (ev.computations, ev.hits) == (0, 0)
-        ev(good)
+            ev.fitness(FeatureMask([1, 0, 1]))
         assert (ev.computations, ev.hits) == (1, 0)
+        assert list(ev._cache) == [good.key()]
+        ev.fitness(good)
+        assert (ev.computations, ev.hits) == (1, 1)
 
 
 def test_accuracy_always_in_unit_interval(small_dataset):
@@ -243,7 +245,7 @@ def test_fitness_equals_cdist_reference_exactly(case):
     for mask in masks * 2:  # the second pass is served from the memo
         expected = cv_accuracy_cdist_reference(d, mask, proto)
         assert cv_accuracy(d, mask, proto) == expected
-        assert evaluator(mask) == expected
+        assert evaluator.fitness(mask) == expected
         assert evaluator.compute(mask) == expected
 
 
@@ -365,7 +367,7 @@ class TestDegenerateFolds:
         ev = FitnessEvaluator(d, proto)
         assert all(np.bincount(f, minlength=6)[4:].sum() == 0 for f in ev._folds)
         expected = cv_accuracy_cdist_reference(d, FeatureMask([1]), proto)
-        assert ev(FeatureMask([1])) == expected
+        assert ev.fitness(FeatureMask([1])) == expected
         assert expected == cv_accuracy_bruteforce(d, FeatureMask([1]), 6, 3, 2)
 
     def test_as_many_folds_as_instances(self):

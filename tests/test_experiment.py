@@ -207,7 +207,7 @@ class TestFullFeatureBaseline:
     def test_equals_fitness_of_all_ones_mask(self, small_dataset):
         proto = CvProtocol(folds=5, repeats=2, base_seed=3)
         ev = FitnessEvaluator(small_dataset, proto)
-        assert full_feature_baseline(small_dataset, proto) == ev(
+        assert full_feature_baseline(small_dataset, proto) == ev.fitness(
             FeatureMask.ones(small_dataset.n_features))
 
 
@@ -317,6 +317,19 @@ class TestRenderComparison:
         text = render_comparison(report, references={})
         engine = [ln for ln in text.splitlines() if "this engine" in ln][0]
         assert engine.rstrip().endswith("*")
+
+    def test_published_hhfs_row_per_protocol(self):
+        report = self.make_report(0.9300, 0.9000)
+        report["dataset"] = "sonar"
+        lines = render_comparison(report).splitlines()
+        published = [ln for ln in lines if "HHFS, published" in ln]
+        assert [ln.split()[2] for ln in published] == ["(10x10)", "(5x10)"]
+        assert "92.79" in published[0] and not published[0].endswith("*")
+        engine = [ln for ln in lines if "this engine (10x10)" in ln][0]
+        assert engine.endswith("*")  # 93.00 beats the paper's 92.79
+        # 5x10: the paper's 92.12 beats the engine's 90.00 and DF-TS3's 90.63
+        assert "92.12" in published[1] and published[1].endswith("*")
+        assert sum(ln.endswith("*") for ln in lines) == 2
 
     def test_fraction_rendered_as_percent(self):
         text = render_comparison(self.make_report(0.9433, 0.9419))

@@ -21,7 +21,6 @@ import tempfile
 from pathlib import Path
 
 from conftest import synthetic_dataset
-from hhfs import supervisor
 from hhfs.experiment import DatasetConfig, ExperimentSpec, run_experiment
 from hhfs.supervisor import SupervisorConfig
 
@@ -57,12 +56,6 @@ def golden_bytes(workdir: Path) -> bytes:
 
 
 def test_pinned_experiment_reproduces_golden_report(tmp_path):
-    assert golden_bytes(tmp_path) == GOLDEN.read_bytes()
-
-
-def test_golden_report_on_one_core(tmp_path, monkeypatch):
-    # the in-process path: no worker pool
-    monkeypatch.setattr(supervisor, "_usable_cores", lambda: 1)
     assert golden_bytes(tmp_path) == GOLDEN.read_bytes()
 
 

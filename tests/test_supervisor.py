@@ -1,15 +1,12 @@
-import ctypes
 import dataclasses
 import multiprocessing
-import os
-import signal
 
 import numpy as np
 import pytest
 
 from conftest import (StubRng, best_flip_oracle, cv_accuracy_cdist_reference,
                       synthetic_dataset)
-from hhfs import llh, supervisor
+from hhfs import supervisor
 from hhfs.correlation import build_cache, cfs_merit
 from hhfs.dataset import Dataset
 from hhfs.evaluation import CvProtocol, FitnessEvaluator
@@ -62,12 +59,14 @@ class TestSupervisorConfig:
                 SupervisorConfig(mutn_rate=rate)
 
 
-def run_genes(runs, genes, incumbent, gen=0, i=0):
-    """Task (gen, i) of ``runs``: the final mask (the incumbent object when
-    no heuristic moved) and the task's LlhStats."""
-    mask, invocations, improvements = runs.apply((gen, i, np.asarray(genes), incumbent))
-    return (incumbent if mask is None else mask,
-            LlhStats(invocations=invocations, improvements=improvements))
+def run_genes(cache, seed, genes, incumbent, gen=0, i=0):
+    """Chromosome i of generation ``gen`` in a run seeded ``seed``: the
+    final mask (the incumbent object when no heuristic moved) and the
+    LlhStats of its heuristics."""
+    stats = LlhStats()
+    mask = supervisor._apply_genes(cache, SupervisorConfig(seed=seed), gen, i,
+                                   np.asarray(genes), incumbent, stats)
+    return mask, stats
 
 
 class TestEvaluateChromosome:
@@ -78,25 +77,22 @@ class TestEvaluateChromosome:
         stub = StubRng(integers=[0] * 16, randoms=[0.9] * 16)
         monkeypatch.setattr(supervisor, "LlhContext",
                             lambda cache, rng, mutn_rate: LlhContext(cache, stub, mutn_rate))
-        runs = supervisor._HeuristicRuns(build_cache(small_dataset), 0, 0.1)
         incumbent = FeatureMask([1, 0, 1, 0, 1, 0, 1, 0])
-        mask, invocations, improvements = runs.apply((0, 0, np.full(16, 14), incumbent))
-        assert mask is None
-        assert invocations[14] == 16 and improvements.sum() == 0
+        mask, stats = run_genes(build_cache(small_dataset), 0, np.full(16, 14), incumbent)
+        assert mask is incumbent
+        assert stats.invocations[14] == 16 and stats.improvements.sum() == 0
 
     def test_incumbent_is_never_modified(self, small_dataset):
-        runs = supervisor._HeuristicRuns(build_cache(small_dataset), 1, 0.1)
         incumbent = FeatureMask([1, 1, 0, 0, 1, 0, 0, 1])
         before = incumbent.bits.copy()
-        mask, _ = run_genes(runs, [15] * 16, incumbent)
+        mask, _ = run_genes(build_cache(small_dataset), 1, [15] * 16, incumbent)
         assert mask != incumbent
         np.testing.assert_array_equal(incumbent.bits, before)
 
     def test_all_sdhc_chromosome_matches_greedy_replay(self, small_dataset):
         cache = build_cache(small_dataset)
-        runs = supervisor._HeuristicRuns(cache, 2, 0.1)
         incumbent = FeatureMask([0, 1, 0, 0, 1, 0, 1, 0])
-        mask, _ = run_genes(runs, np.ones(16, dtype=int), incumbent)
+        mask, _ = run_genes(cache, 2, np.ones(16, dtype=int), incumbent)
 
         expected = incumbent
         for _ in range(16):
@@ -109,27 +105,24 @@ class TestEvaluateChromosome:
 
     def test_hill_climber_chromosome_never_decreases_merit(self, small_dataset):
         cache = build_cache(small_dataset)
-        runs = supervisor._HeuristicRuns(cache, 3, 0.1)
         rng = np.random.default_rng(3)
         for i in range(25):
             genes = rng.integers(1, 13, size=16)  # hill-climbers only
             incumbent = FeatureMask.random(8, rng)
-            mask, _ = run_genes(runs, genes, incumbent, i=i)
+            mask, _ = run_genes(cache, 3, genes, incumbent, i=i)
             assert cfs_merit(mask, cache) >= cfs_merit(incumbent, cache)
 
     def test_stats_equal_a_replay_that_recomputes_every_merit(self, small_dataset):
         # the statistics skip heuristics that return their input; the
         # counts must not notice
         cache = build_cache(small_dataset)
-        runs = supervisor._HeuristicRuns(cache, 8, 0.1)
         incumbent = FeatureMask([1, 0, 1, 1, 0, 0, 1, 0])
         rng = np.random.default_rng(6)
         stats, expected = LlhStats(), LlhStats()
         for i in range(40):
             chrom = random_chromosome(16, rng)
-            _, task_stats = run_genes(runs, chrom.genes, incumbent, gen=5, i=i)
-            stats.invocations += task_stats.invocations
-            stats.improvements += task_stats.improvements
+            supervisor._apply_genes(cache, SupervisorConfig(seed=8), 5, i, chrom.genes,
+                                    incumbent, stats)
             replay = LlhContext(cache=cache, rng=np.random.default_rng([8, 1, 5, i]))
             mask = incumbent
             for gene in chrom.genes:
@@ -142,7 +135,6 @@ class TestEvaluateChromosome:
     def test_snapshot_evaluations_are_order_independent(self, small_dataset):
         cache = build_cache(small_dataset)
         evaluator = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=0))
-        runs = supervisor._HeuristicRuns(cache, 7, 0.1)
         incumbent = FeatureMask([1, 0, 1, 1, 0, 0, 1, 0])
         rng = np.random.default_rng(4)
         chroms = [random_chromosome(16, rng) for _ in range(6)]
@@ -150,8 +142,8 @@ class TestEvaluateChromosome:
         def evaluate_in(order):
             outputs = {}
             for i in order:
-                mask, stats = run_genes(runs, chroms[i].genes, incumbent, i=i)
-                outputs[i] = mask, evaluator(mask), stats.as_dict()
+                mask, stats = run_genes(cache, 7, chroms[i].genes, incumbent, i=i)
+                outputs[i] = mask, evaluator.fitness(mask), stats.as_dict()
             return outputs
 
         assert evaluate_in(range(6)) == evaluate_in(reversed(range(6)))
@@ -351,80 +343,13 @@ def outcome(result: SupervisorResult) -> dict:
             for f in dataclasses.fields(result) if f.name not in WALL_CLOCK}
 
 
-def run_on_cores(monkeypatch, cores, dataset, cfg, proto, report=None):
-    monkeypatch.setattr(supervisor, "_usable_cores", lambda: cores)
-    result = run_supervisor(dataset, cfg, proto, report)
-    assert multiprocessing.active_children() == []
-    return result
-
-
-def threads_function(lib, verb: str):
-    """The ``get`` or ``set`` thread-count function of an OpenBLAS."""
-    return next(getattr(lib, name) for name in (
-        f"scipy_openblas_{verb}_num_threads64_", f"scipy_openblas_{verb}_num_threads",
-        f"openblas_{verb}_num_threads") if hasattr(lib, name))
-
-
-def blas_threads() -> list[int]:
-    """The thread count of every OpenBLAS this process has loaded."""
-    counts = []
-    for lib in supervisor._loaded_openblas():
-        get = threads_function(lib, "get")
-        get.argtypes, get.restype = [], ctypes.c_int
-        counts.append(get())
-    return counts
-
-
-def set_blas_threads(counts: list[int]) -> None:
-    for lib, count in zip(supervisor._loaded_openblas(), counts):
-        put = threads_function(lib, "set")
-        put.argtypes, put.restype = [ctypes.c_int], None
-        put(count)
-
-
-@pytest.fixture
-def two_blas_threads():
-    """The parent runs BLAS on two threads, so that it differs from the
-    pool workers, which run it on one."""
-    before = blas_threads()
-    set_blas_threads([2] * len(before))
-    yield
-    set_blas_threads(before)
-
-
-class _BlasProbe:
-    def threads(self, _task):
-        return blas_threads()
-
-
 def _run_in_daemon(args):
-    dataset, cfg, proto = args
-    supervisor._usable_cores = lambda: 2
-    return outcome(run_supervisor(dataset, cfg, proto))
+    return outcome(run_supervisor(*args))
 
 
 class TestPooledGeneration:
-    """A generation mapped over 2 or 3 forked workers gives what the
-    in-process path gives, counters included."""
-
-    DATASETS = {
-        "two_class": dict(n_instances=40, n_features=8, n_informative=3, seed=3),
-        "six_class": dict(n_instances=60, n_features=10, n_informative=5,
-                          class_count=6, seed=5),
-    }
-
-    @pytest.mark.parametrize("name", sorted(DATASETS))
-    def test_any_core_count_gives_the_same_result(self, monkeypatch, two_blas_threads,
-                                                  name):
-        d = synthetic_dataset(name=name, **self.DATASETS[name])
-        report = {"2x5": CvProtocol(folds=5, repeats=2, base_seed=1)}
-        for seed in (1, 2, 3):
-            cfg = SupervisorConfig(population_size=8, generations=4, seed=seed)
-            proto = CvProtocol(folds=5, repeats=1, base_seed=seed)
-            results = [run_on_cores(monkeypatch, cores, d, cfg, proto, report)
-                       for cores in (1, 2, 3)]
-            assert outcome(results[1]) == outcome(results[0])
-            assert outcome(results[2]) == outcome(results[0])
+    """Whole generations in one process: the memo's counts, the phase
+    timings, degenerate data, and a run inside a caller's own pool."""
 
     def test_repeated_uncached_mask_in_one_generation(self, monkeypatch):
         # three features leave 8 masks for 12 chromosomes, so a generation
@@ -432,91 +357,46 @@ class TestPooledGeneration:
         d = synthetic_dataset(n_instances=30, n_features=3, n_informative=2, seed=8)
         cfg = SupervisorConfig(population_size=12, generations=3, seed=4)
         proto = CvProtocol(folds=3, repeats=1, base_seed=4)
-        repeats = []
-        batch = FitnessEvaluator.fitnesses
+        keys = []
+        memo = FitnessEvaluator.fitness
 
-        def counting(ev, masks, mapper=map):
-            new = [m.key() for m in masks if m.key() not in ev._cache]
-            repeats.append(len(new) - len(set(new)))
-            return batch(ev, masks, mapper)
+        def recording(ev, mask):
+            keys.append((mask.key(), mask.key() in ev._cache))
+            return memo(ev, mask)
 
-        monkeypatch.setattr(FitnessEvaluator, "fitnesses", counting)
-        results = [run_on_cores(monkeypatch, cores, d, cfg, proto) for cores in (1, 2, 3)]
-        assert sum(repeats) > 0
-        assert outcome(results[1]) == outcome(results[0])
-        assert outcome(results[2]) == outcome(results[0])
-        first = results[0]
+        monkeypatch.setattr(FitnessEvaluator, "fitness", recording)
+        result = run_supervisor(d, cfg, proto)
+        repeats = 0
+        for g in range(cfg.generations):
+            calls = keys[1 + g * cfg.population_size:1 + (g + 1) * cfg.population_size]
+            new = {k for k, seen in calls if not seen}  # not memoized as g began
+            repeats += sum(k in new for k, _ in calls) - len(new)
+        assert repeats > 0
         evaluations = 1 + cfg.generations * cfg.population_size
-        assert first.fitness_computations + first.fitness_cache_hits == evaluations
-        assert first.fitness_computations <= 8
+        assert len(keys) == evaluations
+        assert result.fitness_computations == len({k for k, _ in keys})
+        assert result.fitness_computations + result.fitness_cache_hits == evaluations
+        assert result.fitness_computations <= 8
 
-    def test_worker_error_propagates_and_leaves_no_process(self, monkeypatch,
-                                                           small_dataset):
-        def exploding(mask, ctx):
-            raise RuntimeError("SWPD exploded")
-
-        swpd = next(i for i, info in llh.CATALOG.items() if info.name == "SWPD")
-        monkeypatch.setitem(llh.CATALOG, swpd,
-                            dataclasses.replace(llh.CATALOG[swpd], func=exploding))
-        monkeypatch.setattr(supervisor, "_usable_cores", lambda: 2)
-        cfg = SupervisorConfig(population_size=6, generations=3, seed=2)
-        with pytest.raises(RuntimeError, match="SWPD exploded"):
-            run_supervisor(small_dataset, cfg, CvProtocol(folds=5, base_seed=2))
-        assert multiprocessing.active_children() == []
-
-    def test_runs_in_process_inside_a_pool_worker(self, monkeypatch, small_dataset):
-        # a daemonic pool worker may not fork; the run must not try
+    def test_runs_in_process_inside_a_pool_worker(self, small_dataset):
+        # a caller's daemonic pool worker may not fork; the run must not try
         cfg = SupervisorConfig(population_size=6, generations=3, seed=6)
         proto = CvProtocol(folds=5, base_seed=6)
         with multiprocessing.get_context("fork").Pool(1) as pool:
             inside = pool.apply_async(
                 _run_in_daemon, ((small_dataset, cfg, proto),)).get(timeout=60)
-        assert inside == outcome(run_on_cores(monkeypatch, 1, small_dataset, cfg, proto))
+        assert inside == outcome(run_supervisor(small_dataset, cfg, proto))
 
-    def test_phase_seconds(self, monkeypatch, small_dataset):
+    def test_phase_seconds(self, small_dataset):
         cfg = SupervisorConfig(population_size=6, generations=3, seed=6)
-        result = run_on_cores(monkeypatch, 2, small_dataset, cfg,
-                              CvProtocol(folds=5, base_seed=6),
-                              {"1x5": CvProtocol(folds=5, base_seed=0)})
+        result = run_supervisor(small_dataset, cfg, CvProtocol(folds=5, base_seed=6),
+                                {"1x5": CvProtocol(folds=5, base_seed=0)})
         phases = result.phase_seconds
         assert list(phases) == ["heuristics", "fitness", "ga", "report"]
         assert all(t > 0 for t in phases.values())
         assert sum(phases.values()) <= result.wall_time
 
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="pool workers need the fork start method")
-    def test_pool_workers_run_blas_on_one_thread(self, two_blas_threads):
-        before = blas_threads()
-        if not before:
-            pytest.skip("no OpenBLAS loaded")
-        assert before == [2] * len(before)
-        probe = _BlasProbe()
-        with supervisor._generation_map(2, (probe,)) as mapper:
-            inside = list(mapper(probe.threads, range(4)))
-        assert inside == [[1] * len(before)] * 4
-        assert blas_threads() == before
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="pool workers need the fork start method")
-    def test_interrupt_mid_generation_propagates_and_leaves_no_process(
-            self, monkeypatch, small_dataset):
-        parent = os.getpid()
-        original = supervisor._HeuristicRuns.apply
-
-        def apply(runs, task):  # named as the method the workers look up
-            if task[:2] == (1, 0) and os.getpid() != parent:
-                os.kill(parent, signal.SIGINT)  # Ctrl-C reaching the parent
-            return original(runs, task)
-
-        monkeypatch.setattr(supervisor._HeuristicRuns, "apply", apply)
-        monkeypatch.setattr(supervisor, "_usable_cores", lambda: 2)
-        cfg = SupervisorConfig(population_size=6, generations=4, seed=2)
-        with pytest.raises(KeyboardInterrupt):
-            run_supervisor(small_dataset, cfg, CvProtocol(folds=5, base_seed=2))
-        assert multiprocessing.active_children() == []
-
-    def test_all_constant_columns(self, monkeypatch):
+    def test_all_constant_columns(self):
         # every distance ties at 0, so each row's neighbour is the lowest
         # row outside its fold, and every merit is 0
         X = np.ones((30, 4)) * [1.0, 2.0, 3.0, 4.0]
@@ -524,10 +404,7 @@ class TestPooledGeneration:
         cfg = SupervisorConfig(population_size=6, generations=3, seed=1)
         proto = CvProtocol(folds=5, base_seed=1)
         report = {"2x5": CvProtocol(folds=5, repeats=2, base_seed=0)}
-        results = [run_on_cores(monkeypatch, cores, d, cfg, proto, report)
-                   for cores in (1, 2)]
-        assert outcome(results[1]) == outcome(results[0])
-        result = results[0]
+        result = run_supervisor(d, cfg, proto, report)
         assert result.search_fitness == result.initial_fitness
         assert result.search_fitness == cv_accuracy_cdist_reference(d, result.mask, proto)
         assert result.reported["2x5"] == cv_accuracy_cdist_reference(
