@@ -94,12 +94,20 @@ def _cmd_explain_llh(_args) -> int:
 
 
 def _load_report(path: str) -> dict:
-    """The report.json at ``path``; unless it records a failed dataset,
-    its aggregate must pass ``verify_report``."""
+    """The report.json at ``path``: an object naming its dataset that
+    records either a failure (``error``) or ``runs`` and an ``aggregate``
+    that passes ``verify_report``."""
     with open(path) as fh:
         try:
             report = json.load(fh)
-            if "error" not in report:
+            if not isinstance(report, dict):
+                raise ValueError("not a report: expected a JSON object")
+            failed = "error" in report
+            required = ["dataset"] if failed else ["dataset", "runs", "aggregate"]
+            missing = [key for key in required if key not in report]
+            if missing:
+                raise ValueError(f"not a report: no {', '.join(missing)}")
+            if not failed:
                 verify_report(report)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None

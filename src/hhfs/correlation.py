@@ -23,7 +23,6 @@ predicts just as well as a positive one. Zero-variance vectors correlate
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -127,13 +126,14 @@ def build_cache(d) -> CorrelationCache:
 
 
 class _MeritScan:
-    """Incremental merit over single-bit flips of a working mask.
+    """Read-only merit scan of one mask, scoring its single-bit flips.
 
-    Keeps the selected count k, the selected class-correlation sum, the
+    Holds the selected count k, the selected class-correlation sum, the
     selected off-diagonal feature-feature sum (ordered pairs), and the
-    vector row[b] = sum_{i selected} ff[b, i]. A candidate flip is then
-    scored in O(1) and committed in O(N). The heuristics take and return
-    scans; a scan built from bits scores them exactly as ``cfs_merit``.
+    vector row[b] = sum_{i selected} ff[b, i], so each candidate flip is
+    scored in O(1). A scan never changes after construction (``bits`` and
+    ``row`` are not writable); the heuristics take and return scans, and
+    a scan built from bits scores them exactly as ``cfs_merit``.
     """
 
     def __init__(self, cache: CorrelationCache, bits: np.ndarray):
@@ -146,6 +146,8 @@ class _MeritScan:
         self.sum_cf = float(self.fc[sel].sum())
         self.row = self.ff @ self.bits.astype(np.float64)
         self.sum_ff = float(self.bits @ self.row) - float(self.diag[sel].sum())
+        self.bits.setflags(write=False)
+        self.row.setflags(write=False)
 
     @staticmethod
     def _merit(k: int, sum_cf: float, sum_ff: float) -> float:
@@ -156,19 +158,9 @@ class _MeritScan:
     def merit(self) -> float:
         return self._merit(self.k, self.sum_cf, self.sum_ff)
 
-    def _flipped_sums(self, b: int) -> tuple[int, float, float]:
-        if self.bits[b]:
-            cross = self.row[b] - self.diag[b]
-            return self.k - 1, self.sum_cf - self.fc[b], self.sum_ff - 2.0 * cross
-        return self.k + 1, self.sum_cf + self.fc[b], self.sum_ff + 2.0 * self.row[b]
-
-    def flip_merit(self, b: int) -> float:
-        """Merit the mask would have if bit b were flipped."""
-        return self._merit(*self._flipped_sums(b))
-
     def flip_merits(self, positions: np.ndarray) -> np.ndarray:
-        """``flip_merit`` of every position at once, bit-identical: the
-        same float64 operations elementwise, with k == 0 scoring 0.0."""
+        """Merit the mask would have with each of ``positions`` flipped
+        alone; a flip that leaves k == 0 scores 0.0."""
         on = self.bits[positions]
         fc = self.fc[positions]
         row = self.row[positions]
@@ -179,22 +171,6 @@ class _MeritScan:
         empty = k == 0
         return np.where(empty, 0.0,
                         sum_cf / np.sqrt(np.where(empty, 1.0, k + sum_ff)))
-
-    def flip(self, b: int) -> None:
-        """Commit the flip of bit b."""
-        self.k, self.sum_cf, self.sum_ff = self._flipped_sums(b)
-        if self.bits[b]:
-            self.row -= self.ff[:, b]
-            self.bits[b] = False
-        else:
-            self.row += self.ff[:, b]
-            self.bits[b] = True
-
-    def copy(self) -> "_MeritScan":
-        """An independent scan in the same state."""
-        twin = copy.copy(self)
-        twin.bits, twin.row = self.bits.copy(), self.row.copy()
-        return twin
 
     def mask(self) -> FeatureMask:
         return FeatureMask(self.bits)

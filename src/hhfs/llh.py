@@ -10,12 +10,14 @@ Merits come from ``correlation._MeritScan``; this module holds the rules.
 Heuristics act on merit scans: each takes a ``_MeritScan`` of the working
 mask and returns one, so a chromosome's genes hand one scan from heuristic
 to heuristic, and masks exist only at the chromosome's edge (``apply``
-wraps a single call in them). Every heuristic is a pure function of
-(scan, rng state): it never mutates its input and replaying a seed
-replays the output bit-exactly. A call that leaves every bit unchanged
-returns its input object, so callers can tell "did not move" by identity;
-a call that moves returns a fresh scan of its output bits, never one
-carried forward incrementally, so every merit depends on the bits alone.
+wraps a single call in them). Scans are read-only values, so every
+heuristic is a pure function of (scan, rng state): it cannot mutate its
+input, and replaying a seed replays the output bit-exactly. The NAHC/DBHC
+sweep, which walks one bit at a time, keeps its own working sums. A call
+that leaves every bit unchanged returns its input object, so callers can
+tell "did not move" by identity; a call that moves returns a fresh scan
+of its output bits, never one carried forward incrementally, so every
+merit depends on the bits alone.
 One call does one bounded pass - SDHC scans one Hamming-1 neighborhood,
 NAHC/DBHC sweep the positions once - so the cost of applying a whole
 chromosome of heuristics stays predictable.
@@ -91,18 +93,28 @@ def _sweep_climb(scan: _MeritScan, ctx: LlhContext, bit_domain: str,
     """One pass over ``order``: tentatively flip each in-domain bit and
     keep the flip iff it strictly improves the working mask's merit. A bit
     changes only at its one visit, so the input's domain holds throughout.
-    The pass works on a copy; a moved result is scanned afresh, so its
+    Scans are read-only, so the pass keeps its own sums, seeded from the
+    input and scored on Python floats and lists; a commit builds a new
+    numpy row and re-reads it. A moved result is scanned afresh, so its
     merit does not carry the pass's incremental rounding."""
-    work = scan.copy()
-    current = work.merit()
+    ff, fc, diag = scan.ff, scan.fc.tolist(), scan.diag.tolist()
+    bits, row_np, row = scan.bits.tolist(), scan.row, scan.row.tolist()
+    k, sum_cf, sum_ff = scan.k, scan.sum_cf, scan.sum_ff
+    current = scan.merit()
     changed = False
     for b in _domain_positions(scan.bits, bit_domain, order).tolist():
-        candidate = work.flip_merit(b)
+        if bits[b]:
+            flipped = k - 1, sum_cf - fc[b], sum_ff - 2.0 * (row[b] - diag[b])
+        else:
+            flipped = k + 1, sum_cf + fc[b], sum_ff + 2.0 * row[b]
+        candidate = _MeritScan._merit(*flipped)
         if candidate > current:
-            work.flip(b)
-            current = candidate
+            row_np = row_np - ff[:, b] if bits[b] else row_np + ff[:, b]
+            bits[b] = not bits[b]
+            row = row_np.tolist()
+            (k, sum_cf, sum_ff), current = flipped, candidate
             changed = True
-    return _MeritScan(ctx.cache, work.bits) if changed else scan
+    return _MeritScan(ctx.cache, bits) if changed else scan
 
 
 def nahc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan:
@@ -125,7 +137,7 @@ def rmhc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan
     if positions.size == 0:
         return scan
     b = int(positions[int(ctx.rng.integers(positions.size))])
-    if scan.flip_merit(b) >= scan.merit():
+    if scan.flip_merits([b])[0] >= scan.merit():
         return _flipped(scan, ctx, b)
     return scan
 

@@ -126,6 +126,36 @@ def best_flip_oracle(mask: FeatureMask, cache: CorrelationCache,
     return best_bit, best_merit
 
 
+def sweep_reference(scan, cache: CorrelationCache, positions):
+    """The NAHC/DBHC pass over ``positions`` as it ran on a mutable scan:
+    copy the scan's sums, score each visit and commit each strictly
+    improving flip on numpy scalars and arrays, then scan a moved result
+    afresh. Returns the input scan object when no flip was kept."""
+    from hhfs.correlation import _MeritScan
+
+    ff, fc = cache.feature_feature, cache.feature_class
+    bits, row = scan.bits.copy(), scan.row.copy()
+    k, sum_cf, sum_ff = scan.k, scan.sum_cf, scan.sum_ff
+
+    def merit(k, sum_cf, sum_ff):
+        return 0.0 if k == 0 else sum_cf / math.sqrt(k + sum_ff)
+
+    current = merit(k, sum_cf, sum_ff)
+    changed = False
+    for b in positions:
+        if bits[b]:
+            sums = k - 1, sum_cf - fc[b], sum_ff - 2.0 * (row[b] - ff[b, b])
+        else:
+            sums = k + 1, sum_cf + fc[b], sum_ff + 2.0 * row[b]
+        candidate = merit(*sums)
+        if candidate > current:
+            row = row - ff[:, b] if bits[b] else row + ff[:, b]
+            bits[b] = not bits[b]
+            (k, sum_cf, sum_ff), current = sums, candidate
+            changed = True
+    return _MeritScan(cache, bits) if changed else scan
+
+
 def exhaustive_best_mask(cache: CorrelationCache) -> tuple[FeatureMask, float]:
     """Global merit maximum by enumerating all 2^N masks (N small)."""
     from hhfs.correlation import cfs_merit

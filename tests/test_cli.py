@@ -220,7 +220,9 @@ def _sonar_report(best: float) -> dict:
     ('{"dataset": "sonar", "runs": [', "{path}: Expecting value: line 1 column 31"),
     (json.dumps(_sonar_report(0.95)),
      "{path}: report aggregate for sonar is inconsistent with its per-run records"),
-], ids=["missing", "truncated", "inconsistent"])
+    ("[]", "{path}: not a report: expected a JSON object"),
+    ('{"dataset": "sonar"}', "{path}: not a report: no runs, aggregate"),
+], ids=["missing", "truncated", "inconsistent", "not-an-object", "no-aggregate"])
 def test_compare_bad_report_exits_2_with_one_line(tmp_path, capsys, content, message):
     good, path = tmp_path / "good.json", tmp_path / "report.json"
     good.write_text(json.dumps(_sonar_report(0.9)))

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import (StubRng, best_flip_oracle, cache_from_values,
                       exhaustive_best_mask, random_cache, random_mask,
-                      synthetic_dataset)
+                      sweep_reference, synthetic_dataset)
 from hhfs import llh
 from hhfs.correlation import _MeritScan, build_cache, cfs_merit
 from hhfs.llh import (ALL, ONES, ZEROS, CATALOG, HILL_CLIMBER_IDS,
@@ -101,6 +103,10 @@ class TestCatalog:
             for trial in range(40):
                 scan = _MeritScan(cache, rng.integers(0, 2, size=n))
                 before = scan_fields(scan)
+                with pytest.raises(ValueError):
+                    scan.bits[0] = not scan.bits[0]
+                with pytest.raises(ValueError):
+                    scan.row[0] = 0.0
                 for llh_id in range(1, 17):
                     ctx = make_ctx(cache, np.random.default_rng([n, trial, llh_id]))
                     out = CATALOG[llh_id].func(scan, ctx)
@@ -168,6 +174,19 @@ class TestSdhc:
             assert sdhc(mask, make_ctx(cache)) == FeatureMask([1, 0, 1])
 
     def test_vector_scan_equals_scalar_scan_bitwise(self):
+        def scalar_flip_merit(scan, b):
+            # the flip formula on one position: a 1-bit leaves k - 1
+            # features and loses its class and cross sums, a 0-bit adds them
+            if scan.bits[b]:
+                k = scan.k - 1
+                sum_cf = scan.sum_cf - scan.fc[b]
+                sum_ff = scan.sum_ff - 2.0 * (scan.row[b] - scan.diag[b])
+            else:
+                k = scan.k + 1
+                sum_cf = scan.sum_cf + scan.fc[b]
+                sum_ff = scan.sum_ff + 2.0 * scan.row[b]
+            return 0.0 if k == 0 else sum_cf / math.sqrt(k + sum_ff)
+
         rng = np.random.default_rng(18)
         for n in (1, 2, 9, 40):
             cache = random_cache(n, seed=n)
@@ -175,7 +194,7 @@ class TestSdhc:
                 bits = rng.integers(0, 2, size=n)
                 scan = _MeritScan(cache, bits)
                 vector = scan.flip_merits(np.arange(n))
-                assert vector.tolist() == [scan.flip_merit(b) for b in range(n)]
+                assert vector.tolist() == [scalar_flip_merit(scan, b) for b in range(n)]
 
     def test_unique_improving_bit_is_taken(self):
         cache = cache_from_values([0.1, 0.1, 0.9], np.eye(3))
@@ -301,6 +320,66 @@ class TestDbhc:
         out = dbhc(FeatureMask([0, 0]), make_ctx(cache, forced))
         assert out == FeatureMask([1, 1])
         assert nahc(FeatureMask([0, 0]), make_ctx(cache)) == FeatureMask([1, 0])
+
+
+class TestSweepReference:
+    """NAHC and DBHC against ``sweep_reference``, the pass as it ran on a
+    mutable scan: equal bits, an equal merit bit for bit, and the input
+    object back when no flip was kept."""
+
+    @staticmethod
+    def caches():
+        for n in (1, 2, 9, 40, 166):
+            yield random_cache(n, seed=200 + n)
+        # class entries from {1/4, 1/2}, pair entries from {0, 1/2, 1}:
+        # exact sums and fully redundant pairs, so sweeps meet candidates
+        # that tie the current merit bitwise, which must be rejected
+        rng = np.random.default_rng(91)
+        for _ in range(20):
+            upper = np.triu(rng.integers(0, 3, size=(7, 7)) / 2.0, 1)
+            yield cache_from_values(rng.integers(1, 3, size=7) / 4.0, upper + upper.T)
+
+    @pytest.mark.parametrize("bit_domain", [ALL, ZEROS, ONES])
+    @pytest.mark.parametrize("name", ["NAHC", "DBHC"])
+    def test_equals_reference_bitwise(self, name, bit_domain):
+        suffix = "" if bit_domain == ALL else f"-{bit_domain}"
+        func = CATALOG[ID_OF[name + suffix]].func
+        rng = np.random.default_rng(92)
+        moved = unmoved = 0
+        for c, cache in enumerate(self.caches()):
+            n = cache.n_features
+            for trial in range(6):
+                for bits in (rng.integers(0, 2, size=n), rng.random(n) < 0.1,
+                             np.zeros(n, dtype=int), np.ones(n, dtype=int)):
+                    seed = [c, trial, int(bits.sum())]
+                    order = (np.arange(n) if name == "NAHC"
+                             else np.random.default_rng(seed).permutation(n))
+                    positions = [int(b) for b in order if bit_domain == ALL
+                                 or bool(bits[b]) == (bit_domain == ONES)]
+                    scan = _MeritScan(cache, bits)
+                    expected = sweep_reference(scan, cache, positions)
+                    out = func(scan, make_ctx(cache, np.random.default_rng(seed)))
+                    assert out.bits.tolist() == expected.bits.tolist()
+                    assert out.merit() == expected.merit()
+                    if expected is scan:
+                        assert out is scan
+                        unmoved += 1
+                    else:
+                        assert out is not scan
+                        moved += 1
+        assert moved > 0 and unmoved > 0
+
+    def test_tie_does_not_flip(self):
+        # adding bit 1 gives (0.5 + 0.5) / sqrt(2 + 2) = 0.5, the current
+        # merit exactly; a tie is not an improvement
+        cache = cache_from_values([0.5, 0.5], [[1.0, 1.0], [1.0, 1.0]])
+        scan = _MeritScan(cache, [1, 0])
+        assert scan.flip_merits([1])[0] == scan.merit() == 0.5
+        assert sweep_reference(scan, cache, [0, 1]) is scan
+        assert CATALOG[ID_OF["NAHC"]].func(scan, make_ctx(cache)) is scan
+        for order in ([0, 1], [1, 0]):
+            forced = StubRng(permutations=[np.array(order)])
+            assert CATALOG[ID_OF["DBHC"]].func(scan, make_ctx(cache, forced)) is scan
 
 
 class TestRmhc:

@@ -8,7 +8,7 @@ from conftest import (StubRng, best_flip_oracle, cv_accuracy_cdist_reference,
                       synthetic_dataset)
 from hhfs import supervisor
 from hhfs.correlation import build_cache, cfs_merit
-from hhfs.dataset import Dataset
+from hhfs.dataset import Dataset, load_csv
 from hhfs.evaluation import CvProtocol, FitnessEvaluator
 from hhfs.llh import LlhContext, apply
 from hhfs.mask import FeatureMask
@@ -410,3 +410,23 @@ class TestPooledGeneration:
         assert result.reported["2x5"] == cv_accuracy_cdist_reference(
             d, result.mask, report["2x5"])
         assert not result.llh_stats.improvements.any()
+
+    def test_numeric_and_string_labels_give_equal_runs(self, tmp_path):
+        # labels are names, not numbers: g/b and the same rows relabelled
+        # 1/0 in the same first-appearance order load alike (the first
+        # row's "1" becomes class 0) and replay the same run
+        d = synthetic_dataset(n_instances=30, n_features=5, seed=12)
+        first = d.labels[0]
+        runs = []
+        for names in ({True: "g", False: "b"}, {True: "1", False: "0"}):
+            path = tmp_path / names[True] / "data.csv"
+            path.parent.mkdir()
+            path.write_text("".join(
+                ",".join(map(repr, row.tolist())) + f",{names[bool(label == first)]}\n"
+                for row, label in zip(d.features, d.labels)))
+            loaded = load_csv(path)
+            assert loaded.features.tolist() == d.features.tolist()
+            assert loaded.labels.tolist() == (d.labels != first).astype(int).tolist()
+            cfg = SupervisorConfig(population_size=6, generations=3, seed=5)
+            runs.append(outcome(run_supervisor(loaded, cfg, CvProtocol(folds=5, base_seed=5))))
+        assert runs[0] == runs[1]
