@@ -189,10 +189,24 @@ def aggregate_runs(runs: list[dict], labels: list[str]) -> dict:
 
 
 def verify_report(report: dict) -> None:
-    """Self-consistency check: recompute the aggregate from the per-run
-    fields and require an exact match. Raises ValueError on drift."""
-    labels = list(report["aggregate"].keys())
-    recomputed = aggregate_runs(report["runs"], labels)
+    """Shape and self-consistency check: a report is an object naming its
+    dataset, with a non-empty list of run records and an aggregate object
+    that recomputing from the runs matches exactly. Raises ValueError
+    (``not a report: ...`` for a wrong shape) otherwise."""
+    if not isinstance(report, dict):
+        raise ValueError("not a report: expected a JSON object")
+    missing = [key for key in ("dataset", "runs", "aggregate") if key not in report]
+    if missing:
+        raise ValueError(f"not a report: no {', '.join(missing)}")
+    if not (isinstance(report["runs"], list) and report["runs"]):
+        raise ValueError("not a report: runs is not a non-empty list")
+    if not isinstance(report["aggregate"], dict):
+        raise ValueError("not a report: aggregate is not an object")
+    try:
+        recomputed = aggregate_runs(report["runs"], list(report["aggregate"]))
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError("not a report: run records do not fit the aggregate "
+                         f"({type(exc).__name__}: {exc})") from None
     if recomputed != report["aggregate"]:
         raise ValueError(f"report aggregate for {report['dataset']} is inconsistent "
                          "with its per-run records")
@@ -324,16 +338,14 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> list[dict]:
     return reports
 
 
-def render_comparison(report: dict, references=None) -> str:
+def render_comparison(report: dict) -> str:
     """Table of this engine's best accuracy against published reference
     numbers (percent scale), per protocol: the paper's own best where
     ``HHFS_REFERENCE`` has the dataset, then the baselines; the row
     maximum is marked by '*'."""
-    if references is None:
-        references = BASELINE_REFERENCE
     name = report["dataset"]
     lines = [f"{name}: accuracy vs published baselines (percent)"]
-    refs = references.get(name, [])
+    refs = BASELINE_REFERENCE.get(name, [])
     published = HHFS_REFERENCE.get(name, {})
     for label, agg in report["aggregate"].items():
         row: list[tuple[str, float]] = [(f"this engine ({label})", agg["best"] * 100.0)]

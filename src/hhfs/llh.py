@@ -12,8 +12,10 @@ mask and returns one, so a chromosome's genes hand one scan from heuristic
 to heuristic, and masks exist only at the chromosome's edge (``apply``
 wraps a single call in them). Scans are read-only values, so every
 heuristic is a pure function of (scan, rng state): it cannot mutate its
-input, and replaying a seed replays the output bit-exactly. The NAHC/DBHC
-sweep, which walks one bit at a time, keeps its own working sums. A call
+input, and replaying a seed replays the output bit-exactly. NAHC, DBHC
+and RMHC share one climb loop, which visits the positions it is given one
+bit at a time and keeps its own working sums; ``flip_merits``, which
+scores a whole neighborhood at once, is SDHC's. A call
 that leaves every bit unchanged returns its input object, so callers can
 tell "did not move" by identity; a call that moves returns a fresh scan
 of its output bits, never one carried forward incrementally, so every
@@ -25,7 +27,9 @@ chromosome of heuristics stays predictable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -88,27 +92,28 @@ def sdhc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan
     return scan
 
 
-def _sweep_climb(scan: _MeritScan, ctx: LlhContext, bit_domain: str,
-                 order: np.ndarray) -> _MeritScan:
-    """One pass over ``order``: tentatively flip each in-domain bit and
-    keep the flip iff it strictly improves the working mask's merit. A bit
-    changes only at its one visit, so the input's domain holds throughout.
-    Scans are read-only, so the pass keeps its own sums, seeded from the
-    input and scored on Python floats and lists; a commit builds a new
-    numpy row and re-reads it. A moved result is scanned afresh, so its
-    merit does not carry the pass's incremental rounding."""
+def _sweep_climb(scan: _MeritScan, ctx: LlhContext, positions,
+                 accept=operator.gt) -> _MeritScan:
+    """The climb loop of NAHC, DBHC and RMHC: visit exactly ``positions``
+    in order, tentatively flip each and keep the flip iff ``accept(candidate,
+    current)`` holds for the merits. A bit changes only at its one visit,
+    so the input's domain holds throughout. Scans are read-only, so the
+    loop keeps its own sums, seeded from the input and scored on Python
+    floats and lists; a commit builds a new numpy row and re-reads it. A
+    moved result is scanned afresh, so its merit does not carry the loop's
+    incremental rounding."""
     ff, fc, diag = scan.ff, scan.fc.tolist(), scan.diag.tolist()
     bits, row_np, row = scan.bits.tolist(), scan.row, scan.row.tolist()
     k, sum_cf, sum_ff = scan.k, scan.sum_cf, scan.sum_ff
     current = scan.merit()
     changed = False
-    for b in _domain_positions(scan.bits, bit_domain, order).tolist():
+    for b in positions:
         if bits[b]:
             flipped = k - 1, sum_cf - fc[b], sum_ff - 2.0 * (row[b] - diag[b])
         else:
             flipped = k + 1, sum_cf + fc[b], sum_ff + 2.0 * row[b]
         candidate = _MeritScan._merit(*flipped)
-        if candidate > current:
+        if accept(candidate, current):
             row_np = row_np - ff[:, b] if bits[b] else row_np + ff[:, b]
             bits[b] = not bits[b]
             row = row_np.tolist()
@@ -119,14 +124,16 @@ def _sweep_climb(scan: _MeritScan, ctx: LlhContext, bit_domain: str,
 
 def nahc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan:
     """Next-ascent sweep in fixed order, index 0 (most significant, by
-    convention) to N-1. Several bits may change in one call."""
-    return _sweep_climb(scan, ctx, bit_domain, np.arange(scan.bits.size))
+    convention) to N-1, keeping strict improvements. Several bits may
+    change in one call."""
+    return _sweep_climb(scan, ctx, _domain_positions(scan.bits, bit_domain).tolist())
 
 
 def dbhc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan:
     """Like nahc, but the positions are visited in a fresh uniformly
     random permutation drawn from the context RNG."""
-    return _sweep_climb(scan, ctx, bit_domain, ctx.rng.permutation(scan.bits.size))
+    order = ctx.rng.permutation(scan.bits.size)
+    return _sweep_climb(scan, ctx, _domain_positions(scan.bits, bit_domain, order).tolist())
 
 
 def rmhc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan:
@@ -137,9 +144,7 @@ def rmhc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan
     if positions.size == 0:
         return scan
     b = int(positions[int(ctx.rng.integers(positions.size))])
-    if scan.flip_merits([b])[0] >= scan.merit():
-        return _flipped(scan, ctx, b)
-    return scan
+    return _sweep_climb(scan, ctx, [b], operator.ge)
 
 
 def swpd(scan: _MeritScan, ctx: LlhContext) -> _MeritScan:
@@ -205,37 +210,21 @@ def _make_catalog() -> dict[int, LlhInfo]:
         ("RMHC", rmhc, "one random bit flip, accepted if not worse"),
     ]
     domains = [
-        (ALL, "all bits"),
-        (ZEROS, "0-bits only (adds features)"),
-        (ONES, "1-bits only (drops features)"),
+        (ALL, "", "all bits"),
+        (ZEROS, "-zeros", "0-bits only (adds features)"),
+        (ONES, "-ones", "1-bits only (drops features)"),
     ]
-    catalog: dict[int, LlhInfo] = {}
-    next_id = 1
-    for base_name, func, what in climbers:
-        for domain, domain_desc in domains:
-            suffix = "" if domain == ALL else f"-{domain}"
-
-            def bound(scan, ctx, _func=func, _domain=domain):
-                return _func(scan, ctx, bit_domain=_domain)
-
-            catalog[next_id] = LlhInfo(
-                id=next_id,
-                name=f"{base_name}{suffix}",
-                kind="hill-climber",
-                description=f"{what}; domain: {domain_desc}",
-                func=bound,
-            )
-            next_id += 1
-    for name, func, desc in [
-        ("SWPD", swpd, "swap the bits of two random dimensions"),
-        ("DIMM", dimm, "flip one random dimension's bit with probability 0.5"),
-        ("HYPM", hypm, "flip every bit with probability 0.5"),
-        ("MUTN", mutn, "flip every bit with the configured mutation rate"),
-    ]:
-        catalog[next_id] = LlhInfo(
-            id=next_id, name=name, kind="mutational", description=desc, func=func)
-        next_id += 1
-    return catalog
+    entries = [(name + suffix, "hill-climber", f"{what}; domain: {domain_desc}",
+                partial(func, bit_domain=domain))
+               for name, func, what in climbers
+               for domain, suffix, domain_desc in domains]
+    entries += [
+        ("SWPD", "mutational", "swap the bits of two random dimensions", swpd),
+        ("DIMM", "mutational", "flip one random dimension's bit with probability 0.5", dimm),
+        ("HYPM", "mutational", "flip every bit with probability 0.5", hypm),
+        ("MUTN", "mutational", "flip every bit with the configured mutation rate", mutn),
+    ]
+    return {i: LlhInfo(i, *entry) for i, entry in enumerate(entries, start=1)}
 
 
 CATALOG: dict[int, LlhInfo] = _make_catalog()

@@ -31,20 +31,19 @@ from .mask import FeatureMask
 @dataclass
 class Chromosome:
     """Fixed-length sequence of heuristic ids (values 1..16, repeats
-    allowed)."""
+    allowed). The genes are a read-only copy of the input, so the GA can
+    pass one chromosome into several places without copying it."""
 
     genes: np.ndarray
 
     def __post_init__(self):
-        genes = np.asarray(self.genes, dtype=np.int64)
+        genes = np.array(self.genes, dtype=np.int64)
         if genes.ndim != 1 or genes.size == 0:
             raise ValueError("genes must be a non-empty 1-d sequence")
         if genes.min() < 1 or genes.max() > NUM_LLH:
             raise ValueError(f"gene values must lie in 1..{NUM_LLH}")
+        genes.setflags(write=False)
         self.genes = genes
-
-    def copy(self) -> "Chromosome":
-        return Chromosome(self.genes.copy())
 
 
 @dataclass(frozen=True)
@@ -168,11 +167,11 @@ def roulette_select(fitnesses, rng: np.random.Generator) -> int:
 def single_point_crossover(a: Chromosome, b: Chromosome, rng: np.random.Generator,
                            p_crossover: float) -> tuple[Chromosome, Chromosome]:
     """With probability p_crossover, cut both parents at a uniform point in
-    1..len-1 and exchange tails; otherwise return copies of the parents."""
+    1..len-1 and exchange tails; otherwise return the parents."""
     if a.genes.size != b.genes.size:
         raise ValueError("parents must have equal length")
     if rng.random() >= p_crossover:
-        return Chromosome(a.genes.copy()), Chromosome(b.genes.copy())
+        return a, b
     cut = int(rng.integers(1, a.genes.size))
     child1 = np.concatenate([a.genes[:cut], b.genes[cut:]])
     child2 = np.concatenate([b.genes[:cut], a.genes[cut:]])
@@ -199,8 +198,8 @@ def _next_generation(population: list[Chromosome], fits: np.ndarray,
     """Steps 6-8: elites pass through, roulette fills the mating pool,
     consecutive pairs cross over, everyone in the pool mutates."""
     elite_idx = np.argsort(-fits, kind="stable")[:cfg.elitism]
-    elites = [population[int(i)].copy() for i in elite_idx]
-    pool = [population[roulette_select(fits, rng)].copy()
+    elites = [population[int(i)] for i in elite_idx]
+    pool = [population[roulette_select(fits, rng)]
             for _ in range(cfg.population_size - cfg.elitism)]
     crossed: list[Chromosome] = []
     for i in range(0, len(pool) - 1, 2):
@@ -213,20 +212,18 @@ def _next_generation(population: list[Chromosome], fits: np.ndarray,
 
 
 def _apply_genes(cache: CorrelationCache, cfg: SupervisorConfig, gen: int, i: int,
-                 genes: np.ndarray, incumbent: FeatureMask,
-                 stats: LlhStats) -> FeatureMask:
+                 genes: np.ndarray, scan: _MeritScan, stats: LlhStats) -> _MeritScan:
     """Apply chromosome i's genes in generation ``gen`` left to right, each
-    to the previous one's output, starting from the incumbent, and record
-    every call in ``stats``. Returns the final mask: the incumbent object
+    to the previous one's output, starting from ``scan`` (the incumbent's),
+    and record every call in ``stats``. Returns the final scan: ``scan``
     itself when every heuristic returned its input."""
     ctx = LlhContext(cache=cache, rng=np.random.default_rng([cfg.seed, 1, gen, i]),
                      mutn_rate=cfg.mutn_rate)
-    start = scan = _MeritScan(cache, incumbent.bits)
     for gene in genes.tolist():
         out = llh.CATALOG[gene].func(scan, ctx)
         stats.record(gene, scan.merit(), out.merit())
         scan = out
-    return incumbent if scan is start else scan.mask()
+    return scan
 
 
 def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
@@ -264,8 +261,10 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     phases = dict.fromkeys(("heuristics", "fitness", "ga", "report"), 0.0)
     for gen in range(cfg.generations):
         t0 = time.perf_counter()
-        masks = [_apply_genes(cache, cfg, gen, i, chrom.genes, incumbent, stats)
+        base = _MeritScan(cache, incumbent.bits)
+        scans = [_apply_genes(cache, cfg, gen, i, chrom.genes, base, stats)
                  for i, chrom in enumerate(population)]
+        masks = [incumbent if scan is base else scan.mask() for scan in scans]
         t1 = time.perf_counter()
         fits = np.array([evaluator.fitness(mask) for mask in masks], dtype=np.float64)
         t2 = time.perf_counter()

@@ -145,6 +145,7 @@ def test_bad_config_value_is_one_line_and_status_2(project):
     (["baseline", "--config", "{cfg}", "--dataset", "singletons"],
      "singletons: 10x3 CV puts all 3 instances in one fold"),
     (["run", "--config", "{cfg}", "--mutn-rate", "0"], "mutn_rate must lie in (0, 1)"),
+    (["run", "--config", "{cfg}", "--dataset", "ghost_file", "--dump-cache"], "ghost.csv"),
 ])
 def test_input_errors_exit_2_with_one_line(project, capsys, argv, message):
     tmp_path, cfg = project
@@ -222,7 +223,16 @@ def _sonar_report(best: float) -> dict:
      "{path}: report aggregate for sonar is inconsistent with its per-run records"),
     ("[]", "{path}: not a report: expected a JSON object"),
     ('{"dataset": "sonar"}', "{path}: not a report: no runs, aggregate"),
-], ids=["missing", "truncated", "inconsistent", "not-an-object", "no-aggregate"])
+    (json.dumps({**_sonar_report(0.9), "runs": [{}]}),
+     "{path}: not a report: run records do not fit the aggregate (KeyError: 'accuracy')"),
+    (json.dumps({**_sonar_report(0.9), "aggregate": []}),
+     "{path}: not a report: aggregate is not an object"),
+    (json.dumps({**_sonar_report(0.9), "runs": 3}),
+     "{path}: not a report: runs is not a non-empty list"),
+    ('{"dataset": "sonar", "runs": [], "aggregate": {}}',
+     "{path}: not a report: runs is not a non-empty list"),
+], ids=["missing", "truncated", "inconsistent", "not-an-object", "no-aggregate",
+        "run-shape", "aggregate-not-object", "runs-not-list", "no-runs"])
 def test_compare_bad_report_exits_2_with_one_line(tmp_path, capsys, content, message):
     good, path = tmp_path / "good.json", tmp_path / "report.json"
     good.write_text(json.dumps(_sonar_report(0.9)))

@@ -314,7 +314,7 @@ class TestRenderComparison:
         report = {"dataset": "nowhere",
                   "aggregate": {"10x10": {"best": 0.5, "best_m": 1,
                                           "mean": 0.5, "mean_m": 1, "best_run": 0}}}
-        text = render_comparison(report, references={})
+        text = render_comparison(report)
         engine = [ln for ln in text.splitlines() if "this engine" in ln][0]
         assert engine.rstrip().endswith("*")
 

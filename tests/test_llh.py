@@ -369,6 +369,53 @@ class TestSweepReference:
                         moved += 1
         assert moved > 0 and unmoved > 0
 
+    @staticmethod
+    def rmhc_reference(scan, cache, bit_domain, rng):
+        """RMHC as it scored its bit through the vector ``flip_merits``:
+        the same draw, acceptance iff the flip merit is at least the
+        current one, a fresh scan of the flipped bits when it moves.
+        Returns the result and whether it accepted a tie."""
+        positions = np.flatnonzero(np.ones(scan.bits.size) if bit_domain == ALL
+                                   else scan.bits == (bit_domain == ONES))
+        if positions.size == 0:
+            return scan, False
+        b = int(positions[int(rng.integers(positions.size))])
+        candidate = scan.flip_merits([b])[0]
+        if candidate < scan.merit():
+            return scan, False
+        bits = scan.bits.copy()
+        bits[b] ^= True
+        return _MeritScan(cache, bits), bool(candidate == scan.merit())
+
+    def test_rmhc_equals_vector_reference_bitwise(self):
+        rng = np.random.default_rng(93)
+        ties = 0
+        for bit_domain in (ALL, ZEROS, ONES):
+            suffix = "" if bit_domain == ALL else f"-{bit_domain}"
+            func = CATALOG[ID_OF["RMHC" + suffix]].func
+            moved = unmoved = 0
+            for c, cache in enumerate(self.caches()):
+                n = cache.n_features
+                for trial in range(6):
+                    for bits in (rng.integers(0, 2, size=n), rng.random(n) < 0.1,
+                                 np.zeros(n, dtype=int), np.ones(n, dtype=int)):
+                        seed = [c, trial, int(bits.sum())]
+                        scan = _MeritScan(cache, bits)
+                        expected, tie = self.rmhc_reference(
+                            scan, cache, bit_domain, np.random.default_rng(seed))
+                        out = func(scan, make_ctx(cache, np.random.default_rng(seed)))
+                        assert out.bits.tolist() == expected.bits.tolist()
+                        assert out.merit() == expected.merit()
+                        if expected is scan:
+                            assert out is scan
+                            unmoved += 1
+                        else:
+                            assert out is not scan
+                            moved += 1
+                        ties += tie
+            assert moved > 0 and unmoved > 0
+        assert ties > 0
+
     def test_tie_does_not_flip(self):
         # adding bit 1 gives (0.5 + 0.5) / sqrt(2 + 2) = 0.5, the current
         # merit exactly; a tie is not an improvement

@@ -7,7 +7,7 @@ import pytest
 from conftest import (StubRng, best_flip_oracle, cv_accuracy_cdist_reference,
                       synthetic_dataset)
 from hhfs import supervisor
-from hhfs.correlation import build_cache, cfs_merit
+from hhfs.correlation import _MeritScan, build_cache, cfs_merit
 from hhfs.dataset import Dataset, load_csv
 from hhfs.evaluation import CvProtocol, FitnessEvaluator
 from hhfs.llh import LlhContext, apply
@@ -60,13 +60,15 @@ class TestSupervisorConfig:
 
 
 def run_genes(cache, seed, genes, incumbent, gen=0, i=0):
-    """Chromosome i of generation ``gen`` in a run seeded ``seed``: the
-    final mask (the incumbent object when no heuristic moved) and the
-    LlhStats of its heuristics."""
+    """Chromosome i of generation ``gen`` in a run seeded ``seed``, from a
+    scan of the incumbent as ``run_supervisor`` makes it: the final mask
+    (the incumbent object when no heuristic moved) and the LlhStats of its
+    heuristics."""
     stats = LlhStats()
-    mask = supervisor._apply_genes(cache, SupervisorConfig(seed=seed), gen, i,
-                                   np.asarray(genes), incumbent, stats)
-    return mask, stats
+    base = _MeritScan(cache, incumbent.bits)
+    scan = supervisor._apply_genes(cache, SupervisorConfig(seed=seed), gen, i,
+                                   np.asarray(genes), base, stats)
+    return incumbent if scan is base else scan.mask(), stats
 
 
 class TestEvaluateChromosome:
@@ -122,7 +124,7 @@ class TestEvaluateChromosome:
         for i in range(40):
             chrom = random_chromosome(16, rng)
             supervisor._apply_genes(cache, SupervisorConfig(seed=8), 5, i, chrom.genes,
-                                    incumbent, stats)
+                                    _MeritScan(cache, incumbent.bits), stats)
             replay = LlhContext(cache=cache, rng=np.random.default_rng([8, 1, 5, i]))
             mask = incumbent
             for gene in chrom.genes:
@@ -198,7 +200,9 @@ class TestCrossover:
         c1, c2 = single_point_crossover(a, b, rng, p_crossover=0.7)
         assert c1.genes.tolist() == a.genes.tolist()
         assert c2.genes.tolist() == b.genes.tolist()
-        c1.genes[0] = 5  # children are copies, not views
+        for c in (a, b, c1, c2):  # read-only genes: sharing a parent is safe
+            with pytest.raises(ValueError):
+                c.genes[0] = 5
         assert a.genes[0] == 1
 
     def test_length_mismatch(self):
