@@ -11,7 +11,7 @@ from .correlation import (CorrelationCache, build_cache, cfs_merit,
                           class_correlation, pearson)
 from .dataset import (Dataset, DatasetError, FoldAssignment, load_csv,
                       min_max_normalize, stratified_folds)
-from .evaluation import CvProtocol, FitnessEvaluator, cv_accuracy, predict_1nn
+from .evaluation import CvProtocol, FitnessEvaluator, cv_accuracy
 from .experiment import (DatasetConfig, ExperimentSpec, full_feature_baseline,
                          load_config, render_comparison, run_experiment,
                          verify_report)
@@ -51,7 +51,6 @@ __all__ = [
     "min_max_normalize",
     "mutate_chromosome",
     "pearson",
-    "predict_1nn",
     "render_comparison",
     "roulette_select",
     "run_experiment",

@@ -90,20 +90,6 @@ class CvProtocol:
         return f"{self.repeats}x{self.folds}"
 
 
-def predict_1nn(train_features: np.ndarray, train_labels: np.ndarray,
-                query: np.ndarray, mask: FeatureMask) -> int:
-    """Label of the training instance closest to ``query`` on the selected
-    features; ties break toward the smallest training-row index."""
-    if train_features.shape[0] == 0:
-        raise ValueError("empty training set")
-    idx = mask.selected_indices()
-    if idx.size == 0:
-        raise ValueError("mask selects no features")
-    diffs = train_features[:, idx] - np.asarray(query, dtype=np.float64)[idx]
-    dists = np.einsum("ij,ij->i", diffs, diffs)
-    return int(train_labels[int(np.argmin(dists))])
-
-
 _U = np.finfo(np.float64).eps / 2  # unit roundoff, 2^-53
 _ETA = np.finfo(np.float64).smallest_subnormal  # 2^-1074
 _SCREEN_MAX = np.finfo(np.float64).max / 16
@@ -138,10 +124,23 @@ def cv_accuracy(d: Dataset, mask: FeatureMask, proto: CvProtocol) -> float:
     ``base_seed + r``. Equals the mean of the single-repeat values for
     those seeds, bitwise. An empty mask returns 0.0.
     """
+    return cv_accuracies(d, mask, {"": proto})[""]
+
+
+def cv_accuracies(d: Dataset, mask: FeatureMask,
+                  protocols: dict[str, CvProtocol]) -> dict[str, float]:
+    """``cv_accuracy`` of ``mask`` under each labelled protocol, bitwise.
+    Protocols of equal folds and base seed share folds, so each such group
+    is scored once, at its largest repeats; r repeats read the first r."""
     idx = _selected_columns(d, mask)
     if idx.size == 0:
-        return 0.0
-    return FitnessEvaluator(d, proto)._split_accuracy(idx)
+        return dict.fromkeys(protocols, 0.0)
+    accs: dict[tuple[int, int], list[float]] = {}
+    for p in sorted(protocols.values(), key=lambda p: -p.repeats):  # largest first
+        if (p.folds, p.base_seed) not in accs:
+            accs[p.folds, p.base_seed] = FitnessEvaluator(d, p)._accuracies(idx)
+    return {label: sum(accs[p.folds, p.base_seed][:p.repeats]) / p.repeats
+            for label, p in protocols.items()}
 
 
 class FitnessEvaluator:
@@ -176,7 +175,8 @@ class FitnessEvaluator:
     def compute(self, mask: FeatureMask) -> float:
         """One CV evaluation of ``mask``, bypassing the memo."""
         idx = _selected_columns(self.dataset, mask)
-        return self._split_accuracy(idx) if idx.size else 0.0
+        accs = self._accuracies(idx) if idx.size else [0.0]
+        return sum(accs) / len(accs)
 
     def _screen(self, Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         """The screen matrix ``E`` and each row's ambiguity threshold (see
@@ -220,9 +220,9 @@ class FitnessEvaluator:
                 D[block] = values
         return nearest, unsure
 
-    def _split_accuracy(self, idx: np.ndarray) -> float:
-        """Mean over repeats of the 1NN accuracy over that repeat's folds,
-        seeing only the (non-empty) columns ``idx``."""
+    def _accuracies(self, idx: np.ndarray) -> list[float]:
+        """Per repeat, the 1NN accuracy over that repeat's folds, seeing
+        only the (non-empty) columns ``idx``."""
         d = self.dataset
         Xs = d.features[:, idx]
         screen = self._screen(Xs) if self._screening else None
@@ -243,8 +243,7 @@ class FitnessEvaluator:
                 nn[redo] = W.argmin(axis=1)
         labels = d.labels
         n = d.n_instances
-        accs = [int(np.count_nonzero(labels[nn] == labels)) / n for nn in nearest]
-        return sum(accs) / len(accs)
+        return [int(np.count_nonzero(labels[nn] == labels)) / n for nn in nearest]
 
     def fitness(self, mask: FeatureMask) -> float:
         """The memoized ``compute``: a mask seen before is a hit; any other

@@ -16,16 +16,20 @@ from __future__ import annotations
 
 import configparser
 import csv
+import ctypes
 import json
+import multiprocessing
+import os
 from dataclasses import Field, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
 from .correlation import build_cache, dump_cache_csv
 from .dataset import Dataset, load_csv, min_max_normalize
-from .evaluation import CvProtocol, cv_accuracy
+from .evaluation import CvProtocol, cv_accuracies, cv_accuracy
 from .mask import FeatureMask
 from .published import BASELINE_REFERENCE, HHFS_REFERENCE
 from .supervisor import SupervisorConfig, SupervisorResult, run_supervisor
@@ -190,9 +194,9 @@ def aggregate_runs(runs: list[dict], labels: list[str]) -> dict:
 
 def verify_report(report: dict) -> None:
     """Shape and self-consistency check: a report is an object naming its
-    dataset, with a non-empty list of run records and an aggregate object
-    that recomputing from the runs matches exactly. Raises ValueError
-    (``not a report: ...`` for a wrong shape) otherwise."""
+    dataset, with a non-empty list of run records and a non-empty aggregate
+    object that recomputing from the runs matches exactly. Raises
+    ValueError (``not a report: ...`` for a wrong shape) otherwise."""
     if not isinstance(report, dict):
         raise ValueError("not a report: expected a JSON object")
     missing = [key for key in ("dataset", "runs", "aggregate") if key not in report]
@@ -202,6 +206,8 @@ def verify_report(report: dict) -> None:
         raise ValueError("not a report: runs is not a non-empty list")
     if not isinstance(report["aggregate"], dict):
         raise ValueError("not a report: aggregate is not an object")
+    if not report["aggregate"]:
+        raise ValueError("not a report: aggregate is empty")
     try:
         recomputed = aggregate_runs(report["runs"], list(report["aggregate"]))
     except (KeyError, TypeError, IndexError) as exc:
@@ -212,31 +218,85 @@ def verify_report(report: dict) -> None:
                          "with its per-run records")
 
 
+def _usable_cores() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _loaded_openblas():
+    """Each OpenBLAS of numpy's and scipy's wheels that this process has
+    loaded; opened with RTLD_NOLOAD, so none is loaded here."""
+    for package in (np, scipy):
+        libdir = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libdir.glob("*openblas*")):
+            try:
+                yield ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            except OSError:  # shipped but not loaded
+                pass
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: every loaded OpenBLAS runs on one thread, as the
+    workers already fill the cores."""
+    for lib in _loaded_openblas():
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if (setter := getattr(lib, name, None)) is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
+# run_dataset's (dataset, cache, spec, report protocols), one dataset at a time;
+# forked workers inherit it, so only run indices and results cross the pipes
+_current: tuple = ()
+
+
+def _run_one(r: int) -> tuple[dict, dict[str, float]]:
+    """Run ``r`` of ``_current``: its report record and timings.csv row."""
+    dataset, cache, spec, report_protocols = _current
+    seed = spec.run_seed(r)
+    result = run_supervisor(dataset, replace(spec.supervisor, seed=seed),
+                            spec.search_protocol(seed), report_protocols, cache=cache)
+    times = {"wall_time": result.wall_time, **result.phase_seconds}
+    return _run_record(r, result), {f"{k}_seconds": t for k, t in times.items()}
+
+
 def run_dataset(dataset: Dataset, spec: ExperimentSpec,
                 progress=None) -> tuple[dict, list[dict[str, float]]]:
-    """All runs for one already-loaded dataset. Returns the report dict
-    and, per run, its wall seconds in total and per phase (kept out of
-    the report), keyed by their timings.csv column names."""
+    """All runs for one already-loaded dataset, on one forked worker per
+    usable core and run, or in this process for one worker, where fork is
+    missing and inside a daemonic process. Returns the report dict and,
+    per run, its wall seconds in total and per phase (kept out of the
+    report), keyed by their timings.csv column names."""
+    global _current
     dataset = min_max_normalize(dataset)
     cache = build_cache(dataset)
     report_protocols = spec.report_protocols()
-    baseline = {label: full_feature_baseline(dataset, proto)
-                for label, proto in report_protocols.items()}
+    baseline = cv_accuracies(dataset, FeatureMask.ones(dataset.n_features),
+                             report_protocols)
+    _current = (dataset, cache, spec, report_protocols)
+    workers = min(_usable_cores(), spec.runs)
     runs: list[dict] = []
     timings: list[dict[str, float]] = []
-    for r in range(spec.runs):
-        seed = spec.run_seed(r)
-        cfg = replace(spec.supervisor, seed=seed)
-        result = run_supervisor(dataset, cfg, spec.search_protocol(seed),
-                                report_protocols, cache=cache)
-        runs.append(_run_record(r, result))
-        timings.append({"wall_time_seconds": result.wall_time,
-                        **{f"{phase}_seconds": t
-                           for phase, t in result.phase_seconds.items()}})
-        if progress is not None:
-            primary = result.reported[spec.primary_label()]
-            progress(f"  run {r}: accuracy[{spec.primary_label()}]={primary:.4f} "
-                     f"m={result.m} ({result.wall_time:.1f}s)")
+    label = spec.primary_label()
+    pool = None
+    try:
+        if (workers > 1 and "fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            # fork, not spawn: no imports, no dataset sent, no resource tracker
+            pool = multiprocessing.get_context("fork").Pool(workers, _one_blas_thread)
+        for record, row in (pool.imap if pool else map)(_run_one, range(spec.runs)):
+            runs.append(record)
+            timings.append(row)
+            if progress is not None:
+                progress(f"  run {record['run']}: accuracy[{label}]="
+                         f"{record['accuracy'][label]:.4f} m={record['m']} "
+                         f"({row['wall_time_seconds']:.1f}s)")
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
+        _current = ()
     report = {
         "dataset": dataset.name,
         "n_instances": dataset.n_instances,

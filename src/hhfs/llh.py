@@ -229,9 +229,6 @@ def _make_catalog() -> dict[int, LlhInfo]:
 
 CATALOG: dict[int, LlhInfo] = _make_catalog()
 
-HILL_CLIMBER_IDS = tuple(i for i, info in CATALOG.items() if info.kind == "hill-climber")
-MUTATIONAL_IDS = tuple(i for i, info in CATALOG.items() if info.kind == "mutational")
-
 
 def apply(llh_id: int, mask: FeatureMask, ctx: LlhContext) -> FeatureMask:
     """Apply the heuristic with the given id (1..16) to the mask; the

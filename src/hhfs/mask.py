@@ -1,9 +1,8 @@
 """Binary feature-mask solution representation.
 
 A solution is a bit string over the dataset's feature columns: bit i is 1
-when feature i is selected. Masks are immutable value objects; every edit
-returns a new mask, so they can be shared freely between the local
-searches and the fitness cache.
+when feature i is selected. Masks are immutable value objects, so they
+can be shared freely between the local searches and the fitness cache.
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ class FeatureMask:
         return cls(bits)
 
     @classmethod
-    def zeros(cls, n: int) -> "FeatureMask":
-        return cls(np.zeros(n, dtype=np.uint8))
-
-    @classmethod
     def ones(cls, n: int) -> "FeatureMask":
         return cls(np.ones(n, dtype=np.uint8))
 
@@ -58,14 +53,6 @@ class FeatureMask:
     def selected_indices(self) -> np.ndarray:
         """Strictly increasing indices of the 1-bits; may be empty."""
         return np.flatnonzero(self.bits)
-
-    def flip(self, i: int) -> "FeatureMask":
-        """Return a copy with bit ``i`` inverted; the input is unchanged."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"bit index {i} out of range for {self.n} features")
-        bits = self.bits.copy()
-        bits[i] ^= 1
-        return FeatureMask(bits)
 
     def key(self) -> bytes:
         """Hashable identity of the bit pattern, used as cache key."""

@@ -23,7 +23,7 @@ import numpy as np
 from . import llh
 from .correlation import CorrelationCache, _MeritScan, build_cache
 from .dataset import Dataset
-from .evaluation import CvProtocol, FitnessEvaluator, cv_accuracy
+from .evaluation import CvProtocol, FitnessEvaluator, cv_accuracies
 from .llh import NUM_LLH, LlhContext
 from .mask import FeatureMask
 
@@ -284,10 +284,7 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
         phases["ga"] += time.perf_counter() - t2
 
     t0 = time.perf_counter()
-    reported = {
-        label: cv_accuracy(dataset, incumbent, proto)
-        for label, proto in (report_protocols or {}).items()
-    }
+    reported = cv_accuracies(dataset, incumbent, report_protocols or {})
     end = time.perf_counter()
     phases["report"] = end - t0
     return SupervisorResult(

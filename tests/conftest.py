@@ -16,7 +16,11 @@ import pytest
 
 from hhfs.correlation import CorrelationCache
 from hhfs.dataset import Dataset, min_max_normalize
+from hhfs.llh import CATALOG
 from hhfs.mask import FeatureMask
+
+HILL_CLIMBER_IDS = tuple(i for i, info in CATALOG.items() if info.kind == "hill-climber")
+MUTATIONAL_IDS = tuple(i for i, info in CATALOG.items() if info.kind == "mutational")
 
 
 def synthetic_dataset(n_instances=60, n_features=12, n_informative=4,
@@ -61,7 +65,30 @@ def random_mask(n: int, rng: np.random.Generator) -> FeatureMask:
     return FeatureMask(bits)
 
 
+def flip(mask: FeatureMask, i: int) -> FeatureMask:
+    """A copy of ``mask`` with bit ``i`` inverted; the input is unchanged."""
+    if not 0 <= i < mask.n:
+        raise IndexError(f"bit index {i} out of range for {mask.n} features")
+    bits = mask.bits.copy()
+    bits[i] ^= 1
+    return FeatureMask(bits)
+
+
 # ---------------------------------------------------------------- oracles
+
+def predict_1nn(train_features: np.ndarray, train_labels: np.ndarray,
+                query: np.ndarray, mask: FeatureMask) -> int:
+    """Label of the training instance closest to ``query`` on the selected
+    features; ties break toward the smallest training-row index."""
+    if train_features.shape[0] == 0:
+        raise ValueError("empty training set")
+    idx = mask.selected_indices()
+    if idx.size == 0:
+        raise ValueError("mask selects no features")
+    diffs = train_features[:, idx] - np.asarray(query, dtype=np.float64)[idx]
+    dists = np.einsum("ij,ij->i", diffs, diffs)
+    return int(train_labels[int(np.argmin(dists))])
+
 
 def pearson_twopass(x, y) -> float:
     """Definitional Pearson: means first, then covariance over the product
@@ -120,7 +147,7 @@ def best_flip_oracle(mask: FeatureMask, cache: CorrelationCache,
 
     best_bit, best_merit = -1, -np.inf
     for b in positions:
-        m = cfs_merit(mask.flip(int(b)), cache)
+        m = cfs_merit(flip(mask, int(b)), cache)
         if m > best_merit:
             best_bit, best_merit = int(b), m
     return best_bit, best_merit
@@ -161,7 +188,7 @@ def exhaustive_best_mask(cache: CorrelationCache) -> tuple[FeatureMask, float]:
     from hhfs.correlation import cfs_merit
 
     n = cache.n_features
-    best_mask, best_merit = FeatureMask.zeros(n), 0.0
+    best_mask, best_merit = FeatureMask([0] * n), 0.0
     for word in range(1, 2 ** n):
         bits = np.array([(word >> i) & 1 for i in range(n)], dtype=np.uint8)
         mask = FeatureMask(bits)
@@ -176,7 +203,6 @@ def cv_accuracy_bruteforce(dataset: Dataset, mask: FeatureMask, folds: int,
     """Per-query reimplementation of repeated stratified-CV 1NN accuracy
     built on predict_1nn directly."""
     from hhfs.dataset import stratified_folds
-    from hhfs.evaluation import predict_1nn
 
     accs = []
     for r in range(repeats):

@@ -19,15 +19,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (best_flip_oracle, merit_from_data, pearson_twopass,
+from conftest import (HILL_CLIMBER_IDS, best_flip_oracle, flip,
+                      merit_from_data, pearson_twopass, predict_1nn,
                       random_mask, synthetic_dataset)
 from hhfs.correlation import build_cache, cfs_merit, pearson
 from hhfs.dataset import (Dataset, fold_class_counts, load_csv,
                           stratified_folds)
-from hhfs.evaluation import CvProtocol, cv_accuracy, predict_1nn
+from hhfs.evaluation import CvProtocol, cv_accuracy
 from hhfs.experiment import (DatasetConfig, ExperimentSpec, run_dataset,
                              run_experiment, verify_report)
-from hhfs.llh import HILL_CLIMBER_IDS, CATALOG, LlhContext, apply
+from hhfs.llh import CATALOG, LlhContext, apply
 from hhfs.mask import FeatureMask
 from hhfs.supervisor import (SupervisorConfig, mutate_chromosome,
                              random_chromosome, roulette_select,
@@ -213,7 +214,7 @@ class TestPropertyCriteria:
                 out = apply(sdhc, mask, ctx)
                 best_bit, best_merit = best_flip_oracle(mask, cache,
                                                         range(d.n_features))
-                expected = (mask.flip(best_bit)
+                expected = (flip(mask, best_bit)
                             if best_merit > cfs_merit(mask, cache) else mask)
                 checked += 1
                 if out != expected:

@@ -231,8 +231,11 @@ def _sonar_report(best: float) -> dict:
      "{path}: not a report: runs is not a non-empty list"),
     ('{"dataset": "sonar", "runs": [], "aggregate": {}}',
      "{path}: not a report: runs is not a non-empty list"),
+    ('{"dataset": "sonar", "runs": [{"run": 0, "m": 3, "accuracy": {}}], "aggregate": {}}',
+     "{path}: not a report: aggregate is empty"),
 ], ids=["missing", "truncated", "inconsistent", "not-an-object", "no-aggregate",
-        "run-shape", "aggregate-not-object", "runs-not-list", "no-runs"])
+        "run-shape", "aggregate-not-object", "runs-not-list", "no-runs",
+        "empty-aggregate"])
 def test_compare_bad_report_exits_2_with_one_line(tmp_path, capsys, content, message):
     good, path = tmp_path / "good.json", tmp_path / "report.json"
     good.write_text(json.dumps(_sonar_report(0.9)))

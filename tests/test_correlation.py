@@ -155,7 +155,7 @@ class TestCfsMerit:
 
     def test_empty_mask_scores_zero(self):
         cache = random_cache(4, seed=1)
-        assert cfs_merit(FeatureMask.zeros(4), cache) == 0.0
+        assert cfs_merit(FeatureMask([0] * 4), cache) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

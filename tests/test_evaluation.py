@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from conftest import (cv_accuracy_bruteforce, cv_accuracy_cdist_reference,
-                      random_mask)
+                      predict_1nn, random_mask)
 from hhfs import evaluation
 from hhfs.dataset import Dataset, DatasetError
-from hhfs.evaluation import CvProtocol, FitnessEvaluator, cv_accuracy, predict_1nn
+from hhfs.evaluation import CvProtocol, FitnessEvaluator, cv_accuracy, cv_accuracies
 from hhfs.mask import FeatureMask
 
 
@@ -46,7 +46,7 @@ class TestPredict1nn:
 class TestCvAccuracy:
     def test_empty_mask_scores_zero(self, small_dataset):
         proto = CvProtocol(folds=5, repeats=1, base_seed=0)
-        assert cv_accuracy(small_dataset, FeatureMask.zeros(8), proto) == 0.0
+        assert cv_accuracy(small_dataset, FeatureMask([0] * 8), proto) == 0.0
 
     def test_perfectly_separable_four_points(self):
         d = Dataset.from_arrays("toy", [[0.0], [0.1], [1.0], [0.9]],
@@ -65,7 +65,7 @@ class TestCvAccuracy:
         d = Dataset.from_arrays("toy", [[0.0], [0.1], [1.0], [0.9]],
                                 [0, 0, 1, 1])
         proto = CvProtocol(folds=10)
-        assert cv_accuracy(d, FeatureMask.zeros(1), proto) == 0.0
+        assert cv_accuracy(d, FeatureMask([0]), proto) == 0.0
         with pytest.raises(ValueError, match="does not match"):
             cv_accuracy(d, FeatureMask([1, 0]), proto)
 
@@ -77,6 +77,25 @@ class TestCvAccuracy:
                                CvProtocol(folds=5, repeats=1, base_seed=11 + r))
                    for r in range(4)]
         assert multi == sum(singles) / 4  # bitwise
+
+    def test_protocols_sharing_folds_are_scored_once(self, small_dataset, monkeypatch):
+        protocols = {"6x5": CvProtocol(folds=5, repeats=6, base_seed=11),
+                     "2x5": CvProtocol(folds=5, repeats=2, base_seed=11),
+                     "3x4": CvProtocol(folds=4, repeats=3, base_seed=11),
+                     "2x5, seed 7": CvProtocol(folds=5, repeats=2, base_seed=7)}
+        rng = np.random.default_rng(4)
+        masks = [random_mask(8, rng) for _ in range(4)] + [FeatureMask([1] * 8),
+                                                           FeatureMask([0] * 8)]
+        for mask in masks:
+            assert cv_accuracies(small_dataset, mask, protocols) == {
+                label: cv_accuracy(small_dataset, mask, p)
+                for label, p in protocols.items()}  # bitwise
+        calls = []
+        folds = evaluation.stratified_folds
+        monkeypatch.setattr(evaluation, "stratified_folds",
+                            lambda *args: calls.append(args) or folds(*args))
+        cv_accuracies(small_dataset, masks[0], protocols)
+        assert len(calls) == 6 + 3 + 2  # 2x5 reads the first two of 6x5's repeats
 
     def test_matches_per_query_bruteforce(self, small_dataset):
         rng = np.random.default_rng(5)

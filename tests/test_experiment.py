@@ -1,12 +1,18 @@
 import csv
+import ctypes
 import dataclasses
 import json
+import multiprocessing
+import os
 import re
+import signal
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import synthetic_dataset
+from hhfs import evaluation, experiment
 from hhfs.dataset import Dataset
 from hhfs.evaluation import CvProtocol, FitnessEvaluator
 from hhfs.experiment import (DatasetConfig, ExperimentSpec,
@@ -282,6 +288,153 @@ class TestRunExperiment:
             for run in report["runs"]:
                 fits = [row[2] for row in run["history"]]
                 assert all(b >= a for a, b in zip(fits, fits[1:]))
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the run pool needs the fork start method")
+
+
+def on_cores(monkeypatch, cores: int) -> None:
+    monkeypatch.setattr(experiment, "_usable_cores", lambda: cores)
+
+
+def output_bytes(out: Path) -> dict[str, bytes]:
+    """Every output file but timings.csv, by its path under ``out``."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*.*"))
+            if p.name != "timings.csv"}
+
+
+def threads_function(lib, verb: str):
+    """The ``get`` or ``set`` thread-count function of an OpenBLAS."""
+    return next(getattr(lib, name) for name in (
+        f"scipy_openblas_{verb}_num_threads64_", f"scipy_openblas_{verb}_num_threads",
+        f"openblas_{verb}_num_threads64_", f"openblas_{verb}_num_threads")
+        if hasattr(lib, name))
+
+
+def blas_threads() -> list[int]:
+    """The thread count of every OpenBLAS this process has loaded."""
+    counts = []
+    for lib in experiment._loaded_openblas():
+        get = threads_function(lib, "get")
+        get.argtypes, get.restype = [], ctypes.c_int
+        counts.append(get())
+    return counts
+
+
+def set_blas_threads(counts: list[int]) -> None:
+    for lib, count in zip(experiment._loaded_openblas(), counts):
+        put = threads_function(lib, "set")
+        put.argtypes, put.restype = [ctypes.c_int], None
+        put(count)
+
+
+def _dataset_in_daemon(args):
+    dataset, spec = args
+    experiment._usable_cores = lambda: 2
+    return experiment.run_dataset(dataset, spec)[0]
+
+
+class TestRunPool:
+    """A dataset's runs mapped over forked workers give the bytes one
+    process gives, and leave no process behind."""
+
+    def test_one_and_two_workers_write_the_same_bytes(self, monkeypatch, tiny_spec,
+                                                      tmp_path):
+        outputs = []
+        for cores in (1, 2):
+            on_cores(monkeypatch, cores)
+            out = tmp_path / f"cores{cores}"
+            run_experiment(dataclasses.replace(tiny_spec, runs=3, out_dir=str(out)))
+            assert multiprocessing.active_children() == []
+            outputs.append(output_bytes(out))
+        assert len(outputs[0]) == 5  # two report.json, two history.csv, summary.csv
+        assert outputs[1] == outputs[0]
+
+    @needs_fork
+    def test_golden_spec_at_two_workers(self, monkeypatch, tmp_path):
+        from test_golden import GOLDEN, golden_bytes
+        on_cores(monkeypatch, 2)
+        assert golden_bytes(tmp_path) == GOLDEN.read_bytes()
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_worker_error_becomes_the_dataset_error(self, monkeypatch, tiny_spec):
+        parent, supervise = os.getpid(), experiment.run_supervisor
+
+        def failing(dataset, cfg, *args, **kwargs):
+            if cfg.seed == tiny_spec.run_seed(1) and os.getpid() != parent:
+                raise ValueError("run 1 failed in a worker")
+            return supervise(dataset, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_supervisor", failing)
+        on_cores(monkeypatch, 2)
+        reports = run_experiment(dataclasses.replace(tiny_spec, runs=3))
+        assert reports == [{"dataset": name, "error": "run 1 failed in a worker"}
+                           for name in ("alpha", "beta")]
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_interrupt_mid_run_propagates_and_leaves_no_process(self, monkeypatch,
+                                                                tiny_spec):
+        parent, supervise = os.getpid(), experiment.run_supervisor
+
+        def interrupting(dataset, cfg, *args, **kwargs):
+            if cfg.seed == tiny_spec.run_seed(1) and os.getpid() != parent:
+                os.kill(parent, signal.SIGINT)  # Ctrl-C reaching the parent
+                time.sleep(60)  # until the parent terminates this worker
+            return supervise(dataset, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_supervisor", interrupting)
+        on_cores(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(dataclasses.replace(tiny_spec, runs=4))
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_pool_initializer_runs_blas_on_one_thread(self):
+        before = blas_threads()
+        if not before:
+            pytest.skip("no OpenBLAS loaded")
+        set_blas_threads([2] * len(before))  # so that the workers' one differs
+        try:
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(1, experiment._one_blas_thread) as pool:
+                inside = pool.apply_async(blas_threads).get(timeout=60)
+            with ctx.Pool(1) as pool:
+                inherited = pool.apply_async(blas_threads).get(timeout=60)
+        finally:
+            set_blas_threads(before)
+        assert inside == [1] * len(before)
+        assert inherited == [2] * len(before)
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_runs_in_process_inside_a_pool_worker(self, monkeypatch, tiny_spec):
+        # a daemonic pool worker may not fork; run_dataset must not try
+        dataset = tiny_spec.datasets[0].load()
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inside = pool.apply_async(_dataset_in_daemon,
+                                      ((dataset, tiny_spec),)).get(timeout=60)
+        on_cores(monkeypatch, 1)
+        assert inside == experiment.run_dataset(dataset, tiny_spec)[0]
+
+    def test_reporting_cv_repeats_per_run_dataset(self, monkeypatch, tiny_spec):
+        # 2x3 and 1x3 share folds: the baseline and each run's final mask
+        # are scored at 2 repeats, not 2 + 1, besides each run's search
+        calls = []
+        folds = evaluation.stratified_folds
+
+        def counting(*args):
+            calls.append(args)
+            return folds(*args)
+
+        monkeypatch.setattr(evaluation, "stratified_folds", counting)
+        on_cores(monkeypatch, 1)
+        spec = dataclasses.replace(tiny_spec, runs=3)
+        experiment.run_dataset(spec.datasets[0].load(), spec)
+        assert spec.report_repeats == (2, 1)
+        assert len(calls) == 2 * (1 + spec.runs) + spec.search_repeats * spec.runs
 
 
 class TestRenderComparison:

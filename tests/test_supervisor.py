@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (StubRng, best_flip_oracle, cv_accuracy_cdist_reference,
-                      synthetic_dataset)
+                      flip, synthetic_dataset)
 from hhfs import supervisor
 from hhfs.correlation import _MeritScan, build_cache, cfs_merit
 from hhfs.dataset import Dataset, load_csv
@@ -101,7 +101,7 @@ class TestEvaluateChromosome:
             best_bit, best_merit = best_flip_oracle(expected, cache,
                                                     range(expected.n))
             if best_merit > cfs_merit(expected, cache):
-                expected = expected.flip(best_bit)
+                expected = flip(expected, best_bit)
         assert expected != incumbent
         assert mask == expected
 
