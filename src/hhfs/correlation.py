@@ -30,6 +30,11 @@ import numpy as np
 
 from .mask import FeatureMask
 
+# bit domains: the positions a hill-climber may flip
+ALL = "all"
+ZEROS = "zeros"
+ONES = "ones"
+
 
 def pearson(x, y) -> float:
     """Sample Pearson correlation of two equal-length vectors.
@@ -86,6 +91,11 @@ class CorrelationCache:
     ``feature_feature`` is the symmetric N x N matrix of |pearson| between
     feature columns (diagonal 1, or 0 for constant columns);
     ``feature_class`` is the length-N vector of feature-class correlations.
+    Construction also fixes the constants every merit scan reads: the
+    ``diagonal``, ``fc_tuple`` and ``diag_tuple`` (the same values as
+    Python floats), ``columns`` (a C-contiguous copy of ``feature_feature.T``,
+    so ``columns[b]`` is a contiguous row equal to ``feature_feature[:, b]``)
+    and ``positions`` (``arange(N)``). Every array is read-only.
     """
 
     feature_feature: np.ndarray
@@ -99,8 +109,16 @@ class CorrelationCache:
         ff, fc = self.feature_feature, self.feature_class
         if ff.shape != (fc.size, fc.size):
             raise ValueError("feature_feature must be N x N for N = len(feature_class)")
-        ff.setflags(write=False)
-        fc.setflags(write=False)
+        diagonal = np.diagonal(ff).copy()
+        columns = np.ascontiguousarray(ff.T)
+        positions = np.arange(fc.size)
+        for arr in (ff, fc, diagonal, columns, positions):
+            arr.setflags(write=False)
+        constants = {"diagonal": diagonal, "fc_tuple": tuple(fc.tolist()),
+                     "diag_tuple": tuple(diagonal.tolist()), "columns": columns,
+                     "positions": positions}
+        for name, value in constants.items():
+            object.__setattr__(self, name, value)
 
 
 def build_cache(d) -> CorrelationCache:
@@ -129,48 +147,86 @@ class _MeritScan:
     """Read-only merit scan of one mask, scoring its single-bit flips.
 
     Holds the selected count k, the selected class-correlation sum, the
-    selected off-diagonal feature-feature sum (ordered pairs), and the
-    vector row[b] = sum_{i selected} ff[b, i], so each candidate flip is
-    scored in O(1). A scan never changes after construction (``bits`` and
-    ``row`` are not writable); the heuristics take and return scans, and
-    a scan built from bits scores them exactly as ``cfs_merit``.
+    selected off-diagonal feature-feature sum (ordered pairs), their merit
+    (computed once, here), and the vector row[b] = sum_{i selected} ff[b, i],
+    so each candidate flip is scored in O(1). A scan never changes after
+    construction; the heuristics take and return scans, and a scan built
+    from bits scores them exactly as ``cfs_merit``.
+
+    What the bits fix is computed on first use and kept, for every later
+    heuristic that starts from the same scan (the incumbent's starts
+    thousands): ``values`` (the bits and the row as tuples of Python
+    values, for the scalar climb loop), ``in_domain`` (the positions a bit
+    domain lets flip; the 1-bits are known from construction) and the
+    merit of every single flip, which ``flip_merits`` reads. Arrays are not
+    writable and the values are tuples, so no caller can change what a
+    later caller reads.
     """
 
-    def __init__(self, cache: CorrelationCache, bits: np.ndarray):
-        self.ff = cache.feature_feature
-        self.fc = cache.feature_class
-        self.diag = np.diagonal(self.ff)
+    def __init__(self, cache: CorrelationCache, bits):
+        self.cache = cache
         self.bits = np.array(bits, dtype=bool)
-        sel = np.flatnonzero(self.bits)
-        self.k = sel.size
-        self.sum_cf = float(self.fc[sel].sum())
-        self.row = self.ff @ self.bits.astype(np.float64)
-        self.sum_ff = float(self.bits @ self.row) - float(self.diag[sel].sum())
-        self.bits.setflags(write=False)
-        self.row.setflags(write=False)
+        sel = self.bits.nonzero()[0]
+        self.k = k = sel.size
+        self.sum_cf = sum_cf = float(cache.feature_class[sel].sum())
+        floats = self.bits.astype(np.float64)
+        self.row = cache.feature_feature @ floats
+        self.sum_ff = sum_ff = float(floats @ self.row) - float(cache.diagonal[sel].sum())
+        self.merit = sum_cf / math.sqrt(k + sum_ff) if k else 0.0
+        for arr in (self.bits, self.row, sel):
+            arr.setflags(write=False)
+        self._in_domain = {ONES: sel}
+        self._values = self._flips = None
 
-    @staticmethod
-    def _merit(k: int, sum_cf: float, sum_ff: float) -> float:
-        if k == 0:
-            return 0.0
-        return sum_cf / math.sqrt(k + sum_ff)
+    def values(self) -> tuple[tuple[bool, ...], tuple[float, ...]]:
+        """The bits and the row as tuples of Python values."""
+        if self._values is None:
+            self._values = tuple(self.bits.tolist()), tuple(self.row.tolist())
+        return self._values
 
-    def merit(self) -> float:
-        return self._merit(self.k, self.sum_cf, self.sum_ff)
+    def in_domain(self, bit_domain: str) -> np.ndarray:
+        """The positions ``bit_domain`` lets flip, ascending: every bit
+        (ALL), the 0-bits (ZEROS) or the 1-bits (ONES)."""
+        positions = self._in_domain.get(bit_domain)
+        if positions is None:
+            if bit_domain == ALL:
+                positions = self.cache.positions
+            elif bit_domain == ZEROS:
+                positions = (~self.bits).nonzero()[0]
+                positions.setflags(write=False)
+            else:
+                raise ValueError(f"unknown bit domain {bit_domain!r}")
+            self._in_domain[bit_domain] = positions
+        return positions
 
-    def flip_merits(self, positions: np.ndarray) -> np.ndarray:
-        """Merit the mask would have with each of ``positions`` flipped
-        alone; a flip that leaves k == 0 scores 0.0."""
-        on = self.bits[positions]
-        fc = self.fc[positions]
-        row = self.row[positions]
-        k = np.where(on, self.k - 1, self.k + 1)
-        sum_cf = np.where(on, self.sum_cf - fc, self.sum_cf + fc)
-        sum_ff = np.where(on, self.sum_ff - 2.0 * (row - self.diag[positions]),
-                          self.sum_ff + 2.0 * row)
-        empty = k == 0
-        return np.where(empty, 0.0,
-                        sum_cf / np.sqrt(np.where(empty, 1.0, k + sum_ff)))
+    def flip_merits(self, positions) -> np.ndarray:
+        """Merit the mask would have with each of ``positions`` (an index
+        array or list) flipped alone; a flip that leaves k == 0 scores 0.0.
+
+        The merits of all N flips are computed once, in a sign form: with
+        sign -1.0 on a 1-bit and +1.0 on a 0-bit, a flip leaves k + sign
+        features, sum_cf + sign * fc and sum_ff + 2 sign * (row - bits *
+        diag). Each equals the per-branch difference it replaces bit for
+        bit: k +- 1 is an exact integer, a sign of +-1 or +-2 scales
+        exactly, ``a + (-b) == a - b``, and on a 0-bit
+        ``row - 0 * diag == row`` (the diagonal is finite and non-negative).
+        Only a scan with k == 1 has a flip to k == 0, so only it pays the
+        guard that scores that flip 0.0.
+        """
+        if self._flips is None:
+            cache = self.cache
+            sign = np.where(self.bits, -1.0, 1.0)
+            k = self.k + sign
+            sum_cf = self.sum_cf + sign * cache.feature_class
+            denom = k + (self.sum_ff + (2.0 * sign) * (self.row - self.bits * cache.diagonal))
+            if self.k != 1:
+                self._flips = sum_cf / np.sqrt(denom)
+            else:
+                empty = k == 0
+                self._flips = np.where(empty, 0.0,
+                                       sum_cf / np.sqrt(np.where(empty, 1.0, denom)))
+            self._flips.setflags(write=False)
+        return self._flips[positions]
 
     def mask(self) -> FeatureMask:
         return FeatureMask(self.bits)
@@ -182,7 +238,7 @@ def cfs_merit(mask: FeatureMask, cache: CorrelationCache) -> float:
     if mask.n != cache.n_features:
         raise ValueError(
             f"mask over {mask.n} features does not match cache of {cache.n_features}")
-    return _MeritScan(cache, mask.bits).merit()
+    return _MeritScan(cache, mask.bits).merit
 
 
 def dump_cache_csv(cache: CorrelationCache, path) -> None:

@@ -159,13 +159,17 @@ class FitnessEvaluator:
         self.dataset = dataset
         self.protocol = protocol
         self._folds = _protocol_folds(dataset, protocol)
-        # per repeat, the (rows, columns) index of each non-empty fold's
-        # block of same-fold pairs, which the argmin must not see
+        # per repeat, the flat index into an n x n matrix of every same-fold
+        # cell, which the argmin must not see; int32 where n * n fits
+        n = dataset.n_instances
+        dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
         self._same_fold = []
         for fold_of in self._folds:
             sizes = np.bincount(fold_of, minlength=protocol.folds)
-            members = np.split(np.argsort(fold_of, kind="stable"), np.cumsum(sizes)[:-1])
-            self._same_fold.append([(m[:, None], m) for m in members if m.size])
+            members = np.split(np.argsort(fold_of, kind="stable").astype(dtype),
+                               np.cumsum(sizes)[:-1])
+            self._same_fold.append(np.concatenate([(m[:, None] * n + m).ravel()
+                                                   for m in members]))
         self._screening = True
         self._work: np.ndarray | None = None  # the screen's n x n matrix
         self._cache: dict[bytes, float] = {}
@@ -200,12 +204,13 @@ class FitnessEvaluator:
         rows in the first repeat."""
         n = len(D)
         rows = np.arange(n)
+        cells = D.reshape(-1)  # a view: D is C-contiguous
         nearest, unsure = [], []
         last = len(self._same_fold) - 1
-        for t, blocks in enumerate(self._same_fold):
-            saved = [D[block] for block in blocks] if t < last else []
-            for block in blocks:
-                D[block] = np.inf
+        for t, same in enumerate(self._same_fold):
+            same = same.astype(np.intp, copy=False)  # once: numpy indexes with intp
+            saved = cells[same] if t < last else None
+            cells[same] = np.inf
             nn = D.argmin(axis=1)
             nearest.append(nn)
             if bound is not None:
@@ -216,8 +221,8 @@ class FitnessEvaluator:
                 if t == 0 and 4 * redo.size > n:
                     return nearest, None
                 unsure.append(redo)
-            for block, values in zip(blocks, saved):
-                D[block] = values
+            if saved is not None:
+                cells[same] = saved
         return nearest, unsure
 
     def _accuracies(self, idx: np.ndarray) -> list[float]:

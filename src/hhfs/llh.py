@@ -14,12 +14,16 @@ wraps a single call in them). Scans are read-only values, so every
 heuristic is a pure function of (scan, rng state): it cannot mutate its
 input, and replaying a seed replays the output bit-exactly. NAHC, DBHC
 and RMHC share one climb loop, which visits the positions it is given one
-bit at a time and keeps its own working sums; ``flip_merits``, which
-scores a whole neighborhood at once, is SDHC's. A call
-that leaves every bit unchanged returns its input object, so callers can
-tell "did not move" by identity; a call that moves returns a fresh scan
-of its output bits, never one carried forward incrementally, so every
-merit depends on the bits alone.
+bit at a time, keeps its own working sums and scores each visit inline;
+``flip_merits``, which scores a whole neighborhood at once, is SDHC's.
+A scan keeps what its bits fix (its merit, its bits and row as Python
+values, its in-domain positions, its flip merits) for every later
+heuristic that starts from it; the incumbent's scan, which every
+chromosome starts from while the incumbent stands, computes each once.
+A call that leaves every bit unchanged returns its input object, so
+callers can tell "did not move" by identity; a call that moves returns a
+fresh scan of its output bits, never one carried forward incrementally,
+so every merit depends on the bits alone.
 One call does one bounded pass - SDHC scans one Hamming-1 neighborhood,
 NAHC/DBHC sweep the positions once - so the cost of applying a whole
 chromosome of heuristics stays predictable.
@@ -27,19 +31,15 @@ chromosome of heuristics stays predictable.
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .correlation import CorrelationCache, _MeritScan
+from .correlation import ALL, ONES, ZEROS, CorrelationCache, _MeritScan
 from .mask import FeatureMask
-
-ALL = "all"
-ZEROS = "zeros"
-ONES = "ones"
 
 NUM_LLH = 16
 
@@ -58,19 +58,6 @@ class LlhContext:
             raise ValueError("mutn_rate must lie in (0, 1)")
 
 
-def _domain_positions(bits: np.ndarray, bit_domain: str,
-                      order: np.ndarray | None = None) -> np.ndarray:
-    """Positions of ``order`` (default ascending) the domain lets flip."""
-    order = np.arange(bits.size) if order is None else order
-    if bit_domain == ALL:
-        return order
-    if bit_domain == ZEROS:
-        return order[bits[order] == 0]
-    if bit_domain == ONES:
-        return order[bits[order] != 0]
-    raise ValueError(f"unknown bit domain {bit_domain!r}")
-
-
 def _flipped(scan: _MeritScan, ctx: LlhContext, b) -> _MeritScan:
     """A fresh scan of the input's bits with bit(s) ``b`` inverted."""
     bits = scan.bits.copy()
@@ -82,69 +69,80 @@ def sdhc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan
     """Steepest-descent step: scan the full Hamming-1 neighborhood within
     the bit domain and move to the best neighbor, but only if it is
     strictly better than the input. Ties pick the lowest flipped index."""
-    positions = _domain_positions(scan.bits, bit_domain)
+    positions = scan.in_domain(bit_domain)
     if positions.size == 0:
         return scan
     merits = scan.flip_merits(positions)
     best = int(np.argmax(merits))  # first occurrence: lowest flipped index
-    if merits[best] > scan.merit():
+    if merits[best] > scan.merit:
         return _flipped(scan, ctx, int(positions[best]))
     return scan
 
 
 def _sweep_climb(scan: _MeritScan, ctx: LlhContext, positions,
-                 accept=operator.gt) -> _MeritScan:
+                 ties: bool = False) -> _MeritScan:
     """The climb loop of NAHC, DBHC and RMHC: visit exactly ``positions``
-    in order, tentatively flip each and keep the flip iff ``accept(candidate,
-    current)`` holds for the merits. A bit changes only at its one visit,
-    so the input's domain holds throughout. Scans are read-only, so the
-    loop keeps its own sums, seeded from the input and scored on Python
-    floats and lists; a commit builds a new numpy row and re-reads it. A
-    moved result is scanned afresh, so its merit does not carry the loop's
-    incremental rounding."""
-    ff, fc, diag = scan.ff, scan.fc.tolist(), scan.diag.tolist()
-    bits, row_np, row = scan.bits.tolist(), scan.row, scan.row.tolist()
-    k, sum_cf, sum_ff = scan.k, scan.sum_cf, scan.sum_ff
-    current = scan.merit()
-    changed = False
+    (distinct) in order, tentatively flip each and keep the flip iff its
+    merit is greater than the current one, or equal to it with ``ties``.
+    A bit changes only at its one visit, so every visit reads the input's
+    bit and the input's domain holds throughout.
+
+    Scans are read-only, so the loop keeps its own sums, seeded from the
+    input, on Python values read from the scan's and cache's cached tuples.
+    Each visit scores ``sum_cf / sqrt(k + sum_ff)`` (0.0 at k == 0) inline,
+    the operations and order of the scan's own merit, so each comparison
+    sees the bits a merit call per position would return. A commit updates
+    a numpy row by the cache's contiguous ``columns[b]``, which equals
+    ``ff[:, b]`` element for element, and re-reads it. A moved result is
+    scanned afresh, so its merit does not carry the loop's incremental
+    rounding."""
+    cache = scan.cache
+    fc, diag, columns = cache.fc_tuple, cache.diag_tuple, cache.columns
+    (bits, row), row_np = scan.values(), scan.row
+    k, sum_cf, sum_ff, current = scan.k, scan.sum_cf, scan.sum_ff, scan.merit
+    sqrt = math.sqrt
+    kept = []
     for b in positions:
         if bits[b]:
-            flipped = k - 1, sum_cf - fc[b], sum_ff - 2.0 * (row[b] - diag[b])
+            k_b, cf_b, ff_b = k - 1, sum_cf - fc[b], sum_ff - 2.0 * (row[b] - diag[b])
         else:
-            flipped = k + 1, sum_cf + fc[b], sum_ff + 2.0 * row[b]
-        candidate = _MeritScan._merit(*flipped)
-        if accept(candidate, current):
-            row_np = row_np - ff[:, b] if bits[b] else row_np + ff[:, b]
-            bits[b] = not bits[b]
+            k_b, cf_b, ff_b = k + 1, sum_cf + fc[b], sum_ff + 2.0 * row[b]
+        candidate = cf_b / sqrt(k_b + ff_b) if k_b else 0.0
+        if candidate > current or (ties and candidate == current):
+            row_np = row_np - columns[b] if bits[b] else row_np + columns[b]
             row = row_np.tolist()
-            (k, sum_cf, sum_ff), current = flipped, candidate
-            changed = True
-    return _MeritScan(ctx.cache, bits) if changed else scan
+            k, sum_cf, sum_ff, current = k_b, cf_b, ff_b, candidate
+            kept.append(b)
+    return _flipped(scan, ctx, kept) if kept else scan
 
 
 def nahc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan:
     """Next-ascent sweep in fixed order, index 0 (most significant, by
     convention) to N-1, keeping strict improvements. Several bits may
     change in one call."""
-    return _sweep_climb(scan, ctx, _domain_positions(scan.bits, bit_domain).tolist())
+    return _sweep_climb(scan, ctx, scan.in_domain(bit_domain).tolist())
 
 
 def dbhc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan:
     """Like nahc, but the positions are visited in a fresh uniformly
     random permutation drawn from the context RNG."""
-    order = ctx.rng.permutation(scan.bits.size)
-    return _sweep_climb(scan, ctx, _domain_positions(scan.bits, bit_domain, order).tolist())
+    order = ctx.rng.permutation(scan.bits.size).tolist()
+    if bit_domain != ALL:
+        scan.in_domain(bit_domain)  # rejects an unknown domain
+        bits, want = scan.values()[0], bit_domain == ONES
+        order = [b for b in order if bits[b] == want]
+    return _sweep_climb(scan, ctx, order)
 
 
 def rmhc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan:
     """Flip one uniformly random in-domain bit; accept if the merit is
     greater than or equal to the input's (non-strict, so plateaus can be
     walked). An empty domain returns the input untouched."""
-    positions = _domain_positions(scan.bits, bit_domain)
+    positions = scan.in_domain(bit_domain)
     if positions.size == 0:
         return scan
     b = int(positions[int(ctx.rng.integers(positions.size))])
-    return _sweep_climb(scan, ctx, [b], operator.ge)
+    return _sweep_climb(scan, ctx, (b,), ties=True)
 
 
 def swpd(scan: _MeritScan, ctx: LlhContext) -> _MeritScan:

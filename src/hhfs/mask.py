@@ -16,11 +16,13 @@ class FeatureMask:
     __slots__ = ("bits",)
 
     def __init__(self, bits) -> None:
-        arr = np.array(bits, dtype=np.uint8)
-        if arr.ndim != 1 or arr.size == 0:
+        given = np.asarray(bits)
+        if given.ndim != 1 or given.size == 0:
             raise ValueError("mask must be a non-empty 1-d bit vector")
-        if not np.all((arr == 0) | (arr == 1)):
+        # checked before the cast, which would truncate 0.5 to 0 and 1.7 to 1
+        if given.dtype != np.bool_ and not np.all((given == 0) | (given == 1)):
             raise ValueError("mask bits must be 0 or 1")
+        arr = given.astype(np.uint8)
         arr.setflags(write=False)
         self.bits = arr
 

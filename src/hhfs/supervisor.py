@@ -93,23 +93,17 @@ class GenerationRecord:
 
 @dataclass
 class LlhStats:
-    """Per-heuristic invocation and strict-merit-improvement counters."""
+    """Per-heuristic invocation and strict-merit-improvement counters,
+    indexed by heuristic id (index 0 is unused)."""
 
-    invocations: np.ndarray = field(
-        default_factory=lambda: np.zeros(NUM_LLH + 1, dtype=np.int64))
-    improvements: np.ndarray = field(
-        default_factory=lambda: np.zeros(NUM_LLH + 1, dtype=np.int64))
-
-    def record(self, llh_id: int, merit_before: float, merit_after: float) -> None:
-        self.invocations[llh_id] += 1
-        if merit_after > merit_before:
-            self.improvements[llh_id] += 1
+    invocations: list[int] = field(default_factory=lambda: [0] * (NUM_LLH + 1))
+    improvements: list[int] = field(default_factory=lambda: [0] * (NUM_LLH + 1))
 
     def as_dict(self) -> dict[str, dict[str, int]]:
         return {
             llh.CATALOG[i].name: {
-                "invocations": int(self.invocations[i]),
-                "improvements": int(self.improvements[i]),
+                "invocations": self.invocations[i],
+                "improvements": self.improvements[i],
             }
             for i in sorted(llh.CATALOG)
         }
@@ -215,14 +209,19 @@ def _apply_genes(cache: CorrelationCache, cfg: SupervisorConfig, gen: int, i: in
                  genes: np.ndarray, scan: _MeritScan, stats: LlhStats) -> _MeritScan:
     """Apply chromosome i's genes in generation ``gen`` left to right, each
     to the previous one's output, starting from ``scan`` (the incumbent's),
-    and record every call in ``stats``. Returns the final scan: ``scan``
-    itself when every heuristic returned its input."""
+    and count every call in ``stats``: an improvement is a strictly higher
+    merit, and a call that returned its input cannot have one. Returns the
+    final scan: ``scan`` itself when every heuristic returned its input."""
     ctx = LlhContext(cache=cache, rng=np.random.default_rng([cfg.seed, 1, gen, i]),
                      mutn_rate=cfg.mutn_rate)
+    invocations, improvements = stats.invocations, stats.improvements
     for gene in genes.tolist():
         out = llh.CATALOG[gene].func(scan, ctx)
-        stats.record(gene, scan.merit(), out.merit())
-        scan = out
+        invocations[gene] += 1
+        if out is not scan:
+            if out.merit > scan.merit:
+                improvements[gene] += 1
+            scan = out
     return scan
 
 
@@ -233,8 +232,9 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     """Run the supervisor GA once and return the final incumbent.
 
     Per generation: every chromosome is evaluated from the same incumbent
-    snapshot; the best resulting mask replaces the incumbent only if its
-    fitness strictly improves; selection, crossover and mutation then
+    snapshot, one merit scan kept for as long as the incumbent stands; the
+    best resulting mask replaces the incumbent (and its scan the snapshot)
+    only if its fitness strictly improves; selection, crossover and mutation then
     produce the next population. After the last generation the incumbent
     is re-evaluated under each reporting protocol. Datasets with fewer
     than 2 features are rejected: SWPD needs two dimensions to swap.
@@ -259,9 +259,9 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     stats = LlhStats()
     history: list[GenerationRecord] = []
     phases = dict.fromkeys(("heuristics", "fitness", "ga", "report"), 0.0)
+    base = _MeritScan(cache, incumbent.bits)  # the incumbent's scan, while it stands
     for gen in range(cfg.generations):
         t0 = time.perf_counter()
-        base = _MeritScan(cache, incumbent.bits)
         scans = [_apply_genes(cache, cfg, gen, i, chrom.genes, base, stats)
                  for i, chrom in enumerate(population)]
         masks = [incumbent if scan is base else scan.mask() for scan in scans]
@@ -269,8 +269,8 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
         fits = np.array([evaluator.fitness(mask) for mask in masks], dtype=np.float64)
         t2 = time.perf_counter()
         best_i = int(np.argmax(fits))
-        if fits[best_i] > incumbent_fitness:
-            incumbent = masks[best_i]
+        if fits[best_i] > incumbent_fitness:  # never base itself, whose mask ties
+            incumbent, base = masks[best_i], scans[best_i]
             incumbent_fitness = float(fits[best_i])
         history.append(GenerationRecord(
             generation=gen,

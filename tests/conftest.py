@@ -65,6 +65,14 @@ def random_mask(n: int, rng: np.random.Generator) -> FeatureMask:
     return FeatureMask(bits)
 
 
+def record_call(stats, llh_id: int, merit_before: float, merit_after: float) -> None:
+    """Count one heuristic call in an ``LlhStats``, and an improvement if
+    the merit rose strictly."""
+    stats.invocations[llh_id] += 1
+    if merit_after > merit_before:
+        stats.improvements[llh_id] += 1
+
+
 def flip(mask: FeatureMask, i: int) -> FeatureMask:
     """A copy of ``mask`` with bit ``i`` inverted; the input is unchanged."""
     if not 0 <= i < mask.n:

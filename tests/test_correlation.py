@@ -177,7 +177,7 @@ class TestCfsMerit:
         rng = np.random.default_rng(n)
         for _ in range(200):
             mask = random_mask(n, rng)
-            assert cfs_merit(mask, cache) == _MeritScan(cache, mask.bits).merit()
+            assert cfs_merit(mask, cache) == _MeritScan(cache, mask.bits).merit
 
     def test_matches_cache_free_recomputation(self):
         d = synthetic_dataset(n_instances=35, n_features=8, seed=9)

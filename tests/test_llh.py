@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -179,11 +180,11 @@ class TestSdhc:
             # features and loses its class and cross sums, a 0-bit adds them
             if scan.bits[b]:
                 k = scan.k - 1
-                sum_cf = scan.sum_cf - scan.fc[b]
-                sum_ff = scan.sum_ff - 2.0 * (scan.row[b] - scan.diag[b])
+                sum_cf = scan.sum_cf - scan.cache.feature_class[b]
+                sum_ff = scan.sum_ff - 2.0 * (scan.row[b] - scan.cache.diagonal[b])
             else:
                 k = scan.k + 1
-                sum_cf = scan.sum_cf + scan.fc[b]
+                sum_cf = scan.sum_cf + scan.cache.feature_class[b]
                 sum_ff = scan.sum_ff + 2.0 * scan.row[b]
             return 0.0 if k == 0 else sum_cf / math.sqrt(k + sum_ff)
 
@@ -360,7 +361,7 @@ class TestSweepReference:
                     expected = sweep_reference(scan, cache, positions)
                     out = func(scan, make_ctx(cache, np.random.default_rng(seed)))
                     assert out.bits.tolist() == expected.bits.tolist()
-                    assert out.merit() == expected.merit()
+                    assert out.merit == expected.merit
                     if expected is scan:
                         assert out is scan
                         unmoved += 1
@@ -381,11 +382,11 @@ class TestSweepReference:
             return scan, False
         b = int(positions[int(rng.integers(positions.size))])
         candidate = scan.flip_merits([b])[0]
-        if candidate < scan.merit():
+        if candidate < scan.merit:
             return scan, False
         bits = scan.bits.copy()
         bits[b] ^= True
-        return _MeritScan(cache, bits), bool(candidate == scan.merit())
+        return _MeritScan(cache, bits), bool(candidate == scan.merit)
 
     def test_rmhc_equals_vector_reference_bitwise(self):
         rng = np.random.default_rng(93)
@@ -405,7 +406,7 @@ class TestSweepReference:
                             scan, cache, bit_domain, np.random.default_rng(seed))
                         out = func(scan, make_ctx(cache, np.random.default_rng(seed)))
                         assert out.bits.tolist() == expected.bits.tolist()
-                        assert out.merit() == expected.merit()
+                        assert out.merit == expected.merit
                         if expected is scan:
                             assert out is scan
                             unmoved += 1
@@ -421,12 +422,153 @@ class TestSweepReference:
         # merit exactly; a tie is not an improvement
         cache = cache_from_values([0.5, 0.5], [[1.0, 1.0], [1.0, 1.0]])
         scan = _MeritScan(cache, [1, 0])
-        assert scan.flip_merits([1])[0] == scan.merit() == 0.5
+        assert scan.flip_merits([1])[0] == scan.merit == 0.5
         assert sweep_reference(scan, cache, [0, 1]) is scan
         assert CATALOG[ID_OF["NAHC"]].func(scan, make_ctx(cache)) is scan
         for order in ([0, 1], [1, 0]):
             forced = StubRng(permutations=[np.array(order)])
             assert CATALOG[ID_OF["DBHC"]].func(scan, make_ctx(cache, forced)) is scan
+
+
+def where_chain_flip_merits(scan, positions):
+    """``flip_merits`` as it was written before the sign form: one
+    ``np.where`` per quantity, and the k == 0 guard on every call."""
+    cache = scan.cache
+    on = scan.bits[positions]
+    fc = cache.feature_class[positions]
+    row = scan.row[positions]
+    k = np.where(on, scan.k - 1, scan.k + 1)
+    sum_cf = np.where(on, scan.sum_cf - fc, scan.sum_cf + fc)
+    sum_ff = np.where(on, scan.sum_ff - 2.0 * (row - cache.diagonal[positions]),
+                      scan.sum_ff + 2.0 * row)
+    empty = k == 0
+    return np.where(empty, 0.0, sum_cf / np.sqrt(np.where(empty, 1.0, k + sum_ff)))
+
+
+def called_merit_sweep(scan, cache, positions, accept):
+    """``_sweep_climb`` as it was written before its merit was inlined: a
+    merit call and an ``accept(candidate, current)`` call per position, and
+    a list of bits flipped in place."""
+    def merit(k, sum_cf, sum_ff):
+        if k == 0:
+            return 0.0
+        return sum_cf / math.sqrt(k + sum_ff)
+
+    ff = cache.feature_feature
+    fc, diag = cache.feature_class.tolist(), cache.diagonal.tolist()
+    bits, row_np, row = scan.bits.tolist(), scan.row, scan.row.tolist()
+    k, sum_cf, sum_ff = scan.k, scan.sum_cf, scan.sum_ff
+    current = merit(k, sum_cf, sum_ff)
+    changed = False
+    for b in positions:
+        if bits[b]:
+            flipped = k - 1, sum_cf - fc[b], sum_ff - 2.0 * (row[b] - diag[b])
+        else:
+            flipped = k + 1, sum_cf + fc[b], sum_ff + 2.0 * row[b]
+        candidate = merit(*flipped)
+        if accept(candidate, current):
+            row_np = row_np - ff[:, b] if bits[b] else row_np + ff[:, b]
+            bits[b] = not bits[b]
+            row = row_np.tolist()
+            (k, sum_cf, sum_ff), current = flipped, candidate
+            changed = True
+    return _MeritScan(cache, bits) if changed else scan
+
+
+class TestHotPathReference:
+    """The scan's cached flip merits and the inlined climb loop against
+    reference copies of the code they replaced, bit for bit, over random
+    and tie-heavy caches in every bit domain."""
+
+    @staticmethod
+    def caches():
+        yield from TestSweepReference.caches()
+        # not symmetric: a commit must add the column ff[:, b], not the row
+        for n in (9, 40):
+            yield cache_from_values(np.random.default_rng(n).random(n),
+                                    np.random.default_rng(n + 1).random((n, n)))
+        # decimal entries: merits that tie in exact arithmetic are decided
+        # by rounding, so any change to the order of operations shows
+        rng = np.random.default_rng(95)
+        for _ in range(40):
+            upper = np.triu(rng.integers(0, 4, size=(8, 8)) / 10.0, 1)
+            yield cache_from_values(rng.integers(1, 4, size=8) / 10.0, upper + upper.T)
+
+    @classmethod
+    def inputs(cls):
+        rng = np.random.default_rng(94)
+        for c, cache in enumerate(cls.caches()):
+            n = cache.n_features
+            single = np.zeros(n, dtype=int)
+            single[int(rng.integers(n))] = 1  # k == 1: one flip leaves k == 0
+            for bits in (rng.integers(0, 2, size=n), rng.random(n) < 0.1,
+                         np.zeros(n, dtype=int), np.ones(n, dtype=int), single):
+                yield c, cache, _MeritScan(cache, bits)
+
+    @pytest.mark.parametrize("bit_domain", [ALL, ZEROS, ONES])
+    def test_flip_merits_equal_where_chain(self, bit_domain):
+        emptied = 0
+        for _, _, scan in self.inputs():
+            positions = scan.in_domain(bit_domain)
+            expected = where_chain_flip_merits(scan, positions).tobytes()
+            assert scan.flip_merits(positions).tobytes() == expected
+            # a plain list of positions, as callers outside the catalog pass
+            assert scan.flip_merits(positions.tolist()).tobytes() == expected
+            if scan.k == 1:
+                assert scan.flip_merits(scan.in_domain(ONES)).tolist() == [0.0]
+                emptied += 1
+        assert emptied > 0
+
+    @pytest.mark.parametrize("bit_domain", [ALL, ZEROS, ONES])
+    @pytest.mark.parametrize("name", ["NAHC", "DBHC", "RMHC"])
+    def test_climb_loop_equals_called_merit_sweep(self, name, bit_domain):
+        suffix = "" if bit_domain == ALL else f"-{bit_domain}"
+        func = CATALOG[ID_OF[name + suffix]].func
+        moved = unmoved = 0
+        for c, cache, scan in self.inputs():
+            n = cache.n_features
+            seed = [c, int(scan.bits.sum())]
+            domain = scan.in_domain(bit_domain).tolist()
+            rng = np.random.default_rng(seed)
+            if name == "NAHC":
+                positions, accept = domain, operator.gt
+            elif name == "DBHC":
+                order = rng.permutation(n).tolist()
+                positions, accept = [b for b in order if b in domain], operator.gt
+            else:
+                positions = [domain[int(rng.integers(len(domain)))]] if domain else []
+                accept = operator.ge
+            expected = called_merit_sweep(scan, cache, positions, accept)
+            out = func(scan, make_ctx(cache, np.random.default_rng(seed)))
+            if expected is scan:
+                assert out is scan
+                unmoved += 1
+            else:
+                assert scan_fields(out) == scan_fields(expected)
+                assert out.merit == expected.merit
+                moved += 1
+        assert moved > 0 and unmoved > 0
+
+    def test_cached_arrays_are_read_only(self):
+        cache = random_cache(9, seed=7)
+        scan = _MeritScan(cache, [1, 0, 1, 1, 0, 0, 1, 0, 1])
+        for bit_domain in (ALL, ZEROS, ONES):
+            scan.in_domain(bit_domain)
+        scan.flip_merits([0])
+        bits, row = scan.values()
+        arrays = [cache.feature_feature, cache.feature_class, cache.diagonal,
+                  cache.columns, cache.positions, scan.bits, scan.row, scan._flips,
+                  *(scan.in_domain(d) for d in (ALL, ZEROS, ONES))]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        for values in (bits, row, cache.fc_tuple, cache.diag_tuple):
+            with pytest.raises(TypeError):
+                values[0] = 0
+        # what the caches hold is what the arrays say
+        assert np.array_equal(cache.columns, cache.feature_feature.T)
+        assert cache.diag_tuple == tuple(np.diagonal(cache.feature_feature))
+        assert bits == tuple(scan.bits) and row == tuple(scan.row)
 
 
 class TestRmhc:

@@ -16,6 +16,29 @@ def test_rejects_bad_bits():
         FeatureMask([[0, 1]])
 
 
+@pytest.mark.parametrize("bits", [[0.5, 1], [1.7, 0], np.array([0.2, 1.0]),
+                                  [-1, 0], [2.0, 1.0], [float("nan"), 1]])
+def test_rejects_non_binary_values_before_casting(bits):
+    # a uint8 cast first would have read these as 01, 10, 01, ...
+    with pytest.raises(ValueError, match="0 or 1"):
+        FeatureMask(bits)
+
+
+@pytest.mark.parametrize("bits", [[True, False, True], np.array([1, 0, 1]),
+                                  [1.0, 0.0, 1.0], np.array([1, 0, 1], dtype=np.int8),
+                                  np.array([True, False, True])])
+def test_accepts_bools_and_zero_one_values(bits):
+    mask = FeatureMask(bits)
+    assert mask.to01() == "101" and mask.bits.dtype == np.uint8
+
+
+def test_does_not_share_or_freeze_the_callers_array():
+    given = np.array([True, False, True])
+    mask = FeatureMask(given)
+    given[1] = True
+    assert mask.to01() == "101" and given.flags.writeable
+
+
 def test_random_single_feature_always_selected():
     # the all-zero repair forces [1] for N=1
     for seed in range(50):
