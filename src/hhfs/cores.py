@@ -1,0 +1,156 @@
+"""The cores a process may use, and forked workers that share them.
+
+A dataset's runs go to one forked worker per usable core (``fork_map``),
+and a lone supervisor run hands its fitness to one forked worker. Both
+are ``Worker`` processes: each runs its BLAS on one thread, as the
+processes already fill the cores.
+
+Workers are forked, not spawned: a forked worker imports nothing and is
+sent no dataset, and forking starts no ``resource_tracker`` process. Each
+worker talks to its parent over a pipe of its own, so stopping one, even
+mid-message, can block no other process (a ``multiprocessing.Pool``
+shares a result queue lock among its workers, and terminating a worker
+that holds it can hang ``Pool.terminate``).
+"""
+
+from __future__ import annotations
+
+import ctypes
+import multiprocessing
+import os
+import signal
+from collections.abc import Sequence
+from multiprocessing.connection import wait
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+
+def usable_cores() -> int:
+    """The cores this process's CPU affinity allows, so ``taskset -c 0``
+    makes it one."""
+    affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def may_fork() -> bool:
+    """Whether this process can start workers: the fork start method
+    exists and the process is not a worker itself (workers are daemonic,
+    and a daemonic process may have no children)."""
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon)
+
+
+def loaded_openblas():
+    """Each OpenBLAS of numpy's and scipy's wheels that this process has
+    loaded; opened with RTLD_NOLOAD, so none is loaded here."""
+    for package in (np, scipy):
+        libdir = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libdir.glob("*openblas*")):
+            try:
+                yield ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            except OSError:  # shipped but not loaded
+                pass
+
+
+def one_blas_thread() -> None:
+    """Run every loaded OpenBLAS on one thread."""
+    for lib in loaded_openblas():
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if (setter := getattr(lib, name, None)) is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
+class Worker:
+    """One forked, daemonic process that answers messages in order: each
+    message sent goes to ``serve`` there, and ``receive`` returns what it
+    returned or the exception it raised. ``close`` stops and joins the
+    process; one that still owes answers is killed, as nobody would read
+    them. Ctrl-C is the parent's to handle: the worker ignores it."""
+
+    def __init__(self, serve):
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_end = ctx.Pipe()
+        self.owed = 0  # messages sent and not yet answered
+        self._process = ctx.Process(target=_serve, daemon=True,
+                                    args=(serve, child_end, self.conn))
+        self._process.start()
+        child_end.close()
+
+    def send(self, message) -> None:
+        """Hand ``message`` (anything but None) to ``serve``."""
+        self.conn.send(message)
+        self.owed += 1
+
+    def receive(self):
+        """The answer to the oldest message not yet answered."""
+        try:
+            answer = self.conn.recv()
+        except EOFError:
+            raise RuntimeError("a worker process exited unexpectedly") from None
+        self.owed -= 1
+        return answer
+
+    def close(self) -> None:
+        try:
+            if self.owed:
+                self._process.terminate()
+            else:
+                self.conn.send(None)
+        except OSError:  # the worker is gone already
+            pass
+        self._process.join()
+        self.conn.close()
+
+
+def _serve(serve, conn, parent_end) -> None:
+    """A worker's loop, until a None message or the parent's end closes."""
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    one_blas_thread()
+    try:
+        while (message := conn.recv()) is not None:
+            try:
+                answer = serve(message)
+            except Exception as exc:
+                answer = exc
+            conn.send(answer)
+    except EOFError:
+        pass
+
+
+def fork_map(func, items: Sequence, workers: int):
+    """``map(func, items)`` over ``workers`` Workers, each handed the next
+    item whenever it answers; the results come in order, and an exception
+    ``func`` raised is raised at its item's place. The workers are closed
+    when the iteration ends, is abandoned or raises."""
+    pool: list[Worker] = []
+    todo = iter(range(len(items)))
+    busy: dict = {}  # per busy worker's connection: the worker and its item
+    answers: dict[int, object] = {}
+
+    def hand_next(worker: Worker) -> None:
+        if (i := next(todo, None)) is not None:
+            worker.send(items[i])
+            busy[worker.conn] = worker, i
+
+    try:
+        for _ in range(workers):
+            pool.append(Worker(func))
+            hand_next(pool[-1])
+        for i in range(len(items)):
+            while i not in answers:
+                for conn in wait(list(busy)):
+                    worker, j = busy.pop(conn)
+                    answers[j] = worker.receive()
+                    hand_next(worker)
+            answer = answers.pop(i)
+            if isinstance(answer, Exception):
+                raise answer
+            yield answer
+    finally:
+        for worker in pool:
+            worker.close()

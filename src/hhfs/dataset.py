@@ -122,7 +122,15 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = False,
             raise DatasetError(f"{path}: label column {label_column} out of range")
 
     feature_cols = [j for j in range(ncols) if j != label_idx]
-    X = np.full((len(rows), len(feature_cols)), np.nan)
+    # float() strips the whitespace that strip() does, so a row without a
+    # missing cell converts in one pass; unless the token itself reads as
+    # a number, a row with one fails that pass and goes cell by cell
+    try:
+        float(missing_token)
+        token_is_number = True
+    except ValueError:
+        token_is_number = False
+    X = np.empty((len(rows), len(feature_cols)))
     missing = np.zeros(X.shape, dtype=bool)
     labels = []
     for i, row in enumerate(rows):
@@ -130,16 +138,23 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = False,
         if not label or label == missing_token:
             raise DatasetError(f"{path}: row {i} has no label")
         labels.append(label)
-        for jj, j in enumerate(feature_cols):
-            cell = row[j].strip()
+        cells = row[:label_idx] + row[label_idx + 1:]
+        if not token_is_number:
+            try:
+                X[i] = list(map(float, cells))
+                continue
+            except ValueError:
+                pass
+        for jj, cell in enumerate(c.strip() for c in cells):
             if cell == missing_token or cell == "":
                 missing[i, jj] = True
+                X[i, jj] = np.nan
                 continue
             try:
                 X[i, jj] = float(cell)
             except ValueError:
-                raise DatasetError(
-                    f"{path}: non-numeric cell {cell!r} at row {i}, column {j}") from None
+                raise DatasetError(f"{path}: non-numeric cell {cell!r} at row {i}, "
+                                   f"column {feature_cols[jj]}") from None
 
     # only missing_token marks a missing cell: one reading nan or inf is an error
     bad = np.argwhere(~(missing | np.isfinite(X)))

@@ -16,17 +16,14 @@ from __future__ import annotations
 
 import configparser
 import csv
-import ctypes
 import json
-import multiprocessing
-import os
 from dataclasses import Field, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
+from . import cores
 from .correlation import build_cache, dump_cache_csv
 from .dataset import Dataset, load_csv, min_max_normalize
 from .evaluation import CvProtocol, cv_accuracies, cv_accuracy
@@ -218,34 +215,6 @@ def verify_report(report: dict) -> None:
                          "with its per-run records")
 
 
-def _usable_cores() -> int:
-    affinity = getattr(os, "sched_getaffinity", None)  # missing on some platforms
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def _loaded_openblas():
-    """Each OpenBLAS of numpy's and scipy's wheels that this process has
-    loaded; opened with RTLD_NOLOAD, so none is loaded here."""
-    for package in (np, scipy):
-        libdir = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
-        for path in sorted(libdir.glob("*openblas*")):
-            try:
-                yield ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-            except OSError:  # shipped but not loaded
-                pass
-
-
-def _one_blas_thread() -> None:
-    """Pool initializer: every loaded OpenBLAS runs on one thread, as the
-    workers already fill the cores."""
-    for lib in _loaded_openblas():
-        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if (setter := getattr(lib, name, None)) is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-
-
 # run_dataset's (dataset, cache, spec, report protocols), one dataset at a time;
 # forked workers inherit it, so only run indices and results cross the pipes
 _current: tuple = ()
@@ -275,17 +244,16 @@ def run_dataset(dataset: Dataset, spec: ExperimentSpec,
     baseline = cv_accuracies(dataset, FeatureMask.ones(dataset.n_features),
                              report_protocols)
     _current = (dataset, cache, spec, report_protocols)
-    workers = min(_usable_cores(), spec.runs)
+    workers = min(cores.usable_cores(), spec.runs)
+    if workers > 1 and cores.may_fork():
+        results = cores.fork_map(_run_one, range(spec.runs), workers)
+    else:
+        results = (_run_one(r) for r in range(spec.runs))
     runs: list[dict] = []
     timings: list[dict[str, float]] = []
     label = spec.primary_label()
-    pool = None
     try:
-        if (workers > 1 and "fork" in multiprocessing.get_all_start_methods()
-                and not multiprocessing.current_process().daemon):
-            # fork, not spawn: no imports, no dataset sent, no resource tracker
-            pool = multiprocessing.get_context("fork").Pool(workers, _one_blas_thread)
-        for record, row in (pool.imap if pool else map)(_run_one, range(spec.runs)):
+        for record, row in results:
             runs.append(record)
             timings.append(row)
             if progress is not None:
@@ -293,9 +261,7 @@ def run_dataset(dataset: Dataset, spec: ExperimentSpec,
                          f"{record['accuracy'][label]:.4f} m={record['m']} "
                          f"({row['wall_time_seconds']:.1f}s)")
     finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        results.close()  # stops and joins fork_map's workers
         _current = ()
     report = {
         "dataset": dataset.name,

@@ -124,8 +124,9 @@ class SupervisorResult:
     fitness_computations: int
     fitness_cache_hits: int
     wall_time: float
-    # wall seconds spent in each phase of the run: heuristics, fitness,
-    # ga, report; the rest of wall_time is set-up
+    # wall seconds spent in each phase of the run: heuristics, fitness
+    # (with a fitness worker, the time spent waiting for it), ga, report;
+    # the rest of wall_time is set-up
     phase_seconds: dict[str, float]
 
     @property
@@ -238,6 +239,10 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     produce the next population. After the last generation the incumbent
     is re-evaluated under each reporting protocol. Datasets with fewer
     than 2 features are rejected: SWPD needs two dimensions to swap.
+
+    Where this process has a second core and may fork, one forked worker
+    scores each chromosome's mask while the heuristics of the next ones
+    run (``FitnessEvaluator.start_worker``); the result is the same.
     """
     if dataset.n_features < 2:
         raise ValueError("the supervisor needs at least 2 features, "
@@ -260,28 +265,36 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     history: list[GenerationRecord] = []
     phases = dict.fromkeys(("heuristics", "fitness", "ga", "report"), 0.0)
     base = _MeritScan(cache, incumbent.bits)  # the incumbent's scan, while it stands
-    for gen in range(cfg.generations):
-        t0 = time.perf_counter()
-        scans = [_apply_genes(cache, cfg, gen, i, chrom.genes, base, stats)
-                 for i, chrom in enumerate(population)]
-        masks = [incumbent if scan is base else scan.mask() for scan in scans]
-        t1 = time.perf_counter()
-        fits = np.array([evaluator.fitness(mask) for mask in masks], dtype=np.float64)
-        t2 = time.perf_counter()
-        best_i = int(np.argmax(fits))
-        if fits[best_i] > incumbent_fitness:  # never base itself, whose mask ties
-            incumbent, base = masks[best_i], scans[best_i]
-            incumbent_fitness = float(fits[best_i])
-        history.append(GenerationRecord(
-            generation=gen,
-            best_chromosome_fitness=float(fits[best_i]),
-            incumbent_fitness=incumbent_fitness,
-            incumbent_m=incumbent.selected_count(),
-        ))
-        population = _next_generation(population, fits, cfg, ga_rng)
-        phases["heuristics"] += t1 - t0
-        phases["fitness"] += t2 - t1
-        phases["ga"] += time.perf_counter() - t2
+    evaluator.start_worker()
+    try:
+        for gen in range(cfg.generations):
+            t0 = time.perf_counter()
+            scans, masks = [], []
+            for i, chrom in enumerate(population):
+                scan = _apply_genes(cache, cfg, gen, i, chrom.genes, base, stats)
+                mask = incumbent if scan is base else scan.mask()
+                evaluator.prefetch(mask)  # scored, if a worker runs, while the loop goes on
+                scans.append(scan)
+                masks.append(mask)
+            t1 = time.perf_counter()
+            fits = np.array([evaluator.fitness(mask) for mask in masks], dtype=np.float64)
+            t2 = time.perf_counter()
+            best_i = int(np.argmax(fits))
+            if fits[best_i] > incumbent_fitness:  # never base itself, whose mask ties
+                incumbent, base = masks[best_i], scans[best_i]
+                incumbent_fitness = float(fits[best_i])
+            history.append(GenerationRecord(
+                generation=gen,
+                best_chromosome_fitness=float(fits[best_i]),
+                incumbent_fitness=incumbent_fitness,
+                incumbent_m=incumbent.selected_count(),
+            ))
+            population = _next_generation(population, fits, cfg, ga_rng)
+            phases["heuristics"] += t1 - t0
+            phases["fitness"] += t2 - t1
+            phases["ga"] += time.perf_counter() - t2
+    finally:
+        evaluator.stop_worker()
 
     t0 = time.perf_counter()
     reported = cv_accuracies(dataset, incumbent, report_protocols or {})

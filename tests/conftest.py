@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from hhfs import cores
 from hhfs.correlation import CorrelationCache
 from hhfs.dataset import Dataset, min_max_normalize
 from hhfs.llh import CATALOG
@@ -21,6 +23,14 @@ from hhfs.mask import FeatureMask
 
 HILL_CLIMBER_IDS = tuple(i for i, info in CATALOG.items() if info.kind == "hill-climber")
 MUTATIONAL_IDS = tuple(i for i, info in CATALOG.items() if info.kind == "mutational")
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="forked workers need the fork start method")
+
+
+def on_cores(monkeypatch, count: int) -> None:
+    """Make this process see ``count`` usable cores."""
+    monkeypatch.setattr(cores, "usable_cores", lambda: count)
 
 
 def synthetic_dataset(n_instances=60, n_features=12, n_informative=4,

@@ -1,0 +1,38 @@
+"""Forked workers: ``fork_map`` keeps its items' order, raises a worker's
+exception at its item's place, and leaves no process behind."""
+
+import multiprocessing
+import os
+import time
+
+import pytest
+
+from conftest import needs_fork
+from hhfs import cores
+
+
+def slow_square(x: int) -> int:
+    time.sleep(0.05 if x % 3 == 0 else 0.0)  # answers arrive out of order
+    if x == 5:
+        raise ValueError("item 5 failed")
+    return x * x
+
+
+@needs_fork
+def test_fork_map_keeps_order_and_raises_in_place():
+    got = []
+    with pytest.raises(ValueError, match="^item 5 failed$"):
+        for result in cores.fork_map(slow_square, list(range(8)), 3):
+            got.append(result)
+    assert got == [0, 1, 4, 9, 16]
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_fork_map_runs_in_daemonic_workers_and_closes_when_abandoned():
+    results = cores.fork_map(lambda _: (os.getpid(), cores.may_fork()), [0, 1, 2], 2)
+    pid, may_fork = next(results)
+    assert pid != os.getpid() and not may_fork
+    results.close()  # with answers still owed
+    assert multiprocessing.active_children() == []
+

@@ -93,6 +93,49 @@ class TestLoadCsv:
             load_csv(path, label_column=-1)
 
 
+def load_reference(path, label_idx: int, missing_token: str) -> np.ndarray:
+    """Feature matrix of a label-column CSV as a per-cell loop reads and
+    mean-imputes it."""
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    cols = [j for j in range(len(rows[0])) if j != label_idx]
+    X = np.full((len(rows), len(cols)), np.nan)
+    missing = np.zeros(X.shape, dtype=bool)
+    for i, row in enumerate(rows):
+        for jj, j in enumerate(cols):
+            cell = row[j].strip()
+            if cell == missing_token or cell == "":
+                missing[i, jj] = True
+            else:
+                X[i, jj] = float(cell)
+    for jj in range(X.shape[1]):
+        X[missing[:, jj], jj] = X[~missing[:, jj], jj].mean()
+    return X
+
+
+class TestLoadCsvAgainstPerCellLoop:
+    @pytest.mark.parametrize("missing_token", ["?", "-1"])
+    def test_features_bit_equal(self, tmp_path, missing_token):
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(40, 9)) * 10.0 ** rng.integers(-8, 8, size=(40, 9))
+        lines = []
+        for i, row in enumerate(values.tolist()):
+            cells = [f" {v!r} " if (i + j) % 5 == 0 else f"{v:.17g}" for j, v in enumerate(row)]
+            for j in rng.choice(9, size=i % 3, replace=False):  # 0-2 missing cells
+                cells[j] = [missing_token, "", f"  {missing_token} "][j % 3]
+            cells.insert(4, "ab"[i % 2])
+            lines.append(",".join(cells))
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        d = load_csv(path, label_column=4, missing_token=missing_token)
+        reference = load_reference(path, 4, missing_token)
+        assert d.features.tobytes() == reference.tobytes()
+
+    def test_non_numeric_cell_beside_a_missing_one_names_its_column(self, tmp_path):
+        path = write_csv(tmp_path, "A,1,2\nB,?,x\n")
+        with pytest.raises(DatasetError,
+                           match=r"data\.csv: non-numeric cell 'x' at row 1, column 2$"):
+            load_csv(path, label_column=0)
+
+
 class TestNormalize:
     def test_plain_column(self):
         d = Dataset.from_arrays("t", [[2], [4], [6]], [0, 1, 0])

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import synthetic_dataset
-from hhfs import evaluation, experiment
+from conftest import needs_fork, on_cores, synthetic_dataset
+from hhfs import cores, evaluation, experiment
 from hhfs.dataset import Dataset
 from hhfs.evaluation import CvProtocol, FitnessEvaluator
 from hhfs.experiment import (DatasetConfig, ExperimentSpec,
@@ -290,14 +290,6 @@ class TestRunExperiment:
                 assert all(b >= a for a, b in zip(fits, fits[1:]))
 
 
-needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                                reason="the run pool needs the fork start method")
-
-
-def on_cores(monkeypatch, cores: int) -> None:
-    monkeypatch.setattr(experiment, "_usable_cores", lambda: cores)
-
-
 def output_bytes(out: Path) -> dict[str, bytes]:
     """Every output file but timings.csv, by its path under ``out``."""
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*.*"))
@@ -315,7 +307,7 @@ def threads_function(lib, verb: str):
 def blas_threads() -> list[int]:
     """The thread count of every OpenBLAS this process has loaded."""
     counts = []
-    for lib in experiment._loaded_openblas():
+    for lib in cores.loaded_openblas():
         get = threads_function(lib, "get")
         get.argtypes, get.restype = [], ctypes.c_int
         counts.append(get())
@@ -323,7 +315,7 @@ def blas_threads() -> list[int]:
 
 
 def set_blas_threads(counts: list[int]) -> None:
-    for lib, count in zip(experiment._loaded_openblas(), counts):
+    for lib, count in zip(cores.loaded_openblas(), counts):
         put = threads_function(lib, "set")
         put.argtypes, put.restype = [ctypes.c_int], None
         put(count)
@@ -331,7 +323,7 @@ def set_blas_threads(counts: list[int]) -> None:
 
 def _dataset_in_daemon(args):
     dataset, spec = args
-    experiment._usable_cores = lambda: 2
+    cores.usable_cores = lambda: 2
     return experiment.run_dataset(dataset, spec)[0]
 
 
@@ -342,9 +334,9 @@ class TestRunPool:
     def test_one_and_two_workers_write_the_same_bytes(self, monkeypatch, tiny_spec,
                                                       tmp_path):
         outputs = []
-        for cores in (1, 2):
-            on_cores(monkeypatch, cores)
-            out = tmp_path / f"cores{cores}"
+        for count in (1, 2):
+            on_cores(monkeypatch, count)
+            out = tmp_path / f"cores{count}"
             run_experiment(dataclasses.replace(tiny_spec, runs=3, out_dir=str(out)))
             assert multiprocessing.active_children() == []
             outputs.append(output_bytes(out))
@@ -398,10 +390,8 @@ class TestRunPool:
             pytest.skip("no OpenBLAS loaded")
         set_blas_threads([2] * len(before))  # so that the workers' one differs
         try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(1, experiment._one_blas_thread) as pool:
-                inside = pool.apply_async(blas_threads).get(timeout=60)
-            with ctx.Pool(1) as pool:
+            inside = list(cores.fork_map(lambda _: blas_threads(), [0], 1))[0]
+            with multiprocessing.get_context("fork").Pool(1) as pool:
                 inherited = pool.apply_async(blas_threads).get(timeout=60)
         finally:
             set_blas_threads(before)

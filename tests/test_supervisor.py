@@ -1,12 +1,14 @@
 import dataclasses
 import multiprocessing
+import os
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
 
 from conftest import (StubRng, best_flip_oracle, cv_accuracy_cdist_reference,
-                      flip, record_call, synthetic_dataset)
-from hhfs import supervisor
+                      flip, needs_fork, on_cores, record_call, synthetic_dataset)
+from hhfs import cores, supervisor
 from hhfs.correlation import _MeritScan, build_cache, cfs_merit
 from hhfs.dataset import Dataset, load_csv
 from hhfs.evaluation import CvProtocol, FitnessEvaluator
@@ -434,3 +436,128 @@ class TestPooledGeneration:
             cfg = SupervisorConfig(population_size=6, generations=3, seed=5)
             runs.append(outcome(run_supervisor(loaded, cfg, CvProtocol(folds=5, base_seed=5))))
         assert runs[0] == runs[1]
+
+
+@pytest.fixture
+def compute_pids(monkeypatch, tmp_path):
+    """Log the pid of every ``FitnessEvaluator.compute`` call, in whichever
+    process it runs; returns a reader of the logged pids."""
+    log = tmp_path / "compute_pids"
+    log.touch()
+    compute = FitnessEvaluator.compute
+
+    def logged(ev, mask):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return compute(ev, mask)
+
+    monkeypatch.setattr(FitnessEvaluator, "compute", logged)
+    return lambda: [int(pid) for pid in log.read_text().split()]
+
+
+@needs_fork
+class TestFitnessWorker:
+    """A run on two cores scores its masks in one forked worker: the same
+    result as on one core, and no process left behind."""
+
+    @pytest.mark.parametrize("class_count", [2, 6])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_and_two_cores_give_equal_results(self, monkeypatch, compute_pids,
+                                                  class_count, seed):
+        d = synthetic_dataset(n_instances=72, n_features=12, n_informative=5,
+                              class_count=class_count, seed=30 + class_count)
+        cfg = SupervisorConfig(population_size=10, generations=6, seed=seed)
+        proto = CvProtocol(folds=5, base_seed=seed)
+        report = {"2x5": CvProtocol(folds=5, repeats=2, base_seed=0)}
+        outcomes, workers = [], []
+        for count in (1, 2):
+            on_cores(monkeypatch, count)
+            done = len(compute_pids())
+            outcomes.append(outcome(run_supervisor(d, cfg, proto, report)))
+            workers.append(set(compute_pids()[done:]) - {os.getpid()})
+            assert multiprocessing.active_children() == []
+        assert outcomes[1] == outcomes[0]
+        assert workers[0] == set() and len(workers[1]) == 1
+
+    def test_golden_spec_through_the_worker(self, monkeypatch, compute_pids, tmp_path):
+        from test_golden import GOLDEN, golden_bytes
+        # the runs stay in this process, which may fork their fitness workers
+        monkeypatch.setattr(cores, "fork_map",
+                            lambda func, items, workers: (func(i) for i in items))
+        on_cores(monkeypatch, 2)
+        assert golden_bytes(tmp_path) == GOLDEN.read_bytes()
+        assert len(set(compute_pids()) - {os.getpid()}) == 2 * 3  # one per run
+        assert multiprocessing.active_children() == []
+
+    def test_normal_run_leaves_no_process(self, monkeypatch, compute_pids, small_dataset):
+        on_cores(monkeypatch, 2)
+        tracker = resource_tracker._resource_tracker._pid
+        cfg = SupervisorConfig(population_size=6, generations=3, seed=6)
+        run_supervisor(small_dataset, cfg, CvProtocol(folds=5, base_seed=6))
+        assert len(set(compute_pids()) - {os.getpid()}) == 1
+        assert multiprocessing.active_children() == []
+        assert resource_tracker._resource_tracker._pid == tracker  # none started
+
+    def test_worker_error_reaches_the_caller_and_leaves_the_memo(self, monkeypatch,
+                                                                 small_dataset):
+        parent, compute = os.getpid(), FitnessEvaluator.compute
+
+        def failing(ev, mask):
+            if os.getpid() != parent:
+                raise ValueError("compute failed in the worker")
+            return compute(ev, mask)
+
+        monkeypatch.setattr(FitnessEvaluator, "compute", failing)
+        on_cores(monkeypatch, 2)
+        ev = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=2))
+        known = FeatureMask.ones(small_dataset.n_features)
+        value = ev.fitness(known)  # before the worker: computed here
+        mask = flip(known, 3)
+        ev.start_worker()
+        try:
+            ev.prefetch(mask)
+            with pytest.raises(ValueError, match="^compute failed in the worker$"):
+                ev.fitness(mask)
+            assert ev._cache == {known.key(): value}
+            assert (ev.computations, ev.hits) == (1, 0)
+        finally:
+            ev.stop_worker()
+        assert multiprocessing.active_children() == []
+        cfg = SupervisorConfig(population_size=6, generations=3, seed=6)
+        with pytest.raises(ValueError, match="^compute failed in the worker$"):
+            run_supervisor(small_dataset, cfg, CvProtocol(folds=5, base_seed=6))
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_mid_generation_leaves_no_process(self, monkeypatch, small_dataset):
+        apply = supervisor._apply_genes
+
+        def interrupting(cache, cfg, gen, i, *args):
+            if (gen, i) == (1, 4):  # the first four masks are handed over
+                raise KeyboardInterrupt
+            return apply(cache, cfg, gen, i, *args)
+
+        monkeypatch.setattr(supervisor, "_apply_genes", interrupting)
+        on_cores(monkeypatch, 2)
+        cfg = SupervisorConfig(population_size=8, generations=3, seed=6)
+        with pytest.raises(KeyboardInterrupt):
+            run_supervisor(small_dataset, cfg, CvProtocol(folds=5, base_seed=6))
+        assert multiprocessing.active_children() == []
+
+    def test_prefetched_values_in_any_order(self, monkeypatch, small_dataset):
+        # more masks than may be in flight at once, read back in reverse
+        # order and each twice: the values and counts of the memo alone
+        on_cores(monkeypatch, 2)
+        proto = CvProtocol(folds=5, base_seed=4)
+        n = small_dataset.n_features
+        masks = [FeatureMask([(v >> b) & 1 for b in range(n)]) for v in range(1, 101)]
+        ev, alone = FitnessEvaluator(small_dataset, proto), FitnessEvaluator(small_dataset, proto)
+        ev.start_worker()
+        try:
+            for mask in masks + masks:
+                ev.prefetch(mask)
+            values = [ev.fitness(mask) for mask in masks[::-1] + masks]
+        finally:
+            ev.stop_worker()
+        assert values == [alone.fitness(mask) for mask in masks[::-1] + masks]
+        assert (ev.computations, ev.hits) == (alone.computations, alone.hits) == (100, 100)
+        assert multiprocessing.active_children() == []
