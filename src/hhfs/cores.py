@@ -1,9 +1,9 @@
 """The cores a process may use, and forked workers that share them.
 
-A dataset's runs go to one forked worker per usable core (``fork_map``),
-and a lone supervisor run hands its fitness to one forked worker. Both
-are ``Worker`` processes: each runs its BLAS on one thread, as the
-processes already fill the cores.
+Where ``may_fork`` allows, a dataset's runs go to one forked worker per
+usable core (``fork_map``), and a lone supervisor run hands its fitness
+to one forked worker. Both are ``Worker`` processes: each runs its BLAS
+on one thread, as the processes already fill the cores.
 
 Workers are forked, not spawned: a forked worker imports nothing and is
 sent no dataset, and forking starts no ``resource_tracker`` process. Each
@@ -19,6 +19,7 @@ import ctypes
 import multiprocessing
 import os
 import signal
+from collections import deque
 from collections.abc import Sequence
 from multiprocessing.connection import wait
 from pathlib import Path
@@ -35,10 +36,11 @@ def usable_cores() -> int:
 
 
 def may_fork() -> bool:
-    """Whether this process can start workers: the fork start method
-    exists and the process is not a worker itself (workers are daemonic,
-    and a daemonic process may have no children)."""
-    return ("fork" in multiprocessing.get_all_start_methods()
+    """Whether this process may start workers: it has a second usable
+    core, the fork start method exists and the process is not a worker
+    itself (workers are daemonic, and a daemonic process may have no
+    children)."""
+    return (usable_cores() > 1 and "fork" in multiprocessing.get_all_start_methods()
             and not multiprocessing.current_process().daemon)
 
 
@@ -66,35 +68,40 @@ def one_blas_thread() -> None:
 
 class Worker:
     """One forked, daemonic process that answers messages in order: each
-    message sent goes to ``serve`` there, and ``receive`` returns what it
-    returned or the exception it raised. ``close`` stops and joins the
+    message sent goes to ``serve`` there, and ``receive`` pairs it with what
+    that returned or the exception it raised. ``close`` stops and joins the
     process; one that still owes answers is killed, as nobody would read
     them. Ctrl-C is the parent's to handle: the worker ignores it."""
 
     def __init__(self, serve):
         ctx = multiprocessing.get_context("fork")
         self.conn, child_end = ctx.Pipe()
-        self.owed = 0  # messages sent and not yet answered
+        self.owed: deque = deque()  # the messages sent and not yet answered, oldest first
         self._process = ctx.Process(target=_serve, daemon=True,
                                     args=(serve, child_end, self.conn))
         self._process.start()
         child_end.close()
 
+    def fileno(self) -> int:
+        """The pipe's descriptor, so ``connection.wait`` takes workers."""
+        return self.conn.fileno()
+
     def send(self, message) -> None:
         """Hand ``message`` (anything but None) to ``serve``."""
         self.conn.send(message)
-        self.owed += 1
+        self.owed.append(message)
 
-    def receive(self):
-        """The answer to the oldest message not yet answered."""
+    def receive(self) -> tuple:
+        """The oldest message not yet answered, and its answer."""
         try:
             answer = self.conn.recv()
         except EOFError:
             raise RuntimeError("a worker process exited unexpectedly") from None
-        self.owed -= 1
-        return answer
+        return self.owed.popleft(), answer
 
     def close(self) -> None:
+        # a stop message, not just closing our end: a sibling worker forked
+        # later holds a copy of it, so the worker would see no EOF
         try:
             if self.owed:
                 self._process.terminate()
@@ -122,31 +129,31 @@ def _serve(serve, conn, parent_end) -> None:
         pass
 
 
-def fork_map(func, items: Sequence, workers: int):
-    """``map(func, items)`` over ``workers`` Workers, each handed the next
-    item whenever it answers; the results come in order, and an exception
-    ``func`` raised is raised at its item's place. The workers are closed
-    when the iteration ends, is abandoned or raises."""
+def fork_map(func, items: Sequence):
+    """``map(func, items)`` on one forked Worker per usable core, at most
+    one per item; in this process where ``may_fork()`` is false or for
+    fewer than two items. The workers inherit ``func`` and ``items`` at fork, and
+    each is sent the next item's index whenever it answers. The results
+    come in order, and an exception ``func`` raised is raised at its
+    item's place. The workers are closed when the iteration ends, is
+    abandoned or raises."""
+    if len(items) < 2 or not may_fork():
+        yield from map(func, items)
+        return
     pool: list[Worker] = []
-    todo = iter(range(len(items)))
-    busy: dict = {}  # per busy worker's connection: the worker and its item
     answers: dict[int, object] = {}
-
-    def hand_next(worker: Worker) -> None:
-        if (i := next(todo, None)) is not None:
-            worker.send(items[i])
-            busy[worker.conn] = worker, i
-
     try:
-        for _ in range(workers):
-            pool.append(Worker(func))
-            hand_next(pool[-1])
+        for i in range(min(usable_cores(), len(items))):
+            pool.append(Worker(lambda j: func(items[j])))
+            pool[-1].send(i)
+        todo = iter(range(len(pool), len(items)))
         for i in range(len(items)):
             while i not in answers:
-                for conn in wait(list(busy)):
-                    worker, j = busy.pop(conn)
-                    answers[j] = worker.receive()
-                    hand_next(worker)
+                for worker in wait([w for w in pool if w.owed]):
+                    j, answer = worker.receive()
+                    answers[j] = answer
+                    if (k := next(todo, None)) is not None:
+                        worker.send(k)
             answer = answers.pop(i)
             if isinstance(answer, Exception):
                 raise answer

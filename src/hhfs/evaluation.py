@@ -60,19 +60,18 @@ masked argmin, for this mask and the rest of its life: resolving that many
 rows, more again over further repeats, costs at least half a pdist on top
 of the product, so the screen no longer pays.
 
-Fitness worker. Between ``start_worker`` and ``stop_worker``, where this
-process may fork and has a second core, one forked ``cores.Worker``
-computes the masks handed to ``prefetch`` while this process goes on,
-say with the next chromosome's heuristics. Only a mask's key bytes go
-down the pipe and only its value (or the exception computing it raised)
-comes back; the worker inherits the dataset and the evaluator at fork.
+Fitness worker. Between ``start_worker`` and ``stop_worker``, where
+``cores.may_fork()`` allows, one forked ``cores.Worker`` computes the
+masks handed to ``prefetch`` while this process goes on, say with the
+next chromosome's heuristics. Only a mask's key bytes go down the pipe
+and only its value (or the exception computing it raised) comes back;
+the worker inherits the dataset and the evaluator at fork.
 ``fitness`` still does all the memo's bookkeeping here, so the values,
 the memo and its counters are those of computing in this process.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,10 +192,8 @@ class FitnessEvaluator:
         self.hits = 0
         self._worker: cores.Worker | None = None
         # per prefetched key not yet taken by fitness: its value, the exception
-        # computing it raised, or None while in flight; and the keys in flight,
-        # in the order sent, which is the order the worker answers in
+        # computing it raised, or None while in flight (in the worker's owed)
         self._prefetched: dict[bytes, float | Exception | None] = {}
-        self._in_flight: deque[bytes] = deque()
 
     def compute(self, mask: FeatureMask) -> float:
         """One CV evaluation of ``mask``, bypassing the memo."""
@@ -301,22 +298,22 @@ class FitnessEvaluator:
         key = mask.key()
         if key in self._cache or key in self._prefetched:
             return
-        while len(self._in_flight) >= _MAX_IN_FLIGHT:
+        while len(self._worker.owed) >= _MAX_IN_FLIGHT:
             self._receive()
         self._worker.send(key)
-        self._in_flight.append(key)
         self._prefetched[key] = None
 
     def _receive(self) -> None:
         """Read the worker's answer for the oldest key in flight."""
-        self._prefetched[self._in_flight.popleft()] = self._worker.receive()
+        key, value = self._worker.receive()
+        self._prefetched[key] = value
 
     def start_worker(self) -> None:
         """From now on one forked worker computes the masks handed to
-        ``prefetch``, where this process has a second core and may fork;
-        elsewhere ``prefetch`` still does nothing. The caller stops it with
+        ``prefetch``, where ``cores.may_fork()`` allows; elsewhere
+        ``prefetch`` still does nothing. The caller stops it with
         ``stop_worker``, on errors and Ctrl-C too."""
-        if self._worker is None and cores.usable_cores() > 1 and cores.may_fork():
+        if self._worker is None and cores.may_fork():
             self._worker = cores.Worker(self._compute_key)
 
     def stop_worker(self) -> None:
@@ -326,7 +323,6 @@ class FitnessEvaluator:
             self._worker.close()
             self._worker = None
         self._prefetched.clear()
-        self._in_flight.clear()
 
     def _compute_key(self, key: bytes) -> float:
         """``compute`` of the mask whose key is ``key``: the worker's job."""

@@ -215,40 +215,28 @@ def verify_report(report: dict) -> None:
                          "with its per-run records")
 
 
-# run_dataset's (dataset, cache, spec, report protocols), one dataset at a time;
-# forked workers inherit it, so only run indices and results cross the pipes
-_current: tuple = ()
-
-
-def _run_one(r: int) -> tuple[dict, dict[str, float]]:
-    """Run ``r`` of ``_current``: its report record and timings.csv row."""
-    dataset, cache, spec, report_protocols = _current
-    seed = spec.run_seed(r)
-    result = run_supervisor(dataset, replace(spec.supervisor, seed=seed),
-                            spec.search_protocol(seed), report_protocols, cache=cache)
-    times = {"wall_time": result.wall_time, **result.phase_seconds}
-    return _run_record(r, result), {f"{k}_seconds": t for k, t in times.items()}
-
-
 def run_dataset(dataset: Dataset, spec: ExperimentSpec,
                 progress=None) -> tuple[dict, list[dict[str, float]]]:
-    """All runs for one already-loaded dataset, on one forked worker per
-    usable core and run, or in this process for one worker, where fork is
-    missing and inside a daemonic process. Returns the report dict and,
-    per run, its wall seconds in total and per phase (kept out of the
-    report), keyed by their timings.csv column names."""
-    global _current
+    """All runs for one already-loaded dataset, mapped by ``cores.fork_map``
+    (forked workers where this process may fork, else this process).
+    Returns the report dict and, per run, its wall seconds in total and per
+    phase (kept out of the report), keyed by their timings.csv column
+    names."""
     dataset = min_max_normalize(dataset)
     cache = build_cache(dataset)
     report_protocols = spec.report_protocols()
     baseline = cv_accuracies(dataset, FeatureMask.ones(dataset.n_features),
                              report_protocols)
-    _current = (dataset, cache, spec, report_protocols)
-    workers = min(cores.usable_cores(), spec.runs)
-    if workers > 1 and cores.may_fork():
-        results = cores.fork_map(_run_one, range(spec.runs), workers)
-    else:
-        results = (_run_one(r) for r in range(spec.runs))
+
+    def run_one(r: int) -> tuple[dict, dict[str, float]]:
+        """Run ``r``: its report record and timings.csv row."""
+        seed = spec.run_seed(r)
+        result = run_supervisor(dataset, replace(spec.supervisor, seed=seed),
+                                spec.search_protocol(seed), report_protocols, cache=cache)
+        times = {"wall_time": result.wall_time, **result.phase_seconds}
+        return _run_record(r, result), {f"{k}_seconds": t for k, t in times.items()}
+
+    results = cores.fork_map(run_one, range(spec.runs))
     runs: list[dict] = []
     timings: list[dict[str, float]] = []
     label = spec.primary_label()
@@ -262,7 +250,6 @@ def run_dataset(dataset: Dataset, spec: ExperimentSpec,
                          f"({row['wall_time_seconds']:.1f}s)")
     finally:
         results.close()  # stops and joins fork_map's workers
-        _current = ()
     report = {
         "dataset": dataset.name,
         "n_instances": dataset.n_instances,

@@ -78,6 +78,8 @@ class SupervisorConfig:
             raise ValueError("elitism must lie in 0..population_size-1")
         if not 0.0 < self.mutn_rate < 1.0:
             raise ValueError("mutn_rate must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -162,10 +164,11 @@ def roulette_select(fitnesses, rng: np.random.Generator) -> int:
 def single_point_crossover(a: Chromosome, b: Chromosome, rng: np.random.Generator,
                            p_crossover: float) -> tuple[Chromosome, Chromosome]:
     """With probability p_crossover, cut both parents at a uniform point in
-    1..len-1 and exchange tails; otherwise return the parents."""
+    1..len-1 and exchange tails; otherwise, and for 1-gene parents, which
+    have no such point, return the parents. The coin is drawn either way."""
     if a.genes.size != b.genes.size:
         raise ValueError("parents must have equal length")
-    if rng.random() >= p_crossover:
+    if rng.random() >= p_crossover or a.genes.size < 2:
         return a, b
     cut = int(rng.integers(1, a.genes.size))
     child1 = np.concatenate([a.genes[:cut], b.genes[cut:]])
@@ -240,9 +243,9 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     is re-evaluated under each reporting protocol. Datasets with fewer
     than 2 features are rejected: SWPD needs two dimensions to swap.
 
-    Where this process has a second core and may fork, one forked worker
-    scores each chromosome's mask while the heuristics of the next ones
-    run (``FitnessEvaluator.start_worker``); the result is the same.
+    Where ``cores.may_fork()`` allows, one forked worker scores each
+    chromosome's mask while the heuristics of the next ones run
+    (``FitnessEvaluator.start_worker``); the result is the same.
     """
     if dataset.n_features < 2:
         raise ValueError("the supervisor needs at least 2 features, "

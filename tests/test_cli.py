@@ -76,6 +76,13 @@ def test_run_overrides_take_effect(project):
     assert list(report["aggregate"].keys()) == ["1x3"]
 
 
+def test_run_with_one_gene_chromosomes(project):
+    tmp_path, cfg = project
+    assert main(["run", "--config", str(cfg), "--nllh", "1"]) == 0
+    report = json.loads((tmp_path / "out" / "alpha" / "report.json").read_text())
+    assert report["config"]["supervisor"]["nllh"] == 1
+
+
 def test_every_supervisor_flag_overrides(project):
     tmp_path, cfg = project
     args = build_parser().parse_args([

@@ -1,13 +1,16 @@
 """Forked workers: ``fork_map`` keeps its items' order, raises a worker's
-exception at its item's place, and leaves no process behind."""
+exception at its item's place, maps in this process where it may not fork
+or has one item, and leaves no process behind; a ``Worker`` pairs each
+answer with its message."""
 
 import multiprocessing
 import os
 import time
+from multiprocessing.connection import wait
 
 import pytest
 
-from conftest import needs_fork
+from conftest import needs_fork, on_cores
 from hhfs import cores
 
 
@@ -19,20 +22,71 @@ def slow_square(x: int) -> int:
 
 
 @needs_fork
-def test_fork_map_keeps_order_and_raises_in_place():
+def test_fork_map_keeps_order_and_raises_in_place(monkeypatch):
+    on_cores(monkeypatch, 3)
     got = []
     with pytest.raises(ValueError, match="^item 5 failed$"):
-        for result in cores.fork_map(slow_square, list(range(8)), 3):
+        for result in cores.fork_map(slow_square, list(range(8))):
             got.append(result)
     assert got == [0, 1, 4, 9, 16]
     assert multiprocessing.active_children() == []
 
 
 @needs_fork
-def test_fork_map_runs_in_daemonic_workers_and_closes_when_abandoned():
-    results = cores.fork_map(lambda _: (os.getpid(), cores.may_fork()), [0, 1, 2], 2)
+def test_fork_map_runs_in_daemonic_workers_and_closes_when_abandoned(monkeypatch):
+    on_cores(monkeypatch, 2)
+    results = cores.fork_map(lambda _: (os.getpid(), cores.may_fork()), [0, 1, 2])
     pid, may_fork = next(results)
     assert pid != os.getpid() and not may_fork
     results.close()  # with answers still owed
     assert multiprocessing.active_children() == []
 
+
+@pytest.mark.parametrize("count, items", [(1, [0, 1, 2]), (2, [0])],
+                         ids=["one-core", "one-item"])
+def test_fork_map_maps_in_this_process(monkeypatch, count, items):
+    on_cores(monkeypatch, count)
+    assert list(cores.fork_map(lambda _: os.getpid(), items)) == [os.getpid()] * len(items)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_fork_map_maps_in_the_worker_inside_a_worker(monkeypatch):
+    on_cores(monkeypatch, 2)
+    nested = list(cores.fork_map(
+        lambda _: (os.getpid(), list(cores.fork_map(lambda _: os.getpid(), [0, 1]))),
+        [0, 1]))
+    assert len({pid for pid, _ in nested} - {os.getpid()}) == 2
+    for pid, inner in nested:
+        assert inner == [pid, pid]
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_worker_receive_pairs_answers_with_messages_in_send_order():
+    gate_out, gate_in = os.pipe()
+
+    def gated_square(x: int) -> int:
+        if x == 0:
+            os.read(gate_out, 1)  # until the other worker's answers are read
+        return x * x
+
+    workers = [cores.Worker(gated_square) for _ in range(2)]
+    arrived = []
+    try:
+        for x in (0, 2, 4):
+            workers[0].send(x)
+        for x in (1, 3):
+            workers[1].send(x)
+        while any(w.owed for w in workers):
+            for worker in wait([w for w in workers if w.owed], timeout=60):
+                arrived.append(worker.receive())
+            if not workers[1].owed:
+                os.write(gate_in, b"x")
+    finally:
+        for worker in workers:
+            worker.close()
+        os.close(gate_out)
+        os.close(gate_in)
+    assert arrived == [(1, 1), (3, 9), (0, 0), (2, 4), (4, 16)]
+    assert multiprocessing.active_children() == []

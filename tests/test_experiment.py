@@ -384,13 +384,14 @@ class TestRunPool:
         assert multiprocessing.active_children() == []
 
     @needs_fork
-    def test_pool_initializer_runs_blas_on_one_thread(self):
+    def test_pool_initializer_runs_blas_on_one_thread(self, monkeypatch):
         before = blas_threads()
         if not before:
             pytest.skip("no OpenBLAS loaded")
         set_blas_threads([2] * len(before))  # so that the workers' one differs
+        on_cores(monkeypatch, 2)
         try:
-            inside = list(cores.fork_map(lambda _: blas_threads(), [0], 1))[0]
+            inside = list(cores.fork_map(lambda _: blas_threads(), [0, 1]))[0]
             with multiprocessing.get_context("fork").Pool(1) as pool:
                 inherited = pool.apply_async(blas_threads).get(timeout=60)
         finally:

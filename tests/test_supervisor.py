@@ -59,6 +59,8 @@ class TestSupervisorConfig:
         for rate in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError, match=r"mutn_rate must lie in \(0, 1\)"):
                 SupervisorConfig(mutn_rate=rate)
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            SupervisorConfig(seed=-1)
 
 
 def run_genes(cache, seed, genes, incumbent, gen=0, i=0):
@@ -207,6 +209,13 @@ class TestCrossover:
                 c.genes[0] = 5
         assert a.genes[0] == 1
 
+    def test_one_gene_parents_draw_the_coin_and_pass_through(self):
+        a, b = Chromosome(np.array([3])), Chromosome(np.array([7]))
+        rng = StubRng(randoms=[0.0])  # the coin says cross; no cut is drawn
+        c1, c2 = single_point_crossover(a, b, rng, p_crossover=0.7)
+        assert c1 is a and c2 is b
+        assert rng._randoms == []
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             single_point_crossover(Chromosome(np.array([1, 2])),
@@ -266,6 +275,13 @@ class TestRunSupervisor:
         assert a.reported == b.reported
         assert [r.__dict__ for r in a.history] == [r.__dict__ for r in b.history]
         assert a.llh_stats.as_dict() == b.llh_stats.as_dict()
+
+    def test_one_gene_chromosomes_run_and_replay(self, small_dataset):
+        proto = CvProtocol(folds=5, repeats=1, base_seed=11)
+        a, b = (run_supervisor(small_dataset, self.small_config(nllh=1), proto)
+                for _ in range(2))
+        assert outcome(a) == outcome(b)
+        assert sum(a.llh_stats.invocations) == 6 * 5
 
     def test_incumbent_fitness_history_non_decreasing(self, small_dataset):
         proto = CvProtocol(folds=5, repeats=1, base_seed=3)
@@ -483,7 +499,7 @@ class TestFitnessWorker:
         from test_golden import GOLDEN, golden_bytes
         # the runs stay in this process, which may fork their fitness workers
         monkeypatch.setattr(cores, "fork_map",
-                            lambda func, items, workers: (func(i) for i in items))
+                            lambda func, items: (func(i) for i in items))
         on_cores(monkeypatch, 2)
         assert golden_bytes(tmp_path) == GOLDEN.read_bytes()
         assert len(set(compute_pids()) - {os.getpid()}) == 2 * 3  # one per run
