@@ -7,8 +7,7 @@ masks by 1-nearest-neighbor cross-validated accuracy. The experiment
 harness reproduces multi-run UCI benchmarks with seeded determinism.
 """
 
-from .correlation import (CorrelationCache, build_cache, cfs_merit,
-                          class_correlation, pearson)
+from .correlation import CorrelationCache, build_cache, cfs_merit
 from .dataset import (Dataset, DatasetError, FoldAssignment, load_csv,
                       min_max_normalize, stratified_folds)
 from .evaluation import CvProtocol, FitnessEvaluator, cv_accuracy
@@ -43,14 +42,12 @@ __all__ = [
     "apply_llh",
     "build_cache",
     "cfs_merit",
-    "class_correlation",
     "cv_accuracy",
     "full_feature_baseline",
     "load_config",
     "load_csv",
     "min_max_normalize",
     "mutate_chromosome",
-    "pearson",
     "render_comparison",
     "roulette_select",
     "run_experiment",

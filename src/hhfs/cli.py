@@ -14,6 +14,7 @@ import dataclasses
 import json
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 from .dataset import DatasetError, min_max_normalize
 from .evaluation import CvProtocol
@@ -32,11 +33,11 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
 
 @contextmanager
 def _input_errors():
-    """Turn a bad config, option value, dataset name, dataset file or
-    report file into one stderr line and exit status 2."""
+    """Turn a bad config, option value, dataset name, dataset file, report
+    file or output directory into one stderr line and exit status 2."""
     try:
         yield
-    except (ValueError, FileNotFoundError, DatasetError) as exc:
+    except (ValueError, OSError, DatasetError) as exc:
         print(f"hhfs: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
@@ -56,6 +57,8 @@ def _cmd_run(args) -> int:
             with _input_errors():
                 raise ValueError(f"unknown dataset(s): {', '.join(sorted(missing))}")
         spec = dataclasses.replace(spec, datasets=chosen)
+    with _input_errors():  # before any dataset loads
+        Path(spec.out_dir).mkdir(parents=True, exist_ok=True)
     if args.dump_cache:
         with _input_errors():
             written = dump_correlation_caches(spec)

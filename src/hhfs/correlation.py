@@ -16,6 +16,10 @@ off-diagonal feature-feature sum (bits @ row minus the diagonal), which
 is the form above and finite. ``cfs_merit`` is the scan's merit, so it
 scores a mask exactly as the local searches do.
 
+``build_cache`` fills both tables with one Pearson routine; |r_cf| averages
+a feature's |r| against the one-vs-rest class indicators with the class
+frequencies as weights (the point-biserial |r| for two classes).
+
 All correlations are absolute values: a strongly negative correlate
 predicts just as well as a positive one. Zero-variance vectors correlate
 0 with everything by convention, which keeps constant columns harmless.
@@ -36,61 +40,13 @@ ZEROS = "zeros"
 ONES = "ones"
 
 
-def pearson(x, y) -> float:
-    """Sample Pearson correlation of two equal-length vectors.
-
-    Returns 0.0 if either vector has zero variance. The result is clipped
-    to [-1, 1] to absorb floating-point overshoot on exact relations.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
-        raise ValueError("pearson expects two 1-d vectors of equal length")
-    if x.size < 2:
-        raise ValueError("pearson needs at least 2 samples")
-    # exact constancy check: a constant vector whose mean is not exactly
-    # representable would otherwise leak a tiny nonzero variance
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        return 0.0
-    xd = x - x.mean()
-    yd = y - y.mean()
-    sx = float(xd @ xd)
-    sy = float(yd @ yd)
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    r = float(xd @ yd) / math.sqrt(sx * sy)
-    return min(1.0, max(-1.0, r))
-
-
-def class_correlation(feature, labels, class_count: int) -> float:
-    """Absolute correlation between a feature and the class variable.
-
-    Two classes: point-biserial magnitude |pearson(feature, 1{class==1})|.
-    More classes: one-vs-rest indicator correlations averaged with the
-    class frequencies as weights, the minimal Pearson-only extension.
-    """
-    feature = np.asarray(feature, dtype=np.float64)
-    labels = np.asarray(labels)
-    if class_count < 2:
-        raise ValueError("need at least 2 classes")
-    if class_count == 2:
-        return abs(pearson(feature, (labels == 1).astype(np.float64)))
-    n = labels.size
-    total = 0.0
-    for c in range(class_count):
-        indicator = (labels == c).astype(np.float64)
-        weight = indicator.sum() / n
-        total += weight * abs(pearson(feature, indicator))
-    return total
-
-
 @dataclass(frozen=True)
 class CorrelationCache:
     """Precomputed absolute correlations backing the subset merit.
 
-    ``feature_feature`` is the symmetric N x N matrix of |pearson| between
-    feature columns (diagonal 1, or 0 for constant columns);
-    ``feature_class`` is the length-N vector of feature-class correlations.
+    ``feature_feature`` is the symmetric N x N matrix of |r| between feature
+    columns (diagonal 1, or 0 for zero-variance ones); ``feature_class`` is
+    the length-N vector of feature-class correlations (module docstring).
     Construction also fixes the constants every merit scan reads: the
     ``diagonal``, ``fc_tuple`` and ``diag_tuple`` (the same values as
     Python floats), ``columns`` (a C-contiguous copy of ``feature_feature.T``,
@@ -121,25 +77,29 @@ class CorrelationCache:
             object.__setattr__(self, name, value)
 
 
-def build_cache(d) -> CorrelationCache:
-    """Compute the correlation cache for a dataset, once.
+def _centred(A):
+    """Centred columns of ``A`` and their sums of squares, forced to 0 on constant columns."""
+    constant = np.all(A == A[0:1, :], axis=0)
+    Ad = A - A.mean(axis=0)
+    return Ad, np.where(constant, 0.0, np.einsum("ij,ij->j", Ad, Ad))
 
-    Feature-feature correlations come from one centered Gram matrix so the
-    whole cache is O(N^2 * n) instead of per-pair passes.
-    """
-    X = d.features
-    constant = np.all(X == X[0:1, :], axis=0)
-    Xd = X - X.mean(axis=0)
-    s = np.where(constant, 0.0, np.einsum("ij,ij->j", Xd, Xd))
-    gram = Xd.T @ Xd
-    denom = np.sqrt(np.outer(s, s))
-    ff = np.where(denom > 0, gram / np.where(denom == 0, 1.0, denom), 0.0)
-    ff = np.abs(np.clip(ff, -1.0, 1.0))
-    ff[constant, :] = 0.0
-    ff[:, constant] = 0.0
-    np.fill_diagonal(ff, np.where(constant, 0.0, 1.0))
-    fc = np.array([class_correlation(X[:, j], d.labels, d.class_count)
-                   for j in range(d.n_features)])
+
+def _abs_r(Ad, sa, Bd, sb):
+    """|r| of each column of A against each column of B; 0 where a sum of squares is 0."""
+    denom = np.sqrt(np.outer(sa, sb))
+    r = np.where(denom > 0, (Ad.T @ Bd) / np.where(denom == 0, 1.0, denom), 0.0)
+    return np.abs(np.clip(r, -1.0, 1.0))
+
+
+def build_cache(d) -> CorrelationCache:
+    """Compute the correlation cache for a dataset, once, from whole-matrix
+    centred cross-products: the features against themselves and against
+    the one-vs-rest class indicators Y (n x C)."""
+    Y = (d.labels[:, None] == np.arange(d.class_count)).astype(np.float64)
+    (Xd, sx), (Yd, sy) = _centred(d.features), _centred(Y)
+    ff = _abs_r(Xd, sx, Xd, sx)
+    np.fill_diagonal(ff, np.where(sx > 0, 1.0, 0.0))
+    fc = _abs_r(Xd, sx, Yd, sy) @ Y.mean(axis=0)  # weights: the class frequencies
     return CorrelationCache(feature_feature=ff, feature_class=fc)
 
 

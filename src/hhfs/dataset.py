@@ -57,8 +57,6 @@ class Dataset:
             dense[i] = seen[value]
         if len(seen) < 2:
             raise DatasetError(f"need at least 2 classes, found {len(seen)}")
-        if len(seen) > X.shape[0]:
-            raise DatasetError("more classes than instances")
         X.setflags(write=False)
         dense.setflags(write=False)
         return cls(name=name, features=X, labels=dense,

@@ -390,19 +390,24 @@ def dump_correlation_caches(spec: ExperimentSpec) -> list[Path]:
 def load_config(path) -> ExperimentSpec:
     """Parse an INI experiment config: [experiment], [supervisor] and [cv]
     take the KNOBS keys, each [datasets.<name>] the DatasetConfig fields but
-    ``name``. A missing key keeps its field's default; an unknown section or
-    key, or a value its field cannot take, raises ValueError naming it."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(f"config file not found: {path}")
+    ``name``. A missing key keeps its field's default; an unknown section
+    (``[DEFAULT]`` too) or key, a value its field cannot take, or an INI
+    syntax error raises ValueError naming the file."""
+    parser = configparser.ConfigParser(default_section="")  # no section is special
+    try:
+        if not parser.read(path):
+            raise FileNotFoundError(f"config file not found: {path}")
+        sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None
 
     def values(section: str, by_key: dict[str, Field]) -> dict[str, object]:
-        unknown = sorted(set(parser.options(section)) - by_key.keys())
+        unknown = sorted(sections[section].keys() - by_key.keys())
         if unknown:
             raise ValueError(
                 f"{path}: unknown key(s) in [{section}]: {', '.join(unknown)}")
         parsed = {}
-        for key, text in parser.items(section):
+        for key, text in sections[section].items():
             f = by_key[key]
             parse = VALUE_PARSERS[f.type]
             try:
@@ -415,7 +420,7 @@ def load_config(path) -> ExperimentSpec:
     dataset_fields = {f.name: f for f in fields(DatasetConfig) if f.name != "name"}
     knob_values: dict[str, object] = {}
     datasets = []
-    for section in parser.sections():
+    for section in sections:
         knobs = {k.key: k.field for k in KNOBS if k.section == section}
         if section.startswith("datasets."):
             entry = values(section, dataset_fields)

@@ -137,18 +137,28 @@ def merit_from_cache_direct(bits, cache: CorrelationCache) -> float:
     return k * r_cf / math.sqrt(k + k * (k - 1) * r_ff)
 
 
+def class_correlation_twopass(x, labels) -> float:
+    """Feature-class correlation by definition: |pearson_twopass| of the
+    feature against each one-vs-rest class indicator, weighted by the
+    class's share of the instances."""
+    labels = list(labels)
+    n = len(labels)
+    total = 0.0
+    for c in sorted(set(labels)):
+        indicator = [1.0 if label == c else 0.0 for label in labels]
+        total += (labels.count(c) / n) * abs(pearson_twopass(x, indicator))
+    return total
+
+
 def merit_from_data(bits, dataset: Dataset) -> float:
     """Cache-free merit: recompute every needed correlation from the raw
     columns with the two-pass Pearson, then apply Hall's formula."""
-    from hhfs.correlation import class_correlation
-
     sel = [i for i, b in enumerate(bits) if b]
     k = len(sel)
     if k == 0:
         return 0.0
     X = dataset.features
-    r_cf = sum(class_correlation(X[:, i], dataset.labels, dataset.class_count)
-               for i in sel) / k
+    r_cf = sum(class_correlation_twopass(X[:, i], dataset.labels) for i in sel) / k
     if k == 1:
         r_ff = 0.0
     else:

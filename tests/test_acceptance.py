@@ -19,10 +19,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (HILL_CLIMBER_IDS, best_flip_oracle, flip,
-                      merit_from_data, pearson_twopass, predict_1nn,
-                      random_mask, synthetic_dataset)
-from hhfs.correlation import build_cache, cfs_merit, pearson
+from conftest import (HILL_CLIMBER_IDS, best_flip_oracle,
+                      class_correlation_twopass, flip, merit_from_data,
+                      pearson_twopass, predict_1nn, random_mask,
+                      synthetic_dataset)
+from hhfs.correlation import build_cache, cfs_merit
 from hhfs.dataset import (Dataset, fold_class_counts, load_csv,
                           stratified_folds)
 from hhfs.evaluation import CvProtocol, cv_accuracy
@@ -244,17 +245,22 @@ class TestPropertyCriteria:
             mask = random_mask(9, rng)
             diff = abs(cfs_merit(mask, cache) - merit_from_data(mask.bits, d))
             worst_merit = max(worst_merit, diff)
-        worst_pearson = 0.0
+        worst_entry = 0.0
         for _ in range(100):
-            x = rng.normal(size=17)
-            y = rng.normal(size=17)
-            worst_pearson = max(worst_pearson,
-                                abs(pearson(x, y) - pearson_twopass(x, y)))
-        _criterion(8, worst_merit <= 1e-12 and worst_pearson <= 1e-12,
-                   "merit matches cache-free recomputation and pearson matches "
-                   "two-pass definition within 1e-12",
+            e = Dataset.from_arrays("e", rng.normal(size=(17, 3)), np.arange(17) % 3)
+            entries = build_cache(e)
+            X = e.features
+            for i in range(3):
+                worst_entry = max(worst_entry, abs(
+                    entries.feature_class[i] - class_correlation_twopass(X[:, i], e.labels)))
+                for j in range(3):
+                    worst_entry = max(worst_entry, abs(
+                        entries.feature_feature[i, j] - abs(pearson_twopass(X[:, i], X[:, j]))))
+        _criterion(8, worst_merit <= 1e-12 and worst_entry <= 1e-12,
+                   "merit matches cache-free recomputation and cache entries match "
+                   "the two-pass Pearson definition within 1e-12",
                    f"max merit diff {worst_merit:.2e}, "
-                   f"max pearson diff {worst_pearson:.2e}")
+                   f"max cache entry diff {worst_entry:.2e}")
 
     def test_criterion_9_cv_machinery(self):
         rng = np.random.default_rng(109)

@@ -153,12 +153,32 @@ def test_bad_config_value_is_one_line_and_status_2(project):
      "singletons: 10x3 CV puts all 3 instances in one fold"),
     (["run", "--config", "{cfg}", "--mutn-rate", "0"], "mutn_rate must lie in (0, 1)"),
     (["run", "--config", "{cfg}", "--dataset", "ghost_file", "--dump-cache"], "ghost.csv"),
+    (["run", "--config", "{tmp}/duplicate_key.ini"],
+     "{tmp}/duplicate_key.ini: While reading from '{tmp}/duplicate_key.ini' [line 3]: "
+     "option 'runs' in section 'experiment' already exists"),
+    (["run", "--config", "{tmp}/duplicate_section.ini"],
+     "section 'experiment' already exists"),
+    (["run", "--config", "{tmp}/no_section.ini"],
+     "{tmp}/no_section.ini: File contains no section headers."),
+    (["run", "--config", "{tmp}/percent.ini"],
+     "{tmp}/percent.ini: '%' must be followed by '%' or '(', found: '%ults"),
+    (["baseline", "--config", "{tmp}/default.ini", "--dataset", "alpha"],
+     "{tmp}/default.ini: unknown section [DEFAULT]"),
+    (["run", "--config", "{cfg}", "--out", "{tmp}/one_class.csv"],
+     "File exists: '{tmp}/one_class.csv'"),
 ])
 def test_input_errors_exit_2_with_one_line(project, capsys, argv, message):
     tmp_path, cfg = project
     (tmp_path / "one_class.csv").write_text("1,2,A\n3,4,A\n")
     (tmp_path / "singletons.csv").write_text("1,2,A\n3,4,B\n5,6,C\n")
-    cfg.write_text(cfg.read_text()
+    good = cfg.read_text()
+    for name, text in {"duplicate_key": "[experiment]\nruns = 2\nruns = 3\n",
+                       "duplicate_section": "[experiment]\nruns = 2\n[experiment]\n",
+                       "no_section": "runs = 2\n" + good,
+                       "percent": good.replace("out_dir = ", "out_dir = res%ults"),
+                       "default": "[DEFAULT]\ngenerations = 3\n" + good}.items():
+        (tmp_path / f"{name}.ini").write_text(text)
+    cfg.write_text(good
                    + f"\n[datasets.ghost_file]\npath = {tmp_path / 'ghost.csv'}\n"
                    + f"\n[datasets.one_class]\npath = {tmp_path / 'one_class.csv'}\n"
                    + f"\n[datasets.singletons]\npath = {tmp_path / 'singletons.csv'}\n")
@@ -166,7 +186,8 @@ def test_input_errors_exit_2_with_one_line(project, capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:
         main([a.format(**fill) for a in argv])
     assert exit_info.value.code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # no dataset was loaded or run
     assert err.startswith("hhfs: error: ") and err.count("\n") == 1
     assert message.format(**fill) in err
 
@@ -223,8 +244,12 @@ def _sonar_report(best: float) -> dict:
                                    "mean_percent": 90.0, "mean_m": 20.0}}}
 
 
+DIRECTORY = object()
+
+
 @pytest.mark.parametrize("content, message", [
     (None, "No such file or directory: '{path}'"),
+    (DIRECTORY, "Is a directory: '{path}'"),
     ('{"dataset": "sonar", "runs": [', "{path}: Expecting value: line 1 column 31"),
     (json.dumps(_sonar_report(0.95)),
      "{path}: report aggregate for sonar is inconsistent with its per-run records"),
@@ -240,13 +265,15 @@ def _sonar_report(best: float) -> dict:
      "{path}: not a report: runs is not a non-empty list"),
     ('{"dataset": "sonar", "runs": [{"run": 0, "m": 3, "accuracy": {}}], "aggregate": {}}',
      "{path}: not a report: aggregate is empty"),
-], ids=["missing", "truncated", "inconsistent", "not-an-object", "no-aggregate",
+], ids=["missing", "directory", "truncated", "inconsistent", "not-an-object", "no-aggregate",
         "run-shape", "aggregate-not-object", "runs-not-list", "no-runs",
         "empty-aggregate"])
 def test_compare_bad_report_exits_2_with_one_line(tmp_path, capsys, content, message):
     good, path = tmp_path / "good.json", tmp_path / "report.json"
     good.write_text(json.dumps(_sonar_report(0.9)))
-    if content is not None:
+    if content is DIRECTORY:
+        path.mkdir()
+    elif content is not None:
         path.write_text(content)
     with pytest.raises(SystemExit) as exit_info:
         main(["compare", "--report", str(good), "--report", str(path)])

@@ -5,40 +5,54 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (cache_from_values, merit_from_cache_direct,
-                      merit_from_data, pearson_twopass, random_cache,
-                      random_mask, synthetic_dataset)
-from hhfs.correlation import (CorrelationCache, _MeritScan, build_cache,
-                              cfs_merit, class_correlation, pearson)
+from conftest import (cache_from_values, class_correlation_twopass,
+                      merit_from_cache_direct, merit_from_data, pearson_twopass,
+                      random_cache, random_mask, synthetic_dataset)
+from hhfs.correlation import CorrelationCache, _MeritScan, build_cache, cfs_merit
 from hhfs.dataset import Dataset
 from hhfs.mask import FeatureMask
 
 
+def cache_of(columns, labels):
+    """``build_cache`` of a dataset with exactly these feature columns."""
+    X = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
+    return build_cache(Dataset.from_arrays("t", X, labels))
+
+
+def assert_matches_oracle(cache, d):
+    """Every cache entry equals the two-pass definition within 1e-12."""
+    X = d.features
+    for i in range(d.n_features):
+        assert cache.feature_class[i] == pytest.approx(
+            class_correlation_twopass(X[:, i], d.labels), abs=1e-12)
+        for j in range(d.n_features):
+            assert cache.feature_feature[i, j] == pytest.approx(
+                abs(pearson_twopass(X[:, i], X[:, j])), abs=1e-12)
+
+
 class TestPearson:
+    """The feature-feature entries of ``build_cache``: |r| of two columns."""
+
     def test_exact_linear_relation(self):
-        assert pearson([1, 2, 3], [2, 4, 6]) == 1.0
-        assert pearson([1, 2, 3], [6, 4, 2]) == -1.0
+        ff = cache_of([[1, 2, 3], [2, 4, 6], [6, 4, 2]], [0, 1, 0]).feature_feature
+        assert ff[0, 1] == 1.0
+        assert ff[0, 2] == 1.0
 
     def test_hand_value(self):
         # covariance 4 over sqrt(5*5)
-        assert pearson([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8, abs=1e-15)
+        ff = cache_of([[1, 2, 3, 4], [1, 3, 2, 4]], [0, 1, 0, 1]).feature_feature
+        assert ff[0, 1] == pytest.approx(0.8, abs=1e-15)
 
     def test_zero_variance_convention(self):
-        assert pearson([1, 2, 3], [5, 5, 5]) == 0.0
-        assert pearson([7, 7], [1, 2]) == 0.0
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            pearson([1, 2], [1, 2, 3])
-        with pytest.raises(ValueError):
-            pearson([1], [2])
+        ff = cache_of([[1, 2, 3], [5, 5, 5]], [0, 1, 0]).feature_feature
+        assert ff[0, 1] == ff[1, 0] == 0.0
+        assert cache_of([[7, 7], [1, 2]], [0, 1]).feature_feature[0, 1] == 0.0
 
     def test_symmetry_random(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            x = rng.normal(size=9)
-            y = rng.normal(size=9)
-            assert pearson(x, y) == pearson(y, x)
+            ff = cache_of(rng.normal(size=(4, 9)), [0, 1] * 4 + [0]).feature_feature
+            assert np.array_equal(ff, ff.T)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=3, max_size=12),
@@ -49,26 +63,36 @@ class TestPearson:
         # a tiny spread relative to magnitude makes the affine relation
         # numerically meaningless (cancellation / variance underflow)
         assume(np.ptp(x) > 1e-3)
-        assert pearson(x, a * x + b) == pytest.approx(math.copysign(1.0, a),
-                                                      abs=1e-9)
+        ff = cache_of([x, a * x + b], np.arange(x.size) % 2).feature_feature
+        assert ff[0, 1] == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_twopass_definition(self):
         rng = np.random.default_rng(4)
-        for _ in range(100):
-            x = rng.normal(size=15)
-            y = rng.normal(size=15)
-            assert pearson(x, y) == pytest.approx(pearson_twopass(x, y), abs=1e-12)
+        for _ in range(20):
+            d = Dataset.from_arrays("t", rng.normal(size=(15, 5)), np.arange(15) % 3)
+            assert_matches_oracle(build_cache(d), d)
 
 
 class TestClassCorrelation:
+    """The feature-class entries of ``build_cache``: the prior-weighted
+    |r| of a feature against the one-vs-rest class indicators."""
+
     def test_perfect_separator(self):
-        assert class_correlation([0, 0, 1, 1], [0, 0, 1, 1], 2) == 1.0
+        assert cache_of([[0, 0, 1, 1]], [0, 0, 1, 1]).feature_class[0] == 1.0
 
     def test_uninformative_feature(self):
-        assert class_correlation([1, 2, 1, 2], [0, 1, 1, 0], 2) == 0.0
+        assert cache_of([[1, 2, 1, 2]], [0, 1, 1, 0]).feature_class[0] == 0.0
 
     def test_constant_feature(self):
-        assert class_correlation([3, 3, 3, 3], [0, 1, 0, 1], 2) == 0.0
+        assert cache_of([[3, 3, 3, 3]], [0, 1, 0, 1]).feature_class[0] == 0.0
+
+    def test_two_classes_give_the_point_biserial(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            feature = rng.normal(size=11)
+            labels = rng.permutation(np.arange(11) % 2)
+            assert cache_of([feature], labels).feature_class[0] == pytest.approx(
+                abs(pearson_twopass(feature, labels.astype(float))), abs=1e-12)
 
     def test_multiclass_prior_weighted_average(self):
         feature = [0.0, 0.1, 1.0, 1.1, 2.0, 2.1]
@@ -77,15 +101,20 @@ class TestClassCorrelation:
             (np.sum(np.array(labels) == c) / 6)
             * abs(pearson_twopass(feature, (np.array(labels) == c).astype(float)))
             for c in range(3))
-        assert class_correlation(feature, labels, 3) == pytest.approx(expected,
-                                                                      abs=1e-14)
+        assert cache_of([feature], labels).feature_class[0] == pytest.approx(
+            expected, abs=1e-14)
+
+    def test_class_with_one_member(self):
+        rng = np.random.default_rng(3)
+        d = Dataset.from_arrays("t", rng.normal(size=(13, 4)), [0, 1, 2] * 4 + [3])
+        assert_matches_oracle(build_cache(d), d)
 
     def test_value_in_unit_interval(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             f = rng.normal(size=20)
             y = rng.integers(0, 4, size=20)
-            v = class_correlation(f, y, 4)
+            v = cache_of([f], y).feature_class[0]
             assert 0.0 <= v <= 1.0
 
 
@@ -123,14 +152,7 @@ class TestBuildCache:
 
     def test_entries_match_direct_pearson(self):
         d = synthetic_dataset(n_instances=30, n_features=5, seed=7)
-        cache = build_cache(d)
-        X = d.features
-        for i in range(5):
-            assert cache.feature_class[i] == pytest.approx(
-                class_correlation(X[:, i], d.labels, d.class_count), abs=1e-12)
-            for j in range(5):
-                assert cache.feature_feature[i, j] == pytest.approx(
-                    abs(pearson(X[:, i], X[:, j])), abs=1e-12)
+        assert_matches_oracle(build_cache(d), d)
 
     def test_cache_mismatch_rejected(self):
         with pytest.raises(ValueError):
