@@ -44,13 +44,15 @@ ONES = "ones"
 class CorrelationCache:
     """Precomputed absolute correlations backing the subset merit.
 
-    ``feature_feature`` is the symmetric N x N matrix of |r| between feature
-    columns (diagonal 1, or 0 for zero-variance ones); ``feature_class`` is
-    the length-N vector of feature-class correlations (module docstring).
-    Construction also fixes the constants every merit scan reads: the
-    ``diagonal``, ``fc_tuple`` and ``diag_tuple`` (the same values as
-    Python floats), ``columns`` (a C-contiguous copy of ``feature_feature.T``,
-    so ``columns[b]`` is a contiguous row equal to ``feature_feature[:, b]``)
+    ``feature_feature`` is the N x N matrix of |r| between feature columns
+    (diagonal 1, or 0 for zero-variance ones); ``feature_class`` is the
+    length-N vector of feature-class correlations (module docstring). The
+    cache owns its arrays: construction stores C-contiguous float64 copies
+    of both, so the caller's arrays are left as they were, and rejects an
+    entry that is not finite and non-negative. It also fixes the constants
+    every merit scan and the compiled climb loop read: the ``diagonal``,
+    ``columns`` (a C-contiguous copy of ``feature_feature.T``, so
+    ``columns[b]`` is a contiguous row equal to ``feature_feature[:, b]``)
     and ``positions`` (``arange(N)``). Every array is read-only.
     """
 
@@ -62,19 +64,20 @@ class CorrelationCache:
         return self.feature_class.size
 
     def __post_init__(self):
-        ff, fc = self.feature_feature, self.feature_class
-        if ff.shape != (fc.size, fc.size):
+        ff = np.array(self.feature_feature, dtype=np.float64, order="C")
+        fc = np.array(self.feature_class, dtype=np.float64, order="C")
+        if fc.ndim != 1 or ff.shape != (fc.size, fc.size):
             raise ValueError("feature_feature must be N x N for N = len(feature_class)")
-        diagonal = np.diagonal(ff).copy()
-        columns = np.ascontiguousarray(ff.T)
-        positions = np.arange(fc.size)
-        for arr in (ff, fc, diagonal, columns, positions):
+        for name, arr in (("feature_feature", ff), ("feature_class", fc)):
+            if not np.all((arr >= 0.0) & (arr < np.inf)):  # NaN fails both
+                raise ValueError(f"{name} entries must be finite and non-negative")
+        constants = {"feature_feature": ff, "feature_class": fc,
+                     "diagonal": np.diagonal(ff).copy(),
+                     "columns": np.ascontiguousarray(ff.T),
+                     "positions": np.arange(fc.size)}
+        for name, arr in constants.items():
             arr.setflags(write=False)
-        constants = {"diagonal": diagonal, "fc_tuple": tuple(fc.tolist()),
-                     "diag_tuple": tuple(diagonal.tolist()), "columns": columns,
-                     "positions": positions}
-        for name, value in constants.items():
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, arr)
 
 
 def _centred(A):
@@ -104,22 +107,21 @@ def build_cache(d) -> CorrelationCache:
 
 
 class _MeritScan:
-    """Read-only merit scan of one mask, scoring its single-bit flips.
+    """Read-only merit scan of one mask, the state its single-bit flips
+    are scored from.
 
     Holds the selected count k, the selected class-correlation sum, the
     selected off-diagonal feature-feature sum (ordered pairs), their merit
     (computed once, here), and the vector row[b] = sum_{i selected} ff[b, i],
-    so each candidate flip is scored in O(1). A scan never changes after
-    construction; the heuristics take and return scans, and a scan built
-    from bits scores them exactly as ``cfs_merit``.
+    so each candidate flip is scored in O(1) by the compiled climb loop
+    (``llh``). A scan never changes after construction; the heuristics take
+    and return scans, and a scan built from bits scores them exactly as
+    ``cfs_merit``.
 
-    What the bits fix is computed on first use and kept, for every later
-    heuristic that starts from the same scan (the incumbent's starts
-    thousands): ``values`` (the bits and the row as tuples of Python
-    values, for the scalar climb loop), ``in_domain`` (the positions a bit
-    domain lets flip; the 1-bits are known from construction) and the
-    merit of every single flip, which ``flip_merits`` reads. Arrays are not
-    writable and the values are tuples, so no caller can change what a
+    ``in_domain`` (the positions a bit domain lets flip; the 1-bits are
+    known from construction) is computed on first use and kept, for every
+    later heuristic that starts from the same scan (the incumbent's starts
+    thousands). Arrays are not writable, so no caller can change what a
     later caller reads.
     """
 
@@ -136,13 +138,6 @@ class _MeritScan:
         for arr in (self.bits, self.row, sel):
             arr.setflags(write=False)
         self._in_domain = {ONES: sel}
-        self._values = self._flips = None
-
-    def values(self) -> tuple[tuple[bool, ...], tuple[float, ...]]:
-        """The bits and the row as tuples of Python values."""
-        if self._values is None:
-            self._values = tuple(self.bits.tolist()), tuple(self.row.tolist())
-        return self._values
 
     def in_domain(self, bit_domain: str) -> np.ndarray:
         """The positions ``bit_domain`` lets flip, ascending: every bit
@@ -158,35 +153,6 @@ class _MeritScan:
                 raise ValueError(f"unknown bit domain {bit_domain!r}")
             self._in_domain[bit_domain] = positions
         return positions
-
-    def flip_merits(self, positions) -> np.ndarray:
-        """Merit the mask would have with each of ``positions`` (an index
-        array or list) flipped alone; a flip that leaves k == 0 scores 0.0.
-
-        The merits of all N flips are computed once, in a sign form: with
-        sign -1.0 on a 1-bit and +1.0 on a 0-bit, a flip leaves k + sign
-        features, sum_cf + sign * fc and sum_ff + 2 sign * (row - bits *
-        diag). Each equals the per-branch difference it replaces bit for
-        bit: k +- 1 is an exact integer, a sign of +-1 or +-2 scales
-        exactly, ``a + (-b) == a - b``, and on a 0-bit
-        ``row - 0 * diag == row`` (the diagonal is finite and non-negative).
-        Only a scan with k == 1 has a flip to k == 0, so only it pays the
-        guard that scores that flip 0.0.
-        """
-        if self._flips is None:
-            cache = self.cache
-            sign = np.where(self.bits, -1.0, 1.0)
-            k = self.k + sign
-            sum_cf = self.sum_cf + sign * cache.feature_class
-            denom = k + (self.sum_ff + (2.0 * sign) * (self.row - self.bits * cache.diagonal))
-            if self.k != 1:
-                self._flips = sum_cf / np.sqrt(denom)
-            else:
-                empty = k == 0
-                self._flips = np.where(empty, 0.0,
-                                       sum_cf / np.sqrt(np.where(empty, 1.0, denom)))
-            self._flips.setflags(write=False)
-        return self._flips[positions]
 
     def mask(self) -> FeatureMask:
         return FeatureMask(self.bits)

@@ -10,16 +10,18 @@ Merits come from ``correlation._MeritScan``; this module holds the rules.
 Heuristics act on merit scans: each takes a ``_MeritScan`` of the working
 mask and returns one, so a chromosome's genes hand one scan from heuristic
 to heuristic, and masks exist only at the chromosome's edge (``apply``
-wraps a single call in them). Scans are read-only values, so every
-heuristic is a pure function of (scan, rng state): it cannot mutate its
-input, and replaying a seed replays the output bit-exactly. NAHC, DBHC
-and RMHC share one climb loop, which visits the positions it is given one
-bit at a time, keeps its own working sums and scores each visit inline;
-``flip_merits``, which scores a whole neighborhood at once, is SDHC's.
-A scan keeps what its bits fix (its merit, its bits and row as Python
-values, its in-domain positions, its flip merits) for every later
-heuristic that starts from it; the incumbent's scan, which every
-chromosome starts from while the incumbent stands, computes each once.
+wraps a single call in them). Scans are read-only, so every heuristic is
+a pure function of (scan, rng state): it cannot mutate its input, and
+replaying a seed replays the output bit-exactly.
+
+The hill-climbers' scoring loops are compiled: ``_climb.c`` beside this
+module holds SDHC's move (``best``) and the climb loop NAHC, DBHC and RMHC
+share (``sweep``), which visits the positions it is given one bit at a
+time, keeps its own working sums and scores each visit inline. The first
+import builds it with the system ``cc`` into ``__pycache__/``, named by a
+hash of the source, the flags and the extension suffix, and later imports
+load that build; without a compiler the import fails with one
+``ImportError``. The positions, the RNG draws and every scan stay in numpy.
 A call that leaves every bit unchanged returns its input object, so
 callers can tell "did not move" by identity; a call that moves returns a
 fresh scan of its output bits, never one carried forward incrementally,
@@ -31,15 +33,54 @@ chromosome of heuristics stays predictable.
 
 from __future__ import annotations
 
-import math
+import hashlib
+import importlib.util
+import os
+import subprocess
+import sysconfig
+import tempfile
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .correlation import ALL, ONES, ZEROS, CorrelationCache, _MeritScan
 from .mask import FeatureMask
+
+
+def _load_climb():
+    """The compiled ``_climb`` module: built from ``_climb.c`` into
+    ``__pycache__/`` unless a build of this source, these flags and this
+    interpreter's extension suffix is there, then loaded. The build goes
+    to a temporary directory and is renamed into place, so concurrent
+    first imports each see a whole module."""
+    source = Path(__file__).with_name("_climb.c")
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    flags = ["-O2", "-ffp-contract=off", "-fPIC", "-shared",
+             "-I" + sysconfig.get_paths()["include"]]
+    key = "\0".join([source.read_text(), *flags, suffix]).encode()
+    built = source.parent / "__pycache__" / f"_climb.{hashlib.sha256(key).hexdigest()[:16]}{suffix}"
+    if not built.exists():
+        built.parent.mkdir(exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=built.parent) as tmp:
+            out = os.path.join(tmp, built.name)
+            try:
+                proc = subprocess.run(["cc", *flags, "-o", out, str(source)],
+                                      capture_output=True, text=True)
+            except FileNotFoundError:
+                raise ImportError(f"hhfs needs a C compiler: no `cc` on PATH to build {source}") from None
+            if proc.returncode:
+                raise ImportError(f"hhfs: `cc` failed to build {source}: {proc.stderr.strip()}")
+            os.replace(out, built)
+    spec = importlib.util.spec_from_file_location(f"{__package__}._climb", built)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_climb = _load_climb()
 
 NUM_LLH = 16
 
@@ -69,50 +110,33 @@ def sdhc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan
     """Steepest-descent step: scan the full Hamming-1 neighborhood within
     the bit domain and move to the best neighbor, but only if it is
     strictly better than the input. Ties pick the lowest flipped index."""
-    positions = scan.in_domain(bit_domain)
-    if positions.size == 0:
-        return scan
-    merits = scan.flip_merits(positions)
-    best = int(np.argmax(merits))  # first occurrence: lowest flipped index
-    if merits[best] > scan.merit:
-        return _flipped(scan, ctx, int(positions[best]))
-    return scan
+    cache = scan.cache
+    b = _climb.best(scan.bits, scan.row, cache.feature_class, cache.diagonal,
+                    scan.in_domain(bit_domain), scan.k, scan.sum_cf, scan.sum_ff,
+                    scan.merit)
+    return scan if b is None else _flipped(scan, ctx, b)
 
 
-def _sweep_climb(scan: _MeritScan, ctx: LlhContext, positions,
+def _sweep_climb(scan: _MeritScan, ctx: LlhContext, positions: np.ndarray,
                  ties: bool = False) -> _MeritScan:
     """The climb loop of NAHC, DBHC and RMHC: visit exactly ``positions``
-    (distinct) in order, tentatively flip each and keep the flip iff its
-    merit is greater than the current one, or equal to it with ``ties``.
-    A bit changes only at its one visit, so every visit reads the input's
-    bit and the input's domain holds throughout.
+    (distinct, int64) in order, tentatively flip each and keep the flip iff
+    its merit is greater than the current one, or equal to it with
+    ``ties``. A bit changes only at its one visit, so every visit reads the
+    input's bit and the input's domain holds throughout.
 
-    Scans are read-only, so the loop keeps its own sums, seeded from the
-    input, on Python values read from the scan's and cache's cached tuples.
-    Each visit scores ``sum_cf / sqrt(k + sum_ff)`` (0.0 at k == 0) inline,
-    the operations and order of the scan's own merit, so each comparison
-    sees the bits a merit call per position would return. A commit updates
-    a numpy row by the cache's contiguous ``columns[b]``, which equals
-    ``ff[:, b]`` element for element, and re-reads it. A moved result is
-    scanned afresh, so its merit does not carry the loop's incremental
-    rounding."""
+    The loop is ``_climb.sweep``: it keeps its own sums, seeded from the
+    scan's, and scores each visit ``sum_cf / sqrt(k + sum_ff)`` (0.0 at
+    k == 0) inline, the operations and order of the scan's own merit, so
+    each comparison sees the bits a merit call per position would return.
+    A commit adds or subtracts the cache's contiguous ``columns[b]``, which
+    equals ``ff[:, b]``, from its copy of the row element by element. A
+    moved result is scanned afresh, so its merit does not carry the loop's
+    incremental rounding."""
     cache = scan.cache
-    fc, diag, columns = cache.fc_tuple, cache.diag_tuple, cache.columns
-    (bits, row), row_np = scan.values(), scan.row
-    k, sum_cf, sum_ff, current = scan.k, scan.sum_cf, scan.sum_ff, scan.merit
-    sqrt = math.sqrt
-    kept = []
-    for b in positions:
-        if bits[b]:
-            k_b, cf_b, ff_b = k - 1, sum_cf - fc[b], sum_ff - 2.0 * (row[b] - diag[b])
-        else:
-            k_b, cf_b, ff_b = k + 1, sum_cf + fc[b], sum_ff + 2.0 * row[b]
-        candidate = cf_b / sqrt(k_b + ff_b) if k_b else 0.0
-        if candidate > current or (ties and candidate == current):
-            row_np = row_np - columns[b] if bits[b] else row_np + columns[b]
-            row = row_np.tolist()
-            k, sum_cf, sum_ff, current = k_b, cf_b, ff_b, candidate
-            kept.append(b)
+    kept = _climb.sweep(scan.bits, scan.row, cache.feature_class, cache.diagonal,
+                        cache.columns, positions, scan.k, scan.sum_cf, scan.sum_ff,
+                        scan.merit, ties)
     return _flipped(scan, ctx, kept) if kept else scan
 
 
@@ -120,17 +144,16 @@ def nahc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan
     """Next-ascent sweep in fixed order, index 0 (most significant, by
     convention) to N-1, keeping strict improvements. Several bits may
     change in one call."""
-    return _sweep_climb(scan, ctx, scan.in_domain(bit_domain).tolist())
+    return _sweep_climb(scan, ctx, scan.in_domain(bit_domain))
 
 
 def dbhc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan:
     """Like nahc, but the positions are visited in a fresh uniformly
     random permutation drawn from the context RNG."""
-    order = ctx.rng.permutation(scan.bits.size).tolist()
+    order = ctx.rng.permutation(scan.bits.size)
     if bit_domain != ALL:
         scan.in_domain(bit_domain)  # rejects an unknown domain
-        bits, want = scan.values()[0], bit_domain == ONES
-        order = [b for b in order if bits[b] == want]
+        order = order[scan.bits[order] == (bit_domain == ONES)]
     return _sweep_climb(scan, ctx, order)
 
 
@@ -141,8 +164,8 @@ def rmhc(scan: _MeritScan, ctx: LlhContext, bit_domain: str = ALL) -> _MeritScan
     positions = scan.in_domain(bit_domain)
     if positions.size == 0:
         return scan
-    b = int(positions[int(ctx.rng.integers(positions.size))])
-    return _sweep_climb(scan, ctx, (b,), ties=True)
+    j = int(ctx.rng.integers(positions.size))
+    return _sweep_climb(scan, ctx, positions[j:j + 1], ties=True)
 
 
 def swpd(scan: _MeritScan, ctx: LlhContext) -> _MeritScan:

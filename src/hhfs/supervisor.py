@@ -241,7 +241,8 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     only if its fitness strictly improves; selection, crossover and mutation then
     produce the next population. After the last generation the incumbent
     is re-evaluated under each reporting protocol. Datasets with fewer
-    than 2 features are rejected: SWPD needs two dimensions to swap.
+    than 2 features are rejected: SWPD needs two dimensions to swap. So is
+    a ``cache`` built for another feature count, before any work starts.
 
     Where ``cores.may_fork()`` allows, one forked worker scores each
     chromosome's mask while the heuristics of the next ones run
@@ -253,6 +254,9 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     start = time.perf_counter()
     if cache is None:
         cache = build_cache(dataset)
+    elif cache.n_features != dataset.n_features:
+        raise ValueError(f"the correlation cache covers {cache.n_features} features, "
+                         f"dataset {dataset.name!r} has {dataset.n_features}")
     evaluator = FitnessEvaluator(dataset, search_protocol)
     init_rng = np.random.default_rng([cfg.seed, 0])
     ga_rng = np.random.default_rng([cfg.seed, 2])

@@ -160,6 +160,54 @@ class TestBuildCache:
                              feature_class=np.zeros(2))
 
 
+class TestCacheOwnsItsArrays:
+    """The cache stores C-contiguous float64 copies, leaves the caller's
+    arrays alone, and rejects entries that are not finite and non-negative."""
+
+    def test_integer_input_is_stored_as_float64_copies(self):
+        ff, fc = np.eye(3, dtype=int), np.array([1, 0, 1])
+        cache = CorrelationCache(ff, fc)
+        for stored, given in ((cache.feature_feature, ff), (cache.feature_class, fc)):
+            assert stored.dtype == np.float64 and stored.flags.c_contiguous
+            assert np.array_equal(stored, given) and not np.shares_memory(stored, given)
+            assert not stored.flags.writeable
+        assert ff.flags.writeable and fc.flags.writeable
+        ff[0, 0] = 5
+        assert cache.feature_feature[0, 0] == 1.0
+
+    def test_fortran_order_input_is_stored_c_contiguous(self):
+        ff = np.asfortranarray(random_cache(5, seed=3).feature_feature)
+        cache = CorrelationCache(ff, np.full(5, 0.5))
+        assert cache.feature_feature.flags.c_contiguous
+        assert np.array_equal(cache.feature_feature, ff)
+
+    def test_build_cache_arrays_keep_their_bytes(self):
+        d = synthetic_dataset(n_instances=30, n_features=6, seed=8)
+        cache = build_cache(d)
+        again = CorrelationCache(cache.feature_feature, cache.feature_class)
+        assert again.feature_feature.tobytes() == cache.feature_feature.tobytes()
+        assert again.feature_class.tobytes() == cache.feature_class.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25])
+    def test_non_finite_or_negative_entries_rejected(self, bad):
+        ff, fc = np.eye(3), np.full(3, 0.5)
+        ff_bad, fc_bad = ff.copy(), fc.copy()
+        ff_bad[0, 2] = bad
+        fc_bad[1] = bad
+        with pytest.raises(ValueError, match="feature_feature entries must be finite and non-negative"):
+            CorrelationCache(ff_bad, fc)
+        with pytest.raises(ValueError, match="feature_class entries must be finite and non-negative"):
+            CorrelationCache(ff, fc_bad)
+
+    def test_all_nan_matrix_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            CorrelationCache(np.full((3, 3), np.nan), np.full(3, 0.5))
+
+    def test_class_vector_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="N x N"):
+            CorrelationCache(np.eye(1), np.zeros((1, 1)))
+
+
 class TestCfsMerit:
     def test_single_feature_is_its_class_correlation(self):
         cache = cache_from_values([0.8, 0.3], np.eye(2))

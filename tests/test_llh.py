@@ -1,5 +1,10 @@
 import math
 import operator
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,7 @@ from conftest import (HILL_CLIMBER_IDS, MUTATIONAL_IDS, StubRng,
                       sweep_reference, synthetic_dataset)
 from hhfs import llh
 from hhfs.correlation import _MeritScan, build_cache, cfs_merit
-from hhfs.llh import ALL, ONES, ZEROS, CATALOG, LlhContext
+from hhfs.llh import ALL, ONES, ZEROS, CATALOG, LlhContext, _climb
 from hhfs.mask import FeatureMask
 
 ID_OF = {info.name: i for i, info in CATALOG.items()}
@@ -194,7 +199,7 @@ class TestSdhc:
             for _ in range(20):
                 bits = rng.integers(0, 2, size=n)
                 scan = _MeritScan(cache, bits)
-                vector = scan.flip_merits(np.arange(n))
+                vector = sign_form_flip_merits(scan, np.arange(n))
                 assert vector.tolist() == [scalar_flip_merit(scan, b) for b in range(n)]
 
     def test_unique_improving_bit_is_taken(self):
@@ -372,7 +377,7 @@ class TestSweepReference:
 
     @staticmethod
     def rmhc_reference(scan, cache, bit_domain, rng):
-        """RMHC as it scored its bit through the vector ``flip_merits``:
+        """RMHC as it scored its bit through the vector flip merits:
         the same draw, acceptance iff the flip merit is at least the
         current one, a fresh scan of the flipped bits when it moves.
         Returns the result and whether it accepted a tie."""
@@ -381,7 +386,7 @@ class TestSweepReference:
         if positions.size == 0:
             return scan, False
         b = int(positions[int(rng.integers(positions.size))])
-        candidate = scan.flip_merits([b])[0]
+        candidate = sign_form_flip_merits(scan, [b])[0]
         if candidate < scan.merit:
             return scan, False
         bits = scan.bits.copy()
@@ -422,7 +427,7 @@ class TestSweepReference:
         # merit exactly; a tie is not an improvement
         cache = cache_from_values([0.5, 0.5], [[1.0, 1.0], [1.0, 1.0]])
         scan = _MeritScan(cache, [1, 0])
-        assert scan.flip_merits([1])[0] == scan.merit == 0.5
+        assert sign_form_flip_merits(scan, [1])[0] == scan.merit == 0.5
         assert sweep_reference(scan, cache, [0, 1]) is scan
         assert CATALOG[ID_OF["NAHC"]].func(scan, make_ctx(cache)) is scan
         for order in ([0, 1], [1, 0]):
@@ -475,6 +480,65 @@ def called_merit_sweep(scan, cache, positions, accept):
     return _MeritScan(cache, bits) if changed else scan
 
 
+def sign_form_flip_merits(scan, positions):
+    """The scan's ``flip_merits`` as SDHC read it before the compiled
+    kernel: the merits of all N flips in a sign form, with sign -1.0 on a
+    1-bit and +1.0 on a 0-bit, so a flip leaves k + sign features,
+    sum_cf + sign * fc and sum_ff + 2 sign * (row - bits * diag); the flip
+    to k == 0 scores 0.0."""
+    cache = scan.cache
+    sign = np.where(scan.bits, -1.0, 1.0)
+    k = scan.k + sign
+    sum_cf = scan.sum_cf + sign * cache.feature_class
+    denom = k + (scan.sum_ff + (2.0 * sign) * (scan.row - scan.bits * cache.diagonal))
+    if scan.k != 1:
+        return (sum_cf / np.sqrt(denom))[positions]
+    empty = k == 0
+    return np.where(empty, 0.0, sum_cf / np.sqrt(np.where(empty, 1.0, denom)))[positions]
+
+
+def python_sweep_climb(scan, positions, ties=False):
+    """``_sweep_climb``'s loop as it ran in Python before the compiled
+    kernel: sums seeded from the scan, each visit scored inline on Python
+    floats, a commit updating a numpy row by ``columns[b]`` and re-reading
+    it. Returns the kept positions, as ``_climb.sweep`` does."""
+    cache = scan.cache
+    fc, diag = tuple(cache.feature_class.tolist()), tuple(cache.diagonal.tolist())
+    columns = cache.columns
+    bits, row, row_np = tuple(scan.bits.tolist()), tuple(scan.row.tolist()), scan.row
+    k, sum_cf, sum_ff, current = scan.k, scan.sum_cf, scan.sum_ff, scan.merit
+    kept = []
+    for b in positions:
+        if bits[b]:
+            k_b, cf_b, ff_b = k - 1, sum_cf - fc[b], sum_ff - 2.0 * (row[b] - diag[b])
+        else:
+            k_b, cf_b, ff_b = k + 1, sum_cf + fc[b], sum_ff + 2.0 * row[b]
+        candidate = cf_b / math.sqrt(k_b + ff_b) if k_b else 0.0
+        if candidate > current or (ties and candidate == current):
+            row_np = row_np - columns[b] if bits[b] else row_np + columns[b]
+            row = row_np.tolist()
+            k, sum_cf, sum_ff, current = k_b, cf_b, ff_b, candidate
+            kept.append(b)
+    return kept
+
+
+SCAN_BUFFERS = ("bits", "row", "feature_class", "diagonal")
+
+
+def call_kernel(name, scan, positions, ties=False, **replace):
+    """``_climb.sweep`` or ``_climb.best`` on ``scan``'s state, with the
+    named buffers replaced."""
+    cache = scan.cache
+    buffers = dict(bits=scan.bits, row=scan.row, feature_class=cache.feature_class,
+                   diagonal=cache.diagonal, columns=cache.columns, positions=positions)
+    buffers.update(replace)
+    numbers = (scan.k, scan.sum_cf, scan.sum_ff, scan.merit)
+    if name == "sweep":
+        return _climb.sweep(*(buffers[b] for b in SCAN_BUFFERS), buffers["columns"],
+                            buffers["positions"], *numbers, ties)
+    return _climb.best(*(buffers[b] for b in SCAN_BUFFERS), buffers["positions"], *numbers)
+
+
 class TestHotPathReference:
     """The scan's cached flip merits and the inlined climb loop against
     reference copies of the code they replaced, bit for bit, over random
@@ -507,17 +571,37 @@ class TestHotPathReference:
 
     @pytest.mark.parametrize("bit_domain", [ALL, ZEROS, ONES])
     def test_flip_merits_equal_where_chain(self, bit_domain):
-        emptied = 0
+        """The sign-form flip merits equal the where chain bit for bit, and
+        SDHC's compiled move is their first argmax when it beats the merit."""
+        emptied = moved = 0
         for _, _, scan in self.inputs():
             positions = scan.in_domain(bit_domain)
-            expected = where_chain_flip_merits(scan, positions).tobytes()
-            assert scan.flip_merits(positions).tobytes() == expected
-            # a plain list of positions, as callers outside the catalog pass
-            assert scan.flip_merits(positions.tolist()).tobytes() == expected
+            merits = sign_form_flip_merits(scan, positions)
+            assert merits.tobytes() == where_chain_flip_merits(scan, positions).tobytes()
             if scan.k == 1:
-                assert scan.flip_merits(scan.in_domain(ONES)).tolist() == [0.0]
+                assert sign_form_flip_merits(scan, scan.in_domain(ONES)).tolist() == [0.0]
                 emptied += 1
-        assert emptied > 0
+            expected = None
+            if positions.size and merits.max() > scan.merit:
+                expected = int(positions[int(np.argmax(merits))])
+                moved += 1
+            assert call_kernel("best", scan, positions) == expected
+        assert emptied > 0 and moved > 0
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("bit_domain", [ALL, ZEROS, ONES])
+    def test_kernel_sweep_equals_python_loop(self, bit_domain, ties):
+        """``_climb.sweep`` keeps exactly the positions the Python loop kept,
+        in ascending and in random visiting orders."""
+        kept = 0
+        for c, _, scan in self.inputs():
+            domain = scan.in_domain(bit_domain)
+            shuffled = domain[np.random.default_rng([c, scan.k]).permutation(domain.size)]
+            for positions in (domain, shuffled, domain[:1]):
+                expected = python_sweep_climb(scan, positions.tolist(), ties)
+                assert call_kernel("sweep", scan, positions, ties) == expected
+                kept += len(expected)
+        assert kept > 0
 
     @pytest.mark.parametrize("bit_domain", [ALL, ZEROS, ONES])
     @pytest.mark.parametrize("name", ["NAHC", "DBHC", "RMHC"])
@@ -552,23 +636,15 @@ class TestHotPathReference:
     def test_cached_arrays_are_read_only(self):
         cache = random_cache(9, seed=7)
         scan = _MeritScan(cache, [1, 0, 1, 1, 0, 0, 1, 0, 1])
-        for bit_domain in (ALL, ZEROS, ONES):
-            scan.in_domain(bit_domain)
-        scan.flip_merits([0])
-        bits, row = scan.values()
         arrays = [cache.feature_feature, cache.feature_class, cache.diagonal,
-                  cache.columns, cache.positions, scan.bits, scan.row, scan._flips,
+                  cache.columns, cache.positions, scan.bits, scan.row,
                   *(scan.in_domain(d) for d in (ALL, ZEROS, ONES))]
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0
-        for values in (bits, row, cache.fc_tuple, cache.diag_tuple):
-            with pytest.raises(TypeError):
-                values[0] = 0
         # what the caches hold is what the arrays say
         assert np.array_equal(cache.columns, cache.feature_feature.T)
-        assert cache.diag_tuple == tuple(np.diagonal(cache.feature_feature))
-        assert bits == tuple(scan.bits) and row == tuple(scan.row)
+        assert np.array_equal(cache.diagonal, np.diagonal(cache.feature_feature))
 
 
 class TestRmhc:
@@ -782,3 +858,126 @@ class TestCrossHeuristicProperties:
             best_mask, _ = exhaustive_best_mask(cache)
             out = sdhc(best_mask, make_ctx(cache))
             assert out == best_mask
+
+
+@pytest.mark.parametrize("name", ["sweep", "best"])
+class TestClimbKernelArguments:
+    """Every buffer is checked against n = len(bits) and every position
+    against 0..n-1 before the kernel reads one: a bad argument is a
+    ValueError or an IndexError."""
+
+    N = 6
+
+    @pytest.fixture
+    def scan(self):
+        return _MeritScan(random_cache(self.N, seed=41), [1, 0, 1, 1, 0, 0])
+
+    def test_valid_arguments_run(self, name, scan):
+        positions = np.arange(self.N)
+        if name == "sweep":
+            expected = python_sweep_climb(scan, positions.tolist())
+        else:
+            merits = sign_form_flip_merits(scan, positions)
+            expected = int(np.argmax(merits)) if merits.max() > scan.merit else None
+        assert call_kernel(name, scan, positions) == expected
+        empty = np.arange(0)
+        assert call_kernel(name, scan, empty) == ([] if name == "sweep" else None)
+
+    @pytest.mark.parametrize("buffer", ["row", "feature_class", "diagonal"])
+    def test_wrong_length_vector(self, name, scan, buffer):
+        for length in (self.N - 1, self.N + 1):
+            with pytest.raises(ValueError, match=f"{buffer} has length {length}"):
+                call_kernel(name, scan, np.arange(self.N), **{buffer: np.zeros(length)})
+
+    def test_wrong_item_types(self, name, scan):
+        positions = np.arange(self.N)
+        with pytest.raises(ValueError, match="positions must hold int64"):
+            call_kernel(name, scan, positions.astype(np.int32))
+        with pytest.raises(ValueError, match="positions must hold int64"):
+            call_kernel(name, scan, positions.astype(np.float64))
+        with pytest.raises(ValueError, match="bits must hold bools"):
+            call_kernel(name, scan, positions, bits=scan.bits.astype(np.uint8))
+        with pytest.raises(ValueError, match="row must hold float64"):
+            call_kernel(name, scan, positions, row=scan.row.astype(np.float32))
+
+    @pytest.mark.parametrize("bad", [-1, N, N + 100, -(2 ** 62)])
+    def test_position_out_of_range(self, name, scan, bad):
+        for positions in ([bad], [0, 1, bad], [bad, 0]):
+            with pytest.raises(IndexError, match=f"position {bad} out of range for 6"):
+                call_kernel(name, scan, np.array(positions, dtype=np.int64))
+
+    def test_non_contiguous(self, name, scan):
+        positions = np.arange(self.N)
+        with pytest.raises(ValueError, match="row must be C-contiguous"):
+            call_kernel(name, scan, positions, row=np.repeat(scan.row, 2)[::2])
+        with pytest.raises(ValueError, match="positions must be C-contiguous"):
+            call_kernel(name, scan, np.repeat(positions, 2)[::2])
+        if name == "sweep":
+            with pytest.raises(ValueError, match="columns must be C-contiguous"):
+                call_kernel(name, scan, positions, columns=scan.cache.columns.T)
+
+    def test_argument_count_and_non_buffers(self, name, scan):
+        kernel = getattr(_climb, name)
+        with pytest.raises(TypeError, match="arguments"):
+            kernel(scan.bits, scan.row)
+        with pytest.raises(TypeError):
+            call_kernel(name, scan, list(range(self.N)))
+
+
+def test_sweep_rejects_wrong_shape_columns():
+    scan = _MeritScan(random_cache(6, seed=41), [1, 0, 1, 1, 0, 0])
+    for shape in ((6, 7), (7, 6), (36,)):
+        with pytest.raises(ValueError, match="columns"):
+            call_kernel("sweep", scan, np.arange(6), columns=np.zeros(shape))
+
+
+class TestClimbBuild:
+    def test_no_compiler_is_one_import_error_and_a_build_is_reused(self, tmp_path):
+        """Without ``cc`` the import fails with one ImportError line; with
+        it, the first import builds into ``__pycache__/`` and the next
+        reuses that build, so a ``cc`` that always fails is never run."""
+        package = tmp_path / "hhfs"
+        shutil.copytree(Path(llh.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        no_cc, failing_cc = tmp_path / "no_cc", tmp_path / "failing_cc"
+        no_cc.mkdir()
+        failing_cc.mkdir()
+        (failing_cc / "cc").write_text("#!/bin/sh\necho rebuilt >&2\nexit 1\n")
+        (failing_cc / "cc").chmod(0o755)
+
+        def import_hhfs(path):
+            env = {**os.environ, "PATH": str(path), "PYTHONPATH": str(tmp_path)}
+            return subprocess.run([sys.executable, "-c", "import hhfs"], env=env,
+                                  cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+        failed = import_hhfs(no_cc)
+        assert failed.returncode == 1
+        lines = failed.stderr.splitlines()
+        assert [line for line in lines if not line.startswith(" ")][-1:] == lines[-1:]
+        assert lines[-1].startswith("ImportError: hhfs needs a C compiler: no `cc` on PATH")
+        assert sum("Error" in line for line in lines if not line.startswith(" ")) == 1
+        assert list(package.glob("__pycache__/*")) == []  # no temporary file left
+
+        built = import_hhfs(os.environ["PATH"])
+        assert built.returncode == 0, built.stderr
+        [module] = package.glob("__pycache__/_climb.*")
+        stat = module.stat()
+
+        reused = import_hhfs(failing_cc)
+        assert reused.returncode == 0, reused.stderr
+        assert list(package.glob("__pycache__/_climb.*")) == [module]
+        assert (module.stat().st_ino, module.stat().st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+
+    def test_failed_build_names_cc_and_its_stderr(self, tmp_path):
+        package = tmp_path / "hhfs"
+        shutil.copytree(Path(llh.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        with open(package / "_climb.c", "a") as fh:
+            fh.write("\n#error deliberately broken\n")
+        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+        failed = subprocess.run([sys.executable, "-c", "import hhfs"], env=env, cwd=tmp_path,
+                                capture_output=True, text=True, timeout=120)
+        assert failed.returncode == 1
+        assert "ImportError: hhfs: `cc` failed to build" in failed.stderr
+        assert "deliberately broken" in failed.stderr
+        assert list(package.glob("__pycache__/*")) == []

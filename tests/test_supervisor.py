@@ -347,6 +347,19 @@ class TestRunSupervisor:
         with pytest.raises(ValueError, match="at least 2 features"):
             run_supervisor(d, self.small_config(), CvProtocol(folds=2))
 
+    @pytest.mark.parametrize("cached", [4, 6])
+    def test_rejects_cache_of_another_size_up_front(self, monkeypatch, cached):
+        def never(*args):
+            pytest.fail("the run got past its argument checks")
+
+        monkeypatch.setattr(FitnessEvaluator, "fitness", never)
+        monkeypatch.setattr(FitnessEvaluator, "start_worker", never)
+        d = synthetic_dataset(n_instances=30, n_features=5, seed=4)
+        cache = build_cache(synthetic_dataset(n_instances=30, n_features=cached, seed=4))
+        with pytest.raises(ValueError, match=f"^the correlation cache covers {cached} "
+                                             "features, dataset 'synthetic' has 5$"):
+            run_supervisor(d, self.small_config(), CvProtocol(folds=5), cache=cache)
+
     def test_subset_size_bounded_by_feature_count(self, small_dataset):
         proto = CvProtocol(folds=5, repeats=1, base_seed=7)
         result = run_supervisor(small_dataset, self.small_config(), proto)
