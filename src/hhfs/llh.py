@@ -17,11 +17,9 @@ replaying a seed replays the output bit-exactly.
 The hill-climbers' scoring loops are compiled: ``_climb.c`` beside this
 module holds SDHC's move (``best``) and the climb loop NAHC, DBHC and RMHC
 share (``sweep``), which visits the positions it is given one bit at a
-time, keeps its own working sums and scores each visit inline. The first
-import builds it with the system ``cc`` into ``__pycache__/``, named by a
-hash of the source, the flags and the extension suffix, and later imports
-load that build; without a compiler the import fails with one
-``ImportError``. The positions, the RNG draws and every scan stay in numpy.
+time, keeps its own working sums and scores each visit inline;
+``_load_climb`` builds it on first import. The positions, the RNG draws
+and every scan stay in numpy.
 A call that leaves every bit unchanged returns its input object, so
 callers can tell "did not move" by identity; a call that moves returns a
 fresh scan of its output bits, never one carried forward incrementally,
@@ -33,10 +31,13 @@ chromosome of heuristics stays predictable.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
 import os
+import shutil
 import subprocess
+import sys
 import sysconfig
 import tempfile
 from dataclasses import dataclass
@@ -51,29 +52,37 @@ from .mask import FeatureMask
 
 
 def _load_climb():
-    """The compiled ``_climb`` module: built from ``_climb.c`` into
+    """The compiled ``_climb`` module, built from ``_climb.c`` into
     ``__pycache__/`` unless a build of this source, these flags and this
-    interpreter's extension suffix is there, then loaded. The build goes
-    to a temporary directory and is renamed into place, so concurrent
-    first imports each see a whole module."""
+    extension suffix is there. A build goes to a temporary directory and is
+    renamed into place, so concurrent first imports each see a whole
+    module, then removes the older builds for this suffix. No ``cc``, a
+    failing ``cc`` or an unwritable directory is one ``ImportError``."""
     source = Path(__file__).with_name("_climb.c")
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     flags = ["-O2", "-ffp-contract=off", "-fPIC", "-shared",
              "-I" + sysconfig.get_paths()["include"]]
+    if sys.platform == "darwin":  # Python's symbols resolve at load, as in sysconfig's LDSHARED
+        flags += ["-undefined", "dynamic_lookup"]
     key = "\0".join([source.read_text(), *flags, suffix]).encode()
     built = source.parent / "__pycache__" / f"_climb.{hashlib.sha256(key).hexdigest()[:16]}{suffix}"
     if not built.exists():
-        built.parent.mkdir(exist_ok=True)
-        with tempfile.TemporaryDirectory(dir=built.parent) as tmp:
-            out = os.path.join(tmp, built.name)
-            try:
+        if shutil.which("cc") is None:
+            raise ImportError(f"hhfs needs a C compiler: no `cc` on PATH to build {source}")
+        try:
+            built.parent.mkdir(exist_ok=True)
+            with tempfile.TemporaryDirectory(dir=built.parent) as tmp:
+                out = os.path.join(tmp, built.name)
                 proc = subprocess.run(["cc", *flags, "-o", out, str(source)],
                                       capture_output=True, text=True)
-            except FileNotFoundError:
-                raise ImportError(f"hhfs needs a C compiler: no `cc` on PATH to build {source}") from None
-            if proc.returncode:
-                raise ImportError(f"hhfs: `cc` failed to build {source}: {proc.stderr.strip()}")
-            os.replace(out, built)
+                if proc.returncode:
+                    raise ImportError(f"hhfs: `cc` failed to build {source}: {proc.stderr.strip()}")
+                os.replace(out, built)
+        except OSError as e:
+            raise ImportError(f"hhfs: cannot build {source} into {built.parent}: {e}") from None
+        for old in set(built.parent.glob(f"_climb.*{suffix}")) - {built}:
+            with contextlib.suppress(OSError):  # another process may still load it
+                old.unlink()
     spec = importlib.util.spec_from_file_location(f"{__package__}._climb", built)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -931,53 +932,87 @@ def test_sweep_rejects_wrong_shape_columns():
             call_kernel("sweep", scan, np.arange(6), columns=np.zeros(shape))
 
 
+def build_leftovers(package):
+    """What ``_load_climb`` writes into the package's ``__pycache__``:
+    builds and temporary directories, not other modules' bytecode."""
+    return sorted(package.glob("__pycache__/_climb.*")) + sorted(package.glob("__pycache__/tmp*"))
+
+
+def import_hhfs(tmp_path, path=None):
+    """``import hhfs`` in a fresh interpreter from the copy under
+    ``tmp_path``, with ``PATH`` set to ``path`` if given."""
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+    if path is not None:
+        env["PATH"] = str(path)
+    return subprocess.run([sys.executable, "-c", "import hhfs"], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+
+def assert_one_import_error(failed, start):
+    """The import failed with exactly one error line, the last, an
+    ``ImportError`` starting with ``start``."""
+    assert failed.returncode == 1
+    lines = failed.stderr.splitlines()
+    assert [line for line in lines if not line.startswith(" ")][-1:] == lines[-1:]
+    assert lines[-1].startswith(start), failed.stderr
+    assert sum("Error" in line for line in lines if not line.startswith(" ")) == 1
+
+
 class TestClimbBuild:
-    def test_no_compiler_is_one_import_error_and_a_build_is_reused(self, tmp_path):
-        """Without ``cc`` the import fails with one ImportError line; with
-        it, the first import builds into ``__pycache__/`` and the next
-        reuses that build, so a ``cc`` that always fails is never run."""
+    @pytest.fixture
+    def package(self, tmp_path):
         package = tmp_path / "hhfs"
         shutil.copytree(Path(llh.__file__).parent, package,
                         ignore=shutil.ignore_patterns("__pycache__"))
+        return package
+
+    def test_no_compiler_is_one_import_error_and_a_build_is_reused(self, tmp_path, package):
+        """Without ``cc`` the import fails with one ImportError line; with
+        it, the first import builds into ``__pycache__/``, removing older
+        builds for this extension suffix, and the next reuses that build,
+        so a ``cc`` that always fails is never run."""
         no_cc, failing_cc = tmp_path / "no_cc", tmp_path / "failing_cc"
         no_cc.mkdir()
         failing_cc.mkdir()
         (failing_cc / "cc").write_text("#!/bin/sh\necho rebuilt >&2\nexit 1\n")
         (failing_cc / "cc").chmod(0o755)
 
-        def import_hhfs(path):
-            env = {**os.environ, "PATH": str(path), "PYTHONPATH": str(tmp_path)}
-            return subprocess.run([sys.executable, "-c", "import hhfs"], env=env,
-                                  cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        failed = import_hhfs(tmp_path, no_cc)
+        assert_one_import_error(failed, "ImportError: hhfs needs a C compiler: no `cc` on PATH")
+        assert build_leftovers(package) == []  # no temporary file left
 
-        failed = import_hhfs(no_cc)
-        assert failed.returncode == 1
-        lines = failed.stderr.splitlines()
-        assert [line for line in lines if not line.startswith(" ")][-1:] == lines[-1:]
-        assert lines[-1].startswith("ImportError: hhfs needs a C compiler: no `cc` on PATH")
-        assert sum("Error" in line for line in lines if not line.startswith(" ")) == 1
-        assert list(package.glob("__pycache__/*")) == []  # no temporary file left
-
-        built = import_hhfs(os.environ["PATH"])
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        stale = package / "__pycache__" / f"_climb.0000000000000000{suffix}"
+        other_python = package / "__pycache__" / "_climb.0000000000000000.other-abi.so"
+        stale.parent.mkdir(exist_ok=True)
+        stale.write_bytes(b"")
+        other_python.write_bytes(b"")
+        built = import_hhfs(tmp_path)
         assert built.returncode == 0, built.stderr
-        [module] = package.glob("__pycache__/_climb.*")
+        [module] = package.glob(f"__pycache__/_climb.*{suffix}")
+        assert module != stale and other_python.exists()
         stat = module.stat()
 
-        reused = import_hhfs(failing_cc)
+        reused = import_hhfs(tmp_path, failing_cc)
         assert reused.returncode == 0, reused.stderr
-        assert list(package.glob("__pycache__/_climb.*")) == [module]
+        assert build_leftovers(package) == sorted([module, other_python])
         assert (module.stat().st_ino, module.stat().st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
 
-    def test_failed_build_names_cc_and_its_stderr(self, tmp_path):
-        package = tmp_path / "hhfs"
-        shutil.copytree(Path(llh.__file__).parent, package,
-                        ignore=shutil.ignore_patterns("__pycache__"))
+    def test_failed_build_names_cc_and_its_stderr(self, tmp_path, package):
         with open(package / "_climb.c", "a") as fh:
             fh.write("\n#error deliberately broken\n")
-        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
-        failed = subprocess.run([sys.executable, "-c", "import hhfs"], env=env, cwd=tmp_path,
-                                capture_output=True, text=True, timeout=120)
+        failed = import_hhfs(tmp_path)
         assert failed.returncode == 1
         assert "ImportError: hhfs: `cc` failed to build" in failed.stderr
         assert "deliberately broken" in failed.stderr
-        assert list(package.glob("__pycache__/*")) == []
+        assert build_leftovers(package) == []
+
+    def test_unwritable_build_directory_is_one_import_error(self, tmp_path, package):
+        """A ``__pycache__`` the build cannot write into (here a plain file
+        in its place, which blocks root as well as other users) fails the
+        import with one ImportError naming the directory, not an OSError
+        traceback."""
+        (package / "__pycache__").write_text("")
+        failed = import_hhfs(tmp_path)
+        assert_one_import_error(failed, "ImportError: hhfs: cannot build ")
+        assert str(package / "__pycache__") in failed.stderr.splitlines()[-1]
