@@ -1,21 +1,36 @@
-/* The hill-climbers' scoring loops over a merit scan (see hhfs.llh).
+/* The merit scan and the 16 low-level heuristics (see hhfs.correlation and
+   hhfs.llh), compiled.
 
-   sweep: the NAHC/DBHC/RMHC pass. Visit the given positions in order,
-   score each single-bit flip from the working sums and keep it iff its
-   merit is greater than the current one (or equal, with ties). A kept
-   flip updates the working sums and adds or subtracts the cache column
-   of its bit from a working copy of the row. Returns the kept positions.
+   scan(bits, feature_class, diagonal, columns, row_out) -> (k, sum_cf, sum_ff, merit)
+   A mask's merit scan, summed in one fixed order: ascending selected index.
+   row[j] is the sum of columns[i][j] over the selected i, added element by
+   element (so the loop vectorises across j, and every row[j] is the same
+   sequential sum); sum_cf is the sum of feature_class[i] and sum_ff the
+   sum of row[i] - diagonal[i] over the selected i; the merit is
+   sum_cf / sqrt((double)k + sum_ff), or 0.0 at k == 0.
 
-   best: SDHC's move. The lowest position whose flip scores the highest
-   merit, if that merit is strictly above the current one; else None.
+   apply(genes, bit_generator, bits, row, k, sum_cf, sum_ff, merit,
+         feature_class, diagonal, columns, mutn_rate, invocations,
+         improvements, bits_out, row_out) -> None or (k, sum_cf, sum_ff, merit)
+   Run the heuristics ``genes`` (catalog ids 1..16) left to right from the
+   given scan, each on the previous one's output. A gene that moves gets a
+   fresh scan of its bits. Every gene counts one invocation, and one
+   improvement where its fresh merit is strictly higher. Returns None when
+   no gene moved; else the final scan's sums, with its bits and row in
+   bits_out and row_out.
 
-   Each visit computes, on doubles and in this order, what the Python
-   loop it replaces computed: the per-branch sums, then
-   sum_cf / sqrt((double)k + sum_ff), or 0.0 when the flip leaves k == 0.
-   It is built with -ffp-contract=off, so no multiply and add are fused
-   and every merit has the bits that Python's float arithmetic gives.
-   Every buffer is checked against n, the length of the bits, and every
-   position against 0..n-1 before any is read. */
+   The heuristics draw from the bit generator through numpy's random C API,
+   with the calls its Generator makes: integers(n) is
+   random_bounded_uint64_fill over [0, n - 1], random() and random(n) are
+   random_standard_uniform[_fill], and permutation(n) shuffles arange(n) by
+   random_interval from the top down. So a gene list draws what the Python
+   rules drew on a Generator over the same bit generator, draw for draw.
+
+   A flip is scored from the scan's sums, on doubles and in this order: the
+   per-branch sums, then sum_cf / sqrt((double)k + sum_ff), or 0.0 when the
+   flip leaves k == 0. It is built with -ffp-contract=off, so no multiply
+   and add are fused. Every buffer is checked against n, the length of the
+   bits, and every gene id against 1..16 before any is read. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -23,15 +38,22 @@
 #include <stdint.h>
 #include <string.h>
 
+#include "numpy/random/distributions.h"
+
+#define NUM_LLH 16
+enum domain { ALL, ZEROS, ONES };      /* each hill-climbing rule's three ids, in order */
+enum rule { SDHC, NAHC, DBHC, RMHC };  /* ids 1-3, 4-6, 7-9, 10-12 */
+enum move { SWPD = 13, DIMM, HYPM, MUTN };
+
 enum kind { BOOL, FLOAT64, INT64 };
 
 /* Acquire ``obj`` as a C-contiguous buffer of ``ndim`` dimensions, each of
    length ``n`` (any length where n < 0), holding items of ``want`` kind. */
 static int
 get_buffer(PyObject *obj, Py_buffer *view, const char *name, enum kind want,
-           int ndim, Py_ssize_t n)
+           int ndim, Py_ssize_t n, int writable)
 {
-    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
+    if (PyObject_GetBuffer(obj, view, writable ? PyBUF_RECORDS : PyBUF_RECORDS_RO) < 0)
         return -1;
     const char *format = view->format ? view->format : "B";
     int ok;
@@ -70,14 +92,6 @@ get_buffer(PyObject *obj, Py_buffer *view, const char *name, enum kind want,
     return 0;
 }
 
-/* The scan state both functions take: bits, row, fc, diag as buffers and
-   k, sum_cf, sum_ff, merit as numbers, at args[0..3] and args[first..]. */
-struct scan {
-    Py_buffer bits, row, fc, diag;
-    Py_ssize_t n, k;
-    double sum_cf, sum_ff, merit;
-};
-
 static void
 release(Py_buffer *views[], int count)
 {
@@ -86,180 +100,345 @@ release(Py_buffer *views[], int count)
             PyBuffer_Release(views[i]);
 }
 
-static int
-get_scan(PyObject *const *args, Py_ssize_t first, struct scan *s)
-{
-    if (get_buffer(args[0], &s->bits, "bits", BOOL, 1, -1) < 0)
-        return -1;
-    s->n = s->bits.shape[0];
-    if (get_buffer(args[1], &s->row, "row", FLOAT64, 1, s->n) < 0
-        || get_buffer(args[2], &s->fc, "feature_class", FLOAT64, 1, s->n) < 0
-        || get_buffer(args[3], &s->diag, "diagonal", FLOAT64, 1, s->n) < 0)
-        return -1;
-    s->k = PyLong_AsSsize_t(args[first]);
-    if (s->k == -1 && PyErr_Occurred())
-        return -1;
-    s->sum_cf = PyFloat_AsDouble(args[first + 1]);
-    if (s->sum_cf == -1.0 && PyErr_Occurred())
-        return -1;
-    s->sum_ff = PyFloat_AsDouble(args[first + 2]);
-    if (s->sum_ff == -1.0 && PyErr_Occurred())
-        return -1;
-    s->merit = PyFloat_AsDouble(args[first + 3]);
-    if (s->merit == -1.0 && PyErr_Occurred())
-        return -1;
-    return 0;
-}
+/* The correlation cache's constants, for n features. */
+struct cache {
+    Py_ssize_t n;
+    const double *fc, *diag, *columns;
+};
 
-static int
-get_positions(PyObject *obj, Py_buffer *view, Py_ssize_t n)
-{
-    if (get_buffer(obj, view, "positions", INT64, 1, -1) < 0)
-        return -1;
-    const int64_t *pos = view->buf;
-    for (Py_ssize_t i = 0; i < view->shape[0]; i++) {
-        if (pos[i] < 0 || pos[i] >= n) {
-            PyErr_Format(PyExc_IndexError, "position %lld out of range for %zd features",
-                         (long long)pos[i], n);
-            return -1;
-        }
-    }
-    return 0;
-}
+/* A scan's count, sums and merit. */
+struct sums {
+    Py_ssize_t k;
+    double sum_cf, sum_ff, merit;
+};
 
-/* The sums and merit of the scan with bit b flipped; returns the merit. */
-static inline double
-flip_merit(const char *bits, const double *row, const double *fc, const double *diag,
-           Py_ssize_t b, Py_ssize_t k, double sum_cf, double sum_ff,
-           Py_ssize_t *k_b, double *cf_b, double *ff_b)
+/* The scan of ``bits``: its row into ``row``, its sums as returned. */
+static struct sums
+scan_bits(const char *bits, const struct cache *c, double *restrict row)
 {
-    if (bits[b]) {
-        *k_b = k - 1;
-        *cf_b = sum_cf - fc[b];
-        *ff_b = sum_ff - 2.0 * (row[b] - diag[b]);
-    } else {
-        *k_b = k + 1;
-        *cf_b = sum_cf + fc[b];
-        *ff_b = sum_ff + 2.0 * row[b];
-    }
-    return *k_b ? *cf_b / sqrt((double)*k_b + *ff_b) : 0.0;
-}
-
-static PyObject *
-sweep(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 11) {
-        PyErr_Format(PyExc_TypeError,
-                     "sweep(bits, row, feature_class, diagonal, columns, positions,"
-                     " k, sum_cf, sum_ff, merit, ties) takes 11 arguments, %zd given", nargs);
-        return NULL;
-    }
-    struct scan s = {0};
-    Py_buffer columns = {0}, positions = {0};
-    Py_buffer *views[] = {&s.bits, &s.row, &s.fc, &s.diag, &columns, &positions};
-    PyObject *kept = NULL;
-    double *work = NULL;
-    int ties;
-    if (get_scan(args, 6, &s) < 0
-        || get_buffer(args[4], &columns, "columns", FLOAT64, 2, s.n) < 0
-        || get_positions(args[5], &positions, s.n) < 0
-        || (ties = PyObject_IsTrue(args[10])) < 0
-        || (kept = PyList_New(0)) == NULL)
-        goto done;
-
-    const char *bits = s.bits.buf;
-    const double *fc = s.fc.buf, *diag = s.diag.buf, *cols = columns.buf;
-    const double *row = s.row.buf;
-    const int64_t *pos = positions.buf;
-    Py_ssize_t k = s.k, k_b;
-    double sum_cf = s.sum_cf, sum_ff = s.sum_ff, current = s.merit, cf_b, ff_b;
-    for (Py_ssize_t i = 0; i < positions.shape[0]; i++) {
-        Py_ssize_t b = (Py_ssize_t)pos[i];
-        double candidate = flip_merit(bits, row, fc, diag, b, k, sum_cf, sum_ff,
-                                      &k_b, &cf_b, &ff_b);
-        if (!(candidate > current || (ties && candidate == current)))
+    Py_ssize_t n = c->n;
+    struct sums s = {0, 0.0, 0.0, 0.0};
+    for (Py_ssize_t j = 0; j < n; j++)
+        row[j] = 0.0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (!bits[i])
             continue;
-        if (work == NULL && (work = PyMem_Malloc(s.n * sizeof(double))) == NULL) {
-            PyErr_NoMemory();
-            Py_CLEAR(kept);
-            goto done;
-        }
-        const double *col = cols + b * s.n;
-        if (bits[b])
-            for (Py_ssize_t j = 0; j < s.n; j++)
-                work[j] = row[j] - col[j];
-        else
-            for (Py_ssize_t j = 0; j < s.n; j++)
-                work[j] = row[j] + col[j];
-        row = work;
-        k = k_b;
-        sum_cf = cf_b;
-        sum_ff = ff_b;
-        current = candidate;
-        PyObject *item = PyLong_FromSsize_t(b);
-        if (item == NULL || PyList_Append(kept, item) < 0) {
-            Py_XDECREF(item);
-            Py_CLEAR(kept);
-            goto done;
-        }
-        Py_DECREF(item);
+        const double *restrict col = c->columns + i * n;
+        for (Py_ssize_t j = 0; j < n; j++)
+            row[j] += col[j];
+        s.k++;
+        s.sum_cf += c->fc[i];
     }
-done:
-    PyMem_Free(work);
-    release(views, 6);
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (bits[i])
+            s.sum_ff += row[i] - c->diag[i];
+    s.merit = s.k ? s.sum_cf / sqrt((double)s.k + s.sum_ff) : 0.0;
+    return s;
+}
+
+/* The sums of the scan ``s`` of bits and row with bit b flipped. */
+static inline struct sums
+flip(const char *bits, const double *row, const struct cache *c, const struct sums *s,
+     Py_ssize_t b)
+{
+    struct sums f;
+    if (bits[b]) {
+        f.k = s->k - 1;
+        f.sum_cf = s->sum_cf - c->fc[b];
+        f.sum_ff = s->sum_ff - 2.0 * (row[b] - c->diag[b]);
+    } else {
+        f.k = s->k + 1;
+        f.sum_cf = s->sum_cf + c->fc[b];
+        f.sum_ff = s->sum_ff + 2.0 * row[b];
+    }
+    f.merit = f.k ? f.sum_cf / sqrt((double)f.k + f.sum_ff) : 0.0;
+    return f;
+}
+
+/* The NAHC/DBHC/RMHC pass: visit pos[0..count-1] in order and keep a flip
+   iff its merit is above the current one (or equal, with ties). A kept flip
+   inverts its bit, adds or subtracts its cache column from the row element
+   by element and carries its sums on. Returns whether a flip was kept. */
+static int
+sweep(const int64_t *pos, Py_ssize_t count, int ties, char *bits, double *restrict row,
+      const struct cache *c, struct sums s)
+{
+    int kept = 0;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        Py_ssize_t b = (Py_ssize_t)pos[i];
+        struct sums f = flip(bits, row, c, &s, b);
+        if (!(f.merit > s.merit || (ties && f.merit == s.merit)))
+            continue;
+        const double *restrict col = c->columns + b * c->n;
+        if (bits[b])
+            for (Py_ssize_t j = 0; j < c->n; j++)
+                row[j] -= col[j];
+        else
+            for (Py_ssize_t j = 0; j < c->n; j++)
+                row[j] += col[j];
+        bits[b] ^= 1;
+        s = f;
+        kept = 1;
+    }
     return kept;
 }
 
-static PyObject *
-best(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+/* SDHC's move: the first of pos[0..count-1] (ascending) whose flip scores
+   the highest merit, if that merit is strictly above the scan's; else -1. */
+static Py_ssize_t
+best(const int64_t *pos, Py_ssize_t count, const char *bits, const double *row,
+     const struct cache *c, const struct sums *s)
 {
-    if (nargs != 9) {
-        PyErr_Format(PyExc_TypeError,
-                     "best(bits, row, feature_class, diagonal, positions,"
-                     " k, sum_cf, sum_ff, merit) takes 9 arguments, %zd given", nargs);
-        return NULL;
-    }
-    struct scan s = {0};
-    Py_buffer positions = {0};
-    Py_buffer *views[] = {&s.bits, &s.row, &s.fc, &s.diag, &positions};
-    PyObject *result = NULL;
-    if (get_scan(args, 5, &s) < 0 || get_positions(args[4], &positions, s.n) < 0)
-        goto done;
-
-    const int64_t *pos = positions.buf;
-    Py_ssize_t top = -1, k_b;
-    double top_merit = 0.0, cf_b, ff_b;
-    for (Py_ssize_t i = 0; i < positions.shape[0]; i++) {
-        double merit = flip_merit(s.bits.buf, s.row.buf, s.fc.buf, s.diag.buf,
-                                  (Py_ssize_t)pos[i], s.k, s.sum_cf, s.sum_ff,
-                                  &k_b, &cf_b, &ff_b);
-        if (top < 0 || merit > top_merit) {  /* the first maximum: ascending positions */
+    Py_ssize_t top = -1;
+    double top_merit = 0.0;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        double merit = flip(bits, row, c, s, (Py_ssize_t)pos[i]).merit;
+        if (top < 0 || merit > top_merit) {
             top = (Py_ssize_t)pos[i];
             top_merit = merit;
         }
     }
-    if (top >= 0 && top_merit > s.merit)
-        result = PyLong_FromSsize_t(top);
-    else
-        result = Py_NewRef(Py_None);
+    return top >= 0 && top_merit > s->merit ? top : -1;
+}
+
+/* Keep, in order, the positions of pos[0..count-1] that ``domain`` lets
+   flip; returns how many. */
+static Py_ssize_t
+in_domain(const char *bits, enum domain domain, int64_t *pos, Py_ssize_t count)
+{
+    Py_ssize_t kept = 0;
+    for (Py_ssize_t i = 0; i < count; i++)
+        if (domain == ALL || (bits[pos[i]] != 0) == (domain == ONES))
+            pos[kept++] = pos[i];
+    return kept;
+}
+
+/* Generator.integers(n), n >= 1. */
+static Py_ssize_t
+draw_below(bitgen_t *rng, Py_ssize_t n)
+{
+    uint64_t out;
+    random_bounded_uint64_fill(rng, 0, (uint64_t)(n - 1), 1, false, &out);
+    return (Py_ssize_t)out;
+}
+
+/* Gene g on the scan ``s`` of bits and row, in place; returns whether it
+   moved. A hill-climber that keeps a flip may leave the row stale: a moved
+   gene is scanned afresh. ``pos`` and ``coins`` hold n items each. */
+static int
+run_gene(int g, bitgen_t *rng, double mutn_rate, char *bits, double *row,
+         const struct cache *c, const struct sums *s, int64_t *pos, double *coins)
+{
+    Py_ssize_t n = c->n, count, b;
+    if (g <= 12) {
+        enum rule rule = (g - 1) / 3;
+        enum domain domain = (g - 1) % 3;
+        for (b = 0; b < n; b++)
+            pos[b] = b;
+        if (rule == DBHC) {  /* Generator.permutation(n) */
+            for (Py_ssize_t i = n - 1; i > 0; i--) {
+                Py_ssize_t j = (Py_ssize_t)random_interval(rng, (uint64_t)i);
+                int64_t t = pos[i];
+                pos[i] = pos[j];
+                pos[j] = t;
+            }
+        }
+        count = in_domain(bits, domain, pos, n);
+        switch (rule) {
+        case SDHC:
+            if ((b = best(pos, count, bits, row, c, s)) < 0)
+                return 0;
+            bits[b] ^= 1;
+            return 1;
+        case RMHC:  /* an empty domain draws nothing */
+            return count && sweep(pos + draw_below(rng, count), 1, 1, bits, row, c, *s);
+        default:
+            return sweep(pos, count, 0, bits, row, c, *s);
+        }
+    }
+    switch (g) {
+    case SWPD: {
+        Py_ssize_t i = draw_below(rng, n), j = draw_below(rng, n - 1);
+        if (j >= i)
+            j++;
+        if (bits[i] == bits[j])
+            return 0;
+        bits[i] ^= 1;
+        bits[j] ^= 1;
+        return 1;
+    }
+    case DIMM:
+        b = draw_below(rng, n);
+        if (!(random_standard_uniform(rng) < 0.5))
+            return 0;
+        bits[b] ^= 1;
+        return 1;
+    default: {  /* HYPM, MUTN */
+        double rate = g == HYPM ? 0.5 : mutn_rate;
+        int moved = 0;
+        random_standard_uniform_fill(rng, n, coins);
+        for (b = 0; b < n; b++) {
+            if (coins[b] < rate) {
+                bits[b] ^= 1;
+                moved = 1;
+            }
+        }
+        return moved;
+    }
+    }
+}
+
+static int
+get_number(PyObject *obj, double *out)
+{
+    *out = PyFloat_AsDouble(obj);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* The cache buffers at args[0..2]: feature_class, diagonal, columns. */
+static int
+get_cache(PyObject *const *args, Py_buffer views[3], struct cache *c)
+{
+    if (get_buffer(args[0], &views[0], "feature_class", FLOAT64, 1, c->n, 0) < 0
+        || get_buffer(args[1], &views[1], "diagonal", FLOAT64, 1, c->n, 0) < 0
+        || get_buffer(args[2], &views[2], "columns", FLOAT64, 2, c->n, 0) < 0)
+        return -1;
+    c->fc = views[0].buf;
+    c->diag = views[1].buf;
+    c->columns = views[2].buf;
+    return 0;
+}
+
+static PyObject *
+scan(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 5) {
+        PyErr_Format(PyExc_TypeError,
+                     "scan(bits, feature_class, diagonal, columns, row_out)"
+                     " takes 5 arguments, %zd given", nargs);
+        return NULL;
+    }
+    Py_buffer bits = {0}, cache[3] = {{0}}, row = {0};
+    Py_buffer *views[] = {&bits, &cache[0], &cache[1], &cache[2], &row};
+    PyObject *result = NULL;
+    struct cache c;
+    if (get_buffer(args[0], &bits, "bits", BOOL, 1, -1, 0) < 0)
+        goto done;
+    c.n = bits.shape[0];
+    if (get_cache(args + 1, cache, &c) < 0
+        || get_buffer(args[4], &row, "row_out", FLOAT64, 1, c.n, 1) < 0)
+        goto done;
+    struct sums s = scan_bits(bits.buf, &c, row.buf);
+    result = Py_BuildValue("(nddd)", s.k, s.sum_cf, s.sum_ff, s.merit);
 done:
     release(views, 5);
     return result;
 }
 
+static PyObject *
+apply(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 16) {
+        PyErr_Format(PyExc_TypeError,
+                     "apply(genes, bit_generator, bits, row, k, sum_cf, sum_ff, merit,"
+                     " feature_class, diagonal, columns, mutn_rate, invocations,"
+                     " improvements, bits_out, row_out) takes 16 arguments, %zd given",
+                     nargs);
+        return NULL;
+    }
+    Py_buffer genes = {0}, bits = {0}, row = {0}, cache[3] = {{0}};
+    Py_buffer invocations = {0}, improvements = {0}, bits_out = {0}, row_out = {0};
+    Py_buffer *views[] = {&genes, &bits, &row, &cache[0], &cache[1], &cache[2],
+                          &invocations, &improvements, &bits_out, &row_out};
+    PyObject *capsule = NULL, *result = NULL;
+    void *work = NULL;
+    struct cache c;
+    struct sums s;
+    double mutn_rate;
+    if (get_buffer(args[0], &genes, "genes", INT64, 1, -1, 0) < 0
+        || get_buffer(args[2], &bits, "bits", BOOL, 1, -1, 0) < 0)
+        goto done;
+    c.n = bits.shape[0];
+    if (get_buffer(args[3], &row, "row", FLOAT64, 1, c.n, 0) < 0
+        || get_cache(args + 8, cache, &c) < 0
+        || get_buffer(args[12], &invocations, "invocations", INT64, 1, NUM_LLH + 1, 1) < 0
+        || get_buffer(args[13], &improvements, "improvements", INT64, 1, NUM_LLH + 1, 1) < 0
+        || get_buffer(args[14], &bits_out, "bits_out", BOOL, 1, c.n, 1) < 0
+        || get_buffer(args[15], &row_out, "row_out", FLOAT64, 1, c.n, 1) < 0)
+        goto done;
+    s.k = PyLong_AsSsize_t(args[4]);
+    if ((s.k == -1 && PyErr_Occurred()) || get_number(args[5], &s.sum_cf) < 0
+        || get_number(args[6], &s.sum_ff) < 0 || get_number(args[7], &s.merit) < 0
+        || get_number(args[11], &mutn_rate) < 0)
+        goto done;
+
+    const int64_t *gene = genes.buf;
+    Py_ssize_t count = genes.shape[0];
+    for (Py_ssize_t i = 0; i < count; i++) {
+        if (gene[i] < 1 || gene[i] > NUM_LLH) {
+            PyErr_Format(PyExc_ValueError, "unknown low-level heuristic id %lld",
+                         (long long)gene[i]);
+            goto done;
+        }
+        if (c.n < (gene[i] == SWPD ? 2 : 1)) {
+            PyErr_SetString(PyExc_ValueError, gene[i] == SWPD
+                            ? "swap needs at least 2 dimensions"
+                            : "a heuristic needs at least 1 dimension");
+            goto done;
+        }
+    }
+    bitgen_t *rng = NULL;
+    if ((capsule = PyObject_GetAttrString(args[1], "capsule")) == NULL
+        || (rng = PyCapsule_GetPointer(capsule, "BitGenerator")) == NULL) {
+        PyErr_Format(PyExc_TypeError, "bit_generator must be a numpy BitGenerator, not %s",
+                     Py_TYPE(args[1])->tp_name);
+        goto done;
+    }
+    if ((work = PyMem_Malloc(c.n * (sizeof(int64_t) + sizeof(double)))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+
+    char *out = bits_out.buf;
+    double *out_row = row_out.buf;
+    int64_t *invoked = invocations.buf, *improved = improvements.buf;
+    int moved = 0;
+    memmove(out, bits.buf, c.n);
+    memmove(out_row, row.buf, c.n * sizeof(double));
+    for (Py_ssize_t i = 0; i < count; i++) {
+        int g = (int)gene[i];
+        invoked[g]++;
+        if (!run_gene(g, rng, mutn_rate, out, out_row, &c, &s, work,
+                      (double *)((int64_t *)work + c.n)))
+            continue;
+        double before = s.merit;
+        s = scan_bits(out, &c, out_row);
+        improved[g] += s.merit > before;
+        moved = 1;
+    }
+    result = moved ? Py_BuildValue("(nddd)", s.k, s.sum_cf, s.sum_ff, s.merit)
+                   : Py_NewRef(Py_None);
+done:
+    PyMem_Free(work);
+    Py_XDECREF(capsule);
+    release(views, 10);
+    return result;
+}
+
 static PyMethodDef methods[] = {
-    {"sweep", (PyCFunction)(void (*)(void))sweep, METH_FASTCALL,
-     "sweep(bits, row, feature_class, diagonal, columns, positions, k, sum_cf,"
-     " sum_ff, merit, ties) -> list of the kept positions"},
-    {"best", (PyCFunction)(void (*)(void))best, METH_FASTCALL,
-     "best(bits, row, feature_class, diagonal, positions, k, sum_cf, sum_ff,"
-     " merit) -> the position of the best improving flip, or None"},
+    {"scan", (PyCFunction)(void (*)(void))scan, METH_FASTCALL,
+     "scan(bits, feature_class, diagonal, columns, row_out)"
+     " -> (k, sum_cf, sum_ff, merit); the row goes to row_out"},
+    {"apply", (PyCFunction)(void (*)(void))apply, METH_FASTCALL,
+     "apply(genes, bit_generator, bits, row, k, sum_cf, sum_ff, merit, feature_class,"
+     " diagonal, columns, mutn_rate, invocations, improvements, bits_out, row_out)"
+     " -> None, or the final scan's (k, sum_cf, sum_ff, merit)"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_climb",
-    "The hill-climbers' scoring loops over a merit scan.", -1, methods,
+    "The merit scan and the low-level heuristics, compiled.", -1, methods,
     NULL, NULL, NULL, NULL,
 };
 

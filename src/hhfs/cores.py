@@ -1,9 +1,8 @@
 """The cores a process may use, and forked workers that share them.
 
-Where ``may_fork`` allows, a dataset's runs go to one forked worker per
-usable core (``fork_map``), and a lone supervisor run hands its fitness
-to one forked worker. Both are ``Worker`` processes: each runs its BLAS
-on one thread, as the processes already fill the cores.
+Where ``may_fork`` allows, a dataset's runs go to one forked ``Worker``
+per usable core (``fork_map``); each runs its BLAS on one thread, as the
+processes already fill the cores. A lone supervisor run starts no worker.
 
 Workers are forked, not spawned: a forked worker imports nothing and is
 sent no dataset, and forking starts no ``resource_tracker`` process. Each

@@ -12,9 +12,13 @@ that track the class while not tracking each other.
 
 One implementation, ``_MeritScan``, works from the row vector ff @ bits:
 the selected class-correlation sum over the root of k plus the selected
-off-diagonal feature-feature sum (bits @ row minus the diagonal), which
-is the form above and finite. ``cfs_merit`` is the scan's merit, so it
-scores a mask exactly as the local searches do.
+off-diagonal feature-feature sum, which is the form above and finite.
+``cfs_merit`` is the scan's merit, so it scores a mask exactly as the
+local searches do. The scan is compiled (``_climb.c`` beside this module,
+built on first import by ``_load_climb``) and sums in one fixed order,
+ascending selected index: each row entry, the class sum and the
+off-diagonal sum (row[i] - ff[i, i] per selected i) are sequential sums,
+so a merit is a function of the bits alone, whatever BLAS the machine runs.
 
 ``build_cache`` fills both tables with one Pearson routine; |r_cf| averages
 a feature's |r| against the one-vs-rest class indicators with the class
@@ -27,17 +31,68 @@ predicts just as well as a positive one. Zero-variance vectors correlate
 
 from __future__ import annotations
 
-import math
+import contextlib
+import hashlib
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .mask import FeatureMask
 
-# bit domains: the positions a hill-climber may flip
-ALL = "all"
-ZEROS = "zeros"
-ONES = "ones"
+
+def _load_climb():
+    """The compiled ``_climb`` module, built from ``_climb.c`` into
+    ``__pycache__/`` unless a build of this source, these flags, this
+    extension suffix and this numpy (its version, headers and random C
+    library) is there. A build goes to a temporary directory and is renamed
+    into place, so concurrent first imports each see a whole module, then
+    removes the older builds for this suffix. No ``cc``, no numpy random
+    library, a failing ``cc`` or an unwritable directory is one
+    ``ImportError``."""
+    source = Path(__file__).with_name("_climb.c")
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    random_lib = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
+    flags = ["-O3", "-ffp-contract=off", "-fPIC", "-shared",
+             "-I" + sysconfig.get_paths()["include"], "-I" + np.get_include()]
+    if sys.platform == "darwin":  # Python's symbols resolve at load, as in sysconfig's LDSHARED
+        flags += ["-undefined", "dynamic_lookup"]
+    key = "\0".join([source.read_text(), *flags, suffix, np.__version__, str(random_lib)])
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    built = source.parent / "__pycache__" / f"_climb.{digest}{suffix}"
+    if not built.exists():
+        if shutil.which("cc") is None:
+            raise ImportError(f"hhfs needs a C compiler: no `cc` on PATH to build {source}")
+        if not random_lib.is_file():
+            raise ImportError(f"hhfs needs numpy's random C library: no {random_lib}")
+        try:
+            built.parent.mkdir(exist_ok=True)
+            with tempfile.TemporaryDirectory(dir=built.parent) as tmp:
+                out = os.path.join(tmp, built.name)
+                proc = subprocess.run(["cc", *flags, "-o", out, str(source), str(random_lib),
+                                       "-lm"], capture_output=True, text=True)
+                if proc.returncode:
+                    raise ImportError(f"hhfs: `cc` failed to build {source}: {proc.stderr.strip()}")
+                os.replace(out, built)
+        except OSError as e:
+            raise ImportError(f"hhfs: cannot build {source} into {built.parent}: {e}") from None
+        for old in set(built.parent.glob(f"_climb.*{suffix}")) - {built}:
+            with contextlib.suppress(OSError):  # another process may still load it
+                old.unlink()
+    spec = importlib.util.spec_from_file_location(f"{__package__}._climb", built)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_climb = _load_climb()
 
 
 @dataclass(frozen=True)
@@ -50,10 +105,10 @@ class CorrelationCache:
     cache owns its arrays: construction stores C-contiguous float64 copies
     of both, so the caller's arrays are left as they were, and rejects an
     entry that is not finite and non-negative. It also fixes the constants
-    every merit scan and the compiled climb loop read: the ``diagonal``,
-    ``columns`` (a C-contiguous copy of ``feature_feature.T``, so
-    ``columns[b]`` is a contiguous row equal to ``feature_feature[:, b]``)
-    and ``positions`` (``arange(N)``). Every array is read-only.
+    every merit scan and heuristic read: the ``diagonal`` and ``columns``
+    (a C-contiguous copy of ``feature_feature.T``, so ``columns[b]`` is a
+    contiguous row equal to ``feature_feature[:, b]``). Every array is
+    read-only.
     """
 
     feature_feature: np.ndarray
@@ -73,8 +128,7 @@ class CorrelationCache:
                 raise ValueError(f"{name} entries must be finite and non-negative")
         constants = {"feature_feature": ff, "feature_class": fc,
                      "diagonal": np.diagonal(ff).copy(),
-                     "columns": np.ascontiguousarray(ff.T),
-                     "positions": np.arange(fc.size)}
+                     "columns": np.ascontiguousarray(ff.T)}
         for name, arr in constants.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -111,48 +165,25 @@ class _MeritScan:
     are scored from.
 
     Holds the selected count k, the selected class-correlation sum, the
-    selected off-diagonal feature-feature sum (ordered pairs), their merit
-    (computed once, here), and the vector row[b] = sum_{i selected} ff[b, i],
-    so each candidate flip is scored in O(1) by the compiled climb loop
-    (``llh``). A scan never changes after construction; the heuristics take
-    and return scans, and a scan built from bits scores them exactly as
-    ``cfs_merit``.
-
-    ``in_domain`` (the positions a bit domain lets flip; the 1-bits are
-    known from construction) is computed on first use and kept, for every
-    later heuristic that starts from the same scan (the incumbent's starts
-    thousands). Arrays are not writable, so no caller can change what a
-    later caller reads.
+    selected off-diagonal feature-feature sum (ordered pairs), their merit,
+    and the vector row[b] = sum_{i selected} ff[b, i], so each candidate
+    flip is scored in O(1) by the compiled heuristics (``llh``). Built from
+    bits, it is ``_climb.scan``'s; the heuristics hand back the ``row`` and
+    ``sums`` of the scan they made of their output bits. A scan never
+    changes after construction: its arrays are not writable, so no caller
+    can change what a later caller reads.
     """
 
-    def __init__(self, cache: CorrelationCache, bits):
+    def __init__(self, cache: CorrelationCache, bits, row=None, sums=None):
         self.cache = cache
-        self.bits = np.array(bits, dtype=bool)
-        sel = self.bits.nonzero()[0]
-        self.k = k = sel.size
-        self.sum_cf = sum_cf = float(cache.feature_class[sel].sum())
-        floats = self.bits.astype(np.float64)
-        self.row = cache.feature_feature @ floats
-        self.sum_ff = sum_ff = float(floats @ self.row) - float(cache.diagonal[sel].sum())
-        self.merit = sum_cf / math.sqrt(k + sum_ff) if k else 0.0
-        for arr in (self.bits, self.row, sel):
-            arr.setflags(write=False)
-        self._in_domain = {ONES: sel}
-
-    def in_domain(self, bit_domain: str) -> np.ndarray:
-        """The positions ``bit_domain`` lets flip, ascending: every bit
-        (ALL), the 0-bits (ZEROS) or the 1-bits (ONES)."""
-        positions = self._in_domain.get(bit_domain)
-        if positions is None:
-            if bit_domain == ALL:
-                positions = self.cache.positions
-            elif bit_domain == ZEROS:
-                positions = (~self.bits).nonzero()[0]
-                positions.setflags(write=False)
-            else:
-                raise ValueError(f"unknown bit domain {bit_domain!r}")
-            self._in_domain[bit_domain] = positions
-        return positions
+        if sums is None:
+            bits = np.array(bits, dtype=bool)
+            row = np.empty(bits.size)
+            sums = _climb.scan(bits, cache.feature_class, cache.diagonal, cache.columns, row)
+        self.bits, self.row = bits, row
+        self.k, self.sum_cf, self.sum_ff, self.merit = sums
+        bits.setflags(write=False)
+        row.setflags(write=False)
 
     def mask(self) -> FeatureMask:
         return FeatureMask(self.bits)

@@ -59,15 +59,6 @@ screening and takes the exact path, ``squareform(pdist(x))`` and the
 masked argmin, for this mask and the rest of its life: resolving that many
 rows, more again over further repeats, costs at least half a pdist on top
 of the product, so the screen no longer pays.
-
-Fitness worker. Between ``start_worker`` and ``stop_worker``, where
-``cores.may_fork()`` allows, one forked ``cores.Worker`` computes the
-masks handed to ``prefetch`` while this process goes on, say with the
-next chromosome's heuristics. Only a mask's key bytes go down the pipe
-and only its value (or the exception computing it raised) comes back;
-the worker inherits the dataset and the evaluator at fork.
-``fitness`` still does all the memo's bookkeeping here, so the values,
-the memo and its counters are those of computing in this process.
 """
 
 from __future__ import annotations
@@ -77,7 +68,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from . import cores
 from .dataset import Dataset, DatasetError, stratified_folds
 from .mask import FeatureMask
 
@@ -103,9 +93,6 @@ class CvProtocol:
 _U = np.finfo(np.float64).eps / 2  # unit roundoff, 2^-53
 _ETA = np.finfo(np.float64).smallest_subnormal  # 2^-1074
 _SCREEN_MAX = np.finfo(np.float64).max / 16
-# masks handed to the fitness worker and not yet read back, at most; so its
-# unread results never fill the pipe while this process blocks sending keys
-_MAX_IN_FLIGHT = 64
 
 
 def _protocol_folds(d: Dataset, proto: CvProtocol) -> list[np.ndarray]:
@@ -166,8 +153,6 @@ class FitnessEvaluator:
     cache returns. Screens reuse one n x n work matrix, allocated at the
     first; ``_screening`` turns false for good, and the matrix is
     dropped, once a screen leaves too many rows ambiguous.
-    ``start_worker`` and ``prefetch`` move the computations to a forked
-    worker process (see the module docstring).
     """
 
     def __init__(self, dataset: Dataset, protocol: CvProtocol):
@@ -190,10 +175,6 @@ class FitnessEvaluator:
         self._cache: dict[bytes, float] = {}
         self.computations = 0
         self.hits = 0
-        self._worker: cores.Worker | None = None
-        # per prefetched key not yet taken by fitness: its value, the exception
-        # computing it raised, or None while in flight (in the worker's owed)
-        self._prefetched: dict[bytes, float | Exception | None] = {}
 
     def compute(self, mask: FeatureMask) -> float:
         """One CV evaluation of ``mask``, bypassing the memo."""
@@ -271,59 +252,13 @@ class FitnessEvaluator:
 
     def fitness(self, mask: FeatureMask) -> float:
         """The memoized ``compute``: a mask seen before is a hit; any other
-        is computed (or its prefetched value taken), stored and counted, in
-        that order, so a computation that raises leaves the memo and the
-        counters as they were."""
+        is computed, stored and counted, in that order, so a computation
+        that raises leaves the memo and the counters as they were."""
         key = mask.key()
         if key in self._cache:
             self.hits += 1
             return self._cache[key]
-        if key in self._prefetched:
-            while self._prefetched[key] is None:
-                self._receive()
-            value = self._prefetched.pop(key)
-            if isinstance(value, Exception):
-                raise value
-        else:
-            value = self.compute(mask)
+        value = self.compute(mask)
         self._cache[key] = value
         self.computations += 1
         return value
-
-    def prefetch(self, mask: FeatureMask) -> None:
-        """Hand ``mask`` to the worker, if one runs and the mask is neither
-        memoized nor handed over already; ``fitness`` takes its value."""
-        if self._worker is None:
-            return
-        key = mask.key()
-        if key in self._cache or key in self._prefetched:
-            return
-        while len(self._worker.owed) >= _MAX_IN_FLIGHT:
-            self._receive()
-        self._worker.send(key)
-        self._prefetched[key] = None
-
-    def _receive(self) -> None:
-        """Read the worker's answer for the oldest key in flight."""
-        key, value = self._worker.receive()
-        self._prefetched[key] = value
-
-    def start_worker(self) -> None:
-        """From now on one forked worker computes the masks handed to
-        ``prefetch``, where ``cores.may_fork()`` allows; elsewhere
-        ``prefetch`` still does nothing. The caller stops it with
-        ``stop_worker``, on errors and Ctrl-C too."""
-        if self._worker is None and cores.may_fork():
-            self._worker = cores.Worker(self._compute_key)
-
-    def stop_worker(self) -> None:
-        """Stop and join the worker, if one runs; values it computed that
-        ``fitness`` has not taken are dropped."""
-        if self._worker is not None:
-            self._worker.close()
-            self._worker = None
-        self._prefetched.clear()
-
-    def _compute_key(self, key: bytes) -> float:
-        """``compute`` of the mask whose key is ``key``: the worker's job."""
-        return self.compute(FeatureMask(np.frombuffer(key, dtype=np.uint8)))

@@ -24,7 +24,7 @@ from . import llh
 from .correlation import CorrelationCache, _MeritScan, build_cache
 from .dataset import Dataset
 from .evaluation import CvProtocol, FitnessEvaluator, cv_accuracies
-from .llh import NUM_LLH, LlhContext
+from .llh import NUM_LLH
 from .mask import FeatureMask
 
 
@@ -96,16 +96,17 @@ class GenerationRecord:
 @dataclass
 class LlhStats:
     """Per-heuristic invocation and strict-merit-improvement counters,
-    indexed by heuristic id (index 0 is unused)."""
+    indexed by heuristic id (index 0 is unused); int64 arrays, which the
+    compiled heuristics count into."""
 
-    invocations: list[int] = field(default_factory=lambda: [0] * (NUM_LLH + 1))
-    improvements: list[int] = field(default_factory=lambda: [0] * (NUM_LLH + 1))
+    invocations: np.ndarray = field(default_factory=lambda: np.zeros(NUM_LLH + 1, dtype=np.int64))
+    improvements: np.ndarray = field(default_factory=lambda: np.zeros(NUM_LLH + 1, dtype=np.int64))
 
     def as_dict(self) -> dict[str, dict[str, int]]:
         return {
             llh.CATALOG[i].name: {
-                "invocations": self.invocations[i],
-                "improvements": self.improvements[i],
+                "invocations": int(self.invocations[i]),
+                "improvements": int(self.improvements[i]),
             }
             for i in sorted(llh.CATALOG)
         }
@@ -126,8 +127,8 @@ class SupervisorResult:
     fitness_computations: int
     fitness_cache_hits: int
     wall_time: float
-    # wall seconds spent in each phase of the run: heuristics, fitness
-    # (with a fitness worker, the time spent waiting for it), ga, report;
+    # wall seconds spent in each phase of the run: heuristics, fitness (the
+    # CV computations and memo lookups, all in this process), ga, report;
     # the rest of wall_time is set-up
     phase_seconds: dict[str, float]
 
@@ -209,24 +210,16 @@ def _next_generation(population: list[Chromosome], fits: np.ndarray,
     return elites + mutated
 
 
-def _apply_genes(cache: CorrelationCache, cfg: SupervisorConfig, gen: int, i: int,
-                 genes: np.ndarray, scan: _MeritScan, stats: LlhStats) -> _MeritScan:
+def _apply_genes(cfg: SupervisorConfig, gen: int, i: int, genes: np.ndarray,
+                 scan: _MeritScan, stats: LlhStats) -> _MeritScan:
     """Apply chromosome i's genes in generation ``gen`` left to right, each
     to the previous one's output, starting from ``scan`` (the incumbent's),
+    in one ``llh.run_genes`` call on the stream seeded (seed, 1, gen, i),
     and count every call in ``stats``: an improvement is a strictly higher
     merit, and a call that returned its input cannot have one. Returns the
     final scan: ``scan`` itself when every heuristic returned its input."""
-    ctx = LlhContext(cache=cache, rng=np.random.default_rng([cfg.seed, 1, gen, i]),
-                     mutn_rate=cfg.mutn_rate)
-    invocations, improvements = stats.invocations, stats.improvements
-    for gene in genes.tolist():
-        out = llh.CATALOG[gene].func(scan, ctx)
-        invocations[gene] += 1
-        if out is not scan:
-            if out.merit > scan.merit:
-                improvements[gene] += 1
-            scan = out
-    return scan
+    return llh.run_genes(genes, scan, np.random.PCG64([cfg.seed, 1, gen, i]), cfg.mutn_rate,
+                         stats.invocations, stats.improvements)
 
 
 def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
@@ -244,9 +237,9 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     than 2 features are rejected: SWPD needs two dimensions to swap. So is
     a ``cache`` built for another feature count, before any work starts.
 
-    Where ``cores.may_fork()`` allows, one forked worker scores each
-    chromosome's mask while the heuristics of the next ones run
-    (``FitnessEvaluator.start_worker``); the result is the same.
+    A run is one process: it starts no worker, whatever the cores. Each
+    chromosome's genes are one compiled call, and the run's fitness is
+    computed here, after the generation's heuristics.
     """
     if dataset.n_features < 2:
         raise ValueError("the supervisor needs at least 2 features, "
@@ -272,36 +265,28 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     history: list[GenerationRecord] = []
     phases = dict.fromkeys(("heuristics", "fitness", "ga", "report"), 0.0)
     base = _MeritScan(cache, incumbent.bits)  # the incumbent's scan, while it stands
-    evaluator.start_worker()
-    try:
-        for gen in range(cfg.generations):
-            t0 = time.perf_counter()
-            scans, masks = [], []
-            for i, chrom in enumerate(population):
-                scan = _apply_genes(cache, cfg, gen, i, chrom.genes, base, stats)
-                mask = incumbent if scan is base else scan.mask()
-                evaluator.prefetch(mask)  # scored, if a worker runs, while the loop goes on
-                scans.append(scan)
-                masks.append(mask)
-            t1 = time.perf_counter()
-            fits = np.array([evaluator.fitness(mask) for mask in masks], dtype=np.float64)
-            t2 = time.perf_counter()
-            best_i = int(np.argmax(fits))
-            if fits[best_i] > incumbent_fitness:  # never base itself, whose mask ties
-                incumbent, base = masks[best_i], scans[best_i]
-                incumbent_fitness = float(fits[best_i])
-            history.append(GenerationRecord(
-                generation=gen,
-                best_chromosome_fitness=float(fits[best_i]),
-                incumbent_fitness=incumbent_fitness,
-                incumbent_m=incumbent.selected_count(),
-            ))
-            population = _next_generation(population, fits, cfg, ga_rng)
-            phases["heuristics"] += t1 - t0
-            phases["fitness"] += t2 - t1
-            phases["ga"] += time.perf_counter() - t2
-    finally:
-        evaluator.stop_worker()
+    for gen in range(cfg.generations):
+        t0 = time.perf_counter()
+        scans = [_apply_genes(cfg, gen, i, chrom.genes, base, stats)
+                 for i, chrom in enumerate(population)]
+        masks = [incumbent if scan is base else scan.mask() for scan in scans]
+        t1 = time.perf_counter()
+        fits = np.array([evaluator.fitness(mask) for mask in masks], dtype=np.float64)
+        t2 = time.perf_counter()
+        best_i = int(np.argmax(fits))
+        if fits[best_i] > incumbent_fitness:  # never base itself, whose mask ties
+            incumbent, base = masks[best_i], scans[best_i]
+            incumbent_fitness = float(fits[best_i])
+        history.append(GenerationRecord(
+            generation=gen,
+            best_chromosome_fitness=float(fits[best_i]),
+            incumbent_fitness=incumbent_fitness,
+            incumbent_m=incumbent.selected_count(),
+        ))
+        population = _next_generation(population, fits, cfg, ga_rng)
+        phases["heuristics"] += t1 - t0
+        phases["fitness"] += t2 - t1
+        phases["ga"] += time.perf_counter() - t2
 
     t0 = time.perf_counter()
     reported = cv_accuracies(dataset, incumbent, report_protocols or {})

@@ -11,14 +11,16 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import pytest
 
 from hhfs import cores
-from hhfs.correlation import CorrelationCache
+from hhfs.correlation import CorrelationCache, _MeritScan
 from hhfs.dataset import Dataset, min_max_normalize
-from hhfs.llh import CATALOG
+from hhfs.llh import ALL, CATALOG, ONES, ZEROS
 from hhfs.mask import FeatureMask
 
 HILL_CLIMBER_IDS = tuple(i for i, info in CATALOG.items() if info.kind == "hill-climber")
@@ -211,6 +213,28 @@ def sweep_reference(scan, cache: CorrelationCache, positions):
     return _MeritScan(cache, bits) if changed else scan
 
 
+def sequential_scan(cache: CorrelationCache, bits):
+    """A merit scan's row and sums by its definition, summed one term at a
+    time in ascending selected index on Python floats: row[j] is the sum
+    of ff[j, i], the class sum that of fc[i] and the off-diagonal sum that
+    of row[i] - ff[i, i] over the selected i; the merit is
+    sum_cf / sqrt(k + sum_ff), 0.0 at k == 0. Returns (row, k, sum_cf,
+    sum_ff, merit)."""
+    ff, fc = cache.feature_feature.tolist(), cache.feature_class.tolist()
+    sel = [i for i, b in enumerate(bits) if b]
+    row = [0.0] * len(fc)
+    for i in sel:
+        for j in range(len(fc)):
+            row[j] += ff[j][i]
+    sum_cf = sum_ff = 0.0
+    for i in sel:
+        sum_cf += fc[i]
+    for i in sel:
+        sum_ff += row[i] - ff[i][i]
+    k = len(sel)
+    return row, k, sum_cf, sum_ff, sum_cf / math.sqrt(k + sum_ff) if k else 0.0
+
+
 def exhaustive_best_mask(cache: CorrelationCache) -> tuple[FeatureMask, float]:
     """Global merit maximum by enumerating all 2^N masks (N small)."""
     from hhfs.correlation import cfs_merit
@@ -274,6 +298,178 @@ def cv_accuracy_cdist_reference(d: Dataset, mask: FeatureMask, proto) -> float:
             correct += int(np.sum(d.labels[train[nn]] == d.labels[test]))
         accs.append(correct / d.n_instances)
     return sum(accs) / len(accs)
+
+
+# ------------------------------------------------------ heuristic oracles
+#
+# The 16 heuristics as Python rules on merit scans, each drawing from
+# ``ctx.rng`` what it draws: the engine's compiled heuristics must equal
+# them draw for draw, and they run the scripted ``StubRng`` scenarios.
+
+
+@dataclass
+class OracleContext:
+    """What an oracle heuristic consults: the cache, an RNG with
+    Generator's ``integers``, ``random`` and ``permutation`` (a Generator
+    or a ``StubRng``) and the MUTN rate."""
+
+    cache: CorrelationCache
+    rng: object
+    mutn_rate: float = 0.1
+
+
+def domain_of(scan, bit_domain: str) -> np.ndarray:
+    """The positions ``bit_domain`` lets flip, ascending: every bit, the
+    0-bits or the 1-bits."""
+    if bit_domain == ALL:
+        return np.arange(scan.bits.size)
+    if bit_domain in (ZEROS, ONES):
+        return np.flatnonzero(scan.bits == (bit_domain == ONES))
+    raise ValueError(f"unknown bit domain {bit_domain!r}")
+
+
+def _flipped(scan, ctx, b):
+    """A fresh scan of the input's bits with bit(s) ``b`` inverted."""
+    bits = scan.bits.copy()
+    bits[b] ^= True
+    return _MeritScan(ctx.cache, bits)
+
+
+def python_flip_merit(scan, b) -> float:
+    """The merit of ``scan`` with bit b flipped, from its sums on Python
+    floats: a 1-bit leaves k - 1 features and loses its class and cross
+    sums, a 0-bit adds them; the flip to k == 0 scores 0.0."""
+    cache = scan.cache
+    if scan.bits[b]:
+        k = scan.k - 1
+        sum_cf = scan.sum_cf - float(cache.feature_class[b])
+        sum_ff = scan.sum_ff - 2.0 * (float(scan.row[b]) - float(cache.diagonal[b]))
+    else:
+        k = scan.k + 1
+        sum_cf = scan.sum_cf + float(cache.feature_class[b])
+        sum_ff = scan.sum_ff + 2.0 * float(scan.row[b])
+    return sum_cf / math.sqrt(k + sum_ff) if k else 0.0
+
+
+def python_sweep_climb(scan, positions, ties=False):
+    """The NAHC/DBHC/RMHC loop on Python floats: sums seeded from the scan,
+    each visit scored inline, a commit updating a numpy row by
+    ``columns[b]`` and re-reading it. Returns the kept positions."""
+    cache = scan.cache
+    fc, diag = tuple(cache.feature_class.tolist()), tuple(cache.diagonal.tolist())
+    columns = cache.columns
+    bits, row, row_np = tuple(scan.bits.tolist()), tuple(scan.row.tolist()), scan.row
+    k, sum_cf, sum_ff, current = scan.k, scan.sum_cf, scan.sum_ff, scan.merit
+    kept = []
+    for b in positions:
+        if bits[b]:
+            k_b, cf_b, ff_b = k - 1, sum_cf - fc[b], sum_ff - 2.0 * (row[b] - diag[b])
+        else:
+            k_b, cf_b, ff_b = k + 1, sum_cf + fc[b], sum_ff + 2.0 * row[b]
+        candidate = cf_b / math.sqrt(k_b + ff_b) if k_b else 0.0
+        if candidate > current or (ties and candidate == current):
+            row_np = row_np - columns[b] if bits[b] else row_np + columns[b]
+            row = row_np.tolist()
+            k, sum_cf, sum_ff, current = k_b, cf_b, ff_b, candidate
+            kept.append(b)
+    return kept
+
+
+def _sweep_climb(scan, ctx, positions, ties=False):
+    """Visit exactly ``positions`` in order, keeping each flip whose merit
+    beats the current one (or ties it, with ``ties``); a moved result is
+    scanned afresh."""
+    kept = python_sweep_climb(scan, [int(b) for b in positions], ties)
+    return _flipped(scan, ctx, kept) if kept else scan
+
+
+def sdhc(scan, ctx, bit_domain=ALL):
+    """Move to the first in-domain flip of highest merit, if it is strictly
+    better than the input."""
+    top, top_merit = None, 0.0
+    for b in domain_of(scan, bit_domain).tolist():
+        merit = python_flip_merit(scan, b)
+        if top is None or merit > top_merit:
+            top, top_merit = b, merit
+    return scan if top is None or not top_merit > scan.merit else _flipped(scan, ctx, top)
+
+
+def nahc(scan, ctx, bit_domain=ALL):
+    """Sweep the in-domain positions in ascending order."""
+    return _sweep_climb(scan, ctx, domain_of(scan, bit_domain))
+
+
+def dbhc(scan, ctx, bit_domain=ALL):
+    """Sweep a fresh ``permutation(n)``, filtered by the domain."""
+    order = np.asarray(ctx.rng.permutation(scan.bits.size))
+    if bit_domain != ALL:
+        order = order[scan.bits[order] == (bit_domain == ONES)]
+    return _sweep_climb(scan, ctx, order)
+
+
+def rmhc(scan, ctx, bit_domain=ALL):
+    """Flip one drawn in-domain bit if the merit does not fall; an empty
+    domain draws nothing and returns the input."""
+    positions = domain_of(scan, bit_domain)
+    if positions.size == 0:
+        return scan
+    j = int(ctx.rng.integers(positions.size))
+    return _sweep_climb(scan, ctx, positions[j:j + 1], ties=True)
+
+
+def swpd(scan, ctx):
+    """Swap the bits at two distinct drawn dimensions."""
+    n = scan.bits.size
+    if n < 2:
+        raise ValueError("swap needs at least 2 dimensions")
+    i = int(ctx.rng.integers(n))
+    j = int(ctx.rng.integers(n - 1))
+    if j >= i:
+        j += 1
+    if scan.bits[i] == scan.bits[j]:
+        return scan
+    return _flipped(scan, ctx, [i, j])
+
+
+def dimm(scan, ctx):
+    """Flip one drawn dimension's bit if a ``random()`` coin is below 0.5."""
+    b = int(ctx.rng.integers(scan.bits.size))
+    if ctx.rng.random() < 0.5:
+        return _flipped(scan, ctx, b)
+    return scan
+
+
+def _flip_coins(scan, ctx, rate):
+    """Flip each bit whose ``random(n)`` coin is below rate, if any."""
+    coins = ctx.rng.random(scan.bits.size) < rate
+    if not coins.any():
+        return scan
+    return _flipped(scan, ctx, coins)
+
+
+def hypm(scan, ctx):
+    return _flip_coins(scan, ctx, 0.5)
+
+
+def mutn(scan, ctx):
+    return _flip_coins(scan, ctx, ctx.mutn_rate)
+
+
+# heuristic id -> oracle(scan, ctx), in catalog order
+ORACLE = {i: func for i, func in enumerate(
+    [partial(rule, bit_domain=domain) for rule in (sdhc, nahc, dbhc, rmhc)
+     for domain in (ALL, ZEROS, ONES)] + [swpd, dimm, hypm, mutn], start=1)}
+
+
+def oracle_run_genes(genes, scan, ctx, stats):
+    """A chromosome's genes left to right through the oracles, counting
+    each call in the ``LlhStats`` ``stats`` as the engine does. Returns the
+    final scan, ``scan`` itself when no heuristic moved."""
+    for gene in np.asarray(genes).tolist():
+        out = ORACLE[gene](scan, ctx)
+        record_call(stats, gene, scan.merit, out.merit)
+        scan = out
+    return scan
 
 
 # ------------------------------------------------------------- stub RNG

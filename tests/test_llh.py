@@ -10,14 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (HILL_CLIMBER_IDS, MUTATIONAL_IDS, StubRng,
-                      best_flip_oracle, cache_from_values,
-                      exhaustive_best_mask, flip, random_cache, random_mask,
-                      sweep_reference, synthetic_dataset)
+from conftest import (HILL_CLIMBER_IDS, MUTATIONAL_IDS, ORACLE, OracleContext,
+                      StubRng, best_flip_oracle, cache_from_values, domain_of,
+                      exhaustive_best_mask, flip, oracle_run_genes,
+                      python_sweep_climb, random_cache, random_mask,
+                      sequential_scan, sweep_reference, synthetic_dataset)
 from hhfs import llh
 from hhfs.correlation import _MeritScan, build_cache, cfs_merit
-from hhfs.llh import ALL, ONES, ZEROS, CATALOG, LlhContext, _climb
+from hhfs.llh import ALL, ONES, ZEROS, CATALOG, NUM_LLH, LlhContext, _climb
 from hhfs.mask import FeatureMask
+from hhfs.supervisor import LlhStats
 
 ID_OF = {info.name: i for i, info in CATALOG.items()}
 
@@ -28,17 +30,28 @@ def make_ctx(cache, rng=None, mutn_rate=0.1):
                       mutn_rate=mutn_rate)
 
 
-def on_masks(name):
+def on_masks(name, oracle=False):
     """The catalog heuristic ``name`` as a function of masks, called
-    through ``llh.apply``; hill-climbers take a bit domain."""
+    through ``llh.apply``, or through its Python oracle, which also takes
+    a scripted ``StubRng``; hill-climbers take a bit domain."""
     def call(mask, ctx, bit_domain=ALL):
-        suffix = "" if bit_domain == ALL else f"-{bit_domain}"
-        return llh.apply(ID_OF[name + suffix], mask, ctx)
+        llh_id = ID_OF[name + ("" if bit_domain == ALL else f"-{bit_domain}")]
+        if not oracle:
+            return llh.apply(llh_id, mask, ctx)
+        scan = _MeritScan(ctx.cache, mask.bits)
+        out = ORACLE[llh_id](scan, ctx)
+        return mask if out is scan else out.mask()
     return call
 
 
-sdhc, nahc, dbhc, rmhc, swpd, dimm, hypm, mutn = map(on_masks, (
-    "SDHC", "NAHC", "DBHC", "RMHC", "SWPD", "DIMM", "HYPM", "MUTN"))
+NAMES = ("SDHC", "NAHC", "DBHC", "RMHC", "SWPD", "DIMM", "HYPM", "MUTN")
+sdhc, nahc, dbhc, rmhc, swpd, dimm, hypm, mutn = map(on_masks, NAMES)
+oracle = dict(zip(NAMES, (on_masks(name, oracle=True) for name in NAMES)))
+
+
+def stub_ctx(cache, stub, mutn_rate=0.1):
+    """A context for the oracles, drawing from the scripted ``stub``."""
+    return OracleContext(cache, stub, mutn_rate)
 
 
 def scan_fields(scan):
@@ -300,7 +313,7 @@ class TestDbhc:
         for _ in range(50):
             mask = random_mask(6, rng)
             forced = StubRng(permutations=[np.arange(6)])
-            out = dbhc(mask, make_ctx(cache, forced))
+            out = oracle["DBHC"](mask, stub_ctx(cache, forced))
             assert out == nahc(mask, make_ctx(cache))
 
     def test_no_improving_flip_identity_for_any_permutation(self):
@@ -324,7 +337,7 @@ class TestDbhc:
         # so reversed order ends at [1, 1] where in-order ends at [1, 0]
         cache = cache_from_values([0.6, 0.59], [[1.0, 1.0], [1.0, 1.0]])
         forced = StubRng(permutations=[np.array([1, 0])])
-        out = dbhc(FeatureMask([0, 0]), make_ctx(cache, forced))
+        out = oracle["DBHC"](FeatureMask([0, 0]), stub_ctx(cache, forced))
         assert out == FeatureMask([1, 1])
         assert nahc(FeatureMask([0, 0]), make_ctx(cache)) == FeatureMask([1, 0])
 
@@ -433,7 +446,7 @@ class TestSweepReference:
         assert CATALOG[ID_OF["NAHC"]].func(scan, make_ctx(cache)) is scan
         for order in ([0, 1], [1, 0]):
             forced = StubRng(permutations=[np.array(order)])
-            assert CATALOG[ID_OF["DBHC"]].func(scan, make_ctx(cache, forced)) is scan
+            assert ORACLE[ID_OF["DBHC"]](scan, stub_ctx(cache, forced)) is scan
 
 
 def where_chain_flip_merits(scan, positions):
@@ -498,52 +511,32 @@ def sign_form_flip_merits(scan, positions):
     return np.where(empty, 0.0, sum_cf / np.sqrt(np.where(empty, 1.0, denom)))[positions]
 
 
-def python_sweep_climb(scan, positions, ties=False):
-    """``_sweep_climb``'s loop as it ran in Python before the compiled
-    kernel: sums seeded from the scan, each visit scored inline on Python
-    floats, a commit updating a numpy row by ``columns[b]`` and re-reading
-    it. Returns the kept positions, as ``_climb.sweep`` does."""
-    cache = scan.cache
-    fc, diag = tuple(cache.feature_class.tolist()), tuple(cache.diagonal.tolist())
-    columns = cache.columns
-    bits, row, row_np = tuple(scan.bits.tolist()), tuple(scan.row.tolist()), scan.row
-    k, sum_cf, sum_ff, current = scan.k, scan.sum_cf, scan.sum_ff, scan.merit
-    kept = []
-    for b in positions:
-        if bits[b]:
-            k_b, cf_b, ff_b = k - 1, sum_cf - fc[b], sum_ff - 2.0 * (row[b] - diag[b])
-        else:
-            k_b, cf_b, ff_b = k + 1, sum_cf + fc[b], sum_ff + 2.0 * row[b]
-        candidate = cf_b / math.sqrt(k_b + ff_b) if k_b else 0.0
-        if candidate > current or (ties and candidate == current):
-            row_np = row_np - columns[b] if bits[b] else row_np + columns[b]
-            row = row_np.tolist()
-            k, sum_cf, sum_ff, current = k_b, cf_b, ff_b, candidate
-            kept.append(b)
-    return kept
+KERNEL_GENE = {"sweep": ID_OF["NAHC"], "best": ID_OF["SDHC"]}  # the two climb loops
 
 
-SCAN_BUFFERS = ("bits", "row", "feature_class", "diagonal")
-
-
-def call_kernel(name, scan, positions, ties=False, **replace):
-    """``_climb.sweep`` or ``_climb.best`` on ``scan``'s state, with the
-    named buffers replaced."""
-    cache = scan.cache
-    buffers = dict(bits=scan.bits, row=scan.row, feature_class=cache.feature_class,
-                   diagonal=cache.diagonal, columns=cache.columns, positions=positions)
+def call_kernel(name, scan, genes=None, **replace):
+    """``_climb.apply`` of ``genes`` (by default the one gene that runs the
+    climb loop ``name``: NAHC's sweep or SDHC's best move) on ``scan``'s
+    state, drawing from ``bit_generator``, with the named buffers
+    replaced."""
+    cache, n = scan.cache, scan.bits.size
+    buffers = dict(genes=np.array([KERNEL_GENE[name]]) if genes is None else genes,
+                   bit_generator=np.random.PCG64(0), bits=scan.bits, row=scan.row,
+                   feature_class=cache.feature_class, diagonal=cache.diagonal,
+                   columns=cache.columns, invocations=np.zeros(NUM_LLH + 1, dtype=np.int64),
+                   improvements=np.zeros(NUM_LLH + 1, dtype=np.int64),
+                   bits_out=np.empty(n, dtype=bool), row_out=np.empty(n))
     buffers.update(replace)
-    numbers = (scan.k, scan.sum_cf, scan.sum_ff, scan.merit)
-    if name == "sweep":
-        return _climb.sweep(*(buffers[b] for b in SCAN_BUFFERS), buffers["columns"],
-                            buffers["positions"], *numbers, ties)
-    return _climb.best(*(buffers[b] for b in SCAN_BUFFERS), buffers["positions"], *numbers)
+    b = buffers
+    return _climb.apply(b["genes"], b["bit_generator"], b["bits"], b["row"], scan.k, scan.sum_cf,
+                        scan.sum_ff, scan.merit, b["feature_class"], b["diagonal"], b["columns"],
+                        0.1, b["invocations"], b["improvements"], b["bits_out"], b["row_out"])
 
 
 class TestHotPathReference:
-    """The scan's cached flip merits and the inlined climb loop against
-    reference copies of the code they replaced, bit for bit, over random
-    and tie-heavy caches in every bit domain."""
+    """The compiled climb loops against reference copies of the code they
+    replaced, bit for bit, over random and tie-heavy caches in every bit
+    domain."""
 
     @staticmethod
     def caches():
@@ -574,33 +567,50 @@ class TestHotPathReference:
     def test_flip_merits_equal_where_chain(self, bit_domain):
         """The sign-form flip merits equal the where chain bit for bit, and
         SDHC's compiled move is their first argmax when it beats the merit."""
+        func = CATALOG[ID_OF["SDHC" + ("" if bit_domain == ALL else f"-{bit_domain}")]].func
         emptied = moved = 0
-        for _, _, scan in self.inputs():
-            positions = scan.in_domain(bit_domain)
+        for _, cache, scan in self.inputs():
+            positions = domain_of(scan, bit_domain)
             merits = sign_form_flip_merits(scan, positions)
             assert merits.tobytes() == where_chain_flip_merits(scan, positions).tobytes()
             if scan.k == 1:
-                assert sign_form_flip_merits(scan, scan.in_domain(ONES)).tolist() == [0.0]
+                assert sign_form_flip_merits(scan, domain_of(scan, ONES)).tolist() == [0.0]
                 emptied += 1
-            expected = None
+            out = func(scan, make_ctx(cache))
             if positions.size and merits.max() > scan.merit:
-                expected = int(positions[int(np.argmax(merits))])
+                expected = scan.bits.copy()
+                expected[positions[int(np.argmax(merits))]] ^= True
+                assert out.bits.tolist() == expected.tolist()
                 moved += 1
-            assert call_kernel("best", scan, positions) == expected
+            else:
+                assert out is scan
         assert emptied > 0 and moved > 0
 
     @pytest.mark.parametrize("ties", [False, True])
     @pytest.mark.parametrize("bit_domain", [ALL, ZEROS, ONES])
     def test_kernel_sweep_equals_python_loop(self, bit_domain, ties):
-        """``_climb.sweep`` keeps exactly the positions the Python loop kept,
-        in ascending and in random visiting orders."""
+        """The compiled sweep keeps exactly the positions the Python loop
+        kept: NAHC's ascending and DBHC's random visiting orders, and
+        RMHC's one drawn position with ties."""
+        suffix = "" if bit_domain == ALL else f"-{bit_domain}"
+        names = ["RMHC"] if ties else ["NAHC", "DBHC"]
         kept = 0
-        for c, _, scan in self.inputs():
-            domain = scan.in_domain(bit_domain)
-            shuffled = domain[np.random.default_rng([c, scan.k]).permutation(domain.size)]
-            for positions in (domain, shuffled, domain[:1]):
-                expected = python_sweep_climb(scan, positions.tolist(), ties)
-                assert call_kernel("sweep", scan, positions, ties) == expected
+        for c, cache, scan in self.inputs():
+            domain = domain_of(scan, bit_domain)
+            for name in names:
+                rng = np.random.default_rng([c, scan.k])
+                if name == "NAHC":
+                    positions = domain.tolist()
+                elif name == "DBHC":
+                    order = rng.permutation(scan.bits.size)
+                    positions = [int(b) for b in order if b in domain]
+                else:
+                    positions = [int(domain[int(rng.integers(domain.size))])] if domain.size else []
+                expected = python_sweep_climb(scan, positions, ties)
+                out = CATALOG[ID_OF[name + suffix]].func(
+                    scan, make_ctx(cache, np.random.default_rng([c, scan.k])))
+                assert np.flatnonzero(out.bits != scan.bits).tolist() == sorted(expected)
+                assert (out is scan) == (not expected)
                 kept += len(expected)
         assert kept > 0
 
@@ -613,7 +623,7 @@ class TestHotPathReference:
         for c, cache, scan in self.inputs():
             n = cache.n_features
             seed = [c, int(scan.bits.sum())]
-            domain = scan.in_domain(bit_domain).tolist()
+            domain = domain_of(scan, bit_domain).tolist()
             rng = np.random.default_rng(seed)
             if name == "NAHC":
                 positions, accept = domain, operator.gt
@@ -638,14 +648,98 @@ class TestHotPathReference:
         cache = random_cache(9, seed=7)
         scan = _MeritScan(cache, [1, 0, 1, 1, 0, 0, 1, 0, 1])
         arrays = [cache.feature_feature, cache.feature_class, cache.diagonal,
-                  cache.columns, cache.positions, scan.bits, scan.row,
-                  *(scan.in_domain(d) for d in (ALL, ZEROS, ONES))]
+                  cache.columns, scan.bits, scan.row]
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0
         # what the caches hold is what the arrays say
         assert np.array_equal(cache.columns, cache.feature_feature.T)
         assert np.array_equal(cache.diagonal, np.diagonal(cache.feature_feature))
+
+
+def oracle_and_kernel(llh_id, scan, seed, mutn_rate=0.1, bit_generator=np.random.PCG64):
+    """Heuristic ``llh_id`` on ``scan`` through its oracle and through the
+    engine, each on a Generator over ``bit_generator(seed)``: both results
+    and both generators' states afterwards."""
+    rngs = (np.random.Generator(bit_generator(seed)),
+            np.random.Generator(bit_generator(seed)))
+    expected = ORACLE[llh_id](scan, OracleContext(scan.cache, rngs[0], mutn_rate))
+    out = CATALOG[llh_id].func(scan, make_ctx(scan.cache, rngs[1], mutn_rate))
+    return expected, out, rngs[0].bit_generator.state, rngs[1].bit_generator.state
+
+
+class TestKernelEqualsOracle:
+    """``_climb.apply`` against the Python rules in ``conftest``, draw for
+    draw: equal bits, sums and merit bit for bit, the input object back
+    exactly when the oracle returns it, equal counters, and the bit
+    generator left in the same state."""
+
+    @staticmethod
+    def scans(n, rng):
+        cache = random_cache(n, seed=300 + n)
+        for bits in (rng.integers(0, 2, size=n), rng.random(n) < 0.1,
+                     np.zeros(n, dtype=int), np.ones(n, dtype=int)):  # k = 0 and k = n
+            yield _MeritScan(cache, bits)
+
+    @pytest.mark.parametrize("n", [2, 3, 34, 60, 166])
+    def test_every_gene_equals_oracle(self, n):
+        rng = np.random.default_rng(n)
+        moved = np.zeros(NUM_LLH + 1, dtype=int)
+        for s, scan in enumerate(self.scans(n, rng)):
+            # numpy's bit generators differ in how they make 32-bit draws
+            for seed, bit_generator in enumerate((np.random.PCG64, np.random.MT19937,
+                                                  np.random.Philox, np.random.SFC64)):
+                for llh_id in range(1, NUM_LLH + 1):
+                    expected, out, state, kernel_state = oracle_and_kernel(
+                        llh_id, scan, [n, s, seed, llh_id], 0.05 + 0.1 * seed, bit_generator)
+                    np.testing.assert_equal(kernel_state, state, CATALOG[llh_id].name)
+                    assert (out is scan) == (expected is scan), CATALOG[llh_id].name
+                    assert scan_fields(out) == scan_fields(expected), CATALOG[llh_id].name
+                    assert out.merit == expected.merit
+                    moved[llh_id] += out is not scan
+        if n > 3:
+            assert moved[1:].min() > 0, moved
+
+    @pytest.mark.parametrize("n", [2, 3, 34, 60, 166])
+    def test_chromosome_equals_oracle_chain(self, n):
+        rng = np.random.default_rng(400 + n)
+        for s, scan in enumerate(self.scans(n, rng)):
+            for trial in range(3):
+                genes = rng.integers(1, NUM_LLH + 1, size=16)
+                stats, expected_stats = LlhStats(), LlhStats()
+                bit_generator = np.random.PCG64([n, s, trial])
+                oracle_rng = np.random.default_rng([n, s, trial])
+                out = llh.run_genes(genes, scan, bit_generator, 0.1,
+                                    stats.invocations, stats.improvements)
+                expected = oracle_run_genes(genes, scan, OracleContext(scan.cache, oracle_rng),
+                                            expected_stats)
+                assert bit_generator.state == oracle_rng.bit_generator.state
+                assert (out is scan) == (expected is scan)
+                assert scan_fields(out) == scan_fields(expected)
+                assert out.merit == expected.merit
+                assert stats.as_dict() == expected_stats.as_dict()
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 34, 166])
+    def test_scan_equals_sequential_sum(self, n):
+        rng = np.random.default_rng(500 + n)
+        # not symmetric, so row[j] must sum ff[j, i] over the selected i
+        caches = [random_cache(n, seed=n),
+                  cache_from_values(rng.random(n), rng.random((n, n)))]
+        for cache in caches:
+            for bits in (rng.integers(0, 2, size=n), rng.random(n) < 0.1,
+                         np.zeros(n, dtype=int), np.ones(n, dtype=int)):
+                scan = _MeritScan(cache, bits)
+                row, *sums = sequential_scan(cache, bits.tolist())
+                assert scan.row.tolist() == row
+                assert [scan.k, scan.sum_cf, scan.sum_ff, scan.merit] == sums
+                assert cfs_merit(FeatureMask(bits), cache) == sums[-1]
+
+    def test_context_takes_only_a_generator(self):
+        cache = random_cache(4)
+        for rng in (StubRng(), np.random.PCG64(0), np.random.RandomState(0), None):
+            with pytest.raises(TypeError, match=f"^LlhContext needs a numpy.random.Generator, "
+                                                f"not {type(rng).__name__}$"):
+                LlhContext(cache=cache, rng=rng)
 
 
 class TestRmhc:
@@ -655,13 +749,13 @@ class TestRmhc:
         mask = FeatureMask([1, 0])
         assert cfs_merit(mask, cache) == cfs_merit(FeatureMask([1, 1]), cache) == 0.5
         forced = StubRng(integers=[1])
-        assert rmhc(mask, make_ctx(cache, forced)) == FeatureMask([1, 1])
+        assert oracle["RMHC"](mask, stub_ctx(cache, forced)) == FeatureMask([1, 1])
 
     def test_rejects_strictly_worse_flip(self):
         cache = cache_from_values([0.9, 0.0], [[1.0, 0.9], [0.9, 1.0]])
         mask = FeatureMask([1, 0])
         forced = StubRng(integers=[1])
-        assert rmhc(mask, make_ctx(cache, forced)) == mask
+        assert oracle["RMHC"](mask, stub_ctx(cache, forced)) == mask
 
     def test_ones_variant_clears_improving_bit(self):
         # dropping index 4 raises the merit (it is pure redundancy)
@@ -671,14 +765,19 @@ class TestRmhc:
         cache = cache_from_values(fc, ff)
         mask = FeatureMask([1, 1, 1, 1, 1])
         forced = StubRng(integers=[4])  # position among the five 1-bits
-        out = rmhc(mask, make_ctx(cache, forced), bit_domain=ONES)
+        out = oracle["RMHC"](mask, stub_ctx(cache, forced), bit_domain=ONES)
         assert out == FeatureMask([1, 1, 1, 1, 0])
 
     def test_empty_domain_returns_input(self):
+        # draws nothing: the oracle on a stub with no draws, and the
+        # compiled heuristic leaves its generator's state as it was
         cache = random_cache(4, seed=40)
-        all_zero = FeatureMask([0] * 4)
-        out = rmhc(all_zero, make_ctx(cache, StubRng()), bit_domain=ONES)
-        assert out == all_zero
+        for mask, domain in ((FeatureMask([0] * 4), ONES), (FeatureMask([1] * 4), ZEROS)):
+            assert oracle["RMHC"](mask, stub_ctx(cache, StubRng()), bit_domain=domain) is mask
+            rng = np.random.default_rng(40)
+            state = rng.bit_generator.state
+            assert rmhc(mask, make_ctx(cache, rng), bit_domain=domain) is mask
+            assert rng.bit_generator.state == state
 
     def test_merit_never_decreases(self):
         cache = random_cache(9, seed=41)
@@ -692,13 +791,13 @@ class TestRmhc:
 class TestSwpd:
     def test_swap_two_bits(self):
         forced = StubRng(integers=[0, 0])  # i=0, j=0 -> adjusted to 1
-        out = swpd(FeatureMask([1, 0]), make_ctx(random_cache(2), forced))
+        out = oracle["SWPD"](FeatureMask([1, 0]), stub_ctx(random_cache(2), forced))
         assert out == FeatureMask([0, 1])
 
     def test_equal_bits_leave_mask_unchanged(self):
         forced = StubRng(integers=[0, 1])  # dims 0 and 2, both 1
         mask = FeatureMask([1, 0, 1])
-        out = swpd(mask, make_ctx(random_cache(3), forced))
+        out = oracle["SWPD"](mask, stub_ctx(random_cache(3), forced))
         assert out is mask
 
     def test_selected_count_preserved(self):
@@ -717,13 +816,13 @@ class TestSwpd:
 class TestDimm:
     def test_forced_flip(self):
         forced = StubRng(integers=[1], randoms=[0.2])  # coin < 0.5 flips
-        out = dimm(FeatureMask([0, 0, 0]), make_ctx(random_cache(3), forced))
+        out = oracle["DIMM"](FeatureMask([0, 0, 0]), stub_ctx(random_cache(3), forced))
         assert out == FeatureMask([0, 1, 0])
 
     def test_forced_keep(self):
         forced = StubRng(integers=[1], randoms=[0.9])
         mask = FeatureMask([0, 0, 0])
-        assert dimm(mask, make_ctx(random_cache(3), forced)) is mask
+        assert oracle["DIMM"](mask, stub_ctx(random_cache(3), forced)) is mask
 
     def test_mean_changed_bits(self):
         rng = np.random.default_rng(52)
@@ -739,13 +838,13 @@ class TestDimm:
 class TestHypm:
     def test_all_flip_coins_complement(self):
         forced = StubRng(randoms=[[0.1, 0.2, 0.3, 0.0]])
-        out = hypm(FeatureMask([1, 0, 1, 1]), make_ctx(random_cache(4), forced))
+        out = oracle["HYPM"](FeatureMask([1, 0, 1, 1]), stub_ctx(random_cache(4), forced))
         assert out == FeatureMask([0, 1, 0, 0])
 
     def test_all_keep_coins_identity(self):
         forced = StubRng(randoms=[[0.9, 0.8, 0.7, 0.6]])
         mask = FeatureMask([1, 0, 1, 1])
-        assert hypm(mask, make_ctx(random_cache(4), forced)) is mask
+        assert oracle["HYPM"](mask, stub_ctx(random_cache(4), forced)) is mask
 
     def test_mean_hamming_distance(self):
         rng = np.random.default_rng(54)
@@ -765,7 +864,7 @@ class TestMutn:
             cache = random_cache(3)
             rng = StubRng(randoms=[[0.99, 0.99, 0.99]])
             mutn_rate = 1.0
-        out = mutn(FeatureMask([1, 0, 1]), Ctx())
+        out = oracle["MUTN"](FeatureMask([1, 0, 1]), Ctx())
         assert out == FeatureMask([0, 1, 0])
 
     def test_rate_zero_limit_is_identity(self):
@@ -774,7 +873,7 @@ class TestMutn:
             rng = StubRng(randoms=[[0.0001, 0.0001, 0.0001]])
             mutn_rate = 1e-9
         mask = FeatureMask([1, 0, 1])
-        assert mutn(mask, Ctx()) is mask
+        assert oracle["MUTN"](mask, Ctx()) is mask
 
     def test_mean_flip_count(self):
         rng = np.random.default_rng(56)
@@ -863,9 +962,10 @@ class TestCrossHeuristicProperties:
 
 @pytest.mark.parametrize("name", ["sweep", "best"])
 class TestClimbKernelArguments:
-    """Every buffer is checked against n = len(bits) and every position
-    against 0..n-1 before the kernel reads one: a bad argument is a
-    ValueError or an IndexError."""
+    """``_climb.apply`` running each climb loop: every buffer is checked
+    against n = len(bits) and every gene id against 1..16 before the
+    kernel reads one or draws, so a bad argument is a ValueError or a
+    TypeError that leaves the counters and the bit generator as they were."""
 
     N = 6
 
@@ -874,62 +974,123 @@ class TestClimbKernelArguments:
         return _MeritScan(random_cache(self.N, seed=41), [1, 0, 1, 1, 0, 0])
 
     def test_valid_arguments_run(self, name, scan):
-        positions = np.arange(self.N)
-        if name == "sweep":
-            expected = python_sweep_climb(scan, positions.tolist())
-        else:
-            merits = sign_form_flip_merits(scan, positions)
-            expected = int(np.argmax(merits)) if merits.max() > scan.merit else None
-        assert call_kernel(name, scan, positions) == expected
-        empty = np.arange(0)
-        assert call_kernel(name, scan, empty) == ([] if name == "sweep" else None)
+        llh_id = KERNEL_GENE[name]
+        expected = ORACLE[llh_id](scan, OracleContext(scan.cache, np.random.default_rng(0)))
+        bits_out, row_out = np.empty(self.N, dtype=bool), np.empty(self.N)
+        sums = call_kernel(name, scan, bits_out=bits_out, row_out=row_out)
+        assert expected is not scan
+        assert sums == (expected.k, expected.sum_cf, expected.sum_ff, expected.merit)
+        assert (bits_out.tolist(), row_out.tolist()) == (expected.bits.tolist(),
+                                                         expected.row.tolist())
+        assert call_kernel(name, scan, np.arange(0)) is None
 
     @pytest.mark.parametrize("buffer", ["row", "feature_class", "diagonal"])
     def test_wrong_length_vector(self, name, scan, buffer):
         for length in (self.N - 1, self.N + 1):
             with pytest.raises(ValueError, match=f"{buffer} has length {length}"):
-                call_kernel(name, scan, np.arange(self.N), **{buffer: np.zeros(length)})
+                call_kernel(name, scan, **{buffer: np.zeros(length)})
 
     def test_wrong_item_types(self, name, scan):
-        positions = np.arange(self.N)
-        with pytest.raises(ValueError, match="positions must hold int64"):
-            call_kernel(name, scan, positions.astype(np.int32))
-        with pytest.raises(ValueError, match="positions must hold int64"):
-            call_kernel(name, scan, positions.astype(np.float64))
+        genes = np.array([KERNEL_GENE[name]])
+        with pytest.raises(ValueError, match="genes must hold int64"):
+            call_kernel(name, scan, genes.astype(np.int32))
+        with pytest.raises(ValueError, match="genes must hold int64"):
+            call_kernel(name, scan, genes.astype(np.float64))
         with pytest.raises(ValueError, match="bits must hold bools"):
-            call_kernel(name, scan, positions, bits=scan.bits.astype(np.uint8))
+            call_kernel(name, scan, bits=scan.bits.astype(np.uint8))
         with pytest.raises(ValueError, match="row must hold float64"):
-            call_kernel(name, scan, positions, row=scan.row.astype(np.float32))
+            call_kernel(name, scan, row=scan.row.astype(np.float32))
 
     @pytest.mark.parametrize("bad", [-1, N, N + 100, -(2 ** 62)])
     def test_position_out_of_range(self, name, scan, bad):
-        for positions in ([bad], [0, 1, bad], [bad, 0]):
-            with pytest.raises(IndexError, match=f"position {bad} out of range for 6"):
-                call_kernel(name, scan, np.array(positions, dtype=np.int64))
+        # the out-of-range positions of N features, carried past the 16 ids
+        # at the same distances: N becomes 17, N + 100 becomes 117
+        bad = bad if bad < 0 else bad - self.N + NUM_LLH + 1
+        gene = KERNEL_GENE[name]
+        for genes in ([bad], [gene, 1, bad], [bad, gene]):
+            bit_generator = np.random.PCG64(0)
+            state = bit_generator.state
+            counts = np.zeros(NUM_LLH + 1, dtype=np.int64)
+            with pytest.raises(ValueError, match=f"unknown low-level heuristic id {bad}$"):
+                call_kernel(name, scan, np.array(genes, dtype=np.int64),
+                            bit_generator=bit_generator, invocations=counts)
+            assert bit_generator.state == state and not counts.any()
 
     def test_non_contiguous(self, name, scan):
-        positions = np.arange(self.N)
+        genes = np.array([KERNEL_GENE[name]] * 2)
         with pytest.raises(ValueError, match="row must be C-contiguous"):
-            call_kernel(name, scan, positions, row=np.repeat(scan.row, 2)[::2])
-        with pytest.raises(ValueError, match="positions must be C-contiguous"):
-            call_kernel(name, scan, np.repeat(positions, 2)[::2])
-        if name == "sweep":
-            with pytest.raises(ValueError, match="columns must be C-contiguous"):
-                call_kernel(name, scan, positions, columns=scan.cache.columns.T)
+            call_kernel(name, scan, row=np.repeat(scan.row, 2)[::2])
+        with pytest.raises(ValueError, match="genes must be C-contiguous"):
+            call_kernel(name, scan, np.repeat(genes, 2)[::2])
+        with pytest.raises(ValueError, match="columns must be C-contiguous"):
+            call_kernel(name, scan, columns=scan.cache.columns.T)
 
     def test_argument_count_and_non_buffers(self, name, scan):
-        kernel = getattr(_climb, name)
         with pytest.raises(TypeError, match="arguments"):
-            kernel(scan.bits, scan.row)
+            _climb.apply(scan.bits, scan.row)
         with pytest.raises(TypeError):
-            call_kernel(name, scan, list(range(self.N)))
+            call_kernel(name, scan, [KERNEL_GENE[name]])
+        with pytest.raises(TypeError, match="^bit_generator must be a numpy BitGenerator, "
+                                            "not numpy.random._generator.Generator$"):
+            call_kernel(name, scan, bit_generator=np.random.default_rng(0))
 
 
 def test_sweep_rejects_wrong_shape_columns():
     scan = _MeritScan(random_cache(6, seed=41), [1, 0, 1, 1, 0, 0])
     for shape in ((6, 7), (7, 6), (36,)):
         with pytest.raises(ValueError, match="columns"):
-            call_kernel("sweep", scan, np.arange(6), columns=np.zeros(shape))
+            call_kernel("sweep", scan, columns=np.zeros(shape))
+
+
+class TestScanAndOutputArguments:
+    """``_climb.scan`` and the buffers ``apply`` writes: checked before any
+    is read or written."""
+
+    def test_scan_checks_its_buffers(self):
+        cache = random_cache(5, seed=3)
+        bits, row = np.array([1, 0, 1, 1, 0], dtype=bool), np.empty(5)
+        args = dict(bits=bits, columns=cache.columns, feature_class=cache.feature_class,
+                    diagonal=cache.diagonal, row_out=row)
+
+        def scan(**replace):
+            a = {**args, **replace}
+            return _climb.scan(a["bits"], a["feature_class"], a["diagonal"], a["columns"],
+                               a["row_out"])
+
+        expected_row, *expected_sums = sequential_scan(cache, bits.tolist())
+        assert list(scan()) == expected_sums and row.tolist() == expected_row
+        for name in ("feature_class", "diagonal", "row_out"):
+            with pytest.raises(ValueError, match=f"{name} has length 4"):
+                scan(**{name: np.zeros(4)})
+        with pytest.raises(ValueError, match="columns has length 4"):
+            scan(columns=np.zeros((4, 5)))
+        with pytest.raises(ValueError, match="bits must hold bools"):
+            scan(bits=bits.astype(np.int64))
+        with pytest.raises(ValueError, match="row_out must be C-contiguous"):
+            scan(row_out=np.zeros(10)[::2])
+        with pytest.raises(ValueError, match="read-only"):
+            scan(row_out=_MeritScan(cache, bits).row)
+        with pytest.raises(TypeError, match="takes 5 arguments, 2 given"):
+            _climb.scan(bits, cache.feature_class)
+
+    def test_apply_checks_what_it_writes(self):
+        scan = _MeritScan(random_cache(6, seed=41), [1, 0, 1, 1, 0, 0])
+        for name, bad in (("invocations", np.zeros(NUM_LLH, dtype=np.int64)),
+                          ("improvements", np.zeros(NUM_LLH + 2, dtype=np.int64)),
+                          ("bits_out", np.empty(5, dtype=bool)), ("row_out", np.empty(7))):
+            with pytest.raises(ValueError, match=f"{name} has length"):
+                call_kernel("sweep", scan, **{name: bad})
+        with pytest.raises(ValueError, match="read-only"):
+            call_kernel("sweep", scan, row_out=scan.row)
+
+    def test_swap_needs_two_dimensions_before_any_draw(self):
+        scan = _MeritScan(random_cache(1), [1])
+        bit_generator = np.random.PCG64(0)
+        state = bit_generator.state
+        with pytest.raises(ValueError, match="^swap needs at least 2 dimensions$"):
+            call_kernel("sweep", scan, np.array([ID_OF["DIMM"], ID_OF["SWPD"]]),
+                        bit_generator=bit_generator)
+        assert bit_generator.state == state
 
 
 def build_leftovers(package):
@@ -938,14 +1099,21 @@ def build_leftovers(package):
     return sorted(package.glob("__pycache__/_climb.*")) + sorted(package.glob("__pycache__/tmp*"))
 
 
-def import_hhfs(tmp_path, path=None):
+def import_hhfs(tmp_path, path=None, before=""):
     """``import hhfs`` in a fresh interpreter from the copy under
-    ``tmp_path``, with ``PATH`` set to ``path`` if given."""
+    ``tmp_path``, with ``PATH`` set to ``path`` if given, after running the
+    statements ``before``."""
     env = {**os.environ, "PYTHONPATH": str(tmp_path)}
     if path is not None:
         env["PATH"] = str(path)
-    return subprocess.run([sys.executable, "-c", "import hhfs"], env=env,
+    return subprocess.run([sys.executable, "-c", f"{before}\nimport hhfs"], env=env,
                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+
+def numpy_random_at(directory):
+    """Statements that make ``numpy.random`` appear to live in ``directory``,
+    so its random C library is looked for in ``directory/lib``."""
+    return f"import numpy.random\nnumpy.random.__file__ = {str(directory / '__init__.py')!r}"
 
 
 def assert_one_import_error(failed, start):
@@ -1016,3 +1184,27 @@ class TestClimbBuild:
         failed = import_hhfs(tmp_path)
         assert_one_import_error(failed, "ImportError: hhfs: cannot build ")
         assert str(package / "__pycache__") in failed.stderr.splitlines()[-1]
+
+    def test_missing_numpy_random_library_is_one_import_error(self, tmp_path, package):
+        failed = import_hhfs(tmp_path, before=numpy_random_at(tmp_path / "no_numpy"))
+        assert_one_import_error(failed, "ImportError: hhfs needs numpy's random C library: no ")
+        assert str(tmp_path / "no_numpy" / "lib" / "libnpyrandom.a") in failed.stderr
+        assert build_leftovers(package) == []
+
+    def test_another_numpy_is_a_rebuild(self, tmp_path, package):
+        """A build is keyed by numpy's version and its random library's path
+        too: either one changed, the import builds again (here with a
+        ``cc`` that always fails, so the rebuild shows as its error)."""
+        failing_cc = tmp_path / "failing_cc"
+        failing_cc.mkdir()
+        (failing_cc / "cc").write_text("#!/bin/sh\necho rebuilt >&2\nexit 1\n")
+        (failing_cc / "cc").chmod(0o755)
+        assert import_hhfs(tmp_path).returncode == 0
+        assert import_hhfs(tmp_path, failing_cc).returncode == 0  # the build is reused
+        moved = tmp_path / "moved_numpy_random"
+        (moved / "lib").mkdir(parents=True)
+        shutil.copy(Path(np.random.__file__).with_name("lib") / "libnpyrandom.a", moved / "lib")
+        for before in ("import numpy\nnumpy.__version__ = '0.0.0'", numpy_random_at(moved)):
+            failed = import_hhfs(tmp_path, failing_cc, before)
+            assert_one_import_error(failed, "ImportError: hhfs: `cc` failed to build")
+            assert "rebuilt" in failed.stderr

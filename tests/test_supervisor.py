@@ -6,9 +6,10 @@ from multiprocessing import resource_tracker
 import numpy as np
 import pytest
 
-from conftest import (StubRng, best_flip_oracle, cv_accuracy_cdist_reference,
-                      flip, needs_fork, on_cores, record_call, synthetic_dataset)
-from hhfs import cores, supervisor
+from conftest import (OracleContext, StubRng, best_flip_oracle,
+                      cv_accuracy_cdist_reference, flip, on_cores,
+                      oracle_run_genes, record_call, synthetic_dataset)
+from hhfs import supervisor
 from hhfs.correlation import _MeritScan, build_cache, cfs_merit
 from hhfs.dataset import Dataset, load_csv
 from hhfs.evaluation import CvProtocol, FitnessEvaluator
@@ -70,7 +71,7 @@ def run_genes(cache, seed, genes, incumbent, gen=0, i=0):
     heuristics."""
     stats = LlhStats()
     base = _MeritScan(cache, incumbent.bits)
-    scan = supervisor._apply_genes(cache, SupervisorConfig(seed=seed), gen, i,
+    scan = supervisor._apply_genes(SupervisorConfig(seed=seed), gen, i,
                                    np.asarray(genes), base, stats)
     return incumbent if scan is base else scan.mask(), stats
 
@@ -78,15 +79,32 @@ def run_genes(cache, seed, genes, incumbent, gen=0, i=0):
 class TestEvaluateChromosome:
     """A chromosome's heuristics, as the supervisor applies them."""
 
-    def test_all_dimm_with_keep_coins_is_identity(self, small_dataset, monkeypatch):
-        # 16 DIMM calls, each drawing a position then a keep coin
-        stub = StubRng(integers=[0] * 16, randoms=[0.9] * 16)
-        monkeypatch.setattr(supervisor, "LlhContext",
-                            lambda cache, rng, mutn_rate: LlhContext(cache, stub, mutn_rate))
+    def test_all_dimm_with_keep_coins_is_identity(self, small_dataset):
+        # 16 DIMM calls, each drawing a position then a keep coin, through
+        # the oracles; the engine's chromosome equals that chain on a seed
+        cache = build_cache(small_dataset)
         incumbent = FeatureMask([1, 0, 1, 0, 1, 0, 1, 0])
-        mask, stats = run_genes(build_cache(small_dataset), 0, np.full(16, 14), incumbent)
-        assert mask is incumbent
+        base = _MeritScan(cache, incumbent.bits)
+        stub = StubRng(integers=[0] * 16, randoms=[0.9] * 16)
+        stats = LlhStats()
+        assert oracle_run_genes(np.full(16, 14), base, OracleContext(cache, stub), stats) is base
         assert stats.invocations[14] == 16 and sum(stats.improvements) == 0
+        for seed in range(4):
+            mask, stats = run_genes(cache, seed, np.full(16, 14), incumbent)
+            expected_stats = LlhStats()
+            rng = np.random.default_rng([seed, 1, 0, 0])
+            expected = oracle_run_genes(np.full(16, 14), base, OracleContext(cache, rng),
+                                        expected_stats)
+            assert mask.bits.tolist() == expected.bits.tolist()
+            assert (mask is incumbent) == (expected is base)
+            assert stats.as_dict() == expected_stats.as_dict()
+
+    def test_chromosome_stream_is_the_seeded_generator_s(self):
+        # each chromosome draws from PCG64([seed, 1, gen, i]), the state
+        # default_rng of that seed list starts from
+        for key in ([0, 1, 0, 0], [7, 1, 5, 29], [2 ** 40, 1, 199, 3]):
+            assert (np.random.PCG64(key).state
+                    == np.random.default_rng(key).bit_generator.state)
 
     def test_incumbent_is_never_modified(self, small_dataset):
         incumbent = FeatureMask([1, 1, 0, 0, 1, 0, 0, 1])
@@ -127,7 +145,7 @@ class TestEvaluateChromosome:
         stats, expected = LlhStats(), LlhStats()
         for i in range(40):
             chrom = random_chromosome(16, rng)
-            supervisor._apply_genes(cache, SupervisorConfig(seed=8), 5, i, chrom.genes,
+            supervisor._apply_genes(SupervisorConfig(seed=8), 5, i, chrom.genes,
                                     _MeritScan(cache, incumbent.bits), stats)
             replay = LlhContext(cache=cache, rng=np.random.default_rng([8, 1, 5, i]))
             mask = incumbent
@@ -353,7 +371,6 @@ class TestRunSupervisor:
             pytest.fail("the run got past its argument checks")
 
         monkeypatch.setattr(FitnessEvaluator, "fitness", never)
-        monkeypatch.setattr(FitnessEvaluator, "start_worker", never)
         d = synthetic_dataset(n_instances=30, n_features=5, seed=4)
         cache = build_cache(synthetic_dataset(n_instances=30, n_features=cached, seed=4))
         with pytest.raises(ValueError, match=f"^the correlation cache covers {cached} "
@@ -484,10 +501,10 @@ def compute_pids(monkeypatch, tmp_path):
     return lambda: [int(pid) for pid in log.read_text().split()]
 
 
-@needs_fork
 class TestFitnessWorker:
-    """A run on two cores scores its masks in one forked worker: the same
-    result as on one core, and no process left behind."""
+    """A lone run has no fitness worker: on two usable cores it computes
+    every mask in this process, starts no process and gives the result of
+    a one-core run."""
 
     @pytest.mark.parametrize("class_count", [2, 6])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -498,95 +515,34 @@ class TestFitnessWorker:
         cfg = SupervisorConfig(population_size=10, generations=6, seed=seed)
         proto = CvProtocol(folds=5, base_seed=seed)
         report = {"2x5": CvProtocol(folds=5, repeats=2, base_seed=0)}
-        outcomes, workers = [], []
+        outcomes = []
         for count in (1, 2):
             on_cores(monkeypatch, count)
-            done = len(compute_pids())
             outcomes.append(outcome(run_supervisor(d, cfg, proto, report)))
-            workers.append(set(compute_pids()[done:]) - {os.getpid()})
             assert multiprocessing.active_children() == []
         assert outcomes[1] == outcomes[0]
-        assert workers[0] == set() and len(workers[1]) == 1
-
-    def test_golden_spec_through_the_worker(self, monkeypatch, compute_pids, tmp_path):
-        from test_golden import GOLDEN, golden_bytes
-        # the runs stay in this process, which may fork their fitness workers
-        monkeypatch.setattr(cores, "fork_map",
-                            lambda func, items: (func(i) for i in items))
-        on_cores(monkeypatch, 2)
-        assert golden_bytes(tmp_path) == GOLDEN.read_bytes()
-        assert len(set(compute_pids()) - {os.getpid()}) == 2 * 3  # one per run
-        assert multiprocessing.active_children() == []
+        assert set(compute_pids()) == {os.getpid()}
 
     def test_normal_run_leaves_no_process(self, monkeypatch, compute_pids, small_dataset):
         on_cores(monkeypatch, 2)
         tracker = resource_tracker._resource_tracker._pid
         cfg = SupervisorConfig(population_size=6, generations=3, seed=6)
         run_supervisor(small_dataset, cfg, CvProtocol(folds=5, base_seed=6))
-        assert len(set(compute_pids()) - {os.getpid()}) == 1
+        assert set(compute_pids()) == {os.getpid()}
         assert multiprocessing.active_children() == []
         assert resource_tracker._resource_tracker._pid == tracker  # none started
-
-    def test_worker_error_reaches_the_caller_and_leaves_the_memo(self, monkeypatch,
-                                                                 small_dataset):
-        parent, compute = os.getpid(), FitnessEvaluator.compute
-
-        def failing(ev, mask):
-            if os.getpid() != parent:
-                raise ValueError("compute failed in the worker")
-            return compute(ev, mask)
-
-        monkeypatch.setattr(FitnessEvaluator, "compute", failing)
-        on_cores(monkeypatch, 2)
-        ev = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=2))
-        known = FeatureMask.ones(small_dataset.n_features)
-        value = ev.fitness(known)  # before the worker: computed here
-        mask = flip(known, 3)
-        ev.start_worker()
-        try:
-            ev.prefetch(mask)
-            with pytest.raises(ValueError, match="^compute failed in the worker$"):
-                ev.fitness(mask)
-            assert ev._cache == {known.key(): value}
-            assert (ev.computations, ev.hits) == (1, 0)
-        finally:
-            ev.stop_worker()
-        assert multiprocessing.active_children() == []
-        cfg = SupervisorConfig(population_size=6, generations=3, seed=6)
-        with pytest.raises(ValueError, match="^compute failed in the worker$"):
-            run_supervisor(small_dataset, cfg, CvProtocol(folds=5, base_seed=6))
-        assert multiprocessing.active_children() == []
 
     def test_interrupt_mid_generation_leaves_no_process(self, monkeypatch, small_dataset):
         apply = supervisor._apply_genes
 
-        def interrupting(cache, cfg, gen, i, *args):
-            if (gen, i) == (1, 4):  # the first four masks are handed over
+        def interrupting(cfg, gen, i, *args):
+            if (gen, i) == (1, 4):
                 raise KeyboardInterrupt
-            return apply(cache, cfg, gen, i, *args)
+            return apply(cfg, gen, i, *args)
 
         monkeypatch.setattr(supervisor, "_apply_genes", interrupting)
         on_cores(monkeypatch, 2)
         cfg = SupervisorConfig(population_size=8, generations=3, seed=6)
         with pytest.raises(KeyboardInterrupt):
             run_supervisor(small_dataset, cfg, CvProtocol(folds=5, base_seed=6))
-        assert multiprocessing.active_children() == []
-
-    def test_prefetched_values_in_any_order(self, monkeypatch, small_dataset):
-        # more masks than may be in flight at once, read back in reverse
-        # order and each twice: the values and counts of the memo alone
-        on_cores(monkeypatch, 2)
-        proto = CvProtocol(folds=5, base_seed=4)
-        n = small_dataset.n_features
-        masks = [FeatureMask([(v >> b) & 1 for b in range(n)]) for v in range(1, 101)]
-        ev, alone = FitnessEvaluator(small_dataset, proto), FitnessEvaluator(small_dataset, proto)
-        ev.start_worker()
-        try:
-            for mask in masks + masks:
-                ev.prefetch(mask)
-            values = [ev.fitness(mask) for mask in masks[::-1] + masks]
-        finally:
-            ev.stop_worker()
-        assert values == [alone.fitness(mask) for mask in masks[::-1] + masks]
-        assert (ev.computations, ev.hits) == (alone.computations, alone.hits) == (100, 100)
         assert multiprocessing.active_children() == []
