@@ -9,15 +9,14 @@
    sum of row[i] - diagonal[i] over the selected i; the merit is
    sum_cf / sqrt((double)k + sum_ff), or 0.0 at k == 0.
 
-   apply(genes, bit_generator, bits, row, k, sum_cf, sum_ff, merit,
-         feature_class, diagonal, columns, mutn_rate, invocations,
-         improvements, bits_out, row_out) -> None or (k, sum_cf, sum_ff, merit)
+   apply(genes, bit_generator, bits, feature_class, diagonal, columns,
+         mutn_rate, invocations, improvements, bits_out) -> bool
    Run the heuristics ``genes`` (catalog ids 1..16) left to right from the
-   given scan, each on the previous one's output. A gene that moves gets a
-   fresh scan of its bits. Every gene counts one invocation, and one
-   improvement where its fresh merit is strictly higher. Returns None when
-   no gene moved; else the final scan's sums, with its bits and row in
-   bits_out and row_out.
+   mask ``bits``, each on the previous one's output: scan the bits as scan
+   does, run a gene, and scan its bits afresh when it moved. Every gene
+   counts one invocation, and one improvement where its fresh merit is
+   strictly higher. The final bits go to bits_out; returns whether any
+   gene moved.
 
    The heuristics draw from the bit generator through numpy's random C API,
    with the calls its Generator makes: integers(n) is
@@ -288,13 +287,6 @@ run_gene(int g, bitgen_t *rng, double mutn_rate, char *bits, double *row,
     }
 }
 
-static int
-get_number(PyObject *obj, double *out)
-{
-    *out = PyFloat_AsDouble(obj);
-    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
-}
-
 /* The cache buffers at args[0..2]: feature_class, diagonal, columns. */
 static int
 get_cache(PyObject *const *args, Py_buffer views[3], struct cache *c)
@@ -338,38 +330,31 @@ done:
 static PyObject *
 apply(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 16) {
+    if (nargs != 10) {
         PyErr_Format(PyExc_TypeError,
-                     "apply(genes, bit_generator, bits, row, k, sum_cf, sum_ff, merit,"
-                     " feature_class, diagonal, columns, mutn_rate, invocations,"
-                     " improvements, bits_out, row_out) takes 16 arguments, %zd given",
-                     nargs);
+                     "apply(genes, bit_generator, bits, feature_class, diagonal, columns,"
+                     " mutn_rate, invocations, improvements, bits_out) takes 10 arguments,"
+                     " %zd given", nargs);
         return NULL;
     }
-    Py_buffer genes = {0}, bits = {0}, row = {0}, cache[3] = {{0}};
-    Py_buffer invocations = {0}, improvements = {0}, bits_out = {0}, row_out = {0};
-    Py_buffer *views[] = {&genes, &bits, &row, &cache[0], &cache[1], &cache[2],
-                          &invocations, &improvements, &bits_out, &row_out};
+    Py_buffer genes = {0}, bits = {0}, cache[3] = {{0}};
+    Py_buffer invocations = {0}, improvements = {0}, bits_out = {0};
+    Py_buffer *views[] = {&genes, &bits, &cache[0], &cache[1], &cache[2],
+                          &invocations, &improvements, &bits_out};
     PyObject *capsule = NULL, *result = NULL;
-    void *work = NULL;
+    double *work = NULL;
     struct cache c;
-    struct sums s;
-    double mutn_rate;
     if (get_buffer(args[0], &genes, "genes", INT64, 1, -1, 0) < 0
         || get_buffer(args[2], &bits, "bits", BOOL, 1, -1, 0) < 0)
         goto done;
     c.n = bits.shape[0];
-    if (get_buffer(args[3], &row, "row", FLOAT64, 1, c.n, 0) < 0
-        || get_cache(args + 8, cache, &c) < 0
-        || get_buffer(args[12], &invocations, "invocations", INT64, 1, NUM_LLH + 1, 1) < 0
-        || get_buffer(args[13], &improvements, "improvements", INT64, 1, NUM_LLH + 1, 1) < 0
-        || get_buffer(args[14], &bits_out, "bits_out", BOOL, 1, c.n, 1) < 0
-        || get_buffer(args[15], &row_out, "row_out", FLOAT64, 1, c.n, 1) < 0)
+    if (get_cache(args + 3, cache, &c) < 0
+        || get_buffer(args[7], &invocations, "invocations", INT64, 1, NUM_LLH + 1, 1) < 0
+        || get_buffer(args[8], &improvements, "improvements", INT64, 1, NUM_LLH + 1, 1) < 0
+        || get_buffer(args[9], &bits_out, "bits_out", BOOL, 1, c.n, 1) < 0)
         goto done;
-    s.k = PyLong_AsSsize_t(args[4]);
-    if ((s.k == -1 && PyErr_Occurred()) || get_number(args[5], &s.sum_cf) < 0
-        || get_number(args[6], &s.sum_ff) < 0 || get_number(args[7], &s.merit) < 0
-        || get_number(args[11], &mutn_rate) < 0)
+    double mutn_rate = PyFloat_AsDouble(args[6]);
+    if (mutn_rate == -1.0 && PyErr_Occurred())
         goto done;
 
     const int64_t *gene = genes.buf;
@@ -394,34 +379,33 @@ apply(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
                      Py_TYPE(args[1])->tp_name);
         goto done;
     }
-    if ((work = PyMem_Malloc(c.n * (sizeof(int64_t) + sizeof(double)))) == NULL) {
+    /* the row, then run_gene's n positions and n coins */
+    if ((work = PyMem_Malloc(c.n * (2 * sizeof(double) + sizeof(int64_t)))) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
 
     char *out = bits_out.buf;
-    double *out_row = row_out.buf;
     int64_t *invoked = invocations.buf, *improved = improvements.buf;
     int moved = 0;
     memmove(out, bits.buf, c.n);
-    memmove(out_row, row.buf, c.n * sizeof(double));
+    struct sums s = scan_bits(out, &c, work);
     for (Py_ssize_t i = 0; i < count; i++) {
         int g = (int)gene[i];
         invoked[g]++;
-        if (!run_gene(g, rng, mutn_rate, out, out_row, &c, &s, work,
-                      (double *)((int64_t *)work + c.n)))
+        if (!run_gene(g, rng, mutn_rate, out, work, &c, &s, (int64_t *)(work + c.n),
+                      work + 2 * c.n))
             continue;
         double before = s.merit;
-        s = scan_bits(out, &c, out_row);
+        s = scan_bits(out, &c, work);
         improved[g] += s.merit > before;
         moved = 1;
     }
-    result = moved ? Py_BuildValue("(nddd)", s.k, s.sum_cf, s.sum_ff, s.merit)
-                   : Py_NewRef(Py_None);
+    result = PyBool_FromLong(moved);
 done:
     PyMem_Free(work);
     Py_XDECREF(capsule);
-    release(views, 10);
+    release(views, 8);
     return result;
 }
 
@@ -430,9 +414,9 @@ static PyMethodDef methods[] = {
      "scan(bits, feature_class, diagonal, columns, row_out)"
      " -> (k, sum_cf, sum_ff, merit); the row goes to row_out"},
     {"apply", (PyCFunction)(void (*)(void))apply, METH_FASTCALL,
-     "apply(genes, bit_generator, bits, row, k, sum_cf, sum_ff, merit, feature_class,"
-     " diagonal, columns, mutn_rate, invocations, improvements, bits_out, row_out)"
-     " -> None, or the final scan's (k, sum_cf, sum_ff, merit)"},
+     "apply(genes, bit_generator, bits, feature_class, diagonal, columns, mutn_rate,"
+     " invocations, improvements, bits_out) -> whether any gene moved; the bits go to"
+     " bits_out"},
     {NULL, NULL, 0, NULL},
 };
 

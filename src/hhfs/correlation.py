@@ -10,15 +10,16 @@ selected features and r_ff the mean absolute feature-feature correlation
 over the selected pairs (Hall's CFS score). High merit means features
 that track the class while not tracking each other.
 
-One implementation, ``_MeritScan``, works from the row vector ff @ bits:
+One implementation, the merit scan, works from the row vector ff @ bits:
 the selected class-correlation sum over the root of k plus the selected
 off-diagonal feature-feature sum, which is the form above and finite.
-``cfs_merit`` is the scan's merit, so it scores a mask exactly as the
-local searches do. The scan is compiled (``_climb.c`` beside this module,
-built on first import by ``_load_climb``) and sums in one fixed order,
-ascending selected index: each row entry, the class sum and the
-off-diagonal sum (row[i] - ff[i, i] per selected i) are sequential sums,
-so a merit is a function of the bits alone, whatever BLAS the machine runs.
+The scan is compiled (``_climb.scan`` in ``_climb.c`` beside this module,
+built on first import by ``_load_climb``), and the compiled heuristics
+(``llh``) score from the same routine, so ``cfs_merit`` scores a mask
+exactly as the local searches do. It sums in one fixed order, ascending
+selected index: each row entry, the class sum and the off-diagonal sum
+(row[i] - ff[i, i] per selected i) are sequential sums, so a merit is a
+function of the bits alone, whatever BLAS the machine runs.
 
 ``build_cache`` fills both tables with one Pearson routine; |r_cf| averages
 a feature's |r| against the one-vs-rest class indicators with the class
@@ -160,42 +161,19 @@ def build_cache(d) -> CorrelationCache:
     return CorrelationCache(feature_feature=ff, feature_class=fc)
 
 
-class _MeritScan:
-    """Read-only merit scan of one mask, the state its single-bit flips
-    are scored from.
-
-    Holds the selected count k, the selected class-correlation sum, the
-    selected off-diagonal feature-feature sum (ordered pairs), their merit,
-    and the vector row[b] = sum_{i selected} ff[b, i], so each candidate
-    flip is scored in O(1) by the compiled heuristics (``llh``). Built from
-    bits, it is ``_climb.scan``'s; the heuristics hand back the ``row`` and
-    ``sums`` of the scan they made of their output bits. A scan never
-    changes after construction: its arrays are not writable, so no caller
-    can change what a later caller reads.
-    """
-
-    def __init__(self, cache: CorrelationCache, bits, row=None, sums=None):
-        self.cache = cache
-        if sums is None:
-            bits = np.array(bits, dtype=bool)
-            row = np.empty(bits.size)
-            sums = _climb.scan(bits, cache.feature_class, cache.diagonal, cache.columns, row)
-        self.bits, self.row = bits, row
-        self.k, self.sum_cf, self.sum_ff, self.merit = sums
-        bits.setflags(write=False)
-        row.setflags(write=False)
-
-    def mask(self) -> FeatureMask:
-        return FeatureMask(self.bits)
-
-
-def cfs_merit(mask: FeatureMask, cache: CorrelationCache) -> float:
-    """Merit of the selected subset (the ``_MeritScan`` merit); 0.0 for
-    the empty mask."""
+def check_fits(mask: FeatureMask, cache: CorrelationCache) -> None:
+    """Reject a mask over another feature count than the cache's."""
     if mask.n != cache.n_features:
         raise ValueError(
             f"mask over {mask.n} features does not match cache of {cache.n_features}")
-    return _MeritScan(cache, mask.bits).merit
+
+
+def cfs_merit(mask: FeatureMask, cache: CorrelationCache) -> float:
+    """Merit of the selected subset (the merit scan's); 0.0 for the empty
+    mask."""
+    check_fits(mask, cache)
+    return _climb.scan(mask.bits, cache.feature_class, cache.diagonal, cache.columns,
+                       np.empty(mask.n))[3]
 
 
 def dump_cache_csv(cache: CorrelationCache, path) -> None:

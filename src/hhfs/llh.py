@@ -8,8 +8,8 @@ moves (SWPD, DIMM, HYPM, MUTN) that perturb the mask unconditionally.
 
 The heuristics are compiled: ``_climb.apply`` (in ``_climb.c``, built by
 ``correlation._load_climb``) runs a whole list of them, a chromosome's
-genes, in one call, and ``run_genes`` is its one caller. Each catalog
-entry's ``func`` is a one-gene ``run_genes``. The rules, in the kernel:
+genes, in one call, and ``run_genes`` is its one caller; ``apply`` is a
+one-gene ``run_genes``. The rules, in the kernel:
 
 - SDHC moves to the first (lowest-index) in-domain flip of highest merit,
   if that merit is strictly above the current one;
@@ -23,16 +23,15 @@ entry's ``func`` is a one-gene ``run_genes``. The rules, in the kernel:
   ``random() < 0.5``; HYPM and MUTN flip every bit whose ``random(n)`` coin
   is below 0.5 or the MUTN rate.
 
-Heuristics act on merit scans: each takes a ``_MeritScan`` of the working
-mask and returns one, so masks exist only at the chromosome's edge
-(``apply`` wraps a single call in them). Scans are read-only, so every
-heuristic is a pure function of (scan, rng state): it cannot mutate its
-input, and replaying a seed replays the output bit-exactly.
+Heuristics act on masks: genes go in with a mask and a final mask comes
+out. Inside the call the kernel scans the input bits for the merit, and
+scans a gene's output bits afresh whenever it moved, never carrying sums
+from one gene to the next, so every merit depends on the bits alone. Masks are read-only,
+so running genes is a pure function of (mask, rng state): it cannot
+mutate its input, and replaying a seed replays the output bit-exactly.
 A call that leaves every bit unchanged returns its input object, so
-callers can tell "did not move" by identity; a gene that moves gets a
-fresh scan of its output bits, never one carried forward incrementally,
-so every merit depends on the bits alone.
-One call does one bounded pass - SDHC scans one Hamming-1 neighborhood,
+callers can tell "did not move" by identity.
+One gene does one bounded pass - SDHC scans one Hamming-1 neighborhood,
 NAHC/DBHC sweep the positions once - so the cost of applying a whole
 chromosome of heuristics stays predictable.
 """
@@ -40,12 +39,10 @@ chromosome of heuristics stays predictable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
-from .correlation import CorrelationCache, _climb, _MeritScan
+from .correlation import CorrelationCache, _climb, check_fits
 from .mask import FeatureMask
 
 NUM_LLH = 16
@@ -75,39 +72,33 @@ class LlhContext:
             raise ValueError("mutn_rate must lie in (0, 1)")
 
 
-def run_genes(genes: np.ndarray, scan: _MeritScan, bit_generator: np.random.BitGenerator,
-              mutn_rate: float, invocations: np.ndarray, improvements: np.ndarray) -> _MeritScan:
+def run_genes(genes: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
+              bit_generator: np.random.BitGenerator, mutn_rate: float,
+              invocations: np.ndarray, improvements: np.ndarray) -> FeatureMask:
     """Apply the heuristics ``genes`` (ids 1..16, int64) left to right, each
-    to the previous one's output, starting from ``scan``, drawing from
+    to the previous one's output, starting from ``mask``, drawing from
     ``bit_generator`` (under its lock) as a Generator over it would. Counts
     every call in ``invocations`` and every strictly higher merit in
-    ``improvements`` (int64, indexed by id). Returns the final scan:
-    ``scan`` itself when no heuristic moved."""
-    cache = scan.cache
-    bits, row = np.empty_like(scan.bits), np.empty_like(scan.row)
+    ``improvements`` (int64, indexed by id). Returns the final mask:
+    ``mask`` itself when no heuristic moved."""
+    check_fits(mask, cache)
+    bits = np.empty(mask.n, dtype=bool)
     with bit_generator.lock:
-        sums = _climb.apply(genes, bit_generator, scan.bits, scan.row, scan.k, scan.sum_cf,
-                            scan.sum_ff, scan.merit, cache.feature_class, cache.diagonal,
-                            cache.columns, mutn_rate, invocations, improvements, bits, row)
-    return scan if sums is None else _MeritScan(cache, bits, row, sums)
-
-
-def _one_gene(genes: np.ndarray, scan: _MeritScan, ctx: LlhContext) -> _MeritScan:
-    """The heuristic ``genes`` (one id) on ``scan``, uncounted."""
-    counts = np.zeros(NUM_LLH + 1, dtype=np.int64)
-    return run_genes(genes, scan, ctx.rng.bit_generator, ctx.mutn_rate, counts, counts)
+        moved = _climb.apply(genes, bit_generator, mask.bits, cache.feature_class,
+                             cache.diagonal, cache.columns, mutn_rate, invocations,
+                             improvements, bits)
+    return FeatureMask(bits) if moved else mask
 
 
 @dataclass(frozen=True)
 class LlhInfo:
-    """Catalog entry: numeric id, display name, kind, one-line description,
-    and the callable implementing the move."""
+    """Catalog entry: numeric id, display name, kind and one-line
+    description; ``apply`` runs the move."""
 
     id: int
     name: str
     kind: str  # "hill-climber" or "mutational"
     description: str
-    func: Callable[[_MeritScan, LlhContext], _MeritScan]
 
 
 def _make_catalog() -> dict[int, LlhInfo]:
@@ -130,26 +121,21 @@ def _make_catalog() -> dict[int, LlhInfo]:
         ("HYPM", "mutational", "flip every bit with probability 0.5"),
         ("MUTN", "mutational", "flip every bit with the configured mutation rate"),
     ]
-    catalog = {}
-    for i, entry in enumerate(entries, start=1):
-        genes = np.array([i])
-        genes.setflags(write=False)
-        catalog[i] = LlhInfo(i, *entry, partial(_one_gene, genes))
-    return catalog
+    return {i: LlhInfo(i, *entry) for i, entry in enumerate(entries, start=1)}
 
 
 CATALOG: dict[int, LlhInfo] = _make_catalog()
 
 
 def apply(llh_id: int, mask: FeatureMask, ctx: LlhContext) -> FeatureMask:
-    """Apply the heuristic with the given id (1..16) to the mask; the
-    input object when no bit changes."""
-    info = CATALOG.get(int(llh_id))
-    if info is None:
+    """Apply the heuristic with the given id (an integer in 1..16) to the
+    mask, uncounted; the input object when no bit changes."""
+    if (isinstance(llh_id, bool) or not isinstance(llh_id, (int, np.integer))
+            or llh_id not in CATALOG):
         raise ValueError(f"unknown low-level heuristic id {llh_id}")
-    scan = _MeritScan(ctx.cache, mask.bits)
-    out = info.func(scan, ctx)
-    return mask if out is scan else out.mask()
+    counts = np.zeros(NUM_LLH + 1, dtype=np.int64)
+    return run_genes(np.array([llh_id], dtype=np.int64), mask, ctx.cache,
+                     ctx.rng.bit_generator, ctx.mutn_rate, counts, counts)
 
 
 def describe_catalog() -> str:

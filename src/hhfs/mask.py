@@ -3,6 +3,8 @@
 A solution is a bit string over the dataset's feature columns: bit i is 1
 when feature i is selected. Masks are immutable value objects, so they
 can be shared freely between the local searches and the fitness cache.
+The bits are stored as bools, the item type the compiled heuristics read
+and write, so masks pass into and out of them without a conversion.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ import numpy as np
 
 
 class FeatureMask:
-    """Immutable 0/1 vector over ``n`` features, in dataset column order."""
+    """Immutable 0/1 vector over ``n`` features, in dataset column order:
+    a read-only bool array of its own."""
 
     __slots__ = ("bits",)
 
@@ -19,10 +22,10 @@ class FeatureMask:
         given = np.asarray(bits)
         if given.ndim != 1 or given.size == 0:
             raise ValueError("mask must be a non-empty 1-d bit vector")
-        # checked before the cast, which would truncate 0.5 to 0 and 1.7 to 1
+        # checked before the cast, which would read 0.5 and 2 as True
         if given.dtype != np.bool_ and not np.all((given == 0) | (given == 1)):
             raise ValueError("mask bits must be 0 or 1")
-        arr = given.astype(np.uint8)
+        arr = given.astype(bool)
         arr.setflags(write=False)
         self.bits = arr
 
@@ -42,7 +45,7 @@ class FeatureMask:
 
     @classmethod
     def ones(cls, n: int) -> "FeatureMask":
-        return cls(np.ones(n, dtype=np.uint8))
+        return cls(np.ones(n, dtype=bool))
 
     @property
     def n(self) -> int:
@@ -57,7 +60,8 @@ class FeatureMask:
         return np.flatnonzero(self.bits)
 
     def key(self) -> bytes:
-        """Hashable identity of the bit pattern, used as cache key."""
+        """Hashable identity of the bit pattern, used as cache key: one
+        byte per bit, 0 or 1."""
         return self.bits.tobytes()
 
     def to01(self) -> str:

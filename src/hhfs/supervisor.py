@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import llh
-from .correlation import CorrelationCache, _MeritScan, build_cache
+from .correlation import CorrelationCache, build_cache
 from .dataset import Dataset
 from .evaluation import CvProtocol, FitnessEvaluator, cv_accuracies
 from .llh import NUM_LLH
@@ -37,9 +37,13 @@ class Chromosome:
     genes: np.ndarray
 
     def __post_init__(self):
-        genes = np.array(self.genes, dtype=np.int64)
-        if genes.ndim != 1 or genes.size == 0:
+        given = np.asarray(self.genes)
+        if given.ndim != 1 or given.size == 0:
             raise ValueError("genes must be a non-empty 1-d sequence")
+        # checked before the cast, which would truncate 1.5 to 1 and read True as 1
+        if not np.issubdtype(given.dtype, np.integer):
+            raise ValueError(f"genes must be integers, not {given.dtype}")
+        genes = given.astype(np.int64)
         if genes.min() < 1 or genes.max() > NUM_LLH:
             raise ValueError(f"gene values must lie in 1..{NUM_LLH}")
         genes.setflags(write=False)
@@ -210,29 +214,17 @@ def _next_generation(population: list[Chromosome], fits: np.ndarray,
     return elites + mutated
 
 
-def _apply_genes(cfg: SupervisorConfig, gen: int, i: int, genes: np.ndarray,
-                 scan: _MeritScan, stats: LlhStats) -> _MeritScan:
-    """Apply chromosome i's genes in generation ``gen`` left to right, each
-    to the previous one's output, starting from ``scan`` (the incumbent's),
-    in one ``llh.run_genes`` call on the stream seeded (seed, 1, gen, i),
-    and count every call in ``stats``: an improvement is a strictly higher
-    merit, and a call that returned its input cannot have one. Returns the
-    final scan: ``scan`` itself when every heuristic returned its input."""
-    return llh.run_genes(genes, scan, np.random.PCG64([cfg.seed, 1, gen, i]), cfg.mutn_rate,
-                         stats.invocations, stats.improvements)
-
-
 def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
                    search_protocol: CvProtocol,
                    report_protocols: dict[str, CvProtocol] | None = None,
                    cache: CorrelationCache | None = None) -> SupervisorResult:
     """Run the supervisor GA once and return the final incumbent.
 
-    Per generation: every chromosome is evaluated from the same incumbent
-    snapshot, one merit scan kept for as long as the incumbent stands; the
-    best resulting mask replaces the incumbent (and its scan the snapshot)
-    only if its fitness strictly improves; selection, crossover and mutation then
-    produce the next population. After the last generation the incumbent
+    Per generation: every chromosome's genes run from the same incumbent
+    mask, chromosome i of generation g on the stream seeded (seed, 1, g, i);
+    the best resulting mask replaces the incumbent only if its fitness
+    strictly improves; selection, crossover and mutation then produce the
+    next population. After the last generation the incumbent
     is re-evaluated under each reporting protocol. Datasets with fewer
     than 2 features are rejected: SWPD needs two dimensions to swap. So is
     a ``cache`` built for another feature count, before any work starts.
@@ -264,18 +256,18 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     stats = LlhStats()
     history: list[GenerationRecord] = []
     phases = dict.fromkeys(("heuristics", "fitness", "ga", "report"), 0.0)
-    base = _MeritScan(cache, incumbent.bits)  # the incumbent's scan, while it stands
     for gen in range(cfg.generations):
         t0 = time.perf_counter()
-        scans = [_apply_genes(cfg, gen, i, chrom.genes, base, stats)
+        masks = [llh.run_genes(chrom.genes, incumbent, cache,
+                               np.random.PCG64([cfg.seed, 1, gen, i]), cfg.mutn_rate,
+                               stats.invocations, stats.improvements)
                  for i, chrom in enumerate(population)]
-        masks = [incumbent if scan is base else scan.mask() for scan in scans]
         t1 = time.perf_counter()
         fits = np.array([evaluator.fitness(mask) for mask in masks], dtype=np.float64)
         t2 = time.perf_counter()
         best_i = int(np.argmax(fits))
-        if fits[best_i] > incumbent_fitness:  # never base itself, whose mask ties
-            incumbent, base = masks[best_i], scans[best_i]
+        if fits[best_i] > incumbent_fitness:
+            incumbent = masks[best_i]
             incumbent_fitness = float(fits[best_i])
         history.append(GenerationRecord(
             generation=gen,

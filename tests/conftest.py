@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from hhfs import cores
-from hhfs.correlation import CorrelationCache, _MeritScan
+from hhfs.correlation import CorrelationCache, _climb
 from hhfs.dataset import Dataset, min_max_normalize
 from hhfs.llh import ALL, CATALOG, ONES, ZEROS
 from hhfs.mask import FeatureMask
@@ -68,6 +68,24 @@ def cache_from_values(fc, ff) -> CorrelationCache:
     ff = np.asarray(ff, dtype=np.float64)
     np.fill_diagonal(ff, 1.0)
     return CorrelationCache(feature_feature=ff, feature_class=fc)
+
+
+class MeritScan:
+    """Read-only merit scan of some bits, the state the oracles score their
+    flips from: the bits, the row[b] = sum_{i selected} ff[b, i] and the
+    selected count, class sum, off-diagonal sum and merit, as
+    ``_climb.scan`` computes them."""
+
+    def __init__(self, cache: CorrelationCache, bits):
+        self.cache = cache
+        self.bits, self.row = np.array(bits, dtype=bool), np.empty(len(bits))
+        self.k, self.sum_cf, self.sum_ff, self.merit = _climb.scan(
+            self.bits, cache.feature_class, cache.diagonal, cache.columns, self.row)
+        self.bits.setflags(write=False)
+        self.row.setflags(write=False)
+
+    def mask(self) -> FeatureMask:
+        return FeatureMask(self.bits)
 
 
 def random_mask(n: int, rng: np.random.Generator) -> FeatureMask:
@@ -188,8 +206,6 @@ def sweep_reference(scan, cache: CorrelationCache, positions):
     copy the scan's sums, score each visit and commit each strictly
     improving flip on numpy scalars and arrays, then scan a moved result
     afresh. Returns the input scan object when no flip was kept."""
-    from hhfs.correlation import _MeritScan
-
     ff, fc = cache.feature_feature, cache.feature_class
     bits, row = scan.bits.copy(), scan.row.copy()
     k, sum_cf, sum_ff = scan.k, scan.sum_cf, scan.sum_ff
@@ -210,7 +226,7 @@ def sweep_reference(scan, cache: CorrelationCache, positions):
             bits[b] = not bits[b]
             (k, sum_cf, sum_ff), current = sums, candidate
             changed = True
-    return _MeritScan(cache, bits) if changed else scan
+    return MeritScan(cache, bits) if changed else scan
 
 
 def sequential_scan(cache: CorrelationCache, bits):
@@ -332,7 +348,7 @@ def _flipped(scan, ctx, b):
     """A fresh scan of the input's bits with bit(s) ``b`` inverted."""
     bits = scan.bits.copy()
     bits[b] ^= True
-    return _MeritScan(ctx.cache, bits)
+    return MeritScan(ctx.cache, bits)
 
 
 def python_flip_merit(scan, b) -> float:

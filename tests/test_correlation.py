@@ -5,10 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (cache_from_values, class_correlation_twopass,
+from conftest import (MeritScan, cache_from_values, class_correlation_twopass,
                       merit_from_cache_direct, merit_from_data, pearson_twopass,
                       random_cache, random_mask, synthetic_dataset)
-from hhfs.correlation import CorrelationCache, _MeritScan, build_cache, cfs_merit
+from hhfs.correlation import CorrelationCache, build_cache, cfs_merit
 from hhfs.dataset import Dataset
 from hhfs.mask import FeatureMask
 
@@ -247,7 +247,7 @@ class TestCfsMerit:
         rng = np.random.default_rng(n)
         for _ in range(200):
             mask = random_mask(n, rng)
-            assert cfs_merit(mask, cache) == _MeritScan(cache, mask.bits).merit
+            assert cfs_merit(mask, cache) == MeritScan(cache, mask.bits).merit
 
     def test_matches_cache_free_recomputation(self):
         d = synthetic_dataset(n_instances=35, n_features=8, seed=9)

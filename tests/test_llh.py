@@ -10,13 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (HILL_CLIMBER_IDS, MUTATIONAL_IDS, ORACLE, OracleContext,
-                      StubRng, best_flip_oracle, cache_from_values, domain_of,
-                      exhaustive_best_mask, flip, oracle_run_genes,
-                      python_sweep_climb, random_cache, random_mask,
-                      sequential_scan, sweep_reference, synthetic_dataset)
+from conftest import (HILL_CLIMBER_IDS, MUTATIONAL_IDS, ORACLE, MeritScan,
+                      OracleContext, StubRng, best_flip_oracle,
+                      cache_from_values, domain_of, exhaustive_best_mask, flip,
+                      oracle_run_genes, python_sweep_climb, random_cache,
+                      random_mask, sequential_scan, sweep_reference,
+                      synthetic_dataset)
 from hhfs import llh
-from hhfs.correlation import _MeritScan, build_cache, cfs_merit
+from hhfs.correlation import build_cache, cfs_merit
 from hhfs.llh import ALL, ONES, ZEROS, CATALOG, NUM_LLH, LlhContext, _climb
 from hhfs.mask import FeatureMask
 from hhfs.supervisor import LlhStats
@@ -38,9 +39,20 @@ def on_masks(name, oracle=False):
         llh_id = ID_OF[name + ("" if bit_domain == ALL else f"-{bit_domain}")]
         if not oracle:
             return llh.apply(llh_id, mask, ctx)
-        scan = _MeritScan(ctx.cache, mask.bits)
+        scan = MeritScan(ctx.cache, mask.bits)
         out = ORACLE[llh_id](scan, ctx)
         return mask if out is scan else out.mask()
+    return call
+
+
+def on_scans(llh_id):
+    """The catalog heuristic ``llh_id`` as a function of oracle scans,
+    called through ``llh.apply`` on the scan's mask: the input scan when
+    the mask comes back, else a fresh scan of the output bits."""
+    def call(scan, ctx):
+        mask = scan.mask()
+        out = llh.apply(llh_id, mask, ctx)
+        return scan if out is mask else MeritScan(scan.cache, out.bits)
     return call
 
 
@@ -73,6 +85,30 @@ class TestCatalog:
             llh.apply(0, FeatureMask([1, 0, 1, 0]), ctx)
         with pytest.raises(ValueError):
             llh.apply(17, FeatureMask([1, 0, 1, 0]), ctx)
+
+    def test_non_integral_id_rejected_before_any_draw(self):
+        # int(1.7) would run SDHC, and a bool is no heuristic id
+        mask = FeatureMask([1, 0, 1, 0])
+        for bad in (1.7, 1.0, True, np.True_, np.float64(3.0), "1", None):
+            ctx = make_ctx(random_cache(4))
+            state = ctx.rng.bit_generator.state
+            with pytest.raises(ValueError, match=f"^unknown low-level heuristic id {bad}$"):
+                llh.apply(bad, mask, ctx)
+            assert ctx.rng.bit_generator.state == state
+        for llh_id in (np.int64(15), np.uint8(15), 15):
+            out = llh.apply(llh_id, mask, make_ctx(random_cache(4), np.random.default_rng(3)))
+            assert out == llh.apply(15, mask, make_ctx(random_cache(4), np.random.default_rng(3)))
+
+    def test_mask_of_another_size_rejected(self):
+        # the message cfs_merit gives, not the kernel's buffer check
+        for n in (3, 6):
+            mask = FeatureMask([1, 0, 1, 0, 1, 1][:n])
+            message = f"^mask over {n} features does not match cache of 5$"
+            with pytest.raises(ValueError, match=message):
+                cfs_merit(mask, random_cache(5))
+            for llh_id in (1, 16):
+                with pytest.raises(ValueError, match=message):
+                    llh.apply(llh_id, mask, make_ctx(random_cache(5)))
 
     def test_inputs_never_mutated(self):
         cache = random_cache(10, seed=3)
@@ -113,29 +149,27 @@ class TestCatalog:
         assert unmoved[1:].min() > 0, unmoved
 
     def test_gene_boundary_returns_input_or_fresh_scan(self):
-        # a heuristic hands the next one either its input scan, untouched,
-        # or a scan of its output bits built afresh, whose every field
-        # equals a new _MeritScan's bitwise: never one carried forward
+        # a heuristic hands the next one either its input mask, untouched,
+        # or a mask of its own: read-only bools the input does not share,
+        # which the kernel scans afresh when the next gene starts
         rng = np.random.default_rng(22)
         moved = np.zeros(17, dtype=int)
         for n in (2, 3, 9, 34):
             cache = random_cache(n, seed=100 + n)
             for trial in range(40):
-                scan = _MeritScan(cache, rng.integers(0, 2, size=n))
-                before = scan_fields(scan)
+                mask = FeatureMask(rng.integers(0, 2, size=n))
+                before = mask.key()
                 with pytest.raises(ValueError):
-                    scan.bits[0] = not scan.bits[0]
-                with pytest.raises(ValueError):
-                    scan.row[0] = 0.0
+                    mask.bits[0] = not mask.bits[0]
                 for llh_id in range(1, 17):
                     ctx = make_ctx(cache, np.random.default_rng([n, trial, llh_id]))
-                    out = CATALOG[llh_id].func(scan, ctx)
-                    assert scan_fields(scan) == before, CATALOG[llh_id].name
-                    if np.array_equal(out.bits, scan.bits):
-                        assert out is scan, CATALOG[llh_id].name
+                    out = llh.apply(llh_id, mask, ctx)
+                    assert mask.key() == before, CATALOG[llh_id].name
+                    if np.array_equal(out.bits, mask.bits):
+                        assert out is mask, CATALOG[llh_id].name
                     else:
-                        fresh = _MeritScan(cache, out.bits)
-                        assert scan_fields(out) == scan_fields(fresh), CATALOG[llh_id].name
+                        assert out.bits.dtype == np.bool_ and not out.bits.flags.writeable
+                        assert not np.shares_memory(out.bits, mask.bits)
                         moved[llh_id] += 1
         assert moved[1:].min() > 0, moved
 
@@ -212,7 +246,7 @@ class TestSdhc:
             cache = random_cache(n, seed=n)
             for _ in range(20):
                 bits = rng.integers(0, 2, size=n)
-                scan = _MeritScan(cache, bits)
+                scan = MeritScan(cache, bits)
                 vector = sign_form_flip_merits(scan, np.arange(n))
                 assert vector.tolist() == [scalar_flip_merit(scan, b) for b in range(n)]
 
@@ -363,7 +397,7 @@ class TestSweepReference:
     @pytest.mark.parametrize("name", ["NAHC", "DBHC"])
     def test_equals_reference_bitwise(self, name, bit_domain):
         suffix = "" if bit_domain == ALL else f"-{bit_domain}"
-        func = CATALOG[ID_OF[name + suffix]].func
+        func = on_scans(ID_OF[name + suffix])
         rng = np.random.default_rng(92)
         moved = unmoved = 0
         for c, cache in enumerate(self.caches()):
@@ -376,7 +410,7 @@ class TestSweepReference:
                              else np.random.default_rng(seed).permutation(n))
                     positions = [int(b) for b in order if bit_domain == ALL
                                  or bool(bits[b]) == (bit_domain == ONES)]
-                    scan = _MeritScan(cache, bits)
+                    scan = MeritScan(cache, bits)
                     expected = sweep_reference(scan, cache, positions)
                     out = func(scan, make_ctx(cache, np.random.default_rng(seed)))
                     assert out.bits.tolist() == expected.bits.tolist()
@@ -405,14 +439,14 @@ class TestSweepReference:
             return scan, False
         bits = scan.bits.copy()
         bits[b] ^= True
-        return _MeritScan(cache, bits), bool(candidate == scan.merit)
+        return MeritScan(cache, bits), bool(candidate == scan.merit)
 
     def test_rmhc_equals_vector_reference_bitwise(self):
         rng = np.random.default_rng(93)
         ties = 0
         for bit_domain in (ALL, ZEROS, ONES):
             suffix = "" if bit_domain == ALL else f"-{bit_domain}"
-            func = CATALOG[ID_OF["RMHC" + suffix]].func
+            func = on_scans(ID_OF["RMHC" + suffix])
             moved = unmoved = 0
             for c, cache in enumerate(self.caches()):
                 n = cache.n_features
@@ -420,7 +454,7 @@ class TestSweepReference:
                     for bits in (rng.integers(0, 2, size=n), rng.random(n) < 0.1,
                                  np.zeros(n, dtype=int), np.ones(n, dtype=int)):
                         seed = [c, trial, int(bits.sum())]
-                        scan = _MeritScan(cache, bits)
+                        scan = MeritScan(cache, bits)
                         expected, tie = self.rmhc_reference(
                             scan, cache, bit_domain, np.random.default_rng(seed))
                         out = func(scan, make_ctx(cache, np.random.default_rng(seed)))
@@ -440,10 +474,10 @@ class TestSweepReference:
         # adding bit 1 gives (0.5 + 0.5) / sqrt(2 + 2) = 0.5, the current
         # merit exactly; a tie is not an improvement
         cache = cache_from_values([0.5, 0.5], [[1.0, 1.0], [1.0, 1.0]])
-        scan = _MeritScan(cache, [1, 0])
+        scan = MeritScan(cache, [1, 0])
         assert sign_form_flip_merits(scan, [1])[0] == scan.merit == 0.5
         assert sweep_reference(scan, cache, [0, 1]) is scan
-        assert CATALOG[ID_OF["NAHC"]].func(scan, make_ctx(cache)) is scan
+        assert on_scans(ID_OF["NAHC"])(scan, make_ctx(cache)) is scan
         for order in ([0, 1], [1, 0]):
             forced = StubRng(permutations=[np.array(order)])
             assert ORACLE[ID_OF["DBHC"]](scan, stub_ctx(cache, forced)) is scan
@@ -491,7 +525,7 @@ def called_merit_sweep(scan, cache, positions, accept):
             row = row_np.tolist()
             (k, sum_cf, sum_ff), current = flipped, candidate
             changed = True
-    return _MeritScan(cache, bits) if changed else scan
+    return MeritScan(cache, bits) if changed else scan
 
 
 def sign_form_flip_merits(scan, positions):
@@ -517,20 +551,20 @@ KERNEL_GENE = {"sweep": ID_OF["NAHC"], "best": ID_OF["SDHC"]}  # the two climb l
 def call_kernel(name, scan, genes=None, **replace):
     """``_climb.apply`` of ``genes`` (by default the one gene that runs the
     climb loop ``name``: NAHC's sweep or SDHC's best move) on ``scan``'s
-    state, drawing from ``bit_generator``, with the named buffers
+    bits, drawing from ``bit_generator``, with the named buffers
     replaced."""
     cache, n = scan.cache, scan.bits.size
     buffers = dict(genes=np.array([KERNEL_GENE[name]]) if genes is None else genes,
-                   bit_generator=np.random.PCG64(0), bits=scan.bits, row=scan.row,
+                   bit_generator=np.random.PCG64(0), bits=scan.bits,
                    feature_class=cache.feature_class, diagonal=cache.diagonal,
                    columns=cache.columns, invocations=np.zeros(NUM_LLH + 1, dtype=np.int64),
                    improvements=np.zeros(NUM_LLH + 1, dtype=np.int64),
-                   bits_out=np.empty(n, dtype=bool), row_out=np.empty(n))
+                   bits_out=np.empty(n, dtype=bool))
     buffers.update(replace)
     b = buffers
-    return _climb.apply(b["genes"], b["bit_generator"], b["bits"], b["row"], scan.k, scan.sum_cf,
-                        scan.sum_ff, scan.merit, b["feature_class"], b["diagonal"], b["columns"],
-                        0.1, b["invocations"], b["improvements"], b["bits_out"], b["row_out"])
+    return _climb.apply(b["genes"], b["bit_generator"], b["bits"], b["feature_class"],
+                        b["diagonal"], b["columns"], 0.1, b["invocations"], b["improvements"],
+                        b["bits_out"])
 
 
 class TestHotPathReference:
@@ -561,13 +595,13 @@ class TestHotPathReference:
             single[int(rng.integers(n))] = 1  # k == 1: one flip leaves k == 0
             for bits in (rng.integers(0, 2, size=n), rng.random(n) < 0.1,
                          np.zeros(n, dtype=int), np.ones(n, dtype=int), single):
-                yield c, cache, _MeritScan(cache, bits)
+                yield c, cache, MeritScan(cache, bits)
 
     @pytest.mark.parametrize("bit_domain", [ALL, ZEROS, ONES])
     def test_flip_merits_equal_where_chain(self, bit_domain):
         """The sign-form flip merits equal the where chain bit for bit, and
         SDHC's compiled move is their first argmax when it beats the merit."""
-        func = CATALOG[ID_OF["SDHC" + ("" if bit_domain == ALL else f"-{bit_domain}")]].func
+        func = on_scans(ID_OF["SDHC" + ("" if bit_domain == ALL else f"-{bit_domain}")])
         emptied = moved = 0
         for _, cache, scan in self.inputs():
             positions = domain_of(scan, bit_domain)
@@ -607,7 +641,7 @@ class TestHotPathReference:
                 else:
                     positions = [int(domain[int(rng.integers(domain.size))])] if domain.size else []
                 expected = python_sweep_climb(scan, positions, ties)
-                out = CATALOG[ID_OF[name + suffix]].func(
+                out = on_scans(ID_OF[name + suffix])(
                     scan, make_ctx(cache, np.random.default_rng([c, scan.k])))
                 assert np.flatnonzero(out.bits != scan.bits).tolist() == sorted(expected)
                 assert (out is scan) == (not expected)
@@ -618,7 +652,7 @@ class TestHotPathReference:
     @pytest.mark.parametrize("name", ["NAHC", "DBHC", "RMHC"])
     def test_climb_loop_equals_called_merit_sweep(self, name, bit_domain):
         suffix = "" if bit_domain == ALL else f"-{bit_domain}"
-        func = CATALOG[ID_OF[name + suffix]].func
+        func = on_scans(ID_OF[name + suffix])
         moved = unmoved = 0
         for c, cache, scan in self.inputs():
             n = cache.n_features
@@ -646,9 +680,9 @@ class TestHotPathReference:
 
     def test_cached_arrays_are_read_only(self):
         cache = random_cache(9, seed=7)
-        scan = _MeritScan(cache, [1, 0, 1, 1, 0, 0, 1, 0, 1])
+        mask = FeatureMask([1, 0, 1, 1, 0, 0, 1, 0, 1])
         arrays = [cache.feature_feature, cache.feature_class, cache.diagonal,
-                  cache.columns, scan.bits, scan.row]
+                  cache.columns, mask.bits]
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -664,22 +698,22 @@ def oracle_and_kernel(llh_id, scan, seed, mutn_rate=0.1, bit_generator=np.random
     rngs = (np.random.Generator(bit_generator(seed)),
             np.random.Generator(bit_generator(seed)))
     expected = ORACLE[llh_id](scan, OracleContext(scan.cache, rngs[0], mutn_rate))
-    out = CATALOG[llh_id].func(scan, make_ctx(scan.cache, rngs[1], mutn_rate))
+    out = on_scans(llh_id)(scan, make_ctx(scan.cache, rngs[1], mutn_rate))
     return expected, out, rngs[0].bit_generator.state, rngs[1].bit_generator.state
 
 
 class TestKernelEqualsOracle:
     """``_climb.apply`` against the Python rules in ``conftest``, draw for
-    draw: equal bits, sums and merit bit for bit, the input object back
-    exactly when the oracle returns it, equal counters, and the bit
-    generator left in the same state."""
+    draw: equal bits, the input object back exactly when the oracle
+    returns it, equal counters, and the bit generator left in the same
+    state."""
 
     @staticmethod
     def scans(n, rng):
         cache = random_cache(n, seed=300 + n)
         for bits in (rng.integers(0, 2, size=n), rng.random(n) < 0.1,
                      np.zeros(n, dtype=int), np.ones(n, dtype=int)):  # k = 0 and k = n
-            yield _MeritScan(cache, bits)
+            yield MeritScan(cache, bits)
 
     @pytest.mark.parametrize("n", [2, 3, 34, 60, 166])
     def test_every_gene_equals_oracle(self, n):
@@ -709,15 +743,54 @@ class TestKernelEqualsOracle:
                 stats, expected_stats = LlhStats(), LlhStats()
                 bit_generator = np.random.PCG64([n, s, trial])
                 oracle_rng = np.random.default_rng([n, s, trial])
-                out = llh.run_genes(genes, scan, bit_generator, 0.1,
+                mask = scan.mask()
+                out = llh.run_genes(genes, mask, scan.cache, bit_generator, 0.1,
                                     stats.invocations, stats.improvements)
                 expected = oracle_run_genes(genes, scan, OracleContext(scan.cache, oracle_rng),
                                             expected_stats)
                 assert bit_generator.state == oracle_rng.bit_generator.state
-                assert (out is scan) == (expected is scan)
-                assert scan_fields(out) == scan_fields(expected)
-                assert out.merit == expected.merit
+                assert (out is mask) == (expected is scan)
+                assert out.bits.tolist() == expected.bits.tolist()
                 assert stats.as_dict() == expected_stats.as_dict()
+
+    @pytest.mark.parametrize("n", [2, 34, 60, 166])
+    def test_kernel_from_bits_equals_oracle_chain(self, n):
+        # the kernel scans the bits it is given itself; the chain starts
+        # from a fresh oracle scan of the same bits
+        rng = np.random.default_rng(450 + n)
+        for s, scan in enumerate(self.scans(n, rng)):
+            cache = scan.cache
+            for trial in range(3):
+                genes = rng.integers(1, NUM_LLH + 1, size=16)
+                stats, expected_stats = LlhStats(), LlhStats()
+                bit_generator = np.random.PCG64([n, s, trial])
+                oracle_rng = np.random.default_rng([n, s, trial])
+                bits_out = np.empty(n, dtype=bool)
+                moved = _climb.apply(genes, bit_generator, scan.bits, cache.feature_class,
+                                     cache.diagonal, cache.columns, 0.1,
+                                     stats.invocations, stats.improvements, bits_out)
+                expected = oracle_run_genes(genes, scan, OracleContext(cache, oracle_rng),
+                                            expected_stats)
+                assert bit_generator.state == oracle_rng.bit_generator.state
+                assert moved is (expected is not scan)
+                assert bits_out.tolist() == expected.bits.tolist()
+                assert stats.as_dict() == expected_stats.as_dict()
+
+    def test_run_genes_returns_input_when_no_gene_moves(self):
+        # the zeros domains of a full mask and the ones domains of an empty
+        # one are empty, and an empty chromosome runs nothing
+        cache = random_cache(6, seed=9)
+        for bits, domain in (([1] * 6, "zeros"), ([0] * 6, "ones")):
+            mask = FeatureMask(bits)
+            genes = np.array([ID_OF[f"{rule}-{domain}"]
+                              for rule in ("SDHC", "NAHC", "DBHC", "RMHC")])
+            for genes in (genes, genes[::-1].copy(), np.arange(0)):
+                stats = LlhStats()
+                out = llh.run_genes(genes, mask, cache, np.random.PCG64(1), 0.1,
+                                    stats.invocations, stats.improvements)
+                assert out is mask
+                assert stats.invocations.sum() == genes.size
+                assert not stats.improvements.any()
 
     @pytest.mark.parametrize("n", [1, 2, 9, 34, 166])
     def test_scan_equals_sequential_sum(self, n):
@@ -728,7 +801,7 @@ class TestKernelEqualsOracle:
         for cache in caches:
             for bits in (rng.integers(0, 2, size=n), rng.random(n) < 0.1,
                          np.zeros(n, dtype=int), np.ones(n, dtype=int)):
-                scan = _MeritScan(cache, bits)
+                scan = MeritScan(cache, bits)
                 row, *sums = sequential_scan(cache, bits.tolist())
                 assert scan.row.tolist() == row
                 assert [scan.k, scan.sum_cf, scan.sum_ff, scan.merit] == sums
@@ -962,29 +1035,29 @@ class TestCrossHeuristicProperties:
 
 @pytest.mark.parametrize("name", ["sweep", "best"])
 class TestClimbKernelArguments:
-    """``_climb.apply`` running each climb loop: every buffer is checked
-    against n = len(bits) and every gene id against 1..16 before the
-    kernel reads one or draws, so a bad argument is a ValueError or a
-    TypeError that leaves the counters and the bit generator as they were."""
+    """``_climb.apply`` running each climb loop from the bits: every buffer
+    is checked against n = len(bits) and every gene id against 1..16
+    before the kernel reads one or draws, so a bad argument is a ValueError
+    or a TypeError that leaves the counters and the bit generator as they
+    were."""
 
     N = 6
 
     @pytest.fixture
     def scan(self):
-        return _MeritScan(random_cache(self.N, seed=41), [1, 0, 1, 1, 0, 0])
+        return MeritScan(random_cache(self.N, seed=41), [1, 0, 1, 1, 0, 0])
 
     def test_valid_arguments_run(self, name, scan):
         llh_id = KERNEL_GENE[name]
         expected = ORACLE[llh_id](scan, OracleContext(scan.cache, np.random.default_rng(0)))
-        bits_out, row_out = np.empty(self.N, dtype=bool), np.empty(self.N)
-        sums = call_kernel(name, scan, bits_out=bits_out, row_out=row_out)
+        bits_out = np.empty(self.N, dtype=bool)
+        assert call_kernel(name, scan, bits_out=bits_out) is True
         assert expected is not scan
-        assert sums == (expected.k, expected.sum_cf, expected.sum_ff, expected.merit)
-        assert (bits_out.tolist(), row_out.tolist()) == (expected.bits.tolist(),
-                                                         expected.row.tolist())
-        assert call_kernel(name, scan, np.arange(0)) is None
+        assert bits_out.tolist() == expected.bits.tolist()
+        assert call_kernel(name, scan, np.arange(0), bits_out=bits_out) is False
+        assert bits_out.tolist() == scan.bits.tolist()
 
-    @pytest.mark.parametrize("buffer", ["row", "feature_class", "diagonal"])
+    @pytest.mark.parametrize("buffer", ["feature_class", "diagonal"])
     def test_wrong_length_vector(self, name, scan, buffer):
         for length in (self.N - 1, self.N + 1):
             with pytest.raises(ValueError, match=f"{buffer} has length {length}"):
@@ -998,8 +1071,8 @@ class TestClimbKernelArguments:
             call_kernel(name, scan, genes.astype(np.float64))
         with pytest.raises(ValueError, match="bits must hold bools"):
             call_kernel(name, scan, bits=scan.bits.astype(np.uint8))
-        with pytest.raises(ValueError, match="row must hold float64"):
-            call_kernel(name, scan, row=scan.row.astype(np.float32))
+        with pytest.raises(ValueError, match="feature_class must hold float64"):
+            call_kernel(name, scan, feature_class=scan.cache.feature_class.astype(np.float32))
 
     @pytest.mark.parametrize("bad", [-1, N, N + 100, -(2 ** 62)])
     def test_position_out_of_range(self, name, scan, bad):
@@ -1018,16 +1091,16 @@ class TestClimbKernelArguments:
 
     def test_non_contiguous(self, name, scan):
         genes = np.array([KERNEL_GENE[name]] * 2)
-        with pytest.raises(ValueError, match="row must be C-contiguous"):
-            call_kernel(name, scan, row=np.repeat(scan.row, 2)[::2])
+        with pytest.raises(ValueError, match="bits must be C-contiguous"):
+            call_kernel(name, scan, bits=np.repeat(scan.bits, 2)[::2])
         with pytest.raises(ValueError, match="genes must be C-contiguous"):
             call_kernel(name, scan, np.repeat(genes, 2)[::2])
         with pytest.raises(ValueError, match="columns must be C-contiguous"):
             call_kernel(name, scan, columns=scan.cache.columns.T)
 
     def test_argument_count_and_non_buffers(self, name, scan):
-        with pytest.raises(TypeError, match="arguments"):
-            _climb.apply(scan.bits, scan.row)
+        with pytest.raises(TypeError, match="takes 10 arguments, 2 given"):
+            _climb.apply(scan.bits, scan.cache.columns)
         with pytest.raises(TypeError):
             call_kernel(name, scan, [KERNEL_GENE[name]])
         with pytest.raises(TypeError, match="^bit_generator must be a numpy BitGenerator, "
@@ -1036,7 +1109,7 @@ class TestClimbKernelArguments:
 
 
 def test_sweep_rejects_wrong_shape_columns():
-    scan = _MeritScan(random_cache(6, seed=41), [1, 0, 1, 1, 0, 0])
+    scan = MeritScan(random_cache(6, seed=41), [1, 0, 1, 1, 0, 0])
     for shape in ((6, 7), (7, 6), (36,)):
         with pytest.raises(ValueError, match="columns"):
             call_kernel("sweep", scan, columns=np.zeros(shape))
@@ -1069,22 +1142,25 @@ class TestScanAndOutputArguments:
         with pytest.raises(ValueError, match="row_out must be C-contiguous"):
             scan(row_out=np.zeros(10)[::2])
         with pytest.raises(ValueError, match="read-only"):
-            scan(row_out=_MeritScan(cache, bits).row)
+            scan(row_out=MeritScan(cache, bits).row)
         with pytest.raises(TypeError, match="takes 5 arguments, 2 given"):
             _climb.scan(bits, cache.feature_class)
 
     def test_apply_checks_what_it_writes(self):
-        scan = _MeritScan(random_cache(6, seed=41), [1, 0, 1, 1, 0, 0])
+        scan = MeritScan(random_cache(6, seed=41), [1, 0, 1, 1, 0, 0])
         for name, bad in (("invocations", np.zeros(NUM_LLH, dtype=np.int64)),
                           ("improvements", np.zeros(NUM_LLH + 2, dtype=np.int64)),
-                          ("bits_out", np.empty(5, dtype=bool)), ("row_out", np.empty(7))):
+                          ("bits_out", np.empty(5, dtype=bool)),
+                          ("bits_out", np.empty(7, dtype=bool))):
             with pytest.raises(ValueError, match=f"{name} has length"):
                 call_kernel("sweep", scan, **{name: bad})
+        with pytest.raises(ValueError, match="bits_out must hold bools"):
+            call_kernel("sweep", scan, bits_out=np.empty(6, dtype=np.uint8))
         with pytest.raises(ValueError, match="read-only"):
-            call_kernel("sweep", scan, row_out=scan.row)
+            call_kernel("sweep", scan, bits_out=scan.bits)
 
     def test_swap_needs_two_dimensions_before_any_draw(self):
-        scan = _MeritScan(random_cache(1), [1])
+        scan = MeritScan(random_cache(1), [1])
         bit_generator = np.random.PCG64(0)
         state = bit_generator.state
         with pytest.raises(ValueError, match="^swap needs at least 2 dimensions$"):

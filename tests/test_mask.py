@@ -19,7 +19,7 @@ def test_rejects_bad_bits():
 @pytest.mark.parametrize("bits", [[0.5, 1], [1.7, 0], np.array([0.2, 1.0]),
                                   [-1, 0], [2.0, 1.0], [float("nan"), 1]])
 def test_rejects_non_binary_values_before_casting(bits):
-    # a uint8 cast first would have read these as 01, 10, 01, ...
+    # a bool cast first would have read 0.5, -1, 2.0 and nan as set bits
     with pytest.raises(ValueError, match="0 or 1"):
         FeatureMask(bits)
 
@@ -29,7 +29,16 @@ def test_rejects_non_binary_values_before_casting(bits):
                                   np.array([True, False, True])])
 def test_accepts_bools_and_zero_one_values(bits):
     mask = FeatureMask(bits)
-    assert mask.to01() == "101" and mask.bits.dtype == np.uint8
+    assert mask.to01() == "101" and mask.bits.dtype == np.bool_
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=40))
+def test_key_is_one_byte_per_bit(bits):
+    # the fitness memo is keyed by these bytes: 0 or 1 per bit, as a uint8
+    # array of the bits gives them, whatever the stored item type
+    mask = FeatureMask(bits)
+    assert mask.key() == np.array(bits, dtype=np.uint8).tobytes()
+    assert FeatureMask.from01(mask.to01()).key() == mask.key()
 
 
 def test_does_not_share_or_freeze_the_callers_array():

@@ -6,11 +6,11 @@ from multiprocessing import resource_tracker
 import numpy as np
 import pytest
 
-from conftest import (OracleContext, StubRng, best_flip_oracle,
+from conftest import (MeritScan, OracleContext, StubRng, best_flip_oracle,
                       cv_accuracy_cdist_reference, flip, on_cores,
                       oracle_run_genes, record_call, synthetic_dataset)
-from hhfs import supervisor
-from hhfs.correlation import _MeritScan, build_cache, cfs_merit
+from hhfs import llh
+from hhfs.correlation import build_cache, cfs_merit
 from hhfs.dataset import Dataset, load_csv
 from hhfs.evaluation import CvProtocol, FitnessEvaluator
 from hhfs.llh import LlhContext, apply
@@ -30,6 +30,19 @@ class TestChromosome:
             Chromosome(np.array([1, 17]))
         with pytest.raises(ValueError):
             Chromosome(np.array([], dtype=int))
+
+    @pytest.mark.parametrize("genes", [[1.5, 2.9], [1.0, 2.0], [True, True],
+                                       np.array([3, 4], dtype=np.float32), ["1", "2"]])
+    def test_rejects_non_integer_genes_before_casting(self, genes):
+        # an int64 cast first would have read these as [1, 2], [1, 1], ...
+        with pytest.raises(ValueError, match="^genes must be integers, not "):
+            Chromosome(genes)
+
+    def test_accepts_any_integer_type_as_a_read_only_int64_copy(self):
+        for genes in ([3, 16], np.array([3, 16], dtype=np.uint8), (np.int32(3), np.int64(16))):
+            c = Chromosome(genes)
+            assert c.genes.dtype == np.int64 and c.genes.tolist() == [3, 16]
+            assert not c.genes.flags.writeable
 
     def test_random_chromosome_in_range(self):
         rng = np.random.default_rng(0)
@@ -64,16 +77,16 @@ class TestSupervisorConfig:
             SupervisorConfig(seed=-1)
 
 
-def run_genes(cache, seed, genes, incumbent, gen=0, i=0):
-    """Chromosome i of generation ``gen`` in a run seeded ``seed``, from a
-    scan of the incumbent as ``run_supervisor`` makes it: the final mask
-    (the incumbent object when no heuristic moved) and the LlhStats of its
-    heuristics."""
-    stats = LlhStats()
-    base = _MeritScan(cache, incumbent.bits)
-    scan = supervisor._apply_genes(SupervisorConfig(seed=seed), gen, i,
-                                   np.asarray(genes), base, stats)
-    return incumbent if scan is base else scan.mask(), stats
+def run_genes(cache, seed, genes, incumbent, gen=0, i=0, stats=None):
+    """Chromosome i of generation ``gen`` in a run seeded ``seed``, from the
+    incumbent, as ``run_supervisor`` runs it: the final mask (the incumbent
+    object when no heuristic moved) and the LlhStats of its heuristics,
+    counted into ``stats`` when given."""
+    stats = LlhStats() if stats is None else stats
+    mask = llh.run_genes(np.asarray(genes, dtype=np.int64), incumbent, cache,
+                         np.random.PCG64([seed, 1, gen, i]), SupervisorConfig().mutn_rate,
+                         stats.invocations, stats.improvements)
+    return mask, stats
 
 
 class TestEvaluateChromosome:
@@ -84,7 +97,7 @@ class TestEvaluateChromosome:
         # the oracles; the engine's chromosome equals that chain on a seed
         cache = build_cache(small_dataset)
         incumbent = FeatureMask([1, 0, 1, 0, 1, 0, 1, 0])
-        base = _MeritScan(cache, incumbent.bits)
+        base = MeritScan(cache, incumbent.bits)
         stub = StubRng(integers=[0] * 16, randoms=[0.9] * 16)
         stats = LlhStats()
         assert oracle_run_genes(np.full(16, 14), base, OracleContext(cache, stub), stats) is base
@@ -145,8 +158,7 @@ class TestEvaluateChromosome:
         stats, expected = LlhStats(), LlhStats()
         for i in range(40):
             chrom = random_chromosome(16, rng)
-            supervisor._apply_genes(SupervisorConfig(seed=8), 5, i, chrom.genes,
-                                    _MeritScan(cache, incumbent.bits), stats)
+            run_genes(cache, 8, chrom.genes, incumbent, gen=5, i=i, stats=stats)
             replay = LlhContext(cache=cache, rng=np.random.default_rng([8, 1, 5, i]))
             mask = incumbent
             for gene in chrom.genes:
@@ -502,9 +514,9 @@ def compute_pids(monkeypatch, tmp_path):
 
 
 class TestFitnessWorker:
-    """A lone run has no fitness worker: on two usable cores it computes
-    every mask in this process, starts no process and gives the result of
-    a one-core run."""
+    """A lone run has no fitness worker (the class keeps the name from when
+    it had one): on two usable cores it computes every mask in this
+    process, starts no process and gives the result of a one-core run."""
 
     @pytest.mark.parametrize("class_count", [2, 6])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -533,14 +545,15 @@ class TestFitnessWorker:
         assert resource_tracker._resource_tracker._pid == tracker  # none started
 
     def test_interrupt_mid_generation_leaves_no_process(self, monkeypatch, small_dataset):
-        apply = supervisor._apply_genes
+        run, calls = llh.run_genes, []
 
-        def interrupting(cfg, gen, i, *args):
-            if (gen, i) == (1, 4):
+        def interrupting(*args):
+            calls.append(args)
+            if len(calls) == 8 + 5:  # generation 1, chromosome 4
                 raise KeyboardInterrupt
-            return apply(cfg, gen, i, *args)
+            return run(*args)
 
-        monkeypatch.setattr(supervisor, "_apply_genes", interrupting)
+        monkeypatch.setattr(llh, "run_genes", interrupting)
         on_cores(monkeypatch, 2)
         cfg = SupervisorConfig(population_size=8, generations=3, seed=6)
         with pytest.raises(KeyboardInterrupt):
