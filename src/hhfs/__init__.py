@@ -17,15 +17,13 @@ from .experiment import (DatasetConfig, ExperimentSpec, full_feature_baseline,
 from .llh import CATALOG, LlhContext, LlhInfo
 from .llh import apply as apply_llh
 from .mask import FeatureMask
-from .supervisor import (Chromosome, SupervisorConfig, SupervisorResult,
-                         mutate_chromosome, roulette_select, run_supervisor,
-                         single_point_crossover)
+from .supervisor import (SupervisorConfig, SupervisorResult, mutate_chromosome,
+                         roulette_select, run_supervisor, single_point_crossover)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CATALOG",
-    "Chromosome",
     "CorrelationCache",
     "CvProtocol",
     "Dataset",

@@ -18,7 +18,6 @@ import ctypes
 import multiprocessing
 import os
 import signal
-from collections import deque
 from collections.abc import Sequence
 from multiprocessing.connection import wait
 from pathlib import Path
@@ -66,16 +65,15 @@ def one_blas_thread() -> None:
 
 
 class Worker:
-    """One forked, daemonic process that answers messages in order: each
-    message sent goes to ``serve`` there, and ``receive`` pairs it with what
-    that returned or the exception it raised. ``close`` stops and joins the
-    process; one that still owes answers is killed, as nobody would read
-    them. Ctrl-C is the parent's to handle: the worker ignores it."""
+    """A forked, daemonic process that answers one message at a time:
+    ``serve`` runs there on it, and ``receive`` pairs it with what that
+    returned or raised. ``close`` stops and joins the process, killing one
+    that owes an answer. Ctrl-C is the parent's: the worker ignores it."""
 
     def __init__(self, serve):
         ctx = multiprocessing.get_context("fork")
         self.conn, child_end = ctx.Pipe()
-        self.owed: deque = deque()  # the messages sent and not yet answered, oldest first
+        self.owed = None  # the message sent and not yet answered
         self._process = ctx.Process(target=_serve, daemon=True,
                                     args=(serve, child_end, self.conn))
         self._process.start()
@@ -88,21 +86,22 @@ class Worker:
     def send(self, message) -> None:
         """Hand ``message`` (anything but None) to ``serve``."""
         self.conn.send(message)
-        self.owed.append(message)
+        self.owed = message
 
     def receive(self) -> tuple:
-        """The oldest message not yet answered, and its answer."""
+        """The message in flight, and its answer."""
         try:
             answer = self.conn.recv()
         except EOFError:
             raise RuntimeError("a worker process exited unexpectedly") from None
-        return self.owed.popleft(), answer
+        message, self.owed = self.owed, None
+        return message, answer
 
     def close(self) -> None:
         # a stop message, not just closing our end: a sibling worker forked
         # later holds a copy of it, so the worker would see no EOF
         try:
-            if self.owed:
+            if self.owed is not None:
                 self._process.terminate()
             else:
                 self.conn.send(None)
@@ -148,7 +147,7 @@ def fork_map(func, items: Sequence):
         todo = iter(range(len(pool), len(items)))
         for i in range(len(items)):
             while i not in answers:
-                for worker in wait([w for w in pool if w.owed]):
+                for worker in wait([w for w in pool if w.owed is not None]):
                     j, answer = worker.receive()
                     answers[j] = answer
                     if (k := next(todo, None)) is not None:

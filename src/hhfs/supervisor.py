@@ -11,6 +11,14 @@ Reproducibility contract: all randomness derives from the run seed. The
 heuristic stream of chromosome i in generation g is seeded by
 (seed, 1, g, i), so evaluations are order-independent within a generation
 and the whole run is bit-exact replayable.
+
+The population is one C-contiguous (population_size, nllh) int64 array,
+a chromosome per row, and each row goes to the kernel as it is. Indexing
+the elites and the roulette-drawn mating pool out of it copies those
+rows, which crossover and mutation then edit in place. A generation's GA
+draws, in order: the pool's roulette picks; per consecutive pool pair, a
+crossover coin and, when it says cross, a cut; per pool row, a coin per
+gene, then a new id per hit.
 """
 
 from __future__ import annotations
@@ -26,28 +34,6 @@ from .dataset import Dataset
 from .evaluation import CvProtocol, FitnessEvaluator, cv_accuracies
 from .llh import NUM_LLH
 from .mask import FeatureMask
-
-
-@dataclass
-class Chromosome:
-    """Fixed-length sequence of heuristic ids (values 1..16, repeats
-    allowed). The genes are a read-only copy of the input, so the GA can
-    pass one chromosome into several places without copying it."""
-
-    genes: np.ndarray
-
-    def __post_init__(self):
-        given = np.asarray(self.genes)
-        if given.ndim != 1 or given.size == 0:
-            raise ValueError("genes must be a non-empty 1-d sequence")
-        # checked before the cast, which would truncate 1.5 to 1 and read True as 1
-        if not np.issubdtype(given.dtype, np.integer):
-            raise ValueError(f"genes must be integers, not {given.dtype}")
-        genes = given.astype(np.int64)
-        if genes.min() < 1 or genes.max() > NUM_LLH:
-            raise ValueError(f"gene values must lie in 1..{NUM_LLH}")
-        genes.setflags(write=False)
-        self.genes = genes
 
 
 @dataclass(frozen=True)
@@ -146,13 +132,10 @@ class SupervisorResult:
         return self.search_fitness > self.initial_fitness
 
 
-def random_chromosome(nllh: int, rng: np.random.Generator) -> Chromosome:
-    return Chromosome(rng.integers(1, NUM_LLH + 1, size=nllh))
-
-
-def roulette_select(fitnesses, rng: np.random.Generator) -> int:
-    """Index sampled with probability fitness_i / sum(fitness); uniform if
-    every fitness is zero. Fitnesses must be non-negative."""
+def roulette_select(fitnesses, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` indices, each sampled with probability fitness_i /
+    sum(fitness); uniform if every fitness is zero. Fitnesses must be
+    non-negative."""
     fits = np.asarray(fitnesses, dtype=np.float64)
     if fits.size == 0:
         raise ValueError("cannot select from an empty population")
@@ -160,58 +143,45 @@ def roulette_select(fitnesses, rng: np.random.Generator) -> int:
         raise ValueError("roulette selection needs non-negative fitnesses")
     total = float(fits.sum())
     if total == 0.0:
-        return int(rng.integers(fits.size))
-    r = rng.random() * total
-    idx = int(np.searchsorted(np.cumsum(fits), r, side="right"))
-    return min(idx, fits.size - 1)
+        return rng.integers(fits.size, size=size)
+    idx = np.searchsorted(np.cumsum(fits), rng.random(size) * total, side="right")
+    return np.minimum(idx, fits.size - 1)
 
 
-def single_point_crossover(a: Chromosome, b: Chromosome, rng: np.random.Generator,
-                           p_crossover: float) -> tuple[Chromosome, Chromosome]:
-    """With probability p_crossover, cut both parents at a uniform point in
-    1..len-1 and exchange tails; otherwise, and for 1-gene parents, which
-    have no such point, return the parents. The coin is drawn either way."""
-    if a.genes.size != b.genes.size:
-        raise ValueError("parents must have equal length")
-    if rng.random() >= p_crossover or a.genes.size < 2:
-        return a, b
-    cut = int(rng.integers(1, a.genes.size))
-    child1 = np.concatenate([a.genes[:cut], b.genes[cut:]])
-    child2 = np.concatenate([b.genes[:cut], a.genes[cut:]])
-    return Chromosome(child1), Chromosome(child2)
+def single_point_crossover(pair: np.ndarray, rng: np.random.Generator,
+                           p_crossover: float) -> None:
+    """With probability p_crossover, cut the two rows of ``pair`` at a
+    uniform point in 1..len-1 and exchange their tails in place; otherwise,
+    and for 1-gene rows, which have no such point, leave them. The coin is
+    drawn either way."""
+    if rng.random() >= p_crossover or pair.shape[1] < 2:
+        return
+    cut = int(rng.integers(1, pair.shape[1]))
+    pair[:, cut:] = pair[[1, 0], cut:]
 
 
-def mutate_chromosome(c: Chromosome, p_mutation: float,
-                      rng: np.random.Generator) -> Chromosome:
-    """Each gene independently mutates with probability p_mutation to a
-    uniform id in 1..16 other than its current value, so mutated genes
+def mutate_chromosome(genes: np.ndarray, p_mutation: float,
+                      rng: np.random.Generator) -> None:
+    """Each gene independently mutates in place with probability p_mutation
+    to a uniform id in 1..16 other than its current value, so mutated genes
     always change."""
-    genes = c.genes.copy()
-    coins = rng.random(genes.size) < p_mutation
-    for pos in np.flatnonzero(coins):
-        draw = int(rng.integers(1, NUM_LLH))
-        if draw >= genes[pos]:
-            draw += 1
-        genes[pos] = draw
-    return Chromosome(genes)
+    hits = np.flatnonzero(rng.random(genes.size) < p_mutation)
+    draws = rng.integers(1, NUM_LLH, size=hits.size)
+    genes[hits] = draws + (draws >= genes[hits])
 
 
-def _next_generation(population: list[Chromosome], fits: np.ndarray,
-                     cfg: SupervisorConfig, rng: np.random.Generator) -> list[Chromosome]:
+def _next_generation(population: np.ndarray, fits: np.ndarray,
+                     cfg: SupervisorConfig, rng: np.random.Generator) -> np.ndarray:
     """Steps 6-8: elites pass through, roulette fills the mating pool,
-    consecutive pairs cross over, everyone in the pool mutates."""
-    elite_idx = np.argsort(-fits, kind="stable")[:cfg.elitism]
-    elites = [population[int(i)] for i in elite_idx]
-    pool = [population[roulette_select(fits, rng)]
-            for _ in range(cfg.population_size - cfg.elitism)]
-    crossed: list[Chromosome] = []
+    consecutive pairs cross over, everyone in the pool mutates. Indexing
+    copies the rows, so the edits leave ``population`` as it was."""
+    elites = population[np.argsort(-fits, kind="stable")[:cfg.elitism]]
+    pool = population[roulette_select(fits, rng, cfg.population_size - cfg.elitism)]
     for i in range(0, len(pool) - 1, 2):
-        c1, c2 = single_point_crossover(pool[i], pool[i + 1], rng, cfg.p_crossover)
-        crossed.extend([c1, c2])
-    if len(pool) % 2:
-        crossed.append(pool[-1])
-    mutated = [mutate_chromosome(c, cfg.p_mutation, rng) for c in crossed]
-    return elites + mutated
+        single_point_crossover(pool[i:i + 2], rng, cfg.p_crossover)
+    for genes in pool:
+        mutate_chromosome(genes, cfg.p_mutation, rng)
+    return np.concatenate([elites, pool])
 
 
 def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
@@ -247,8 +217,7 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     ga_rng = np.random.default_rng([cfg.seed, 2])
 
     incumbent = FeatureMask.random(dataset.n_features, init_rng)
-    population = [random_chromosome(cfg.nllh, init_rng)
-                  for _ in range(cfg.population_size)]
+    population = init_rng.integers(1, NUM_LLH + 1, size=(cfg.population_size, cfg.nllh))
     incumbent_fitness = evaluator.fitness(incumbent)
     initial_fitness = incumbent_fitness
     initial_m = incumbent.selected_count()
@@ -258,10 +227,10 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     phases = dict.fromkeys(("heuristics", "fitness", "ga", "report"), 0.0)
     for gen in range(cfg.generations):
         t0 = time.perf_counter()
-        masks = [llh.run_genes(chrom.genes, incumbent, cache,
+        masks = [llh.run_genes(genes, incumbent, cache,
                                np.random.PCG64([cfg.seed, 1, gen, i]), cfg.mutn_rate,
                                stats.invocations, stats.improvements)
-                 for i, chrom in enumerate(population)]
+                 for i, genes in enumerate(population)]
         t1 = time.perf_counter()
         fits = np.array([evaluator.fitness(mask) for mask in masks], dtype=np.float64)
         t2 = time.perf_counter()

@@ -488,6 +488,41 @@ def oracle_run_genes(genes, scan, ctx, stats):
     return scan
 
 
+# ------------------------------------------------------------- GA oracle
+
+def oracle_next_generation(population, fits, elitism, p_crossover, p_mutation, rng):
+    """The supervisor's steps 6-8 one chromosome and one draw at a time, on
+    lists of gene ids: the ``elitism`` fittest rows (stable order), then a
+    scalar roulette draw per pool slot (an ``integers(P)`` draw when every
+    fitness is zero), a coin per consecutive pool pair and a cut when it
+    says cross (rows of two or more genes), and per pool row one coin per
+    gene, then a replacement id per hit. Returns the new rows as lists."""
+    rows = [[int(g) for g in row] for row in population]
+    fits = np.asarray(fits, dtype=np.float64)
+    size = len(rows)
+    elites = [list(rows[int(i)]) for i in np.argsort(-fits, kind="stable")[:elitism]]
+    total, cumulative = float(fits.sum()), np.cumsum(fits).tolist()
+    pool = []
+    for _ in range(size - elitism):
+        if total == 0.0:
+            pick = int(rng.integers(size))
+        else:
+            r = rng.random() * total
+            pick = next((i for i, c in enumerate(cumulative) if c > r), size - 1)
+        pool.append(list(rows[pick]))
+    for i in range(0, len(pool) - 1, 2):
+        a, b = pool[i], pool[i + 1]
+        if rng.random() < p_crossover and len(a) > 1:
+            cut = int(rng.integers(1, len(a)))
+            pool[i], pool[i + 1] = a[:cut] + b[cut:], b[:cut] + a[cut:]
+    for row in pool:
+        coins = rng.random(len(row)) < p_mutation
+        for pos in np.flatnonzero(coins).tolist():
+            draw = int(rng.integers(1, 16))
+            row[pos] = draw + 1 if draw >= row[pos] else draw
+    return elites + pool
+
+
 # ------------------------------------------------------------- stub RNG
 
 class StubRng:

@@ -32,8 +32,7 @@ from hhfs.experiment import (DatasetConfig, ExperimentSpec, run_dataset,
 from hhfs.llh import CATALOG, LlhContext, apply
 from hhfs.mask import FeatureMask
 from hhfs.supervisor import (SupervisorConfig, mutate_chromosome,
-                             random_chromosome, roulette_select,
-                             single_point_crossover)
+                             roulette_select, single_point_crossover)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -327,22 +326,20 @@ class TestPropertyCriteria:
         rng = np.random.default_rng(111)
         conservation_ok = True
         for _ in range(1000):
-            a = random_chromosome(16, rng)
-            b = random_chromosome(16, rng)
-            c1, c2 = single_point_crossover(a, b, rng, p_crossover=0.7)
-            if (sorted(np.concatenate([c1.genes, c2.genes]).tolist())
-                    != sorted(np.concatenate([a.genes, b.genes]).tolist())):
+            pair = rng.integers(1, 17, size=(2, 16))
+            original = sorted(pair.ravel().tolist())
+            single_point_crossover(pair, rng, p_crossover=0.7)
+            if sorted(pair.ravel().tolist()) != original:
                 conservation_ok = False
 
         exclusion_ok = True
-        genes = np.full(16, 9)
-        from hhfs.supervisor import Chromosome
         for _ in range(625):  # 10000 mutated genes in total
-            out = mutate_chromosome(Chromosome(genes), 1.0, rng)
-            if np.any(out.genes == 9) or out.genes.min() < 1 or out.genes.max() > 16:
+            genes = np.full(16, 9)
+            mutate_chromosome(genes, 1.0, rng)
+            if np.any(genes == 9) or genes.min() < 1 or genes.max() > 16:
                 exclusion_ok = False
 
-        draws = np.array([roulette_select([3.0, 1.0], rng) for _ in range(10000)])
+        draws = roulette_select([3.0, 1.0], rng, 10000)
         freq0 = float(np.mean(draws == 0))
         sigma = np.sqrt(0.75 * 0.25 / 10000)
         roulette_ok = abs(freq0 - 0.75) < 3 * sigma

@@ -1,12 +1,10 @@
 """Forked workers: ``fork_map`` keeps its items' order, raises a worker's
 exception at its item's place, maps in this process where it may not fork
-or has one item, and leaves no process behind; a ``Worker`` pairs each
-answer with its message."""
+or has one item, and leaves no process behind."""
 
 import multiprocessing
 import os
 import time
-from multiprocessing.connection import wait
 
 import pytest
 
@@ -59,34 +57,4 @@ def test_fork_map_maps_in_the_worker_inside_a_worker(monkeypatch):
     assert len({pid for pid, _ in nested} - {os.getpid()}) == 2
     for pid, inner in nested:
         assert inner == [pid, pid]
-    assert multiprocessing.active_children() == []
-
-
-@needs_fork
-def test_worker_receive_pairs_answers_with_messages_in_send_order():
-    gate_out, gate_in = os.pipe()
-
-    def gated_square(x: int) -> int:
-        if x == 0:
-            os.read(gate_out, 1)  # until the other worker's answers are read
-        return x * x
-
-    workers = [cores.Worker(gated_square) for _ in range(2)]
-    arrived = []
-    try:
-        for x in (0, 2, 4):
-            workers[0].send(x)
-        for x in (1, 3):
-            workers[1].send(x)
-        while any(w.owed for w in workers):
-            for worker in wait([w for w in workers if w.owed], timeout=60):
-                arrived.append(worker.receive())
-            if not workers[1].owed:
-                os.write(gate_in, b"x")
-    finally:
-        for worker in workers:
-            worker.close()
-        os.close(gate_out)
-        os.close(gate_in)
-    assert arrived == [(1, 1), (3, 9), (0, 0), (2, 4), (4, 16)]
     assert multiprocessing.active_children() == []
