@@ -1,15 +1,16 @@
 /* The merit scan and the 16 low-level heuristics (see hhfs.correlation and
    hhfs.llh), compiled.
 
-   scan(bits, feature_class, diagonal, columns, row_out) -> (k, sum_cf, sum_ff, merit)
+   scan(bits, feature_class, feature_feature, row_out) -> (k, sum_cf, sum_ff, merit)
    A mask's merit scan, summed in one fixed order: ascending selected index.
-   row[j] is the sum of columns[i][j] over the selected i, added element by
-   element (so the loop vectorises across j, and every row[j] is the same
-   sequential sum); sum_cf is the sum of feature_class[i] and sum_ff the
-   sum of row[i] - diagonal[i] over the selected i; the merit is
+   row[j] is the sum of feature_feature[i][j] over the selected i (row i is
+   column i: the matrix is symmetric), added element by element (so the loop
+   vectorises across j, and every row[j] is the same sequential sum); sum_cf
+   is the sum of feature_class[i] and sum_ff the sum of row[i] -
+   feature_feature[i][i] over the selected i; the merit is
    sum_cf / sqrt((double)k + sum_ff), or 0.0 at k == 0.
 
-   apply(genes, bit_generator, bits, feature_class, diagonal, columns,
+   apply(genes, bit_generator, bits, feature_class, feature_feature,
          mutn_rate, invocations, improvements, bits_out) -> bool
    Run the heuristics ``genes`` (catalog ids 1..16) left to right from the
    mask ``bits``, each on the previous one's output: scan the bits as scan
@@ -99,10 +100,10 @@ release(Py_buffer *views[], int count)
             PyBuffer_Release(views[i]);
 }
 
-/* The correlation cache's constants, for n features. */
+/* The correlation cache for n features: feature_class and feature_feature. */
 struct cache {
     Py_ssize_t n;
-    const double *fc, *diag, *columns;
+    const double *fc, *ff;
 };
 
 /* A scan's count, sums and merit. */
@@ -122,15 +123,15 @@ scan_bits(const char *bits, const struct cache *c, double *restrict row)
     for (Py_ssize_t i = 0; i < n; i++) {
         if (!bits[i])
             continue;
-        const double *restrict col = c->columns + i * n;
+        const double *restrict ff = c->ff + i * n;
         for (Py_ssize_t j = 0; j < n; j++)
-            row[j] += col[j];
+            row[j] += ff[j];
         s.k++;
         s.sum_cf += c->fc[i];
     }
     for (Py_ssize_t i = 0; i < n; i++)
         if (bits[i])
-            s.sum_ff += row[i] - c->diag[i];
+            s.sum_ff += row[i] - c->ff[i * n + i];
     s.merit = s.k ? s.sum_cf / sqrt((double)s.k + s.sum_ff) : 0.0;
     return s;
 }
@@ -144,7 +145,7 @@ flip(const char *bits, const double *row, const struct cache *c, const struct su
     if (bits[b]) {
         f.k = s->k - 1;
         f.sum_cf = s->sum_cf - c->fc[b];
-        f.sum_ff = s->sum_ff - 2.0 * (row[b] - c->diag[b]);
+        f.sum_ff = s->sum_ff - 2.0 * (row[b] - c->ff[b * c->n + b]);
     } else {
         f.k = s->k + 1;
         f.sum_cf = s->sum_cf + c->fc[b];
@@ -156,8 +157,8 @@ flip(const char *bits, const double *row, const struct cache *c, const struct su
 
 /* The NAHC/DBHC/RMHC pass: visit pos[0..count-1] in order and keep a flip
    iff its merit is above the current one (or equal, with ties). A kept flip
-   inverts its bit, adds or subtracts its cache column from the row element
-   by element and carries its sums on. Returns whether a flip was kept. */
+   inverts its bit, adds or subtracts its feature_feature row from the row
+   element by element and carries its sums on. Returns whether a flip was kept. */
 static int
 sweep(const int64_t *pos, Py_ssize_t count, int ties, char *bits, double *restrict row,
       const struct cache *c, struct sums s)
@@ -168,13 +169,13 @@ sweep(const int64_t *pos, Py_ssize_t count, int ties, char *bits, double *restri
         struct sums f = flip(bits, row, c, &s, b);
         if (!(f.merit > s.merit || (ties && f.merit == s.merit)))
             continue;
-        const double *restrict col = c->columns + b * c->n;
+        const double *restrict ff = c->ff + b * c->n;
         if (bits[b])
             for (Py_ssize_t j = 0; j < c->n; j++)
-                row[j] -= col[j];
+                row[j] -= ff[j];
         else
             for (Py_ssize_t j = 0; j < c->n; j++)
-                row[j] += col[j];
+                row[j] += ff[j];
         bits[b] ^= 1;
         s = f;
         kept = 1;
@@ -287,59 +288,57 @@ run_gene(int g, bitgen_t *rng, double mutn_rate, char *bits, double *row,
     }
 }
 
-/* The cache buffers at args[0..2]: feature_class, diagonal, columns. */
+/* The cache buffers at args[0..1]: feature_class, feature_feature. */
 static int
-get_cache(PyObject *const *args, Py_buffer views[3], struct cache *c)
+get_cache(PyObject *const *args, Py_buffer views[2], struct cache *c)
 {
     if (get_buffer(args[0], &views[0], "feature_class", FLOAT64, 1, c->n, 0) < 0
-        || get_buffer(args[1], &views[1], "diagonal", FLOAT64, 1, c->n, 0) < 0
-        || get_buffer(args[2], &views[2], "columns", FLOAT64, 2, c->n, 0) < 0)
+        || get_buffer(args[1], &views[1], "feature_feature", FLOAT64, 2, c->n, 0) < 0)
         return -1;
     c->fc = views[0].buf;
-    c->diag = views[1].buf;
-    c->columns = views[2].buf;
+    c->ff = views[1].buf;
     return 0;
 }
 
 static PyObject *
 scan(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 5) {
+    if (nargs != 4) {
         PyErr_Format(PyExc_TypeError,
-                     "scan(bits, feature_class, diagonal, columns, row_out)"
-                     " takes 5 arguments, %zd given", nargs);
+                     "scan(bits, feature_class, feature_feature, row_out)"
+                     " takes 4 arguments, %zd given", nargs);
         return NULL;
     }
-    Py_buffer bits = {0}, cache[3] = {{0}}, row = {0};
-    Py_buffer *views[] = {&bits, &cache[0], &cache[1], &cache[2], &row};
+    Py_buffer bits = {0}, cache[2] = {{0}}, row = {0};
+    Py_buffer *views[] = {&bits, &cache[0], &cache[1], &row};
     PyObject *result = NULL;
     struct cache c;
     if (get_buffer(args[0], &bits, "bits", BOOL, 1, -1, 0) < 0)
         goto done;
     c.n = bits.shape[0];
     if (get_cache(args + 1, cache, &c) < 0
-        || get_buffer(args[4], &row, "row_out", FLOAT64, 1, c.n, 1) < 0)
+        || get_buffer(args[3], &row, "row_out", FLOAT64, 1, c.n, 1) < 0)
         goto done;
     struct sums s = scan_bits(bits.buf, &c, row.buf);
     result = Py_BuildValue("(nddd)", s.k, s.sum_cf, s.sum_ff, s.merit);
 done:
-    release(views, 5);
+    release(views, 4);
     return result;
 }
 
 static PyObject *
 apply(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 10) {
+    if (nargs != 9) {
         PyErr_Format(PyExc_TypeError,
-                     "apply(genes, bit_generator, bits, feature_class, diagonal, columns,"
-                     " mutn_rate, invocations, improvements, bits_out) takes 10 arguments,"
+                     "apply(genes, bit_generator, bits, feature_class, feature_feature,"
+                     " mutn_rate, invocations, improvements, bits_out) takes 9 arguments,"
                      " %zd given", nargs);
         return NULL;
     }
-    Py_buffer genes = {0}, bits = {0}, cache[3] = {{0}};
+    Py_buffer genes = {0}, bits = {0}, cache[2] = {{0}};
     Py_buffer invocations = {0}, improvements = {0}, bits_out = {0};
-    Py_buffer *views[] = {&genes, &bits, &cache[0], &cache[1], &cache[2],
+    Py_buffer *views[] = {&genes, &bits, &cache[0], &cache[1],
                           &invocations, &improvements, &bits_out};
     PyObject *capsule = NULL, *result = NULL;
     double *work = NULL;
@@ -349,11 +348,11 @@ apply(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         goto done;
     c.n = bits.shape[0];
     if (get_cache(args + 3, cache, &c) < 0
-        || get_buffer(args[7], &invocations, "invocations", INT64, 1, NUM_LLH + 1, 1) < 0
-        || get_buffer(args[8], &improvements, "improvements", INT64, 1, NUM_LLH + 1, 1) < 0
-        || get_buffer(args[9], &bits_out, "bits_out", BOOL, 1, c.n, 1) < 0)
+        || get_buffer(args[6], &invocations, "invocations", INT64, 1, NUM_LLH + 1, 1) < 0
+        || get_buffer(args[7], &improvements, "improvements", INT64, 1, NUM_LLH + 1, 1) < 0
+        || get_buffer(args[8], &bits_out, "bits_out", BOOL, 1, c.n, 1) < 0)
         goto done;
-    double mutn_rate = PyFloat_AsDouble(args[6]);
+    double mutn_rate = PyFloat_AsDouble(args[5]);
     if (mutn_rate == -1.0 && PyErr_Occurred())
         goto done;
 
@@ -405,16 +404,16 @@ apply(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 done:
     PyMem_Free(work);
     Py_XDECREF(capsule);
-    release(views, 8);
+    release(views, 7);
     return result;
 }
 
 static PyMethodDef methods[] = {
     {"scan", (PyCFunction)(void (*)(void))scan, METH_FASTCALL,
-     "scan(bits, feature_class, diagonal, columns, row_out)"
+     "scan(bits, feature_class, feature_feature, row_out)"
      " -> (k, sum_cf, sum_ff, merit); the row goes to row_out"},
     {"apply", (PyCFunction)(void (*)(void))apply, METH_FASTCALL,
-     "apply(genes, bit_generator, bits, feature_class, diagonal, columns, mutn_rate,"
+     "apply(genes, bit_generator, bits, feature_class, feature_feature, mutn_rate,"
      " invocations, improvements, bits_out) -> whether any gene moved; the bits go to"
      " bits_out"},
     {NULL, NULL, 0, NULL},

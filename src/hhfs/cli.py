@@ -2,7 +2,7 @@
 
 Subcommands:
     run         execute a configured experiment (multi-run, multi-dataset)
-    baseline    full-feature 1NN CV accuracy of one dataset
+    baseline    full-feature 1NN CV accuracy of one dataset, per reporting protocol
     explain-llh list the 16 low-level heuristics
     compare     render a report against published reference numbers
 """
@@ -17,12 +17,13 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .dataset import DatasetError, min_max_normalize
-from .evaluation import CvProtocol
+from .evaluation import cv_accuracies
 from .experiment import (KNOBS, VALUE_PARSERS, ExperimentSpec,
-                         dump_correlation_caches, full_feature_baseline,
-                         load_config, render_comparison, run_experiment,
-                         summary_text, verify_report, with_knobs)
+                         dump_correlation_caches, load_config,
+                         render_comparison, run_experiment, summary_text,
+                         verify_report, with_knobs)
 from .llh import describe_catalog
+from .mask import FeatureMask
 
 
 def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
@@ -83,13 +84,13 @@ def _cmd_baseline(args) -> int:
             raise ValueError(f"unknown dataset {args.dataset!r}; "
                              f"config defines: {', '.join(sorted(entries))}")
         dataset = min_max_normalize(entry.load())
-        proto = CvProtocol(folds=spec.cv_folds, repeats=args.repeats,
-                           base_seed=spec.master_seed)
-        acc = full_feature_baseline(dataset, proto)
+        accs = cv_accuracies(dataset, FeatureMask.ones(dataset.n_features),
+                             spec.report_protocols())
     print(f"{dataset.name}: {dataset.n_instances} instances, "
           f"{dataset.n_features} features, {dataset.class_count} classes")
-    print(f"full-feature 1NN accuracy ({proto.label()}-fold CV, "
-          f"seed {spec.master_seed}): {acc:.4f}")
+    for label, acc in accs.items():
+        print(f"full-feature 1NN accuracy ({label}-fold CV, "
+              f"seed {spec.master_seed}): {acc:.4f}")
     return 0
 
 
@@ -142,11 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
     base_p = sub.add_parser("baseline", help="full-feature 1NN CV accuracy")
     base_p.add_argument("--config", required=True)
     base_p.add_argument("--dataset", required=True)
-    base_p.add_argument("--repeats", type=int, default=10)
     base_p.set_defaults(func=_cmd_baseline)
-    # every knob is a run flag; baseline takes the CV folds and seed too
+    # every knob is a run flag; baseline takes the reporting protocols' too
     for k in KNOBS:
-        for p in (run_p, base_p) if k.flag in ("--cv-folds", "--seed") else (run_p,):
+        baseline_knob = k.flag in ("--cv-folds", "--seed", "--report-repeats")
+        for p in (run_p, base_p) if baseline_knob else (run_p,):
             p.add_argument(k.flag, dest=k.field.name, type=VALUE_PARSERS[k.field.type],
                            metavar=k.flag[2:].replace("-", "_").upper(),
                            help=f"overrides [{k.section}] {k.key}")

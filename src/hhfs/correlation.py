@@ -19,11 +19,13 @@ built on first import by ``_load_climb``), and the compiled heuristics
 exactly as the local searches do. It sums in one fixed order, ascending
 selected index: each row entry, the class sum and the off-diagonal sum
 (row[i] - ff[i, i] per selected i) are sequential sums, so a merit is a
-function of the bits alone, whatever BLAS the machine runs.
+function of the bits alone, whatever BLAS the machine runs. The scan adds
+row i of ff per selected i, which is column i: ff is symmetric.
 
 ``build_cache`` fills both tables with one Pearson routine; |r_cf| averages
 a feature's |r| against the one-vs-rest class indicators with the class
-frequencies as weights (the point-biserial |r| for two classes).
+frequencies as weights (the point-biserial |r| for two classes). Its ff
+is exactly symmetric: (i, j) and (j, i) are the same computation.
 
 All correlations are absolute values: a strongly negative correlate
 predicts just as well as a positive one. Zero-variance vectors correlate
@@ -100,16 +102,14 @@ _climb = _load_climb()
 class CorrelationCache:
     """Precomputed absolute correlations backing the subset merit.
 
-    ``feature_feature`` is the N x N matrix of |r| between feature columns
-    (diagonal 1, or 0 for zero-variance ones); ``feature_class`` is the
-    length-N vector of feature-class correlations (module docstring). The
-    cache owns its arrays: construction stores C-contiguous float64 copies
-    of both, so the caller's arrays are left as they were, and rejects an
-    entry that is not finite and non-negative. It also fixes the constants
-    every merit scan and heuristic read: the ``diagonal`` and ``columns``
-    (a C-contiguous copy of ``feature_feature.T``, so ``columns[b]`` is a
-    contiguous row equal to ``feature_feature[:, b]``). Every array is
-    read-only.
+    ``feature_feature`` is the symmetric N x N matrix of |r| between feature
+    columns (diagonal 1, or 0 for zero-variance ones); ``feature_class`` is
+    the length-N vector of feature-class correlations (module docstring).
+    The cache owns its arrays: construction stores read-only C-contiguous
+    float64 copies of both, so the caller's arrays are left as they were,
+    and rejects an entry that is not finite and non-negative or a
+    ``feature_feature`` that is not exactly symmetric. The merit scan and
+    the heuristics read both as they are.
     """
 
     feature_feature: np.ndarray
@@ -127,10 +127,9 @@ class CorrelationCache:
         for name, arr in (("feature_feature", ff), ("feature_class", fc)):
             if not np.all((arr >= 0.0) & (arr < np.inf)):  # NaN fails both
                 raise ValueError(f"{name} entries must be finite and non-negative")
-        constants = {"feature_feature": ff, "feature_class": fc,
-                     "diagonal": np.diagonal(ff).copy(),
-                     "columns": np.ascontiguousarray(ff.T)}
-        for name, arr in constants.items():
+        if not np.array_equal(ff, ff.T):
+            raise ValueError("feature_feature must be symmetric")
+        for name, arr in (("feature_feature", ff), ("feature_class", fc)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -172,8 +171,7 @@ def cfs_merit(mask: FeatureMask, cache: CorrelationCache) -> float:
     """Merit of the selected subset (the merit scan's); 0.0 for the empty
     mask."""
     check_fits(mask, cache)
-    return _climb.scan(mask.bits, cache.feature_class, cache.diagonal, cache.columns,
-                       np.empty(mask.n))[3]
+    return _climb.scan(mask.bits, cache.feature_class, cache.feature_feature, np.empty(mask.n))[3]
 
 
 def dump_cache_csv(cache: CorrelationCache, path) -> None:

@@ -160,14 +160,12 @@ class FitnessEvaluator:
         self.protocol = protocol
         self._folds = _protocol_folds(dataset, protocol)
         # per repeat, the flat index into an n x n matrix of every same-fold
-        # cell, which the argmin must not see; int32 where n * n fits
+        # cell, which the argmin must not see (argsort's intp, numpy's index type)
         n = dataset.n_instances
-        dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
         self._same_fold = []
         for fold_of in self._folds:
             sizes = np.bincount(fold_of, minlength=protocol.folds)
-            members = np.split(np.argsort(fold_of, kind="stable").astype(dtype),
-                               np.cumsum(sizes)[:-1])
+            members = np.split(np.argsort(fold_of, kind="stable"), np.cumsum(sizes)[:-1])
             self._same_fold.append(np.concatenate([(m[:, None] * n + m).ravel()
                                                    for m in members]))
         self._screening = True
@@ -208,7 +206,6 @@ class FitnessEvaluator:
         nearest, unsure = [], []
         last = len(self._same_fold) - 1
         for t, same in enumerate(self._same_fold):
-            same = same.astype(np.intp, copy=False)  # once: numpy indexes with intp
             saved = cells[same] if t < last else None
             cells[same] = np.inf
             nn = D.argmin(axis=1)

@@ -34,13 +34,18 @@ from .supervisor import SupervisorConfig, SupervisorResult, run_supervisor
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """Manifest entry locating one dataset CSV."""
+    """Manifest entry locating one dataset CSV. The name is the directory
+    its reports go to under the output directory: one path component."""
 
     name: str
     path: str
     label_column: int | str = -1
     has_header: bool = False
     missing_token: str = "?"
+
+    def __post_init__(self):
+        if self.name in ("", "..") or Path(self.name).name != self.name:  # "." names ""
+            raise ValueError(f"dataset name {self.name!r} is not one path component")
 
     def load(self) -> Dataset:
         return load_csv(self.path, label_column=self.label_column,

@@ -85,8 +85,8 @@ def run_genes(genes: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
     bits = np.empty(mask.n, dtype=bool)
     with bit_generator.lock:
         moved = _climb.apply(genes, bit_generator, mask.bits, cache.feature_class,
-                             cache.diagonal, cache.columns, mutn_rate, invocations,
-                             improvements, bits)
+                             cache.feature_feature, mutn_rate, invocations, improvements,
+                             bits)
     return FeatureMask(bits) if moved else mask
 
 

@@ -80,7 +80,7 @@ class MeritScan:
         self.cache = cache
         self.bits, self.row = np.array(bits, dtype=bool), np.empty(len(bits))
         self.k, self.sum_cf, self.sum_ff, self.merit = _climb.scan(
-            self.bits, cache.feature_class, cache.diagonal, cache.columns, self.row)
+            self.bits, cache.feature_class, cache.feature_feature, self.row)
         self.bits.setflags(write=False)
         self.row.setflags(write=False)
 
@@ -359,7 +359,7 @@ def python_flip_merit(scan, b) -> float:
     if scan.bits[b]:
         k = scan.k - 1
         sum_cf = scan.sum_cf - float(cache.feature_class[b])
-        sum_ff = scan.sum_ff - 2.0 * (float(scan.row[b]) - float(cache.diagonal[b]))
+        sum_ff = scan.sum_ff - 2.0 * (float(scan.row[b]) - float(cache.feature_feature[b, b]))
     else:
         k = scan.k + 1
         sum_cf = scan.sum_cf + float(cache.feature_class[b])
@@ -370,10 +370,11 @@ def python_flip_merit(scan, b) -> float:
 def python_sweep_climb(scan, positions, ties=False):
     """The NAHC/DBHC/RMHC loop on Python floats: sums seeded from the scan,
     each visit scored inline, a commit updating a numpy row by
-    ``columns[b]`` and re-reading it. Returns the kept positions."""
+    ``feature_feature[b]`` and re-reading it. Returns the kept positions."""
     cache = scan.cache
-    fc, diag = tuple(cache.feature_class.tolist()), tuple(cache.diagonal.tolist())
-    columns = cache.columns
+    fc = tuple(cache.feature_class.tolist())
+    diag = tuple(np.diagonal(cache.feature_feature).tolist())
+    ff = cache.feature_feature
     bits, row, row_np = tuple(scan.bits.tolist()), tuple(scan.row.tolist()), scan.row
     k, sum_cf, sum_ff, current = scan.k, scan.sum_cf, scan.sum_ff, scan.merit
     kept = []
@@ -384,7 +385,7 @@ def python_sweep_climb(scan, positions, ties=False):
             k_b, cf_b, ff_b = k + 1, sum_cf + fc[b], sum_ff + 2.0 * row[b]
         candidate = cf_b / math.sqrt(k_b + ff_b) if k_b else 0.0
         if candidate > current or (ties and candidate == current):
-            row_np = row_np - columns[b] if bits[b] else row_np + columns[b]
+            row_np = row_np - ff[b] if bits[b] else row_np + ff[b]
             row = row_np.tolist()
             k, sum_cf, sum_ff, current = k_b, cf_b, ff_b, candidate
             kept.append(b)

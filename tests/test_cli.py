@@ -103,7 +103,7 @@ def test_every_supervisor_flag_overrides(project):
 def test_baseline_cv_folds_and_seed_take_effect(project, capsys):
     tmp_path, cfg = project
     assert main(["baseline", "--config", str(cfg), "--dataset", "alpha",
-                 "--repeats", "2", "--cv-folds", "4", "--seed", "7"]) == 0
+                 "--report-repeats", "2", "--cv-folds", "4", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     dataset = min_max_normalize(load_csv(tmp_path / "alpha.csv", name="alpha"))
     acc = full_feature_baseline(dataset, CvProtocol(folds=4, repeats=2, base_seed=7))
@@ -142,14 +142,14 @@ def test_bad_config_value_is_one_line_and_status_2(project):
     (["run", "--config", "{tmp}/absent.ini"], "config file not found: {tmp}/absent.ini"),
     (["run", "--config", "{cfg}", "--population-size", "1"],
      "population size must be at least 2"),
-    (["baseline", "--config", "{cfg}", "--dataset", "alpha", "--repeats", "0"],
+    (["baseline", "--config", "{cfg}", "--dataset", "alpha", "--report-repeats", "0"],
      "need at least 1 repeat"),
     (["baseline", "--config", "{tmp}/absent.ini", "--dataset", "alpha"],
      "config file not found: {tmp}/absent.ini"),
     (["baseline", "--config", "{cfg}", "--dataset", "ghost_file"], "ghost.csv"),
     (["baseline", "--config", "{cfg}", "--dataset", "one_class"],
      "{tmp}/one_class.csv: need at least 2 classes, found 1"),
-    (["baseline", "--config", "{cfg}", "--dataset", "singletons"],
+    (["baseline", "--config", "{cfg}", "--dataset", "singletons", "--report-repeats", "10"],
      "singletons: 10x3 CV puts all 3 instances in one fold"),
     (["run", "--config", "{cfg}", "--mutn-rate", "0"], "mutn_rate must lie in (0, 1)"),
     (["run", "--config", "{cfg}", "--dataset", "ghost_file", "--dump-cache"], "ghost.csv"),
@@ -209,11 +209,37 @@ def test_run_dump_cache(project):
 
 def test_baseline_command(project, capsys):
     _, cfg = project
-    assert main(["baseline", "--config", str(cfg), "--dataset", "alpha",
-                 "--repeats", "2"]) == 0
+    assert main(["baseline", "--config", str(cfg), "--dataset", "alpha"]) == 0
     out = capsys.readouterr().out
     assert "full-feature 1NN accuracy" in out
     assert "alpha" in out
+
+
+def test_baseline_prints_the_report_baseline(project, capsys):
+    tmp_path, cfg = project
+    assert main(["run", "--config", str(cfg), "--runs", "1", "--generations", "1"]) == 0
+    report = json.loads((tmp_path / "out" / "alpha" / "report.json").read_text())
+    capsys.readouterr()
+    assert main(["baseline", "--config", str(cfg), "--dataset", "alpha"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert lines == [f"full-feature 1NN accuracy ({label}-fold CV, seed 3): {acc:.4f}"
+                     for label, acc in report["baseline"].items()]
+
+
+@pytest.mark.parametrize("name", ["..", "../escaped"])
+@pytest.mark.parametrize("dump_cache", [False, True])
+def test_dataset_name_cannot_escape_the_output_directory(project, capsys, name, dump_cache):
+    tmp_path, cfg = project
+    cfg.write_text(cfg.read_text().replace("[datasets.alpha]", f"[datasets.{name}]"))
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "deep" / "out")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--dump-cache"] * dump_cache)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"hhfs: error: dataset name {name!r} is not one path component\n"
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written, in --out or out of it
 
 
 def test_baseline_unknown_dataset(project, capsys):

@@ -133,13 +133,25 @@ class TestBuildCache:
         assert cache.feature_feature[0, 2] == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_unit_diagonal_and_range(self):
-        d = synthetic_dataset(n_instances=40, n_features=7, seed=2)
-        cache = build_cache(d)
-        ff = cache.feature_feature
-        np.testing.assert_allclose(ff, ff.T, atol=0)
-        assert np.all((ff >= 0) & (ff <= 1))
-        assert np.all(np.diag(ff) == 1.0)
-        assert np.all((cache.feature_class >= 0) & (cache.feature_class <= 1))
+        # the kernel adds rows of ff for columns, so build_cache must give
+        # an exactly symmetric matrix on every kind of data
+        rng = np.random.default_rng(2)
+        levels = rng.integers(0, 4, size=(30, 9)).astype(float)
+        constant = rng.normal(size=(24, 6))
+        constant[:, [1, 4]] = 0.5
+        datasets = [synthetic_dataset(n_instances=40, n_features=7, seed=2),
+                    Dataset.from_arrays("levels", levels, np.arange(30) % 2),
+                    Dataset.from_arrays("constant", constant, np.arange(24) % 3),
+                    synthetic_dataset(n_instances=48, n_features=10, class_count=6, seed=3),
+                    synthetic_dataset(n_instances=12, n_features=40, seed=4)]  # N > n
+        for d in datasets:
+            cache = build_cache(d)
+            ff = cache.feature_feature
+            assert np.array_equal(ff, ff.T), d.name
+            assert np.all((ff >= 0) & (ff <= 1))
+            varies = np.ptp(d.features, axis=0) > 0
+            assert np.array_equal(np.diag(ff), np.where(varies, 1.0, 0.0))
+            assert np.all((cache.feature_class >= 0) & (cache.feature_class <= 1))
 
     def test_constant_column_zeroed(self):
         X = np.random.default_rng(3).normal(size=(20, 3))
@@ -162,7 +174,8 @@ class TestBuildCache:
 
 class TestCacheOwnsItsArrays:
     """The cache stores C-contiguous float64 copies, leaves the caller's
-    arrays alone, and rejects entries that are not finite and non-negative."""
+    arrays alone, and rejects entries that are not finite and non-negative
+    and a feature matrix that is not exactly symmetric."""
 
     def test_integer_input_is_stored_as_float64_copies(self):
         ff, fc = np.eye(3, dtype=int), np.array([1, 0, 1])
@@ -202,6 +215,12 @@ class TestCacheOwnsItsArrays:
     def test_all_nan_matrix_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             CorrelationCache(np.full((3, 3), np.nan), np.full(3, 0.5))
+
+    def test_asymmetric_matrix_rejected(self):
+        ff = random_cache(4, seed=5).feature_feature.copy()
+        ff[0, 3] = np.nextafter(ff[3, 0], 1.0)  # one ulp off its mirror
+        with pytest.raises(ValueError, match="^feature_feature must be symmetric$"):
+            CorrelationCache(ff, np.full(4, 0.5))
 
     def test_class_vector_must_be_one_dimensional(self):
         with pytest.raises(ValueError, match="N x N"):

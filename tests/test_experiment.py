@@ -184,6 +184,21 @@ label_column = -1
             load_config(cfg2)
 
 
+class TestDatasetName:
+    """A dataset's name is the directory its reports go to under out_dir,
+    so it must be one path component."""
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "/abs", "a/"])
+    def test_name_that_is_not_one_component_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^dataset name {re.escape(repr(name))} "
+                                             "is not one path component$"):
+            DatasetConfig(name=name, path="x.csv")
+
+    @pytest.mark.parametrize("name", ["alpha", "a.b", "...", ".hidden", "a b"])
+    def test_plain_names_accepted(self, name):
+        assert DatasetConfig(name=name, path="x.csv").name == name
+
+
 class TestSpecValidation:
     @pytest.mark.parametrize("changes, match", [
         ({"runs": 0}, "at least 1 run"),

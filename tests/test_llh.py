@@ -234,7 +234,7 @@ class TestSdhc:
             if scan.bits[b]:
                 k = scan.k - 1
                 sum_cf = scan.sum_cf - scan.cache.feature_class[b]
-                sum_ff = scan.sum_ff - 2.0 * (scan.row[b] - scan.cache.diagonal[b])
+                sum_ff = scan.sum_ff - 2.0 * (scan.row[b] - scan.cache.feature_feature[b, b])
             else:
                 k = scan.k + 1
                 sum_cf = scan.sum_cf + scan.cache.feature_class[b]
@@ -492,7 +492,8 @@ def where_chain_flip_merits(scan, positions):
     row = scan.row[positions]
     k = np.where(on, scan.k - 1, scan.k + 1)
     sum_cf = np.where(on, scan.sum_cf - fc, scan.sum_cf + fc)
-    sum_ff = np.where(on, scan.sum_ff - 2.0 * (row - cache.diagonal[positions]),
+    diag = np.diagonal(cache.feature_feature)[positions]
+    sum_ff = np.where(on, scan.sum_ff - 2.0 * (row - diag),
                       scan.sum_ff + 2.0 * row)
     empty = k == 0
     return np.where(empty, 0.0, sum_cf / np.sqrt(np.where(empty, 1.0, k + sum_ff)))
@@ -508,7 +509,7 @@ def called_merit_sweep(scan, cache, positions, accept):
         return sum_cf / math.sqrt(k + sum_ff)
 
     ff = cache.feature_feature
-    fc, diag = cache.feature_class.tolist(), cache.diagonal.tolist()
+    fc, diag = cache.feature_class.tolist(), np.diagonal(ff).tolist()
     bits, row_np, row = scan.bits.tolist(), scan.row, scan.row.tolist()
     k, sum_cf, sum_ff = scan.k, scan.sum_cf, scan.sum_ff
     current = merit(k, sum_cf, sum_ff)
@@ -538,7 +539,8 @@ def sign_form_flip_merits(scan, positions):
     sign = np.where(scan.bits, -1.0, 1.0)
     k = scan.k + sign
     sum_cf = scan.sum_cf + sign * cache.feature_class
-    denom = k + (scan.sum_ff + (2.0 * sign) * (scan.row - scan.bits * cache.diagonal))
+    diag = np.diagonal(cache.feature_feature)
+    denom = k + (scan.sum_ff + (2.0 * sign) * (scan.row - scan.bits * diag))
     if scan.k != 1:
         return (sum_cf / np.sqrt(denom))[positions]
     empty = k == 0
@@ -556,14 +558,14 @@ def call_kernel(name, scan, genes=None, **replace):
     cache, n = scan.cache, scan.bits.size
     buffers = dict(genes=np.array([KERNEL_GENE[name]]) if genes is None else genes,
                    bit_generator=np.random.PCG64(0), bits=scan.bits,
-                   feature_class=cache.feature_class, diagonal=cache.diagonal,
-                   columns=cache.columns, invocations=np.zeros(NUM_LLH + 1, dtype=np.int64),
+                   feature_class=cache.feature_class, feature_feature=cache.feature_feature,
+                   invocations=np.zeros(NUM_LLH + 1, dtype=np.int64),
                    improvements=np.zeros(NUM_LLH + 1, dtype=np.int64),
                    bits_out=np.empty(n, dtype=bool))
     buffers.update(replace)
     b = buffers
     return _climb.apply(b["genes"], b["bit_generator"], b["bits"], b["feature_class"],
-                        b["diagonal"], b["columns"], 0.1, b["invocations"], b["improvements"],
+                        b["feature_feature"], 0.1, b["invocations"], b["improvements"],
                         b["bits_out"])
 
 
@@ -575,10 +577,11 @@ class TestHotPathReference:
     @staticmethod
     def caches():
         yield from TestSweepReference.caches()
-        # not symmetric: a commit must add the column ff[:, b], not the row
+        # symmetric sums of two draws, entries in [0, 2): larger cross sums
+        # than random_cache gives
         for n in (9, 40):
-            yield cache_from_values(np.random.default_rng(n).random(n),
-                                    np.random.default_rng(n + 1).random((n, n)))
+            a = np.random.default_rng(n + 1).random((n, n))
+            yield cache_from_values(np.random.default_rng(n).random(n), a + a.T)
         # decimal entries: merits that tie in exact arithmetic are decided
         # by rounding, so any change to the order of operations shows
         rng = np.random.default_rng(95)
@@ -681,14 +684,11 @@ class TestHotPathReference:
     def test_cached_arrays_are_read_only(self):
         cache = random_cache(9, seed=7)
         mask = FeatureMask([1, 0, 1, 1, 0, 0, 1, 0, 1])
-        arrays = [cache.feature_feature, cache.feature_class, cache.diagonal,
-                  cache.columns, mask.bits]
-        for arr in arrays:
+        for arr in (cache.feature_feature, cache.feature_class, mask.bits):
             with pytest.raises(ValueError):
                 arr[0] = 0
-        # what the caches hold is what the arrays say
-        assert np.array_equal(cache.columns, cache.feature_feature.T)
-        assert np.array_equal(cache.diagonal, np.diagonal(cache.feature_feature))
+        # the cache holds these two arrays and nothing derived from them
+        assert vars(cache).keys() == {"feature_feature", "feature_class"}
 
 
 def oracle_and_kernel(llh_id, scan, seed, mutn_rate=0.1, bit_generator=np.random.PCG64):
@@ -767,7 +767,7 @@ class TestKernelEqualsOracle:
                 oracle_rng = np.random.default_rng([n, s, trial])
                 bits_out = np.empty(n, dtype=bool)
                 moved = _climb.apply(genes, bit_generator, scan.bits, cache.feature_class,
-                                     cache.diagonal, cache.columns, 0.1,
+                                     cache.feature_feature, 0.1,
                                      stats.invocations, stats.improvements, bits_out)
                 expected = oracle_run_genes(genes, scan, OracleContext(cache, oracle_rng),
                                             expected_stats)
@@ -795,9 +795,9 @@ class TestKernelEqualsOracle:
     @pytest.mark.parametrize("n", [1, 2, 9, 34, 166])
     def test_scan_equals_sequential_sum(self, n):
         rng = np.random.default_rng(500 + n)
-        # not symmetric, so row[j] must sum ff[j, i] over the selected i
-        caches = [random_cache(n, seed=n),
-                  cache_from_values(rng.random(n), rng.random((n, n)))]
+        # the kernel adds row i of ff where the definition sums column i
+        a = rng.random((n, n))
+        caches = [random_cache(n, seed=n), cache_from_values(rng.random(n), a + a.T)]
         for cache in caches:
             for bits in (rng.integers(0, 2, size=n), rng.random(n) < 0.1,
                          np.zeros(n, dtype=int), np.ones(n, dtype=int)):
@@ -1057,7 +1057,7 @@ class TestClimbKernelArguments:
         assert call_kernel(name, scan, np.arange(0), bits_out=bits_out) is False
         assert bits_out.tolist() == scan.bits.tolist()
 
-    @pytest.mark.parametrize("buffer", ["feature_class", "diagonal"])
+    @pytest.mark.parametrize("buffer", ["feature_class"])
     def test_wrong_length_vector(self, name, scan, buffer):
         for length in (self.N - 1, self.N + 1):
             with pytest.raises(ValueError, match=f"{buffer} has length {length}"):
@@ -1095,12 +1095,12 @@ class TestClimbKernelArguments:
             call_kernel(name, scan, bits=np.repeat(scan.bits, 2)[::2])
         with pytest.raises(ValueError, match="genes must be C-contiguous"):
             call_kernel(name, scan, np.repeat(genes, 2)[::2])
-        with pytest.raises(ValueError, match="columns must be C-contiguous"):
-            call_kernel(name, scan, columns=scan.cache.columns.T)
+        with pytest.raises(ValueError, match="feature_feature must be C-contiguous"):
+            call_kernel(name, scan, feature_feature=scan.cache.feature_feature.T)
 
     def test_argument_count_and_non_buffers(self, name, scan):
-        with pytest.raises(TypeError, match="takes 10 arguments, 2 given"):
-            _climb.apply(scan.bits, scan.cache.columns)
+        with pytest.raises(TypeError, match="takes 9 arguments, 2 given"):
+            _climb.apply(scan.bits, scan.cache.feature_feature)
         with pytest.raises(TypeError):
             call_kernel(name, scan, [KERNEL_GENE[name]])
         with pytest.raises(TypeError, match="^bit_generator must be a numpy BitGenerator, "
@@ -1109,10 +1109,11 @@ class TestClimbKernelArguments:
 
 
 def test_sweep_rejects_wrong_shape_columns():
+    # feature_feature, whose rows the kernel adds as columns
     scan = MeritScan(random_cache(6, seed=41), [1, 0, 1, 1, 0, 0])
     for shape in ((6, 7), (7, 6), (36,)):
-        with pytest.raises(ValueError, match="columns"):
-            call_kernel("sweep", scan, columns=np.zeros(shape))
+        with pytest.raises(ValueError, match="feature_feature"):
+            call_kernel("sweep", scan, feature_feature=np.zeros(shape))
 
 
 class TestScanAndOutputArguments:
@@ -1122,28 +1123,27 @@ class TestScanAndOutputArguments:
     def test_scan_checks_its_buffers(self):
         cache = random_cache(5, seed=3)
         bits, row = np.array([1, 0, 1, 1, 0], dtype=bool), np.empty(5)
-        args = dict(bits=bits, columns=cache.columns, feature_class=cache.feature_class,
-                    diagonal=cache.diagonal, row_out=row)
+        args = dict(bits=bits, feature_class=cache.feature_class,
+                    feature_feature=cache.feature_feature, row_out=row)
 
         def scan(**replace):
             a = {**args, **replace}
-            return _climb.scan(a["bits"], a["feature_class"], a["diagonal"], a["columns"],
-                               a["row_out"])
+            return _climb.scan(a["bits"], a["feature_class"], a["feature_feature"], a["row_out"])
 
         expected_row, *expected_sums = sequential_scan(cache, bits.tolist())
         assert list(scan()) == expected_sums and row.tolist() == expected_row
-        for name in ("feature_class", "diagonal", "row_out"):
+        for name in ("feature_class", "row_out"):
             with pytest.raises(ValueError, match=f"{name} has length 4"):
                 scan(**{name: np.zeros(4)})
-        with pytest.raises(ValueError, match="columns has length 4"):
-            scan(columns=np.zeros((4, 5)))
+        with pytest.raises(ValueError, match="feature_feature has length 4"):
+            scan(feature_feature=np.zeros((4, 5)))
         with pytest.raises(ValueError, match="bits must hold bools"):
             scan(bits=bits.astype(np.int64))
         with pytest.raises(ValueError, match="row_out must be C-contiguous"):
             scan(row_out=np.zeros(10)[::2])
         with pytest.raises(ValueError, match="read-only"):
             scan(row_out=MeritScan(cache, bits).row)
-        with pytest.raises(TypeError, match="takes 5 arguments, 2 given"):
+        with pytest.raises(TypeError, match="takes 4 arguments, 2 given"):
             _climb.scan(bits, cache.feature_class)
 
     def test_apply_checks_what_it_writes(self):
