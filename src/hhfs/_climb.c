@@ -1,5 +1,6 @@
 /* The merit scan and the 16 low-level heuristics (see hhfs.correlation and
-   hhfs.llh), compiled.
+   hhfs.llh) and the 1NN fitness's squared distances (hhfs.evaluation),
+   compiled.
 
    scan(bits, feature_class, feature_feature, row_out) -> (k, sum_cf, sum_ff, merit)
    A mask's merit scan, summed in one fixed order: ascending selected index.
@@ -30,7 +31,19 @@
    per-branch sums, then sum_cf / sqrt((double)k + sum_ff), or 0.0 when the
    flip leaves k == 0. It is built with -ffp-contract=off, so no multiply
    and add are fused. Every buffer is checked against n, the length of the
-   bits, and every gene id against 1..16 before any is read. */
+   bits, and every gene id against 1..16 before any is read.
+
+   sqdist(columns, rows, out)
+   The 1NN fitness's exact squared distances (see hhfs.evaluation): for the
+   (k, n) selected columns x and row indices rows,
+   out[r][j] = the sum over l of (x[l][rows[r]] - x[l][j])^2, added in
+   ascending l. That is pdist's and cdist's "sqeuclidean", bit for bit, and
+   as (a - b)^2 equals (b - a)^2 exactly, out[r][j] equals the entry for
+   rows j and rows[r]: where rows is 0..n-1, the entries below the diagonal
+   are copied from above it rather than summed again. The sums run over
+   BLOCK rows and LANES columns at a time, in registers. Every buffer, every
+   row index against 0..n-1 and out against overlapping the inputs are
+   checked before out is written. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -408,6 +421,102 @@ done:
     return result;
 }
 
+#define BLOCK 4  /* rows summed at a time */
+#define LANES 2  /* columns summed at a time, as one vector */
+typedef double lanes __attribute__((vector_size(LANES * sizeof(double))));
+
+/* sqdist's out[s][j] for the nr <= BLOCK rows i[0..nr-1] of the (k, n)
+   columns x, j from ``from`` to n - 1. */
+static inline void
+sqdist_block(const double *x, Py_ssize_t k, Py_ssize_t n, const int64_t *i, int nr,
+             Py_ssize_t from, double *out)
+{
+    Py_ssize_t j = from;
+    for (; j + LANES <= n; j += LANES) {
+        lanes acc[BLOCK] = {{0}};
+        for (Py_ssize_t l = 0; l < k; l++) {
+            lanes xj;
+            memcpy(&xj, x + l * n + j, sizeof xj);
+            for (int s = 0; s < nr; s++) {
+                lanes t = x[l * n + i[s]] - xj;
+                acc[s] += t * t;
+            }
+        }
+        for (int s = 0; s < nr; s++)
+            memcpy(out + s * n + j, &acc[s], sizeof acc[s]);
+    }
+    for (; j < n; j++) {
+        for (int s = 0; s < nr; s++) {
+            double acc = 0.0;
+            for (Py_ssize_t l = 0; l < k; l++) {
+                double t = x[l * n + i[s]] - x[l * n + j];
+                acc += t * t;
+            }
+            out[s * n + j] = acc;
+        }
+    }
+}
+
+/* Whether the memory of two acquired buffers overlaps. */
+static int
+overlap(const Py_buffer *a, const Py_buffer *b)
+{
+    const char *p = a->buf, *q = b->buf;
+    return p < q + b->len && q < p + a->len;
+}
+
+static PyObject *
+sqdist(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "sqdist(columns, rows, out) takes 3 arguments, %zd given", nargs);
+        return NULL;
+    }
+    Py_buffer columns = {0}, rows = {0}, out = {0};
+    Py_buffer *views[] = {&columns, &rows, &out};
+    PyObject *result = NULL;
+    if (get_buffer(args[0], &columns, "columns", FLOAT64, 2, -1, 0) < 0
+        || get_buffer(args[1], &rows, "rows", INT64, 1, -1, 0) < 0
+        || get_buffer(args[2], &out, "out", FLOAT64, 2, -1, 1) < 0)
+        goto done;
+    Py_ssize_t k = columns.shape[0], n = columns.shape[1], m = rows.shape[0];
+    if (out.shape[0] != m || out.shape[1] != n) {
+        PyErr_Format(PyExc_ValueError, "out has shape (%zd, %zd), expected (%zd, %zd)",
+                     out.shape[0], out.shape[1], m, n);
+        goto done;
+    }
+    if (overlap(&out, &columns) || overlap(&out, &rows)) {
+        PyErr_SetString(PyExc_ValueError, "out must not overlap columns or rows");
+        goto done;
+    }
+    const int64_t *row = rows.buf;
+    for (Py_ssize_t r = 0; r < m; r++) {
+        if (row[r] < 0 || row[r] >= n) {
+            PyErr_Format(PyExc_ValueError, "row index %lld is outside 0..%zd",
+                         (long long)row[r], n - 1);
+            goto done;
+        }
+    }
+    int all = m == n;  /* rows is 0..n-1 */
+    for (Py_ssize_t r = 0; all && r < n; r++)
+        all = row[r] == r;
+    double *d = out.buf;
+    for (Py_ssize_t r = 0; r < m; r += BLOCK) {
+        if (m - r >= BLOCK)  /* a constant count: the block's sums stay in registers */
+            sqdist_block(columns.buf, k, n, row + r, BLOCK, all ? r : 0, d + r * n);
+        else
+            sqdist_block(columns.buf, k, n, row + r, (int)(m - r), all ? r : 0, d + r * n);
+    }
+    for (Py_ssize_t r = 1; all && r < n; r++)
+        for (Py_ssize_t j = 0; j < r; j++)
+            d[r * n + j] = d[j * n + r];
+    result = Py_NewRef(Py_None);
+done:
+    release(views, 3);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"scan", (PyCFunction)(void (*)(void))scan, METH_FASTCALL,
      "scan(bits, feature_class, feature_feature, row_out)"
@@ -416,12 +525,16 @@ static PyMethodDef methods[] = {
      "apply(genes, bit_generator, bits, feature_class, feature_feature, mutn_rate,"
      " invocations, improvements, bits_out) -> whether any gene moved; the bits go to"
      " bits_out"},
+    {"sqdist", (PyCFunction)(void (*)(void))sqdist, METH_FASTCALL,
+     "sqdist(columns, rows, out): out[r][j] = sum over l of"
+     " (columns[l][rows[r]] - columns[l][j])**2, in ascending l"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_climb",
-    "The merit scan and the low-level heuristics, compiled.", -1, methods,
+    "The merit scan, the low-level heuristics and the 1NN distances, compiled.", -1,
+    methods,
     NULL, NULL, NULL, NULL,
 };
 

@@ -23,7 +23,6 @@ from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 
 def usable_cores() -> int:
@@ -43,15 +42,13 @@ def may_fork() -> bool:
 
 
 def loaded_openblas():
-    """Each OpenBLAS of numpy's and scipy's wheels that this process has
-    loaded; opened with RTLD_NOLOAD, so none is loaded here."""
-    for package in (np, scipy):
-        libdir = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
-        for path in sorted(libdir.glob("*openblas*")):
-            try:
-                yield ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-            except OSError:  # shipped but not loaded
-                pass
+    """Each OpenBLAS of numpy's wheel that this process has loaded (hhfs
+    calls no other BLAS); opened with RTLD_NOLOAD, so none is loaded here."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            yield ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        except OSError:  # shipped but not loaded
+            pass
 
 
 def one_blas_thread() -> None:

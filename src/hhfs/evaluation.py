@@ -3,7 +3,9 @@
 The supervisor judges a mask by how well a 1NN classifier does when it
 only sees the selected features. The reference distances are squared
 Euclidean over the selected columns (same argmin as Euclidean, cheaper) as
-``pdist`` computes them, which is bit-identical to ``cdist``. 1NN ties go
+the kernel's ``sqdist`` (``_climb.c``) computes them: each pair's column
+terms added in ascending column order, which is bit-identical to
+``pdist`` and ``cdist`` "sqeuclidean" (the tests check it). 1NN ties go
 to the lowest training-row index so evaluation is fully deterministic. The
 empty mask scores 0.0 without running the classifier.
 
@@ -12,7 +14,7 @@ base_seed+1, ... and averaging gives the "r x k fold CV" protocols used
 for reporting; searches typically run with repeats=1 for speed.
 
 Gram screen. Row i's neighbour is the argmin over the rows j outside its
-fold of ``p_ij``, pdist's computed value of ``d_ij = |x_i - x_j|^2``. As
+fold of ``p_ij``, sqdist's computed value of ``d_ij = |x_i - x_j|^2``. As
 ``d_ij = s_i + e_ij`` with ``s_i = |x_i|^2`` and ``e_ij = s_j - 2 x_i.x_j``,
 and ``s_i`` is constant along row i, the screen takes the argmin of ``e``
 instead, from one matrix product over k + 1 columns:
@@ -25,8 +27,8 @@ with ``|d| <= u = 2^-53`` and a subnormal term ``|h| <= 2^-1075`` for
 products, ``gamma_m = m u / (1 - m u)``, ``r_i = |x_i|`` and
 ``R_i = r_i + max_j r_j``:
 
-* pdist sums k non-negative terms ``fl(fl(x_il - x_jl)^2)`` in some
-  order, each within ``(1 + d)^3`` of its exact value, so
+* sqdist sums k non-negative terms ``fl(fl(x_il - x_jl)^2)`` in ascending
+  l (any order would do here), each within ``(1 + d)^3`` of its exact value, so
   ``|p_ij - d_ij| <= gamma_{k+2} d_ij + k 2^-1074 <= gamma_{k+2} R_i^2 + k 2^-1074``.
 * a dot product of length m, in any order and with or without fused
   multiply-adds, is within ``gamma_m`` times the sum of the absolute
@@ -39,7 +41,7 @@ Hence ``p_ij = s_i + E_ij + t_ij`` with
 ``|t_ij| <= b_i = 3 gamma_{k+2} R_i^2 + (2k + 1) 2^-1074``. If
 ``m2 - m > 2 b_i``, every other column j has
 ``p_ij >= s_i + m2 - b_i > s_i + m + b_i >= p_ia`` at the screen's argmin
-a: the screen found pdist's unique argmin. The screen tests
+a: the screen found sqdist's unique argmin. The screen tests
 ``fl(m2 - m) > 8 (k + 2) (u R^_i^2 + 2^-1074)``, ``R^_i`` from the
 computed norms. For any k < 2^40, ``gamma_{k+2} <= 1.01 (k + 2) u``, so
 ``2 b_i <= 6.1 (k + 2) u R_i^2 + (4k + 2) 2^-1074``, and the rest of the
@@ -48,16 +50,16 @@ of the test's own arithmetic and of ``m2 - m``. A row that fails the test
 is ambiguous, whether from an exact tie (duplicate rows, integer levels),
 a near tie, or cancellation in ``s_j - 2 x_i.x_j`` when the columns carry
 a large common offset; the screen needs ``16 max_j s^_j`` finite and is
-skipped otherwise. Every ambiguous row is recomputed with
-``cdist(x[rows], x, "sqeuclidean")``, pdist's bits, and takes the masked
-argmin there, which also keeps the lowest-index tie-breaking. So every
-row's neighbour is pdist's, whatever the data.
+skipped otherwise. Every ambiguous row is recomputed exactly, by sqdist
+over those rows alone, and takes the masked argmin there, which also keeps
+the lowest-index tie-breaking. So every row's neighbour is the exact
+distances', whatever the data.
 
 When a screen's first repeat leaves more than a quarter of the rows
 ambiguous (tie-heavy data such as ordinal cells), the evaluator stops
-screening and takes the exact path, ``squareform(pdist(x))`` and the
-masked argmin, for this mask and the rest of its life: resolving that many
-rows, more again over further repeats, costs at least half a pdist on top
+screening and takes the exact path, sqdist over every row and the masked
+argmin, for this mask and the rest of its life: resolving that many rows,
+more again over further repeats, costs at least half an exact pass on top
 of the product, so the screen no longer pays.
 """
 
@@ -66,8 +68,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
+from .correlation import _climb
 from .dataset import Dataset, DatasetError, stratified_folds
 from .mask import FeatureMask
 
@@ -150,9 +152,10 @@ class FitnessEvaluator:
     equals ``cv_accuracy`` bitwise. The cache key is the raw bit pattern,
     so a hit returns the stored accuracy with zero classification work.
     ``computations`` counts actual CV evaluations and ``hits`` counts
-    cache returns. Screens reuse one n x n work matrix, allocated at the
-    first; ``_screening`` turns false for good, and the matrix is
-    dropped, once a screen leaves too many rows ambiguous.
+    cache returns. Every computation reuses one n x n work matrix for the
+    screen and the exact distances, and ``features.T`` is kept contiguous,
+    so a mask's columns are one gather. ``_screening`` turns false for
+    good once a screen leaves too many rows ambiguous.
     """
 
     def __init__(self, dataset: Dataset, protocol: CvProtocol):
@@ -168,8 +171,10 @@ class FitnessEvaluator:
             members = np.split(np.argsort(fold_of, kind="stable"), np.cumsum(sizes)[:-1])
             self._same_fold.append(np.concatenate([(m[:, None] * n + m).ravel()
                                                    for m in members]))
+        self._columns = np.ascontiguousarray(dataset.features.T)
+        self._rows = np.arange(n, dtype=np.int64)
+        self._work = np.empty((n, n))
         self._screening = True
-        self._work: np.ndarray | None = None  # the screen's n x n matrix
         self._cache: dict[bytes, float] = {}
         self.computations = 0
         self.hits = 0
@@ -187,8 +192,6 @@ class FitnessEvaluator:
         sq = np.einsum("ij,ij->i", Xs, Xs)
         if not sq.max() <= _SCREEN_MAX:
             return None
-        if self._work is None:
-            self._work = np.empty((n, n))
         E = np.matmul(np.hstack([Xs, np.ones((n, 1))]),
                       np.hstack([-2.0 * Xs, sq[:, None]]).T, out=self._work)
         r = np.sqrt(sq)
@@ -226,19 +229,19 @@ class FitnessEvaluator:
         """Per repeat, the 1NN accuracy over that repeat's folds, seeing
         only the (non-empty) columns ``idx``."""
         d = self.dataset
-        Xs = d.features[:, idx]
-        screen = self._screen(Xs) if self._screening else None
+        screen = self._screen(d.features[:, idx]) if self._screening else None
         unsure = None
         if screen is not None:
             nearest, unsure = self._nearest(*screen)
             if unsure is None:  # tie-heavy data: the screen does not pay here
                 self._screening = False
-                self._work = None
         if unsure is None:
-            nearest, _ = self._nearest(squareform(pdist(Xs, "sqeuclidean")), None)
+            _climb.sqdist(self._columns[idx], self._rows, self._work)
+            nearest, _ = self._nearest(self._work, None)
         elif any(redo.size for redo in unsure):
             ambiguous = np.unique(np.concatenate(unsure))
-            exact = cdist(Xs[ambiguous], Xs, "sqeuclidean")
+            exact = self._work[:ambiguous.size]  # the screen's matrix is read
+            _climb.sqdist(self._columns[idx], ambiguous, exact)
             for nn, fold_of, redo in zip(nearest, self._folds, unsure):
                 W = exact[np.searchsorted(ambiguous, redo)]
                 W[fold_of[redo, None] == fold_of] = np.inf

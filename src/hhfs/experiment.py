@@ -73,6 +73,14 @@ class ExperimentSpec:
             raise ValueError("master_seed must be non-negative")
         if not self.report_repeats:
             raise ValueError("need at least one reporting protocol")
+        # the CLI picks datasets by name ignoring case, and so may a file
+        # system the report directories
+        seen: dict[str, str] = {}
+        for d in self.datasets:
+            if (key := d.name.lower()) in seen:
+                raise ValueError(
+                    f"dataset names {seen[key]!r} and {d.name!r} are equal ignoring case")
+            seen[key] = d.name
         # building the protocols runs their fold and repeat checks
         self.search_protocol(self.master_seed)
         self.report_protocols()

@@ -242,6 +242,23 @@ def test_dataset_name_cannot_escape_the_output_directory(project, capsys, name, 
     assert sorted(tmp_path.rglob("*")) == before  # nothing written, in --out or out of it
 
 
+@pytest.mark.parametrize("command", ["run", "baseline"])
+def test_dataset_names_equal_ignoring_case_are_rejected(project, capsys, command):
+    # the CLI picks datasets by name ignoring case: both would be "alpha"
+    tmp_path, cfg = project
+    beta = write_dataset_csv(tmp_path / "beta.csv", seed=5)
+    cfg.write_text(cfg.read_text().replace("[datasets.alpha]", "[datasets.Alpha]")
+                   + f"\n[datasets.alpha]\npath = {beta}\n")
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", str(cfg), "--dataset", "Alpha"])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "hhfs: error: dataset names 'Alpha' and 'alpha' are equal ignoring case\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_baseline_unknown_dataset(project, capsys):
     _, cfg = project
     with pytest.raises(SystemExit) as exit_info:

@@ -1,14 +1,16 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from conftest import (cv_accuracy_bruteforce, cv_accuracy_cdist_reference,
                       predict_1nn, random_mask)
 from hhfs import evaluation
+from hhfs.correlation import _climb
 from hhfs.dataset import Dataset, DatasetError
 from hhfs.evaluation import CvProtocol, FitnessEvaluator, cv_accuracy, cv_accuracies
 from hhfs.mask import FeatureMask
@@ -268,6 +270,62 @@ def test_fitness_equals_cdist_reference_exactly(case):
         assert evaluator.compute(mask) == expected
 
 
+def sqdist_data(kind: str, n: int, k: int, seed: int) -> np.ndarray:
+    """An n x k matrix of one kind the exact distances must get right."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, k))
+    if kind == "integer-levels":  # tie-heavy, as ordinal cells are
+        X = rng.integers(0, 4, size=(n, k)).astype(float)
+    elif kind == "duplicate-rows":
+        X[n // 2:] = X[:n - n // 2]
+    elif kind == "offset":  # steps of 0.01 around 1e6
+        X = 1e6 + 0.01 * X
+    elif kind == "scales":
+        X *= 10.0 ** rng.uniform(-3, 3, size=k)
+    return X
+
+
+def sqdist(X: np.ndarray, rows) -> np.ndarray:
+    """The kernel's squared distances from ``rows`` of X to every row."""
+    rows = np.asarray(rows, dtype=np.int64)
+    out = np.full((rows.size, len(X)), np.nan)
+    assert _climb.sqdist(np.ascontiguousarray(X.T), rows, out) is None
+    return out
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestSqdist:
+    """The kernel's exact distances are pdist's and cdist's "sqeuclidean",
+    bit for bit, for every row and for any rows."""
+
+    KINDS = ["random", "integer-levels", "duplicate-rows", "offset", "scales"]
+    SHAPES = [(1, 1), (2, 1), (9, 1), (476, 1), (7, 3), (208, 60), (366, 34), (476, 166)]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n, k", SHAPES)
+    def test_every_row_equals_pdist(self, kind, n, k):
+        X = sqdist_data(kind, n, k, seed=n + k)
+        assert same_bits(sqdist(X, range(n)), squareform(pdist(X, "sqeuclidean")))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n, k", SHAPES)
+    def test_any_rows_equal_cdist(self, kind, n, k):
+        X = sqdist_data(kind, n, k, seed=n * k)
+        rng = np.random.default_rng(n)
+        subsets = [[], [n - 1], np.sort(rng.choice(n, size=min(n, 20), replace=False)),
+                   np.sort(rng.choice(n, size=(n + 1) // 2, replace=False)),
+                   rng.permutation(n), [0] * n]  # n rows in another order, repeated
+        for rows in subsets:
+            rows = np.asarray(rows, dtype=np.int64)
+            assert same_bits(sqdist(X, rows), cdist(X[rows], X, "sqeuclidean"))
+
+    def test_no_columns_is_zero(self):
+        assert same_bits(sqdist(np.empty((5, 0)), [0, 3]), np.zeros((2, 5)))
+
+
 def offset_dataset(offset: float, seed: int = 4) -> Dataset:
     """120 rows over 6 features on 5 levels spaced 0.01 apart, plus a
     constant column: exact ties everywhere, and with a large offset the
@@ -305,11 +363,11 @@ class TestGramScreen:
         d = Dataset.from_arrays("copies", X, labels)
         resolved = []
 
-        def counting_cdist(xa, xb, metric):
-            resolved.append(len(xa))
-            return cdist(xa, xb, metric)
+        def counting_sqdist(columns, rows, out):
+            resolved.append(len(rows))
+            return _climb.sqdist(columns, rows, out)
 
-        monkeypatch.setattr(evaluation, "cdist", counting_cdist)
+        monkeypatch.setattr(evaluation, "_climb", SimpleNamespace(sqdist=counting_sqdist))
         for repeats in (1, 10):
             proto = CvProtocol(folds=10, repeats=repeats, base_seed=1)
             ev = FitnessEvaluator(d, proto)

@@ -6,9 +6,12 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import needs_fork, on_cores, synthetic_dataset
@@ -198,6 +201,14 @@ class TestDatasetName:
     def test_plain_names_accepted(self, name):
         assert DatasetConfig(name=name, path="x.csv").name == name
 
+    @pytest.mark.parametrize("second", ["Alpha", "ALPHA", "alpha"])
+    def test_names_equal_ignoring_case_rejected(self, second):
+        datasets = (DatasetConfig("alpha", "a.csv"), DatasetConfig("beta", "b.csv"),
+                    DatasetConfig(second, "c.csv"))
+        with pytest.raises(ValueError, match=f"^dataset names 'alpha' and '{second}' "
+                                             "are equal ignoring case$"):
+            ExperimentSpec(datasets=datasets)
+
 
 class TestSpecValidation:
     @pytest.mark.parametrize("changes, match", [
@@ -309,6 +320,42 @@ def output_bytes(out: Path) -> dict[str, bytes]:
     """Every output file but timings.csv, by its path under ``out``."""
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*.*"))
             if p.name != "timings.csv"}
+
+
+class TestWithoutScipy:
+    """scipy is needed only by the tests' oracles: hhfs neither imports it
+    nor needs it to run an experiment."""
+
+    @staticmethod
+    def python(code: str) -> subprocess.CompletedProcess:
+        src = Path(experiment.__file__).parents[1]
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+
+    def test_importing_hhfs_loads_no_scipy_module(self):
+        proc = self.python("import sys, hhfs\n"
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    def test_experiment_runs_with_scipy_blocked(self, tiny_spec, tmp_path):
+        # a tie-heavy dataset too, so the exact distances run for every row
+        levels = tmp_path / "levels.csv"
+        rows = np.random.default_rng(8).integers(0, 3, size=(30, 4))
+        levels.write_text("".join(f"{a},{b},{c},{y}\n" for a, b, c, y in rows))
+        spec = dataclasses.replace(
+            tiny_spec, datasets=(*tiny_spec.datasets, DatasetConfig("levels", str(levels))))
+        without, with_scipy = tmp_path / "without", tmp_path / "with"
+        proc = self.python(f"""
+import sys
+sys.modules["scipy"] = None  # import scipy now raises ImportError
+from hhfs.experiment import DatasetConfig, ExperimentSpec, run_experiment
+from hhfs.supervisor import SupervisorConfig
+run_experiment({dataclasses.replace(spec, out_dir=str(without))!r})
+""")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        run_experiment(dataclasses.replace(spec, out_dir=str(with_scipy)))
+        assert len(output_bytes(without)) == 7  # three report.json and history.csv, a summary
+        assert output_bytes(without) == output_bytes(with_scipy)
 
 
 def threads_function(lib, verb: str):
