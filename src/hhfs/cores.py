@@ -1,15 +1,16 @@
 """The cores a process may use, and forked workers that share them.
 
-Where ``may_fork`` allows, a dataset's runs go to one forked ``Worker``
-per usable core (``fork_map``); each runs its BLAS on one thread, as the
+Where ``may_fork`` allows, ``fork_map`` maps a dataset's runs over one
+forked worker per usable core; each runs its BLAS on one thread, as the
 processes already fill the cores. A lone supervisor run starts no worker.
 
-Workers are forked, not spawned: a forked worker imports nothing and is
-sent no dataset, and forking starts no ``resource_tracker`` process. Each
+The workers are forked, not spawned: a forked worker imports nothing and
+is sent no dataset, and forking starts no ``resource_tracker`` process. Each
 worker talks to its parent over a pipe of its own, so stopping one, even
 mid-message, can block no other process (a ``multiprocessing.Pool``
 shares a result queue lock among its workers, and terminating a worker
-that holds it can hang ``Pool.terminate``).
+that holds it can hang ``Pool.terminate``). A worker stops once its last
+answer is met with None; one that still owes an answer is terminated.
 """
 
 from __future__ import annotations
@@ -61,98 +62,64 @@ def one_blas_thread() -> None:
                 setter(1)
 
 
-class Worker:
-    """A forked, daemonic process that answers one message at a time:
-    ``serve`` runs there on it, and ``receive`` pairs it with what that
-    returned or raised. ``close`` stops and joins the process, killing one
-    that owes an answer. Ctrl-C is the parent's: the worker ignores it."""
-
-    def __init__(self, serve):
-        ctx = multiprocessing.get_context("fork")
-        self.conn, child_end = ctx.Pipe()
-        self.owed = None  # the message sent and not yet answered
-        self._process = ctx.Process(target=_serve, daemon=True,
-                                    args=(serve, child_end, self.conn))
-        self._process.start()
-        child_end.close()
-
-    def fileno(self) -> int:
-        """The pipe's descriptor, so ``connection.wait`` takes workers."""
-        return self.conn.fileno()
-
-    def send(self, message) -> None:
-        """Hand ``message`` (anything but None) to ``serve``."""
-        self.conn.send(message)
-        self.owed = message
-
-    def receive(self) -> tuple:
-        """The message in flight, and its answer."""
-        try:
-            answer = self.conn.recv()
-        except EOFError:
-            raise RuntimeError("a worker process exited unexpectedly") from None
-        message, self.owed = self.owed, None
-        return message, answer
-
-    def close(self) -> None:
-        # a stop message, not just closing our end: a sibling worker forked
-        # later holds a copy of it, so the worker would see no EOF
-        try:
-            if self.owed is not None:
-                self._process.terminate()
-            else:
-                self.conn.send(None)
-        except OSError:  # the worker is gone already
-            pass
-        self._process.join()
-        self.conn.close()
-
-
-def _serve(serve, conn, parent_end) -> None:
-    """A worker's loop, until a None message or the parent's end closes."""
+def _serve(func, items: Sequence, conn, parent_end) -> None:
+    """A worker's loop: it answers each index ``i`` it is sent with
+    ``func(items[i])`` or what that raised, and returns when sent None."""
     parent_end.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
     one_blas_thread()
-    try:
-        while (message := conn.recv()) is not None:
-            try:
-                answer = serve(message)
-            except Exception as exc:
-                answer = exc
-            conn.send(answer)
-    except EOFError:
-        pass
+    while (i := conn.recv()) is not None:
+        try:
+            answer = func(items[i])
+        except Exception as exc:
+            answer = exc
+        conn.send(answer)
 
 
 def fork_map(func, items: Sequence):
-    """``map(func, items)`` on one forked Worker per usable core, at most
+    """``map(func, items)`` on one forked worker per usable core, at most
     one per item; in this process where ``may_fork()`` is false or for
-    fewer than two items. The workers inherit ``func`` and ``items`` at fork, and
-    each is sent the next item's index whenever it answers. The results
-    come in order, and an exception ``func`` raised is raised at its
-    item's place. The workers are closed when the iteration ends, is
-    abandoned or raises."""
+    fewer than two items. The workers inherit ``func`` and ``items`` at
+    fork; each is sent the next item's index whenever it answers, or None
+    once none is left. The results come in order, an exception ``func``
+    raised is raised at its item's place, and the workers still owing an
+    answer when the iteration ends, is abandoned or raises are terminated."""
     if len(items) < 2 or not may_fork():
         yield from map(func, items)
         return
-    pool: list[Worker] = []
+    ctx = multiprocessing.get_context("fork")
+    pool = []  # each worker's process and the parent's end of its pipe
+    owed = {}  # the parent's end -> the index sent and not yet answered
     answers: dict[int, object] = {}
     try:
         for i in range(min(usable_cores(), len(items))):
-            pool.append(Worker(lambda j: func(items[j])))
-            pool[-1].send(i)
+            conn, child_end = ctx.Pipe()
+            process = ctx.Process(target=_serve, daemon=True,
+                                  args=(func, items, child_end, conn))
+            process.start()
+            child_end.close()
+            pool.append((process, conn))
+            owed[conn] = i
+            conn.send(i)
         todo = iter(range(len(pool), len(items)))
         for i in range(len(items)):
             while i not in answers:
-                for worker in wait([w for w in pool if w.owed is not None]):
-                    j, answer = worker.receive()
-                    answers[j] = answer
-                    if (k := next(todo, None)) is not None:
-                        worker.send(k)
+                for conn in wait(list(owed)):
+                    try:
+                        answers[owed[conn]] = conn.recv()
+                    except EOFError:
+                        raise RuntimeError("a worker process exited unexpectedly") from None
+                    owed[conn] = next(todo, None)  # kept until sent: joins wait on no idle worker
+                    conn.send(owed[conn])
+                    if owed[conn] is None:
+                        del owed[conn]
             answer = answers.pop(i)
             if isinstance(answer, Exception):
                 raise answer
             yield answer
     finally:
-        for worker in pool:
-            worker.close()
+        for process, conn in pool:
+            if conn in owed:
+                process.terminate()
+            process.join()
+            conn.close()

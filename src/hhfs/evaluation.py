@@ -53,7 +53,9 @@ a large common offset; the screen needs ``16 max_j s^_j`` finite and is
 skipped otherwise. Every ambiguous row is recomputed exactly, by sqdist
 over those rows alone, and takes the masked argmin there, which also keeps
 the lowest-index tie-breaking. So every row's neighbour is the exact
-distances', whatever the data.
+distances', whatever the data whose distances are finite; an evaluator
+refuses a dataset where some could overflow, its column ranges' squares
+summing above ``_DISTANCE_MAX``.
 
 When a screen's first repeat leaves more than a quarter of the rows
 ambiguous (tie-heavy data such as ordinal cells), the evaluator stops
@@ -95,6 +97,9 @@ class CvProtocol:
 _U = np.finfo(np.float64).eps / 2  # unit roundoff, 2^-53
 _ETA = np.finfo(np.float64).smallest_subnormal  # 2^-1074
 _SCREEN_MAX = np.finfo(np.float64).max / 16
+# the most the column ranges' squares may sum to: the sum bounds every
+# mask's squared distances, and below this sqdist's rounding keeps them finite
+_DISTANCE_MAX = np.finfo(np.float64).max / 2
 
 
 def _protocol_folds(d: Dataset, proto: CvProtocol) -> list[np.ndarray]:
@@ -161,6 +166,11 @@ class FitnessEvaluator:
     def __init__(self, dataset: Dataset, protocol: CvProtocol):
         self.dataset = dataset
         self.protocol = protocol
+        with np.errstate(over="ignore"):  # the overflow this looks for
+            reach = np.square(np.ptp(dataset.features, axis=0)).sum()
+        if not reach <= _DISTANCE_MAX:  # inf distances, and every argmin would be row 0
+            raise DatasetError(f"{dataset.name}: the feature ranges are too wide for finite "
+                               "1NN distances; normalize the features first")
         self._folds = _protocol_folds(dataset, protocol)
         # per repeat, the flat index into an n x n matrix of every same-fold
         # cell, which the argmin must not see (argsort's intp, numpy's index type)

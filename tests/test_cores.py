@@ -1,6 +1,7 @@
 """Forked workers: ``fork_map`` keeps its items' order, raises a worker's
-exception at its item's place, maps in this process where it may not fork
-or has one item, and leaves no process behind."""
+exception at its item's place, fails when a worker dies, maps in this
+process where it may not fork or has one item, and leaves no process
+behind."""
 
 import multiprocessing
 import os
@@ -37,6 +38,20 @@ def test_fork_map_runs_in_daemonic_workers_and_closes_when_abandoned(monkeypatch
     pid, may_fork = next(results)
     assert pid != os.getpid() and not may_fork
     results.close()  # with answers still owed
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_fork_map_raises_when_a_worker_dies(monkeypatch):
+    on_cores(monkeypatch, 2)
+
+    def dying(x: int) -> int:
+        if x == 1:
+            os._exit(3)
+        return x
+
+    with pytest.raises(RuntimeError, match="^a worker process exited unexpectedly$"):
+        list(cores.fork_map(dying, [0, 1, 2, 3]))
     assert multiprocessing.active_children() == []
 
 

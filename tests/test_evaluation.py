@@ -11,7 +11,7 @@ from conftest import (cv_accuracy_bruteforce, cv_accuracy_cdist_reference,
                       predict_1nn, random_mask)
 from hhfs import evaluation
 from hhfs.correlation import _climb
-from hhfs.dataset import Dataset, DatasetError
+from hhfs.dataset import Dataset, DatasetError, min_max_normalize
 from hhfs.evaluation import CvProtocol, FitnessEvaluator, cv_accuracy, cv_accuracies
 from hhfs.mask import FeatureMask
 
@@ -433,6 +433,21 @@ class TestGramScreen:
             assert ev.compute(FeatureMask([1, 1])) == \
                 cv_accuracy_cdist_reference(d, FeatureMask([1, 1]), proto)
         assert ev._screening
+
+    def test_distances_that_overflow_refuse_the_dataset(self):
+        # every off-diagonal distance would be inf, and each row's argmin
+        # row 0, in the row's own fold or the row itself
+        rng = np.random.default_rng(0)
+        X = np.column_stack([rng.permutation(40), rng.permutation(40)]) * 1e200
+        d = Dataset.from_arrays("vast", X, np.arange(40) % 2)
+        proto, mask = CvProtocol(folds=5), FeatureMask.ones(2)
+        for score in (lambda: FitnessEvaluator(d, proto), lambda: cv_accuracy(d, mask, proto),
+                      lambda: cv_accuracies(d, mask, {"1x5": proto})):
+            with pytest.raises(DatasetError, match="^vast: the feature ranges are too wide"):
+                score()
+        normalized = min_max_normalize(d)
+        assert cv_accuracy(normalized, mask, proto) == \
+            cv_accuracy_cdist_reference(normalized, mask, proto)
 
 
 class TestDegenerateFolds:

@@ -441,8 +441,14 @@ class TestRunPool:
 
         monkeypatch.setattr(experiment, "run_supervisor", interrupting)
         on_cores(monkeypatch, 2)
-        with pytest.raises(KeyboardInterrupt):
-            run_experiment(dataclasses.replace(tiny_spec, runs=4))
+        # Python's own Ctrl-C handler, which a process started with SIGINT
+        # ignored (a background job) does not get
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_experiment(dataclasses.replace(tiny_spec, runs=4))
+        finally:
+            signal.signal(signal.SIGINT, handler)
         assert multiprocessing.active_children() == []
 
     @needs_fork
