@@ -33,17 +33,16 @@
    and add are fused. Every buffer is checked against n, the length of the
    bits, and every gene id against 1..16 before any is read.
 
-   sqdist(columns, rows, out)
+   sqdist(columns, out)
    The 1NN fitness's exact squared distances (see hhfs.evaluation): for the
-   (k, n) selected columns x and row indices rows,
-   out[r][j] = the sum over l of (x[l][rows[r]] - x[l][j])^2, added in
-   ascending l. That is pdist's and cdist's "sqeuclidean", bit for bit, and
-   as (a - b)^2 equals (b - a)^2 exactly, out[r][j] equals the entry for
-   rows j and rows[r]: where rows is 0..n-1, the entries below the diagonal
-   are copied from above it rather than summed again. The sums run over
-   BLOCK rows and LANES columns at a time, in registers. Every buffer, every
-   row index against 0..n-1 and out against overlapping the inputs are
-   checked before out is written. */
+   (k, n) selected columns x, the n x n
+   out[i][j] = the sum over l of (x[l][i] - x[l][j])^2, added in
+   ascending l. That is pdist's "sqeuclidean", bit for bit, and as
+   (a - b)^2 equals (b - a)^2 exactly, the entries below the diagonal are
+   copied from above it rather than summed again. The sums run over BLOCK
+   rows and LANES columns at a time, in registers, on the widest vector
+   unit the CPU has (sqdist_rows). Every buffer and out against overlapping
+   the columns are checked before out is written. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -422,23 +421,23 @@ done:
 }
 
 #define BLOCK 4  /* rows summed at a time */
-#define LANES 2  /* columns summed at a time, as one vector */
+#define LANES 8  /* columns summed at a time, as one vector */
 typedef double lanes __attribute__((vector_size(LANES * sizeof(double))));
 
-/* sqdist's out[s][j] for the nr <= BLOCK rows i[0..nr-1] of the (k, n)
-   columns x, j from ``from`` to n - 1. */
-static inline void
-sqdist_block(const double *x, Py_ssize_t k, Py_ssize_t n, const int64_t *i, int nr,
-             Py_ssize_t from, double *out)
+/* sqdist's sums for the nr <= BLOCK rows i..i+nr-1 of the (k, n) columns
+   x into their rows of out, each from column i to n - 1; inlined, so it
+   runs on the vector unit of the sqdist_rows clone that calls it. */
+static inline __attribute__((always_inline)) void
+sqdist_block(const double *x, Py_ssize_t k, Py_ssize_t n, Py_ssize_t i, int nr, double *out)
 {
-    Py_ssize_t j = from;
+    Py_ssize_t j = i;
     for (; j + LANES <= n; j += LANES) {
         lanes acc[BLOCK] = {{0}};
         for (Py_ssize_t l = 0; l < k; l++) {
             lanes xj;
             memcpy(&xj, x + l * n + j, sizeof xj);
             for (int s = 0; s < nr; s++) {
-                lanes t = x[l * n + i[s]] - xj;
+                lanes t = x[l * n + i + s] - xj;
                 acc[s] += t * t;
             }
         }
@@ -449,12 +448,42 @@ sqdist_block(const double *x, Py_ssize_t k, Py_ssize_t n, const int64_t *i, int 
         for (int s = 0; s < nr; s++) {
             double acc = 0.0;
             for (Py_ssize_t l = 0; l < k; l++) {
-                double t = x[l * n + i[s]] - x[l * n + j];
+                double t = x[l * n + i + s] - x[l * n + j];
                 acc += t * t;
             }
             out[s * n + j] = acc;
         }
     }
+}
+
+/* On x86-64 Linux with glibc, whose loader runs the ifunc resolver that
+   target_clones needs, sqdist_rows is built once per instruction set and
+   the resolver picks the widest the CPU has, so a cached build runs on any
+   x86-64 CPU. Every clone adds the same terms in the same order without
+   fused multiply-adds (-ffp-contract=off), so all give the same bits. */
+#if defined(__x86_64__) && defined(__linux__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define WIDEST_VECTORS __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef WIDEST_VECTORS
+#define WIDEST_VECTORS
+#endif
+
+/* sqdist's n x n out from the (k, n) columns x: the sums on and above the
+   diagonal, BLOCK rows at a time, then the entries below it copied. */
+WIDEST_VECTORS static void
+sqdist_rows(const double *x, Py_ssize_t k, Py_ssize_t n, double *out)
+{
+    for (Py_ssize_t r = 0; r < n; r += BLOCK) {
+        if (n - r >= BLOCK)  /* a constant count: the block's sums stay in registers */
+            sqdist_block(x, k, n, r, BLOCK, out + r * n);
+        else
+            sqdist_block(x, k, n, r, (int)(n - r), out + r * n);
+    }
+    for (Py_ssize_t r = 1; r < n; r++)
+        for (Py_ssize_t j = 0; j < r; j++)
+            out[r * n + j] = out[j * n + r];
 }
 
 /* Whether the memory of two acquired buffers overlaps. */
@@ -468,52 +497,31 @@ overlap(const Py_buffer *a, const Py_buffer *b)
 static PyObject *
 sqdist(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 3) {
+    if (nargs != 2) {
         PyErr_Format(PyExc_TypeError,
-                     "sqdist(columns, rows, out) takes 3 arguments, %zd given", nargs);
+                     "sqdist(columns, out) takes 2 arguments, %zd given", nargs);
         return NULL;
     }
-    Py_buffer columns = {0}, rows = {0}, out = {0};
-    Py_buffer *views[] = {&columns, &rows, &out};
+    Py_buffer columns = {0}, out = {0};
+    Py_buffer *views[] = {&columns, &out};
     PyObject *result = NULL;
     if (get_buffer(args[0], &columns, "columns", FLOAT64, 2, -1, 0) < 0
-        || get_buffer(args[1], &rows, "rows", INT64, 1, -1, 0) < 0
-        || get_buffer(args[2], &out, "out", FLOAT64, 2, -1, 1) < 0)
+        || get_buffer(args[1], &out, "out", FLOAT64, 2, -1, 1) < 0)
         goto done;
-    Py_ssize_t k = columns.shape[0], n = columns.shape[1], m = rows.shape[0];
-    if (out.shape[0] != m || out.shape[1] != n) {
+    Py_ssize_t k = columns.shape[0], n = columns.shape[1];
+    if (out.shape[0] != n || out.shape[1] != n) {
         PyErr_Format(PyExc_ValueError, "out has shape (%zd, %zd), expected (%zd, %zd)",
-                     out.shape[0], out.shape[1], m, n);
+                     out.shape[0], out.shape[1], n, n);
         goto done;
     }
-    if (overlap(&out, &columns) || overlap(&out, &rows)) {
-        PyErr_SetString(PyExc_ValueError, "out must not overlap columns or rows");
+    if (overlap(&out, &columns)) {
+        PyErr_SetString(PyExc_ValueError, "out must not overlap columns");
         goto done;
     }
-    const int64_t *row = rows.buf;
-    for (Py_ssize_t r = 0; r < m; r++) {
-        if (row[r] < 0 || row[r] >= n) {
-            PyErr_Format(PyExc_ValueError, "row index %lld is outside 0..%zd",
-                         (long long)row[r], n - 1);
-            goto done;
-        }
-    }
-    int all = m == n;  /* rows is 0..n-1 */
-    for (Py_ssize_t r = 0; all && r < n; r++)
-        all = row[r] == r;
-    double *d = out.buf;
-    for (Py_ssize_t r = 0; r < m; r += BLOCK) {
-        if (m - r >= BLOCK)  /* a constant count: the block's sums stay in registers */
-            sqdist_block(columns.buf, k, n, row + r, BLOCK, all ? r : 0, d + r * n);
-        else
-            sqdist_block(columns.buf, k, n, row + r, (int)(m - r), all ? r : 0, d + r * n);
-    }
-    for (Py_ssize_t r = 1; all && r < n; r++)
-        for (Py_ssize_t j = 0; j < r; j++)
-            d[r * n + j] = d[j * n + r];
+    sqdist_rows(columns.buf, k, n, out.buf);
     result = Py_NewRef(Py_None);
 done:
-    release(views, 3);
+    release(views, 2);
     return result;
 }
 
@@ -526,8 +534,8 @@ static PyMethodDef methods[] = {
      " invocations, improvements, bits_out) -> whether any gene moved; the bits go to"
      " bits_out"},
     {"sqdist", (PyCFunction)(void (*)(void))sqdist, METH_FASTCALL,
-     "sqdist(columns, rows, out): out[r][j] = sum over l of"
-     " (columns[l][rows[r]] - columns[l][j])**2, in ascending l"},
+     "sqdist(columns, out): out[i][j] = sum over l of"
+     " (columns[l][i] - columns[l][j])**2, in ascending l"},
     {NULL, NULL, 0, NULL},
 };
 

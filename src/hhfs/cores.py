@@ -1,8 +1,7 @@
 """The cores a process may use, and forked workers that share them.
 
 Where ``may_fork`` allows, ``fork_map`` maps a dataset's runs over one
-forked worker per usable core; each runs its BLAS on one thread, as the
-processes already fill the cores. A lone supervisor run starts no worker.
+forked worker per usable core. A lone supervisor run starts no worker.
 
 The workers are forked, not spawned: a forked worker imports nothing and
 is sent no dataset, and forking starts no ``resource_tracker`` process. Each
@@ -15,15 +14,11 @@ answer is met with None; one that still owes an answer is terminated.
 
 from __future__ import annotations
 
-import ctypes
 import multiprocessing
 import os
 import signal
 from collections.abc import Sequence
 from multiprocessing.connection import wait
-from pathlib import Path
-
-import numpy as np
 
 
 def usable_cores() -> int:
@@ -42,32 +37,11 @@ def may_fork() -> bool:
             and not multiprocessing.current_process().daemon)
 
 
-def loaded_openblas():
-    """Each OpenBLAS of numpy's wheel that this process has loaded (hhfs
-    calls no other BLAS); opened with RTLD_NOLOAD, so none is loaded here."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            yield ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-        except OSError:  # shipped but not loaded
-            pass
-
-
-def one_blas_thread() -> None:
-    """Run every loaded OpenBLAS on one thread."""
-    for lib in loaded_openblas():
-        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if (setter := getattr(lib, name, None)) is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-
-
 def _serve(func, items: Sequence, conn, parent_end) -> None:
     """A worker's loop: it answers each index ``i`` it is sent with
     ``func(items[i])`` or what that raised, and returns when sent None."""
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
-    one_blas_thread()
     while (i := conn.recv()) is not None:
         try:
             answer = func(items[i])

@@ -13,56 +13,13 @@ Repeating the k-fold split ``repeats`` times with seeds base_seed,
 base_seed+1, ... and averaging gives the "r x k fold CV" protocols used
 for reporting; searches typically run with repeats=1 for speed.
 
-Gram screen. Row i's neighbour is the argmin over the rows j outside its
-fold of ``p_ij``, sqdist's computed value of ``d_ij = |x_i - x_j|^2``. As
-``d_ij = s_i + e_ij`` with ``s_i = |x_i|^2`` and ``e_ij = s_j - 2 x_i.x_j``,
-and ``s_i`` is constant along row i, the screen takes the argmin of ``e``
-instead, from one matrix product over k + 1 columns:
-``[x_i, 1] . [-2 x_j, s^_j]``, where ``s^_j`` is the computed ``s_j``. Its
-columns keep their original order, same-fold entries are set to inf, and
-the row minimum ``m`` and runner-up ``m2`` are read off.
-
-Error bound. In the standard model ``fl(a op b) = (a op b)(1 + d) + h``
-with ``|d| <= u = 2^-53`` and a subnormal term ``|h| <= 2^-1075`` for
-products, ``gamma_m = m u / (1 - m u)``, ``r_i = |x_i|`` and
-``R_i = r_i + max_j r_j``:
-
-* sqdist sums k non-negative terms ``fl(fl(x_il - x_jl)^2)`` in ascending
-  l (any order would do here), each within ``(1 + d)^3`` of its exact value, so
-  ``|p_ij - d_ij| <= gamma_{k+2} d_ij + k 2^-1074 <= gamma_{k+2} R_i^2 + k 2^-1074``.
-* a dot product of length m, in any order and with or without fused
-  multiply-adds, is within ``gamma_m`` times the sum of the absolute
-  products; so ``|s^_j - s_j| <= gamma_k s_j`` and the product's entry
-  ``E_ij`` is within ``gamma_{k+1} (2 r_i r_j + s^_j)`` of
-  ``s^_j - 2 x_i.x_j`` (plus ``(k + 1) 2^-1075`` each). Together
-  ``|E_ij - e_ij| <= 2 gamma_{k+2} R_i^2 + (k + 1) 2^-1074``.
-
-Hence ``p_ij = s_i + E_ij + t_ij`` with
-``|t_ij| <= b_i = 3 gamma_{k+2} R_i^2 + (2k + 1) 2^-1074``. If
-``m2 - m > 2 b_i``, every other column j has
-``p_ij >= s_i + m2 - b_i > s_i + m + b_i >= p_ia`` at the screen's argmin
-a: the screen found sqdist's unique argmin. The screen tests
-``fl(m2 - m) > 8 (k + 2) (u R^_i^2 + 2^-1074)``, ``R^_i`` from the
-computed norms. For any k < 2^40, ``gamma_{k+2} <= 1.01 (k + 2) u``, so
-``2 b_i <= 6.1 (k + 2) u R_i^2 + (4k + 2) 2^-1074``, and the rest of the
-constant 8 covers the roundings of ``R^_i`` (relative ``gamma_k + 3u``),
-of the test's own arithmetic and of ``m2 - m``. A row that fails the test
-is ambiguous, whether from an exact tie (duplicate rows, integer levels),
-a near tie, or cancellation in ``s_j - 2 x_i.x_j`` when the columns carry
-a large common offset; the screen needs ``16 max_j s^_j`` finite and is
-skipped otherwise. Every ambiguous row is recomputed exactly, by sqdist
-over those rows alone, and takes the masked argmin there, which also keeps
-the lowest-index tie-breaking. So every row's neighbour is the exact
-distances', whatever the data whose distances are finite; an evaluator
-refuses a dataset where some could overflow, its column ranges' squares
-summing above ``_DISTANCE_MAX``.
-
-When a screen's first repeat leaves more than a quarter of the rows
-ambiguous (tie-heavy data such as ordinal cells), the evaluator stops
-screening and takes the exact path, sqdist over every row and the masked
-argmin, for this mask and the rest of its life: resolving that many rows,
-more again over further repeats, costs at least half an exact pass on top
-of the product, so the screen no longer pays.
+Every computation fills one n x n matrix with sqdist over the mask's
+columns, then per repeat sets each row's same-fold cells (its own among
+them) to inf and takes the row argmins, which is the lowest index among
+ties. An evaluator refuses a dataset whose distances could overflow, its
+column ranges' squares summing above ``_DISTANCE_MAX``: some mask's
+distances could then be inf, and a row whose distances are all inf would
+take row 0 as its neighbour, in its own fold or not.
 """
 
 from __future__ import annotations
@@ -94,9 +51,6 @@ class CvProtocol:
         return f"{self.repeats}x{self.folds}"
 
 
-_U = np.finfo(np.float64).eps / 2  # unit roundoff, 2^-53
-_ETA = np.finfo(np.float64).smallest_subnormal  # 2^-1074
-_SCREEN_MAX = np.finfo(np.float64).max / 16
 # the most the column ranges' squares may sum to: the sum bounds every
 # mask's squared distances, and below this sqdist's rounding keeps them finite
 _DISTANCE_MAX = np.finfo(np.float64).max / 2
@@ -158,9 +112,8 @@ class FitnessEvaluator:
     so a hit returns the stored accuracy with zero classification work.
     ``computations`` counts actual CV evaluations and ``hits`` counts
     cache returns. Every computation reuses one n x n work matrix for the
-    screen and the exact distances, and ``features.T`` is kept contiguous,
-    so a mask's columns are one gather. ``_screening`` turns false for
-    good once a screen leaves too many rows ambiguous.
+    distances, and ``features.T`` is kept contiguous, so a mask's columns
+    are one gather.
     """
 
     def __init__(self, dataset: Dataset, protocol: CvProtocol):
@@ -182,9 +135,7 @@ class FitnessEvaluator:
             self._same_fold.append(np.concatenate([(m[:, None] * n + m).ravel()
                                                    for m in members]))
         self._columns = np.ascontiguousarray(dataset.features.T)
-        self._rows = np.arange(n, dtype=np.int64)
         self._work = np.empty((n, n))
-        self._screening = True
         self._cache: dict[bytes, float] = {}
         self.computations = 0
         self.hits = 0
@@ -195,70 +146,23 @@ class FitnessEvaluator:
         accs = self._accuracies(idx) if idx.size else [0.0]
         return sum(accs) / len(accs)
 
-    def _screen(self, Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """The screen matrix ``E`` and each row's ambiguity threshold (see
-        the module docstring), or None where ``16 max s_j`` overflows."""
-        n, k = Xs.shape
-        sq = np.einsum("ij,ij->i", Xs, Xs)
-        if not sq.max() <= _SCREEN_MAX:
-            return None
-        E = np.matmul(np.hstack([Xs, np.ones((n, 1))]),
-                      np.hstack([-2.0 * Xs, sq[:, None]]).T, out=self._work)
-        r = np.sqrt(sq)
-        return E, 8.0 * (k + 2) * (_U * (r + r.max()) ** 2 + _ETA)
-
-    def _nearest(self, D: np.ndarray, bound: np.ndarray | None):
-        """Per repeat, each row's argmin over the columns of ``D`` outside
-        its fold, lowest index first; the last repeat leaves ``D``
-        overwritten. With a screen's ``bound``, also per repeat the rows it
-        leaves ambiguous, or None when they are more than a quarter of the
-        rows in the first repeat."""
-        n = len(D)
-        rows = np.arange(n)
-        cells = D.reshape(-1)  # a view: D is C-contiguous
-        nearest, unsure = [], []
-        last = len(self._same_fold) - 1
-        for t, same in enumerate(self._same_fold):
-            saved = cells[same] if t < last else None
-            cells[same] = np.inf
-            nn = D.argmin(axis=1)
-            nearest.append(nn)
-            if bound is not None:
-                m = D[rows, nn]
-                D[rows, nn] = np.inf
-                redo = np.flatnonzero(~(D.min(axis=1) - m > bound))
-                D[rows, nn] = m
-                if t == 0 and 4 * redo.size > n:
-                    return nearest, None
-                unsure.append(redo)
-            if saved is not None:
-                cells[same] = saved
-        return nearest, unsure
-
     def _accuracies(self, idx: np.ndarray) -> list[float]:
         """Per repeat, the 1NN accuracy over that repeat's folds, seeing
         only the (non-empty) columns ``idx``."""
-        d = self.dataset
-        screen = self._screen(d.features[:, idx]) if self._screening else None
-        unsure = None
-        if screen is not None:
-            nearest, unsure = self._nearest(*screen)
-            if unsure is None:  # tie-heavy data: the screen does not pay here
-                self._screening = False
-        if unsure is None:
-            _climb.sqdist(self._columns[idx], self._rows, self._work)
-            nearest, _ = self._nearest(self._work, None)
-        elif any(redo.size for redo in unsure):
-            ambiguous = np.unique(np.concatenate(unsure))
-            exact = self._work[:ambiguous.size]  # the screen's matrix is read
-            _climb.sqdist(self._columns[idx], ambiguous, exact)
-            for nn, fold_of, redo in zip(nearest, self._folds, unsure):
-                W = exact[np.searchsorted(ambiguous, redo)]
-                W[fold_of[redo, None] == fold_of] = np.inf
-                nn[redo] = W.argmin(axis=1)
-        labels = d.labels
-        n = d.n_instances
-        return [int(np.count_nonzero(labels[nn] == labels)) / n for nn in nearest]
+        D = self._work
+        _climb.sqdist(self._columns[idx], D)
+        cells = D.reshape(-1)  # a view: D is C-contiguous
+        labels = self.dataset.labels
+        accs = []
+        last = len(self._same_fold) - 1
+        for t, same in enumerate(self._same_fold):
+            saved = cells[same] if t < last else None  # the last repeat need not restore D
+            cells[same] = np.inf
+            nearest = D.argmin(axis=1)
+            accs.append(int(np.count_nonzero(labels[nearest] == labels)) / len(labels))
+            if saved is not None:
+                cells[same] = saved
+        return accs
 
     def fitness(self, mask: FeatureMask) -> float:
         """The memoized ``compute``: a mask seen before is a hit; any other

@@ -368,11 +368,12 @@ def render_comparison(report: dict) -> str:
     """Table of this engine's best accuracy against published reference
     numbers (percent scale), per protocol: the paper's own best where
     ``HHFS_REFERENCE`` has the dataset, then the baselines; the row
-    maximum is marked by '*'."""
+    maximum is marked by '*'. The dataset name is looked up ignoring case,
+    as ``--dataset`` matches config names."""
     name = report["dataset"]
     lines = [f"{name}: accuracy vs published baselines (percent)"]
-    refs = BASELINE_REFERENCE.get(name, [])
-    published = HHFS_REFERENCE.get(name, {})
+    refs = BASELINE_REFERENCE.get(name.lower(), [])
+    published = HHFS_REFERENCE.get(name.lower(), {})
     for label, agg in report["aggregate"].items():
         row: list[tuple[str, float]] = [(f"this engine ({label})", agg["best"] * 100.0)]
         if label in published:

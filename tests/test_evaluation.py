@@ -1,5 +1,4 @@
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -230,7 +229,7 @@ def tie_heavy_cases(draw):
     """Integer-level features with repeated rows, so many 1NN distances
     tie exactly; 2 or 6 classes; several masks over one protocol. Levels
     may be spaced by an inexact step on top of a large common offset,
-    where the Gram screen's cancellation is catastrophic, and a constant
+    where a Gram product's cancellation is catastrophic, and a constant
     column may be present, so a mask can select nothing but constants."""
     class_count = draw(st.sampled_from([2, 6]))
     n_features = draw(st.integers(1, 5))
@@ -285,11 +284,10 @@ def sqdist_data(kind: str, n: int, k: int, seed: int) -> np.ndarray:
     return X
 
 
-def sqdist(X: np.ndarray, rows) -> np.ndarray:
-    """The kernel's squared distances from ``rows`` of X to every row."""
-    rows = np.asarray(rows, dtype=np.int64)
-    out = np.full((rows.size, len(X)), np.nan)
-    assert _climb.sqdist(np.ascontiguousarray(X.T), rows, out) is None
+def sqdist(X: np.ndarray) -> np.ndarray:
+    """The kernel's squared distances between the rows of X."""
+    out = np.full((len(X), len(X)), np.nan)
+    assert _climb.sqdist(np.ascontiguousarray(X.T), out) is None
     return out
 
 
@@ -299,31 +297,35 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 class TestSqdist:
     """The kernel's exact distances are pdist's and cdist's "sqeuclidean",
-    bit for bit, for every row and for any rows."""
+    bit for bit, whichever clone the CPU runs. The n cover every residue
+    of the row block (4) and of the vector width (8)."""
 
     KINDS = ["random", "integer-levels", "duplicate-rows", "offset", "scales"]
-    SHAPES = [(1, 1), (2, 1), (9, 1), (476, 1), (7, 3), (208, 60), (366, 34), (476, 166)]
+    SHAPES = [(1, 1), (2, 1), (9, 1), (476, 1), (7, 3), (11, 4), (13, 5), (208, 60),
+              (366, 34), (476, 166)]
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n, k", SHAPES)
     def test_every_row_equals_pdist(self, kind, n, k):
         X = sqdist_data(kind, n, k, seed=n + k)
-        assert same_bits(sqdist(X, range(n)), squareform(pdist(X, "sqeuclidean")))
+        assert same_bits(sqdist(X), squareform(pdist(X, "sqeuclidean")))
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n, k", SHAPES)
     def test_any_rows_equal_cdist(self, kind, n, k):
+        # the kernel over a subset of X's rows, or all of them in another
+        # order or repeated, against cdist, which sums every entry
         X = sqdist_data(kind, n, k, seed=n * k)
         rng = np.random.default_rng(n)
         subsets = [[], [n - 1], np.sort(rng.choice(n, size=min(n, 20), replace=False)),
                    np.sort(rng.choice(n, size=(n + 1) // 2, replace=False)),
-                   rng.permutation(n), [0] * n]  # n rows in another order, repeated
+                   rng.permutation(n), [0] * n]
         for rows in subsets:
-            rows = np.asarray(rows, dtype=np.int64)
-            assert same_bits(sqdist(X, rows), cdist(X[rows], X, "sqeuclidean"))
+            Y = X[np.asarray(rows, dtype=np.int64)]
+            assert same_bits(sqdist(Y), cdist(Y, Y, "sqeuclidean"))
 
     def test_no_columns_is_zero(self):
-        assert same_bits(sqdist(np.empty((5, 0)), [0, 3]), np.zeros((2, 5)))
+        assert same_bits(sqdist(np.empty((5, 0))), np.zeros((5, 5)))
 
 
 def offset_dataset(offset: float, seed: int = 4) -> Dataset:
@@ -337,10 +339,12 @@ def offset_dataset(offset: float, seed: int = 4) -> Dataset:
 
 
 class TestGramScreen:
-    """The screen must give pdist's neighbours whatever the data; where it
-    leaves too many rows undecided it stops screening."""
+    """Data that defeats a Gram-product screen of the distances
+    (|x_i|^2 - 2 x_i.x_j + |x_j|^2): exact ties, near ties and cancellation
+    under a large common offset, besides generic data. The exact distances
+    must give the reference's neighbours on each."""
 
-    def test_generic_data_is_screened_and_exact(self, small_dataset):
+    def test_generic_data_is_exact(self, small_dataset):
         rng = np.random.default_rng(9)
         for proto in (CvProtocol(folds=10, repeats=1, base_seed=2),
                       CvProtocol(folds=10, repeats=10, base_seed=2)):
@@ -350,45 +354,15 @@ class TestGramScreen:
                 assert ev.compute(mask) == cv_accuracy_cdist_reference(
                     small_dataset, mask, proto)
                 assert cv_accuracy(small_dataset, mask, proto) == ev.compute(mask)
-            assert ev._screening
-
-    def test_few_ambiguous_rows_are_resolved_exactly(self, monkeypatch):
-        # generic rows plus three copies under other labels: rows whose
-        # nearest neighbour is a copied pair tie, and the rest do not
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(80, 4))
-        X[[40, 41, 42]] = X[[10, 20, 30]]
-        labels = rng.integers(0, 2, size=80)
-        labels[[40, 41, 42]] = 1 - labels[[10, 20, 30]]
-        d = Dataset.from_arrays("copies", X, labels)
-        resolved = []
-
-        def counting_sqdist(columns, rows, out):
-            resolved.append(len(rows))
-            return _climb.sqdist(columns, rows, out)
-
-        monkeypatch.setattr(evaluation, "_climb", SimpleNamespace(sqdist=counting_sqdist))
-        for repeats in (1, 10):
-            proto = CvProtocol(folds=10, repeats=repeats, base_seed=1)
-            ev = FitnessEvaluator(d, proto)
-            assert ev.compute(FeatureMask.ones(4)) == cv_accuracy_cdist_reference(
-                d, FeatureMask.ones(4), proto)
-            assert ev._screening
-        assert resolved and all(0 < rows <= 20 for rows in resolved)
 
     @pytest.mark.parametrize("offset", [0.0, 1e6])
-    def test_tie_heavy_data_turns_the_screen_off(self, offset):
+    def test_tie_heavy_data_is_exact(self, offset):
         d = offset_dataset(offset)
         proto = CvProtocol(folds=10, repeats=10, base_seed=3)
         ev = FitnessEvaluator(d, proto)
-        assert ev.compute(FeatureMask([1, 0, 0, 0, 0, 0, 0])) == \
-            cv_accuracy_cdist_reference(d, FeatureMask([1, 0, 0, 0, 0, 0, 0]), proto)
-        assert not ev._screening
         rng = np.random.default_rng(1)
-        for _ in range(5):  # the exact path from now on
-            mask = random_mask(7, rng)
+        for mask in [FeatureMask([1, 0, 0, 0, 0, 0, 0])] + [random_mask(7, rng) for _ in range(5)]:
             assert ev.compute(mask) == cv_accuracy_cdist_reference(d, mask, proto)
-        assert not ev._screening
 
     def test_every_row_ambiguous_with_only_constant_columns(self):
         d = offset_dataset(0.0)
@@ -399,7 +373,6 @@ class TestGramScreen:
             expected = cv_accuracy_cdist_reference(d, only_constant, proto)
             assert ev.compute(only_constant) == expected
             assert cv_accuracy(d, only_constant, proto) == expected
-            assert not ev._screening
 
     def test_large_offset_full_mask_matches_reference(self):
         # every column selected: distances from 0.01 steps on top of 7e12
@@ -411,7 +384,7 @@ class TestGramScreen:
                     d, mask, proto)
 
     def test_near_ties_under_a_large_offset(self):
-        # rows 0.1 apart around 1e6: the screen's rounding error is the
+        # rows 0.1 apart around 1e6: a Gram product's rounding error is the
         # size of the gaps between a row's nearest neighbours
         mask = FeatureMask.ones(5)
         proto = CvProtocol(folds=10, repeats=1, base_seed=0)
@@ -421,18 +394,6 @@ class TestGramScreen:
                                     rng.integers(0, 3, size=120))
             assert cv_accuracy(d, mask, proto) == cv_accuracy_cdist_reference(
                 d, mask, proto)
-
-    def test_huge_values_skip_the_screen(self):
-        # 16 max |x|^2 overflows: no screen for this mask, and no warning
-        X = np.array([[1e153, 0.0], [2e153, 1.0], [-1e153, 0.5], [3e153, 0.2]])
-        d = Dataset.from_arrays("huge", X, [0, 1, 0, 1])
-        proto = CvProtocol(folds=2, repeats=2, base_seed=0)
-        ev = FitnessEvaluator(d, proto)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert ev.compute(FeatureMask([1, 1])) == \
-                cv_accuracy_cdist_reference(d, FeatureMask([1, 1]), proto)
-        assert ev._screening
 
     def test_distances_that_overflow_refuse_the_dataset(self):
         # every off-diagonal distance would be inf, and each row's argmin
@@ -448,6 +409,46 @@ class TestGramScreen:
         normalized = min_max_normalize(d)
         assert cv_accuracy(normalized, mask, proto) == \
             cv_accuracy_cdist_reference(normalized, mask, proto)
+
+    @staticmethod
+    def edge_dataset(above: bool) -> Dataset:
+        """40 rows over 2 columns, each spanning [0, reach]: the largest
+        reach whose two squares sum to at most ``_DISTANCE_MAX``, or the
+        next double ``above`` it."""
+        reach = np.sqrt(evaluation._DISTANCE_MAX / 2)
+        while 2 * reach ** 2 > evaluation._DISTANCE_MAX:
+            reach = np.nextafter(reach, 0.0)
+        while 2 * np.nextafter(reach, np.inf) ** 2 <= evaluation._DISTANCE_MAX:
+            reach = np.nextafter(reach, np.inf)
+        if above:
+            reach = np.nextafter(reach, np.inf)
+        X = np.random.default_rng(3).uniform(size=(40, 2))
+        X[:2] = [[0.0, 1.0], [1.0, 0.0]]
+        d = Dataset.from_arrays("edge", reach * X, np.arange(40) % 2)
+        assert np.array_equal(np.ptp(d.features, axis=0), [reach, reach])
+        return d
+
+    def test_distances_just_below_the_overflow_edge_are_exact(self):
+        d = self.edge_dataset(above=False)
+        assert np.square(np.ptp(d.features, axis=0)).sum() <= evaluation._DISTANCE_MAX
+        mask = FeatureMask.ones(2)
+        for proto in (CvProtocol(folds=5), CvProtocol(folds=5, repeats=3, base_seed=1)):
+            expected = cv_accuracy_cdist_reference(d, mask, proto)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert FitnessEvaluator(d, proto).compute(mask) == expected
+                assert cv_accuracy(d, mask, proto) == expected
+                assert cv_accuracy(d, FeatureMask([1, 0]), proto) == \
+                    cv_accuracy_cdist_reference(d, FeatureMask([1, 0]), proto)
+
+    def test_distances_just_above_the_overflow_edge_refuse_the_dataset(self):
+        d = self.edge_dataset(above=True)
+        assert np.square(np.ptp(d.features, axis=0)).sum() > evaluation._DISTANCE_MAX
+        proto, mask = CvProtocol(folds=5), FeatureMask.ones(2)
+        for score in (lambda: FitnessEvaluator(d, proto), lambda: cv_accuracy(d, mask, proto),
+                      lambda: cv_accuracies(d, mask, {"1x5": proto})):
+            with pytest.raises(DatasetError, match="^edge: the feature ranges are too wide"):
+                score()
 
 
 class TestDegenerateFolds:

@@ -1,5 +1,4 @@
 import csv
-import ctypes
 import dataclasses
 import json
 import multiprocessing
@@ -358,31 +357,6 @@ run_experiment({dataclasses.replace(spec, out_dir=str(without))!r})
         assert output_bytes(without) == output_bytes(with_scipy)
 
 
-def threads_function(lib, verb: str):
-    """The ``get`` or ``set`` thread-count function of an OpenBLAS."""
-    return next(getattr(lib, name) for name in (
-        f"scipy_openblas_{verb}_num_threads64_", f"scipy_openblas_{verb}_num_threads",
-        f"openblas_{verb}_num_threads64_", f"openblas_{verb}_num_threads")
-        if hasattr(lib, name))
-
-
-def blas_threads() -> list[int]:
-    """The thread count of every OpenBLAS this process has loaded."""
-    counts = []
-    for lib in cores.loaded_openblas():
-        get = threads_function(lib, "get")
-        get.argtypes, get.restype = [], ctypes.c_int
-        counts.append(get())
-    return counts
-
-
-def set_blas_threads(counts: list[int]) -> None:
-    for lib, count in zip(cores.loaded_openblas(), counts):
-        put = threads_function(lib, "set")
-        put.argtypes, put.restype = [ctypes.c_int], None
-        put(count)
-
-
 def _dataset_in_daemon(args):
     dataset, spec = args
     cores.usable_cores = lambda: 2
@@ -449,23 +423,6 @@ class TestRunPool:
                 run_experiment(dataclasses.replace(tiny_spec, runs=4))
         finally:
             signal.signal(signal.SIGINT, handler)
-        assert multiprocessing.active_children() == []
-
-    @needs_fork
-    def test_pool_initializer_runs_blas_on_one_thread(self, monkeypatch):
-        before = blas_threads()
-        if not before:
-            pytest.skip("no OpenBLAS loaded")
-        set_blas_threads([2] * len(before))  # so that the workers' one differs
-        on_cores(monkeypatch, 2)
-        try:
-            inside = list(cores.fork_map(lambda _: blas_threads(), [0, 1]))[0]
-            with multiprocessing.get_context("fork").Pool(1) as pool:
-                inherited = pool.apply_async(blas_threads).get(timeout=60)
-        finally:
-            set_blas_threads(before)
-        assert inside == [1] * len(before)
-        assert inherited == [2] * len(before)
         assert multiprocessing.active_children() == []
 
     @needs_fork
@@ -542,6 +499,17 @@ class TestRenderComparison:
         # 5x10: the paper's 92.12 beats the engine's 90.00 and DF-TS3's 90.63
         assert "92.12" in published[1] and published[1].endswith("*")
         assert sum(ln.endswith("*") for ln in lines) == 2
+
+    def test_dataset_name_matches_ignoring_case(self):
+        # a report from [datasets.Sonar] reads the rows published for sonar
+        report = self.make_report(0.9300, 0.9000)
+        report["dataset"] = "sonar"
+        lower = render_comparison(report).splitlines()
+        report["dataset"] = "Sonar"
+        upper = render_comparison(report).splitlines()
+        assert upper[0].startswith("Sonar: ")
+        assert upper[1:] == lower[1:]
+        assert sum("published" in ln or "+1NN" in ln for ln in upper[1:]) == 4
 
     def test_fraction_rendered_as_percent(self):
         text = render_comparison(self.make_report(0.9433, 0.9419))

@@ -1170,22 +1170,21 @@ class TestScanAndOutputArguments:
 
 
 class TestSqdistArguments:
-    """``_climb.sqdist(columns, rows, out)``: every buffer and every row
-    index is checked before out is written, so a bad argument is a
-    ValueError or a TypeError that leaves out as it was."""
+    """``_climb.sqdist(columns, out)``: every buffer is checked before out
+    is written, so a bad argument is a ValueError or a TypeError that
+    leaves out as it was."""
 
     K, N = 3, 7
 
     @pytest.fixture
     def args(self):
         columns = np.random.default_rng(5).normal(size=(self.K, self.N))
-        return dict(columns=columns, rows=np.array([1, 4], dtype=np.int64),
-                    out=np.full((2, self.N), -1.0))
+        return dict(columns=columns, out=np.full((self.N, self.N), -1.0))
 
     @staticmethod
     def sqdist(args, **replace):
         a = {**args, **replace}
-        return _climb.sqdist(a["columns"], a["rows"], a["out"])
+        return _climb.sqdist(a["columns"], a["out"])
 
     def rejects(self, args, error, match, **replace):
         out = replace.get("out", args["out"])
@@ -1198,59 +1197,43 @@ class TestSqdistArguments:
         assert self.sqdist(args) is None
         x = args["columns"]
         expected = [[sum((x[l, i] - x[l, j]) ** 2 for l in range(self.K))
-                     for j in range(self.N)] for i in (1, 4)]
+                     for j in range(self.N)] for i in range(self.N)]
         assert args["out"].tolist() == expected
 
     def test_wrong_item_types(self, args):
         self.rejects(args, ValueError, "columns must hold float64",
                      columns=args["columns"].astype(np.float32))
-        self.rejects(args, ValueError, "rows must hold int64", rows=args["rows"].astype(np.int32))
-        self.rejects(args, ValueError, "rows must hold int64",
-                     rows=args["rows"].astype(np.float64))
         self.rejects(args, ValueError, "out must hold float64",
-                     out=np.zeros((2, self.N), dtype=np.float32))
+                     out=np.zeros((self.N, self.N), dtype=np.float32))
 
     def test_wrong_dimensions_and_shapes(self, args):
         self.rejects(args, ValueError, "columns must have 2 dimension", columns=np.zeros(self.N))
-        self.rejects(args, ValueError, "rows must have 1 dimension", rows=args["rows"][None])
-        self.rejects(args, ValueError, "out must have 2 dimension", out=np.zeros(2 * self.N))
-        for shape in ((3, self.N), (1, self.N), (2, self.N - 1), (2, self.N + 1)):
+        self.rejects(args, ValueError, "out must have 2 dimension", out=np.zeros(self.N ** 2))
+        for shape in ((self.N + 1, self.N), (1, self.N), (self.N, self.N - 1),
+                      (self.N, self.N + 1)):
             self.rejects(args, ValueError, rf"^out has shape \({shape[0]}, {shape[1]}\), "
-                         rf"expected \(2, {self.N}\)$", out=np.zeros(shape))
+                         rf"expected \({self.N}, {self.N}\)$", out=np.zeros(shape))
 
     def test_non_contiguous_and_read_only(self, args):
         self.rejects(args, ValueError, "columns must be C-contiguous",
                      columns=np.asfortranarray(args["columns"]))
-        self.rejects(args, ValueError, "rows must be C-contiguous",
-                     rows=np.repeat(args["rows"], 2)[::2])
         self.rejects(args, ValueError, "out must be C-contiguous",
-                     out=np.zeros((2, 2 * self.N))[:, ::2])
-        read_only = np.zeros((2, self.N))
+                     out=np.zeros((self.N, 2 * self.N))[:, ::2])
+        read_only = np.zeros((self.N, self.N))
         read_only.flags.writeable = False
         self.rejects(args, ValueError, "read-only", out=read_only)
 
-    @pytest.mark.parametrize("bad", [-1, N, N + 100, -(2 ** 62), 2 ** 62])
-    def test_row_out_of_range(self, args, bad):
-        for rows in ([bad], [0, bad], [bad, 6]):
-            self.rejects(args, ValueError, f"^row index {bad} is outside 0..{self.N - 1}$",
-                         rows=np.array(rows, dtype=np.int64),
-                         out=np.full((len(rows), self.N), -1.0))
-
     def test_out_overlapping_an_input(self, args):
-        # out is the columns themselves, or shares its first cells with rows
-        self.rejects(args, ValueError, "^out must not overlap columns or rows$",
-                     rows=np.array([0, 1, 2], dtype=np.int64), out=args["columns"])
-        shared = np.zeros((2, self.N))
-        self.rejects(args, ValueError, "^out must not overlap columns or rows$",
-                     rows=shared.reshape(-1)[:2].view(np.int64), out=shared)
+        # out shares its memory with the columns
+        shared = np.zeros((self.N, self.N))
+        self.rejects(args, ValueError, "^out must not overlap columns$",
+                     columns=shared[:self.K], out=shared)
 
     def test_argument_count_and_non_buffers(self, args):
-        with pytest.raises(TypeError, match="^sqdist\\(columns, rows, out\\) takes 3 "
-                                            "arguments, 2 given$"):
-            _climb.sqdist(args["columns"], args["rows"])
-        self.rejects(args, TypeError, "bytes-like object is required", rows=[1, 4])
-
-
+        with pytest.raises(TypeError, match="^sqdist\\(columns, out\\) takes 2 "
+                                            "arguments, 3 given$"):
+            _climb.sqdist(args["columns"], args["out"], args["out"])
+        self.rejects(args, TypeError, "bytes-like object is required", columns=[[1.0, 4.0]])
 def build_leftovers(package):
     """What ``_load_climb`` writes into the package's ``__pycache__``:
     builds and temporary directories, not other modules' bytecode."""
