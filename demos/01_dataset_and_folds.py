@@ -8,8 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hhfs.dataset import (fold_class_counts, load_csv, min_max_normalize,
-                          stratified_folds)
+from hhfs.dataset import load_csv, min_max_normalize, stratified_folds
 
 # Write a small UCI-style CSV: numeric feature columns, string labels in
 # the last column, one '?' cell that the loader will mean-impute.
@@ -44,10 +43,12 @@ print("  max:", normalized.features.max(axis=0))
 # Stratified fold assignment: members of each class are shuffled with the
 # seed and dealt round-robin, so per-class counts differ by at most one
 # between folds, and the same seed always gives the same folds.
-fa = stratified_folds(normalized, k=4, seed=42)
-print("\nfold of each instance:", fa.fold_of.tolist())
+fold_of = stratified_folds(normalized, k=4, seed=42)
+print("\nfold of each instance:", fold_of.tolist())
 print("per-fold class counts (rows = folds):")
-print(fold_class_counts(normalized, fa))
+for fold in range(4):
+    print(f"  fold {fold}:", np.bincount(normalized.labels[fold_of == fold],
+                                       minlength=normalized.class_count).tolist())
 
 again = stratified_folds(normalized, k=4, seed=42)
-print("same seed, same folds:", np.array_equal(fa.fold_of, again.fold_of))
+print("same seed, same folds:", np.array_equal(fold_of, again))

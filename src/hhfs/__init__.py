@@ -8,8 +8,8 @@ harness reproduces multi-run UCI benchmarks with seeded determinism.
 """
 
 from .correlation import CorrelationCache, build_cache, cfs_merit
-from .dataset import (Dataset, DatasetError, FoldAssignment, load_csv,
-                      min_max_normalize, stratified_folds)
+from .dataset import (Dataset, DatasetError, load_csv, min_max_normalize,
+                      stratified_folds)
 from .evaluation import CvProtocol, FitnessEvaluator, cv_accuracy
 from .experiment import (DatasetConfig, ExperimentSpec, full_feature_baseline,
                          load_config, render_comparison, run_experiment,
@@ -32,7 +32,6 @@ __all__ = [
     "ExperimentSpec",
     "FeatureMask",
     "FitnessEvaluator",
-    "FoldAssignment",
     "LlhContext",
     "LlhInfo",
     "SupervisorConfig",

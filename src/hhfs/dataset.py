@@ -3,7 +3,7 @@
 Datasets arrive as numeric CSV files (UCI style) with one label column.
 Loading densifies labels to 0..class_count-1 in order of first appearance
 and mean-imputes missing feature cells, so everything downstream sees a
-clean float matrix. Datasets and fold assignments are immutable after
+clean float matrix. Datasets and fold arrays are read-only after
 construction and safe to share across concurrent evaluators.
 """
 
@@ -31,12 +31,18 @@ class Dataset:
     name: str
     features: np.ndarray
     labels: np.ndarray
-    n_features: int
-    class_count: int
 
     @property
     def n_instances(self) -> int:
         return self.features.shape[0]
+
+    @property
+    def n_features(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def class_count(self) -> int:
+        return int(self.labels.max()) + 1
 
     @classmethod
     def from_arrays(cls, name: str, features, labels) -> "Dataset":
@@ -59,21 +65,7 @@ class Dataset:
             raise DatasetError(f"need at least 2 classes, found {len(seen)}")
         X.setflags(write=False)
         dense.setflags(write=False)
-        return cls(name=name, features=X, labels=dense,
-                   n_features=X.shape[1], class_count=len(seen))
-
-
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Stratified partition of instances into k folds.
-
-    ``fold_of[i]`` is the fold of instance i. Per class, fold counts
-    differ by at most one.
-    """
-
-    fold_of: np.ndarray
-    k: int
-    seed: int
+        return cls(name=name, features=X, labels=dense)
 
 
 def load_csv(path, label_column: int | str = -1, has_header: bool = False,
@@ -180,20 +172,25 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = False,
 def min_max_normalize(d: Dataset) -> Dataset:
     """Rescale every feature column linearly to [0, 1].
 
-    Constant columns become all-zeros. Labels and shapes are unchanged.
+    Constant columns become all-zeros. Labels and shapes are unchanged. A
+    column whose range (max - min) overflows float64 is refused.
     """
     X = d.features
     lo = X.min(axis=0)
-    hi = X.max(axis=0)
-    span = hi - lo
-    safe = np.where(span == 0, 1.0, span)
-    scaled = (X - lo) / safe
+    with np.errstate(over="ignore"):  # the overflow this refuses
+        span = X.max(axis=0) - lo
+    wide = np.flatnonzero(~np.isfinite(span))
+    if wide.size:
+        raise DatasetError(f"{d.name}: feature column {wide[0]} has a range too wide "
+                           "for float64 to hold")
+    scaled = (X - lo) / np.where(span == 0, 1.0, span)  # X - lo <= span: finite
     scaled[:, span == 0] = 0.0
     return Dataset.from_arrays(d.name, scaled, d.labels)
 
 
-def stratified_folds(d: Dataset, k: int, seed: int) -> FoldAssignment:
-    """Assign instances to k folds, stratified by class, deterministically.
+def stratified_folds(d: Dataset, k: int, seed: int) -> np.ndarray:
+    """Assign instances to k folds, stratified by class, deterministically:
+    the read-only int64 array whose entry i is instance i's fold.
 
     Members of each class are shuffled with the seeded RNG and dealt
     round-robin over the folds, so per-class fold counts differ by at
@@ -210,12 +207,4 @@ def stratified_folds(d: Dataset, k: int, seed: int) -> FoldAssignment:
         members = rng.permutation(members)
         fold_of[members] = np.arange(members.size) % k
     fold_of.setflags(write=False)
-    return FoldAssignment(fold_of=fold_of, k=k, seed=seed)
-
-
-def fold_class_counts(d: Dataset, fa: FoldAssignment) -> np.ndarray:
-    """(k, class_count) matrix of per-fold class counts, for diagnostics."""
-    counts = np.zeros((fa.k, d.class_count), dtype=np.int64)
-    for fold, label in zip(fa.fold_of, d.labels):
-        counts[fold, label] += 1
-    return counts
+    return fold_of

@@ -56,21 +56,6 @@ class CvProtocol:
 _DISTANCE_MAX = np.finfo(np.float64).max / 2
 
 
-def _protocol_folds(d: Dataset, proto: CvProtocol) -> list[np.ndarray]:
-    """Per repeat, each instance's fold (``FoldAssignment.fold_of``);
-    repeat r uses fold seed ``base_seed + r``. Rejects a split that leaves
-    some instance no training row."""
-    folds = []
-    for r in range(proto.repeats):
-        fold_of = stratified_folds(d, proto.folds, proto.base_seed + r).fold_of
-        if (fold_of == fold_of[0]).all():
-            raise DatasetError(
-                f"{d.name}: {proto.label()} CV puts all {d.n_instances} instances "
-                f"in one fold (every class has one member), leaving no training rows")
-        folds.append(fold_of)
-    return folds
-
-
 def _selected_columns(d: Dataset, mask: FeatureMask) -> np.ndarray:
     if mask.n != d.n_features:
         raise ValueError(
@@ -124,12 +109,17 @@ class FitnessEvaluator:
         if not reach <= _DISTANCE_MAX:  # inf distances, and every argmin would be row 0
             raise DatasetError(f"{dataset.name}: the feature ranges are too wide for finite "
                                "1NN distances; normalize the features first")
-        self._folds = _protocol_folds(dataset, protocol)
-        # per repeat, the flat index into an n x n matrix of every same-fold
-        # cell, which the argmin must not see (argsort's intp, numpy's index type)
+        # per repeat r (fold seed base_seed + r), the flat index into an n x n
+        # matrix of every same-fold cell, which the argmin must not see
+        # (argsort's intp, numpy's index type)
         n = dataset.n_instances
         self._same_fold = []
-        for fold_of in self._folds:
+        for r in range(protocol.repeats):
+            fold_of = stratified_folds(dataset, protocol.folds, protocol.base_seed + r)
+            if (fold_of == fold_of[0]).all():  # no instance would have a training row
+                raise DatasetError(
+                    f"{dataset.name}: {protocol.label()} CV puts all {n} instances in "
+                    "one fold (every class has one member), leaving no training rows")
             sizes = np.bincount(fold_of, minlength=protocol.folds)
             members = np.split(np.argsort(fold_of, kind="stable"), np.cumsum(sizes)[:-1])
             self._same_fold.append(np.concatenate([(m[:, None] * n + m).ravel()

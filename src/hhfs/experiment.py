@@ -204,14 +204,17 @@ def aggregate_runs(runs: list[dict], labels: list[str]) -> dict:
 
 def verify_report(report: dict) -> None:
     """Shape and self-consistency check: a report is an object naming its
-    dataset, with a non-empty list of run records and a non-empty aggregate
-    object that recomputing from the runs matches exactly. Raises
-    ValueError (``not a report: ...`` for a wrong shape) otherwise."""
+    dataset by a string, with a non-empty list of run records and a
+    non-empty aggregate object that recomputing from the runs matches
+    exactly. Raises ValueError (``not a report: ...`` for a wrong shape)
+    otherwise."""
     if not isinstance(report, dict):
         raise ValueError("not a report: expected a JSON object")
     missing = [key for key in ("dataset", "runs", "aggregate") if key not in report]
     if missing:
         raise ValueError(f"not a report: no {', '.join(missing)}")
+    if not isinstance(report["dataset"], str):
+        raise ValueError("not a report: dataset is not a string")
     if not (isinstance(report["runs"], list) and report["runs"]):
         raise ValueError("not a report: runs is not a non-empty list")
     if not isinstance(report["aggregate"], dict):
@@ -439,7 +442,7 @@ def load_config(path) -> ExperimentSpec:
         if section.startswith("datasets."):
             entry = values(section, dataset_fields)
             if "path" not in entry:
-                raise ValueError(f"[{section}] is missing the 'path' key")
+                raise ValueError(f"{path}: [{section}] is missing the 'path' key")
             datasets.append(DatasetConfig(name=section.split(".", 1)[1], **entry))
         elif knobs:
             knob_values |= values(section, knobs)

@@ -51,6 +51,15 @@ def synthetic_dataset(n_instances=60, n_features=12, n_informative=4,
     return min_max_normalize(Dataset.from_arrays(name, X, labels))
 
 
+def fold_class_counts(d: Dataset, fold_of: np.ndarray, k: int) -> np.ndarray:
+    """(k, class_count) matrix of per-fold class counts, counted one
+    instance at a time."""
+    counts = np.zeros((k, d.class_count), dtype=np.int64)
+    for fold, label in zip(fold_of, d.labels):
+        counts[fold, label] += 1
+    return counts
+
+
 def random_cache(n_features: int, seed: int = 0) -> CorrelationCache:
     """Random but structurally valid correlation cache."""
     rng = np.random.default_rng(seed)
@@ -274,11 +283,11 @@ def cv_accuracy_bruteforce(dataset: Dataset, mask: FeatureMask, folds: int,
 
     accs = []
     for r in range(repeats):
-        fa = stratified_folds(dataset, folds, base_seed + r)
+        fold_of = stratified_folds(dataset, folds, base_seed + r)
         correct = 0
         for fold in range(folds):
-            test = np.flatnonzero(fa.fold_of == fold)
-            train = np.flatnonzero(fa.fold_of != fold)
+            test = np.flatnonzero(fold_of == fold)
+            train = np.flatnonzero(fold_of != fold)
             for t in test:
                 label = predict_1nn(dataset.features[train],
                                     dataset.labels[train],
@@ -303,13 +312,13 @@ def cv_accuracy_cdist_reference(d: Dataset, mask: FeatureMask, proto) -> float:
     dists = cdist(Xs, Xs, "sqeuclidean")
     accs = []
     for r in range(proto.repeats):
-        fa = stratified_folds(d, proto.folds, proto.base_seed + r)
+        fold_of = stratified_folds(d, proto.folds, proto.base_seed + r)
         correct = 0
         for fold in range(proto.folds):
-            test = np.flatnonzero(fa.fold_of == fold)
+            test = np.flatnonzero(fold_of == fold)
             if test.size == 0:
                 continue
-            train = np.flatnonzero(fa.fold_of != fold)
+            train = np.flatnonzero(fold_of != fold)
             nn = np.argmin(dists[np.ix_(test, train)], axis=1)
             correct += int(np.sum(d.labels[train[nn]] == d.labels[test]))
         accs.append(correct / d.n_instances)

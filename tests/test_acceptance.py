@@ -20,12 +20,11 @@ import numpy as np
 import pytest
 
 from conftest import (HILL_CLIMBER_IDS, best_flip_oracle,
-                      class_correlation_twopass, flip, merit_from_data,
-                      pearson_twopass, predict_1nn, random_mask,
-                      synthetic_dataset)
+                      class_correlation_twopass, flip, fold_class_counts,
+                      merit_from_data, pearson_twopass, predict_1nn,
+                      random_mask, synthetic_dataset)
 from hhfs.correlation import build_cache, cfs_merit
-from hhfs.dataset import (Dataset, fold_class_counts, load_csv,
-                          stratified_folds)
+from hhfs.dataset import Dataset, load_csv, stratified_folds
 from hhfs.evaluation import CvProtocol, cv_accuracy
 from hhfs.experiment import (DatasetConfig, ExperimentSpec, run_dataset,
                              run_experiment, verify_report)
@@ -272,7 +271,7 @@ class TestPropertyCriteria:
             d = Dataset.from_arrays("t", np.arange(len(labels), dtype=float)[:, None],
                                     labels)
             k = int(rng.integers(2, 10))
-            counts = fold_class_counts(d, stratified_folds(d, k, int(rng.integers(1e6))))
+            counts = fold_class_counts(d, stratified_folds(d, k, int(rng.integers(1e6))), k)
             if (counts.max(axis=0) - counts.min(axis=0)).max() > 1:
                 stratification_ok = False
 

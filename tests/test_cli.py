@@ -308,9 +308,11 @@ DIRECTORY = object()
      "{path}: not a report: runs is not a non-empty list"),
     ('{"dataset": "sonar", "runs": [{"run": 0, "m": 3, "accuracy": {}}], "aggregate": {}}',
      "{path}: not a report: aggregate is empty"),
+    (json.dumps({**_sonar_report(0.9), "dataset": 5}),
+     "{path}: not a report: dataset is not a string"),
 ], ids=["missing", "directory", "truncated", "inconsistent", "not-an-object", "no-aggregate",
         "run-shape", "aggregate-not-object", "runs-not-list", "no-runs",
-        "empty-aggregate"])
+        "empty-aggregate", "dataset-not-string"])
 def test_compare_bad_report_exits_2_with_one_line(tmp_path, capsys, content, message):
     good, path = tmp_path / "good.json", tmp_path / "report.json"
     good.write_text(json.dumps(_sonar_report(0.9)))
@@ -325,6 +327,19 @@ def test_compare_bad_report_exits_2_with_one_line(tmp_path, capsys, content, mes
     assert out == ""  # nothing is rendered before every report has loaded
     assert err.startswith("hhfs: error: ") and err.count("\n") == 1
     assert message.format(path=path) in err
+
+
+def test_run_records_a_column_whose_range_overflows(project, capsys):
+    # every cell is finite, but column 1's max - min is not (warnings are errors)
+    tmp_path, cfg = project
+    rows = [f"{i % 7}.5,{(-1e308, 1e308, 0.0)[i % 3]!r},{'ab'[i % 2]}" for i in range(40)]
+    (tmp_path / "wide.csv").write_text("\n".join(rows) + "\n")
+    cfg.write_text(cfg.read_text() + f"\n[datasets.wide]\npath = {tmp_path / 'wide.csv'}\n")
+    assert main(["run", "--config", str(cfg), "--dataset", "wide"]) == 1
+    out = capsys.readouterr().out
+    assert ("\nwide           FAILED: wide: feature column 1 has a range too wide "
+            "for float64 to hold\n") in out
+    assert not (tmp_path / "out" / "wide").exists()
 
 
 def test_run_partial_failure_returns_nonzero(project, tmp_path):

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import synthetic_dataset
-from hhfs.dataset import (Dataset, DatasetError, fold_class_counts, load_csv,
-                          min_max_normalize, stratified_folds)
+from conftest import fold_class_counts, synthetic_dataset
+from hhfs.dataset import (Dataset, DatasetError, load_csv, min_max_normalize,
+                          stratified_folds)
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -168,41 +170,59 @@ class TestNormalize:
         assert out.features.min() >= 0.0
         assert out.features.max() <= 1.0
 
+    def test_range_overflowing_float64_is_refused(self):
+        # every cell is finite, but 1e308 - (-1e308) is not; warnings are errors
+        X = np.array([[0.0, -1e308], [1.0, 1e308], [2.0, 0.0], [3.0, 5.0]])
+        d = Dataset.from_arrays("wide", X, [0, 1, 0, 1])
+        with pytest.raises(DatasetError,
+                           match="^wide: feature column 1 has a range too wide for float64"):
+            min_max_normalize(d)
+
+    def test_widest_finite_range_scales_to_unit_interval(self):
+        top = np.finfo(np.float64).max
+        d = Dataset.from_arrays("t", [[-top / 2], [0.0], [top / 2]], [0, 1, 0])
+        assert min_max_normalize(d).features[:, 0].tolist() == [0.0, 0.5, 1.0]
+
 
 class TestStratifiedFolds:
+    def test_returns_a_read_only_int64_fold_array(self):
+        d = synthetic_dataset(n_instances=30, n_features=4, seed=8)
+        fold_of = stratified_folds(d, 4, seed=1)
+        assert type(fold_of) is np.ndarray
+        assert fold_of.dtype == np.int64 and fold_of.shape == (30,)
+        assert not fold_of.flags.writeable
+        assert sorted(set(fold_of.tolist())) == [0, 1, 2, 3]
+
     def test_perfect_stratification(self):
         d = Dataset.from_arrays("t", np.arange(10.0)[:, None],
                                 [0, 1] * 5)
-        fa = stratified_folds(d, 5, seed=1)
-        counts = fold_class_counts(d, fa)
+        counts = fold_class_counts(d, stratified_folds(d, 5, seed=1), 5)
         assert (counts == 1).all()
 
     def test_deterministic(self):
         d = synthetic_dataset(n_instances=50, n_features=4, seed=8)
         a = stratified_folds(d, 7, seed=42)
         b = stratified_folds(d, 7, seed=42)
-        assert a.fold_of.tolist() == b.fold_of.tolist()
+        assert a.tolist() == b.tolist()
 
     def test_seed_changes_assignment(self):
         d = synthetic_dataset(n_instances=50, n_features=4, seed=8)
         a = stratified_folds(d, 5, seed=1)
         b = stratified_folds(d, 5, seed=2)
-        assert a.fold_of.tolist() != b.fold_of.tolist()
+        assert a.tolist() != b.tolist()
 
     def test_ionosphere_shaped_split(self):
         # 225/126 class split over 10 folds -> per-fold counts 22/23 and 12/13
         labels = [0] * 225 + [1] * 126
         d = Dataset.from_arrays("t", np.arange(351.0)[:, None], labels)
-        fa = stratified_folds(d, 10, seed=0)
-        counts = fold_class_counts(d, fa)
+        counts = fold_class_counts(d, stratified_folds(d, 10, seed=0), 10)
         assert set(counts[:, 0].tolist()) <= {22, 23}
         assert set(counts[:, 1].tolist()) <= {12, 13}
 
     def test_small_class_spread_round_robin(self):
         labels = [0] * 12 + [1] * 3
         d = Dataset.from_arrays("t", np.arange(15.0)[:, None], labels)
-        fa = stratified_folds(d, 5, seed=3)
-        counts = fold_class_counts(d, fa)
+        counts = fold_class_counts(d, stratified_folds(d, 5, seed=3), 5)
         # the 3-member class covers exactly 3 folds, one member each
         assert sorted(counts[:, 1].tolist()) == [0, 0, 1, 1, 1]
 
@@ -222,14 +242,21 @@ class TestStratifiedFolds:
                                  rng.integers(0, class_count, size=n)])
         d = Dataset.from_arrays("t", np.arange(len(labels), dtype=float)[:, None],
                                 labels)
-        fa = stratified_folds(d, k, seed=seed)
-        assert fa.fold_of.min() >= 0 and fa.fold_of.max() < k
-        counts = fold_class_counts(d, fa)
+        fold_of = stratified_folds(d, k, seed=seed)
+        assert fold_of.min() >= 0 and fold_of.max() < k
+        counts = fold_class_counts(d, fold_of, k)
         # stratified: per-class fold counts differ by at most 1
         assert (counts.max(axis=0) - counts.min(axis=0)).max() <= 1
         # fold sizes differ by at most class_count overall
         sizes = counts.sum(axis=1)
         assert sizes.max() - sizes.min() <= d.class_count
+
+
+def test_dataset_fields_are_the_arrays_and_counts_derive_from_them():
+    d = Dataset.from_arrays("t", np.zeros((5, 3)), ["b", "a", "c", "a", "b"])
+    assert [f.name for f in dataclasses.fields(Dataset)] == ["name", "features", "labels"]
+    assert (d.n_instances, d.n_features, d.class_count) == (5, 3, 3)
+    assert type(d.n_features) is int and type(d.class_count) is int
 
 
 def test_from_arrays_validations():

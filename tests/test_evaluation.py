@@ -10,7 +10,7 @@ from conftest import (cv_accuracy_bruteforce, cv_accuracy_cdist_reference,
                       predict_1nn, random_mask)
 from hhfs import evaluation
 from hhfs.correlation import _climb
-from hhfs.dataset import Dataset, DatasetError, min_max_normalize
+from hhfs.dataset import Dataset, DatasetError, min_max_normalize, stratified_folds
 from hhfs.evaluation import CvProtocol, FitnessEvaluator, cv_accuracy, cv_accuracies
 from hhfs.mask import FeatureMask
 
@@ -458,7 +458,8 @@ class TestDegenerateFolds:
                                           [1.3], [0.3]], [0, 0, 0, 1, 1, 1, 1])
         proto = CvProtocol(folds=6, repeats=3, base_seed=2)
         ev = FitnessEvaluator(d, proto)
-        assert all(np.bincount(f, minlength=6)[4:].sum() == 0 for f in ev._folds)
+        assert all(np.bincount(stratified_folds(d, 6, 2 + r), minlength=6)[4:].sum() == 0
+                   for r in range(3))
         expected = cv_accuracy_cdist_reference(d, FeatureMask([1]), proto)
         assert ev.fitness(FeatureMask([1])) == expected
         assert expected == cv_accuracy_bruteforce(d, FeatureMask([1]), 6, 3, 2)

@@ -179,10 +179,12 @@ label_column = -1
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "nope.ini")
         cfg = write_config(tmp_path, "[supervisor]\ngenerations = 5\n")
-        with pytest.raises(ValueError, match="datasets"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{cfg}: no [datasets.<name>] sections found") + "$"):
             load_config(cfg)
         cfg2 = write_config(tmp_path, "[datasets.x]\nlabel_column = 3\n")
-        with pytest.raises(ValueError, match="path"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{cfg2}: [datasets.x] is missing the 'path' key") + "$"):
             load_config(cfg2)
 
 
