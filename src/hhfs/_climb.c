@@ -40,9 +40,9 @@
    ascending l. That is pdist's "sqeuclidean", bit for bit, and as
    (a - b)^2 equals (b - a)^2 exactly, the entries below the diagonal are
    copied from above it rather than summed again. The sums run over BLOCK
-   rows and LANES columns at a time, in registers, on the widest vector
-   unit the CPU has (sqdist_rows). Every buffer and out against overlapping
-   the columns are checked before out is written. */
+   rows and LANES columns at a time, in registers, on AVX-512 where the CPU
+   has it (sqdist_rows). Every buffer and out against overlapping the
+   columns are checked before out is written. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -456,14 +456,14 @@ sqdist_block(const double *x, Py_ssize_t k, Py_ssize_t n, Py_ssize_t i, int nr, 
     }
 }
 
-/* On x86-64 Linux with glibc, whose loader runs the ifunc resolver that
-   target_clones needs, sqdist_rows is built once per instruction set and
-   the resolver picks the widest the CPU has, so a cached build runs on any
-   x86-64 CPU. Every clone adds the same terms in the same order without
-   fused multiply-adds (-ffp-contract=off), so all give the same bits. */
+/* With glibc on x86-64 Linux (its loader runs target_clones' ifunc resolver)
+   sqdist_rows is built for AVX-512 and the baseline, so a cached build runs
+   on any x86-64 CPU, and both add the same terms in the same order, unfused,
+   so give the same bits. No AVX2 build: gcc 12 spills its 8-double lanes out
+   of pairs of 256-bit registers, and it ran slower than the baseline build. */
 #if defined(__x86_64__) && defined(__linux__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
-#define WIDEST_VECTORS __attribute__((target_clones("avx512f", "avx2", "default")))
+#define WIDEST_VECTORS __attribute__((target_clones("avx512f", "default")))
 #endif
 #endif
 #ifndef WIDEST_VECTORS

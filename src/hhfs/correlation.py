@@ -63,7 +63,9 @@ def _load_climb():
     source = Path(__file__).with_name("_climb.c")
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     random_lib = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
-    flags = ["-O3", "-ffp-contract=off", "-fPIC", "-shared",
+    # every function starts a 64-byte line, so the heuristics' hot loops keep
+    # their placement, and speed, when other code in the file changes size
+    flags = ["-O3", "-ffp-contract=off", "-falign-functions=64", "-fPIC", "-shared",
              "-I" + sysconfig.get_paths()["include"], "-I" + np.get_include()]
     if sys.platform == "darwin":  # Python's symbols resolve at load, as in sysconfig's LDSHARED
         flags += ["-undefined", "dynamic_lookup"]

@@ -101,7 +101,7 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = False,
 
     if isinstance(label_column, str):
         if header is None:
-            raise DatasetError("label column given by name requires has_header=True")
+            raise DatasetError(f"{path}: label column given by name requires has_header=True")
         try:
             label_idx = header.index(label_column)
         except ValueError:

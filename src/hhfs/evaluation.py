@@ -103,7 +103,6 @@ class FitnessEvaluator:
 
     def __init__(self, dataset: Dataset, protocol: CvProtocol):
         self.dataset = dataset
-        self.protocol = protocol
         with np.errstate(over="ignore"):  # the overflow this looks for
             reach = np.square(np.ptp(dataset.features, axis=0)).sum()
         if not reach <= _DISTANCE_MAX:  # inf distances, and every argmin would be row 0

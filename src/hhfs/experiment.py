@@ -73,6 +73,9 @@ class ExperimentSpec:
             raise ValueError("master_seed must be non-negative")
         if not self.report_repeats:
             raise ValueError("need at least one reporting protocol")
+        for i, r in enumerate(self.report_repeats):
+            if r in self.report_repeats[:i]:  # both would report under one label
+                raise ValueError(f"report_repeats lists {r} twice")
         # the CLI picks datasets by name ignoring case, and so may a file
         # system the report directories
         seen: dict[str, str] = {}
@@ -408,21 +411,14 @@ def load_config(path) -> ExperimentSpec:
     """Parse an INI experiment config: [experiment], [supervisor] and [cv]
     take the KNOBS keys, each [datasets.<name>] the DatasetConfig fields but
     ``name``. A missing key keeps its field's default; an unknown section
-    (``[DEFAULT]`` too) or key, a value its field cannot take, or an INI
-    syntax error raises ValueError naming the file."""
+    (``[DEFAULT]`` too) or key, a value its field or the spec rejects, or
+    an INI syntax error raises ValueError naming the file."""
     parser = configparser.ConfigParser(default_section="")  # no section is special
-    try:
-        if not parser.read(path):
-            raise FileNotFoundError(f"config file not found: {path}")
-        sections = {name: dict(parser.items(name)) for name in parser.sections()}
-    except configparser.Error as exc:
-        raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None
 
     def values(section: str, by_key: dict[str, Field]) -> dict[str, object]:
         unknown = sorted(sections[section].keys() - by_key.keys())
         if unknown:
-            raise ValueError(
-                f"{path}: unknown key(s) in [{section}]: {', '.join(unknown)}")
+            raise ValueError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
         parsed = {}
         for key, text in sections[section].items():
             f = by_key[key]
@@ -430,24 +426,30 @@ def load_config(path) -> ExperimentSpec:
             try:
                 parsed[f.name] = parse(text)
             except (KeyError, ValueError):  # KeyError: not a boolean
-                raise ValueError(f"{path}: [{section}] {key} = {text!r} "
+                raise ValueError(f"[{section}] {key} = {text!r} "
                                  f"is not a valid {f.type}") from None
         return parsed
 
     dataset_fields = {f.name: f for f in fields(DatasetConfig) if f.name != "name"}
     knob_values: dict[str, object] = {}
     datasets = []
-    for section in sections:
-        knobs = {k.key: k.field for k in KNOBS if k.section == section}
-        if section.startswith("datasets."):
-            entry = values(section, dataset_fields)
-            if "path" not in entry:
-                raise ValueError(f"{path}: [{section}] is missing the 'path' key")
-            datasets.append(DatasetConfig(name=section.split(".", 1)[1], **entry))
-        elif knobs:
-            knob_values |= values(section, knobs)
-        else:
-            raise ValueError(f"{path}: unknown section [{section}]")
-    if not datasets:
-        raise ValueError(f"{path}: no [datasets.<name>] sections found")
-    return with_knobs(ExperimentSpec(datasets=tuple(datasets)), knob_values)
+    try:
+        if not parser.read(path):
+            raise FileNotFoundError(f"config file not found: {path}")
+        sections = {name: dict(parser.items(name)) for name in parser.sections()}
+        for section in sections:
+            knobs = {k.key: k.field for k in KNOBS if k.section == section}
+            if section.startswith("datasets."):
+                entry = values(section, dataset_fields)
+                if "path" not in entry:
+                    raise ValueError(f"[{section}] is missing the 'path' key")
+                datasets.append(DatasetConfig(name=section.split(".", 1)[1], **entry))
+            elif knobs:
+                knob_values |= values(section, knobs)
+            else:
+                raise ValueError(f"unknown section [{section}]")
+        if not datasets:
+            raise ValueError("no [datasets.<name>] sections found")
+        return with_knobs(ExperimentSpec(datasets=tuple(datasets)), knob_values)
+    except (configparser.Error, ValueError) as exc:
+        raise ValueError(f"{path}: {' '.join(str(exc).split())}") from None

@@ -192,6 +192,28 @@ def test_input_errors_exit_2_with_one_line(project, capsys, argv, message):
     assert message.format(**fill) in err
 
 
+@pytest.mark.parametrize("edit, flags, message", [
+    (("runs = 2", "runs = 0"), [], "{cfg}: need at least 1 run"),
+    (("population_size = 4", "population_size = 1"), [],
+     "{cfg}: population size must be at least 2"),
+    (("folds = 3", "folds = 1"), [], "{cfg}: need at least 2 folds"),
+    (("report_repeats = 2, 1", "report_repeats = 2, 1, 2"), [],
+     "{cfg}: report_repeats lists 2 twice"),
+    (("[datasets.alpha]", "[datasets.a/b]"), [],
+     "{cfg}: dataset name 'a/b' is not one path component"),
+    (("", ""), ["--population-size", "1"], "population size must be at least 2"),
+    (("", ""), ["--report-repeats", "1,1"], "report_repeats lists 1 twice"),
+], ids=["runs", "population", "folds", "report-repeats", "name", "flag", "flag-repeats"])
+def test_spec_errors_name_the_config_only_when_it_holds_the_value(project, capsys, edit,
+                                                                 flags, message):
+    _, cfg = project
+    cfg.write_text(cfg.read_text().replace(*edit))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(cfg), *flags])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr() == ("", f"hhfs: error: {message.format(cfg=cfg)}\n")
+
+
 def test_run_unknown_dataset_exits(project, capsys):
     _, cfg = project
     with pytest.raises(SystemExit) as exit_info:
@@ -238,7 +260,7 @@ def test_dataset_name_cannot_escape_the_output_directory(project, capsys, name, 
     assert exit_info.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"hhfs: error: dataset name {name!r} is not one path component\n"
+    assert err == f"hhfs: error: {cfg}: dataset name {name!r} is not one path component\n"
     assert sorted(tmp_path.rglob("*")) == before  # nothing written, in --out or out of it
 
 
@@ -255,7 +277,8 @@ def test_dataset_names_equal_ignoring_case_are_rejected(project, capsys, command
     assert exit_info.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "hhfs: error: dataset names 'Alpha' and 'alpha' are equal ignoring case\n"
+    assert err == (f"hhfs: error: {cfg}: dataset names 'Alpha' and 'alpha' are equal "
+                   "ignoring case\n")
     assert sorted(tmp_path.rglob("*")) == before
 
 

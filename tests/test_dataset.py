@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,12 @@ class TestLoadCsv:
         d = load_csv(path, label_column="klass", has_header=True)
         assert d.n_features == 2
         assert d.labels.tolist() == [0, 1]
+
+    def test_label_by_name_without_header_error(self, tmp_path):
+        path = write_csv(tmp_path, "1,2,x\n3,4,y\n")
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: label column given "
+                                               "by name requires has_header=True$"):
+            load_csv(path, label_column="klass")
 
     def test_labels_densified_by_first_appearance(self, tmp_path):
         path = write_csv(tmp_path, "1,Z\n2,A\n3,Z\n4,M\n")

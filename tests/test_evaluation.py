@@ -1,4 +1,8 @@
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 from conftest import (cv_accuracy_bruteforce, cv_accuracy_cdist_reference,
                       predict_1nn, random_mask)
-from hhfs import evaluation
+from hhfs import correlation, evaluation
 from hhfs.correlation import _climb
 from hhfs.dataset import Dataset, DatasetError, min_max_normalize, stratified_folds
 from hhfs.evaluation import CvProtocol, FitnessEvaluator, cv_accuracy, cv_accuracies
@@ -297,8 +301,9 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 class TestSqdist:
     """The kernel's exact distances are pdist's and cdist's "sqeuclidean",
-    bit for bit, whichever clone the CPU runs. The n cover every residue
-    of the row block (4) and of the vector width (8)."""
+    bit for bit, in the build the CPU runs and in the build without
+    clones. The n cover every residue of the row block (4) and of the
+    vector width (8)."""
 
     KINDS = ["random", "integer-levels", "duplicate-rows", "offset", "scales"]
     SHAPES = [(1, 1), (2, 1), (9, 1), (476, 1), (7, 3), (11, 4), (13, 5), (208, 60),
@@ -326,6 +331,31 @@ class TestSqdist:
 
     def test_no_columns_is_zero(self):
         assert same_bits(sqdist(np.empty((5, 0))), np.zeros((5, 5)))
+
+    def test_build_without_clones_gives_the_same_bits(self, tmp_path, monkeypatch):
+        """The kernel built from a copy of its source with the target_clones
+        attribute removed, as a host without AVX-512 (or off x86-64 Linux
+        with glibc) runs it, gives pdist's bits and the dispatched build's,
+        so both builds a host can run are checked here. ``_load_climb``
+        builds the copy, with the package build's flags, into ``tmp_path``."""
+        source = Path(correlation.__file__).with_name("_climb.c").read_text()
+        stripped, count = re.subn(r"__attribute__\(\(target_clones\([^)]*\)\)\)", "", source)
+        assert count == 1
+        (tmp_path / "_climb.c").write_text(stripped)
+        monkeypatch.setattr(correlation, "__file__", str(tmp_path / "correlation.py"))
+        monkeypatch.setitem(sys.modules, "hhfs._climb", _climb)  # loading the copy replaces it
+        baseline = correlation._load_climb()
+        assert Path(baseline.__file__).parent == tmp_path / "__pycache__"
+        symbols = subprocess.run(["nm", baseline.__file__], capture_output=True, text=True,
+                                 check=True).stdout
+        assert not re.search(r"\bsqdist_rows\.", symbols)  # no clone and no resolver
+        for n, k in [(476, 83), (208, 30), (366, 17), (7, 3), (13, 5), (211, 9), (474, 1)]:
+            for kind in self.KINDS:
+                X = sqdist_data(kind, n, k, seed=n + k)
+                out = np.full((n, n), np.nan)
+                assert baseline.sqdist(np.ascontiguousarray(X.T), out) is None
+                assert same_bits(out, squareform(pdist(X, "sqeuclidean")))
+                assert same_bits(out, sqdist(X))
 
 
 def offset_dataset(offset: float, seed: int = 4) -> Dataset:

@@ -219,8 +219,9 @@ class TestSpecValidation:
         ({"search_repeats": 0}, "at least 1 repeat"),
         ({"report_repeats": (10, 0)}, "at least 1 repeat"),
         ({"master_seed": -1}, "non-negative"),
+        ({"report_repeats": (10, 5, 10)}, "^report_repeats lists 10 twice$"),
     ], ids=["runs", "no-report", "folds", "search-repeats", "report-repeat",
-            "master-seed"])
+            "master-seed", "repeated-report"])
     def test_unrunnable_spec_rejected_at_construction(self, changes, match):
         with pytest.raises(ValueError, match=match):
             ExperimentSpec(datasets=(), **changes)
