@@ -51,6 +51,18 @@ import numpy as np
 from .mask import FeatureMask
 
 
+def kernel_flags() -> list[str]:
+    """The ``cc`` flags that build ``_climb.c`` into the extension, its
+    sources and libraries aside."""
+    # every function starts a 64-byte line, so the heuristics' hot loops keep
+    # their placement, and speed, when other code in the file changes size
+    flags = ["-O3", "-ffp-contract=off", "-falign-functions=64", "-fPIC", "-shared",
+             "-I" + sysconfig.get_paths()["include"], "-I" + np.get_include()]
+    if sys.platform == "darwin":  # Python's symbols resolve at load, as in sysconfig's LDSHARED
+        flags += ["-undefined", "dynamic_lookup"]
+    return flags
+
+
 def _load_climb():
     """The compiled ``_climb`` module, built from ``_climb.c`` into
     ``__pycache__/`` unless a build of this source, these flags, this
@@ -63,12 +75,7 @@ def _load_climb():
     source = Path(__file__).with_name("_climb.c")
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     random_lib = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
-    # every function starts a 64-byte line, so the heuristics' hot loops keep
-    # their placement, and speed, when other code in the file changes size
-    flags = ["-O3", "-ffp-contract=off", "-falign-functions=64", "-fPIC", "-shared",
-             "-I" + sysconfig.get_paths()["include"], "-I" + np.get_include()]
-    if sys.platform == "darwin":  # Python's symbols resolve at load, as in sysconfig's LDSHARED
-        flags += ["-undefined", "dynamic_lookup"]
+    flags = kernel_flags()
     key = "\0".join([source.read_text(), *flags, suffix, np.__version__, str(random_lib)])
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     built = source.parent / "__pycache__" / f"_climb.{digest}{suffix}"

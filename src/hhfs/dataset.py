@@ -73,29 +73,28 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = False,
     """Load a numeric CSV into a Dataset.
 
     ``label_column`` is a column index (negative allowed) or, with a
-    header, a column name. Feature cells equal to ``missing_token`` are
-    imputed with the column mean over the non-missing cells; any other
-    non-numeric or non-finite (``nan``, ``inf``) feature cell is an error.
-    Labels are densified to 0..class_count-1 in order of first appearance.
+    header, a column name. Every row, the header included, must have the
+    first row's width. Feature cells equal to ``missing_token``, and blank
+    feature cells whatever the token, are imputed with the column mean
+    over the non-missing cells; any other non-numeric or non-finite
+    (``nan``, ``inf``) feature cell is an error. Rows are numbered from the
+    first data row. Labels are densified to 0..class_count-1 in order of
+    first appearance.
     """
     path = Path(path)
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     if not rows:
         raise DatasetError(f"{path}: empty file")
-
-    header = None
-    if has_header:
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise DatasetError(f"{path}: header but no data rows")
-
     ncols = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != ncols:
-            raise DatasetError(
-                f"{path}: row {i} has {len(row)} columns, expected {ncols}")
+            raise DatasetError(f"{path}: row {i - has_header} has {len(row)} columns, "
+                               f"expected {ncols}{' as in the header' if has_header else ''}")
+    header = [c.strip() for c in rows[0]] if has_header else None
+    rows = rows[has_header:]
+    if not rows:
+        raise DatasetError(f"{path}: header but no data rows")
     if ncols < 2:
         raise DatasetError(f"{path}: need at least one feature and a label column")
 
@@ -146,7 +145,8 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = False,
                 raise DatasetError(f"{path}: non-numeric cell {cell!r} at row {i}, "
                                    f"column {feature_cols[jj]}") from None
 
-    # only missing_token marks a missing cell: one reading nan or inf is an error
+    # only missing_token and a blank mark a missing cell: one reading nan or
+    # inf is an error
     bad = np.argwhere(~(missing | np.isfinite(X)))
     if bad.size:
         i, j = bad[0][0], feature_cols[bad[0][1]]

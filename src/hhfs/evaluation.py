@@ -129,12 +129,6 @@ class FitnessEvaluator:
         self.computations = 0
         self.hits = 0
 
-    def compute(self, mask: FeatureMask) -> float:
-        """One CV evaluation of ``mask``, bypassing the memo."""
-        idx = _selected_columns(self.dataset, mask)
-        accs = self._accuracies(idx) if idx.size else [0.0]
-        return sum(accs) / len(accs)
-
     def _accuracies(self, idx: np.ndarray) -> list[float]:
         """Per repeat, the 1NN accuracy over that repeat's folds, seeing
         only the (non-empty) columns ``idx``."""
@@ -154,14 +148,17 @@ class FitnessEvaluator:
         return accs
 
     def fitness(self, mask: FeatureMask) -> float:
-        """The memoized ``compute``: a mask seen before is a hit; any other
-        is computed, stored and counted, in that order, so a computation
-        that raises leaves the memo and the counters as they were."""
+        """The memoized CV accuracy of ``mask``: a mask seen before is a
+        hit; any other is computed, stored and counted, in that order, so a
+        computation that raises leaves the memo and the counters as they
+        were."""
         key = mask.key()
         if key in self._cache:
             self.hits += 1
             return self._cache[key]
-        value = self.compute(mask)
+        idx = _selected_columns(self.dataset, mask)
+        accs = self._accuracies(idx) if idx.size else [0.0]
+        value = sum(accs) / len(accs)
         self._cache[key] = value
         self.computations += 1
         return value

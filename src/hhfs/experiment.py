@@ -176,11 +176,7 @@ def _run_record(run_index: int, result: SupervisorResult) -> dict:
         "fitness_computations": result.fitness_computations,
         "fitness_cache_hits": result.fitness_cache_hits,
         "llh": result.llh_stats.as_dict(),
-        "history": [
-            [rec.generation, rec.best_chromosome_fitness,
-             rec.incumbent_fitness, rec.incumbent_m]
-            for rec in result.history
-        ],
+        "history": [list(rec) for rec in result.history],
     }
 
 

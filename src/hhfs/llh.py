@@ -46,6 +46,7 @@ from .correlation import CorrelationCache, _climb, check_fits
 from .mask import FeatureMask
 
 NUM_LLH = 16
+MUTN_RATE = 0.1  # the default per-bit flip rate of MUTN
 
 # bit domains: the positions a hill-climber may flip
 ALL = "all"
@@ -62,7 +63,7 @@ class LlhContext:
 
     cache: CorrelationCache
     rng: np.random.Generator
-    mutn_rate: float = 0.1
+    mutn_rate: float = MUTN_RATE
 
     def __post_init__(self):
         if not isinstance(self.rng, np.random.Generator):

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import llh
 from .correlation import CorrelationCache, build_cache
-from .dataset import Dataset
+from .dataset import Dataset, stratified_folds
 from .evaluation import CvProtocol, FitnessEvaluator, cv_accuracies
 from .llh import NUM_LLH
 from .mask import FeatureMask
@@ -51,7 +52,7 @@ class SupervisorConfig:
     p_mutation: float = 0.1
     nllh: int = NUM_LLH
     elitism: int = 1
-    mutn_rate: float = 0.1
+    mutn_rate: float = llh.MUTN_RATE
     seed: int = 0
 
     def __post_init__(self):
@@ -72,8 +73,7 @@ class SupervisorConfig:
             raise ValueError("seed must be non-negative")
 
 
-@dataclass
-class GenerationRecord:
+class GenerationRecord(NamedTuple):
     """One history row: the generation index, the best chromosome fitness
     seen in it, and the incumbent's fitness and subset size after it."""
 
@@ -197,7 +197,8 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     next population. After the last generation the incumbent
     is re-evaluated under each reporting protocol. Datasets with fewer
     than 2 features are rejected: SWPD needs two dimensions to swap. So is
-    a ``cache`` built for another feature count, before any work starts.
+    a ``cache`` built for another feature count, and a reporting protocol
+    of more folds than instances, before any work starts.
 
     A run is one process: it starts no worker, whatever the cores. Each
     chromosome's genes are one compiled call, and the run's fitness is
@@ -213,6 +214,9 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
         raise ValueError(f"the correlation cache covers {cache.n_features} features, "
                          f"dataset {dataset.name!r} has {dataset.n_features}")
     evaluator = FitnessEvaluator(dataset, search_protocol)
+    report_protocols = report_protocols or {}
+    for p in report_protocols.values():  # the one refusal the search's folds do not make
+        stratified_folds(dataset, p.folds, p.base_seed)
     init_rng = np.random.default_rng([cfg.seed, 0])
     ga_rng = np.random.default_rng([cfg.seed, 2])
 
@@ -250,7 +254,7 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
         phases["ga"] += time.perf_counter() - t2
 
     t0 = time.perf_counter()
-    reported = cv_accuracies(dataset, incumbent, report_protocols or {})
+    reported = cv_accuracies(dataset, incumbent, report_protocols)
     end = time.perf_counter()
     phases["report"] = end - t0
     return SupervisorResult(

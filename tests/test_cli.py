@@ -365,6 +365,21 @@ def test_run_records_a_column_whose_range_overflows(project, capsys):
     assert not (tmp_path / "out" / "wide").exists()
 
 
+def test_run_records_a_header_narrower_than_its_rows(project, capsys):
+    # read as it stood, the header would make the third feature the label
+    tmp_path, cfg = project
+    path = tmp_path / "narrow.csv"
+    rows = [f"{i % 5}.5,{i % 3}.25,{i % 4},{i % 2}" for i in range(40)]
+    path.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+    cfg.write_text(cfg.read_text() + f"\n[datasets.narrow]\npath = {path}\n"
+                   "has_header = true\nlabel_column = label\n")
+    assert main(["run", "--config", str(cfg), "--dataset", "narrow"]) == 1
+    error = f"{path}: row 0 has 4 columns, expected 3 as in the header"
+    assert f"\n{'narrow':<14} FAILED: {error}\n" in capsys.readouterr().out
+    summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert summary[1:] == ["narrow,,,,,,"]
+
+
 def test_run_partial_failure_returns_nonzero(project, tmp_path):
     _, cfg = project
     body = cfg.read_text() + f"\n[datasets.ghost]\npath = {tmp_path / 'ghost.csv'}\n"

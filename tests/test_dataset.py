@@ -64,6 +64,24 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="columns"):
             load_csv(path, label_column=-1)
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,label\n1,2,3,x\n4,5,6,y\n", "row 0 has 4 columns, expected 3"),
+        ("a,b,c,label\n1,2,x\n4,5,y\n", "row 0 has 3 columns, expected 4"),
+        ("a,b,label\n1,2,x\n4,y\n", "row 1 has 2 columns, expected 3"),
+    ], ids=["narrow-header", "wide-header", "ragged-data"])
+    def test_header_held_to_the_rows_width(self, tmp_path, text, message):
+        # before any column is looked up by name; data rows count from 0
+        path = write_csv(tmp_path, text)
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: {message} "
+                                               "as in the header$"):
+            load_csv(path, label_column="label", has_header=True)
+
+    @pytest.mark.parametrize("missing_token", ["?", "NA"])
+    def test_blank_cell_imputed_whatever_the_token(self, tmp_path, missing_token):
+        path = write_csv(tmp_path, "2,1,0\n,3,1\n4,5,0\n5,2,1\n")
+        d = load_csv(path, missing_token=missing_token)
+        assert d.features[:, 0].tolist() == [2.0, 11 / 3, 4.0, 5.0]
+
     def test_non_numeric_feature_error(self, tmp_path):
         path = write_csv(tmp_path, "1,2,A\n3,oops,B\n")
         with pytest.raises(DatasetError, match="non-numeric"):

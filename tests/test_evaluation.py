@@ -185,28 +185,31 @@ class TestFitnessEvaluator:
         assert cached.hits == len(masks) - distinct
 
 
-    def test_batch_memo_counts_as_sequential_calls(self, small_dataset, monkeypatch):
+    def test_each_distinct_mask_computes_once_in_first_seen_order(self, small_dataset,
+                                                                   monkeypatch):
         rng = np.random.default_rng(12)
         a, b, c = (random_mask(8, rng) for _ in range(3))
         assert len({a.key(), b.key(), c.key()}) == 3
         proto = CvProtocol(folds=5, base_seed=6)
         ev = FitnessEvaluator(small_dataset, proto)
+        expected = [cv_accuracy(small_dataset, m, proto) for m in (a, b, a, c, b)]
         computed = []
-        compute = FitnessEvaluator.compute
+        accuracies = FitnessEvaluator._accuracies
 
-        def recording(self, mask):
-            computed.append(mask)
-            return compute(self, mask)
+        def recording(self, idx):
+            computed.append(idx.tolist())
+            return accuracies(self, idx)
 
-        monkeypatch.setattr(FitnessEvaluator, "compute", recording)
+        monkeypatch.setattr(FitnessEvaluator, "_accuracies", recording)
+        first_seen = [m.selected_indices().tolist() for m in (a, b, c)]
         values = [ev.fitness(m) for m in (a, b, a, c, b)]
-        assert values == [cv_accuracy(small_dataset, m, proto) for m in (a, b, a, c, b)]
+        assert values == expected
         assert (ev.computations, ev.hits) == (3, 2)
-        assert computed == [a, b, c]  # first-occurrence order, once each
+        assert computed == first_seen  # first-occurrence order, once each
         # memoized masks are hits and compute nothing
         assert [ev.fitness(c), ev.fitness(a)] == [values[3], values[0]]
         assert (ev.computations, ev.hits) == (3, 4)
-        assert computed == [a, b, c]
+        assert computed == first_seen
 
     def test_failing_fitness_call_leaves_counts_and_memo_unchanged(self, small_dataset):
         ev = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=6))
@@ -270,7 +273,6 @@ def test_fitness_equals_cdist_reference_exactly(case):
         expected = cv_accuracy_cdist_reference(d, mask, proto)
         assert cv_accuracy(d, mask, proto) == expected
         assert evaluator.fitness(mask) == expected
-        assert evaluator.compute(mask) == expected
 
 
 def sqdist_data(kind: str, n: int, k: int, seed: int) -> np.ndarray:
@@ -381,9 +383,9 @@ class TestGramScreen:
             ev = FitnessEvaluator(small_dataset, proto)
             for _ in range(10):
                 mask = random_mask(8, rng)
-                assert ev.compute(mask) == cv_accuracy_cdist_reference(
+                assert ev.fitness(mask) == cv_accuracy_cdist_reference(
                     small_dataset, mask, proto)
-                assert cv_accuracy(small_dataset, mask, proto) == ev.compute(mask)
+                assert cv_accuracy(small_dataset, mask, proto) == ev.fitness(mask)
 
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     def test_tie_heavy_data_is_exact(self, offset):
@@ -392,7 +394,7 @@ class TestGramScreen:
         ev = FitnessEvaluator(d, proto)
         rng = np.random.default_rng(1)
         for mask in [FeatureMask([1, 0, 0, 0, 0, 0, 0])] + [random_mask(7, rng) for _ in range(5)]:
-            assert ev.compute(mask) == cv_accuracy_cdist_reference(d, mask, proto)
+            assert ev.fitness(mask) == cv_accuracy_cdist_reference(d, mask, proto)
 
     def test_every_row_ambiguous_with_only_constant_columns(self):
         d = offset_dataset(0.0)
@@ -401,7 +403,7 @@ class TestGramScreen:
             proto = CvProtocol(folds=10, repeats=repeats, base_seed=5)
             ev = FitnessEvaluator(d, proto)
             expected = cv_accuracy_cdist_reference(d, only_constant, proto)
-            assert ev.compute(only_constant) == expected
+            assert ev.fitness(only_constant) == expected
             assert cv_accuracy(d, only_constant, proto) == expected
 
     def test_large_offset_full_mask_matches_reference(self):
@@ -466,7 +468,7 @@ class TestGramScreen:
             expected = cv_accuracy_cdist_reference(d, mask, proto)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert FitnessEvaluator(d, proto).compute(mask) == expected
+                assert FitnessEvaluator(d, proto).fitness(mask) == expected
                 assert cv_accuracy(d, mask, proto) == expected
                 assert cv_accuracy(d, FeatureMask([1, 0]), proto) == \
                     cv_accuracy_cdist_reference(d, FeatureMask([1, 0]), proto)

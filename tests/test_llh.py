@@ -376,6 +376,27 @@ class TestDbhc:
         assert nahc(FeatureMask([0, 0]), make_ctx(cache)) == FeatureMask([1, 0])
 
 
+def tie_heavy_caches():
+    """20 caches of 7 features, class entries from {1/4, 1/2} and pair
+    entries from {0, 1/2, 1}: exact sums and fully redundant pairs, so
+    sweeps meet candidates that tie the current merit bitwise, which must
+    be rejected."""
+    rng = np.random.default_rng(91)
+    for _ in range(20):
+        upper = np.triu(rng.integers(0, 3, size=(7, 7)) / 2.0, 1)
+        yield cache_from_values(rng.integers(1, 3, size=7) / 4.0, upper + upper.T)
+
+
+def decimal_caches():
+    """40 caches of 8 features with decimal entries: merits that tie in
+    exact arithmetic are decided by rounding, so any change to the order
+    of operations shows."""
+    rng = np.random.default_rng(95)
+    for _ in range(40):
+        upper = np.triu(rng.integers(0, 4, size=(8, 8)) / 10.0, 1)
+        yield cache_from_values(rng.integers(1, 4, size=8) / 10.0, upper + upper.T)
+
+
 class TestSweepReference:
     """NAHC and DBHC against ``sweep_reference``, the pass as it ran on a
     mutable scan: equal bits, an equal merit bit for bit, and the input
@@ -385,13 +406,7 @@ class TestSweepReference:
     def caches():
         for n in (1, 2, 9, 40, 166):
             yield random_cache(n, seed=200 + n)
-        # class entries from {1/4, 1/2}, pair entries from {0, 1/2, 1}:
-        # exact sums and fully redundant pairs, so sweeps meet candidates
-        # that tie the current merit bitwise, which must be rejected
-        rng = np.random.default_rng(91)
-        for _ in range(20):
-            upper = np.triu(rng.integers(0, 3, size=(7, 7)) / 2.0, 1)
-            yield cache_from_values(rng.integers(1, 3, size=7) / 4.0, upper + upper.T)
+        yield from tie_heavy_caches()
 
     @pytest.mark.parametrize("bit_domain", [ALL, ZEROS, ONES])
     @pytest.mark.parametrize("name", ["NAHC", "DBHC"])
@@ -582,12 +597,7 @@ class TestHotPathReference:
         for n in (9, 40):
             a = np.random.default_rng(n + 1).random((n, n))
             yield cache_from_values(np.random.default_rng(n).random(n), a + a.T)
-        # decimal entries: merits that tie in exact arithmetic are decided
-        # by rounding, so any change to the order of operations shows
-        rng = np.random.default_rng(95)
-        for _ in range(40):
-            upper = np.triu(rng.integers(0, 4, size=(8, 8)) / 10.0, 1)
-            yield cache_from_values(rng.integers(1, 4, size=8) / 10.0, upper + upper.T)
+        yield from decimal_caches()
 
     @classmethod
     def inputs(cls):
@@ -709,40 +719,48 @@ class TestKernelEqualsOracle:
     state."""
 
     @staticmethod
-    def scans(n, rng):
-        cache = random_cache(n, seed=300 + n)
+    def scans(cache, rng):
+        n = cache.n_features
         for bits in (rng.integers(0, 2, size=n), rng.random(n) < 0.1,
                      np.zeros(n, dtype=int), np.ones(n, dtype=int)):  # k = 0 and k = n
             yield MeritScan(cache, bits)
 
-    @pytest.mark.parametrize("n", [2, 3, 34, 60, 166])
-    def test_every_gene_equals_oracle(self, n):
-        rng = np.random.default_rng(n)
+    @classmethod
+    def rounding_scans(cls, rng):
+        """Scans over the tie-heavy and the decimal caches, where rounding
+        decides which flips are accepted and what the counters read."""
+        for cache in (*tie_heavy_caches(), *decimal_caches()):
+            yield from cls.scans(cache, rng)
+
+    @staticmethod
+    def every_gene_equals_oracle(scans, seed, bit_generators):
+        """Each gene on each scan, drawing from each of ``bit_generators``;
+        returns how often each gene moved."""
         moved = np.zeros(NUM_LLH + 1, dtype=int)
-        for s, scan in enumerate(self.scans(n, rng)):
-            # numpy's bit generators differ in how they make 32-bit draws
-            for seed, bit_generator in enumerate((np.random.PCG64, np.random.MT19937,
-                                                  np.random.Philox, np.random.SFC64)):
+        for s, scan in enumerate(scans):
+            for g, bit_generator in enumerate(bit_generators):
                 for llh_id in range(1, NUM_LLH + 1):
                     expected, out, state, kernel_state = oracle_and_kernel(
-                        llh_id, scan, [n, s, seed, llh_id], 0.05 + 0.1 * seed, bit_generator)
+                        llh_id, scan, [seed, s, g, llh_id], 0.05 + 0.1 * g, bit_generator)
                     np.testing.assert_equal(kernel_state, state, CATALOG[llh_id].name)
                     assert (out is scan) == (expected is scan), CATALOG[llh_id].name
                     assert scan_fields(out) == scan_fields(expected), CATALOG[llh_id].name
                     assert out.merit == expected.merit
                     moved[llh_id] += out is not scan
-        if n > 3:
-            assert moved[1:].min() > 0, moved
+        return moved
 
-    @pytest.mark.parametrize("n", [2, 3, 34, 60, 166])
-    def test_chromosome_equals_oracle_chain(self, n):
-        rng = np.random.default_rng(400 + n)
-        for s, scan in enumerate(self.scans(n, rng)):
-            for trial in range(3):
+    @staticmethod
+    def chromosome_equals_oracle_chain(scans, seed, rng, trials=3):
+        """Random 16-gene chromosomes on each scan through ``run_genes``
+        and through the oracles: equal bits, counters and draws. Returns
+        the summed improvement counters."""
+        improvements = np.zeros(NUM_LLH + 1, dtype=np.int64)
+        for s, scan in enumerate(scans):
+            for trial in range(trials):
                 genes = rng.integers(1, NUM_LLH + 1, size=16)
                 stats, expected_stats = LlhStats(), LlhStats()
-                bit_generator = np.random.PCG64([n, s, trial])
-                oracle_rng = np.random.default_rng([n, s, trial])
+                bit_generator = np.random.PCG64([seed, s, trial])
+                oracle_rng = np.random.default_rng([seed, s, trial])
                 mask = scan.mask()
                 out = llh.run_genes(genes, mask, scan.cache, bit_generator, 0.1,
                                     stats.invocations, stats.improvements)
@@ -752,13 +770,41 @@ class TestKernelEqualsOracle:
                 assert (out is mask) == (expected is scan)
                 assert out.bits.tolist() == expected.bits.tolist()
                 assert stats.as_dict() == expected_stats.as_dict()
+                improvements += stats.improvements
+        return improvements
+
+    @pytest.mark.parametrize("n", [2, 3, 34, 60, 166])
+    def test_every_gene_equals_oracle(self, n):
+        rng = np.random.default_rng(n)
+        # numpy's bit generators differ in how they make 32-bit draws
+        moved = self.every_gene_equals_oracle(
+            self.scans(random_cache(n, seed=300 + n), rng), n,
+            (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64))
+        if n > 3:
+            assert moved[1:].min() > 0, moved
+
+    def test_every_gene_equals_oracle_where_rounding_decides(self):
+        moved = self.every_gene_equals_oracle(
+            self.rounding_scans(np.random.default_rng(600)), 600, (np.random.PCG64,))
+        assert moved[1:].min() > 0, moved
+
+    @pytest.mark.parametrize("n", [2, 3, 34, 60, 166])
+    def test_chromosome_equals_oracle_chain(self, n):
+        rng = np.random.default_rng(400 + n)
+        self.chromosome_equals_oracle_chain(
+            self.scans(random_cache(n, seed=300 + n), rng), n, rng)
+
+    def test_chromosome_equals_oracle_chain_where_rounding_decides(self):
+        rng = np.random.default_rng(601)
+        improvements = self.chromosome_equals_oracle_chain(self.rounding_scans(rng), 601, rng)
+        assert improvements[1:13].min() > 0, improvements  # every hill-climber improved
 
     @pytest.mark.parametrize("n", [2, 34, 60, 166])
     def test_kernel_from_bits_equals_oracle_chain(self, n):
         # the kernel scans the bits it is given itself; the chain starts
         # from a fresh oracle scan of the same bits
         rng = np.random.default_rng(450 + n)
-        for s, scan in enumerate(self.scans(n, rng)):
+        for s, scan in enumerate(self.scans(random_cache(n, seed=300 + n), rng)):
             cache = scan.cache
             for trial in range(3):
                 genes = rng.integers(1, NUM_LLH + 1, size=16)
@@ -1108,7 +1154,7 @@ class TestClimbKernelArguments:
             call_kernel(name, scan, bit_generator=np.random.default_rng(0))
 
 
-def test_sweep_rejects_wrong_shape_columns():
+def test_apply_rejects_a_feature_feature_of_wrong_shape():
     # feature_feature, whose rows the kernel adds as columns
     scan = MeritScan(random_cache(6, seed=41), [1, 0, 1, 1, 0, 0])
     for shape in ((6, 7), (7, 6), (36,)):

@@ -16,7 +16,7 @@ from conftest import (MeritScan, OracleContext, StubRng, best_flip_oracle,
                       synthetic_dataset)
 from hhfs import llh
 from hhfs.correlation import build_cache, cfs_merit
-from hhfs.dataset import Dataset, load_csv
+from hhfs.dataset import Dataset, DatasetError, load_csv
 from hhfs.evaluation import CvProtocol, FitnessEvaluator
 from hhfs.experiment import _run_record
 from hhfs.llh import LlhContext, apply
@@ -307,7 +307,7 @@ class TestRunSupervisor:
         assert a.mask == b.mask
         assert a.search_fitness == b.search_fitness
         assert a.reported == b.reported
-        assert [r.__dict__ for r in a.history] == [r.__dict__ for r in b.history]
+        assert a.history == b.history
         assert a.llh_stats.as_dict() == b.llh_stats.as_dict()
 
     def test_one_gene_chromosomes_run_and_replay(self, small_dataset):
@@ -412,6 +412,16 @@ class TestRunSupervisor:
                                              "features, dataset 'synthetic' has 5$"):
             run_supervisor(d, self.small_config(), CvProtocol(folds=5), cache=cache)
 
+    def test_rejects_report_protocol_of_too_many_folds_up_front(self, monkeypatch):
+        def never(*args):
+            pytest.fail("a generation ran")
+
+        monkeypatch.setattr(llh, "run_genes", never)
+        d = synthetic_dataset(n_instances=30, n_features=5, seed=4)
+        with pytest.raises(DatasetError, match="^cannot split 30 instances into 40 folds$"):
+            run_supervisor(d, self.small_config(), CvProtocol(folds=5),
+                           {"1x5": CvProtocol(folds=5), "x": CvProtocol(folds=40)})
+
     def test_subset_size_bounded_by_feature_count(self, small_dataset):
         proto = CvProtocol(folds=5, repeats=1, base_seed=7)
         result = run_supervisor(small_dataset, self.small_config(), proto)
@@ -424,8 +434,7 @@ WALL_CLOCK = {"wall_time", "phase_seconds"}
 def outcome(result: SupervisorResult) -> dict:
     """Every SupervisorResult field but the wall-clock ones, in a form
     that compares with ==."""
-    plain = {"mask": FeatureMask.to01, "llh_stats": LlhStats.as_dict,
-             "history": lambda h: [dataclasses.astuple(r) for r in h]}
+    plain = {"mask": FeatureMask.to01, "llh_stats": LlhStats.as_dict}
     return {f.name: plain.get(f.name, lambda v: v)(getattr(result, f.name))
             for f in dataclasses.fields(result) if f.name not in WALL_CLOCK}
 
@@ -520,19 +529,20 @@ class TestPooledGeneration:
 
 
 @pytest.fixture
-def compute_pids(monkeypatch, tmp_path):
-    """Log the pid of every ``FitnessEvaluator.compute`` call, in whichever
-    process it runs; returns a reader of the logged pids."""
-    log = tmp_path / "compute_pids"
+def fitness_pids(monkeypatch, tmp_path):
+    """Log the pid of every fitness computation (a call of
+    ``FitnessEvaluator._accuracies``), in whichever process it runs;
+    returns a reader of the logged pids."""
+    log = tmp_path / "fitness_pids"
     log.touch()
-    compute = FitnessEvaluator.compute
+    accuracies = FitnessEvaluator._accuracies
 
-    def logged(ev, mask):
+    def logged(ev, idx):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return compute(ev, mask)
+        return accuracies(ev, idx)
 
-    monkeypatch.setattr(FitnessEvaluator, "compute", logged)
+    monkeypatch.setattr(FitnessEvaluator, "_accuracies", logged)
     return lambda: [int(pid) for pid in log.read_text().split()]
 
 
@@ -543,7 +553,7 @@ class TestFitnessWorker:
 
     @pytest.mark.parametrize("class_count", [2, 6])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_one_and_two_cores_give_equal_results(self, monkeypatch, compute_pids,
+    def test_one_and_two_cores_give_equal_results(self, monkeypatch, fitness_pids,
                                                   class_count, seed):
         d = synthetic_dataset(n_instances=72, n_features=12, n_informative=5,
                               class_count=class_count, seed=30 + class_count)
@@ -556,14 +566,14 @@ class TestFitnessWorker:
             outcomes.append(outcome(run_supervisor(d, cfg, proto, report)))
             assert multiprocessing.active_children() == []
         assert outcomes[1] == outcomes[0]
-        assert set(compute_pids()) == {os.getpid()}
+        assert set(fitness_pids()) == {os.getpid()}
 
-    def test_normal_run_leaves_no_process(self, monkeypatch, compute_pids, small_dataset):
+    def test_normal_run_leaves_no_process(self, monkeypatch, fitness_pids, small_dataset):
         on_cores(monkeypatch, 2)
         tracker = resource_tracker._resource_tracker._pid
         cfg = SupervisorConfig(population_size=6, generations=3, seed=6)
         run_supervisor(small_dataset, cfg, CvProtocol(folds=5, base_seed=6))
-        assert set(compute_pids()) == {os.getpid()}
+        assert set(fitness_pids()) == {os.getpid()}
         assert multiprocessing.active_children() == []
         assert resource_tracker._resource_tracker._pid == tracker  # none started
 
