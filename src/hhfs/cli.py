@@ -13,10 +13,9 @@ import argparse
 import dataclasses
 import json
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
-from .dataset import DatasetError, min_max_normalize
+from .dataset import min_max_normalize
 from .evaluation import cv_accuracies
 from .experiment import (KNOBS, VALUE_PARSERS, ExperimentSpec,
                          dump_correlation_caches, load_config,
@@ -32,38 +31,18 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
     return with_knobs(spec, {n: v for n, v in given.items() if v is not None})
 
 
-@contextmanager
-def _input_errors():
-    """Turn a bad config, option value, dataset name, dataset file, report
-    file or output directory into one stderr line and exit status 2."""
-    try:
-        yield
-    except (ValueError, OSError, DatasetError) as exc:
-        print(f"hhfs: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
-def _load_spec(args) -> ExperimentSpec:
-    with _input_errors():
-        return _apply_overrides(load_config(args.config), args)
-
-
 def _cmd_run(args) -> int:
-    spec = _load_spec(args)
+    spec = _apply_overrides(load_config(args.config), args)
     if args.dataset:
         keep = {name.lower() for name in args.dataset}
         chosen = tuple(d for d in spec.datasets if d.name.lower() in keep)
         missing = keep - {d.name.lower() for d in chosen}
         if missing:
-            with _input_errors():
-                raise ValueError(f"unknown dataset(s): {', '.join(sorted(missing))}")
+            raise ValueError(f"unknown dataset(s): {', '.join(sorted(missing))}")
         spec = dataclasses.replace(spec, datasets=chosen)
-    with _input_errors():  # before any dataset loads
-        Path(spec.out_dir).mkdir(parents=True, exist_ok=True)
+    Path(spec.out_dir).mkdir(parents=True, exist_ok=True)  # before any dataset loads
     if args.dump_cache:
-        with _input_errors():
-            written = dump_correlation_caches(spec)
-        for path in written:
+        for path in dump_correlation_caches(spec):
             print(f"wrote {path}")
     reports = run_experiment(spec, progress=print)
     print()
@@ -76,16 +55,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    spec = _load_spec(args)
+    spec = _apply_overrides(load_config(args.config), args)
     entries = {d.name.lower(): d for d in spec.datasets}
-    with _input_errors():
-        entry = entries.get(args.dataset.lower())
-        if entry is None:
-            raise ValueError(f"unknown dataset {args.dataset!r}; "
-                             f"config defines: {', '.join(sorted(entries))}")
-        dataset = min_max_normalize(entry.load())
-        accs = cv_accuracies(dataset, FeatureMask.ones(dataset.n_features),
-                             spec.report_protocols())
+    entry = entries.get(args.dataset.lower())
+    if entry is None:
+        raise ValueError(f"unknown dataset {args.dataset!r}; "
+                         f"config defines: {', '.join(sorted(entries))}")
+    dataset = min_max_normalize(entry.load())
+    accs = cv_accuracies(dataset, FeatureMask.ones(dataset.n_features),
+                         spec.report_protocols())
     print(f"{dataset.name}: {dataset.n_instances} instances, "
           f"{dataset.n_features} features, {dataset.class_count} classes")
     for label, acc in accs.items():
@@ -100,26 +78,20 @@ def _cmd_explain_llh(_args) -> int:
 
 
 def _load_report(path: str) -> dict:
-    """The report.json at ``path``: an object naming its dataset that
-    records a failure (``error``), or else one that passes
-    ``verify_report``."""
+    """The report.json at ``path``, as ``hhfs run`` writes it: one that
+    passes ``verify_report``."""
     with open(path) as fh:
         try:
             report = json.load(fh)
-            if not (isinstance(report, dict) and "error" in report and "dataset" in report):
-                verify_report(report)
+            verify_report(report)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return report
 
 
 def _cmd_compare(args) -> int:
-    with _input_errors():
-        reports = [_load_report(path) for path in args.report]
+    reports = [_load_report(path) for path in args.report]  # all, before any renders
     for report in reports:
-        if "error" in report:
-            print(f"{report['dataset']}: no results ({report['error']})")
-            continue
         print(render_comparison(report))
         print()
     return 0
@@ -164,8 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. A ValueError or OSError it lets out (a bad config,
+    option, dataset name or file, report file or output path; ``run``
+    records a failing dataset itself) is one stderr line and status 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"hhfs: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

@@ -46,6 +46,8 @@ class CvProtocol:
             raise ValueError("need at least 2 folds")
         if self.repeats < 1:
             raise ValueError("need at least 1 repeat")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be non-negative")
 
     def label(self) -> str:
         return f"{self.repeats}x{self.folds}"

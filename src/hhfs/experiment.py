@@ -342,9 +342,12 @@ def summary_text(reports: list[dict], spec: ExperimentSpec) -> str:
 def run_experiment(spec: ExperimentSpec, progress=None) -> list[dict]:
     """Execute the experiment over every dataset in the manifest.
 
-    A dataset that fails to load is reported with an ``error`` field and
-    does not abort the others. Writes per-dataset report.json/history.csv
-    and a combined summary.csv under spec.out_dir.
+    Writes per-dataset report.json, history.csv and timings.csv and a
+    combined summary.csv under spec.out_dir. A dataset that fails to load,
+    run or have its files written (an OSError or ValueError) is reported
+    with an ``error`` field, gets a blank summary.csv row and does not
+    abort the others; an error outside that, such as an unwritable
+    summary.csv, propagates.
     """
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -353,14 +356,12 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> list[dict]:
         if progress is not None:
             progress(f"dataset {entry.name}:")
         try:
-            dataset = entry.load()
-            report, timings = run_dataset(dataset, spec, progress=progress)
+            report, timings = run_dataset(entry.load(), spec, progress=progress)
+            write_report_files(report, timings, out_dir)
         except (OSError, ValueError) as exc:
-            reports.append({"dataset": entry.name, "error": str(exc)})
+            report = {"dataset": entry.name, "error": str(exc)}
             if progress is not None:
                 progress(f"  FAILED: {exc}")
-            continue
-        write_report_files(report, timings, out_dir)
         reports.append(report)
     write_summary_csv(reports, out_dir / "summary.csv")
     return reports

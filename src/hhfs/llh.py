@@ -48,8 +48,7 @@ from .mask import FeatureMask
 NUM_LLH = 16
 MUTN_RATE = 0.1  # the default per-bit flip rate of MUTN
 
-# bit domains: the positions a hill-climber may flip
-ALL = "all"
+# bit domains that limit a hill-climber variant to the 0-bits or the 1-bits
 ZEROS = "zeros"
 ONES = "ones"
 

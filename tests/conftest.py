@@ -20,8 +20,10 @@ import pytest
 from hhfs import cores
 from hhfs.correlation import CorrelationCache, _climb
 from hhfs.dataset import Dataset, min_max_normalize
-from hhfs.llh import ALL, CATALOG, ONES, ZEROS
+from hhfs.llh import CATALOG, ONES, ZEROS
 from hhfs.mask import FeatureMask
+
+ALL = "all"  # the plain hill-climbers' bit domain: any position may flip
 
 HILL_CLIMBER_IDS = tuple(i for i, info in CATALOG.items() if info.kind == "hill-climber")
 MUTATIONAL_IDS = tuple(i for i, info in CATALOG.items() if info.kind == "mutational")

@@ -333,9 +333,11 @@ DIRECTORY = object()
      "{path}: not a report: aggregate is empty"),
     (json.dumps({**_sonar_report(0.9), "dataset": 5}),
      "{path}: not a report: dataset is not a string"),
+    # run gives a failed dataset a summary.csv row, never a report.json
+    ('{"dataset": "x", "error": "y"}', "{path}: not a report: no runs, aggregate"),
 ], ids=["missing", "directory", "truncated", "inconsistent", "not-an-object", "no-aggregate",
         "run-shape", "aggregate-not-object", "runs-not-list", "no-runs",
-        "empty-aggregate", "dataset-not-string"])
+        "empty-aggregate", "dataset-not-string", "failed-dataset-record"])
 def test_compare_bad_report_exits_2_with_one_line(tmp_path, capsys, content, message):
     good, path = tmp_path / "good.json", tmp_path / "report.json"
     good.write_text(json.dumps(_sonar_report(0.9)))
@@ -385,3 +387,32 @@ def test_run_partial_failure_returns_nonzero(project, tmp_path):
     body = cfg.read_text() + f"\n[datasets.ghost]\npath = {tmp_path / 'ghost.csv'}\n"
     cfg.write_text(body)
     assert main(["run", "--config", str(cfg)]) == 1
+
+
+def test_run_records_a_dataset_whose_files_cannot_be_written(project, capsys):
+    # a plain file where the first dataset's report directory goes
+    tmp_path, cfg = project
+    beta = write_dataset_csv(tmp_path / "beta.csv", seed=5)
+    cfg.write_text(cfg.read_text() + f"\n[datasets.beta]\npath = {beta}\n")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "alpha").write_text("")
+    assert main(["run", "--config", str(cfg), "--runs", "1", "--generations", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert f"\n{'alpha':<14} FAILED: " in out and "File exists" in out
+    assert err == "\npartial results: alpha failed\n"
+    assert (tmp_path / "out" / "beta" / "report.json").exists()
+    summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert summary[1] == "alpha,,,,,,"
+    assert [row.split(",")[0] for row in summary[2:]] == ["beta", "beta"]
+
+
+def test_run_error_after_the_runs_is_one_line(project, capsys):
+    tmp_path, cfg = project
+    (tmp_path / "out" / "summary.csv").mkdir(parents=True)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(cfg), "--runs", "1", "--generations", "1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hhfs: error: ") and err.count("\n") == 1
+    assert "summary.csv" in err
+    assert (tmp_path / "out" / "alpha" / "report.json").exists()

@@ -119,6 +119,23 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="label"):
             load_csv(path, label_column=-1)
 
+    @pytest.mark.parametrize("text, options, message", [
+        ("", {}, "empty file"),
+        ("\n , \n", {}, "empty file"),
+        ("a,b,label\n", dict(has_header=True), "header but no data rows"),
+        ("A\nB\n", {}, "need at least one feature and a label column"),
+        ("a,b,label\n1,2,x\n3,4,y\n", dict(has_header=True, label_column="klass"),
+         "no column named 'klass'"),
+        ("1,2,A\n3,4,B\n", dict(label_column=3), "label column 3 out of range"),
+        ("1,2,A\n3,4,B\n", dict(label_column=-4), "label column -4 out of range"),
+    ], ids=["empty", "blank-rows", "header-only", "one-column", "unknown-label-name",
+            "label-index-above", "label-index-below"])
+    def test_file_shape_refused(self, tmp_path, text, options, message):
+        path = write_csv(tmp_path, text)
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: "
+                                               f"{re.escape(message)}$"):
+            load_csv(path, **options)
+
 
 def load_reference(path, label_idx: int, missing_token: str) -> np.ndarray:
     """Feature matrix of a label-column CSV as a per-cell loop reads and
@@ -285,6 +302,9 @@ def test_dataset_fields_are_the_arrays_and_counts_derive_from_them():
 
 
 def test_from_arrays_validations():
+    for features in ([1.0, 2.0], np.zeros((0, 2)), np.zeros((2, 0)), np.zeros((2, 2, 1))):
+        with pytest.raises(DatasetError, match="^features must be a non-empty 2-d matrix$"):
+            Dataset.from_arrays("t", features, [0, 1])
     with pytest.raises(DatasetError):
         Dataset.from_arrays("t", [[1.0, np.nan]], [0])
     with pytest.raises(DatasetError):

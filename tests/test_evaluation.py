@@ -152,6 +152,8 @@ class TestCvProtocol:
             CvProtocol(folds=1)
         with pytest.raises(ValueError):
             CvProtocol(repeats=0)
+        with pytest.raises(ValueError, match="^base_seed must be non-negative$"):
+            CvProtocol(base_seed=-1)
 
     def test_label(self):
         assert CvProtocol(folds=10, repeats=10).label() == "10x10"

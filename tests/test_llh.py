@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (HILL_CLIMBER_IDS, MUTATIONAL_IDS, ORACLE, MeritScan,
+from conftest import (ALL, HILL_CLIMBER_IDS, MUTATIONAL_IDS, ORACLE, MeritScan,
                       OracleContext, StubRng, best_flip_oracle,
                       cache_from_values, domain_of, exhaustive_best_mask, flip,
                       oracle_run_genes, python_sweep_climb, random_cache,
@@ -18,7 +18,7 @@ from conftest import (HILL_CLIMBER_IDS, MUTATIONAL_IDS, ORACLE, MeritScan,
                       synthetic_dataset)
 from hhfs import llh
 from hhfs.correlation import build_cache, cfs_merit
-from hhfs.llh import ALL, ONES, ZEROS, CATALOG, NUM_LLH, LlhContext, _climb
+from hhfs.llh import ONES, ZEROS, CATALOG, NUM_LLH, LlhContext, _climb
 from hhfs.mask import FeatureMask
 from hhfs.supervisor import LlhStats
 

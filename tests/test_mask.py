@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +16,8 @@ def test_rejects_bad_bits():
         FeatureMask([])
     with pytest.raises(ValueError):
         FeatureMask([[0, 1]])
+    with pytest.raises(ValueError, match="^need at least one feature$"):
+        FeatureMask.random(0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("bits", [[0.5, 1], [1.7, 0], np.array([0.2, 1.0]),
@@ -53,6 +57,16 @@ def test_random_single_feature_always_selected():
     for seed in range(50):
         mask = FeatureMask.random(1, np.random.default_rng(seed))
         assert mask.bits.tolist() == [1]
+
+
+def test_value_contract():
+    mask = FeatureMask([1, 0, 1, 1])
+    copy = pickle.loads(pickle.dumps(mask))
+    assert copy == mask and copy is not mask
+    assert not copy.bits.flags.writeable  # rebuilt read-only, as constructed
+    assert hash(copy) == hash(mask) == hash(FeatureMask([True, False, True, True]))
+    assert len({mask, copy, FeatureMask([1, 0, 1, 0])}) == 2
+    assert (mask == "x") is False and mask != "x"
 
 
 def test_random_is_deterministic_for_fixed_seed():

@@ -45,6 +45,8 @@ class TestSupervisorConfig:
             SupervisorConfig(generations=0)
         with pytest.raises(ValueError):
             SupervisorConfig(elitism=30, population_size=30)
+        with pytest.raises(ValueError, match="^chromosomes need at least one gene$"):
+            SupervisorConfig(nllh=0)
         for rate in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError, match=r"mutn_rate must lie in \(0, 1\)"):
                 SupervisorConfig(mutn_rate=rate)
