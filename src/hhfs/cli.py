@@ -10,10 +10,8 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from pathlib import Path
 
 from .dataset import min_max_normalize
 from .evaluation import cv_accuracies
@@ -34,13 +32,7 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
 def _cmd_run(args) -> int:
     spec = _apply_overrides(load_config(args.config), args)
     if args.dataset:
-        keep = {name.lower() for name in args.dataset}
-        chosen = tuple(d for d in spec.datasets if d.name.lower() in keep)
-        missing = keep - {d.name.lower() for d in chosen}
-        if missing:
-            raise ValueError(f"unknown dataset(s): {', '.join(sorted(missing))}")
-        spec = dataclasses.replace(spec, datasets=chosen)
-    Path(spec.out_dir).mkdir(parents=True, exist_ok=True)  # before any dataset loads
+        spec = spec.only(args.dataset)
     if args.dump_cache:
         for path in dump_correlation_caches(spec):
             print(f"wrote {path}")
@@ -55,13 +47,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    spec = _apply_overrides(load_config(args.config), args)
-    entries = {d.name.lower(): d for d in spec.datasets}
-    entry = entries.get(args.dataset.lower())
-    if entry is None:
-        raise ValueError(f"unknown dataset {args.dataset!r}; "
-                         f"config defines: {', '.join(sorted(entries))}")
-    dataset = min_max_normalize(entry.load())
+    spec = _apply_overrides(load_config(args.config), args).only([args.dataset])
+    dataset = min_max_normalize(spec.datasets[0].load())
     accs = cv_accuracies(dataset, FeatureMask.ones(dataset.n_features),
                          spec.report_protocols())
     print(f"{dataset.name}: {dataset.n_instances} instances, "

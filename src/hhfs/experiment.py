@@ -76,7 +76,7 @@ class ExperimentSpec:
         for i, r in enumerate(self.report_repeats):
             if r in self.report_repeats[:i]:  # both would report under one label
                 raise ValueError(f"report_repeats lists {r} twice")
-        # the CLI picks datasets by name ignoring case, and so may a file
+        # ``only`` picks datasets by name ignoring case, and so may a file
         # system the report directories
         seen: dict[str, str] = {}
         for d in self.datasets:
@@ -87,6 +87,17 @@ class ExperimentSpec:
         # building the protocols runs their fold and repeat checks
         self.search_protocol(self.master_seed)
         self.report_protocols()
+
+    def only(self, names) -> ExperimentSpec:
+        """This spec with just the named datasets, matched ignoring case and
+        kept in config order. A name the config lacks raises ValueError."""
+        keep = {name.lower() for name in names}
+        chosen = tuple(d for d in self.datasets if d.name.lower() in keep)
+        unknown = keep - {d.name.lower() for d in chosen}
+        if unknown:
+            raise ValueError(f"unknown dataset(s): {', '.join(sorted(unknown))}; "
+                             f"the config defines: {', '.join(d.name for d in self.datasets)}")
+        return replace(self, datasets=chosen)
 
     def run_seed(self, run_index: int) -> int:
         return self.master_seed + run_index
@@ -345,9 +356,10 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> list[dict]:
     Writes per-dataset report.json, history.csv and timings.csv and a
     combined summary.csv under spec.out_dir. A dataset that fails to load,
     run or have its files written (an OSError or ValueError) is reported
-    with an ``error`` field, gets a blank summary.csv row and does not
-    abort the others; an error outside that, such as an unwritable
-    summary.csv, propagates.
+    with an ``error`` field, gets a blank summary.csv row, loses the three
+    files an earlier run left in its directory and does not abort the
+    others; an error outside that, such as an unwritable summary.csv or a
+    stale file that cannot be removed, propagates.
     """
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -360,6 +372,9 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> list[dict]:
             write_report_files(report, timings, out_dir)
         except (OSError, ValueError) as exc:
             report = {"dataset": entry.name, "error": str(exc)}
+            for name in ("report.json", "history.csv", "timings.csv"):  # an earlier run's
+                if (stale := out_dir / entry.name / name).is_file():
+                    stale.unlink()
             if progress is not None:
                 progress(f"  FAILED: {exc}")
         reports.append(report)

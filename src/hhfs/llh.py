@@ -93,7 +93,7 @@ def run_genes(genes: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
 @dataclass(frozen=True)
 class LlhInfo:
     """Catalog entry: numeric id, display name, kind and one-line
-    description; ``apply`` runs the move."""
+    description; ``llh.apply`` (``hhfs.apply_llh``) runs the move."""
 
     id: int
     name: str

@@ -219,7 +219,22 @@ def test_run_unknown_dataset_exits(project, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["run", "--config", str(cfg), "--dataset", "ghost", "--dataset", "alpha"])
     assert exit_info.value.code == 2
-    assert capsys.readouterr().err == "hhfs: error: unknown dataset(s): ghost\n"
+    assert capsys.readouterr().err == ("hhfs: error: unknown dataset(s): ghost; "
+                                       "the config defines: alpha\n")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("run", ["--runs", "1", "--generations", "1"]), ("baseline", [])])
+def test_dataset_is_picked_ignoring_case(project, capsys, command, flags):
+    tmp_path, cfg = project
+    assert main([command, "--config", str(cfg), "--dataset", "ALPHA", *flags]) == 0
+    out = capsys.readouterr().out
+    if command == "run":  # reports go under the config's name
+        assert out.startswith("dataset alpha:\n")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["alpha",
+                                                                         "summary.csv"]
+    else:
+        assert out.startswith("alpha: 24 instances, 5 features, 2 classes\n")
 
 
 def test_run_dump_cache(project):
@@ -287,8 +302,8 @@ def test_baseline_unknown_dataset(project, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["baseline", "--config", str(cfg), "--dataset", "ghost"])
     assert exit_info.value.code == 2
-    assert capsys.readouterr().err == ("hhfs: error: unknown dataset 'ghost'; "
-                                       "config defines: alpha\n")
+    assert capsys.readouterr().err == ("hhfs: error: unknown dataset(s): ghost; "
+                                       "the config defines: alpha\n")
 
 
 def test_compare_command(project, capsys):
@@ -416,3 +431,23 @@ def test_run_error_after_the_runs_is_one_line(project, capsys):
     assert err.startswith("hhfs: error: ") and err.count("\n") == 1
     assert "summary.csv" in err
     assert (tmp_path / "out" / "alpha" / "report.json").exists()
+
+
+def test_failed_rerun_leaves_no_stale_outputs(project, capsys):
+    # the first run's files would otherwise pass for the second's
+    tmp_path, cfg = project
+    argv = ["run", "--config", str(cfg), "--runs", "1", "--generations", "1"]
+    assert main(argv) == 0
+    report = tmp_path / "out" / "alpha" / "report.json"
+    assert report.exists()
+    csv_path = tmp_path / "alpha.csv"
+    csv_path.write_text(csv_path.read_text().replace(",B\n", ",A\n"))  # one class
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "FAILED: " in capsys.readouterr().out
+    assert list((tmp_path / "out" / "alpha").iterdir()) == []
+    summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert summary[1:] == ["alpha,,,,,,"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["compare", "--report", str(report)])
+    assert exit_info.value.code == 2

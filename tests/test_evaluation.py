@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+import sysconfig
 import warnings
 from pathlib import Path
 
@@ -348,8 +349,13 @@ class TestSqdist:
         (tmp_path / "_climb.c").write_text(stripped)
         monkeypatch.setattr(correlation, "__file__", str(tmp_path / "correlation.py"))
         monkeypatch.setitem(sys.modules, "hhfs._climb", _climb)  # loading the copy replaces it
+        suffix = sysconfig.get_config_var("EXT_SUFFIX")
+        stale = tmp_path / "__pycache__" / f"_climb.0123456789abcdef{suffix}"
+        stale.parent.mkdir()
+        stale.write_bytes(b"")  # an older build, which the new one removes
         baseline = correlation._load_climb()
         assert Path(baseline.__file__).parent == tmp_path / "__pycache__"
+        assert not stale.exists()
         symbols = subprocess.run(["nm", baseline.__file__], capture_output=True, text=True,
                                  check=True).stdout
         assert not re.search(r"\bsqdist_rows\.", symbols)  # no clone and no resolver
@@ -360,6 +366,37 @@ class TestSqdist:
                 assert baseline.sqdist(np.ascontiguousarray(X.T), out) is None
                 assert same_bits(out, squareform(pdist(X, "sqeuclidean")))
                 assert same_bits(out, sqdist(X))
+
+    @pytest.mark.parametrize("case, message", [
+        ("no-cc", "hhfs needs a C compiler: no `cc` on PATH to build {tmp}/_climb.c"),
+        ("no-random-lib", "hhfs needs numpy's random C library: "
+                          "no {tmp}/numpy/random/lib/libnpyrandom.a"),
+        ("not-c", "hhfs: `cc` failed to build {tmp}/_climb.c: "),
+        ("pycache-is-a-file", "hhfs: cannot build {tmp}/_climb.c into {tmp}/__pycache__: "
+                              "[Errno 17] File exists: '{tmp}/__pycache__'"),
+    ], ids=["no-cc", "no-random-lib", "not-c", "pycache-is-a-file"])
+    def test_load_climb_refusals_are_one_import_error(self, tmp_path, monkeypatch, case,
+                                                      message):
+        """Each way the kernel cannot be built is one ImportError naming it, as
+        README quotes them; the source is a copy in ``tmp_path``, as above."""
+        source = Path(correlation.__file__).with_name("_climb.c").read_text()
+        (tmp_path / "_climb.c").write_text("not C\n" if case == "not-c" else source)
+        monkeypatch.setattr(correlation, "__file__", str(tmp_path / "correlation.py"))
+        monkeypatch.setitem(sys.modules, "hhfs._climb", _climb)
+        if case == "no-cc":
+            monkeypatch.setattr(correlation.shutil, "which", lambda name: None)
+        elif case == "no-random-lib":
+            monkeypatch.setattr(np.random, "__file__",
+                                str(tmp_path / "numpy" / "random" / "__init__.py"))
+        elif case == "pycache-is-a-file":
+            (tmp_path / "__pycache__").write_text("")
+        with pytest.raises(ImportError) as info:
+            correlation._load_climb()
+        text, message = str(info.value), message.format(tmp=tmp_path)
+        if case == "not-c":  # then the compiler's messages
+            assert text.startswith(message) and "error" in text
+        else:
+            assert text == message
 
 
 def offset_dataset(offset: float, seed: int = 4) -> Dataset:

@@ -210,6 +210,24 @@ class TestDatasetName:
                                              "are equal ignoring case$"):
             ExperimentSpec(datasets=datasets)
 
+    SPEC = ExperimentSpec(datasets=(DatasetConfig("alpha", "a.csv"),
+                                    DatasetConfig("Beta", "b.csv"),
+                                    DatasetConfig("gamma", "c.csv")))
+
+    def test_only_keeps_config_order(self):
+        assert [d.name for d in self.SPEC.only(["GAMMA", "alpha"]).datasets] == [
+            "alpha", "gamma"]
+
+    def test_only_selects_a_repeated_name_once(self):
+        assert [d.name for d in self.SPEC.only(["beta", "BETA", "Beta"]).datasets] == [
+            "Beta"]
+
+    def test_only_lists_unknown_names_sorted_then_the_config_names(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown dataset(s): delta, ghost; the config defines: alpha, Beta, gamma")
+                + "$"):
+            self.SPEC.only(["ghost", "alpha", "delta"])
+
 
 class TestSpecValidation:
     @pytest.mark.parametrize("changes, match", [

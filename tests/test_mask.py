@@ -67,6 +67,7 @@ def test_value_contract():
     assert hash(copy) == hash(mask) == hash(FeatureMask([True, False, True, True]))
     assert len({mask, copy, FeatureMask([1, 0, 1, 0])}) == 2
     assert (mask == "x") is False and mask != "x"
+    assert repr(FeatureMask.from01("101")) == "FeatureMask('101')"
 
 
 def test_random_is_deterministic_for_fixed_seed():
