@@ -20,12 +20,31 @@
    strictly higher. The final bits go to bits_out; returns whether any
    gene moved.
 
+   generation(population, seed, gen, bits, feature_class, feature_feature,
+              mutn_rate, invocations, improvements, masks_out, moved_out)
+   apply's gene loop on each row i of the (P, L) population from the same
+   bits, into masks_out[i], with moved_out[i] whether it moved, all rows
+   counted into the same counters. Row i draws from numpy's
+   PCG64(SeedSequence([seed, 1, gen, i])), seeded here as numpy seeds it
+   (seed_pcg64) and run as numpy runs it: the same stream, draw for draw.
+   Every gene is checked before any row runs.
+
    The heuristics draw from the bit generator through numpy's random C API,
    with the calls its Generator makes: integers(n) is
    random_bounded_uint64_fill over [0, n - 1], random() and random(n) are
    random_standard_uniform[_fill], and permutation(n) shuffles arange(n) by
    random_interval from the top down. So a gene list draws what the Python
    rules drew on a Generator over the same bit generator, draw for draw.
+
+   crossover(chromosomes, bit_generator, p) and
+   mutate(chromosomes, bit_generator, p)
+   The GA's two edits of a (P, L) int64 pool, in place, drawing through the
+   same API as a Generator would. crossover: per consecutive pair of rows,
+   a random() coin and, where it is below p and L >= 2, a cut from
+   integers(1, L); the pair swaps its genes from the cut on. mutate: per
+   row, random(L) coins, then integers(1, 16, size=hits) for the genes whose
+   coin is below p, each id shifted up by one where it is at or above the
+   gene's old id, so a mutated gene always changes.
 
    A flip is scored from the scan's sums, on doubles and in this order: the
    per-branch sums, then sum_cf / sqrt((double)k + sum_ff), or 0.0 when the
@@ -110,6 +129,14 @@ release(Py_buffer *views[], int count)
     for (int i = 0; i < count; i++)
         if (views[i]->obj != NULL)
             PyBuffer_Release(views[i]);
+}
+
+/* Whether the memory of two acquired buffers overlaps. */
+static int
+overlap(const Py_buffer *a, const Py_buffer *b)
+{
+    const char *p = a->buf, *q = b->buf;
+    return p < q + b->len && q < p + a->len;
 }
 
 /* The correlation cache for n features: feature_class and feature_feature. */
@@ -338,6 +365,79 @@ done:
     return result;
 }
 
+/* Refuse any of the genes gene[0..count-1] that is no catalog id, or that
+   the n dimensions cannot run. */
+static int
+check_genes(const int64_t *gene, Py_ssize_t count, Py_ssize_t n)
+{
+    for (Py_ssize_t i = 0; i < count; i++) {
+        if (gene[i] < 1 || gene[i] > NUM_LLH) {
+            PyErr_Format(PyExc_ValueError, "unknown low-level heuristic id %lld",
+                         (long long)gene[i]);
+            return -1;
+        }
+        if (n < (gene[i] == SWPD ? 2 : 1)) {
+            PyErr_SetString(PyExc_ValueError, gene[i] == SWPD
+                            ? "swap needs at least 2 dimensions"
+                            : "a heuristic needs at least 1 dimension");
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* A chromosome: the genes gene[0..count-1] left to right from ``bits``
+   into ``out`` (which may be bits), each counted, and each that moved
+   scanned afresh and counted as an improvement where its merit rose.
+   ``work`` holds the row, then run_gene's n positions and n coins.
+   Returns whether any gene moved. */
+static int
+run_chromosome(const int64_t *gene, Py_ssize_t count, bitgen_t *rng, double mutn_rate,
+               const char *bits, char *out, const struct cache *c, double *work,
+               int64_t *invoked, int64_t *improved)
+{
+    int moved = 0;
+    memmove(out, bits, c->n);
+    struct sums s = scan_bits(out, c, work);
+    for (Py_ssize_t i = 0; i < count; i++) {
+        int g = (int)gene[i];
+        invoked[g]++;
+        if (!run_gene(g, rng, mutn_rate, out, work, c, &s, (int64_t *)(work + c->n),
+                      work + 2 * c->n))
+            continue;
+        double before = s.merit;
+        s = scan_bits(out, c, work);
+        improved[g] += s.merit > before;
+        moved = 1;
+    }
+    return moved;
+}
+
+/* The bit generator behind a numpy BitGenerator's capsule, or NULL with an
+   error set; *capsule holds the reference that keeps it alive. */
+static bitgen_t *
+get_bitgen(PyObject *bit_generator, PyObject **capsule)
+{
+    bitgen_t *rng = NULL;
+    if ((*capsule = PyObject_GetAttrString(bit_generator, "capsule")) == NULL
+        || (rng = PyCapsule_GetPointer(*capsule, "BitGenerator")) == NULL) {
+        PyErr_Format(PyExc_TypeError, "bit_generator must be a numpy BitGenerator, not %s",
+                     Py_TYPE(bit_generator)->tp_name);
+        return NULL;
+    }
+    return rng;
+}
+
+/* The row, then run_gene's n positions and n coins; NULL with an error set. */
+static double *
+alloc_work(Py_ssize_t n)
+{
+    double *work = PyMem_Malloc(n * (2 * sizeof(double) + sizeof(int64_t)));
+    if (work == NULL)
+        PyErr_NoMemory();
+    return work;
+}
+
 static PyObject *
 apply(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -354,6 +454,7 @@ apply(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
                           &invocations, &improvements, &bits_out};
     PyObject *capsule = NULL, *result = NULL;
     double *work = NULL;
+    bitgen_t *rng;
     struct cache c;
     if (get_buffer(args[0], &genes, "genes", INT64, 1, -1, 0) < 0
         || get_buffer(args[2], &bits, "bits", BOOL, 1, -1, 0) < 0)
@@ -365,58 +466,319 @@ apply(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         || get_buffer(args[8], &bits_out, "bits_out", BOOL, 1, c.n, 1) < 0)
         goto done;
     double mutn_rate = PyFloat_AsDouble(args[5]);
-    if (mutn_rate == -1.0 && PyErr_Occurred())
+    if ((mutn_rate == -1.0 && PyErr_Occurred())
+        || check_genes(genes.buf, genes.shape[0], c.n) < 0
+        || (rng = get_bitgen(args[1], &capsule)) == NULL
+        || (work = alloc_work(c.n)) == NULL)
         goto done;
-
-    const int64_t *gene = genes.buf;
-    Py_ssize_t count = genes.shape[0];
-    for (Py_ssize_t i = 0; i < count; i++) {
-        if (gene[i] < 1 || gene[i] > NUM_LLH) {
-            PyErr_Format(PyExc_ValueError, "unknown low-level heuristic id %lld",
-                         (long long)gene[i]);
-            goto done;
-        }
-        if (c.n < (gene[i] == SWPD ? 2 : 1)) {
-            PyErr_SetString(PyExc_ValueError, gene[i] == SWPD
-                            ? "swap needs at least 2 dimensions"
-                            : "a heuristic needs at least 1 dimension");
-            goto done;
-        }
-    }
-    bitgen_t *rng = NULL;
-    if ((capsule = PyObject_GetAttrString(args[1], "capsule")) == NULL
-        || (rng = PyCapsule_GetPointer(capsule, "BitGenerator")) == NULL) {
-        PyErr_Format(PyExc_TypeError, "bit_generator must be a numpy BitGenerator, not %s",
-                     Py_TYPE(args[1])->tp_name);
-        goto done;
-    }
-    /* the row, then run_gene's n positions and n coins */
-    if ((work = PyMem_Malloc(c.n * (2 * sizeof(double) + sizeof(int64_t)))) == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-
-    char *out = bits_out.buf;
-    int64_t *invoked = invocations.buf, *improved = improvements.buf;
-    int moved = 0;
-    memmove(out, bits.buf, c.n);
-    struct sums s = scan_bits(out, &c, work);
-    for (Py_ssize_t i = 0; i < count; i++) {
-        int g = (int)gene[i];
-        invoked[g]++;
-        if (!run_gene(g, rng, mutn_rate, out, work, &c, &s, (int64_t *)(work + c.n),
-                      work + 2 * c.n))
-            continue;
-        double before = s.merit;
-        s = scan_bits(out, &c, work);
-        improved[g] += s.merit > before;
-        moved = 1;
-    }
-    result = PyBool_FromLong(moved);
+    result = PyBool_FromLong(run_chromosome(genes.buf, genes.shape[0], rng, mutn_rate,
+                                            bits.buf, bits_out.buf, &c, work,
+                                            invocations.buf, improvements.buf));
 done:
     PyMem_Free(work);
     Py_XDECREF(capsule);
     release(views, 7);
+    return result;
+}
+
+/* numpy's PCG64, as seeded from a SeedSequence: a 128-bit LCG with the
+   XSL-RR output, and next_uint32's half-word buffer. */
+typedef __uint128_t u128;
+struct pcg64 {
+    u128 state, inc;
+    int has_uint32;
+    uint32_t uinteger;
+};
+#define PCG64_MULTIPLIER (((u128)2549297995355413924ULL << 64) + 4865540595714422341ULL)
+
+static inline uint64_t
+pcg64_next64(void *state)
+{
+    struct pcg64 *p = state;
+    p->state = p->state * PCG64_MULTIPLIER + p->inc;
+    uint64_t x = (uint64_t)(p->state >> 64) ^ (uint64_t)p->state;
+    unsigned rot = (unsigned)(p->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+static uint32_t
+pcg64_uint32(void *state)
+{
+    struct pcg64 *p = state;
+    if (p->has_uint32) {
+        p->has_uint32 = 0;
+        return p->uinteger;
+    }
+    uint64_t next = pcg64_next64(p);
+    p->has_uint32 = 1;
+    p->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double
+pcg64_double(void *p)
+{
+    return (double)(pcg64_next64(p) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* numpy's SeedSequence hash and mix */
+static inline uint32_t
+hashmix(uint32_t value, uint32_t *hash)
+{
+    value ^= *hash;
+    *hash *= 0x931e8875u;
+    value *= *hash;
+    return value ^ value >> 16;
+}
+
+static inline uint32_t
+mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = 0xca01f9ddu * x - 0x4973f715u * y;
+    return r ^ r >> 16;
+}
+
+/* p = PCG64(SeedSequence(entropy)) for the entropy words word[0..count-1]:
+   the 4-word pool, its generate_state(4, uint64), and PCG64's seeding. */
+static void
+seed_pcg64(const uint32_t *word, Py_ssize_t count, struct pcg64 *p)
+{
+    uint32_t pool[4], hash = 0x43b0d7e5u;
+    for (int i = 0; i < 4; i++)
+        pool[i] = hashmix(i < count ? word[i] : 0, &hash);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash));
+    for (Py_ssize_t src = 4; src < count; src++)
+        for (int dst = 0; dst < 4; dst++)
+            pool[dst] = mix(pool[dst], hashmix(word[src], &hash));
+    uint64_t state[4] = {0};  /* 8 words off the cycled pool, paired little-endian */
+    hash = 0x8b51f9ddu;
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = pool[i % 4] ^ hash;
+        hash *= 0x58f38dedu;
+        v *= hash;
+        state[i / 2] |= (uint64_t)(v ^ v >> 16) << (32 * (i % 2));
+    }
+    p->state = 0;
+    p->inc = (((u128)state[2] << 64) + state[3]) << 1 | 1;
+    pcg64_next64(p);
+    p->state += ((u128)state[0] << 64) + state[1];
+    pcg64_next64(p);
+    p->has_uint32 = 0;
+    p->uinteger = 0;
+}
+
+/* The entropy words numpy's SeedSequence reads from the int ``value``:
+   its little-endian 32-bit words, [0] for 0, into a PyMem buffer at *out.
+   Returns their count, or -1 with an error set. */
+static Py_ssize_t
+int_words(PyObject *value, const char *name, uint32_t **out)
+{
+    Py_ssize_t count = 0, room = 0;
+    uint32_t *word = NULL;
+    PyObject *v = PyNumber_Index(value), *zero = PyLong_FromLong(0), *shift = PyLong_FromLong(32);
+    int more;
+    if (v == NULL || zero == NULL || shift == NULL
+        || (more = PyObject_RichCompareBool(v, zero, Py_LT)) < 0)
+        goto fail;
+    if (more) {
+        PyErr_Format(PyExc_ValueError, "%s must be non-negative", name);
+        goto fail;
+    }
+    do {
+        if (count == room) {
+            uint32_t *grown = PyMem_Realloc(word, (room += 4) * sizeof *word);
+            if (grown == NULL) {
+                PyErr_NoMemory();
+                goto fail;
+            }
+            word = grown;
+        }
+        word[count++] = (uint32_t)PyLong_AsUnsignedLongLongMask(v);
+        PyObject *rest = PyNumber_Rshift(v, shift);
+        Py_DECREF(v);
+        if ((v = rest) == NULL || (more = PyObject_IsTrue(v)) < 0)
+            goto fail;
+    } while (more);
+    Py_DECREF(v);
+    Py_DECREF(zero);
+    Py_DECREF(shift);
+    *out = word;
+    return count;
+fail:
+    PyMem_Free(word);
+    Py_XDECREF(v);
+    Py_XDECREF(zero);
+    Py_XDECREF(shift);
+    return -1;
+}
+
+static PyObject *
+generation(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 11) {
+        PyErr_Format(PyExc_TypeError,
+                     "generation(population, seed, gen, bits, feature_class, feature_feature,"
+                     " mutn_rate, invocations, improvements, masks_out, moved_out)"
+                     " takes 11 arguments, %zd given", nargs);
+        return NULL;
+    }
+    Py_buffer population = {0}, bits = {0}, cache[2] = {{0}};
+    Py_buffer invocations = {0}, improvements = {0}, masks_out = {0}, moved_out = {0};
+    Py_buffer *views[] = {&population, &bits, &cache[0], &cache[1],
+                          &invocations, &improvements, &masks_out, &moved_out};
+    PyObject *result = NULL;
+    uint32_t *seed = NULL, *gen = NULL, *key = NULL;
+    Py_ssize_t nseed, ngen;
+    double *work = NULL;
+    struct cache c;
+    if (get_buffer(args[0], &population, "population", INT64, 2, -1, 0) < 0
+        || get_buffer(args[3], &bits, "bits", BOOL, 1, -1, 0) < 0)
+        goto done;
+    c.n = bits.shape[0];
+    Py_ssize_t rows = population.shape[0], length = population.shape[1];
+    if (get_cache(args + 4, cache, &c) < 0
+        || get_buffer(args[7], &invocations, "invocations", INT64, 1, NUM_LLH + 1, 1) < 0
+        || get_buffer(args[8], &improvements, "improvements", INT64, 1, NUM_LLH + 1, 1) < 0
+        || get_buffer(args[9], &masks_out, "masks_out", BOOL, 2, -1, 1) < 0
+        || get_buffer(args[10], &moved_out, "moved_out", BOOL, 1, rows, 1) < 0)
+        goto done;
+    if (masks_out.shape[0] != rows || masks_out.shape[1] != c.n) {
+        PyErr_Format(PyExc_ValueError, "masks_out has shape (%zd, %zd), expected (%zd, %zd)",
+                     masks_out.shape[0], masks_out.shape[1], rows, c.n);
+        goto done;
+    }
+    if (overlap(&masks_out, &bits)) {
+        PyErr_SetString(PyExc_ValueError, "masks_out must not overlap bits");
+        goto done;
+    }
+    double mutn_rate = PyFloat_AsDouble(args[6]);
+    if ((mutn_rate == -1.0 && PyErr_Occurred())
+        || check_genes(population.buf, rows * length, c.n) < 0
+        || (nseed = int_words(args[1], "seed", &seed)) < 0
+        || (ngen = int_words(args[2], "gen", &gen)) < 0
+        || (work = alloc_work(c.n)) == NULL)
+        goto done;
+    /* row i's entropy: the seed's words, 1, gen's words, then i's */
+    Py_ssize_t prefix = nseed + 1 + ngen;
+    if ((key = PyMem_Malloc((prefix + 2) * sizeof *key)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    memcpy(key, seed, nseed * sizeof *key);
+    key[nseed] = 1;
+    memcpy(key + nseed + 1, gen, ngen * sizeof *key);
+    struct pcg64 pcg;
+    bitgen_t rng = {&pcg, pcg64_next64, pcg64_uint32, pcg64_double, pcg64_next64};
+    const int64_t *gene = population.buf;
+    char *masks = masks_out.buf, *moved = moved_out.buf;
+    for (Py_ssize_t i = 0; i < rows; i++) {
+        uint64_t index = (uint64_t)i;
+        key[prefix] = (uint32_t)index;
+        key[prefix + 1] = (uint32_t)(index >> 32);
+        seed_pcg64(key, prefix + 1 + (index >> 32 != 0), &pcg);
+        moved[i] = (char)run_chromosome(gene + i * length, length, &rng, mutn_rate, bits.buf,
+                                        masks + i * c.n, &c, work, invocations.buf,
+                                        improvements.buf);
+    }
+    result = Py_NewRef(Py_None);
+done:
+    PyMem_Free(key);
+    PyMem_Free(gen);
+    PyMem_Free(seed);
+    PyMem_Free(work);
+    release(views, 8);
+    return result;
+}
+
+/* The GA's chromosomes args[0]: a writable (rows, length) int64 pool, and
+   the generator and probability at args[1..2]. */
+static bitgen_t *
+get_pool(PyObject *const *args, Py_ssize_t nargs, const char *call, Py_buffer *pool,
+         PyObject **capsule, double *p)
+{
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "%s(chromosomes, bit_generator, p) takes 3 arguments,"
+                     " %zd given", call, nargs);
+        return NULL;
+    }
+    if (get_buffer(args[0], pool, "chromosomes", INT64, 2, -1, 1) < 0)
+        return NULL;
+    *p = PyFloat_AsDouble(args[2]);
+    if (*p == -1.0 && PyErr_Occurred())
+        return NULL;
+    return get_bitgen(args[1], capsule);
+}
+
+/* Per consecutive pair of rows, Generator.random() as a coin and, where
+   it is below p and the rows have a cut point, a cut from
+   Generator.integers(1, length): the pair swaps its genes from the cut on. */
+static PyObject *
+crossover(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer pool = {0};
+    PyObject *capsule = NULL;
+    double p;
+    bitgen_t *rng = get_pool(args, nargs, "crossover", &pool, &capsule, &p);
+    if (rng != NULL) {
+        Py_ssize_t rows = pool.shape[0], length = pool.shape[1];
+        for (Py_ssize_t i = 0; i + 1 < rows; i += 2) {
+            if (random_standard_uniform(rng) >= p || length < 2)
+                continue;
+            uint64_t cut;
+            random_bounded_uint64_fill(rng, 1, (uint64_t)(length - 2), 1, false, &cut);
+            int64_t *a = (int64_t *)pool.buf + i * length, *b = a + length;
+            for (Py_ssize_t j = (Py_ssize_t)cut; j < length; j++) {
+                int64_t t = a[j];
+                a[j] = b[j];
+                b[j] = t;
+            }
+        }
+    }
+    Py_XDECREF(capsule);
+    if (pool.obj != NULL)
+        PyBuffer_Release(&pool);
+    return rng != NULL ? Py_NewRef(Py_None) : NULL;
+}
+
+/* Per row, Generator.random(length) as a coin per gene, then
+   Generator.integers(1, NUM_LLH, size=hits) as the new ids of the genes
+   whose coin is below p, each shifted up past the gene's old id. */
+static PyObject *
+mutate(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer pool = {0};
+    PyObject *capsule = NULL, *result = NULL;
+    double p, *coins = NULL;
+    bitgen_t *rng = get_pool(args, nargs, "mutate", &pool, &capsule, &p);
+    if (rng == NULL)
+        goto done;
+    Py_ssize_t rows = pool.shape[0], length = pool.shape[1];
+    /* the coins, then the hits' positions and their draws */
+    if ((coins = PyMem_Malloc(length * (sizeof(double) + 2 * sizeof(uint64_t)))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    uint64_t *hit = (uint64_t *)(coins + length), *draw = hit + length;
+    for (Py_ssize_t i = 0; i < rows; i++) {
+        int64_t *gene = (int64_t *)pool.buf + i * length;
+        Py_ssize_t hits = 0;
+        random_standard_uniform_fill(rng, length, coins);
+        for (Py_ssize_t j = 0; j < length; j++)
+            if (coins[j] < p)
+                hit[hits++] = (uint64_t)j;
+        random_bounded_uint64_fill(rng, 1, NUM_LLH - 2, hits, false, draw);
+        for (Py_ssize_t h = 0; h < hits; h++)
+            gene[hit[h]] = (int64_t)draw[h] + ((int64_t)draw[h] >= gene[hit[h]]);
+    }
+    result = Py_NewRef(Py_None);
+done:
+    PyMem_Free(coins);
+    Py_XDECREF(capsule);
+    if (pool.obj != NULL)
+        PyBuffer_Release(&pool);
     return result;
 }
 
@@ -486,14 +848,6 @@ sqdist_rows(const double *x, Py_ssize_t k, Py_ssize_t n, double *out)
             out[r * n + j] = out[j * n + r];
 }
 
-/* Whether the memory of two acquired buffers overlaps. */
-static int
-overlap(const Py_buffer *a, const Py_buffer *b)
-{
-    const char *p = a->buf, *q = b->buf;
-    return p < q + b->len && q < p + a->len;
-}
-
 static PyObject *
 sqdist(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -533,6 +887,17 @@ static PyMethodDef methods[] = {
      "apply(genes, bit_generator, bits, feature_class, feature_feature, mutn_rate,"
      " invocations, improvements, bits_out) -> whether any gene moved; the bits go to"
      " bits_out"},
+    {"generation", (PyCFunction)(void (*)(void))generation, METH_FASTCALL,
+     "generation(population, seed, gen, bits, feature_class, feature_feature, mutn_rate,"
+     " invocations, improvements, masks_out, moved_out): row i of the population as apply"
+     " runs it on PCG64([seed, 1, gen, i]); its mask goes to masks_out[i] and whether"
+     " it moved to moved_out[i]"},
+    {"crossover", (PyCFunction)(void (*)(void))crossover, METH_FASTCALL,
+     "crossover(chromosomes, bit_generator, p): single-point crossover of each"
+     " consecutive pair of rows, in place"},
+    {"mutate", (PyCFunction)(void (*)(void))mutate, METH_FASTCALL,
+     "mutate(chromosomes, bit_generator, p): each gene to another id with"
+     " probability p, in place"},
     {"sqdist", (PyCFunction)(void (*)(void))sqdist, METH_FASTCALL,
      "sqdist(columns, out): out[i][j] = sum over l of"
      " (columns[l][i] - columns[l][j])**2, in ascending l"},

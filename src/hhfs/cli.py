@@ -15,8 +15,7 @@ import sys
 
 from .dataset import min_max_normalize
 from .evaluation import cv_accuracies
-from .experiment import (KNOBS, VALUE_PARSERS, ExperimentSpec,
-                         dump_correlation_caches, load_config,
+from .experiment import (KNOBS, VALUE_PARSERS, ExperimentSpec, load_config,
                          render_comparison, run_experiment, summary_text,
                          verify_report, with_knobs)
 from .llh import describe_catalog
@@ -33,10 +32,7 @@ def _cmd_run(args) -> int:
     spec = _apply_overrides(load_config(args.config), args)
     if args.dataset:
         spec = spec.only(args.dataset)
-    if args.dump_cache:
-        for path in dump_correlation_caches(spec):
-            print(f"wrote {path}")
-    reports = run_experiment(spec, progress=print)
+    reports = run_experiment(spec, progress=print, dump_cache=args.dump_cache)
     print()
     print(summary_text(reports, spec))
     failed = [r["dataset"] for r in reports if "error" in r]

@@ -241,15 +241,19 @@ def verify_report(report: dict) -> None:
                          "with its per-run records")
 
 
-def run_dataset(dataset: Dataset, spec: ExperimentSpec,
-                progress=None) -> tuple[dict, list[dict[str, float]]]:
+def run_dataset(dataset: Dataset, spec: ExperimentSpec, progress=None,
+                cache_csv: Path | None = None) -> tuple[dict, list[dict[str, float]]]:
     """All runs for one already-loaded dataset, mapped by ``cores.fork_map``
-    (forked workers where this process may fork, else this process).
-    Returns the report dict and, per run, its wall seconds in total and per
-    phase (kept out of the report), keyed by their timings.csv column
-    names."""
+    (forked workers where this process may fork, else this process), after
+    writing its correlation cache to ``cache_csv`` when given. Returns the
+    report dict and, per run, its wall seconds in total and per phase (kept
+    out of the report), keyed by their timings.csv column names."""
     dataset = min_max_normalize(dataset)
     cache = build_cache(dataset)
+    if cache_csv is not None:
+        dump_cache_csv(cache, cache_csv)
+        if progress is not None:
+            progress(f"  wrote {cache_csv}")
     report_protocols = spec.report_protocols()
     baseline = cv_accuracies(dataset, FeatureMask.ones(dataset.n_features),
                              report_protocols)
@@ -350,16 +354,18 @@ def summary_text(reports: list[dict], spec: ExperimentSpec) -> str:
     return "\n".join(lines)
 
 
-def run_experiment(spec: ExperimentSpec, progress=None) -> list[dict]:
+def run_experiment(spec: ExperimentSpec, progress=None, dump_cache: bool = False) -> list[dict]:
     """Execute the experiment over every dataset in the manifest.
 
     Writes per-dataset report.json, history.csv and timings.csv and a
-    combined summary.csv under spec.out_dir. A dataset that fails to load,
-    run or have its files written (an OSError or ValueError) is reported
-    with an ``error`` field, gets a blank summary.csv row, loses the three
-    files an earlier run left in its directory and does not abort the
-    others; an error outside that, such as an unwritable summary.csv or a
-    stale file that cannot be removed, propagates.
+    combined summary.csv under spec.out_dir; with ``dump_cache``, also each
+    dataset's correlation cache as <name>_correlation_cache.csv (see
+    ``dump_cache_csv``) before its runs. A dataset that fails to load, run
+    or have its files written (an OSError or ValueError) is reported with
+    an ``error`` field, gets a blank summary.csv row, loses the three files
+    an earlier run left in its directory and does not abort the others; an
+    error outside that, such as an unwritable summary.csv or a stale file
+    that cannot be removed, propagates.
     """
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -368,7 +374,8 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> list[dict]:
         if progress is not None:
             progress(f"dataset {entry.name}:")
         try:
-            report, timings = run_dataset(entry.load(), spec, progress=progress)
+            cache_csv = out_dir / f"{entry.name}_correlation_cache.csv" if dump_cache else None
+            report, timings = run_dataset(entry.load(), spec, progress, cache_csv)
             write_report_files(report, timings, out_dir)
         except (OSError, ValueError) as exc:
             report = {"dataset": entry.name, "error": str(exc)}
@@ -403,20 +410,6 @@ def render_comparison(report: dict) -> str:
             marker = " *" if value == best else ""
             lines.append(f"  {method:<28} {value:>7.2f}{marker}")
     return "\n".join(lines)
-
-
-def dump_correlation_caches(spec: ExperimentSpec) -> list[Path]:
-    """Diagnostic: write each dataset's correlation cache as CSV."""
-    out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for entry in spec.datasets:
-        dataset = min_max_normalize(entry.load())
-        cache = build_cache(dataset)
-        path = out_dir / f"{entry.name}_correlation_cache.csv"
-        dump_cache_csv(cache, path)
-        written.append(path)
-    return written
 
 
 def load_config(path) -> ExperimentSpec:

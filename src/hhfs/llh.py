@@ -6,10 +6,14 @@ consider every bit, only the 0-bits (can only add features), or only the
 1-bits (can only drop features). Ids 13-16 are merit-oblivious mutational
 moves (SWPD, DIMM, HYPM, MUTN) that perturb the mask unconditionally.
 
-The heuristics are compiled: ``_climb.apply`` (in ``_climb.c``, built by
-``correlation._load_climb``) runs a whole list of them, a chromosome's
-genes, in one call, and ``run_genes`` is its one caller; ``apply`` is a
-one-gene ``run_genes``. The rules, in the kernel:
+The heuristics are compiled (``_climb.c``, built by
+``correlation._load_climb``): ``_climb.apply`` runs a whole list of them,
+a chromosome's genes, in one call, and ``run_genes`` is its one caller;
+``apply`` is a one-gene ``run_genes``. ``_climb.generation`` runs a whole
+population the same way in one call, row i on the stream of
+``PCG64([seed, 1, gen, i])``, which it seeds itself as numpy's
+``SeedSequence`` does; ``run_generation`` is its one caller. The rules, in
+the kernel:
 
 - SDHC moves to the first (lowest-index) in-domain flip of highest merit,
   if that merit is strictly above the current one;
@@ -88,6 +92,22 @@ def run_genes(genes: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
                              cache.feature_feature, mutn_rate, invocations, improvements,
                              bits)
     return FeatureMask(bits) if moved else mask
+
+
+def run_generation(population: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
+                   seed: int, gen: int, mutn_rate: float, invocations: np.ndarray,
+                   improvements: np.ndarray) -> list[FeatureMask]:
+    """``run_genes`` on each row of ``population`` (C-contiguous int64, a
+    chromosome per row) from ``mask``, row i drawing from
+    ``PCG64([seed, 1, gen, i])``, all in one compiled call. Returns the
+    final masks in row order: ``mask`` itself for a row where no heuristic
+    moved."""
+    check_fits(mask, cache)
+    bits = np.empty((len(population), mask.n), dtype=bool)
+    moved = np.empty(len(population), dtype=bool)
+    _climb.generation(population, seed, gen, mask.bits, cache.feature_class,
+                      cache.feature_feature, mutn_rate, invocations, improvements, bits, moved)
+    return [FeatureMask(row) if row_moved else mask for row, row_moved in zip(bits, moved)]
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ heuristic stream of chromosome i in generation g is seeded by
 and the whole run is bit-exact replayable.
 
 The population is one C-contiguous (population_size, nllh) int64 array,
-a chromosome per row, and each row goes to the kernel as it is. Indexing
-the elites and the roulette-drawn mating pool out of it copies those
-rows, which crossover and mutation then edit in place. A generation's GA
-draws, in order: the pool's roulette picks; per consecutive pool pair, a
-crossover coin and, when it says cross, a cut; per pool row, a coin per
-gene, then a new id per hit.
+a chromosome per row, and a generation's heuristics are one kernel call
+over it (``llh.run_generation``). Indexing the elites and the
+roulette-drawn mating pool out of it copies those rows, which the
+kernel's crossover and mutation then edit in place, one call each. A
+generation's GA draws, in order: the pool's roulette picks; per
+consecutive pool pair, a crossover coin and, when it says cross, a cut;
+per pool row, a coin per gene, then a new id per hit.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import llh
-from .correlation import CorrelationCache, build_cache
+from .correlation import CorrelationCache, _climb, build_cache
 from .dataset import Dataset, stratified_folds
 from .evaluation import CvProtocol, FitnessEvaluator, cv_accuracies
 from .llh import NUM_LLH
@@ -150,24 +151,26 @@ def roulette_select(fitnesses, rng: np.random.Generator, size: int) -> np.ndarra
 
 def single_point_crossover(pair: np.ndarray, rng: np.random.Generator,
                            p_crossover: float) -> None:
-    """With probability p_crossover, cut the two rows of ``pair`` at a
-    uniform point in 1..len-1 and exchange their tails in place; otherwise,
-    and for 1-gene rows, which have no such point, leave them. The coin is
-    drawn either way."""
-    if rng.random() >= p_crossover or pair.shape[1] < 2:
-        return
-    cut = int(rng.integers(1, pair.shape[1]))
-    pair[:, cut:] = pair[[1, 0], cut:]
+    """With probability p_crossover, cut the two rows of ``pair``
+    (C-contiguous int64) at a uniform point in 1..len-1 and exchange their
+    tails in place; otherwise, and for 1-gene rows, which have no such
+    point, leave them. The coin is drawn either way, as ``rng.random()``,
+    and the cut as ``rng.integers(1, len)``."""
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        _climb.crossover(pair, bit_generator, p_crossover)
 
 
 def mutate_chromosome(genes: np.ndarray, p_mutation: float,
                       rng: np.random.Generator) -> None:
-    """Each gene independently mutates in place with probability p_mutation
-    to a uniform id in 1..16 other than its current value, so mutated genes
-    always change."""
-    hits = np.flatnonzero(rng.random(genes.size) < p_mutation)
-    draws = rng.integers(1, NUM_LLH, size=hits.size)
-    genes[hits] = draws + (draws >= genes[hits])
+    """Each gene of the row ``genes`` (C-contiguous int64) independently
+    mutates in place with probability p_mutation to a uniform id in 1..16
+    other than its current value, so mutated genes always change: the
+    coins are ``rng.random(len)``, then the hits' ids
+    ``rng.integers(1, 16, size=hits)``, each shifted up past the old id."""
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        _climb.mutate(genes[np.newaxis], bit_generator, p_mutation)
 
 
 def _next_generation(population: np.ndarray, fits: np.ndarray,
@@ -177,10 +180,10 @@ def _next_generation(population: np.ndarray, fits: np.ndarray,
     copies the rows, so the edits leave ``population`` as it was."""
     elites = population[np.argsort(-fits, kind="stable")[:cfg.elitism]]
     pool = population[roulette_select(fits, rng, cfg.population_size - cfg.elitism)]
-    for i in range(0, len(pool) - 1, 2):
-        single_point_crossover(pool[i:i + 2], rng, cfg.p_crossover)
-    for genes in pool:
-        mutate_chromosome(genes, cfg.p_mutation, rng)
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        _climb.crossover(pool, bit_generator, cfg.p_crossover)
+        _climb.mutate(pool, bit_generator, cfg.p_mutation)
     return np.concatenate([elites, pool])
 
 
@@ -200,9 +203,9 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     a ``cache`` built for another feature count, and a reporting protocol
     of more folds than instances, before any work starts.
 
-    A run is one process: it starts no worker, whatever the cores. Each
-    chromosome's genes are one compiled call, and the run's fitness is
-    computed here, after the generation's heuristics.
+    A run is one process: it starts no worker, whatever the cores. A
+    generation's heuristics are one compiled call, and the run's fitness is
+    computed here, after them.
     """
     if dataset.n_features < 2:
         raise ValueError("the supervisor needs at least 2 features, "
@@ -231,10 +234,8 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     phases = dict.fromkeys(("heuristics", "fitness", "ga", "report"), 0.0)
     for gen in range(cfg.generations):
         t0 = time.perf_counter()
-        masks = [llh.run_genes(genes, incumbent, cache,
-                               np.random.PCG64([cfg.seed, 1, gen, i]), cfg.mutn_rate,
-                               stats.invocations, stats.improvements)
-                 for i, genes in enumerate(population)]
+        masks = llh.run_generation(population, incumbent, cache, cfg.seed, gen,
+                                   cfg.mutn_rate, stats.invocations, stats.improvements)
         t1 = time.perf_counter()
         fits = np.array([evaluator.fitness(mask) for mask in masks], dtype=np.float64)
         t2 = time.perf_counter()

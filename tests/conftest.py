@@ -8,9 +8,11 @@ they verify.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import multiprocessing
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -20,7 +22,7 @@ import pytest
 from hhfs import cores
 from hhfs.correlation import CorrelationCache, _climb
 from hhfs.dataset import Dataset, min_max_normalize
-from hhfs.llh import CATALOG, ONES, ZEROS
+from hhfs.llh import CATALOG, NUM_LLH, ONES, ZEROS
 from hhfs.mask import FeatureMask
 
 ALL = "all"  # the plain hill-climbers' bit domain: any position may flip
@@ -542,13 +544,18 @@ class StubRng:
 
     ``integers`` entries are returned for integers(); ``randoms`` entries
     for random() (a scalar, or a sequence when random(size) is called);
-    ``permutations`` entries for permutation().
+    ``permutations`` entries for permutation(). The compiled GA draws from
+    ``bit_generator`` instead, which pops the same entries one value at a
+    time: its integer draws are over ``integers(*bounds)``, the range of a
+    new gene id and of a cut in a 16-gene row.
     """
 
-    def __init__(self, integers=(), randoms=(), permutations=()):
+    def __init__(self, integers=(), randoms=(), permutations=(), bounds=(1, NUM_LLH)):
         self._integers = list(integers)
         self._randoms = list(randoms)
         self._permutations = list(permutations)
+        self._bounds = bounds
+        self._bit_generator = None
 
     def integers(self, low, high=None, size=None, dtype=None):
         value = self._integers.pop(0)
@@ -564,6 +571,69 @@ class StubRng:
 
     def permutation(self, n):
         return np.asarray(self._permutations.pop(0))
+
+    @property
+    def bit_generator(self) -> ScriptedBitGenerator:
+        if self._bit_generator is None:
+            self._bit_generator = ScriptedBitGenerator(self)
+        return self._bit_generator
+
+    def pop_value(self, entries: list):
+        """The first value of the first entry of ``entries``, removed."""
+        if np.ndim(entries[0]) == 0:
+            return entries.pop(0)
+        rest = list(entries[0])
+        value = rest.pop(0)
+        if rest:
+            entries[0] = rest
+        else:
+            entries.pop(0)
+        return value
+
+
+_NEXT64 = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
+_NEXT32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+_NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+
+
+class _Bitgen(ctypes.Structure):
+    """numpy's ``bitgen_t``: a state pointer and its draw functions."""
+
+    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", _NEXT64),
+                ("next_uint32", _NEXT32), ("next_double", _NEXT_DOUBLE),
+                ("next_raw", _NEXT64)]
+
+
+_capsule_new = ctypes.pythonapi.PyCapsule_New
+_capsule_new.restype = ctypes.py_object
+_capsule_new.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+
+
+class ScriptedBitGenerator:
+    """What the kernels read of a numpy BitGenerator, its ``capsule`` and
+    ``lock``, over a StubRng's script: next_double pops a ``randoms`` value,
+    and next_uint32 pops an ``integers`` value as the word from which the
+    kernel's bounded draw (Lemire's, over ``integers(*bounds)``) returns it.
+    A 64-bit draw is a test failure."""
+
+    def __init__(self, stub: StubRng):
+        low, high = stub._bounds
+
+        def word(_state):
+            value = stub.pop_value(stub._integers) - low
+            # the middle of value's share of the 32-bit words: no rejection
+            return ((value << 32) + (1 << 31)) // (high - low)
+
+        def no_uint64(_state):
+            raise AssertionError("the GA draws no 64-bit word")
+
+        self._draws = _Bitgen(None, _NEXT64(no_uint64), _NEXT32(word),
+                              _NEXT_DOUBLE(lambda _state: stub.pop_value(stub._randoms)),
+                              _NEXT64(no_uint64))
+        self._name = ctypes.create_string_buffer(b"BitGenerator")
+        self.capsule = _capsule_new(ctypes.addressof(self._draws),
+                                    ctypes.addressof(self._name), None)
+        self.lock = threading.Lock()
 
 
 @pytest.fixture

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from hhfs import experiment
 from hhfs.cli import _apply_overrides, build_parser, main
+from hhfs.correlation import build_cache, dump_cache_csv
 from hhfs.dataset import load_csv, min_max_normalize
 from hhfs.evaluation import CvProtocol
 from hhfs.experiment import full_feature_baseline, load_config
@@ -183,6 +185,13 @@ def test_input_errors_exit_2_with_one_line(project, capsys, argv, message):
                    + f"\n[datasets.one_class]\npath = {tmp_path / 'one_class.csv'}\n"
                    + f"\n[datasets.singletons]\npath = {tmp_path / 'singletons.csv'}\n")
     fill = dict(tmp=tmp_path, cfg=cfg)
+    if "--dump-cache" in argv:  # the dump is inside the run: the dataset fails alone
+        assert main([a.format(**fill) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("dataset ghost_file:\n  FAILED: ")
+        assert message.format(**fill) in out.splitlines()[1]
+        assert err == "\npartial results: ghost_file failed\n"
+        return
     with pytest.raises(SystemExit) as exit_info:
         main([a.format(**fill) for a in argv])
     assert exit_info.value.code == 2
@@ -242,6 +251,33 @@ def test_run_dump_cache(project):
     assert main(["run", "--config", str(cfg), "--runs", "1",
                  "--generations", "1", "--dump-cache"]) == 0
     assert (tmp_path / "out" / "alpha_correlation_cache.csv").exists()
+
+
+def test_dump_cache_loads_each_dataset_once_and_a_failing_one_alone_fails(project,
+                                                                          monkeypatch):
+    tmp_path, cfg = project
+    beta = write_dataset_csv(tmp_path / "beta.csv", seed=5)
+    cfg.write_text(cfg.read_text() + f"\n[datasets.ghost]\npath = {tmp_path / 'ghost.csv'}\n"
+                   + f"\n[datasets.beta]\npath = {beta}\n")
+    loads = []
+
+    def counting(path, **kwargs):
+        loads.append(Path(path).name)
+        return load_csv(path, **kwargs)
+
+    monkeypatch.setattr(experiment, "load_csv", counting)
+    assert main(["run", "--config", str(cfg), "--runs", "1", "--generations", "1",
+                 "--dump-cache"]) == 1
+    assert loads == ["alpha.csv", "ghost.csv", "beta.csv"]
+    out = tmp_path / "out"
+    for name in ("alpha", "beta"):
+        dataset = min_max_normalize(load_csv(tmp_path / f"{name}.csv", name=name))
+        dump_cache_csv(build_cache(dataset), tmp_path / f"{name}.expected.csv")
+        assert ((out / f"{name}_correlation_cache.csv").read_bytes()
+                == (tmp_path / f"{name}.expected.csv").read_bytes())
+        assert (out / name / "report.json").is_file()
+    assert not (out / "ghost_correlation_cache.csv").exists()
+    assert not (out / "ghost").exists()
 
 
 def test_baseline_command(project, capsys):

@@ -1,0 +1,239 @@
+"""The kernel's per-generation entry points: ``_climb.generation``, which
+seeds row i's stream itself as ``PCG64([seed, 1, gen, i])``, against
+``llh.run_genes`` on numpy's own generator, and the refusals of
+``generation``, ``crossover`` and ``mutate``."""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_cache
+from hhfs import llh
+from hhfs.llh import NUM_LLH, _climb
+from hhfs.mask import FeatureMask
+from hhfs.supervisor import LlhStats, mutate_chromosome, single_point_crossover
+
+# one, two, three and four entropy words
+SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 123_456_789_012_345_678_901_234, 2 ** 100 + 1]
+GENS = [0, 199, 2 ** 32 + 1]
+# DBHC, RMHC, SWPD and DIMM draw 32-bit words, DIMM, HYPM and MUTN doubles:
+# mixed, a double leaves next_uint32's buffered half-word for a later gene
+DRAWING_GENES = [7, 8, 9, 10, 11, 12, 13, 14, 15, 16]
+
+
+def generation(population, seed, gen, mask, cache, mutn_rate=0.1, **replace):
+    """``_climb.generation`` with fresh outputs and counters (any of them
+    replaced by keyword): the rows, the moved flags and the LlhStats."""
+    stats = LlhStats()
+    a = dict(population=population, bits=mask.bits, feature_class=cache.feature_class,
+             feature_feature=cache.feature_feature, invocations=stats.invocations,
+             improvements=stats.improvements,
+             masks_out=np.empty((len(population), mask.n), dtype=bool),
+             moved_out=np.empty(len(population), dtype=bool))
+    a.update(replace)
+    _climb.generation(a["population"], seed, gen, a["bits"], a["feature_class"],
+                      a["feature_feature"], mutn_rate, a["invocations"], a["improvements"],
+                      a["masks_out"], a["moved_out"])
+    return a["masks_out"], a["moved_out"], stats
+
+
+@st.composite
+def keys(draw):
+    """A stream key, a population drawing both word sizes, an incumbent
+    and its cache."""
+    n = draw(st.integers(2, 20))
+    rows, length = draw(st.integers(1, 8)), draw(st.integers(1, 20))
+    genes = st.sampled_from(DRAWING_GENES) | st.integers(1, NUM_LLH)
+    population = np.array(draw(st.lists(st.lists(genes, min_size=length, max_size=length),
+                                        min_size=rows, max_size=rows)), dtype=np.int64)
+    bits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return (draw(st.sampled_from(SEEDS) | st.integers(0, 2 ** 80)),
+            draw(st.sampled_from(GENS) | st.integers(0, 2 ** 40)),
+            population, FeatureMask(bits), random_cache(n, seed=draw(st.integers(0, 99))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(keys(), st.sampled_from([0.1, 0.5]))
+def test_generation_equals_run_genes_on_numpy_s_streams(key, mutn_rate):
+    seed, gen, population, mask, cache = key
+    masks, moved, stats = generation(population, seed, gen, mask, cache, mutn_rate)
+    expected = LlhStats()
+    for i, genes in enumerate(population):
+        out = llh.run_genes(genes, mask, cache, np.random.PCG64([seed, 1, gen, i]), mutn_rate,
+                            expected.invocations, expected.improvements)
+        assert masks[i].tolist() == out.bits.tolist()
+        assert moved[i] == (out is not mask)
+    assert stats.as_dict() == expected.as_dict()
+
+
+@pytest.mark.parametrize("gen", GENS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_listed_key(seed, gen):
+    # RMHC's one 32-bit word, then doubles, then words again: the buffered
+    # half-word of the first RMHC's draw is the next word drawn
+    population = np.array([[10, 15, 10, 16, 13, 14, 7],
+                           [11, 16, 12, 14, 15, 8, 13],
+                           [14, 14, 13, 10, 16, 9, 12]], dtype=np.int64)
+    cache = random_cache(9, seed=seed % 97)
+    mask = FeatureMask([1, 0, 0, 1, 1, 0, 1, 0, 1])
+    masks, moved, stats = generation(population, seed, gen, mask, cache)
+    expected = LlhStats()
+    for i, genes in enumerate(population):
+        out = llh.run_genes(genes, mask, cache, np.random.PCG64([seed, 1, gen, i]), 0.1,
+                            expected.invocations, expected.improvements)
+        assert masks[i].tolist() == out.bits.tolist() and moved[i] == (out is not mask)
+    assert stats.as_dict() == expected.as_dict()
+
+
+def test_run_generation_returns_the_incumbent_for_unmoved_rows():
+    cache = random_cache(6, seed=5)
+    mask = FeatureMask([1, 0, 1, 1, 0, 0])
+    # SWPD rows: whether a swap moves depends on the stream
+    population = np.full((12, 1), 13, dtype=np.int64)
+    stats = LlhStats()
+    out = llh.run_generation(population, mask, cache, 4, 2, 0.1, stats.invocations,
+                             stats.improvements)
+    _, moved, _ = generation(population, 4, 2, mask, cache)
+    assert [m is not mask for m in out] == moved.tolist()
+    assert 0 < moved.sum() < 12
+    for i, m in enumerate(out):
+        expected = llh.run_genes(population[i], mask, cache, np.random.PCG64([4, 1, 2, i]),
+                                 0.1, np.zeros(NUM_LLH + 1, dtype=np.int64),
+                                 np.zeros(NUM_LLH + 1, dtype=np.int64))
+        assert m == expected and not m.bits.flags.writeable
+
+
+class TestGenerationArguments:
+    """Every buffer, gene id and key is checked before any row runs, so a
+    refusal leaves the counters and outputs as they were."""
+
+    N, ROWS = 6, 4
+
+    @pytest.fixture
+    def args(self):
+        cache = random_cache(self.N, seed=41)
+        population = np.tile(np.arange(1, NUM_LLH + 1, dtype=np.int64), (self.ROWS, 1))
+        return population, FeatureMask([1, 0, 1, 1, 0, 0]), cache
+
+    def test_valid_arguments_run(self, args):
+        masks, moved, stats = generation(*args[:1], 3, 0, *args[1:])
+        assert stats.invocations[1:].tolist() == [self.ROWS] * NUM_LLH
+        assert masks.shape == (self.ROWS, self.N) and moved.shape == (self.ROWS,)
+
+    @pytest.mark.parametrize("bad", [0, 17, -(2 ** 62)])
+    def test_unknown_gene_id(self, args, bad):
+        population, mask, cache = args
+        population[-1, -1] = bad
+        stats = LlhStats()
+        with pytest.raises(ValueError, match=f"^unknown low-level heuristic id {bad}$"):
+            generation(population, 3, 0, mask, cache, invocations=stats.invocations)
+        assert not stats.invocations.any()
+
+    def test_swap_needs_two_dimensions(self):
+        cache = random_cache(1, seed=2)
+        with pytest.raises(ValueError, match="^swap needs at least 2 dimensions$"):
+            generation(np.array([[1, 13]]), 0, 0, FeatureMask([1]), cache)
+
+    @pytest.mark.parametrize("name, bad, message", [
+        ("population", np.ones((ROWS, 16), dtype=np.int32),
+         "population must hold int64, not format 'i' of 4 bytes"),
+        ("population", np.ones(16, dtype=np.int64),
+         "population must have 2 dimension(s), not 1"),
+        ("population", np.ones((ROWS, 32), dtype=np.int64)[:, ::2],
+         "population must be C-contiguous"),
+        ("bits", np.ones(N, dtype=np.uint8), "bits must hold bools"),
+        ("feature_class", np.zeros(N + 1), "feature_class has length 7 along axis 0"),
+        ("invocations", np.zeros(NUM_LLH, dtype=np.int64),
+         "invocations has length 16 along axis 0, expected 17"),
+        ("masks_out", np.empty((ROWS, N + 1), dtype=bool),
+         "masks_out has shape (4, 7), expected (4, 6)"),
+        ("masks_out", np.empty((ROWS + 1, N), dtype=bool),
+         "masks_out has shape (5, 6), expected (4, 6)"),
+        ("masks_out", np.empty(N, dtype=bool), "masks_out must have 2 dimension(s), not 1"),
+        ("masks_out", np.empty((ROWS, N), dtype=np.uint8), "masks_out must hold bools"),
+        ("moved_out", np.empty(ROWS + 1, dtype=bool),
+         "moved_out has length 5 along axis 0, expected 4"),
+    ])
+    def test_buffers(self, args, name, bad, message):
+        population, mask, cache = args
+        counts = {"invocations": np.zeros(NUM_LLH + 1, dtype=np.int64), name: bad}
+        if name == "population":
+            population = counts.pop(name)
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            generation(population, 3, 0, mask, cache, **counts)
+        assert not np.any(counts["invocations"])
+
+    def test_masks_out_must_not_overlap_the_bits(self, args):
+        population, mask, cache = args
+        shared = np.zeros((self.ROWS, self.N), dtype=bool)
+        with pytest.raises(ValueError, match="^masks_out must not overlap bits$"):
+            generation(population, 3, 0, mask, cache, bits=shared[2], masks_out=shared)
+        with pytest.raises(ValueError, match="read-only"):
+            generation(population, 3, 0, mask, cache,
+                       masks_out=np.broadcast_to(mask.bits, (self.ROWS, self.N)))
+
+    @pytest.mark.parametrize("seed, gen, error, message", [
+        (-1, 0, ValueError, "^seed must be non-negative$"),
+        (0, -2 ** 70, ValueError, "^gen must be non-negative$"),
+        (1.0, 0, TypeError, "float"),
+        (0, "1", TypeError, "str"),
+    ])
+    def test_keys(self, args, seed, gen, error, message):
+        population, mask, cache = args
+        with pytest.raises(error, match=message):
+            generation(population, seed, gen, mask, cache)
+
+    def test_argument_count(self, args):
+        with pytest.raises(TypeError, match=r"^generation\(population, seed, gen, .* takes 11 "
+                                            "arguments, 2 given$"):
+            _climb.generation(args[0], 0)
+
+
+class TestGaKernelArguments:
+    """``crossover`` and ``mutate`` edit a writable C-contiguous int64
+    pool in place, and refuse anything else before they draw."""
+
+    @pytest.mark.parametrize("kernel", ["crossover", "mutate"])
+    @pytest.mark.parametrize("bad, error, message", [
+        (np.ones((4, 8), dtype=np.int32), ValueError,
+         "^chromosomes must hold int64, not format 'i' of 4 bytes$"),
+        (np.ones((4, 8)), ValueError, "^chromosomes must hold int64, not format 'd' of 8 bytes$"),
+        (np.ones(8, dtype=np.int64), ValueError, r"^chromosomes must have 2 dimension\(s\), not 1$"),
+        (np.ones((4, 16), dtype=np.int64)[:, ::2], ValueError,
+         "^chromosomes must be C-contiguous$"),
+        (np.broadcast_to(np.ones(8, dtype=np.int64), (4, 8)), ValueError, "read-only"),
+        ([[1, 2], [3, 4]], TypeError, "list"),
+    ])
+    def test_refusals_leave_the_generator_as_it_was(self, kernel, bad, error, message):
+        bit_generator = np.random.PCG64(5)
+        state = bit_generator.state
+        with pytest.raises(error, match=message):
+            getattr(_climb, kernel)(bad, bit_generator, 1.0)
+        assert bit_generator.state == state
+
+    @pytest.mark.parametrize("kernel", ["crossover", "mutate"])
+    def test_generator_and_argument_count(self, kernel):
+        pool = np.ones((2, 4), dtype=np.int64)
+        with pytest.raises(TypeError, match="^bit_generator must be a numpy BitGenerator, "
+                                            "not numpy.random._generator.Generator$"):
+            getattr(_climb, kernel)(pool, np.random.default_rng(0), 0.5)
+        with pytest.raises(TypeError, match=rf"^{kernel}\(chromosomes, bit_generator, p\) "
+                                            "takes 3 arguments, 2 given$"):
+            getattr(_climb, kernel)(pool, np.random.PCG64(0))
+        with pytest.raises(TypeError):
+            getattr(_climb, kernel)(pool, np.random.PCG64(0), "0.5")
+        assert pool.tolist() == [[1] * 4] * 2
+
+    def test_public_wrappers_take_c_contiguous_int64_rows(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^chromosomes must hold int64, not format 'i'"):
+            mutate_chromosome(np.ones(8, dtype=np.int32), 1.0, rng)
+        with pytest.raises(ValueError, match="^chromosomes must be C-contiguous$"):
+            mutate_chromosome(np.ones(16, dtype=np.int64)[::2], 1.0, rng)
+        with pytest.raises(ValueError, match="^chromosomes must hold int64, not format 'i'"):
+            single_point_crossover(np.ones((2, 8), dtype=np.int32), rng, 1.0)
+        assert rng.bit_generator.state == state

@@ -418,7 +418,7 @@ class TestRunSupervisor:
         def never(*args):
             pytest.fail("a generation ran")
 
-        monkeypatch.setattr(llh, "run_genes", never)
+        monkeypatch.setattr(llh, "run_generation", never)
         d = synthetic_dataset(n_instances=30, n_features=5, seed=4)
         with pytest.raises(DatasetError, match="^cannot split 30 instances into 40 folds$"):
             run_supervisor(d, self.small_config(), CvProtocol(folds=5),
@@ -580,15 +580,15 @@ class TestFitnessWorker:
         assert resource_tracker._resource_tracker._pid == tracker  # none started
 
     def test_interrupt_mid_generation_leaves_no_process(self, monkeypatch, small_dataset):
-        run, calls = llh.run_genes, []
+        run, calls = llh.run_generation, []
 
         def interrupting(*args):
             calls.append(args)
-            if len(calls) == 8 + 5:  # generation 1, chromosome 4
+            if len(calls) == 2:  # generation 1
                 raise KeyboardInterrupt
             return run(*args)
 
-        monkeypatch.setattr(llh, "run_genes", interrupting)
+        monkeypatch.setattr(llh, "run_generation", interrupting)
         on_cores(monkeypatch, 2)
         cfg = SupervisorConfig(population_size=8, generations=3, seed=6)
         with pytest.raises(KeyboardInterrupt):
