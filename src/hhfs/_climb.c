@@ -61,7 +61,8 @@
    copied from above it rather than summed again. The sums run over BLOCK
    rows and LANES columns at a time, in registers, on AVX-512 where the CPU
    has it (sqdist_rows). Every buffer and out against overlapping the
-   columns are checked before out is written. */
+   columns are checked before out is written, and the sums run without the
+   GIL, so threads that each own an out compute at once. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -872,7 +873,9 @@ sqdist(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_ValueError, "out must not overlap columns");
         goto done;
     }
+    Py_BEGIN_ALLOW_THREADS  /* both buffers are held, so other threads may run */
     sqdist_rows(columns.buf, k, n, out.buf);
+    Py_END_ALLOW_THREADS
     result = Py_NewRef(Py_None);
 done:
     release(views, 2);

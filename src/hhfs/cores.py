@@ -1,7 +1,11 @@
-"""The cores a process may use, and forked workers that share them.
+"""The cores a process may use, and the forked workers and helper threads
+that share them.
 
 Where ``may_fork`` allows, ``fork_map`` maps a dataset's runs over one
-forked worker per usable core. A lone supervisor run starts no worker.
+forked worker per usable core. A lone supervisor run starts no process: it
+computes each generation's fitness on ``Helpers``, threads beside its own,
+one per further usable core. They pay only because the fitness's distances
+run without the GIL.
 
 The workers are forked, not spawned: a forked worker imports nothing and
 is sent no dataset, and forking starts no ``resource_tracker`` process. Each
@@ -16,7 +20,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import queue
 import signal
+import threading
 from collections.abc import Sequence
 from multiprocessing.connection import wait
 
@@ -29,10 +35,10 @@ def usable_cores() -> int:
 
 
 def may_fork() -> bool:
-    """Whether this process may start workers: it has a second usable
-    core, the fork start method exists and the process is not a worker
-    itself (workers are daemonic, and a daemonic process may have no
-    children)."""
+    """Whether this process may start workers or helper threads: it has a
+    second usable core, the fork start method exists and the process is not
+    a worker itself (workers are daemonic, a daemonic process may have no
+    children, and its sibling workers already use the other cores)."""
     return (usable_cores() > 1 and "fork" in multiprocessing.get_all_start_methods()
             and not multiprocessing.current_process().daemon)
 
@@ -97,3 +103,82 @@ def fork_map(func, items: Sequence):
                 process.terminate()
             process.join()
             conn.close()
+
+
+class Helpers:
+    """``count`` threads that compute beside the calling thread: ``map``
+    puts its items on a queue that they and the calling thread pull from.
+    One thread calls ``map`` at a time. ``close``, or leaving a ``with``
+    block, stops and joins them."""
+
+    def __init__(self, count: int):
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()  # jobs, then a None per thread
+        self._threads: list[threading.Thread] = []
+        try:
+            for _ in range(count):
+                thread = threading.Thread(target=self._serve, name="hhfs-helper", daemon=True)
+                thread.start()
+                self._threads.append(thread)
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "Helpers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _serve(self) -> None:
+        """A helper's loop: it answers each job ``(func, i, item, answers)``
+        with ``(i, func(item), None)``, or ``(i, None, what it raised)``, on
+        ``answers``, and returns when it gets None."""
+        while (job := self._queue.get()) is not None:
+            func, i, item, answers = job
+            try:
+                answers.put((i, func(item), None))
+            except BaseException as exc:  # an interrupt too: map raises it in the caller
+                answers.put((i, None, exc))
+
+    def _unstarted(self):
+        """The jobs still queued, each pulled off the queue as it is yielded."""
+        while True:
+            try:
+                yield self._queue.get_nowait()
+            except queue.Empty:
+                return
+
+    def map(self, func, items: Sequence) -> list:
+        """``[func(x) for x in items]``, each item computed by whichever
+        thread pulls it first, this one included. What a call raises is
+        raised here: at once from this thread's call, and from a helper's
+        once this thread has none left to pull. The items no thread has
+        started are then dropped."""
+        if not self._threads:
+            return [func(x) for x in items]
+        answers: queue.SimpleQueue = queue.SimpleQueue()
+        results = [None] * len(items)
+        left = len(items)
+        try:
+            for i, x in enumerate(items):
+                self._queue.put((func, i, x, answers))
+            for _, i, x, _ in self._unstarted():
+                results[i] = func(x)
+                left -= 1
+            while left:
+                i, result, exc = answers.get()
+                if exc is not None:
+                    raise exc
+                results[i] = result
+                left -= 1
+        finally:  # none are left unless a call raised
+            for _ in self._unstarted():
+                pass
+        return results
+
+    def close(self) -> None:
+        for _ in self._threads:
+            self._queue.put(None)
+        for thread in self._threads:
+            thread.join()
+        self._threads = []

@@ -13,21 +13,29 @@ Repeating the k-fold split ``repeats`` times with seeds base_seed,
 base_seed+1, ... and averaging gives the "r x k fold CV" protocols used
 for reporting; searches typically run with repeats=1 for speed.
 
-Every computation fills one n x n matrix with sqdist over the mask's
+Every computation fills an n x n matrix with sqdist over the mask's
 columns, then per repeat sets each row's same-fold cells (its own among
 them) to inf and takes the row argmins, which is the lowest index among
-ties. An evaluator refuses a dataset whose distances could overflow, its
-column ranges' squares summing above ``_DISTANCE_MAX``: some mask's
-distances could then be inf, and a row whose distances are all inf would
-take row 0 as its neighbour, in its own fold or not.
+ties. Each thread that computes has a work matrix of its own, made on its
+first computation, and ``sqdist`` runs without the GIL, so a generation's
+masks can be computed on helper threads (``cores.Helpers``) beside the
+calling thread.
+
+An evaluator refuses a dataset whose distances could overflow, its column
+ranges' squares summing above ``_DISTANCE_MAX``: some mask's distances
+could then be inf, and a row whose distances are all inf would take row 0
+as its neighbour, in its own fold or not.
 """
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import cores
 from .correlation import _climb
 from .dataset import Dataset, DatasetError, stratified_folds
 from .mask import FeatureMask
@@ -98,9 +106,9 @@ class FitnessEvaluator:
     equals ``cv_accuracy`` bitwise. The cache key is the raw bit pattern,
     so a hit returns the stored accuracy with zero classification work.
     ``computations`` counts actual CV evaluations and ``hits`` counts
-    cache returns. Every computation reuses one n x n work matrix for the
-    distances, and ``features.T`` is kept contiguous, so a mask's columns
-    are one gather.
+    cache returns. Every computation reuses its thread's n x n work matrix
+    for the distances, and ``features.T`` is kept contiguous, so a mask's
+    columns are one gather.
     """
 
     def __init__(self, dataset: Dataset, protocol: CvProtocol):
@@ -126,15 +134,19 @@ class FitnessEvaluator:
             self._same_fold.append(np.concatenate([(m[:, None] * n + m).ravel()
                                                    for m in members]))
         self._columns = np.ascontiguousarray(dataset.features.T)
-        self._work = np.empty((n, n))
+        self._local = threading.local()  # .work: this thread's n x n work matrix
         self._cache: dict[bytes, float] = {}
+        self._computed: dict[bytes, float] = {}  # what fitnesses computed and fitness stores
         self.computations = 0
         self.hits = 0
 
     def _accuracies(self, idx: np.ndarray) -> list[float]:
         """Per repeat, the 1NN accuracy over that repeat's folds, seeing
         only the (non-empty) columns ``idx``."""
-        D = self._work
+        D = getattr(self._local, "work", None)
+        if D is None:
+            n = self.dataset.n_instances
+            D = self._local.work = np.empty((n, n))
         _climb.sqdist(self._columns[idx], D)
         cells = D.reshape(-1)  # a view: D is C-contiguous
         labels = self.dataset.labels
@@ -149,18 +161,41 @@ class FitnessEvaluator:
                 cells[same] = saved
         return accs
 
+    def _value(self, idx: np.ndarray) -> float:
+        """The CV accuracy seeing only the columns ``idx``; 0.0 for none."""
+        accs = self._accuracies(idx) if idx.size else [0.0]
+        return sum(accs) / len(accs)
+
     def fitness(self, mask: FeatureMask) -> float:
         """The memoized CV accuracy of ``mask``: a mask seen before is a
-        hit; any other is computed, stored and counted, in that order, so a
-        computation that raises leaves the memo and the counters as they
-        were."""
+        hit; any other is computed (unless ``fitnesses`` just did), stored
+        and counted, in that order, so a computation that raises leaves the
+        memo and the counters as they were."""
         key = mask.key()
         if key in self._cache:
             self.hits += 1
             return self._cache[key]
-        idx = _selected_columns(self.dataset, mask)
-        accs = self._accuracies(idx) if idx.size else [0.0]
-        value = sum(accs) / len(accs)
+        value = self._computed.pop(key, None)
+        if value is None:
+            value = self._value(_selected_columns(self.dataset, mask))
         self._cache[key] = value
         self.computations += 1
         return value
+
+    def fitnesses(self, masks: Sequence[FeatureMask], helpers: cores.Helpers) -> list[float]:
+        """``[fitness(m) for m in masks]``, with the distinct masks not
+        memoized yet computed first, in first-occurrence order, by this
+        thread and ``helpers``' threads pulling from one queue. This thread
+        then stores and counts them through ``fitness``, in order, as those
+        consecutive calls would; so a computation that raises, in any
+        thread, leaves the memo and the counters as they were."""
+        todo: dict[bytes, np.ndarray] = {}
+        for mask in masks:
+            key = mask.key()
+            if key not in self._cache and key not in todo:
+                todo[key] = _selected_columns(self.dataset, mask)
+        self._computed = dict(zip(todo, helpers.map(self._value, list(todo.values()))))
+        try:
+            return [self.fitness(mask) for mask in masks]
+        finally:
+            self._computed = {}

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import llh
+from . import cores, llh
 from .correlation import CorrelationCache, _climb, build_cache
 from .dataset import Dataset, stratified_folds
 from .evaluation import CvProtocol, FitnessEvaluator, cv_accuracies
@@ -119,8 +119,9 @@ class SupervisorResult:
     fitness_cache_hits: int
     wall_time: float
     # wall seconds spent in each phase of the run: heuristics, fitness (the
-    # CV computations and memo lookups, all in this process), ga, report;
-    # the rest of wall_time is set-up
+    # CV computations and memo lookups, in this process, on its helper
+    # threads too where it has further cores), ga, report; the rest of
+    # wall_time is set-up
     phase_seconds: dict[str, float]
 
     @property
@@ -204,8 +205,11 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     of more folds than instances, before any work starts.
 
     A run is one process: it starts no worker, whatever the cores. A
-    generation's heuristics are one compiled call, and the run's fitness is
-    computed here, after them.
+    generation's heuristics are one compiled call, and its fitness is
+    computed after them, by this thread and, where ``cores.may_fork()``
+    allows, a helper thread per further usable core (at most one fewer than
+    the population). The helpers start once per run and are stopped and
+    joined before it returns or raises; the results do not depend on them.
     """
     if dataset.n_features < 2:
         raise ValueError("the supervisor needs at least 2 features, "
@@ -232,27 +236,29 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     stats = LlhStats()
     history: list[GenerationRecord] = []
     phases = dict.fromkeys(("heuristics", "fitness", "ga", "report"), 0.0)
-    for gen in range(cfg.generations):
-        t0 = time.perf_counter()
-        masks = llh.run_generation(population, incumbent, cache, cfg.seed, gen,
-                                   cfg.mutn_rate, stats.invocations, stats.improvements)
-        t1 = time.perf_counter()
-        fits = np.array([evaluator.fitness(mask) for mask in masks], dtype=np.float64)
-        t2 = time.perf_counter()
-        best_i = int(np.argmax(fits))
-        if fits[best_i] > incumbent_fitness:
-            incumbent = masks[best_i]
-            incumbent_fitness = float(fits[best_i])
-        history.append(GenerationRecord(
-            generation=gen,
-            best_chromosome_fitness=float(fits[best_i]),
-            incumbent_fitness=incumbent_fitness,
-            incumbent_m=incumbent.selected_count(),
-        ))
-        population = _next_generation(population, fits, cfg, ga_rng)
-        phases["heuristics"] += t1 - t0
-        phases["fitness"] += t2 - t1
-        phases["ga"] += time.perf_counter() - t2
+    spare = cores.usable_cores() - 1 if cores.may_fork() else 0
+    with cores.Helpers(min(spare, cfg.population_size - 1)) as helpers:
+        for gen in range(cfg.generations):
+            t0 = time.perf_counter()
+            masks = llh.run_generation(population, incumbent, cache, cfg.seed, gen,
+                                       cfg.mutn_rate, stats.invocations, stats.improvements)
+            t1 = time.perf_counter()
+            fits = np.array(evaluator.fitnesses(masks, helpers), dtype=np.float64)
+            t2 = time.perf_counter()
+            best_i = int(np.argmax(fits))
+            if fits[best_i] > incumbent_fitness:
+                incumbent = masks[best_i]
+                incumbent_fitness = float(fits[best_i])
+            history.append(GenerationRecord(
+                generation=gen,
+                best_chromosome_fitness=float(fits[best_i]),
+                incumbent_fitness=incumbent_fitness,
+                incumbent_m=incumbent.selected_count(),
+            ))
+            population = _next_generation(population, fits, cfg, ga_rng)
+            phases["heuristics"] += t1 - t0
+            phases["fitness"] += t2 - t1
+            phases["ga"] += time.perf_counter() - t2
 
     t0 = time.perf_counter()
     reported = cv_accuracies(dataset, incumbent, report_protocols)

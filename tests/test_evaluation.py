@@ -2,6 +2,7 @@ import re
 import subprocess
 import sys
 import sysconfig
+import threading
 import warnings
 from pathlib import Path
 
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from conftest import (cv_accuracy_bruteforce, cv_accuracy_cdist_reference,
-                      predict_1nn, random_mask)
-from hhfs import correlation, evaluation
+                      predict_1nn, random_mask, synthetic_dataset)
+from hhfs import cores, correlation, evaluation
 from hhfs.correlation import _climb
 from hhfs.dataset import Dataset, DatasetError, min_max_normalize, stratified_folds
 from hhfs.evaluation import CvProtocol, FitnessEvaluator, cv_accuracy, cv_accuracies
@@ -224,6 +225,75 @@ class TestFitnessEvaluator:
         assert list(ev._cache) == [good.key()]
         ev.fitness(good)
         assert (ev.computations, ev.hits) == (1, 1)
+
+
+
+class TestFitnesses:
+    """The batch path: a generation's distinct new masks computed first, by
+    this thread and the helper threads, then stored in order as consecutive
+    ``fitness`` calls would store them."""
+
+    @pytest.mark.parametrize("helpers", [0, 1, 3])
+    def test_repeats_are_hits_and_values_are_fresh_cv_accuracies(self, small_dataset,
+                                                                   helpers):
+        rng = np.random.default_rng(12)
+        a, b, c = (random_mask(8, rng) for _ in range(3))
+        assert len({a.key(), b.key(), c.key()}) == 3
+        proto = CvProtocol(folds=5, base_seed=6)
+        ev = FitnessEvaluator(small_dataset, proto)
+        with cores.Helpers(helpers) as pool:
+            values = ev.fitnesses([a, b, a, c, b], pool)
+        fresh = [cv_accuracy(small_dataset, m, proto) for m in (a, b, a, c, b)]
+        assert np.array(values).tobytes() == np.array(fresh).tobytes()
+        assert (ev.computations, ev.hits) == (3, 2)
+        assert list(ev._cache) == [a.key(), b.key(), c.key()]  # first-occurrence order
+
+    def test_a_computation_raising_in_a_helper_leaves_memo_and_counters(self, small_dataset,
+                                                                        monkeypatch):
+        rng = np.random.default_rng(5)
+        masks = [random_mask(8, rng) for _ in range(6)]
+        ev = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=6))
+        ev.fitness(masks[0])
+        accuracies, helper_started = FitnessEvaluator._accuracies, threading.Event()
+
+        def failing_in_helpers(self, idx):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_started.wait(timeout=30)  # a helper holds another mask
+                return accuracies(self, idx)
+            helper_started.set()
+            raise RuntimeError("a helper's computation failed")
+
+        monkeypatch.setattr(FitnessEvaluator, "_accuracies", failing_in_helpers)
+        threads = threading.enumerate()
+        with cores.Helpers(1) as pool:
+            with pytest.raises(RuntimeError, match="^a helper's computation failed$"):
+                ev.fitnesses(masks, pool)
+            assert (ev.computations, ev.hits) == (1, 0)
+            assert list(ev._cache) == [masks[0].key()]
+            monkeypatch.setattr(FitnessEvaluator, "_accuracies", accuracies)
+            assert ev.fitnesses(masks, pool) == [ev.fitness(m) for m in masks]  # still usable
+        assert threading.enumerate() == threads
+
+    def test_more_threads_than_cores_under_fast_switching(self):
+        # every thread computes into a work matrix of its own: a shared one
+        # would mix two masks' distances and change some values
+        d = synthetic_dataset(n_instances=200, n_features=30, n_informative=6, seed=9)
+        rng = np.random.default_rng(21)
+        masks = [random_mask(30, rng) for _ in range(40)] * 2
+        proto = CvProtocol(folds=5, repeats=2, base_seed=3)
+        alone = FitnessEvaluator(d, proto)
+        expected = [alone.fitness(m) for m in masks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                ev = FitnessEvaluator(d, proto)
+                with cores.Helpers(5) as pool:
+                    assert ev.fitnesses(masks, pool) == expected
+                assert (ev.computations, ev.hits) == (alone.computations, alone.hits)
+                assert ev._cache == alone._cache
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def test_accuracy_always_in_unit_interval(small_dataset):

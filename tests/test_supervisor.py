@@ -3,6 +3,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import threading
+import time
 from multiprocessing import resource_tracker
 
 import numpy as np
@@ -445,6 +447,22 @@ def _run_in_daemon(args):
     return outcome(run_supervisor(*args))
 
 
+def _threads_started_by_run(args) -> list[str]:
+    """The names of the threads a run started, in the process that runs it."""
+    started, start = [], threading.Thread.start
+
+    def recording(thread):
+        started.append(thread.name)
+        start(thread)
+
+    threading.Thread.start = recording
+    try:
+        run_supervisor(*args)
+    finally:
+        threading.Thread.start = start
+    return started
+
+
 class TestPooledGeneration:
     """Whole generations in one process: the memo's counts, the phase
     timings, degenerate data, and a run inside a caller's own pool."""
@@ -594,3 +612,72 @@ class TestFitnessWorker:
         with pytest.raises(KeyboardInterrupt):
             run_supervisor(small_dataset, cfg, CvProtocol(folds=5, base_seed=6))
         assert multiprocessing.active_children() == []
+
+
+class TestHelperThreads:
+    """A lone run computes each generation's fitness on this thread and one
+    helper thread per further usable core: the results are a one-core
+    run's, and no thread is left after a run, a failure or an interrupt."""
+
+    def run_args(self, dataset):
+        cfg = SupervisorConfig(population_size=8, generations=3, seed=6)
+        return dataset, cfg, CvProtocol(folds=5, base_seed=6)
+
+    def test_one_two_and_three_cores_give_equal_results(self, monkeypatch):
+        d = synthetic_dataset(n_instances=72, n_features=12, n_informative=5,
+                              class_count=3, seed=33)
+        cfg = SupervisorConfig(population_size=10, generations=6, seed=2)
+        proto = CvProtocol(folds=5, base_seed=2)
+        report = {"2x5": CvProtocol(folds=5, repeats=2, base_seed=0)}
+        outcomes = []
+        for count in (1, 2, 3):
+            on_cores(monkeypatch, count)
+            outcomes.append(outcome(run_supervisor(d, cfg, proto, report)))
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+
+    @pytest.mark.parametrize("count, helpers", [(1, 0), (2, 1), (3, 2), (40, 7)])
+    def test_one_helper_per_further_core_and_fewer_than_the_population(
+            self, monkeypatch, small_dataset, count, helpers):
+        on_cores(monkeypatch, count)
+        threads = threading.enumerate()
+        started = _threads_started_by_run(self.run_args(small_dataset))
+        assert started == ["hhfs-helper"] * helpers
+        assert threading.enumerate() == threads
+
+    def test_run_inside_a_pool_worker_starts_no_thread(self, monkeypatch, small_dataset):
+        on_cores(monkeypatch, 2)  # the forked worker inherits it
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            started = pool.apply_async(
+                _threads_started_by_run, (self.run_args(small_dataset),)).get(timeout=60)
+        assert started == []
+
+    def fail_in(self, monkeypatch, where: str, exc: BaseException) -> None:
+        """Make a generation's fitness raise ``exc`` from a helper's
+        computation or from this thread's, while the other thread computes."""
+        accuracies, other_busy = FitnessEvaluator._accuracies, threading.Event()
+
+        def failing(ev, idx):
+            if not any(t.name == "hhfs-helper" for t in threading.enumerate()):
+                return accuracies(ev, idx)  # the initial incumbent
+            here = "caller" if threading.current_thread() is threading.main_thread() else "helper"
+            if here != where:
+                other_busy.set()
+                time.sleep(0.05)  # still computing when the other thread raises
+                return accuracies(ev, idx)
+            assert other_busy.wait(timeout=30)
+            raise exc
+
+        monkeypatch.setattr(FitnessEvaluator, "_accuracies", failing)
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    @pytest.mark.parametrize("exc", [RuntimeError("a computation failed"), KeyboardInterrupt()],
+                             ids=["error", "interrupt"])
+    def test_failing_or_interrupted_fitness_leaves_no_thread(self, monkeypatch, small_dataset,
+                                                             where, exc):
+        on_cores(monkeypatch, 2)
+        self.fail_in(monkeypatch, where, exc)
+        threads = threading.enumerate()
+        with pytest.raises(type(exc)):
+            run_supervisor(*self.run_args(small_dataset))
+        assert threading.enumerate() == threads
