@@ -20,14 +20,16 @@
    strictly higher. The final bits go to bits_out; returns whether any
    gene moved.
 
-   generation(population, seed, gen, bits, feature_class, feature_feature,
+   generation(population, key, bits, feature_class, feature_feature,
               mutn_rate, invocations, improvements, masks_out, moved_out)
    apply's gene loop on each row i of the (P, L) population from the same
    bits, into masks_out[i], with moved_out[i] whether it moved, all rows
    counted into the same counters. Row i draws from numpy's
-   PCG64(SeedSequence([seed, 1, gen, i])), seeded here as numpy seeds it
-   (seed_pcg64) and run as numpy runs it: the same stream, draw for draw.
-   Every gene is checked before any row runs.
+   PCG64(SeedSequence(entropy)) for the entropy words ``key`` (uint32,
+   shared by every row) followed by i's words, seeded here as numpy seeds
+   it (seed_pcg64) and run as numpy runs it: the same stream, draw for
+   draw. The key's layout is hhfs.llh's (stream_key). Every gene is
+   checked before any row runs.
 
    The heuristics draw from the bit generator through numpy's random C API,
    with the calls its Generator makes: integers(n) is
@@ -77,7 +79,8 @@ enum domain { ALL, ZEROS, ONES };      /* each hill-climbing rule's three ids, i
 enum rule { SDHC, NAHC, DBHC, RMHC };  /* ids 1-3, 4-6, 7-9, 10-12 */
 enum move { SWPD = 13, DIMM, HYPM, MUTN };
 
-enum kind { BOOL, FLOAT64, INT64 };
+enum kind { BOOL, FLOAT64, INT64, UINT32 };
+static const char *const kind_name[] = {"bools", "float64", "int64", "uint32"};
 
 /* Acquire ``obj`` as a C-contiguous buffer of ``ndim`` dimensions, each of
    length ``n`` (any length where n < 0), holding items of ``want`` kind. */
@@ -96,13 +99,15 @@ get_buffer(PyObject *obj, Py_buffer *view, const char *name, enum kind want,
     case FLOAT64:
         ok = view->itemsize == 8 && strcmp(format, "d") == 0;
         break;
-    default:
+    case INT64:
         ok = view->itemsize == 8 && (strcmp(format, "l") == 0 || strcmp(format, "q") == 0);
+        break;
+    default:
+        ok = view->itemsize == 4 && (strcmp(format, "I") == 0 || strcmp(format, "L") == 0);
     }
     if (!ok) {
         PyErr_Format(PyExc_ValueError, "%s must hold %s, not format '%s' of %zd bytes",
-                     name, want == BOOL ? "bools" : want == FLOAT64 ? "float64" : "int64",
-                     format, view->itemsize);
+                     name, kind_name[want], format, view->itemsize);
         return -1;
     }
     if (view->ndim != ndim) {
@@ -571,80 +576,35 @@ seed_pcg64(const uint32_t *word, Py_ssize_t count, struct pcg64 *p)
     p->uinteger = 0;
 }
 
-/* The entropy words numpy's SeedSequence reads from the int ``value``:
-   its little-endian 32-bit words, [0] for 0, into a PyMem buffer at *out.
-   Returns their count, or -1 with an error set. */
-static Py_ssize_t
-int_words(PyObject *value, const char *name, uint32_t **out)
-{
-    Py_ssize_t count = 0, room = 0;
-    uint32_t *word = NULL;
-    PyObject *v = PyNumber_Index(value), *zero = PyLong_FromLong(0), *shift = PyLong_FromLong(32);
-    int more;
-    if (v == NULL || zero == NULL || shift == NULL
-        || (more = PyObject_RichCompareBool(v, zero, Py_LT)) < 0)
-        goto fail;
-    if (more) {
-        PyErr_Format(PyExc_ValueError, "%s must be non-negative", name);
-        goto fail;
-    }
-    do {
-        if (count == room) {
-            uint32_t *grown = PyMem_Realloc(word, (room += 4) * sizeof *word);
-            if (grown == NULL) {
-                PyErr_NoMemory();
-                goto fail;
-            }
-            word = grown;
-        }
-        word[count++] = (uint32_t)PyLong_AsUnsignedLongLongMask(v);
-        PyObject *rest = PyNumber_Rshift(v, shift);
-        Py_DECREF(v);
-        if ((v = rest) == NULL || (more = PyObject_IsTrue(v)) < 0)
-            goto fail;
-    } while (more);
-    Py_DECREF(v);
-    Py_DECREF(zero);
-    Py_DECREF(shift);
-    *out = word;
-    return count;
-fail:
-    PyMem_Free(word);
-    Py_XDECREF(v);
-    Py_XDECREF(zero);
-    Py_XDECREF(shift);
-    return -1;
-}
-
 static PyObject *
 generation(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 11) {
+    if (nargs != 10) {
         PyErr_Format(PyExc_TypeError,
-                     "generation(population, seed, gen, bits, feature_class, feature_feature,"
+                     "generation(population, key, bits, feature_class, feature_feature,"
                      " mutn_rate, invocations, improvements, masks_out, moved_out)"
-                     " takes 11 arguments, %zd given", nargs);
+                     " takes 10 arguments, %zd given", nargs);
         return NULL;
     }
-    Py_buffer population = {0}, bits = {0}, cache[2] = {{0}};
+    Py_buffer population = {0}, key = {0}, bits = {0}, cache[2] = {{0}};
     Py_buffer invocations = {0}, improvements = {0}, masks_out = {0}, moved_out = {0};
-    Py_buffer *views[] = {&population, &bits, &cache[0], &cache[1],
+    Py_buffer *views[] = {&population, &key, &bits, &cache[0], &cache[1],
                           &invocations, &improvements, &masks_out, &moved_out};
     PyObject *result = NULL;
-    uint32_t *seed = NULL, *gen = NULL, *key = NULL;
-    Py_ssize_t nseed, ngen;
+    uint32_t *word = NULL;
     double *work = NULL;
     struct cache c;
     if (get_buffer(args[0], &population, "population", INT64, 2, -1, 0) < 0
-        || get_buffer(args[3], &bits, "bits", BOOL, 1, -1, 0) < 0)
+        || get_buffer(args[1], &key, "key", UINT32, 1, -1, 0) < 0
+        || get_buffer(args[2], &bits, "bits", BOOL, 1, -1, 0) < 0)
         goto done;
     c.n = bits.shape[0];
     Py_ssize_t rows = population.shape[0], length = population.shape[1];
-    if (get_cache(args + 4, cache, &c) < 0
-        || get_buffer(args[7], &invocations, "invocations", INT64, 1, NUM_LLH + 1, 1) < 0
-        || get_buffer(args[8], &improvements, "improvements", INT64, 1, NUM_LLH + 1, 1) < 0
-        || get_buffer(args[9], &masks_out, "masks_out", BOOL, 2, -1, 1) < 0
-        || get_buffer(args[10], &moved_out, "moved_out", BOOL, 1, rows, 1) < 0)
+    if (get_cache(args + 3, cache, &c) < 0
+        || get_buffer(args[6], &invocations, "invocations", INT64, 1, NUM_LLH + 1, 1) < 0
+        || get_buffer(args[7], &improvements, "improvements", INT64, 1, NUM_LLH + 1, 1) < 0
+        || get_buffer(args[8], &masks_out, "masks_out", BOOL, 2, -1, 1) < 0
+        || get_buffer(args[9], &moved_out, "moved_out", BOOL, 1, rows, 1) < 0)
         goto done;
     if (masks_out.shape[0] != rows || masks_out.shape[1] != c.n) {
         PyErr_Format(PyExc_ValueError, "masks_out has shape (%zd, %zd), expected (%zd, %zd)",
@@ -655,42 +615,36 @@ generation(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_ValueError, "masks_out must not overlap bits");
         goto done;
     }
-    double mutn_rate = PyFloat_AsDouble(args[6]);
+    double mutn_rate = PyFloat_AsDouble(args[5]);
+    Py_ssize_t prefix = key.shape[0];
     if ((mutn_rate == -1.0 && PyErr_Occurred())
         || check_genes(population.buf, rows * length, c.n) < 0
-        || (nseed = int_words(args[1], "seed", &seed)) < 0
-        || (ngen = int_words(args[2], "gen", &gen)) < 0
         || (work = alloc_work(c.n)) == NULL)
         goto done;
-    /* row i's entropy: the seed's words, 1, gen's words, then i's */
-    Py_ssize_t prefix = nseed + 1 + ngen;
-    if ((key = PyMem_Malloc((prefix + 2) * sizeof *key)) == NULL) {
+    /* row i's entropy: the key's words, then i's */
+    if ((word = PyMem_Malloc((prefix + 2) * sizeof *word)) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    memcpy(key, seed, nseed * sizeof *key);
-    key[nseed] = 1;
-    memcpy(key + nseed + 1, gen, ngen * sizeof *key);
+    memcpy(word, key.buf, prefix * sizeof *word);
     struct pcg64 pcg;
     bitgen_t rng = {&pcg, pcg64_next64, pcg64_uint32, pcg64_double, pcg64_next64};
     const int64_t *gene = population.buf;
     char *masks = masks_out.buf, *moved = moved_out.buf;
     for (Py_ssize_t i = 0; i < rows; i++) {
         uint64_t index = (uint64_t)i;
-        key[prefix] = (uint32_t)index;
-        key[prefix + 1] = (uint32_t)(index >> 32);
-        seed_pcg64(key, prefix + 1 + (index >> 32 != 0), &pcg);
+        word[prefix] = (uint32_t)index;
+        word[prefix + 1] = (uint32_t)(index >> 32);
+        seed_pcg64(word, prefix + 1 + (index >> 32 != 0), &pcg);
         moved[i] = (char)run_chromosome(gene + i * length, length, &rng, mutn_rate, bits.buf,
                                         masks + i * c.n, &c, work, invocations.buf,
                                         improvements.buf);
     }
     result = Py_NewRef(Py_None);
 done:
-    PyMem_Free(key);
-    PyMem_Free(gen);
-    PyMem_Free(seed);
+    PyMem_Free(word);
     PyMem_Free(work);
-    release(views, 8);
+    release(views, 9);
     return result;
 }
 
@@ -891,10 +845,10 @@ static PyMethodDef methods[] = {
      " invocations, improvements, bits_out) -> whether any gene moved; the bits go to"
      " bits_out"},
     {"generation", (PyCFunction)(void (*)(void))generation, METH_FASTCALL,
-     "generation(population, seed, gen, bits, feature_class, feature_feature, mutn_rate,"
+     "generation(population, key, bits, feature_class, feature_feature, mutn_rate,"
      " invocations, improvements, masks_out, moved_out): row i of the population as apply"
-     " runs it on PCG64([seed, 1, gen, i]); its mask goes to masks_out[i] and whether"
-     " it moved to moved_out[i]"},
+     " runs it on PCG64 seeded from the uint32 entropy words key + i's words; its mask"
+     " goes to masks_out[i] and whether it moved to moved_out[i]"},
     {"crossover", (PyCFunction)(void (*)(void))crossover, METH_FASTCALL,
      "crossover(chromosomes, bit_generator, p): single-point crossover of each"
      " consecutive pair of rows, in place"},

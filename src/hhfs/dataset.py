@@ -46,7 +46,8 @@ class Dataset:
 
     @classmethod
     def from_arrays(cls, name: str, features, labels) -> "Dataset":
-        """Build a validated Dataset; labels of any type are densified."""
+        """Build a validated Dataset; labels of any type but NaN are
+        densified."""
         X = np.array(features, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
             raise DatasetError("features must be a non-empty 2-d matrix")
@@ -58,6 +59,8 @@ class Dataset:
         seen: dict = {}
         dense = np.empty(len(raw), dtype=np.int64)
         for i, value in enumerate(raw):
+            if value != value:  # NaN, which equals no label, not even itself
+                raise DatasetError(f"label {i} is NaN")
             if value not in seen:
                 seen[value] = len(seen)
             dense[i] = seen[value]

@@ -11,9 +11,11 @@ The heuristics are compiled (``_climb.c``, built by
 a chromosome's genes, in one call, and ``run_genes`` is its one caller;
 ``apply`` is a one-gene ``run_genes``. ``_climb.generation`` runs a whole
 population the same way in one call, row i on the stream of
-``PCG64([seed, 1, gen, i])``, which it seeds itself as numpy's
-``SeedSequence`` does; ``run_generation`` is its one caller. The rules, in
-the kernel:
+``PCG64([seed, 1, gen, i])``. That layout is this module's:
+``stream_key`` splits seed and gen into numpy's entropy words around the
+tag 1, once per generation, and the kernel seeds row i from those words
+and i's, as numpy's ``SeedSequence`` does; ``run_generation`` is its one
+caller. The rules, in the kernel:
 
 - SDHC moves to the first (lowest-index) in-domain flip of highest merit,
   if that merit is strictly above the current one;
@@ -42,6 +44,7 @@ chromosome of heuristics stays predictable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +97,27 @@ def run_genes(genes: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
     return FeatureMask(bits) if moved else mask
 
 
+def entropy_words(value: int, name: str = "value") -> list[int]:
+    """The entropy words numpy's ``SeedSequence`` reads from the int
+    ``value``: its little-endian 32-bit words, ``[0]`` for 0. A negative
+    value is refused, naming it ``name``."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative")
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def stream_key(seed: int, gen: int) -> np.ndarray:
+    """The uint32 entropy words shared by every chromosome stream of
+    generation ``gen``: those of ``[seed, 1, gen]``, which row i's stream
+    extends by i's words."""
+    return np.array(entropy_words(seed, "seed") + [1] + entropy_words(gen, "gen"),
+                    dtype=np.uint32)
+
+
 def run_generation(population: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
                    seed: int, gen: int, mutn_rate: float, invocations: np.ndarray,
                    improvements: np.ndarray) -> list[FeatureMask]:
@@ -105,7 +129,7 @@ def run_generation(population: np.ndarray, mask: FeatureMask, cache: Correlation
     check_fits(mask, cache)
     bits = np.empty((len(population), mask.n), dtype=bool)
     moved = np.empty(len(population), dtype=bool)
-    _climb.generation(population, seed, gen, mask.bits, cache.feature_class,
+    _climb.generation(population, stream_key(seed, gen), mask.bits, cache.feature_class,
                       cache.feature_feature, mutn_rate, invocations, improvements, bits, moved)
     return [FeatureMask(row) if row_moved else mask for row, row_moved in zip(bits, moved)]
 

@@ -136,11 +136,15 @@ class SupervisorResult:
 
 def roulette_select(fitnesses, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` indices, each sampled with probability fitness_i /
-    sum(fitness); uniform if every fitness is zero. Fitnesses must be
-    non-negative."""
+    sum(fitness); uniform if every fitness is zero. Fitnesses must be a
+    1-d array of finite, non-negative values."""
     fits = np.asarray(fitnesses, dtype=np.float64)
+    if fits.ndim != 1:
+        raise ValueError(f"roulette selection needs a 1-d array of fitnesses, not {fits.ndim}-d")
     if fits.size == 0:
         raise ValueError("cannot select from an empty population")
+    if not np.isfinite(fits).all():
+        raise ValueError("roulette selection needs finite fitnesses")
     if fits.min() < 0:
         raise ValueError("roulette selection needs non-negative fitnesses")
     total = float(fits.sum())
@@ -153,10 +157,12 @@ def roulette_select(fitnesses, rng: np.random.Generator, size: int) -> np.ndarra
 def single_point_crossover(pair: np.ndarray, rng: np.random.Generator,
                            p_crossover: float) -> None:
     """With probability p_crossover, cut the two rows of ``pair``
-    (C-contiguous int64) at a uniform point in 1..len-1 and exchange their
-    tails in place; otherwise, and for 1-gene rows, which have no such
-    point, leave them. The coin is drawn either way, as ``rng.random()``,
-    and the cut as ``rng.integers(1, len)``."""
+    (C-contiguous int64, exactly two rows) at a uniform point in 1..len-1
+    and exchange their tails in place; otherwise, and for 1-gene rows, which
+    have no such point, leave them. The coin is drawn either way, as
+    ``rng.random()``, and the cut as ``rng.integers(1, len)``."""
+    if np.ndim(pair) == 2 and len(pair) != 2:
+        raise ValueError(f"pair must have 2 rows, not {len(pair)}")
     bit_generator = rng.bit_generator
     with bit_generator.lock:
         _climb.crossover(pair, bit_generator, p_crossover)
@@ -169,6 +175,8 @@ def mutate_chromosome(genes: np.ndarray, p_mutation: float,
     other than its current value, so mutated genes always change: the
     coins are ``rng.random(len)``, then the hits' ids
     ``rng.integers(1, 16, size=hits)``, each shifted up past the old id."""
+    if np.ndim(genes) != 1:
+        raise ValueError(f"genes must have 1 dimension(s), not {np.ndim(genes)}")
     bit_generator = rng.bit_generator
     with bit_generator.lock:
         _climb.mutate(genes[np.newaxis], bit_generator, p_mutation)

@@ -301,6 +301,14 @@ def test_dataset_fields_are_the_arrays_and_counts_derive_from_them():
     assert type(d.n_features) is int and type(d.class_count) is int
 
 
+@pytest.mark.parametrize("labels", [[0.0, np.nan, 1.0, np.nan, 0.0],
+                                    np.array([0.0, np.nan, 1.0, np.nan, 0.0])])
+def test_nan_label_is_refused(labels):
+    # NaN equals nothing, so it would densify to a class of its own per instance
+    with pytest.raises(DatasetError, match="^label 1 is NaN$"):
+        Dataset.from_arrays("t", np.arange(5.0)[:, None], labels)
+
+
 def test_from_arrays_validations():
     for features in ([1.0, 2.0], np.zeros((0, 2)), np.zeros((2, 0)), np.zeros((2, 2, 1))):
         with pytest.raises(DatasetError, match="^features must be a non-empty 2-d matrix$"):

@@ -1,7 +1,8 @@
 """The kernel's per-generation entry points: ``_climb.generation``, which
-seeds row i's stream itself as ``PCG64([seed, 1, gen, i])``, against
-``llh.run_genes`` on numpy's own generator, and the refusals of
-``generation``, ``crossover`` and ``mutate``."""
+seeds row i's stream itself from ``llh.stream_key(seed, gen)`` and i, as
+``PCG64([seed, 1, gen, i])``, against ``llh.run_genes`` on numpy's own
+generator, and the refusals of ``generation``, ``crossover`` and
+``mutate``."""
 
 import re
 
@@ -25,16 +26,18 @@ DRAWING_GENES = [7, 8, 9, 10, 11, 12, 13, 14, 15, 16]
 
 
 def generation(population, seed, gen, mask, cache, mutn_rate=0.1, **replace):
-    """``_climb.generation`` with fresh outputs and counters (any of them
-    replaced by keyword): the rows, the moved flags and the LlhStats."""
+    """``_climb.generation`` on ``llh.stream_key(seed, gen)`` with fresh
+    outputs and counters (any of them, or the key, replaced by keyword): the
+    rows, the moved flags and the LlhStats."""
     stats = LlhStats()
-    a = dict(population=population, bits=mask.bits, feature_class=cache.feature_class,
+    a = dict(population=population, key=llh.stream_key(seed, gen), bits=mask.bits,
+             feature_class=cache.feature_class,
              feature_feature=cache.feature_feature, invocations=stats.invocations,
              improvements=stats.improvements,
              masks_out=np.empty((len(population), mask.n), dtype=bool),
              moved_out=np.empty(len(population), dtype=bool))
     a.update(replace)
-    _climb.generation(a["population"], seed, gen, a["bits"], a["feature_class"],
+    _climb.generation(a["population"], a["key"], a["bits"], a["feature_class"],
                       a["feature_feature"], mutn_rate, a["invocations"], a["improvements"],
                       a["masks_out"], a["moved_out"])
     return a["masks_out"], a["moved_out"], stats
@@ -53,6 +56,13 @@ def keys(draw):
     return (draw(st.sampled_from(SEEDS) | st.integers(0, 2 ** 80)),
             draw(st.sampled_from(GENS) | st.integers(0, 2 ** 40)),
             population, FeatureMask(bits), random_cache(n, seed=draw(st.integers(0, 99))))
+
+
+@given(st.integers(0, 2 ** 200), st.integers(0, 2 ** 200))
+def test_entropy_words_are_seed_sequence_s(a, b):
+    words = llh.entropy_words(a) + llh.entropy_words(b)
+    assert (np.random.SeedSequence(words).generate_state(4).tolist()
+            == np.random.SeedSequence([a, b]).generate_state(4).tolist())
 
 
 @settings(max_examples=150, deadline=None)
@@ -156,6 +166,9 @@ class TestGenerationArguments:
         ("masks_out", np.empty((ROWS, N), dtype=np.uint8), "masks_out must hold bools"),
         ("moved_out", np.empty(ROWS + 1, dtype=bool),
          "moved_out has length 5 along axis 0, expected 4"),
+        ("key", np.array([3, 1, 0], dtype=np.int64),
+         "key must hold uint32, not format 'l' of 8 bytes"),
+        ("key", np.array([[3, 1, 0]], dtype=np.uint32), "key must have 1 dimension(s), not 2"),
     ])
     def test_buffers(self, args, name, bad, message):
         population, mask, cache = args
@@ -187,7 +200,7 @@ class TestGenerationArguments:
             generation(population, seed, gen, mask, cache)
 
     def test_argument_count(self, args):
-        with pytest.raises(TypeError, match=r"^generation\(population, seed, gen, .* takes 11 "
+        with pytest.raises(TypeError, match=r"^generation\(population, key, bits, .* takes 10 "
                                             "arguments, 2 given$"):
             _climb.generation(args[0], 0)
 
@@ -236,4 +249,10 @@ class TestGaKernelArguments:
             mutate_chromosome(np.ones(16, dtype=np.int64)[::2], 1.0, rng)
         with pytest.raises(ValueError, match="^chromosomes must hold int64, not format 'i'"):
             single_point_crossover(np.ones((2, 8), dtype=np.int32), rng, 1.0)
+        # a wrapper takes one row, or one pair of rows, and names it
+        with pytest.raises(ValueError, match=r"^genes must have 1 dimension\(s\), not 2$"):
+            mutate_chromosome(np.ones((1, 8), dtype=np.int64), 1.0, rng)
+        for rows in (1, 3):
+            with pytest.raises(ValueError, match=f"^pair must have 2 rows, not {rows}$"):
+                single_point_crossover(np.ones((rows, 8), dtype=np.int64), rng, 1.0)
         assert rng.bit_generator.state == state

@@ -194,6 +194,19 @@ class TestRouletteSelect:
         with pytest.raises(ValueError):
             roulette_select([-1.0, 2.0], rng, 1)
 
+    @pytest.mark.parametrize("fits, message", [
+        ([0.5, np.nan, 0.2], "^roulette selection needs finite fitnesses$"),
+        ([0.5, np.inf, 0.2], "^roulette selection needs finite fitnesses$"),
+        ([[0.5, 0.1], [0.2, 0.9]], "^roulette selection needs a 1-d array of fitnesses, not 2-d$"),
+        (0.5, "^roulette selection needs a 1-d array of fitnesses, not 0-d$"),
+    ])
+    def test_refuses_non_finite_or_non_vector_fitnesses(self, fits, message):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            roulette_select(fits, rng, 6)
+        assert rng.bit_generator.state == state
+
 
 class TestCrossover:
     def test_cut_point_exchange(self):
