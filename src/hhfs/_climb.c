@@ -11,25 +11,21 @@
    feature_feature[i][i] over the selected i; the merit is
    sum_cf / sqrt((double)k + sum_ff), or 0.0 at k == 0.
 
-   apply(genes, bit_generator, bits, feature_class, feature_feature,
-         mutn_rate, invocations, improvements, bits_out) -> bool
-   Run the heuristics ``genes`` (catalog ids 1..16) left to right from the
-   mask ``bits``, each on the previous one's output: scan the bits as scan
-   does, run a gene, and scan its bits afresh when it moved. Every gene
-   counts one invocation, and one improvement where its fresh merit is
-   strictly higher. The final bits go to bits_out; returns whether any
-   gene moved.
-
-   generation(population, key, bits, feature_class, feature_feature,
+   generation(population, draws, bits, feature_class, feature_feature,
               mutn_rate, invocations, improvements, masks_out, moved_out)
-   apply's gene loop on each row i of the (P, L) population from the same
-   bits, into masks_out[i], with moved_out[i] whether it moved, all rows
-   counted into the same counters. Row i draws from numpy's
-   PCG64(SeedSequence(entropy)) for the entropy words ``key`` (uint32,
-   shared by every row) followed by i's words, seeded here as numpy seeds
-   it (seed_pcg64) and run as numpy runs it: the same stream, draw for
-   draw. The key's layout is hhfs.llh's (stream_key). Every gene is
-   checked before any row runs.
+   Run each row i of the (P, L) population, a chromosome of heuristics
+   (catalog ids 1..16), left to right from the mask ``bits``, each gene on
+   the previous one's output: scan the bits as scan does, run a gene, and
+   scan its bits afresh when it moved. Every gene counts one invocation,
+   and one improvement where its fresh merit is strictly higher, all rows
+   into the same counters. Row i's final bits go to masks_out[i], and
+   whether any of its genes moved to moved_out[i]. ``draws`` is either a
+   (P, W) uint32 key matrix, row i drawing from numpy's
+   PCG64(SeedSequence(keys[i])), seeded here as numpy seeds it
+   (seed_pcg64) and run as numpy runs it, the same stream draw for draw;
+   or a numpy BitGenerator that the rows draw from in order. So any slice
+   of a call's rows and key rows gives those rows. The keys' layout is
+   hhfs.llh's (stream_keys). Every gene is checked before any row runs.
 
    The heuristics draw from the bit generator through numpy's random C API,
    with the calls its Generator makes: integers(n) is
@@ -396,8 +392,9 @@ check_genes(const int64_t *gene, Py_ssize_t count, Py_ssize_t n)
    into ``out`` (which may be bits), each counted, and each that moved
    scanned afresh and counted as an improvement where its merit rose.
    ``work`` holds the row, then run_gene's n positions and n coins.
-   Returns whether any gene moved. */
-static int
+   Returns whether any gene moved. Kept out of line: inlined into
+   generation, gcc laid the heuristics out slower. */
+static __attribute__((noinline)) int
 run_chromosome(const int64_t *gene, Py_ssize_t count, bitgen_t *rng, double mutn_rate,
                const char *bits, char *out, const struct cache *c, double *work,
                int64_t *invoked, int64_t *improved)
@@ -432,59 +429,6 @@ get_bitgen(PyObject *bit_generator, PyObject **capsule)
         return NULL;
     }
     return rng;
-}
-
-/* The row, then run_gene's n positions and n coins; NULL with an error set. */
-static double *
-alloc_work(Py_ssize_t n)
-{
-    double *work = PyMem_Malloc(n * (2 * sizeof(double) + sizeof(int64_t)));
-    if (work == NULL)
-        PyErr_NoMemory();
-    return work;
-}
-
-static PyObject *
-apply(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 9) {
-        PyErr_Format(PyExc_TypeError,
-                     "apply(genes, bit_generator, bits, feature_class, feature_feature,"
-                     " mutn_rate, invocations, improvements, bits_out) takes 9 arguments,"
-                     " %zd given", nargs);
-        return NULL;
-    }
-    Py_buffer genes = {0}, bits = {0}, cache[2] = {{0}};
-    Py_buffer invocations = {0}, improvements = {0}, bits_out = {0};
-    Py_buffer *views[] = {&genes, &bits, &cache[0], &cache[1],
-                          &invocations, &improvements, &bits_out};
-    PyObject *capsule = NULL, *result = NULL;
-    double *work = NULL;
-    bitgen_t *rng;
-    struct cache c;
-    if (get_buffer(args[0], &genes, "genes", INT64, 1, -1, 0) < 0
-        || get_buffer(args[2], &bits, "bits", BOOL, 1, -1, 0) < 0)
-        goto done;
-    c.n = bits.shape[0];
-    if (get_cache(args + 3, cache, &c) < 0
-        || get_buffer(args[6], &invocations, "invocations", INT64, 1, NUM_LLH + 1, 1) < 0
-        || get_buffer(args[7], &improvements, "improvements", INT64, 1, NUM_LLH + 1, 1) < 0
-        || get_buffer(args[8], &bits_out, "bits_out", BOOL, 1, c.n, 1) < 0)
-        goto done;
-    double mutn_rate = PyFloat_AsDouble(args[5]);
-    if ((mutn_rate == -1.0 && PyErr_Occurred())
-        || check_genes(genes.buf, genes.shape[0], c.n) < 0
-        || (rng = get_bitgen(args[1], &capsule)) == NULL
-        || (work = alloc_work(c.n)) == NULL)
-        goto done;
-    result = PyBool_FromLong(run_chromosome(genes.buf, genes.shape[0], rng, mutn_rate,
-                                            bits.buf, bits_out.buf, &c, work,
-                                            invocations.buf, improvements.buf));
-done:
-    PyMem_Free(work);
-    Py_XDECREF(capsule);
-    release(views, 7);
-    return result;
 }
 
 /* numpy's PCG64, as seeded from a SeedSequence: a 128-bit LCG with the
@@ -581,21 +525,19 @@ generation(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 10) {
         PyErr_Format(PyExc_TypeError,
-                     "generation(population, key, bits, feature_class, feature_feature,"
+                     "generation(population, draws, bits, feature_class, feature_feature,"
                      " mutn_rate, invocations, improvements, masks_out, moved_out)"
                      " takes 10 arguments, %zd given", nargs);
         return NULL;
     }
-    Py_buffer population = {0}, key = {0}, bits = {0}, cache[2] = {{0}};
+    Py_buffer population = {0}, keys = {0}, bits = {0}, cache[2] = {{0}};
     Py_buffer invocations = {0}, improvements = {0}, masks_out = {0}, moved_out = {0};
-    Py_buffer *views[] = {&population, &key, &bits, &cache[0], &cache[1],
+    Py_buffer *views[] = {&population, &keys, &bits, &cache[0], &cache[1],
                           &invocations, &improvements, &masks_out, &moved_out};
-    PyObject *result = NULL;
-    uint32_t *word = NULL;
+    PyObject *capsule = NULL, *result = NULL;
     double *work = NULL;
     struct cache c;
     if (get_buffer(args[0], &population, "population", INT64, 2, -1, 0) < 0
-        || get_buffer(args[1], &key, "key", UINT32, 1, -1, 0) < 0
         || get_buffer(args[2], &bits, "bits", BOOL, 1, -1, 0) < 0)
         goto done;
     c.n = bits.shape[0];
@@ -615,35 +557,45 @@ generation(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_ValueError, "masks_out must not overlap bits");
         goto done;
     }
-    double mutn_rate = PyFloat_AsDouble(args[5]);
-    Py_ssize_t prefix = key.shape[0];
-    if ((mutn_rate == -1.0 && PyErr_Occurred())
-        || check_genes(population.buf, rows * length, c.n) < 0
-        || (work = alloc_work(c.n)) == NULL)
+    /* the draws: a key row per chromosome, or one bit generator for all */
+    struct pcg64 pcg;
+    bitgen_t pcg_rng = {&pcg, pcg64_next64, pcg64_uint32, pcg64_double, pcg64_next64};
+    bitgen_t *rng = &pcg_rng;
+    if (PyObject_CheckBuffer(args[1])) {
+        if (get_buffer(args[1], &keys, "keys", UINT32, 2, -1, 0) < 0)
+            goto done;
+        if (keys.shape[0] != rows) {
+            PyErr_Format(PyExc_ValueError, "keys has %zd rows, expected %zd",
+                         keys.shape[0], rows);
+            goto done;
+        }
+    } else if ((rng = get_bitgen(args[1], &capsule)) == NULL) {
         goto done;
-    /* row i's entropy: the key's words, then i's */
-    if ((word = PyMem_Malloc((prefix + 2) * sizeof *word)) == NULL) {
+    }
+    double mutn_rate = PyFloat_AsDouble(args[5]);
+    if ((mutn_rate == -1.0 && PyErr_Occurred())
+        || check_genes(population.buf, rows * length, c.n) < 0)
+        goto done;
+    /* the row, then run_gene's n positions and n coins */
+    if ((work = PyMem_Malloc(c.n * (2 * sizeof(double) + sizeof(int64_t)))) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    memcpy(word, key.buf, prefix * sizeof *word);
-    struct pcg64 pcg;
-    bitgen_t rng = {&pcg, pcg64_next64, pcg64_uint32, pcg64_double, pcg64_next64};
     const int64_t *gene = population.buf;
+    const uint32_t *key = keys.buf;
+    Py_ssize_t words = keys.obj != NULL ? keys.shape[1] : 0;
     char *masks = masks_out.buf, *moved = moved_out.buf;
     for (Py_ssize_t i = 0; i < rows; i++) {
-        uint64_t index = (uint64_t)i;
-        word[prefix] = (uint32_t)index;
-        word[prefix + 1] = (uint32_t)(index >> 32);
-        seed_pcg64(word, prefix + 1 + (index >> 32 != 0), &pcg);
-        moved[i] = (char)run_chromosome(gene + i * length, length, &rng, mutn_rate, bits.buf,
+        if (keys.obj != NULL)
+            seed_pcg64(key + i * words, words, &pcg);
+        moved[i] = (char)run_chromosome(gene + i * length, length, rng, mutn_rate, bits.buf,
                                         masks + i * c.n, &c, work, invocations.buf,
                                         improvements.buf);
     }
     result = Py_NewRef(Py_None);
 done:
-    PyMem_Free(word);
     PyMem_Free(work);
+    Py_XDECREF(capsule);
     release(views, 9);
     return result;
 }
@@ -840,15 +792,12 @@ static PyMethodDef methods[] = {
     {"scan", (PyCFunction)(void (*)(void))scan, METH_FASTCALL,
      "scan(bits, feature_class, feature_feature, row_out)"
      " -> (k, sum_cf, sum_ff, merit); the row goes to row_out"},
-    {"apply", (PyCFunction)(void (*)(void))apply, METH_FASTCALL,
-     "apply(genes, bit_generator, bits, feature_class, feature_feature, mutn_rate,"
-     " invocations, improvements, bits_out) -> whether any gene moved; the bits go to"
-     " bits_out"},
     {"generation", (PyCFunction)(void (*)(void))generation, METH_FASTCALL,
-     "generation(population, key, bits, feature_class, feature_feature, mutn_rate,"
-     " invocations, improvements, masks_out, moved_out): row i of the population as apply"
-     " runs it on PCG64 seeded from the uint32 entropy words key + i's words; its mask"
-     " goes to masks_out[i] and whether it moved to moved_out[i]"},
+     "generation(population, draws, bits, feature_class, feature_feature, mutn_rate,"
+     " invocations, improvements, masks_out, moved_out): row i of the population's"
+     " heuristics from bits, drawing from PCG64 seeded from the uint32 entropy words"
+     " draws[i], or from the BitGenerator draws; its mask goes to masks_out[i] and"
+     " whether it moved to moved_out[i]"},
     {"crossover", (PyCFunction)(void (*)(void))crossover, METH_FASTCALL,
      "crossover(chromosomes, bit_generator, p): single-point crossover of each"
      " consecutive pair of rows, in place"},

@@ -10,6 +10,7 @@ construction and safe to share across concurrent evaluators.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -199,6 +200,7 @@ def stratified_folds(d: Dataset, k: int, seed: int) -> np.ndarray:
     round-robin over the folds, so per-class fold counts differ by at
     most one. Classes with fewer than k members simply cover fewer folds.
     """
+    k = operator.index(k)
     if k < 2:
         raise DatasetError(f"need at least 2 folds, got {k}")
     if k > d.n_instances:

@@ -29,6 +29,7 @@ as its neighbour, in its own fold or not.
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -50,6 +51,8 @@ class CvProtocol:
     base_seed: int = 0
 
     def __post_init__(self):
+        for value in (self.folds, self.repeats, self.base_seed):
+            operator.index(value)  # a float is refused here, not in the fitness
         if self.folds < 2:
             raise ValueError("need at least 2 folds")
         if self.repeats < 1:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+import operator
 from dataclasses import Field, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -67,6 +68,8 @@ class ExperimentSpec:
     out_dir: str = "results"
 
     def __post_init__(self):
+        for value in (self.runs, self.master_seed):
+            operator.index(value)  # a float is refused here, not in the runs
         if self.runs < 1:
             raise ValueError("need at least 1 run")
         if self.master_seed < 0:

@@ -7,15 +7,15 @@ consider every bit, only the 0-bits (can only add features), or only the
 moves (SWPD, DIMM, HYPM, MUTN) that perturb the mask unconditionally.
 
 The heuristics are compiled (``_climb.c``, built by
-``correlation._load_climb``): ``_climb.apply`` runs a whole list of them,
-a chromosome's genes, in one call, and ``run_genes`` is its one caller;
-``apply`` is a one-gene ``run_genes``. ``_climb.generation`` runs a whole
-population the same way in one call, row i on the stream of
-``PCG64([seed, 1, gen, i])``. That layout is this module's:
-``stream_key`` splits seed and gen into numpy's entropy words around the
-tag 1, once per generation, and the kernel seeds row i from those words
-and i's, as numpy's ``SeedSequence`` does; ``run_generation`` is its one
-caller. The rules, in the kernel:
+``correlation._load_climb``): ``_climb.generation`` runs a population of
+chromosomes, each a list of gene ids, in one call, every row from the same
+mask. Its rows draw either in turn from one bit generator (``run_genes``
+on a single row; ``apply`` is a one-gene ``run_genes``) or each from its
+own stream key (``run_generation``, row i on ``PCG64([seed, 1, gen,
+i])``). That layout is this module's: ``stream_keys`` splits seed, gen
+and i into numpy's entropy words around the tag 1, and the kernel seeds
+row i from its key row as numpy's ``SeedSequence`` does. The rules, in
+the kernel:
 
 - SDHC moves to the first (lowest-index) in-domain flip of highest merit,
   if that merit is strictly above the current one;
@@ -79,6 +79,27 @@ class LlhContext:
             raise ValueError("mutn_rate must lie in (0, 1)")
 
 
+def _run_rows(population, draws, mask: FeatureMask, cache: CorrelationCache,
+              mutn_rate: float, invocations: np.ndarray,
+              improvements: np.ndarray) -> list[FeatureMask]:
+    """``_climb.generation`` of ``population`` from ``mask`` on ``draws``:
+    the final masks in row order, ``mask`` itself for an unmoved row."""
+    check_fits(mask, cache)
+    bits = np.empty((len(population), mask.n), dtype=bool)
+    moved = np.empty(len(population), dtype=bool)
+    _climb.generation(population, draws, mask.bits, cache.feature_class,
+                      cache.feature_feature, mutn_rate, invocations, improvements, bits, moved)
+    return [FeatureMask(row) if row_moved else mask for row, row_moved in zip(bits, moved)]
+
+
+def one_row(genes: np.ndarray) -> np.ndarray:
+    """The array ``genes`` as a one-row view, for the kernel entries that
+    take rows; anything else is refused as the kernel refuses a non-buffer."""
+    if not isinstance(genes, np.ndarray):
+        raise TypeError(f"a bytes-like object is required, not '{type(genes).__name__}'")
+    return genes[np.newaxis]
+
+
 def run_genes(genes: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
               bit_generator: np.random.BitGenerator, mutn_rate: float,
               invocations: np.ndarray, improvements: np.ndarray) -> FeatureMask:
@@ -88,13 +109,11 @@ def run_genes(genes: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
     every call in ``invocations`` and every strictly higher merit in
     ``improvements`` (int64, indexed by id). Returns the final mask:
     ``mask`` itself when no heuristic moved."""
-    check_fits(mask, cache)
-    bits = np.empty(mask.n, dtype=bool)
+    population = one_row(genes)
     with bit_generator.lock:
-        moved = _climb.apply(genes, bit_generator, mask.bits, cache.feature_class,
-                             cache.feature_feature, mutn_rate, invocations, improvements,
-                             bits)
-    return FeatureMask(bits) if moved else mask
+        [out] = _run_rows(population, bit_generator, mask, cache, mutn_rate, invocations,
+                          improvements)
+    return out
 
 
 def entropy_words(value: int, name: str = "value") -> list[int]:
@@ -110,12 +129,15 @@ def entropy_words(value: int, name: str = "value") -> list[int]:
     return words
 
 
-def stream_key(seed: int, gen: int) -> np.ndarray:
-    """The uint32 entropy words shared by every chromosome stream of
-    generation ``gen``: those of ``[seed, 1, gen]``, which row i's stream
-    extends by i's words."""
-    return np.array(entropy_words(seed, "seed") + [1] + entropy_words(gen, "gen"),
-                    dtype=np.uint32)
+def stream_keys(seed: int, gen: int, rows: int) -> np.ndarray:
+    """The (rows, words) uint32 stream keys of generation ``gen``: row i
+    holds the entropy words of ``[seed, 1, gen, i]``, so
+    ``PCG64(SeedSequence(row))`` is chromosome i's stream."""
+    prefix = entropy_words(seed, "seed") + [1] + entropy_words(gen, "gen")
+    keys = np.empty((rows, len(prefix) + 1), dtype=np.uint32)
+    keys[:, :-1] = prefix
+    keys[:, -1] = np.arange(rows)
+    return keys
 
 
 def run_generation(population: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
@@ -126,12 +148,8 @@ def run_generation(population: np.ndarray, mask: FeatureMask, cache: Correlation
     ``PCG64([seed, 1, gen, i])``, all in one compiled call. Returns the
     final masks in row order: ``mask`` itself for a row where no heuristic
     moved."""
-    check_fits(mask, cache)
-    bits = np.empty((len(population), mask.n), dtype=bool)
-    moved = np.empty(len(population), dtype=bool)
-    _climb.generation(population, stream_key(seed, gen), mask.bits, cache.feature_class,
-                      cache.feature_feature, mutn_rate, invocations, improvements, bits, moved)
-    return [FeatureMask(row) if row_moved else mask for row, row_moved in zip(bits, moved)]
+    return _run_rows(population, stream_keys(seed, gen, len(population)), mask, cache,
+                     mutn_rate, invocations, improvements)
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,7 @@ def mutate_chromosome(genes: np.ndarray, p_mutation: float,
         raise ValueError(f"genes must have 1 dimension(s), not {np.ndim(genes)}")
     bit_generator = rng.bit_generator
     with bit_generator.lock:
-        _climb.mutate(genes[np.newaxis], bit_generator, p_mutation)
+        _climb.mutate(llh.one_row(genes), bit_generator, p_mutation)
 
 
 def _next_generation(population: np.ndarray, fits: np.ndarray,

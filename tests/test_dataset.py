@@ -275,6 +275,12 @@ class TestStratifiedFolds:
         with pytest.raises(DatasetError):
             stratified_folds(d, 1, seed=0)
 
+    def test_fold_count_must_be_an_integer(self):
+        d = synthetic_dataset(n_instances=40, n_features=4, seed=8)
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            stratified_folds(d, 2.5, 0)
+        assert stratified_folds(d, np.int64(4), 0).tolist() == stratified_folds(d, 4, 0).tolist()
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 6), st.integers(2, 5))
     def test_partition_and_balance_invariants(self, seed, k, class_count):

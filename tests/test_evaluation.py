@@ -157,6 +157,12 @@ class TestCvProtocol:
         with pytest.raises(ValueError, match="^base_seed must be non-negative$"):
             CvProtocol(base_seed=-1)
 
+    @pytest.mark.parametrize("field", ["folds", "repeats", "base_seed"])
+    def test_counts_and_seed_must_be_integers(self, field):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            CvProtocol(**{field: 2.5})
+        assert CvProtocol(**{field: np.int64(2)}) == CvProtocol(**{field: 2})
+
     def test_label(self):
         assert CvProtocol(folds=10, repeats=10).label() == "10x10"
 

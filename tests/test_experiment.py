@@ -244,6 +244,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=match):
             ExperimentSpec(datasets=(), **changes)
 
+    @pytest.mark.parametrize("field", ["runs", "master_seed", "cv_folds", "search_repeats"])
+    def test_counts_and_seed_must_be_integers(self, field):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            ExperimentSpec(datasets=(), **{field: 2.5})
+        assert (ExperimentSpec(datasets=(), **{field: np.int64(3)})
+                == ExperimentSpec(datasets=(), **{field: 3}))
+
 
 class TestRunSeeds:
     def test_per_run_seeds_are_master_plus_index(self, tiny_spec):

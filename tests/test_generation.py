@@ -1,8 +1,8 @@
 """The kernel's per-generation entry points: ``_climb.generation``, which
-seeds row i's stream itself from ``llh.stream_key(seed, gen)`` and i, as
-``PCG64([seed, 1, gen, i])``, against ``llh.run_genes`` on numpy's own
-generator, and the refusals of ``generation``, ``crossover`` and
-``mutate``."""
+seeds row i's stream itself from row i of ``llh.stream_keys(seed, gen,
+rows)``, as ``PCG64([seed, 1, gen, i])``, against ``llh.run_genes`` on
+numpy's own generator, and the refusals of ``generation``, ``crossover``
+and ``mutate``."""
 
 import re
 
@@ -26,18 +26,19 @@ DRAWING_GENES = [7, 8, 9, 10, 11, 12, 13, 14, 15, 16]
 
 
 def generation(population, seed, gen, mask, cache, mutn_rate=0.1, **replace):
-    """``_climb.generation`` on ``llh.stream_key(seed, gen)`` with fresh
-    outputs and counters (any of them, or the key, replaced by keyword): the
-    rows, the moved flags and the LlhStats."""
+    """``_climb.generation`` on ``llh.stream_keys(seed, gen, rows)`` with
+    fresh outputs and counters (any of them, or the keys, replaced by
+    keyword): the rows, the moved flags and the LlhStats."""
     stats = LlhStats()
-    a = dict(population=population, key=llh.stream_key(seed, gen), bits=mask.bits,
+    a = dict(population=population, keys=llh.stream_keys(seed, gen, len(population)),
+             bits=mask.bits,
              feature_class=cache.feature_class,
              feature_feature=cache.feature_feature, invocations=stats.invocations,
              improvements=stats.improvements,
              masks_out=np.empty((len(population), mask.n), dtype=bool),
              moved_out=np.empty(len(population), dtype=bool))
     a.update(replace)
-    _climb.generation(a["population"], a["key"], a["bits"], a["feature_class"],
+    _climb.generation(a["population"], a["keys"], a["bits"], a["feature_class"],
                       a["feature_feature"], mutn_rate, a["invocations"], a["improvements"],
                       a["masks_out"], a["moved_out"])
     return a["masks_out"], a["moved_out"], stats
@@ -63,6 +64,16 @@ def test_entropy_words_are_seed_sequence_s(a, b):
     words = llh.entropy_words(a) + llh.entropy_words(b)
     assert (np.random.SeedSequence(words).generate_state(4).tolist()
             == np.random.SeedSequence([a, b]).generate_state(4).tolist())
+
+
+@given(st.sampled_from(SEEDS) | st.integers(0, 2 ** 200),
+       st.sampled_from(GENS) | st.integers(0, 2 ** 200), st.integers(0, 40))
+def test_stream_key_rows_are_seed_sequence_s(seed, gen, rows):
+    keys = llh.stream_keys(seed, gen, rows)
+    assert keys.dtype == np.uint32 and keys.shape[0] == rows
+    for i, key in enumerate(keys):
+        assert (np.random.SeedSequence(key).generate_state(4).tolist()
+                == np.random.SeedSequence([seed, 1, gen, i]).generate_state(4).tolist())
 
 
 @settings(max_examples=150, deadline=None)
@@ -96,6 +107,43 @@ def test_every_listed_key(seed, gen):
                             expected.invocations, expected.improvements)
         assert masks[i].tolist() == out.bits.tolist() and moved[i] == (out is not mask)
     assert stats.as_dict() == expected.as_dict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys(), st.data())
+def test_a_slice_of_rows_and_keys_gives_those_rows(key, data):
+    seed, gen, population, mask, cache = key
+    a = data.draw(st.integers(0, len(population)))
+    b = data.draw(st.integers(a, len(population)))
+    masks, moved, stats = generation(population, seed, gen, mask, cache)
+    keys = llh.stream_keys(seed, gen, len(population))
+    head, head_moved, head_stats = generation(population[:a], seed, gen, mask, cache,
+                                              keys=keys[:a])
+    part, part_moved, part_stats = generation(population[a:b], seed, gen, mask, cache,
+                                              keys=keys[a:b])
+    tail, tail_moved, tail_stats = generation(population[b:], seed, gen, mask, cache,
+                                              keys=keys[b:])
+    assert part.tolist() == masks[a:b].tolist() and part_moved.tolist() == moved[a:b].tolist()
+    assert (np.concatenate([head, part, tail]).tolist() == masks.tolist()
+            and np.concatenate([head_moved, part_moved, tail_moved]).tolist() == moved.tolist())
+    for counter in ("invocations", "improvements"):
+        parts = [getattr(s, counter) for s in (head_stats, part_stats, tail_stats)]
+        assert sum(parts).tolist() == getattr(stats, counter).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys(), st.sampled_from([np.random.PCG64, np.random.MT19937, np.random.SFC64]))
+def test_rows_on_one_bit_generator_equal_run_genes_in_turn(key, bit_generator):
+    seed, _, population, mask, cache = key
+    shared, reference = bit_generator(seed), bit_generator(seed)
+    masks, moved, stats = generation(population, 0, 0, mask, cache, keys=shared)
+    expected = LlhStats()
+    for i, genes in enumerate(population):
+        out = llh.run_genes(genes, mask, cache, reference, 0.1, expected.invocations,
+                            expected.improvements)
+        assert masks[i].tolist() == out.bits.tolist() and moved[i] == (out is not mask)
+    assert stats.as_dict() == expected.as_dict()
+    np.testing.assert_equal(shared.state, reference.state)
 
 
 def test_run_generation_returns_the_incumbent_for_unmoved_rows():
@@ -166,9 +214,11 @@ class TestGenerationArguments:
         ("masks_out", np.empty((ROWS, N), dtype=np.uint8), "masks_out must hold bools"),
         ("moved_out", np.empty(ROWS + 1, dtype=bool),
          "moved_out has length 5 along axis 0, expected 4"),
-        ("key", np.array([3, 1, 0], dtype=np.int64),
-         "key must hold uint32, not format 'l' of 8 bytes"),
-        ("key", np.array([[3, 1, 0]], dtype=np.uint32), "key must have 1 dimension(s), not 2"),
+        ("keys", np.ones((ROWS, 4), dtype=np.int64),
+         "keys must hold uint32, not format 'l' of 8 bytes"),
+        ("keys", np.array([3, 1, 0, 0], dtype=np.uint32), "keys must have 2 dimension(s), not 1"),
+        ("keys", np.ones((ROWS + 1, 4), dtype=np.uint32), "keys has 5 rows, expected 4"),
+        ("keys", np.ones((ROWS, 8), dtype=np.uint32)[:, ::2], "keys must be C-contiguous"),
     ])
     def test_buffers(self, args, name, bad, message):
         population, mask, cache = args
@@ -200,9 +250,15 @@ class TestGenerationArguments:
             generation(population, seed, gen, mask, cache)
 
     def test_argument_count(self, args):
-        with pytest.raises(TypeError, match=r"^generation\(population, key, bits, .* takes 10 "
+        with pytest.raises(TypeError, match=r"^generation\(population, draws, bits, .* takes 10 "
                                             "arguments, 2 given$"):
             _climb.generation(args[0], 0)
+        # draws that are no buffer must be a bit generator
+        for draws, name in ((np.random.default_rng(0), "numpy.random._generator.Generator"),
+                            ([[3, 1, 0, 0]], "list")):
+            with pytest.raises(TypeError, match="^bit_generator must be a numpy BitGenerator, "
+                                                f"not {re.escape(name)}$"):
+                generation(*args[:1], 3, 0, *args[1:], keys=draws)
 
 
 class TestGaKernelArguments:
@@ -255,4 +311,10 @@ class TestGaKernelArguments:
         for rows in (1, 3):
             with pytest.raises(ValueError, match=f"^pair must have 2 rows, not {rows}$"):
                 single_point_crossover(np.ones((rows, 8), dtype=np.int64), rng, 1.0)
+        # a list is no buffer, as the kernel says of a list of pairs
+        bytes_like = "a bytes-like object is required, not 'list'"
+        with pytest.raises(TypeError, match=bytes_like):
+            mutate_chromosome([1, 2, 3], 0.5, rng)
+        with pytest.raises(TypeError, match=bytes_like):
+            single_point_crossover([[1, 2], [3, 4]], rng, 1.0)
         assert rng.bit_generator.state == state

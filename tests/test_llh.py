@@ -566,10 +566,11 @@ KERNEL_GENE = {"sweep": ID_OF["NAHC"], "best": ID_OF["SDHC"]}  # the two climb l
 
 
 def call_kernel(name, scan, genes=None, **replace):
-    """``_climb.apply`` of ``genes`` (by default the one gene that runs the
-    climb loop ``name``: NAHC's sweep or SDHC's best move) on ``scan``'s
-    bits, drawing from ``bit_generator``, with the named buffers
-    replaced."""
+    """``_climb.generation`` of the one row ``genes`` (by default the one
+    gene that runs the climb loop ``name``: NAHC's sweep or SDHC's best
+    move) on ``scan``'s bits, drawing from ``bit_generator``, with the named
+    buffers replaced; the mask goes to the row ``bits_out``. Returns whether
+    the row moved."""
     cache, n = scan.cache, scan.bits.size
     buffers = dict(genes=np.array([KERNEL_GENE[name]]) if genes is None else genes,
                    bit_generator=np.random.PCG64(0), bits=scan.bits,
@@ -578,10 +579,12 @@ def call_kernel(name, scan, genes=None, **replace):
                    improvements=np.zeros(NUM_LLH + 1, dtype=np.int64),
                    bits_out=np.empty(n, dtype=bool))
     buffers.update(replace)
-    b = buffers
-    return _climb.apply(b["genes"], b["bit_generator"], b["bits"], b["feature_class"],
-                        b["feature_feature"], 0.1, b["invocations"], b["improvements"],
-                        b["bits_out"])
+    b, moved = buffers, np.empty(1, dtype=bool)
+    population = b["genes"][np.newaxis] if isinstance(b["genes"], np.ndarray) else b["genes"]
+    _climb.generation(population, b["bit_generator"], b["bits"], b["feature_class"],
+                      b["feature_feature"], 0.1, b["invocations"], b["improvements"],
+                      b["bits_out"][np.newaxis], moved)
+    return bool(moved[0])
 
 
 class TestHotPathReference:
@@ -713,7 +716,7 @@ def oracle_and_kernel(llh_id, scan, seed, mutn_rate=0.1, bit_generator=np.random
 
 
 class TestKernelEqualsOracle:
-    """``_climb.apply`` against the Python rules in ``conftest``, draw for
+    """``_climb.generation`` against the Python rules in ``conftest``, draw for
     draw: equal bits, the input object back exactly when the oracle
     returns it, equal counters, and the bit generator left in the same
     state."""
@@ -811,15 +814,15 @@ class TestKernelEqualsOracle:
                 stats, expected_stats = LlhStats(), LlhStats()
                 bit_generator = np.random.PCG64([n, s, trial])
                 oracle_rng = np.random.default_rng([n, s, trial])
-                bits_out = np.empty(n, dtype=bool)
-                moved = _climb.apply(genes, bit_generator, scan.bits, cache.feature_class,
-                                     cache.feature_feature, 0.1,
-                                     stats.invocations, stats.improvements, bits_out)
+                bits_out, moved = np.empty((1, n), dtype=bool), np.empty(1, dtype=bool)
+                _climb.generation(genes[np.newaxis], bit_generator, scan.bits,
+                                  cache.feature_class, cache.feature_feature, 0.1,
+                                  stats.invocations, stats.improvements, bits_out, moved)
                 expected = oracle_run_genes(genes, scan, OracleContext(cache, oracle_rng),
                                             expected_stats)
                 assert bit_generator.state == oracle_rng.bit_generator.state
-                assert moved is (expected is not scan)
-                assert bits_out.tolist() == expected.bits.tolist()
+                assert moved[0] == (expected is not scan)
+                assert bits_out[0].tolist() == expected.bits.tolist()
                 assert stats.as_dict() == expected_stats.as_dict()
 
     def test_run_genes_returns_input_when_no_gene_moves(self):
@@ -1081,7 +1084,7 @@ class TestCrossHeuristicProperties:
 
 @pytest.mark.parametrize("name", ["sweep", "best"])
 class TestClimbKernelArguments:
-    """``_climb.apply`` running each climb loop from the bits: every buffer
+    """``_climb.generation`` running each climb loop from the bits: every buffer
     is checked against n = len(bits) and every gene id against 1..16
     before the kernel reads one or draws, so a bad argument is a ValueError
     or a TypeError that leaves the counters and the bit generator as they
@@ -1111,9 +1114,9 @@ class TestClimbKernelArguments:
 
     def test_wrong_item_types(self, name, scan):
         genes = np.array([KERNEL_GENE[name]])
-        with pytest.raises(ValueError, match="genes must hold int64"):
+        with pytest.raises(ValueError, match="population must hold int64"):
             call_kernel(name, scan, genes.astype(np.int32))
-        with pytest.raises(ValueError, match="genes must hold int64"):
+        with pytest.raises(ValueError, match="population must hold int64"):
             call_kernel(name, scan, genes.astype(np.float64))
         with pytest.raises(ValueError, match="bits must hold bools"):
             call_kernel(name, scan, bits=scan.bits.astype(np.uint8))
@@ -1139,14 +1142,14 @@ class TestClimbKernelArguments:
         genes = np.array([KERNEL_GENE[name]] * 2)
         with pytest.raises(ValueError, match="bits must be C-contiguous"):
             call_kernel(name, scan, bits=np.repeat(scan.bits, 2)[::2])
-        with pytest.raises(ValueError, match="genes must be C-contiguous"):
+        with pytest.raises(ValueError, match="population must be C-contiguous"):
             call_kernel(name, scan, np.repeat(genes, 2)[::2])
         with pytest.raises(ValueError, match="feature_feature must be C-contiguous"):
             call_kernel(name, scan, feature_feature=scan.cache.feature_feature.T)
 
     def test_argument_count_and_non_buffers(self, name, scan):
-        with pytest.raises(TypeError, match="takes 9 arguments, 2 given"):
-            _climb.apply(scan.bits, scan.cache.feature_feature)
+        with pytest.raises(TypeError, match="takes 10 arguments, 2 given"):
+            _climb.generation(scan.bits, scan.cache.feature_feature)
         with pytest.raises(TypeError):
             call_kernel(name, scan, [KERNEL_GENE[name]])
         with pytest.raises(TypeError, match="^bit_generator must be a numpy BitGenerator, "
@@ -1163,7 +1166,7 @@ def test_apply_rejects_a_feature_feature_of_wrong_shape():
 
 
 class TestScanAndOutputArguments:
-    """``_climb.scan`` and the buffers ``apply`` writes: checked before any
+    """``_climb.scan`` and the buffers ``generation`` writes: checked before any
     is read or written."""
 
     def test_scan_checks_its_buffers(self):
@@ -1194,13 +1197,14 @@ class TestScanAndOutputArguments:
 
     def test_apply_checks_what_it_writes(self):
         scan = MeritScan(random_cache(6, seed=41), [1, 0, 1, 1, 0, 0])
-        for name, bad in (("invocations", np.zeros(NUM_LLH, dtype=np.int64)),
-                          ("improvements", np.zeros(NUM_LLH + 2, dtype=np.int64)),
-                          ("bits_out", np.empty(5, dtype=bool)),
-                          ("bits_out", np.empty(7, dtype=bool))):
-            with pytest.raises(ValueError, match=f"{name} has length"):
+        for name, bad, message in (
+                ("invocations", np.zeros(NUM_LLH, dtype=np.int64), "invocations has length"),
+                ("improvements", np.zeros(NUM_LLH + 2, dtype=np.int64), "improvements has length"),
+                ("bits_out", np.empty(5, dtype=bool), r"masks_out has shape \(1, 5\)"),
+                ("bits_out", np.empty(7, dtype=bool), r"masks_out has shape \(1, 7\)")):
+            with pytest.raises(ValueError, match=message):
                 call_kernel("sweep", scan, **{name: bad})
-        with pytest.raises(ValueError, match="bits_out must hold bools"):
+        with pytest.raises(ValueError, match="masks_out must hold bools"):
             call_kernel("sweep", scan, bits_out=np.empty(6, dtype=np.uint8))
         with pytest.raises(ValueError, match="read-only"):
             call_kernel("sweep", scan, bits_out=scan.bits)
