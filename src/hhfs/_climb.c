@@ -1,6 +1,5 @@
 /* The merit scan and the 16 low-level heuristics (see hhfs.correlation and
-   hhfs.llh) and the 1NN fitness's squared distances (hhfs.evaluation),
-   compiled.
+   hhfs.llh) and the 1NN fitness's neighbours (hhfs.evaluation), compiled.
 
    scan(bits, feature_class, feature_feature, row_out) -> (k, sum_cf, sum_ff, merit)
    A mask's merit scan, summed in one fixed order: ascending selected index.
@@ -51,8 +50,8 @@
    bits, and every gene id against 1..16 before any is read.
 
    sqdist(columns, out)
-   The 1NN fitness's exact squared distances (see hhfs.evaluation): for the
-   (k, n) selected columns x, the n x n
+   The 1NN fitness's exact squared distances, the reference the neighbours
+   below are tested against: for the (k, n) selected columns x, the n x n
    out[i][j] = the sum over l of (x[l][i] - x[l][j])^2, added in
    ascending l. That is pdist's "sqeuclidean", bit for bit, and as
    (a - b)^2 equals (b - a)^2 exactly, the entries below the diagonal are
@@ -60,10 +59,55 @@
    rows and LANES columns at a time, in registers, on AVX-512 where the CPU
    has it (sqdist_rows). Every buffer and out against overlapping the
    columns are checked before out is written, and the sums run without the
-   GIL, so threads that each own an out compute at once. */
+   GIL.
+
+   nearest(columns, screen, radius, underflow, folds, work, out)
+   The 1NN fitness's neighbours: for the (k, n) selected columns x and each
+   row r of the (R, w) int32 fold labels, out[r][i] = the column j whose
+   label folds[r][j] is not row i's, of least sqdist distance from row i,
+   ties to the lowest j. That is the argmin of sqdist's row i with its
+   same-fold cells set to inf. w is n rounded up to SCREEN_LANES (the
+   module's constant, 16); labels past n are never read.
+
+   It filters in float32 and refines in float64 (Seidl and Kriegel,
+   "Optimal multi-step k-nearest neighbor search", SIGMOD 1998). screen is
+   a (k, w) float32 copy y of the columns in units of its own: column l
+   less a constant, times one power of two 2^e, and rounded, off that
+   exact value by at most radius[l]. work gets the n x w float32 distances
+   S of y's rows, summed as sqdist sums, SCREEN_LANES columns at a time
+   (nearest_rows, cloned as sqdist_rows is). For row i, with m the S of a
+   column in another fold (the least, as a rule: nearest_of), every column
+   in another fold with S <= T(m) is a candidate, and the candidate of
+   least float64 distance, ties to the lowest j, is the neighbour; a lone
+   candidate needs no float64 sum. The bound T, after Higham, "Accuracy and
+   Stability of Numerical Algorithms", 2nd ed., 2002, ch. 3-4: write s and
+   d for the exact distances of y and of the scaled columns, and D for the
+   float64 sum times 2^2e. A term's difference, its square and its (at most
+   k - 1) additions round once each, every term is non-negative, and so,
+   with u = 2^-24, g32 = (k + 2)u / (1 - (k + 2)u) and g64 the same with
+   u = 2^-53,
+       s (1 - g32) - p32 <= S <= s (1 + g32) + p32,
+       d (1 - g64) - p64 <= D <= d (1 + g64) + p64,
+   where p32 = k 2^-124 and p64 = k underflow bound what underflow,
+   subnormal or flushed to zero, adds to k terms (underflow is 2^-1020,
+   times 2^2e). By the triangle inequality |sqrt(s) - sqrt(d)| <= rho,
+   twice the 2-norm of radius. Let S(i, j0) = m. Any column j with
+   D(i, j) <= D(i, j0), as the neighbour has, then has
+       sqrt(d(i, j0)) <= q = sqrt((m + p32) / (1 - g32)) + rho,
+       d(i, j) <= B = (q^2 (1 + g64) + 2 p64) / (1 - g64),
+       S(i, j) <= T = (1 + g32)(sqrt(B) + rho)^2 + p32,
+   so the neighbour is a candidate. T is summed in double, raised by 2^-40
+   of itself for that arithmetic's rounding, and rounded up to float32; it
+   is inf, every column a candidate, where (k + 2) 2^-24 >= 1/2 or
+   underflow is inf. The buffers' kinds and shapes, a finite screen, two
+   labels at least in each fold row's first n, and work and out against
+   overlapping any other buffer are checked before work is written, and the
+   work runs without the GIL, so threads that each own a work and an out
+   compute at once. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -75,8 +119,9 @@ enum domain { ALL, ZEROS, ONES };      /* each hill-climbing rule's three ids, i
 enum rule { SDHC, NAHC, DBHC, RMHC };  /* ids 1-3, 4-6, 7-9, 10-12 */
 enum move { SWPD = 13, DIMM, HYPM, MUTN };
 
-enum kind { BOOL, FLOAT64, INT64, UINT32 };
-static const char *const kind_name[] = {"bools", "float64", "int64", "uint32"};
+enum kind { BOOL, FLOAT32, FLOAT64, INT32, INT64, UINT32 };
+static const char *const kind_name[] = {"bools", "float32", "float64", "int32", "int64",
+                                        "uint32"};
 
 /* Acquire ``obj`` as a C-contiguous buffer of ``ndim`` dimensions, each of
    length ``n`` (any length where n < 0), holding items of ``want`` kind. */
@@ -92,8 +137,14 @@ get_buffer(PyObject *obj, Py_buffer *view, const char *name, enum kind want,
     case BOOL:
         ok = view->itemsize == 1 && strcmp(format, "?") == 0;
         break;
+    case FLOAT32:
+        ok = view->itemsize == 4 && strcmp(format, "f") == 0;
+        break;
     case FLOAT64:
         ok = view->itemsize == 8 && strcmp(format, "d") == 0;
+        break;
+    case INT32:
+        ok = view->itemsize == 4 && (strcmp(format, "i") == 0 || strcmp(format, "l") == 0);
         break;
     case INT64:
         ok = view->itemsize == 8 && (strcmp(format, "l") == 0 || strcmp(format, "q") == 0);
@@ -788,6 +839,289 @@ done:
     return result;
 }
 
+#define SCREEN_LANES 16  /* float32 columns screened at a time, as one vector */
+typedef float screen_lanes __attribute__((vector_size(SCREEN_LANES * sizeof(float))));
+typedef int32_t label_lanes __attribute__((vector_size(SCREEN_LANES * sizeof(int32_t))));
+#define QUIET_NAN 0x7fc00000  /* NAN's bits as a float32: above every distance's */
+
+/* The screen's sums for the nr <= BLOCK rows i..i+nr-1 of the (k, w)
+   float32 columns y into their rows of out, as sqdist_block sums, each
+   from the vector holding column i to w - 1 (a multiple of SCREEN_LANES). */
+static inline __attribute__((always_inline)) void
+screen_block(const float *y, Py_ssize_t k, Py_ssize_t w, Py_ssize_t i, int nr, float *out)
+{
+    for (Py_ssize_t j = i - i % SCREEN_LANES; j < w; j += SCREEN_LANES) {
+        screen_lanes acc[BLOCK] = {{0}};
+        for (Py_ssize_t l = 0; l < k; l++) {
+            screen_lanes yj;
+            memcpy(&yj, y + l * w + j, sizeof yj);
+            for (int s = 0; s < nr; s++) {
+                screen_lanes t = y[l * w + i + s] - yj;
+                acc[s] += t * t;
+            }
+        }
+        for (int s = 0; s < nr; s++)
+            memcpy(out + s * w + j, &acc[s], sizeof acc[s]);
+    }
+}
+
+/* The constants of the screen's bound (see nearest): the float32 and
+   float64 sums' relative error bounds, the copy's rounding radius and the
+   two sums' absolute underflow allowances, all in the copy's units. */
+struct bound {
+    double g32, g64, rho, pad32, pad64;
+    int open;  /* the bound holds nothing: every column is a candidate */
+};
+
+/* The largest float32 screen distance a column can have and still tie or
+   beat, in float64, a column whose screen distance is m. */
+static float
+threshold(float m, const struct bound *b)
+{
+    if (b->open)
+        return INFINITY;
+    double near = sqrt(((double)m + b->pad32) / (1.0 - b->g32)) + b->rho;
+    double reach = (near * near * (1.0 + b->g64) + 2.0 * b->pad64) / (1.0 - b->g64);
+    double far = sqrt(reach) + b->rho;
+    double t = ((1.0 + b->g32) * far * far + b->pad32) * (1.0 + 0x1p-40);
+    float up = (float)t;
+    return (double)up < t ? nextafterf(up, INFINITY) : up;
+}
+
+/* Column j's exact squared distance from row i, as sqdist sums it. */
+static inline double
+exact(const double *x, Py_ssize_t k, Py_ssize_t n, Py_ssize_t i, Py_ssize_t j)
+{
+    double acc = 0.0;
+    for (Py_ssize_t l = 0; l < k; l++) {
+        double t = x[l * n + i] - x[l * n + j];
+        acc += t * t;
+    }
+    return acc;
+}
+
+/* The nearest candidate so far: its column (-1 for none) and, once a
+   second candidate came, its exact distance. */
+struct pick {
+    Py_ssize_t j;
+    double d;
+    int summed;
+};
+
+/* Take candidate column j in place of *p where it is nearer row i, or as
+   near and lower. A lone candidate is never summed. */
+static inline void
+take(struct pick *p, Py_ssize_t j, const double *x, Py_ssize_t k, Py_ssize_t n, Py_ssize_t i)
+{
+    if (p->j < 0) {
+        p->j = j;
+        p->summed = 0;
+        return;
+    }
+    if (!p->summed) {
+        p->d = exact(x, k, n, i, p->j);
+        p->summed = 1;
+    }
+    double d = exact(x, k, n, i, j);
+    if (d < p->d || (d == p->d && j < p->j)) {
+        p->j = j;
+        p->d = d;
+    }
+}
+
+/* A row's screen distances lane by lane, lane s holding the columns j with
+   j % SCREEN_LANES == s: each lane's least distance, the lowest column
+   holding it and the lane's next least distance, as float32 bits; and the
+   last threshold the row took, t = threshold(m). */
+struct lanes {
+    label_lanes least, column, next;
+    float m, t;
+};
+
+/* The lanes of ``row``, w columns. The distances are non-negative or NaN,
+   whose bits order as the floats do (NaN, QUIET_NAN, above all), so the
+   comparisons are integer differences' signs: gcc 12 splits those into
+   the baseline build's 4-lane instructions, and scalarises a comparison. */
+static inline __attribute__((always_inline)) void
+survey(const float *row, Py_ssize_t w, struct lanes *st)
+{
+    label_lanes least = (label_lanes){0} + QUIET_NAN, next = least, column, at;
+    for (int s = 0; s < SCREEN_LANES; s++)
+        at[s] = s;
+    column = at;
+    for (Py_ssize_t j = 0; j < w; j += SCREEN_LANES) {
+        label_lanes d;
+        memcpy(&d, row + j, sizeof d);
+        label_lanes gap = d - least, less = gap >> 31;
+        label_lanes high = d - (gap & less);  /* the larger of d and least */
+        least += gap & less;
+        column = (at & less) | (column & ~less);
+        gap = high - next;
+        next += gap & (gap >> 31);
+        at += SCREEN_LANES;
+    }
+    st->least = least;
+    st->column = column;
+    st->next = next;
+    st->m = -1.0f;  /* no distance: the first threshold is computed */
+}
+
+/* Row i's nearest column in another fold (see nearest): m is the least of
+   the lanes' least distances whose column is in another fold, or, where
+   none is, the least distance in another fold. A lane whose next least
+   distance is within threshold(m) is searched column by column, as is
+   every lane where no lane's least column is in another fold; any other
+   lane's only candidate is its least column. The row's own and padded
+   columns hold NaN, which no comparison takes. */
+static Py_ssize_t
+nearest_of(const float *row, const int32_t *fold, struct lanes *st, Py_ssize_t i,
+           const struct bound *b, const double *x, Py_ssize_t k, Py_ssize_t n)
+{
+    int32_t own = fold[i], m = QUIET_NAN;
+    for (int s = 0; s < SCREEN_LANES; s++)
+        if (st->least[s] < m && fold[st->column[s]] != own)
+            m = st->least[s];
+    int every = m == QUIET_NAN;
+    float low = INFINITY;
+    if (every) {
+        for (Py_ssize_t j = 0; j < n; j++)
+            if (fold[j] != own && row[j] < low)
+                low = row[j];
+    } else {
+        memcpy(&low, &m, sizeof low);
+    }
+    if (!(low == st->m)) {
+        st->m = low;
+        st->t = threshold(low, b);
+    }
+    float t = st->t;
+    int32_t top;
+    memcpy(&top, &t, sizeof top);
+    struct pick p = {-1, 0.0, 0};
+    for (int s = 0; s < SCREEN_LANES; s++) {
+        if (every || st->next[s] <= top) {
+            for (Py_ssize_t j = s; j < n; j += SCREEN_LANES)
+                if (fold[j] != own && row[j] <= t)
+                    take(&p, j, x, k, n, i);
+        } else if (st->least[s] <= top && fold[st->column[s]] != own) {
+            take(&p, st->column[s], x, k, n, i);
+        }
+    }
+    return p.j;
+}
+
+/* nearest's work: the screen's n x w out from the (k, w) float32 columns
+   y, the sums on and above the diagonal BLOCK rows at a time, as
+   sqdist_rows fills its out, the entries below it copied and the diagonal
+   and the padded columns NaN; then per row its lanes and, per repeat r, its
+   nearest column in another fold of folds[r], into nearest[r]. */
+WIDEST_VECTORS static void
+nearest_rows(const double *x, const float *y, Py_ssize_t k, Py_ssize_t n, Py_ssize_t w,
+             const int32_t *folds, Py_ssize_t repeats, const struct bound *b, float *out,
+             int64_t *nearest)
+{
+    float nan;
+    memcpy(&nan, &(int32_t){QUIET_NAN}, sizeof nan);
+    for (Py_ssize_t r = 0; r < n; r += BLOCK) {
+        if (n - r >= BLOCK)
+            screen_block(y, k, w, r, BLOCK, out + r * w);
+        else
+            screen_block(y, k, w, r, (int)(n - r), out + r * w);
+    }
+    for (Py_ssize_t r = 0; r < n; r++) {
+        for (Py_ssize_t j = 0; j < r - r % SCREEN_LANES; j++)
+            out[r * w + j] = out[j * w + r];
+        out[r * w + r] = nan;
+        for (Py_ssize_t j = n; j < w; j++)
+            out[r * w + j] = nan;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        struct lanes st;
+        survey(out + i * w, w, &st);
+        for (Py_ssize_t t = 0; t < repeats; t++)
+            nearest[t * n + i] = nearest_of(out + i * w, folds + t * w, &st, i, b, x, k, n);
+    }
+}
+
+static PyObject *
+nearest(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 7) {
+        PyErr_Format(PyExc_TypeError,
+                     "nearest(columns, screen, radius, underflow, folds, work, out)"
+                     " takes 7 arguments, %zd given", nargs);
+        return NULL;
+    }
+    Py_buffer columns = {0}, screen = {0}, radius = {0}, folds = {0}, work = {0}, out = {0};
+    Py_buffer *views[] = {&columns, &screen, &radius, &folds, &work, &out};
+    PyObject *result = NULL;
+    if (get_buffer(args[0], &columns, "columns", FLOAT64, 2, -1, 0) < 0)
+        goto done;
+    Py_ssize_t k = columns.shape[0], n = columns.shape[1];
+    Py_ssize_t w = (n + SCREEN_LANES - 1) / SCREEN_LANES * SCREEN_LANES;
+    if (get_buffer(args[1], &screen, "screen", FLOAT32, 2, -1, 0) < 0
+        || get_buffer(args[2], &radius, "radius", FLOAT64, 1, k, 0) < 0
+        || get_buffer(args[4], &folds, "folds", INT32, 2, -1, 0) < 0
+        || get_buffer(args[5], &work, "work", FLOAT32, 2, -1, 1) < 0
+        || get_buffer(args[6], &out, "out", INT64, 2, -1, 1) < 0)
+        goto done;
+    Py_ssize_t repeats = folds.shape[0];
+    if (screen.shape[0] != k || screen.shape[1] != w || folds.shape[1] != w
+        || work.shape[0] != n || work.shape[1] != w
+        || out.shape[0] != repeats || out.shape[1] != n) {
+        PyErr_Format(PyExc_ValueError,
+                     "for (%zd, %zd) columns, nearest needs a (%zd, %zd) screen, (R, %zd) folds,"
+                     " a (%zd, %zd) work and an (R, %zd) out", k, n, k, w, w, n, w, n);
+        goto done;
+    }
+    double underflow = PyFloat_AsDouble(args[3]), r2 = 0.0;
+    if (underflow == -1.0 && PyErr_Occurred())
+        goto done;
+    for (Py_ssize_t l = 0; l < k; l++)
+        r2 += ((const double *)radius.buf)[l] * ((const double *)radius.buf)[l];
+    int finite = 1;  /* so the distances are too, or inf, and never NaN */
+    for (Py_ssize_t v = 0; v < k * w; v++)
+        finite &= fabsf(((const float *)screen.buf)[v]) <= FLT_MAX;
+    if (!finite || isnan(r2) || !(underflow >= 0.0)) {
+        PyErr_SetString(PyExc_ValueError, "screen must be finite, radius must hold no NaN"
+                        " and underflow must be at least 0");
+        goto done;
+    }
+    Py_buffer *inputs[] = {&columns, &screen, &radius, &folds};
+    int overlaps = overlap(&out, &work);
+    for (int v = 0; v < 4; v++)
+        overlaps |= overlap(&work, inputs[v]) || overlap(&out, inputs[v]);
+    if (overlaps) {
+        PyErr_SetString(PyExc_ValueError, "work and out must overlap no other buffer");
+        goto done;
+    }
+    const int32_t *label = folds.buf;
+    for (Py_ssize_t t = 0; t < repeats; t++) {
+        Py_ssize_t i = 1;
+        while (i < n && label[t * w + i] == label[t * w])
+            i++;
+        if (i == n) {
+            PyErr_Format(PyExc_ValueError, "folds[%zd] puts every row in one fold", t);
+            goto done;
+        }
+    }
+    struct bound b;
+    double e32 = (double)(k + 2) * 0x1p-24, e64 = (double)(k + 2) * 0x1p-53;
+    b.open = !(e32 < 0.5) || underflow == INFINITY;
+    b.g32 = e32 / (1.0 - e32);
+    b.g64 = e64 / (1.0 - e64);
+    b.rho = 2.0 * sqrt(r2) * (1.0 + 0x1p-40);
+    b.pad32 = (double)k * 0x1p-124;
+    b.pad64 = (double)k * underflow;
+    Py_BEGIN_ALLOW_THREADS  /* every buffer is held, so other threads may run */
+    nearest_rows(columns.buf, screen.buf, k, n, w, folds.buf, repeats, &b, work.buf, out.buf);
+    Py_END_ALLOW_THREADS
+    result = Py_NewRef(Py_None);
+done:
+    release(views, 6);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"scan", (PyCFunction)(void (*)(void))scan, METH_FASTCALL,
      "scan(bits, feature_class, feature_feature, row_out)"
@@ -807,12 +1141,15 @@ static PyMethodDef methods[] = {
     {"sqdist", (PyCFunction)(void (*)(void))sqdist, METH_FASTCALL,
      "sqdist(columns, out): out[i][j] = sum over l of"
      " (columns[l][i] - columns[l][j])**2, in ascending l"},
+    {"nearest", (PyCFunction)(void (*)(void))nearest, METH_FASTCALL,
+     "nearest(columns, screen, radius, underflow, folds, work, out): out[r][i] = the"
+     " column in another fold of folds[r] nearest row i, ties to the lowest index"},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_climb",
-    "The merit scan, the low-level heuristics and the 1NN distances, compiled.", -1,
+    "The merit scan, the low-level heuristics and the 1NN neighbours, compiled.", -1,
     methods,
     NULL, NULL, NULL, NULL,
 };
@@ -820,5 +1157,8 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__climb(void)
 {
-    return PyModule_Create(&module);
+    PyObject *m = PyModule_Create(&module);
+    if (m != NULL && PyModule_AddIntConstant(m, "SCREEN_LANES", SCREEN_LANES) < 0)
+        Py_CLEAR(m);
+    return m;
 }

@@ -13,22 +13,30 @@ Repeating the k-fold split ``repeats`` times with seeds base_seed,
 base_seed+1, ... and averaging gives the "r x k fold CV" protocols used
 for reporting; searches typically run with repeats=1 for speed.
 
-Every computation fills an n x n matrix with sqdist over the mask's
-columns, then per repeat sets each row's same-fold cells (its own among
-them) to inf and takes the row argmins, which is the lowest index among
-ties. Each thread that computes has a work matrix of its own, made on its
-first computation, and ``sqdist`` runs without the GIL, so a generation's
-masks can be computed on helper threads (``cores.Helpers``) beside the
-calling thread.
+A computation finds each row's neighbour with ``_climb.nearest``: a
+float32 screen of every pair's distance over the mask's columns keeps, per
+row, the other-fold columns a proven bound leaves in reach of the nearest,
+and the exact float64 sums, in ``sqdist``'s order, pick among those, ties
+to the lowest index. So the neighbours are the argmins of ``sqdist``'s
+matrix with each row's same-fold cells (its own among them) set to inf,
+which the tests check, and most rows need no float64 sum at all. The
+screen reads a float32 copy of the features, made once per evaluator:
+each column less its minimum, times one power of two that takes the
+widest range to at most 1, so no float32 distance overflows. Each thread
+that computes has an n x w float32 work matrix of its own (w is n rounded
+up to the kernel's 16 lanes), made on its first computation, and the
+kernel runs without the GIL, so a generation's masks can be computed on
+helper threads (``cores.Helpers``) beside the calling thread.
 
-An evaluator refuses a dataset whose distances could overflow, its column
-ranges' squares summing above ``_DISTANCE_MAX``: some mask's distances
-could then be inf, and a row whose distances are all inf would take row 0
-as its neighbour, in its own fold or not.
+An evaluator refuses a dataset whose float64 distances could overflow, its
+column ranges' squares summing above ``_DISTANCE_MAX``: some mask's
+distances could then be inf, and all inf distances tie, whichever row is
+nearer.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import threading
 from collections.abc import Sequence
@@ -109,60 +117,69 @@ class FitnessEvaluator:
     equals ``cv_accuracy`` bitwise. The cache key is the raw bit pattern,
     so a hit returns the stored accuracy with zero classification work.
     ``computations`` counts actual CV evaluations and ``hits`` counts
-    cache returns. Every computation reuses its thread's n x n work matrix
-    for the distances, and ``features.T`` is kept contiguous, so a mask's
-    columns are one gather.
+    cache returns. Every computation reuses its thread's work matrix for
+    the screen's distances, and ``features.T`` and its float32 copy are
+    kept contiguous, so a mask's columns are one gather from each.
     """
 
     def __init__(self, dataset: Dataset, protocol: CvProtocol):
         self.dataset = dataset
         with np.errstate(over="ignore"):  # the overflow this looks for
             reach = np.square(np.ptp(dataset.features, axis=0)).sum()
-        if not reach <= _DISTANCE_MAX:  # inf distances, and every argmin would be row 0
+        if not reach <= _DISTANCE_MAX:  # inf distances, which all tie
             raise DatasetError(f"{dataset.name}: the feature ranges are too wide for finite "
                                "1NN distances; normalize the features first")
-        # per repeat r (fold seed base_seed + r), the flat index into an n x n
-        # matrix of every same-fold cell, which the argmin must not see
-        # (argsort's intp, numpy's index type)
+        # per repeat r (fold seed base_seed + r), each row's fold, padded to
+        # the screen's width with a label the kernel never reads
         n = dataset.n_instances
-        self._same_fold = []
+        width = -(-n // _climb.SCREEN_LANES) * _climb.SCREEN_LANES
+        self._folds = np.full((protocol.repeats, width), -1, dtype=np.int32)
         for r in range(protocol.repeats):
             fold_of = stratified_folds(dataset, protocol.folds, protocol.base_seed + r)
             if (fold_of == fold_of[0]).all():  # no instance would have a training row
                 raise DatasetError(
                     f"{dataset.name}: {protocol.label()} CV puts all {n} instances in "
                     "one fold (every class has one member), leaving no training rows")
-            sizes = np.bincount(fold_of, minlength=protocol.folds)
-            members = np.split(np.argsort(fold_of, kind="stable"), np.cumsum(sizes)[:-1])
-            self._same_fold.append(np.concatenate([(m[:, None] * n + m).ravel()
-                                                   for m in members]))
+            self._folds[r, :n] = fold_of
         self._columns = np.ascontiguousarray(dataset.features.T)
-        self._local = threading.local()  # .work: this thread's n x n work matrix
+        # the screen's copy: x - low times 2**scale, rounded once to float32,
+        # is off the exact value by under 2**-23 of the column's scaled range
+        # (a float64 and a float32 rounding), plus 2**-124 for subnormals,
+        # flushed to zero or not; the float64 sums' underflow, k * 2**-1020
+        # at most over k terms, is also given in these units (see _climb.c)
+        low = self._columns.min(axis=1, keepdims=True)
+        span = self._columns.max(axis=1) - low[:, 0]
+        scale = -int(np.frexp(span.max())[1])
+        shifted = self._columns - low
+        self._screen = np.zeros((len(span), width), dtype=np.float32)
+        self._screen[:, :n] = np.ldexp(shifted, scale, out=shifted)
+        self._radius = np.ldexp(span, scale - 23) + 2.0 ** -124
+        exponent = 2 * scale - 1020  # above 1023 for subnormal ranges: every column in reach
+        self._underflow = math.ldexp(1.0, exponent) if exponent < 1024 else math.inf
+        self._local = threading.local()  # .work: this thread's n x w work matrix
         self._cache: dict[bytes, float] = {}
         self._computed: dict[bytes, float] = {}  # what fitnesses computed and fitness stores
         self.computations = 0
         self.hits = 0
 
+    def _nearest(self, idx: np.ndarray) -> np.ndarray:
+        """Per repeat, each row's 1NN among the rows of other folds, seeing
+        only the (non-empty) columns ``idx``: a (repeats, n) index array."""
+        work = getattr(self._local, "work", None)
+        if work is None:
+            work = self._local.work = np.empty((self.dataset.n_instances,
+                                                self._folds.shape[1]), dtype=np.float32)
+        nearest = np.empty((len(self._folds), self.dataset.n_instances), dtype=np.int64)
+        _climb.nearest(self._columns[idx], self._screen[idx], self._radius[idx],
+                       self._underflow, self._folds, work, nearest)
+        return nearest
+
     def _accuracies(self, idx: np.ndarray) -> list[float]:
         """Per repeat, the 1NN accuracy over that repeat's folds, seeing
         only the (non-empty) columns ``idx``."""
-        D = getattr(self._local, "work", None)
-        if D is None:
-            n = self.dataset.n_instances
-            D = self._local.work = np.empty((n, n))
-        _climb.sqdist(self._columns[idx], D)
-        cells = D.reshape(-1)  # a view: D is C-contiguous
         labels = self.dataset.labels
-        accs = []
-        last = len(self._same_fold) - 1
-        for t, same in enumerate(self._same_fold):
-            saved = cells[same] if t < last else None  # the last repeat need not restore D
-            cells[same] = np.inf
-            nearest = D.argmin(axis=1)
-            accs.append(int(np.count_nonzero(labels[nearest] == labels)) / len(labels))
-            if saved is not None:
-                cells[same] = saved
-        return accs
+        hits = np.count_nonzero(labels[self._nearest(idx)] == labels, axis=1)
+        return [int(h) / len(labels) for h in hits]
 
     def _value(self, idx: np.ndarray) -> float:
         """The CV accuracy seeing only the columns ``idx``; 0.0 for none."""

@@ -364,11 +364,12 @@ def run_experiment(spec: ExperimentSpec, progress=None, dump_cache: bool = False
     combined summary.csv under spec.out_dir; with ``dump_cache``, also each
     dataset's correlation cache as <name>_correlation_cache.csv (see
     ``dump_cache_csv``) before its runs. A dataset that fails to load, run
-    or have its files written (an OSError or ValueError) is reported with
-    an ``error`` field, gets a blank summary.csv row, loses the three files
-    an earlier run left in its directory and does not abort the others; an
-    error outside that, such as an unwritable summary.csv or a stale file
-    that cannot be removed, propagates.
+    or have its files written (an OSError or ValueError, or a MemoryError,
+    as from an allocation too large for the process, in a run's worker
+    too) is reported with an ``error`` field, gets a blank summary.csv row,
+    loses the three files an earlier run left in its directory and does not
+    abort the others; an error outside that, such as an unwritable
+    summary.csv or a stale file that cannot be removed, propagates.
     """
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -380,7 +381,7 @@ def run_experiment(spec: ExperimentSpec, progress=None, dump_cache: bool = False
             cache_csv = out_dir / f"{entry.name}_correlation_cache.csv" if dump_cache else None
             report, timings = run_dataset(entry.load(), spec, progress, cache_csv)
             write_report_files(report, timings, out_dir)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, MemoryError) as exc:
             report = {"dataset": entry.name, "error": str(exc)}
             for name in ("report.json", "history.csv", "timings.csv"):  # an earlier run's
                 if (stale := out_dir / entry.name / name).is_file():

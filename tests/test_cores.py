@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import time
 
+import numpy as np
 import pytest
 
 from conftest import needs_fork, on_cores
@@ -28,6 +29,16 @@ def test_fork_map_keeps_order_and_raises_in_place(monkeypatch):
         for result in cores.fork_map(slow_square, list(range(8))):
             got.append(result)
     assert got == [0, 1, 4, 9, 16]
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_workers_memory_error_crosses_the_pipe(monkeypatch):
+    # numpy's MemoryError subclass pickles, so it is raised here as the
+    # worker raised it: run_experiment's boundary then records the dataset
+    on_cores(monkeypatch, 2)
+    with pytest.raises(MemoryError, match="^Unable to allocate 4.00 EiB "):
+        list(cores.fork_map(lambda _: np.empty((2**29, 2**30)), [0, 1]))
     assert multiprocessing.active_children() == []
 
 

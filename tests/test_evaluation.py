@@ -434,7 +434,7 @@ class TestSqdist:
         assert not stale.exists()
         symbols = subprocess.run(["nm", baseline.__file__], capture_output=True, text=True,
                                  check=True).stdout
-        assert not re.search(r"\bsqdist_rows\.", symbols)  # no clone and no resolver
+        assert not re.search(r"\b(sqdist|nearest)_rows\.", symbols)  # no clone, no resolver
         for n, k in [(476, 83), (208, 30), (366, 17), (7, 3), (13, 5), (211, 9), (474, 1)]:
             for kind in self.KINDS:
                 X = sqdist_data(kind, n, k, seed=n + k)
@@ -442,6 +442,13 @@ class TestSqdist:
                 assert baseline.sqdist(np.ascontiguousarray(X.T), out) is None
                 assert same_bits(out, squareform(pdist(X, "sqeuclidean")))
                 assert same_bits(out, sqdist(X))
+                # and the float32 screen's neighbours, which the clones find too
+                d, proto = screen_case(X)
+                expected = reference_nearest(d, proto)
+                monkeypatch.setattr(evaluation, "_climb", baseline)
+                assert np.array_equal(FitnessEvaluator(d, proto)._nearest(np.arange(k)), expected)
+                monkeypatch.setattr(evaluation, "_climb", _climb)
+                assert np.array_equal(FitnessEvaluator(d, proto)._nearest(np.arange(k)), expected)
 
     @pytest.mark.parametrize("case, message", [
         ("no-cc", "hhfs needs a C compiler: no `cc` on PATH to build {tmp}/_climb.c"),
@@ -596,6 +603,181 @@ class TestGramScreen:
                       lambda: cv_accuracies(d, mask, {"1x5": proto})):
             with pytest.raises(DatasetError, match="^edge: the feature ranges are too wide"):
                 score()
+
+
+def reference_nearest(d: Dataset, proto: CvProtocol, idx=None) -> np.ndarray:
+    """Per repeat, the argmins of ``sqdist``'s matrix over the columns idx
+    (all by default), each row's same-fold cells set to inf, from freshly
+    built folds: the neighbours the float32 screen must find."""
+    D = sqdist(d.features if idx is None else d.features[:, idx])
+    folds = [stratified_folds(d, proto.folds, proto.base_seed + r) for r in range(proto.repeats)]
+    return np.stack([np.where(f[:, None] == f, np.inf, D).argmin(axis=1) for f in folds])
+
+
+def nearest_in_folds(ev: FitnessEvaluator, folds) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's neighbours over all of ``ev``'s columns for the given
+    fold rows (one label per instance) in place of the protocol's, and its
+    float32 screen distances."""
+    n = ev.dataset.n_instances
+    padded = np.full((len(folds), ev._folds.shape[1]), -1, dtype=np.int32)
+    padded[:, :n] = folds
+    work, out = np.empty((n, padded.shape[1]), np.float32), np.empty((len(folds), n), np.int64)
+    _climb.nearest(ev._columns, ev._screen, ev._radius, ev._underflow, padded, work, out)
+    return out, work
+
+
+def screen_case(X: np.ndarray) -> tuple[Dataset, CvProtocol]:
+    """X as a two-class dataset and a three-repeat protocol that leaves
+    every row a training row in another fold."""
+    n = len(X)
+    d = Dataset.from_arrays("screen", X, (np.arange(n) // 2) % 2)
+    return d, CvProtocol(folds=min(10, n - 1), repeats=3, base_seed=n)
+
+
+@st.composite
+def near_tie_cases(draw):
+    """Rows with a second candidate within a few float32 ulps of a row's
+    nearest, or exact ties on a coarse grid, at an offset and a scale that
+    put the features outside [0, 1] or far from 0; several masks."""
+    n = draw(st.integers(3, 70))
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.uniform(-1.0, 1.0, size=(n, k))
+    if draw(st.booleans()):
+        X = np.round(X * draw(st.sampled_from([1, 2, 4])))  # exact ties on a grid
+    for _ in range(draw(st.integers(0, n))):
+        q, a, b = rng.choice(n, size=3, replace=False)
+        l = int(rng.integers(k))
+        X[b] = X[a]
+        X[b, l] = 2 * X[q, l] - X[a, l]  # as far from q as a is, in exact arithmetic
+        ulps = draw(st.integers(-4, 4))  # then a few float32 ulps nearer or farther
+        X[b, l] += ulps * np.spacing(np.float32(X[b, l] - X[q, l]))
+    X = draw(st.sampled_from([0.0, -7.0, 1e6])) + X * draw(
+        st.sampled_from([1.0, 1e-3, 1e3, 1e-160, 1e150]))
+    d, proto = screen_case(X)
+    bits = st.lists(st.integers(0, 1), min_size=k, max_size=k).filter(any)
+    return d, proto, [np.flatnonzero(b) for b in draw(st.lists(bits, min_size=1, max_size=3))]
+
+
+class TestFloat32Screen:
+    """The float32 screen and its float64 refinement (``_climb.nearest``)
+    find, per repeat, the argmins of ``sqdist``'s matrix with each row's
+    same-fold cells set to inf. The n cover fewer rows than the screen's 16
+    lanes and counts on both sides of a multiple of 16; TestSqdist's build
+    without clones checks that build's neighbours too."""
+
+    SHAPES = [(3, 1), (5, 3), (15, 1), (16, 4), (17, 2), (31, 5), (33, 1), (47, 3),
+              (208, 30), (366, 17), (476, 83)]
+
+    @pytest.mark.parametrize("kind", TestSqdist.KINDS)
+    @pytest.mark.parametrize("n, k", SHAPES)
+    def test_neighbours_are_the_masked_sqdist_argmins(self, kind, n, k):
+        X = sqdist_data(kind, n, k, seed=n * k + 1)
+        d, proto = screen_case(X)
+        ev = FitnessEvaluator(d, proto)
+        rng = np.random.default_rng(n)
+        for idx in [np.arange(k), random_mask(k, rng).selected_indices(), [k - 1]]:
+            idx = np.asarray(idx)
+            assert np.array_equal(ev._nearest(idx), reference_nearest(d, proto, idx))
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_tie_cases())
+    def test_near_ties_and_exact_ties_keep_the_reference_neighbours(self, case):
+        d, proto, masks = case
+        ev = FitnessEvaluator(d, proto)
+        for idx in masks:
+            assert np.array_equal(ev._nearest(idx), reference_nearest(d, proto, idx))
+
+    def test_distances_that_underflow_in_float64_keep_the_reference_neighbours(self):
+        # squared differences near 1e-320 are subnormal in float64, where the
+        # sums' rounding is absolute, while the scaled float32 copy sees
+        # them plainly: the bound must then leave every column in reach
+        rng = np.random.default_rng(7)
+        for scale in (1e-160, 1e-155, 1e-170, 1e-310):  # the last, subnormal features
+            d, proto = screen_case(scale * rng.normal(size=(60, 4)))
+            ev = FitnessEvaluator(d, proto)
+            for idx in ([0, 1, 2, 3], [2]):
+                assert np.array_equal(ev._nearest(np.array(idx)),
+                                      reference_nearest(d, proto, idx))
+
+    def test_terms_the_float32_sum_drops_keep_the_reference_neighbour(self):
+        # row 2 is nearer row 0 than row 1 is only through 60 terms of row
+        # 1's, each under half a float32 ulp of its first term, which the
+        # float32 sum drops: the bound's float32 summation error must cover them
+        delta = np.sqrt(0.9 * 2.0 ** -24)
+        X = np.zeros((3, 61))
+        X[1] = delta
+        X[1, 0] = 1.0
+        X[2, 0] = np.sqrt(1.0 + 30 * delta ** 2)
+        ev = FitnessEvaluator(Dataset.from_arrays("dropped", X, [0, 1, 1]), CvProtocol(folds=2))
+        out, screened = nearest_in_folds(ev, [[0, 1, 1]])  # row 0 against rows 1 and 2
+        assert screened[0, 1] < screened[0, 2] and sqdist(X)[0, 2] < sqdist(X)[0, 1]
+        assert out[0, 0] == 2
+
+    def test_rows_whose_lanes_all_lead_to_their_own_fold_scan_every_column(self):
+        # rows 0-15 and 32 (one fold) lie near 0, rows 16-31 (the other)
+        # near 1: rows 0 and 32 find their own fold's row first in each of
+        # the 16 lanes, so the least distance in another fold is not a lane's
+        X = np.where((np.arange(33) < 16) | (np.arange(33) == 32), 0.0, 1.0)
+        X = (X + 0.001 * np.arange(33) * (1 - 2 * X))[:, None]
+        ev = FitnessEvaluator(Dataset.from_arrays("lanes", X, np.arange(33) % 2),
+                              CvProtocol(folds=2))
+        f = X[:, 0] > 0.5
+        out, _ = nearest_in_folds(ev, [f])
+        assert np.array_equal(out[0], np.where(f[:, None] == f, np.inf, sqdist(X)).argmin(axis=1))
+        assert out[0, 0] == out[0, 32] == 31
+
+    def test_helper_threads_find_what_one_thread_finds(self):
+        d = synthetic_dataset(n_instances=200, n_features=30, n_informative=6, seed=4)
+        proto = CvProtocol(folds=10, repeats=2, base_seed=1)
+        rng = np.random.default_rng(3)
+        masks = [random_mask(30, rng).selected_indices() for _ in range(24)]
+        alone = FitnessEvaluator(d, proto)
+        expected = [alone._nearest(idx) for idx in masks]
+        ev = FitnessEvaluator(d, proto)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with cores.Helpers(3) as pool:
+                found = pool.map(ev._nearest, masks)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(found, expected))
+
+    def test_kernel_refuses_what_it_cannot_screen(self):
+        d, proto = screen_case(sqdist_data("random", 20, 3, seed=1))
+        ev = FitnessEvaluator(d, proto)
+        idx = np.arange(3)
+        columns, screen, radius = ev._columns[idx], ev._screen[idx], ev._radius[idx]
+        work, out = np.empty((20, 32), np.float32), np.empty((3, 20), np.int64)
+        good = [columns, screen, radius, ev._underflow, ev._folds, work, out]
+        assert _climb.nearest(*good) is None
+        assert np.array_equal(out, reference_nearest(d, proto))
+
+        def refused(position, value, error=ValueError):
+            args = list(good)
+            args[position] = value
+            with pytest.raises(error) as info:
+                _climb.nearest(*args)
+            return str(info.value)
+
+        with pytest.raises(TypeError, match="takes 7 arguments, 6 given"):
+            _climb.nearest(*good[:6])
+        assert "must hold float32" in refused(1, screen.astype(np.float64))
+        assert "must hold int32" in refused(4, ev._folds.astype(np.int64))
+        assert "needs a (3, 32) screen" in refused(1, screen[:, :16].copy())
+        assert "needs a (3, 32) screen" in refused(5, np.empty((20, 20), np.float32))
+        assert "needs a (3, 32) screen" in refused(6, np.empty((2, 20), np.int64))
+        one_fold = ev._folds.copy()
+        one_fold[1, :20] = 4
+        assert refused(4, one_fold) == "folds[1] puts every row in one fold"
+        for position, value in [(1, np.where(screen == screen[0, 0], np.inf, screen)),
+                                (1, np.where(screen == screen[0, 0], np.nan, screen)),
+                                (2, np.full(3, np.nan)), (3, -1.0), (3, np.nan)]:
+            assert refused(position, value).startswith("screen must be finite")
+        assert refused(3, "1", TypeError) == "must be real number, not str"
+        in_work = work.view(np.int64).reshape(-1)[:60].reshape(3, 20)
+        assert refused(6, in_work) == "work and out must overlap no other buffer"
 
 
 class TestDegenerateFolds:

@@ -1157,7 +1157,7 @@ class TestClimbKernelArguments:
             call_kernel(name, scan, bit_generator=np.random.default_rng(0))
 
 
-def test_apply_rejects_a_feature_feature_of_wrong_shape():
+def test_generation_rejects_a_feature_feature_of_wrong_shape():
     # feature_feature, whose rows the kernel adds as columns
     scan = MeritScan(random_cache(6, seed=41), [1, 0, 1, 1, 0, 0])
     for shape in ((6, 7), (7, 6), (36,)):
@@ -1195,7 +1195,7 @@ class TestScanAndOutputArguments:
         with pytest.raises(TypeError, match="takes 4 arguments, 2 given"):
             _climb.scan(bits, cache.feature_class)
 
-    def test_apply_checks_what_it_writes(self):
+    def test_generation_checks_what_it_writes(self):
         scan = MeritScan(random_cache(6, seed=41), [1, 0, 1, 1, 0, 0])
         for name, bad, message in (
                 ("invocations", np.zeros(NUM_LLH, dtype=np.int64), "invocations has length"),
