@@ -49,24 +49,13 @@
    and add are fused. Every buffer is checked against n, the length of the
    bits, and every gene id against 1..16 before any is read.
 
-   sqdist(columns, out)
-   The 1NN fitness's exact squared distances, the reference the neighbours
-   below are tested against: for the (k, n) selected columns x, the n x n
-   out[i][j] = the sum over l of (x[l][i] - x[l][j])^2, added in
-   ascending l. That is pdist's "sqeuclidean", bit for bit, and as
-   (a - b)^2 equals (b - a)^2 exactly, the entries below the diagonal are
-   copied from above it rather than summed again. The sums run over BLOCK
-   rows and LANES columns at a time, in registers, on AVX-512 where the CPU
-   has it (sqdist_rows). Every buffer and out against overlapping the
-   columns are checked before out is written, and the sums run without the
-   GIL.
-
    nearest(columns, screen, radius, underflow, folds, work, out)
    The 1NN fitness's neighbours: for the (k, n) selected columns x and each
    row r of the (R, w) int32 fold labels, out[r][i] = the column j whose
-   label folds[r][j] is not row i's, of least sqdist distance from row i,
-   ties to the lowest j. That is the argmin of sqdist's row i with its
-   same-fold cells set to inf. w is n rounded up to SCREEN_LANES (the
+   label folds[r][j] is not row i's, of least distance from row i, ties to
+   the lowest j. The distance is the sum over l of (x[l][i] - x[l][j])^2,
+   each term rounded and added in ascending l (exact), which is pdist's
+   "sqeuclidean" bit for bit. w is n rounded up to SCREEN_LANES (the
    module's constant, 16); labels past n are never read.
 
    It filters in float32 and refines in float64 (Seidl and Kriegel,
@@ -74,12 +63,13 @@
    a (k, w) float32 copy y of the columns in units of its own: column l
    less a constant, times one power of two 2^e, and rounded, off that
    exact value by at most radius[l]. work gets the n x w float32 distances
-   S of y's rows, summed as sqdist sums, SCREEN_LANES columns at a time
-   (nearest_rows, cloned as sqdist_rows is). For row i, with m the S of a
-   column in another fold (the least, as a rule: nearest_of), every column
-   in another fold with S <= T(m) is a candidate, and the candidate of
-   least float64 distance, ties to the lowest j, is the neighbour; a lone
-   candidate needs no float64 sum. The bound T, after Higham, "Accuracy and
+   S of y's rows, summed in the same order, BLOCK rows and SCREEN_LANES
+   columns at a time, in registers, on AVX-512 where the CPU has it
+   (nearest_rows). For row i, with m the S of a column in another fold
+   (the least, as a rule: nearest_of), every column in another fold with
+   S <= T(m) is a candidate, and the candidate of least float64 distance,
+   ties to the lowest j, is the neighbour; a lone candidate needs no
+   float64 sum. The bound T, after Higham, "Accuracy and
    Stability of Numerical Algorithms", 2nd ed., 2002, ch. 3-4: write s and
    d for the exact distances of y and of the scaled columns, and D for the
    float64 sum times 2^2e. A term's difference, its square and its (at most
@@ -741,46 +731,14 @@ done:
 }
 
 #define BLOCK 4  /* rows summed at a time */
-#define LANES 8  /* columns summed at a time, as one vector */
-typedef double lanes __attribute__((vector_size(LANES * sizeof(double))));
-
-/* sqdist's sums for the nr <= BLOCK rows i..i+nr-1 of the (k, n) columns
-   x into their rows of out, each from column i to n - 1; inlined, so it
-   runs on the vector unit of the sqdist_rows clone that calls it. */
-static inline __attribute__((always_inline)) void
-sqdist_block(const double *x, Py_ssize_t k, Py_ssize_t n, Py_ssize_t i, int nr, double *out)
-{
-    Py_ssize_t j = i;
-    for (; j + LANES <= n; j += LANES) {
-        lanes acc[BLOCK] = {{0}};
-        for (Py_ssize_t l = 0; l < k; l++) {
-            lanes xj;
-            memcpy(&xj, x + l * n + j, sizeof xj);
-            for (int s = 0; s < nr; s++) {
-                lanes t = x[l * n + i + s] - xj;
-                acc[s] += t * t;
-            }
-        }
-        for (int s = 0; s < nr; s++)
-            memcpy(out + s * n + j, &acc[s], sizeof acc[s]);
-    }
-    for (; j < n; j++) {
-        for (int s = 0; s < nr; s++) {
-            double acc = 0.0;
-            for (Py_ssize_t l = 0; l < k; l++) {
-                double t = x[l * n + i + s] - x[l * n + j];
-                acc += t * t;
-            }
-            out[s * n + j] = acc;
-        }
-    }
-}
 
 /* With glibc on x86-64 Linux (its loader runs target_clones' ifunc resolver)
-   sqdist_rows is built for AVX-512 and the baseline, so a cached build runs
+   nearest_rows is built for AVX-512 and the baseline, so a cached build runs
    on any x86-64 CPU, and both add the same terms in the same order, unfused,
-   so give the same bits. No AVX2 build: gcc 12 spills its 8-double lanes out
-   of pairs of 256-bit registers, and it ran slower than the baseline build. */
+   so find the same neighbours. No AVX2 build: gcc 12 spills 64-byte vectors,
+   as nearest_rows' 16-float lanes are, out of pairs of 256-bit registers.
+   An AVX2 clone was measured only on an earlier float64 distance loop with
+   8-double lanes, where it ran slower than the baseline build. */
 #if defined(__x86_64__) && defined(__linux__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define WIDEST_VECTORS __attribute__((target_clones("avx512f", "default")))
@@ -790,63 +748,16 @@ sqdist_block(const double *x, Py_ssize_t k, Py_ssize_t n, Py_ssize_t i, int nr, 
 #define WIDEST_VECTORS
 #endif
 
-/* sqdist's n x n out from the (k, n) columns x: the sums on and above the
-   diagonal, BLOCK rows at a time, then the entries below it copied. */
-WIDEST_VECTORS static void
-sqdist_rows(const double *x, Py_ssize_t k, Py_ssize_t n, double *out)
-{
-    for (Py_ssize_t r = 0; r < n; r += BLOCK) {
-        if (n - r >= BLOCK)  /* a constant count: the block's sums stay in registers */
-            sqdist_block(x, k, n, r, BLOCK, out + r * n);
-        else
-            sqdist_block(x, k, n, r, (int)(n - r), out + r * n);
-    }
-    for (Py_ssize_t r = 1; r < n; r++)
-        for (Py_ssize_t j = 0; j < r; j++)
-            out[r * n + j] = out[j * n + r];
-}
-
-static PyObject *
-sqdist(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError,
-                     "sqdist(columns, out) takes 2 arguments, %zd given", nargs);
-        return NULL;
-    }
-    Py_buffer columns = {0}, out = {0};
-    Py_buffer *views[] = {&columns, &out};
-    PyObject *result = NULL;
-    if (get_buffer(args[0], &columns, "columns", FLOAT64, 2, -1, 0) < 0
-        || get_buffer(args[1], &out, "out", FLOAT64, 2, -1, 1) < 0)
-        goto done;
-    Py_ssize_t k = columns.shape[0], n = columns.shape[1];
-    if (out.shape[0] != n || out.shape[1] != n) {
-        PyErr_Format(PyExc_ValueError, "out has shape (%zd, %zd), expected (%zd, %zd)",
-                     out.shape[0], out.shape[1], n, n);
-        goto done;
-    }
-    if (overlap(&out, &columns)) {
-        PyErr_SetString(PyExc_ValueError, "out must not overlap columns");
-        goto done;
-    }
-    Py_BEGIN_ALLOW_THREADS  /* both buffers are held, so other threads may run */
-    sqdist_rows(columns.buf, k, n, out.buf);
-    Py_END_ALLOW_THREADS
-    result = Py_NewRef(Py_None);
-done:
-    release(views, 2);
-    return result;
-}
-
 #define SCREEN_LANES 16  /* float32 columns screened at a time, as one vector */
 typedef float screen_lanes __attribute__((vector_size(SCREEN_LANES * sizeof(float))));
 typedef int32_t label_lanes __attribute__((vector_size(SCREEN_LANES * sizeof(int32_t))));
 #define QUIET_NAN 0x7fc00000  /* NAN's bits as a float32: above every distance's */
 
 /* The screen's sums for the nr <= BLOCK rows i..i+nr-1 of the (k, w)
-   float32 columns y into their rows of out, as sqdist_block sums, each
-   from the vector holding column i to w - 1 (a multiple of SCREEN_LANES). */
+   float32 columns y into their rows of out, each term rounded and added in
+   ascending l as exact adds them, each row from the vector holding column
+   i to w - 1 (a multiple of SCREEN_LANES); inlined, so it runs on the
+   vector unit of the nearest_rows clone that calls it. */
 static inline __attribute__((always_inline)) void
 screen_block(const float *y, Py_ssize_t k, Py_ssize_t w, Py_ssize_t i, int nr, float *out)
 {
@@ -888,7 +799,8 @@ threshold(float m, const struct bound *b)
     return (double)up < t ? nextafterf(up, INFINITY) : up;
 }
 
-/* Column j's exact squared distance from row i, as sqdist sums it. */
+/* Column j's float64 distance from row i, as nearest defines it: each
+   term rounded, then added in ascending l. */
 static inline double
 exact(const double *x, Py_ssize_t k, Py_ssize_t n, Py_ssize_t i, Py_ssize_t j)
 {
@@ -1011,8 +923,8 @@ nearest_of(const float *row, const int32_t *fold, struct lanes *st, Py_ssize_t i
 }
 
 /* nearest's work: the screen's n x w out from the (k, w) float32 columns
-   y, the sums on and above the diagonal BLOCK rows at a time, as
-   sqdist_rows fills its out, the entries below it copied and the diagonal
+   y, the sums on and above the diagonal BLOCK rows at a time, the entries
+   below it copied (as (a - b)^2 equals (b - a)^2 exactly) and the diagonal
    and the padded columns NaN; then per row its lanes and, per repeat r, its
    nearest column in another fold of folds[r], into nearest[r]. */
 WIDEST_VECTORS static void
@@ -1138,9 +1050,6 @@ static PyMethodDef methods[] = {
     {"mutate", (PyCFunction)(void (*)(void))mutate, METH_FASTCALL,
      "mutate(chromosomes, bit_generator, p): each gene to another id with"
      " probability p, in place"},
-    {"sqdist", (PyCFunction)(void (*)(void))sqdist, METH_FASTCALL,
-     "sqdist(columns, out): out[i][j] = sum over l of"
-     " (columns[l][i] - columns[l][j])**2, in ascending l"},
     {"nearest", (PyCFunction)(void (*)(void))nearest, METH_FASTCALL,
      "nearest(columns, screen, radius, underflow, folds, work, out): out[r][i] = the"
      " column in another fold of folds[r] nearest row i, ties to the lowest index"},

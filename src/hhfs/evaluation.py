@@ -1,13 +1,13 @@
 """Wrapper fitness: 1-nearest-neighbor accuracy under repeated stratified CV.
 
 The supervisor judges a mask by how well a 1NN classifier does when it
-only sees the selected features. The reference distances are squared
-Euclidean over the selected columns (same argmin as Euclidean, cheaper) as
-the kernel's ``sqdist`` (``_climb.c``) computes them: each pair's column
-terms added in ascending column order, which is bit-identical to
-``pdist`` and ``cdist`` "sqeuclidean" (the tests check it). 1NN ties go
-to the lowest training-row index so evaluation is fully deterministic. The
-empty mask scores 0.0 without running the classifier.
+only sees the selected features. The distances are squared Euclidean over
+the selected columns (same argmin as Euclidean, cheaper), as the kernel's
+``nearest`` (``_climb.c``) defines them: each pair's column terms added in
+ascending column order, which is bit-identical to ``pdist`` and ``cdist``
+"sqeuclidean" (the tests check it). 1NN ties go to the lowest training-row
+index so evaluation is fully deterministic. The empty mask scores 0.0
+without running the classifier.
 
 Repeating the k-fold split ``repeats`` times with seeds base_seed,
 base_seed+1, ... and averaging gives the "r x k fold CV" protocols used
@@ -16,8 +16,8 @@ for reporting; searches typically run with repeats=1 for speed.
 A computation finds each row's neighbour with ``_climb.nearest``: a
 float32 screen of every pair's distance over the mask's columns keeps, per
 row, the other-fold columns a proven bound leaves in reach of the nearest,
-and the exact float64 sums, in ``sqdist``'s order, pick among those, ties
-to the lowest index. So the neighbours are the argmins of ``sqdist``'s
+and the exact float64 sums, in that order, pick among those, ties to the
+lowest index. So the neighbours are the argmins of the exact distance
 matrix with each row's same-fold cells (its own among them) set to inf,
 which the tests check, and most rows need no float64 sum at all. The
 screen reads a float32 copy of the features, made once per evaluator:
@@ -73,7 +73,7 @@ class CvProtocol:
 
 
 # the most the column ranges' squares may sum to: the sum bounds every
-# mask's squared distances, and below this sqdist's rounding keeps them finite
+# mask's squared distances, and below this float64 rounding keeps them finite
 _DISTANCE_MAX = np.finfo(np.float64).max / 2
 
 

@@ -24,6 +24,7 @@ per pool row, a coin per gene, then a new id per hit.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -57,6 +58,9 @@ class SupervisorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for value in (self.population_size, self.generations, self.nllh, self.elitism,
+                      self.seed):
+            operator.index(value)  # a float is refused here, not in the run
         if self.population_size < 2:
             raise ValueError("population size must be at least 2")
         if self.generations < 1:

@@ -370,9 +370,13 @@ def sqdist_data(kind: str, n: int, k: int, seed: int) -> np.ndarray:
 
 
 def sqdist(X: np.ndarray) -> np.ndarray:
-    """The kernel's squared distances between the rows of X."""
-    out = np.full((len(X), len(X)), np.nan)
-    assert _climb.sqdist(np.ascontiguousarray(X.T), out) is None
+    """The exact squared distances between the rows of X, as the kernel's
+    ``nearest`` defines them: each column's terms rounded, then added in
+    ascending column order (numpy fuses no multiply-add)."""
+    out = np.zeros((len(X), len(X)))
+    for column in X.T:
+        t = column[:, None] - column
+        out += t * t
     return out
 
 
@@ -381,10 +385,10 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class TestSqdist:
-    """The kernel's exact distances are pdist's and cdist's "sqeuclidean",
-    bit for bit, in the build the CPU runs and in the build without
-    clones. The n cover every residue of the row block (4) and of the
-    vector width (8)."""
+    """The exact distances ``nearest`` picks by (the ``sqdist`` oracle) are
+    pdist's and cdist's "sqeuclidean", bit for bit; the kernel's neighbours
+    are the oracle's argmins in the build the CPU runs and in the build
+    without clones."""
 
     KINDS = ["random", "integer-levels", "duplicate-rows", "offset", "scales"]
     SHAPES = [(1, 1), (2, 1), (9, 1), (476, 1), (7, 3), (11, 4), (13, 5), (208, 60),
@@ -399,7 +403,7 @@ class TestSqdist:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n, k", SHAPES)
     def test_any_rows_equal_cdist(self, kind, n, k):
-        # the kernel over a subset of X's rows, or all of them in another
+        # the oracle over a subset of X's rows, or all of them in another
         # order or repeated, against cdist, which sums every entry
         X = sqdist_data(kind, n, k, seed=n * k)
         rng = np.random.default_rng(n)
@@ -416,9 +420,10 @@ class TestSqdist:
     def test_build_without_clones_gives_the_same_bits(self, tmp_path, monkeypatch):
         """The kernel built from a copy of its source with the target_clones
         attribute removed, as a host without AVX-512 (or off x86-64 Linux
-        with glibc) runs it, gives pdist's bits and the dispatched build's,
-        so both builds a host can run are checked here. ``_load_climb``
-        builds the copy, with the package build's flags, into ``tmp_path``."""
+        with glibc) runs it, finds the oracle's neighbours, as the
+        dispatched build does, so both builds a host can run are checked
+        here. ``_load_climb`` builds the copy, with the package build's
+        flags, into ``tmp_path``."""
         source = Path(correlation.__file__).with_name("_climb.c").read_text()
         stripped, count = re.subn(r"__attribute__\(\(target_clones\([^)]*\)\)\)", "", source)
         assert count == 1
@@ -434,16 +439,10 @@ class TestSqdist:
         assert not stale.exists()
         symbols = subprocess.run(["nm", baseline.__file__], capture_output=True, text=True,
                                  check=True).stdout
-        assert not re.search(r"\b(sqdist|nearest)_rows\.", symbols)  # no clone, no resolver
+        assert not re.search(r"\bnearest_rows\.", symbols)  # no clone, no resolver
         for n, k in [(476, 83), (208, 30), (366, 17), (7, 3), (13, 5), (211, 9), (474, 1)]:
             for kind in self.KINDS:
-                X = sqdist_data(kind, n, k, seed=n + k)
-                out = np.full((n, n), np.nan)
-                assert baseline.sqdist(np.ascontiguousarray(X.T), out) is None
-                assert same_bits(out, squareform(pdist(X, "sqeuclidean")))
-                assert same_bits(out, sqdist(X))
-                # and the float32 screen's neighbours, which the clones find too
-                d, proto = screen_case(X)
+                d, proto = screen_case(sqdist_data(kind, n, k, seed=n + k))
                 expected = reference_nearest(d, proto)
                 monkeypatch.setattr(evaluation, "_climb", baseline)
                 assert np.array_equal(FitnessEvaluator(d, proto)._nearest(np.arange(k)), expected)
@@ -754,15 +753,24 @@ class TestFloat32Screen:
         assert _climb.nearest(*good) is None
         assert np.array_equal(out, reference_nearest(d, proto))
 
-        def refused(position, value, error=ValueError):
+        def refused(position, value, error=ValueError, count=7):
+            # the kernel refuses before it writes: work and out are as they were
             args = list(good)
             args[position] = value
+            before = [args[5].tobytes(), args[6].tobytes()]
             with pytest.raises(error) as info:
-                _climb.nearest(*args)
+                _climb.nearest(*args[:count])
+            assert [args[5].tobytes(), args[6].tobytes()] == before
             return str(info.value)
 
-        with pytest.raises(TypeError, match="takes 7 arguments, 6 given"):
-            _climb.nearest(*good[:6])
+        assert refused(0, columns, TypeError, count=6).endswith("takes 7 arguments, 6 given")
+        assert "columns must hold float64" in refused(0, columns.astype(np.float32))
+        assert "columns must be C-contiguous" in refused(0, np.asfortranarray(columns))
+        assert "bytes-like object is required" in refused(0, columns.tolist(), TypeError)
+        for position in (5, 6):
+            read_only = good[position].copy()
+            read_only.flags.writeable = False
+            assert "read-only" in refused(position, read_only)
         assert "must hold float32" in refused(1, screen.astype(np.float64))
         assert "must hold int32" in refused(4, ev._folds.astype(np.int64))
         assert "needs a (3, 32) screen" in refused(1, screen[:, :16].copy())

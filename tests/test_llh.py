@@ -1,3 +1,4 @@
+import ast
 import math
 import operator
 import os
@@ -1219,71 +1220,16 @@ class TestScanAndOutputArguments:
         assert bit_generator.state == state
 
 
-class TestSqdistArguments:
-    """``_climb.sqdist(columns, out)``: every buffer is checked before out
-    is written, so a bad argument is a ValueError or a TypeError that
-    leaves out as it was."""
+def test_every_kernel_entry_has_a_caller():
+    # an entry the package never calls is code kept for its tests alone
+    called = {node.attr for path in Path(llh.__file__).parent.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "_climb"}
+    entries = {name for name in dir(_climb) if callable(getattr(_climb, name))}
+    assert entries and entries <= called, sorted(entries - called)
 
-    K, N = 3, 7
 
-    @pytest.fixture
-    def args(self):
-        columns = np.random.default_rng(5).normal(size=(self.K, self.N))
-        return dict(columns=columns, out=np.full((self.N, self.N), -1.0))
-
-    @staticmethod
-    def sqdist(args, **replace):
-        a = {**args, **replace}
-        return _climb.sqdist(a["columns"], a["out"])
-
-    def rejects(self, args, error, match, **replace):
-        out = replace.get("out", args["out"])
-        before = np.array(out, copy=True)
-        with pytest.raises(error, match=match):
-            self.sqdist(args, **replace)
-        assert np.array_equal(out, before, equal_nan=True)
-
-    def test_valid_arguments_run(self, args):
-        assert self.sqdist(args) is None
-        x = args["columns"]
-        expected = [[sum((x[l, i] - x[l, j]) ** 2 for l in range(self.K))
-                     for j in range(self.N)] for i in range(self.N)]
-        assert args["out"].tolist() == expected
-
-    def test_wrong_item_types(self, args):
-        self.rejects(args, ValueError, "columns must hold float64",
-                     columns=args["columns"].astype(np.float32))
-        self.rejects(args, ValueError, "out must hold float64",
-                     out=np.zeros((self.N, self.N), dtype=np.float32))
-
-    def test_wrong_dimensions_and_shapes(self, args):
-        self.rejects(args, ValueError, "columns must have 2 dimension", columns=np.zeros(self.N))
-        self.rejects(args, ValueError, "out must have 2 dimension", out=np.zeros(self.N ** 2))
-        for shape in ((self.N + 1, self.N), (1, self.N), (self.N, self.N - 1),
-                      (self.N, self.N + 1)):
-            self.rejects(args, ValueError, rf"^out has shape \({shape[0]}, {shape[1]}\), "
-                         rf"expected \({self.N}, {self.N}\)$", out=np.zeros(shape))
-
-    def test_non_contiguous_and_read_only(self, args):
-        self.rejects(args, ValueError, "columns must be C-contiguous",
-                     columns=np.asfortranarray(args["columns"]))
-        self.rejects(args, ValueError, "out must be C-contiguous",
-                     out=np.zeros((self.N, 2 * self.N))[:, ::2])
-        read_only = np.zeros((self.N, self.N))
-        read_only.flags.writeable = False
-        self.rejects(args, ValueError, "read-only", out=read_only)
-
-    def test_out_overlapping_an_input(self, args):
-        # out shares its memory with the columns
-        shared = np.zeros((self.N, self.N))
-        self.rejects(args, ValueError, "^out must not overlap columns$",
-                     columns=shared[:self.K], out=shared)
-
-    def test_argument_count_and_non_buffers(self, args):
-        with pytest.raises(TypeError, match="^sqdist\\(columns, out\\) takes 2 "
-                                            "arguments, 3 given$"):
-            _climb.sqdist(args["columns"], args["out"], args["out"])
-        self.rejects(args, TypeError, "bytes-like object is required", columns=[[1.0, 4.0]])
 def build_leftovers(package):
     """What ``_load_climb`` writes into the package's ``__pycache__``:
     builds and temporary directories, not other modules' bytecode."""

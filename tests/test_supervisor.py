@@ -55,6 +55,13 @@ class TestSupervisorConfig:
         with pytest.raises(ValueError, match="^seed must be non-negative$"):
             SupervisorConfig(seed=-1)
 
+    @pytest.mark.parametrize("field", ["population_size", "generations", "nllh", "elitism",
+                                       "seed"])
+    def test_counts_must_be_integers(self, field):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            SupervisorConfig(**{field: 2.5})
+        assert SupervisorConfig(**{field: np.int64(2)}) == SupervisorConfig(**{field: 2})
+
 
 def run_genes(cache, seed, genes, incumbent, gen=0, i=0, stats=None):
     """Chromosome i of generation ``gen`` in a run seeded ``seed``, from the
