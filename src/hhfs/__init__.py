@@ -17,8 +17,8 @@ from .experiment import (DatasetConfig, ExperimentSpec, full_feature_baseline,
 from .llh import CATALOG, LlhContext, LlhInfo
 from .llh import apply as apply_llh
 from .mask import FeatureMask
-from .supervisor import (SupervisorConfig, SupervisorResult, mutate_chromosome,
-                         roulette_select, run_supervisor, single_point_crossover)
+from .supervisor import (SupervisorConfig, SupervisorResult, roulette_select,
+                         run_supervisor)
 
 __version__ = "0.1.0"
 
@@ -44,12 +44,10 @@ __all__ = [
     "load_config",
     "load_csv",
     "min_max_normalize",
-    "mutate_chromosome",
     "render_comparison",
     "roulette_select",
     "run_experiment",
     "run_supervisor",
-    "single_point_crossover",
     "stratified_folds",
     "verify_report",
 ]

@@ -33,15 +33,14 @@
    random_interval from the top down. So a gene list draws what the Python
    rules drew on a Generator over the same bit generator, draw for draw.
 
-   crossover(chromosomes, bit_generator, p) and
-   mutate(chromosomes, bit_generator, p)
-   The GA's two edits of a (P, L) int64 pool, in place, drawing through the
-   same API as a Generator would. crossover: per consecutive pair of rows,
-   a random() coin and, where it is below p and L >= 2, a cut from
-   integers(1, L); the pair swaps its genes from the cut on. mutate: per
-   row, random(L) coins, then integers(1, 16, size=hits) for the genes whose
-   coin is below p, each id shifted up by one where it is at or above the
-   gene's old id, so a mutated gene always changes.
+   breed(chromosomes, bit_generator, p_crossover, p_mutation)
+   The GA's edits of a (P, L) int64 pool, in place, drawing through the same
+   API as a Generator would. First, per consecutive pair of rows, a random()
+   coin and, where it is below p_crossover and L >= 2, a cut from
+   integers(1, L); the pair swaps its genes from the cut on. Then, per row,
+   random(L) coins, and integers(1, 16, size=hits) for the genes whose coin
+   is below p_mutation, each id shifted up by one where it is at or above
+   the gene's old id, so a mutated gene always changes.
 
    A flip is scored from the scan's sums, on doubles and in this order: the
    per-branch sums, then sum_cf / sqrt((double)k + sum_ff), or 0.0 when the
@@ -641,67 +640,29 @@ done:
     return result;
 }
 
-/* The GA's chromosomes args[0]: a writable (rows, length) int64 pool, and
-   the generator and probability at args[1..2]. */
-static bitgen_t *
-get_pool(PyObject *const *args, Py_ssize_t nargs, const char *call, Py_buffer *pool,
-         PyObject **capsule, double *p)
-{
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError, "%s(chromosomes, bit_generator, p) takes 3 arguments,"
-                     " %zd given", call, nargs);
-        return NULL;
-    }
-    if (get_buffer(args[0], pool, "chromosomes", INT64, 2, -1, 1) < 0)
-        return NULL;
-    *p = PyFloat_AsDouble(args[2]);
-    if (*p == -1.0 && PyErr_Occurred())
-        return NULL;
-    return get_bitgen(args[1], capsule);
-}
-
-/* Per consecutive pair of rows, Generator.random() as a coin and, where
-   it is below p and the rows have a cut point, a cut from
-   Generator.integers(1, length): the pair swaps its genes from the cut on. */
-static PyObject *
-crossover(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    Py_buffer pool = {0};
-    PyObject *capsule = NULL;
-    double p;
-    bitgen_t *rng = get_pool(args, nargs, "crossover", &pool, &capsule, &p);
-    if (rng != NULL) {
-        Py_ssize_t rows = pool.shape[0], length = pool.shape[1];
-        for (Py_ssize_t i = 0; i + 1 < rows; i += 2) {
-            if (random_standard_uniform(rng) >= p || length < 2)
-                continue;
-            uint64_t cut;
-            random_bounded_uint64_fill(rng, 1, (uint64_t)(length - 2), 1, false, &cut);
-            int64_t *a = (int64_t *)pool.buf + i * length, *b = a + length;
-            for (Py_ssize_t j = (Py_ssize_t)cut; j < length; j++) {
-                int64_t t = a[j];
-                a[j] = b[j];
-                b[j] = t;
-            }
-        }
-    }
-    Py_XDECREF(capsule);
-    if (pool.obj != NULL)
-        PyBuffer_Release(&pool);
-    return rng != NULL ? Py_NewRef(Py_None) : NULL;
-}
-
-/* Per row, Generator.random(length) as a coin per gene, then
+/* Per consecutive pair of rows, Generator.random() as a coin and, where it
+   is below p_crossover and the rows have a cut point, a cut from
+   Generator.integers(1, length): the pair swaps its genes from the cut on.
+   Then per row, Generator.random(length) as a coin per gene, and
    Generator.integers(1, NUM_LLH, size=hits) as the new ids of the genes
-   whose coin is below p, each shifted up past the gene's old id. */
+   whose coin is below p_mutation, each shifted up past the gene's old id. */
 static PyObject *
-mutate(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+breed(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "breed(chromosomes, bit_generator, p_crossover,"
+                     " p_mutation) takes 4 arguments, %zd given", nargs);
+        return NULL;
+    }
     Py_buffer pool = {0};
     PyObject *capsule = NULL, *result = NULL;
-    double p, *coins = NULL;
-    bitgen_t *rng = get_pool(args, nargs, "mutate", &pool, &capsule, &p);
-    if (rng == NULL)
+    double *coins = NULL;
+    double p_crossover, p_mutation;
+    bitgen_t *rng;
+    if (get_buffer(args[0], &pool, "chromosomes", INT64, 2, -1, 1) < 0
+        || ((p_crossover = PyFloat_AsDouble(args[2])) == -1.0 && PyErr_Occurred())
+        || ((p_mutation = PyFloat_AsDouble(args[3])) == -1.0 && PyErr_Occurred())
+        || (rng = get_bitgen(args[1], &capsule)) == NULL)
         goto done;
     Py_ssize_t rows = pool.shape[0], length = pool.shape[1];
     /* the coins, then the hits' positions and their draws */
@@ -710,12 +671,24 @@ mutate(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         goto done;
     }
     uint64_t *hit = (uint64_t *)(coins + length), *draw = hit + length;
+    for (Py_ssize_t i = 0; i + 1 < rows; i += 2) {
+        if (random_standard_uniform(rng) >= p_crossover || length < 2)
+            continue;
+        uint64_t cut;
+        random_bounded_uint64_fill(rng, 1, (uint64_t)(length - 2), 1, false, &cut);
+        int64_t *a = (int64_t *)pool.buf + i * length, *b = a + length;
+        for (Py_ssize_t j = (Py_ssize_t)cut; j < length; j++) {
+            int64_t t = a[j];
+            a[j] = b[j];
+            b[j] = t;
+        }
+    }
     for (Py_ssize_t i = 0; i < rows; i++) {
         int64_t *gene = (int64_t *)pool.buf + i * length;
         Py_ssize_t hits = 0;
         random_standard_uniform_fill(rng, length, coins);
         for (Py_ssize_t j = 0; j < length; j++)
-            if (coins[j] < p)
+            if (coins[j] < p_mutation)
                 hit[hits++] = (uint64_t)j;
         random_bounded_uint64_fill(rng, 1, NUM_LLH - 2, hits, false, draw);
         for (Py_ssize_t h = 0; h < hits; h++)
@@ -1044,12 +1017,10 @@ static PyMethodDef methods[] = {
      " heuristics from bits, drawing from PCG64 seeded from the uint32 entropy words"
      " draws[i], or from the BitGenerator draws; its mask goes to masks_out[i] and"
      " whether it moved to moved_out[i]"},
-    {"crossover", (PyCFunction)(void (*)(void))crossover, METH_FASTCALL,
-     "crossover(chromosomes, bit_generator, p): single-point crossover of each"
-     " consecutive pair of rows, in place"},
-    {"mutate", (PyCFunction)(void (*)(void))mutate, METH_FASTCALL,
-     "mutate(chromosomes, bit_generator, p): each gene to another id with"
-     " probability p, in place"},
+    {"breed", (PyCFunction)(void (*)(void))breed, METH_FASTCALL,
+     "breed(chromosomes, bit_generator, p_crossover, p_mutation): single-point crossover"
+     " of each consecutive pair of rows, then each gene to another id with probability"
+     " p_mutation, in place"},
     {"nearest", (PyCFunction)(void (*)(void))nearest, METH_FASTCALL,
      "nearest(columns, screen, radius, underflow, folds, work, out): out[r][i] = the"
      " column in another fold of folds[r] nearest row i, ties to the lowest index"},

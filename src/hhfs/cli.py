@@ -119,13 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command. A ValueError or OSError it lets out (a bad config,
-    option, dataset name or file, report file or output path; ``run``
-    records a failing dataset itself) is one stderr line and status 2."""
+    """Run one command. A ValueError, OSError or MemoryError it lets out (a
+    bad config, option, dataset name or file, report file or output path, or
+    a dataset too large for memory; ``run`` records a failing dataset
+    itself) is one stderr line and status 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"hhfs: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 

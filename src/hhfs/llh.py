@@ -92,14 +92,6 @@ def _run_rows(population, draws, mask: FeatureMask, cache: CorrelationCache,
     return [FeatureMask(row) if row_moved else mask for row, row_moved in zip(bits, moved)]
 
 
-def one_row(genes: np.ndarray) -> np.ndarray:
-    """The array ``genes`` as a one-row view, for the kernel entries that
-    take rows; anything else is refused as the kernel refuses a non-buffer."""
-    if not isinstance(genes, np.ndarray):
-        raise TypeError(f"a bytes-like object is required, not '{type(genes).__name__}'")
-    return genes[np.newaxis]
-
-
 def run_genes(genes: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
               bit_generator: np.random.BitGenerator, mutn_rate: float,
               invocations: np.ndarray, improvements: np.ndarray) -> FeatureMask:
@@ -109,10 +101,9 @@ def run_genes(genes: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
     every call in ``invocations`` and every strictly higher merit in
     ``improvements`` (int64, indexed by id). Returns the final mask:
     ``mask`` itself when no heuristic moved."""
-    population = one_row(genes)
     with bit_generator.lock:
-        [out] = _run_rows(population, bit_generator, mask, cache, mutn_rate, invocations,
-                          improvements)
+        [out] = _run_rows(genes[np.newaxis], bit_generator, mask, cache, mutn_rate,
+                          invocations, improvements)
     return out
 
 

@@ -15,8 +15,8 @@ and the whole run is bit-exact replayable.
 The population is one C-contiguous (population_size, nllh) int64 array,
 a chromosome per row, and a generation's heuristics are one kernel call
 over it (``llh.run_generation``). Indexing the elites and the
-roulette-drawn mating pool out of it copies those rows, which the
-kernel's crossover and mutation then edit in place, one call each. A
+roulette-drawn mating pool out of it copies those rows, which one kernel
+call (``_climb.breed``) then crosses over and mutates in place. A
 generation's GA draws, in order: the pool's roulette picks; per
 consecutive pool pair, a crossover coin and, when it says cross, a cut;
 per pool row, a coin per gene, then a new id per hit.
@@ -141,7 +141,7 @@ class SupervisorResult:
 def roulette_select(fitnesses, rng: np.random.Generator, size: int) -> np.ndarray:
     """``size`` indices, each sampled with probability fitness_i /
     sum(fitness); uniform if every fitness is zero. Fitnesses must be a
-    1-d array of finite, non-negative values."""
+    1-d array of finite, non-negative values with a finite sum."""
     fits = np.asarray(fitnesses, dtype=np.float64)
     if fits.ndim != 1:
         raise ValueError(f"roulette selection needs a 1-d array of fitnesses, not {fits.ndim}-d")
@@ -151,39 +151,14 @@ def roulette_select(fitnesses, rng: np.random.Generator, size: int) -> np.ndarra
         raise ValueError("roulette selection needs finite fitnesses")
     if fits.min() < 0:
         raise ValueError("roulette selection needs non-negative fitnesses")
-    total = float(fits.sum())
+    with np.errstate(over="ignore"):
+        total = float(fits.sum())
+    if not np.isfinite(total):
+        raise ValueError("roulette selection needs fitnesses with a finite sum")
     if total == 0.0:
         return rng.integers(fits.size, size=size)
     idx = np.searchsorted(np.cumsum(fits), rng.random(size) * total, side="right")
     return np.minimum(idx, fits.size - 1)
-
-
-def single_point_crossover(pair: np.ndarray, rng: np.random.Generator,
-                           p_crossover: float) -> None:
-    """With probability p_crossover, cut the two rows of ``pair``
-    (C-contiguous int64, exactly two rows) at a uniform point in 1..len-1
-    and exchange their tails in place; otherwise, and for 1-gene rows, which
-    have no such point, leave them. The coin is drawn either way, as
-    ``rng.random()``, and the cut as ``rng.integers(1, len)``."""
-    if np.ndim(pair) == 2 and len(pair) != 2:
-        raise ValueError(f"pair must have 2 rows, not {len(pair)}")
-    bit_generator = rng.bit_generator
-    with bit_generator.lock:
-        _climb.crossover(pair, bit_generator, p_crossover)
-
-
-def mutate_chromosome(genes: np.ndarray, p_mutation: float,
-                      rng: np.random.Generator) -> None:
-    """Each gene of the row ``genes`` (C-contiguous int64) independently
-    mutates in place with probability p_mutation to a uniform id in 1..16
-    other than its current value, so mutated genes always change: the
-    coins are ``rng.random(len)``, then the hits' ids
-    ``rng.integers(1, 16, size=hits)``, each shifted up past the old id."""
-    if np.ndim(genes) != 1:
-        raise ValueError(f"genes must have 1 dimension(s), not {np.ndim(genes)}")
-    bit_generator = rng.bit_generator
-    with bit_generator.lock:
-        _climb.mutate(llh.one_row(genes), bit_generator, p_mutation)
 
 
 def _next_generation(population: np.ndarray, fits: np.ndarray,
@@ -195,8 +170,7 @@ def _next_generation(population: np.ndarray, fits: np.ndarray,
     pool = population[roulette_select(fits, rng, cfg.population_size - cfg.elitism)]
     bit_generator = rng.bit_generator
     with bit_generator.lock:
-        _climb.crossover(pool, bit_generator, cfg.p_crossover)
-        _climb.mutate(pool, bit_generator, cfg.p_mutation)
+        _climb.breed(pool, bit_generator, cfg.p_crossover, cfg.p_mutation)
     return np.concatenate([elites, pool])
 
 

@@ -537,6 +537,14 @@ def oracle_next_generation(population, fits, elitism, p_crossover, p_mutation, r
     return elites + pool
 
 
+def breed(pool: np.ndarray, rng, p_crossover: float, p_mutation: float) -> None:
+    """``_climb.breed`` of ``pool`` in place, drawing from ``rng``'s bit
+    generator (a Generator's or a StubRng's) under its lock."""
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        _climb.breed(pool, bit_generator, p_crossover, p_mutation)
+
+
 # ------------------------------------------------------------- stub RNG
 
 class StubRng:
@@ -547,7 +555,10 @@ class StubRng:
     ``permutations`` entries for permutation(). The compiled GA draws from
     ``bit_generator`` instead, which pops the same entries one value at a
     time: its integer draws are over ``integers(*bounds)``, the range of a
-    new gene id and of a cut in a 16-gene row.
+    new gene id and of a cut in a 16-gene row. A draw past the script
+    raises in a ctypes callback, which the kernel does not see; pytest
+    reports it as an unraisable exception, an error under this project's
+    warning filter. ``used_up`` tells whether the whole script was drawn.
     """
 
     def __init__(self, integers=(), randoms=(), permutations=(), bounds=(1, NUM_LLH)):
@@ -577,6 +588,10 @@ class StubRng:
         if self._bit_generator is None:
             self._bit_generator = ScriptedBitGenerator(self)
         return self._bit_generator
+
+    def used_up(self) -> bool:
+        """Whether every scripted draw was taken."""
+        return not (self._integers or self._randoms or self._permutations)
 
     def pop_value(self, entries: list):
         """The first value of the first entry of ``entries``, removed."""

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (HILL_CLIMBER_IDS, best_flip_oracle,
+from conftest import (HILL_CLIMBER_IDS, best_flip_oracle, breed,
                       class_correlation_twopass, flip, fold_class_counts,
                       merit_from_data, pearson_twopass, predict_1nn,
                       random_mask, synthetic_dataset)
@@ -30,8 +30,7 @@ from hhfs.experiment import (DatasetConfig, ExperimentSpec, run_dataset,
                              run_experiment, verify_report)
 from hhfs.llh import CATALOG, LlhContext, apply
 from hhfs.mask import FeatureMask
-from hhfs.supervisor import (SupervisorConfig, mutate_chromosome,
-                             roulette_select, single_point_crossover)
+from hhfs.supervisor import SupervisorConfig, roulette_select
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -327,14 +326,14 @@ class TestPropertyCriteria:
         for _ in range(1000):
             pair = rng.integers(1, 17, size=(2, 16))
             original = sorted(pair.ravel().tolist())
-            single_point_crossover(pair, rng, p_crossover=0.7)
+            breed(pair, rng, 0.7, 0.0)
             if sorted(pair.ravel().tolist()) != original:
                 conservation_ok = False
 
         exclusion_ok = True
         for _ in range(625):  # 10000 mutated genes in total
-            genes = np.full(16, 9)
-            mutate_chromosome(genes, 1.0, rng)
+            genes = np.full((1, 16), 9)
+            breed(genes, rng, 0.0, 1.0)
             if np.any(genes == 9) or genes.min() < 1 or genes.max() > 16:
                 exclusion_ok = False
 

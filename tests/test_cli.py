@@ -418,31 +418,49 @@ def test_run_records_a_column_whose_range_overflows(project, capsys):
     assert not (tmp_path / "out" / "wide").exists()
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="needs an enforced RLIMIT_AS")
-def test_run_records_a_dataset_too_large_for_memory(project):
-    # in a child process limited to 4 GiB of address space (set in it, so on
-    # it alone), the 60,000-row dataset's n x n work matrix (13.4 GiB) cannot
-    # be allocated: it is recorded as failed, and alpha still runs
+# the message numpy gives when huge's n x n work matrix cannot be allocated
+TOO_LARGE = "Unable to allocate 13.4 GiB for an array with shape (60000, 60000) and data type float32"
+
+
+def main_with_huge_in_4_gib(project, args):
+    """``main(args)`` in a child process limited to 4 GiB of address space
+    (set in it, so on it alone), after adding the 60,000-row dataset huge
+    before alpha to the project's config: the finished process. Huge's
+    n x n work matrix (13.4 GiB) cannot be allocated there."""
     tmp_path, cfg = project
     rows = [f"{i % 7}.5,{i % 11}.25,{i % 2}" for i in range(60_000)]
     (tmp_path / "huge.csv").write_text("\n".join(rows) + "\n")
     cfg.write_text(cfg.read_text().replace(
         "[datasets.alpha]", f"[datasets.huge]\npath = {tmp_path / 'huge.csv'}\n\n[datasets.alpha]"))
     code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32)); "
-            f"from hhfs.cli import main; sys.exit(main(['run', '--config', {str(cfg)!r}]))")
+            f"from hhfs.cli import main; sys.exit(main({[*args, '--config', str(cfg)]!r}))")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, [
         str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs an enforced RLIMIT_AS")
+def test_run_records_a_dataset_too_large_for_memory(project):
+    # huge is recorded as failed, and alpha still runs
+    proc = main_with_huge_in_4_gib(project, ["run"])
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
-    error = ("Unable to allocate 13.4 GiB for an array with shape (60000, 60000) and data "
-             "type float32")
-    assert f"\nhuge           FAILED: {error}\n" in proc.stdout
-    summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert f"\nhuge           FAILED: {TOO_LARGE}\n" in proc.stdout
+    out = project[0] / "out"
+    summary = (out / "summary.csv").read_text().splitlines()
     assert summary[1] == "huge,,,,,,"
     assert [row.split(",")[0] for row in summary[2:]] == ["alpha", "alpha"]
-    assert (tmp_path / "out" / "alpha" / "report.json").is_file()
+    assert (out / "alpha" / "report.json").is_file()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs an enforced RLIMIT_AS")
+def test_baseline_reports_a_dataset_too_large_for_memory(project):
+    # baseline has no run to record it in: one error line, status 2
+    proc = main_with_huge_in_4_gib(project, ["baseline", "--dataset", "huge"])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"hhfs: error: {TOO_LARGE}\n"
 
 
 def test_run_records_a_header_narrower_than_its_rows(project, capsys):

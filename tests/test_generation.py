@@ -1,8 +1,8 @@
 """The kernel's per-generation entry points: ``_climb.generation``, which
 seeds row i's stream itself from row i of ``llh.stream_keys(seed, gen,
 rows)``, as ``PCG64([seed, 1, gen, i])``, against ``llh.run_genes`` on
-numpy's own generator, and the refusals of ``generation``, ``crossover``
-and ``mutate``."""
+numpy's own generator, and the refusals of ``generation`` and of the GA's
+``breed``."""
 
 import re
 
@@ -15,7 +15,7 @@ from conftest import random_cache
 from hhfs import llh
 from hhfs.llh import NUM_LLH, _climb
 from hhfs.mask import FeatureMask
-from hhfs.supervisor import LlhStats, mutate_chromosome, single_point_crossover
+from hhfs.supervisor import LlhStats
 
 # one, two, three and four entropy words
 SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 123_456_789_012_345_678_901_234, 2 ** 100 + 1]
@@ -261,11 +261,16 @@ class TestGenerationArguments:
                 generation(*args[:1], 3, 0, *args[1:], keys=draws)
 
 
-class TestGaKernelArguments:
-    """``crossover`` and ``mutate`` edit a writable C-contiguous int64
-    pool in place, and refuse anything else before they draw."""
+# breed's two phases: crossover alone, and mutation alone
+PHASES = pytest.mark.parametrize("p_crossover, p_mutation", [(1.0, 0.0), (0.0, 1.0)],
+                                 ids=["crossover", "mutate"])
 
-    @pytest.mark.parametrize("kernel", ["crossover", "mutate"])
+
+class TestGaKernelArguments:
+    """``breed`` edits a writable C-contiguous int64 pool in place, and
+    refuses anything else before it draws."""
+
+    @PHASES
     @pytest.mark.parametrize("bad, error, message", [
         (np.ones((4, 8), dtype=np.int32), ValueError,
          "^chromosomes must hold int64, not format 'i' of 4 bytes$"),
@@ -276,45 +281,24 @@ class TestGaKernelArguments:
         (np.broadcast_to(np.ones(8, dtype=np.int64), (4, 8)), ValueError, "read-only"),
         ([[1, 2], [3, 4]], TypeError, "list"),
     ])
-    def test_refusals_leave_the_generator_as_it_was(self, kernel, bad, error, message):
+    def test_refusals_leave_the_generator_as_it_was(self, p_crossover, p_mutation, bad, error,
+                                                    message):
         bit_generator = np.random.PCG64(5)
         state = bit_generator.state
         with pytest.raises(error, match=message):
-            getattr(_climb, kernel)(bad, bit_generator, 1.0)
+            _climb.breed(bad, bit_generator, p_crossover, p_mutation)
         assert bit_generator.state == state
 
-    @pytest.mark.parametrize("kernel", ["crossover", "mutate"])
-    def test_generator_and_argument_count(self, kernel):
+    @PHASES
+    def test_generator_and_argument_count(self, p_crossover, p_mutation):
         pool = np.ones((2, 4), dtype=np.int64)
         with pytest.raises(TypeError, match="^bit_generator must be a numpy BitGenerator, "
                                             "not numpy.random._generator.Generator$"):
-            getattr(_climb, kernel)(pool, np.random.default_rng(0), 0.5)
-        with pytest.raises(TypeError, match=rf"^{kernel}\(chromosomes, bit_generator, p\) "
-                                            "takes 3 arguments, 2 given$"):
-            getattr(_climb, kernel)(pool, np.random.PCG64(0))
-        with pytest.raises(TypeError):
-            getattr(_climb, kernel)(pool, np.random.PCG64(0), "0.5")
+            _climb.breed(pool, np.random.default_rng(0), p_crossover, p_mutation)
+        with pytest.raises(TypeError, match=r"^breed\(chromosomes, bit_generator, p_crossover, "
+                                            r"p_mutation\) takes 4 arguments, 3 given$"):
+            _climb.breed(pool, np.random.PCG64(0), p_crossover)
+        for probabilities in (("0.5", p_mutation), (p_crossover, "0.5")):
+            with pytest.raises(TypeError):
+                _climb.breed(pool, np.random.PCG64(0), *probabilities)
         assert pool.tolist() == [[1] * 4] * 2
-
-    def test_public_wrappers_take_c_contiguous_int64_rows(self):
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="^chromosomes must hold int64, not format 'i'"):
-            mutate_chromosome(np.ones(8, dtype=np.int32), 1.0, rng)
-        with pytest.raises(ValueError, match="^chromosomes must be C-contiguous$"):
-            mutate_chromosome(np.ones(16, dtype=np.int64)[::2], 1.0, rng)
-        with pytest.raises(ValueError, match="^chromosomes must hold int64, not format 'i'"):
-            single_point_crossover(np.ones((2, 8), dtype=np.int32), rng, 1.0)
-        # a wrapper takes one row, or one pair of rows, and names it
-        with pytest.raises(ValueError, match=r"^genes must have 1 dimension\(s\), not 2$"):
-            mutate_chromosome(np.ones((1, 8), dtype=np.int64), 1.0, rng)
-        for rows in (1, 3):
-            with pytest.raises(ValueError, match=f"^pair must have 2 rows, not {rows}$"):
-                single_point_crossover(np.ones((rows, 8), dtype=np.int64), rng, 1.0)
-        # a list is no buffer, as the kernel says of a list of pairs
-        bytes_like = "a bytes-like object is required, not 'list'"
-        with pytest.raises(TypeError, match=bytes_like):
-            mutate_chromosome([1, 2, 3], 0.5, rng)
-        with pytest.raises(TypeError, match=bytes_like):
-            single_point_crossover([[1, 2], [3, 4]], rng, 1.0)
-        assert rng.bit_generator.state == state

@@ -17,6 +17,7 @@ from conftest import (ALL, HILL_CLIMBER_IDS, MUTATIONAL_IDS, ORACLE, MeritScan,
                       oracle_run_genes, python_sweep_climb, random_cache,
                       random_mask, sequential_scan, sweep_reference,
                       synthetic_dataset)
+import hhfs
 from hhfs import llh
 from hhfs.correlation import build_cache, cfs_merit
 from hhfs.llh import ONES, ZEROS, CATALOG, NUM_LLH, LlhContext, _climb
@@ -1228,6 +1229,18 @@ def test_every_kernel_entry_has_a_caller():
               and node.value.id == "_climb"}
     entries = {name for name in dir(_climb) if callable(getattr(_climb, name))}
     assert entries and entries <= called, sorted(entries - called)
+
+
+def test_every_public_name_has_a_caller():
+    # a public name used only by the tests is code kept for them alone
+    paths = [path for path in Path(llh.__file__).parent.glob("*.py") if path.name != "__init__.py"]
+    root = Path(__file__).resolve().parents[1]
+    paths += [path for folder in ("perfbench", "demos", "scripts")
+              for path in (root / folder).glob("**/*.py")]
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    assert sorted(set(hhfs.__all__) - used) == []
 
 
 def build_leftovers(package):

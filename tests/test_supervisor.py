@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (MeritScan, OracleContext, StubRng, best_flip_oracle,
+from conftest import (MeritScan, OracleContext, StubRng, best_flip_oracle, breed,
                       cv_accuracy_cdist_reference, flip, on_cores,
                       oracle_next_generation, oracle_run_genes, record_call,
                       synthetic_dataset)
@@ -24,9 +24,7 @@ from hhfs.experiment import _run_record
 from hhfs.llh import LlhContext, apply
 from hhfs.mask import FeatureMask
 from hhfs.supervisor import (LlhStats, SupervisorConfig, SupervisorResult,
-                             _next_generation, mutate_chromosome,
-                             roulette_select, run_supervisor,
-                             single_point_crossover)
+                             _next_generation, roulette_select, run_supervisor)
 
 
 class TestSupervisorConfig:
@@ -206,6 +204,7 @@ class TestRouletteSelect:
         ([0.5, np.inf, 0.2], "^roulette selection needs finite fitnesses$"),
         ([[0.5, 0.1], [0.2, 0.9]], "^roulette selection needs a 1-d array of fitnesses, not 2-d$"),
         (0.5, "^roulette selection needs a 1-d array of fitnesses, not 0-d$"),
+        ([1e308, 1e308], "^roulette selection needs fitnesses with a finite sum$"),
     ])
     def test_refuses_non_finite_or_non_vector_fitnesses(self, fits, message):
         rng = np.random.default_rng(4)
@@ -215,68 +214,80 @@ class TestRouletteSelect:
         assert rng.bit_generator.state == state
 
 
+# the coins of a 16-gene row that mutation at p = 0 draws and never acts on
+KEEP16 = [0.5] * 16
+
+
 class TestCrossover:
+    """``breed`` at p_mutation = 0: the crossover phase, then a coin per gene."""
+
     def test_cut_point_exchange(self):
         pair = np.array([np.full(16, 1), np.full(16, 2)])
         # first draw 0.0 < p triggers crossover, second scripted cut = 8
-        rng = StubRng(randoms=[0.0], integers=[8])
-        single_point_crossover(pair, rng, p_crossover=0.7)
+        rng = StubRng(randoms=[0.0, KEEP16, KEEP16], integers=[8])
+        breed(pair, rng, 0.7, 0.0)
         assert pair[0].tolist() == [1] * 8 + [2] * 8
         assert pair[1].tolist() == [2] * 8 + [1] * 8
+        assert rng.used_up()
 
     def test_skipped_crossover_copies_parents(self):
         pair = np.array([np.arange(1, 17), np.arange(16, 0, -1)])
         before = pair.copy()
-        rng = StubRng(randoms=[0.99])
-        single_point_crossover(pair, rng, p_crossover=0.7)
+        rng = StubRng(randoms=[0.99, KEEP16, KEEP16])
+        breed(pair, rng, 0.7, 0.0)
         np.testing.assert_array_equal(pair, before)
+        assert rng.used_up()
 
     def test_one_gene_parents_draw_the_coin_and_pass_through(self):
         pair = np.array([[3], [7]])
-        rng = StubRng(randoms=[0.0])  # the coin says cross; no cut is drawn
-        single_point_crossover(pair, rng, p_crossover=0.7)
+        rng = StubRng(randoms=[0.0, 0.5, 0.5])  # the coin says cross; no cut is drawn
+        breed(pair, rng, 0.7, 0.0)
         assert pair.tolist() == [[3], [7]]
-        assert rng._randoms == []
+        assert rng.used_up()
 
     def test_gene_multiset_conservation(self):
         rng = np.random.default_rng(5)
         for _ in range(1000):
             pair = rng.integers(1, 17, size=(2, 16))
             original = np.sort(pair, axis=None)
-            single_point_crossover(pair, rng, p_crossover=0.7)
+            breed(pair, rng, 0.7, 0.0)
             assert np.sort(pair, axis=None).tolist() == original.tolist()
 
 
 class TestMutation:
+    """``breed`` of one row at p_crossover = 0: a one-row pool has no pair,
+    so only the mutation phase draws."""
+
     def test_zero_probability_is_identity(self):
         rng = np.random.default_rng(6)
-        genes = rng.integers(1, 17, size=16)
+        genes = rng.integers(1, 17, size=(1, 16))
         out = genes.copy()
-        mutate_chromosome(out, 0.0, rng)
+        breed(out, rng, 0.0, 0.0)
         assert out.tolist() == genes.tolist()
 
     def test_mutated_gene_never_keeps_its_value(self):
         rng = np.random.default_rng(7)
         for _ in range(625):  # 625 * 16 = 10000 gene trials
-            genes = np.full(16, 9)
-            mutate_chromosome(genes, 1.0, rng)
+            genes = np.full((1, 16), 9)
+            breed(genes, rng, 0.0, 1.0)
             assert np.all(genes != 9)
             assert np.all((genes >= 1) & (genes <= 16))
 
     def test_values_at_or_above_the_old_gene_shift_up(self):
         # coins for every gene first, then one id in 1..15 per hit
-        genes = np.array([9, 4, 2, 16])
+        genes = np.array([[9, 4, 2, 16]])
         rng = StubRng(randoms=[[0.0, 0.5, 0.05, 0.0]], integers=[[9, 3, 15]])
-        mutate_chromosome(genes, 0.1, rng)
-        assert genes.tolist() == [10, 4, 4, 15]
+        breed(genes, rng, 0.0, 0.1)
+        assert genes.tolist() == [[10, 4, 4, 15]]
+        assert rng.used_up()
 
     def test_mean_changed_gene_count(self):
         rng = np.random.default_rng(8)
-        genes = rng.integers(1, 17, size=16)
+        genes = rng.integers(1, 17, size=(1, 16))
         changed = 0
         for _ in range(10000):
             out = genes.copy()
-            mutate_chromosome(out, 0.1, rng)
+            breed(out, rng, 0.0, 0.1)
             changed += int(np.sum(out != genes))
         # Binomial(16, 0.1): mean 1.6, sigma of the mean 0.012
         sigma_mean = np.sqrt(16 * 0.1 * 0.9) / 100
