@@ -173,12 +173,23 @@ def load_csv(path, label_column: int | str = -1, has_header: bool = False,
         raise DatasetError(f"{path}: {exc}") from None
 
 
+def require_finite(d: Dataset) -> None:
+    """Refuse a dataset with a NaN or infinite feature cell, naming the first
+    column that holds one. ``Dataset.from_arrays`` refuses such cells, but a
+    ``Dataset`` built directly is not checked."""
+    bad = np.flatnonzero(~np.isfinite(d.features).all(axis=0))
+    if bad.size:
+        raise DatasetError(f"{d.name}: feature column {bad[0]} holds a non-finite value")
+
+
 def min_max_normalize(d: Dataset) -> Dataset:
     """Rescale every feature column linearly to [0, 1].
 
     Constant columns become all-zeros. Labels and shapes are unchanged. A
-    column whose range (max - min) overflows float64 is refused.
+    column holding a non-finite cell, or whose range (max - min) overflows
+    float64, is refused.
     """
+    require_finite(d)
     X = d.features
     lo = X.min(axis=0)
     with np.errstate(over="ignore"):  # the overflow this refuses

@@ -28,10 +28,10 @@ up to the kernel's 16 lanes), made on its first computation, and the
 kernel runs without the GIL, so a generation's masks can be computed on
 helper threads (``cores.Helpers``) beside the calling thread.
 
-An evaluator refuses a dataset whose float64 distances could overflow, its
-column ranges' squares summing above ``_DISTANCE_MAX``: some mask's
-distances could then be inf, and all inf distances tie, whichever row is
-nearer.
+An evaluator refuses a dataset with a non-finite feature cell, naming its
+column, and one whose float64 distances could overflow, its column ranges'
+squares summing above ``_DISTANCE_MAX``: some mask's distances could then
+be inf, and all inf distances tie, whichever row is nearer.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import cores
 from .correlation import _climb
-from .dataset import Dataset, DatasetError, stratified_folds
+from .dataset import Dataset, DatasetError, require_finite, stratified_folds
 from .mask import FeatureMask
 
 
@@ -124,6 +124,7 @@ class FitnessEvaluator:
 
     def __init__(self, dataset: Dataset, protocol: CvProtocol):
         self.dataset = dataset
+        require_finite(dataset)
         with np.errstate(over="ignore"):  # the overflow this looks for
             reach = np.square(np.ptp(dataset.features, axis=0)).sum()
         if not reach <= _DISTANCE_MAX:  # inf distances, which all tie

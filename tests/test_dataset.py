@@ -220,6 +220,14 @@ class TestNormalize:
                            match="^wide: feature column 1 has a range too wide for float64"):
             min_max_normalize(d)
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_is_named_not_blamed_on_the_range(self, cell):
+        # Dataset itself checks nothing; from_arrays would refuse the cell
+        X = np.arange(12.0).reshape(4, 3)
+        X[2, 1] = X[3, 2] = cell
+        with pytest.raises(DatasetError, match="^t: feature column 1 holds a non-finite value$"):
+            min_max_normalize(Dataset("t", X, np.array([0, 1, 0, 1])))
+
     def test_widest_finite_range_scales_to_unit_interval(self):
         top = np.finfo(np.float64).max
         d = Dataset.from_arrays("t", [[-top / 2], [0.0], [top / 2]], [0, 1, 0])

@@ -440,10 +440,14 @@ class TestSqdist:
         symbols = subprocess.run(["nm", baseline.__file__], capture_output=True, text=True,
                                  check=True).stdout
         assert not re.search(r"\bnearest_rows\.", symbols)  # no clone, no resolver
-        for n, k in [(476, 83), (208, 30), (366, 17), (7, 3), (13, 5), (211, 9), (474, 1)]:
+        edges = [(n, k) for n in TestFloat32Screen.EDGES for k in (1, 2, 17)]
+        for n, k in [(476, 83), (208, 30), (366, 17), (7, 3), (13, 5), (211, 9), (474, 1),
+                     *edges]:
             for kind in self.KINDS:
                 d, proto = screen_case(sqdist_data(kind, n, k, seed=n + k))
                 expected = reference_nearest(d, proto)
+                assert np.array_equal(checked_nearest(baseline, FitnessEvaluator(d, proto)),
+                                      expected)
                 monkeypatch.setattr(evaluation, "_climb", baseline)
                 assert np.array_equal(FitnessEvaluator(d, proto)._nearest(np.arange(k)), expected)
                 monkeypatch.setattr(evaluation, "_climb", _climb)
@@ -563,6 +567,19 @@ class TestGramScreen:
         assert cv_accuracy(normalized, mask, proto) == \
             cv_accuracy_cdist_reference(normalized, mask, proto)
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_is_named_not_blamed_on_the_ranges(self, cell):
+        # Dataset itself checks nothing; from_arrays would refuse the cell
+        X = np.random.default_rng(0).uniform(size=(20, 3))
+        X[4, 1] = X[7, 2] = cell
+        d = Dataset("t", X, np.arange(20) % 2)
+        proto, mask = CvProtocol(folds=5), FeatureMask.ones(3)
+        for score in (lambda: FitnessEvaluator(d, proto), lambda: cv_accuracy(d, mask, proto),
+                      lambda: cv_accuracies(d, mask, {"1x5": proto})):
+            with pytest.raises(DatasetError,
+                               match="^t: feature column 1 holds a non-finite value$"):
+                score()
+
     @staticmethod
     def edge_dataset(above: bool) -> Dataset:
         """40 rows over 2 columns, each spanning [0, reach]: the largest
@@ -613,16 +630,31 @@ def reference_nearest(d: Dataset, proto: CvProtocol, idx=None) -> np.ndarray:
     return np.stack([np.where(f[:, None] == f, np.inf, D).argmin(axis=1) for f in folds])
 
 
-def nearest_in_folds(ev: FitnessEvaluator, folds) -> tuple[np.ndarray, np.ndarray]:
+def nearest_in_folds(ev: FitnessEvaluator, folds, climb=_climb) -> tuple[np.ndarray, np.ndarray]:
     """The kernel's neighbours over all of ``ev``'s columns for the given
     fold rows (one label per instance) in place of the protocol's, and its
-    float32 screen distances."""
+    float32 screen distances (work, NaN wherever the kernel leaves it)."""
     n = ev.dataset.n_instances
     padded = np.full((len(folds), ev._folds.shape[1]), -1, dtype=np.int32)
     padded[:, :n] = folds
-    work, out = np.empty((n, padded.shape[1]), np.float32), np.empty((len(folds), n), np.int64)
-    _climb.nearest(ev._columns, ev._screen, ev._radius, ev._underflow, padded, work, out)
+    work = np.full((n, padded.shape[1]), np.nan, np.float32)
+    out = np.empty((len(folds), n), np.int64)
+    climb.nearest(ev._columns, ev._screen, ev._radius, ev._underflow, padded, work, out)
     return out, work
+
+
+def checked_nearest(climb, ev: FitnessEvaluator) -> np.ndarray:
+    """``climb.nearest``'s neighbours over all of ``ev``'s columns and folds,
+    once its work matrix is checked: each pair is summed once and stored
+    both ways, so work[:n, :n] is finite and symmetric bit for bit off the
+    diagonal, and the diagonal and the padded columns n..w-1 are NaN."""
+    n = ev.dataset.n_instances
+    out, work = nearest_in_folds(ev, ev._folds[:, :n], climb)
+    square, off = work[:, :n], ~np.eye(n, dtype=bool)
+    assert np.isfinite(square[off]).all()
+    assert np.array_equal(square.view(np.uint32)[off], square.T.view(np.uint32)[off])
+    assert np.isnan(np.diag(square)).all() and np.isnan(work[:, n:]).all()
+    return out
 
 
 def screen_case(X: np.ndarray) -> tuple[Dataset, CvProtocol]:
@@ -663,10 +695,13 @@ class TestFloat32Screen:
     find, per repeat, the argmins of ``sqdist``'s matrix with each row's
     same-fold cells set to inf. The n cover fewer rows than the screen's 16
     lanes and counts on both sides of a multiple of 16; TestSqdist's build
-    without clones checks that build's neighbours too."""
+    without clones checks that build's neighbours too, and its work matrix
+    at the EDGES."""
 
     SHAPES = [(3, 1), (5, 3), (15, 1), (16, 4), (17, 2), (31, 5), (33, 1), (47, 3),
               (208, 30), (366, 17), (476, 83)]
+    # n on both sides of the screen's 4-row block and 16-column tile edges
+    EDGES = [15, 16, 17, 19, 20, 31, 32, 33, 47, 49]
 
     @pytest.mark.parametrize("kind", TestSqdist.KINDS)
     @pytest.mark.parametrize("n, k", SHAPES)
@@ -678,6 +713,16 @@ class TestFloat32Screen:
         for idx in [np.arange(k), random_mask(k, rng).selected_indices(), [k - 1]]:
             idx = np.asarray(idx)
             assert np.array_equal(ev._nearest(idx), reference_nearest(d, proto, idx))
+
+    @pytest.mark.parametrize("k", [1, 2, 17])
+    @pytest.mark.parametrize("n", EDGES)
+    def test_work_holds_each_pair_both_ways_and_nan_elsewhere(self, n, k):
+        # a transposed store at a wrong index fails here, even where it never
+        # lands on a row's nearest column
+        for kind in TestSqdist.KINDS:
+            d, proto = screen_case(sqdist_data(kind, n, k, seed=n + k))
+            assert np.array_equal(checked_nearest(_climb, FitnessEvaluator(d, proto)),
+                                  reference_nearest(d, proto))
 
     @settings(max_examples=300, deadline=None)
     @given(near_tie_cases())
