@@ -45,9 +45,9 @@
    A flip is scored from the scan's sums, on doubles and in this order: the
    per-branch sums, then sum_cf / sqrt((double)k + sum_ff), or 0.0 when the
    flip leaves k == 0. It is built with -ffp-contract=off, so no multiply
-   and add are fused (nearest's float32 screen on AVX-512 aside, see
-   below). Every buffer is checked against n, the length of the
-   bits, and every gene id against 1..16 before any is read.
+   and add are fused except in nearest's AVX-512 float32 screen (below).
+   Every buffer is checked against n, the length of the bits, and every
+   gene id against 1..16 before any is read.
 
    nearest(columns, screen, radius, underflow, folds, work, out)
    The 1NN fitness's neighbours: for the (k, n) selected columns x and each
@@ -65,20 +65,18 @@
    exact value by at most radius[l]. work gets the n x w float32 distances
    S of y's rows, summed in the same order, BLOCK rows and SCREEN_LANES
    columns at a time, in registers, on AVX-512 where the CPU has it
-   (nearest_rows), where each term's square is fused into its add. For
-   row i, with m the S of a column in another fold
-   (the least, as a rule: nearest_of), every column in another fold with
-   S <= T(m) is a candidate, and the candidate of least float64 distance,
-   ties to the lowest j, is the neighbour; a lone candidate needs no
-   float64 sum. The bound T, after Higham, "Accuracy and
-   Stability of Numerical Algorithms", 2nd ed., 2002, ch. 3-4: write s and
-   d for the exact distances of y and of the scaled columns, and D for the
-   float64 sum times 2^2e. A term's difference, its square and its (at most
-   k - 1) additions round once each (a fused square and add rounds once
-   where this counts two, so its error is within the same bound), every
-   term is non-negative, and so,
-   with u = 2^-24, g32 = (k + 2)u / (1 - (k + 2)u) and g64 the same with
-   u = 2^-53,
+   (nearest_rows, each term's square there fused into its add). For row i,
+   with m the S of a column in another fold (the least, as a rule:
+   nearest_of), every column in another fold with S <= T(m) is a
+   candidate, and the candidate of least float64 distance, ties to the
+   lowest j, is the neighbour; a lone candidate needs no float64 sum. The
+   bound T, after Higham, "Accuracy and Stability of Numerical Algorithms",
+   2nd ed., 2002, ch. 3-4: write s and d for the exact distances of y and
+   of the scaled columns, and D for the float64 sum times 2^2e. A term's
+   difference, its square and its (at most k - 1) additions round once each
+   (a fused square and add rounds once where this counts two, so within the
+   same bound), every term is non-negative, and so, with u = 2^-24,
+   g32 = (k + 2)u / (1 - (k + 2)u) and g64 the same with u = 2^-53,
        s (1 - g32) - p32 <= S <= s (1 + g32) + p32,
        d (1 - g64) - p64 <= D <= d (1 + g64) + p64,
    where p32 = k 2^-124 and p64 = k underflow bound what underflow,
@@ -711,9 +709,10 @@ done:
 
 /* With glibc on x86-64 Linux (its loader runs target_clones' ifunc resolver)
    nearest_rows is built for AVX-512 and the baseline, so a cached build runs
-   on any x86-64 CPU, and both add the same terms in the same order, unfused,
-   so find the same neighbours. No AVX2 build: gcc 12 spills 64-byte vectors,
-   as nearest_rows' 16-float lanes are, out of pairs of 256-bit registers.
+   on any x86-64 CPU, and both add the same terms in the same order (fused on
+   AVX-512, within the same bound), so find the same neighbours. No AVX2
+   build: gcc 12 spills 64-byte vectors, as nearest_rows' 16-float lanes
+   are, out of pairs of 256-bit registers.
    An AVX2 clone was measured only on an earlier float64 distance loop with
    8-double lanes, where it ran slower than the baseline build. */
 #if defined(__x86_64__) && defined(__linux__) && defined(__GLIBC__) && defined(__has_attribute)
@@ -728,20 +727,15 @@ done:
 #define SCREEN_LANES 16  /* float32 columns screened at a time, as one vector */
 typedef float screen_lanes __attribute__((vector_size(SCREEN_LANES * sizeof(float))));
 typedef int32_t label_lanes __attribute__((vector_size(SCREEN_LANES * sizeof(int32_t))));
-typedef float quad __attribute__((vector_size(4 * sizeof(float))));
-typedef int32_t quad_index __attribute__((vector_size(4 * sizeof(int32_t))));
 #define QUIET_NAN 0x7fc00000  /* NAN's bits as a float32: above every distance's */
 
 /* The screen's sums for the nr <= BLOCK rows i..i+nr-1 of the (k, w)
-   float32 columns y (n of them data) into out, row i's first entry at out,
-   each term rounded and added in ascending l as exact adds them, each row
-   from the vector holding column i to w - 1 (a multiple of SCREEN_LANES).
-   A tile right of the rows' own is also stored transposed into its rows
-   below n, columns i..i+nr-1, as (a - b)^2 equals (b - a)^2 exactly: in
-   4 x 4 pieces, 4 floats a store, or float by float where the tile
-   reaches past n (the last nr < BLOCK rows have no such tile below n).
-   Inlined, so it runs on the vector unit of the nearest_rows clone that
-   calls it. */
+   float32 columns y into their rows of out, each term rounded and added in
+   ascending l as exact adds them, each row from the vector holding column
+   i to w - 1 (a multiple of SCREEN_LANES); a tile right of the rows' own
+   also into its rows below n, columns i..i+nr-1, as (a - b)^2 equals
+   (b - a)^2 exactly. Inlined, so it runs on the vector unit of the
+   nearest_rows clone that calls it. */
 static inline __attribute__((always_inline)) void
 screen_block(const float *y, Py_ssize_t k, Py_ssize_t n, Py_ssize_t w, Py_ssize_t i, int nr,
              float *out)
@@ -758,30 +752,9 @@ screen_block(const float *y, Py_ssize_t k, Py_ssize_t n, Py_ssize_t w, Py_ssize_
         }
         for (int s = 0; s < nr; s++)
             memcpy(out + s * w + j, &acc[s], sizeof acc[s]);
-        if (j <= i)
-            continue;
-        float *below = out + (j - i) * w + i;  /* row j, column i */
-        if (j + SCREEN_LANES > n) {
-            for (Py_ssize_t c = 0; c < SCREEN_LANES && j + c < n; c++)
-                for (int s = 0; s < nr; s++)
-                    below[c * w + s] = acc[s][c];
-            continue;
-        }
-        for (int p = 0; p < SCREEN_LANES; p += 4) {
-            quad q[BLOCK];
-            for (int s = 0; s < BLOCK; s++)
-                memcpy(&q[s], (const float *)&acc[s] + p, sizeof q[s]);
-            quad lo01 = __builtin_shuffle(q[0], q[1], (quad_index){0, 4, 1, 5});
-            quad hi01 = __builtin_shuffle(q[0], q[1], (quad_index){2, 6, 3, 7});
-            quad lo23 = __builtin_shuffle(q[2], q[3], (quad_index){0, 4, 1, 5});
-            quad hi23 = __builtin_shuffle(q[2], q[3], (quad_index){2, 6, 3, 7});
-            quad column[4] = {__builtin_shuffle(lo01, lo23, (quad_index){0, 1, 4, 5}),
-                              __builtin_shuffle(lo01, lo23, (quad_index){2, 3, 6, 7}),
-                              __builtin_shuffle(hi01, hi23, (quad_index){0, 1, 4, 5}),
-                              __builtin_shuffle(hi01, hi23, (quad_index){2, 3, 6, 7})};
-            for (int c = 0; c < 4; c++)
-                memcpy(below + (p + c) * w, &column[c], sizeof column[c]);
-        }
+        for (Py_ssize_t c = 0; j > i && c < SCREEN_LANES && j + c < n; c++)
+            for (int s = 0; s < nr; s++)
+                out[(j - i + c) * w + i + s] = acc[s][c];  /* row j + c, column i + s */
     }
 }
 
@@ -935,9 +908,8 @@ nearest_of(const float *row, const int32_t *fold, struct lanes *st, Py_ssize_t i
    y, each pair summed once, BLOCK rows at a time (screen_block), then the
    diagonal and the padded columns NaN; then per row its lanes and, per
    repeat r, its nearest column in another fold of folds[r], into
-   nearest[r]. fp-contract=fast fuses the screen's squares into its sums
-   where the clone has FMA (AVX-512); nearest_of, out of line, keeps the
-   file's unfused float64 sums. */
+   nearest[r]. The screen's squares are fused into its sums where the clone
+   has FMA (AVX-512); nearest_of, out of line, keeps its sums unfused. */
 WIDEST_VECTORS __attribute__((optimize("fp-contract=fast"))) static void
 nearest_rows(const double *x, const float *y, Py_ssize_t k, Py_ssize_t n, Py_ssize_t w,
              const int32_t *folds, Py_ssize_t repeats, const struct bound *b, float *out,

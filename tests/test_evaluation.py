@@ -633,11 +633,12 @@ def reference_nearest(d: Dataset, proto: CvProtocol, idx=None) -> np.ndarray:
 def nearest_in_folds(ev: FitnessEvaluator, folds, climb=_climb) -> tuple[np.ndarray, np.ndarray]:
     """The kernel's neighbours over all of ``ev``'s columns for the given
     fold rows (one label per instance) in place of the protocol's, and its
-    float32 screen distances (work, NaN wherever the kernel leaves it)."""
+    float32 screen distances (work, -1 wherever the kernel leaves it: no
+    distance is negative, and -1 is not the NaN it must write)."""
     n = ev.dataset.n_instances
     padded = np.full((len(folds), ev._folds.shape[1]), -1, dtype=np.int32)
     padded[:, :n] = folds
-    work = np.full((n, padded.shape[1]), np.nan, np.float32)
+    work = np.full((n, padded.shape[1]), -1.0, np.float32)
     out = np.empty((len(folds), n), np.int64)
     climb.nearest(ev._columns, ev._screen, ev._radius, ev._underflow, padded, work, out)
     return out, work
@@ -646,12 +647,13 @@ def nearest_in_folds(ev: FitnessEvaluator, folds, climb=_climb) -> tuple[np.ndar
 def checked_nearest(climb, ev: FitnessEvaluator) -> np.ndarray:
     """``climb.nearest``'s neighbours over all of ``ev``'s columns and folds,
     once its work matrix is checked: each pair is summed once and stored
-    both ways, so work[:n, :n] is finite and symmetric bit for bit off the
-    diagonal, and the diagonal and the padded columns n..w-1 are NaN."""
+    both ways, so work[:n, :n] is finite, non-negative and symmetric bit for
+    bit off the diagonal, and the diagonal and the padded columns n..w-1 are
+    NaN."""
     n = ev.dataset.n_instances
     out, work = nearest_in_folds(ev, ev._folds[:, :n], climb)
     square, off = work[:, :n], ~np.eye(n, dtype=bool)
-    assert np.isfinite(square[off]).all()
+    assert (np.isfinite(square[off]) & (square[off] >= 0)).all()
     assert np.array_equal(square.view(np.uint32)[off], square.T.view(np.uint32)[off])
     assert np.isnan(np.diag(square)).all() and np.isnan(work[:, n:]).all()
     return out
