@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,11 +76,9 @@ class CvProtocol:
 _DISTANCE_MAX = np.finfo(np.float64).max / 2
 
 
-def _selected_columns(d: Dataset, mask: FeatureMask) -> np.ndarray:
-    if mask.n != d.n_features:
-        raise ValueError(
-            f"mask over {mask.n} features does not match dataset with {d.n_features}")
-    return mask.selected_indices()
+def _check_width(d: Dataset, n: int) -> None:
+    if n != d.n_features:
+        raise ValueError(f"mask over {n} features does not match dataset with {d.n_features}")
 
 
 def cv_accuracy(d: Dataset, mask: FeatureMask, proto: CvProtocol) -> float:
@@ -99,7 +96,8 @@ def cv_accuracies(d: Dataset, mask: FeatureMask,
     """``cv_accuracy`` of ``mask`` under each labelled protocol, bitwise.
     Protocols of equal folds and base seed share folds, so each such group
     is scored once, at its largest repeats; r repeats read the first r."""
-    idx = _selected_columns(d, mask)
+    _check_width(d, mask.n)
+    idx = mask.selected_indices()
     if idx.size == 0:
         return dict.fromkeys(protocols, 0.0)
     accs: dict[tuple[int, int], list[float]] = {}
@@ -159,7 +157,6 @@ class FitnessEvaluator:
         self._underflow = math.ldexp(1.0, exponent) if exponent < 1024 else math.inf
         self._local = threading.local()  # .work: this thread's n x w work matrix
         self._cache: dict[bytes, float] = {}
-        self._computed: dict[bytes, float] = {}  # what fitnesses computed and fitness stores
         self.computations = 0
         self.hits = 0
 
@@ -188,35 +185,25 @@ class FitnessEvaluator:
         return sum(accs) / len(accs)
 
     def fitness(self, mask: FeatureMask) -> float:
-        """The memoized CV accuracy of ``mask``: a mask seen before is a
-        hit; any other is computed (unless ``fitnesses`` just did), stored
-        and counted, in that order, so a computation that raises leaves the
-        memo and the counters as they were."""
-        key = mask.key()
-        if key in self._cache:
-            self.hits += 1
-            return self._cache[key]
-        value = self._computed.pop(key, None)
-        if value is None:
-            value = self._value(_selected_columns(self.dataset, mask))
-        self._cache[key] = value
-        self.computations += 1
-        return value
+        """The memoized CV accuracy of ``mask``: ``fitnesses`` of its bits
+        as one row."""
+        return float(self.fitnesses(mask.bits[np.newaxis])[0])
 
-    def fitnesses(self, masks: Sequence[FeatureMask], helpers: cores.Helpers) -> list[float]:
-        """``[fitness(m) for m in masks]``, with the distinct masks not
-        memoized yet computed first, in first-occurrence order, by this
-        thread and ``helpers``' threads pulling from one queue. This thread
-        then stores and counts them through ``fitness``, in order, as those
-        consecutive calls would; so a computation that raises, in any
-        thread, leaves the memo and the counters as they were."""
-        todo: dict[bytes, np.ndarray] = {}
-        for mask in masks:
-            key = mask.key()
-            if key not in self._cache and key not in todo:
-                todo[key] = _selected_columns(self.dataset, mask)
-        self._computed = dict(zip(todo, helpers.map(self._value, list(todo.values()))))
-        try:
-            return [self.fitness(mask) for mask in masks]
-        finally:
-            self._computed = {}
+    def fitnesses(self, bits: np.ndarray, helpers: cores.Helpers | None = None) -> np.ndarray:
+        """The memoized CV accuracy of each mask in ``bits``, a (rows,
+        n_features) bool matrix of one mask per row, as a float64 array. The
+        memo is keyed by a row's bytes (``FeatureMask.key``): a row seen
+        before, in this call too, is a hit. The distinct others are computed
+        first, in first-occurrence order, by this thread and ``helpers``'
+        threads (if any) pulling from one queue, and only then stored and
+        counted; so a computation that raises, in any thread, leaves the
+        memo and the counters as they were."""
+        _check_width(self.dataset, bits.shape[1])
+        keys = [row.tobytes() for row in bits]
+        todo = {key: np.flatnonzero(row) for key, row in zip(keys, bits)
+                if key not in self._cache}
+        values = (helpers or cores.Helpers(0)).map(self._value, list(todo.values()))
+        self._cache.update(zip(todo, values))
+        self.computations += len(todo)
+        self.hits += len(keys) - len(todo)
+        return np.array([self._cache[key] for key in keys], dtype=np.float64)

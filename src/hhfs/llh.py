@@ -35,8 +35,10 @@ scans a gene's output bits afresh whenever it moved, never carrying sums
 from one gene to the next, so every merit depends on the bits alone. Masks are read-only,
 so running genes is a pure function of (mask, rng state): it cannot
 mutate its input, and replaying a seed replays the output bit-exactly.
-A call that leaves every bit unchanged returns its input object, so
-callers can tell "did not move" by identity.
+``apply`` and ``run_genes`` return their input object when no bit
+changes, so callers can tell "did not move" by identity; ``run_generation``
+returns a generation's final masks as one (rows, N) bool matrix, an
+unmoved row holding the input's bits.
 One gene does one bounded pass - SDHC scans one Hamming-1 neighborhood,
 NAHC/DBHC sweep the positions once - so the cost of applying a whole
 chromosome of heuristics stays predictable.
@@ -81,15 +83,16 @@ class LlhContext:
 
 def _run_rows(population, draws, mask: FeatureMask, cache: CorrelationCache,
               mutn_rate: float, invocations: np.ndarray,
-              improvements: np.ndarray) -> list[FeatureMask]:
+              improvements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_climb.generation`` of ``population`` from ``mask`` on ``draws``:
-    the final masks in row order, ``mask`` itself for an unmoved row."""
+    the (rows, N) bool final bits in row order, ``mask``'s bits in an
+    unmoved row, and each row's moved flag."""
     check_fits(mask, cache)
     bits = np.empty((len(population), mask.n), dtype=bool)
     moved = np.empty(len(population), dtype=bool)
     _climb.generation(population, draws, mask.bits, cache.feature_class,
                       cache.feature_feature, mutn_rate, invocations, improvements, bits, moved)
-    return [FeatureMask(row) if row_moved else mask for row, row_moved in zip(bits, moved)]
+    return bits, moved
 
 
 def run_genes(genes: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
@@ -102,9 +105,9 @@ def run_genes(genes: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
     ``improvements`` (int64, indexed by id). Returns the final mask:
     ``mask`` itself when no heuristic moved."""
     with bit_generator.lock:
-        [out] = _run_rows(genes[np.newaxis], bit_generator, mask, cache, mutn_rate,
-                          invocations, improvements)
-    return out
+        bits, moved = _run_rows(genes[np.newaxis], bit_generator, mask, cache, mutn_rate,
+                                invocations, improvements)
+    return FeatureMask(bits[0]) if moved[0] else mask
 
 
 def entropy_words(value: int, name: str = "value") -> list[int]:
@@ -133,14 +136,14 @@ def stream_keys(seed: int, gen: int, rows: int) -> np.ndarray:
 
 def run_generation(population: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
                    seed: int, gen: int, mutn_rate: float, invocations: np.ndarray,
-                   improvements: np.ndarray) -> list[FeatureMask]:
+                   improvements: np.ndarray) -> np.ndarray:
     """``run_genes`` on each row of ``population`` (C-contiguous int64, a
     chromosome per row) from ``mask``, row i drawing from
     ``PCG64([seed, 1, gen, i])``, all in one compiled call. Returns the
-    final masks in row order: ``mask`` itself for a row where no heuristic
-    moved."""
+    final masks' bits as one (rows, N) bool matrix in row order: ``mask``'s
+    bits in a row where no heuristic moved."""
     return _run_rows(population, stream_keys(seed, gen, len(population)), mask, cache,
-                     mutn_rate, invocations, improvements)
+                     mutn_rate, invocations, improvements)[0]
 
 
 @dataclass(frozen=True)

@@ -122,10 +122,10 @@ class SupervisorResult:
     fitness_computations: int
     fitness_cache_hits: int
     wall_time: float
-    # wall seconds spent in each phase of the run: heuristics, fitness (the
-    # CV computations and memo lookups, in this process, on its helper
-    # threads too where it has further cores), ga, report; the rest of
-    # wall_time is set-up
+    # wall seconds spent in each phase of the run: heuristics, fitness (a
+    # generation's bits matrix keyed into the memo and its new rows' CV
+    # computations, in this process, on its helper threads too where it has
+    # further cores), ga, report; the rest of wall_time is set-up
     phase_seconds: dict[str, float]
 
     @property
@@ -226,14 +226,14 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     with cores.Helpers(min(spare, cfg.population_size - 1)) as helpers:
         for gen in range(cfg.generations):
             t0 = time.perf_counter()
-            masks = llh.run_generation(population, incumbent, cache, cfg.seed, gen,
-                                       cfg.mutn_rate, stats.invocations, stats.improvements)
+            bits = llh.run_generation(population, incumbent, cache, cfg.seed, gen,
+                                      cfg.mutn_rate, stats.invocations, stats.improvements)
             t1 = time.perf_counter()
-            fits = np.array(evaluator.fitnesses(masks, helpers), dtype=np.float64)
+            fits = evaluator.fitnesses(bits, helpers)
             t2 = time.perf_counter()
             best_i = int(np.argmax(fits))
             if fits[best_i] > incumbent_fitness:
-                incumbent = masks[best_i]
+                incumbent = FeatureMask(bits[best_i])
                 incumbent_fitness = float(fits[best_i])
             history.append(GenerationRecord(
                 generation=gen,

@@ -222,22 +222,31 @@ class TestFitnessEvaluator:
         assert computed == first_seen
 
     def test_failing_fitness_call_leaves_counts_and_memo_unchanged(self, small_dataset):
-        ev = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=6))
+        # both entry points: a one-row fitness and a wrong-width fitnesses matrix
         good = FeatureMask([1, 0, 1, 0, 1, 0, 1, 0])
-        ev.fitness(good)
-        with pytest.raises(ValueError, match="does not match"):
-            ev.fitness(FeatureMask([1, 0, 1]))
-        assert (ev.computations, ev.hits) == (1, 0)
-        assert list(ev._cache) == [good.key()]
-        ev.fitness(good)
-        assert (ev.computations, ev.hits) == (1, 1)
+        narrow = np.array([[1, 0, 1], [0, 1, 1]], dtype=bool)
+        for failing in (lambda ev: ev.fitness(FeatureMask(narrow[0])),
+                        lambda ev: ev.fitnesses(narrow)):
+            ev = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=6))
+            ev.fitness(good)
+            with pytest.raises(ValueError,
+                               match="^mask over 3 features does not match dataset with 8$"):
+                failing(ev)
+            assert (ev.computations, ev.hits) == (1, 0)
+            assert list(ev._cache) == [good.key()]
+            ev.fitness(good)
+            assert (ev.computations, ev.hits) == (1, 1)
 
+
+def rows(*masks: FeatureMask) -> np.ndarray:
+    """The masks' bits as one bits matrix, a mask per row."""
+    return np.array([m.bits for m in masks])
 
 
 class TestFitnesses:
-    """The batch path: a generation's distinct new masks computed first, by
-    this thread and the helper threads, then stored in order as consecutive
-    ``fitness`` calls would store them."""
+    """The batch path: a generation's bits matrix, its distinct new rows
+    computed first, by this thread and the helper threads, then stored in
+    order as consecutive ``fitness`` calls would store them."""
 
     @pytest.mark.parametrize("helpers", [0, 1, 3])
     def test_repeats_are_hits_and_values_are_fresh_cv_accuracies(self, small_dataset,
@@ -248,9 +257,10 @@ class TestFitnesses:
         proto = CvProtocol(folds=5, base_seed=6)
         ev = FitnessEvaluator(small_dataset, proto)
         with cores.Helpers(helpers) as pool:
-            values = ev.fitnesses([a, b, a, c, b], pool)
+            values = ev.fitnesses(rows(a, b, a, c, b), pool)
         fresh = [cv_accuracy(small_dataset, m, proto) for m in (a, b, a, c, b)]
-        assert np.array(values).tobytes() == np.array(fresh).tobytes()
+        assert values.dtype == np.float64
+        assert values.tobytes() == np.array(fresh).tobytes()
         assert (ev.computations, ev.hits) == (3, 2)
         assert list(ev._cache) == [a.key(), b.key(), c.key()]  # first-occurrence order
 
@@ -273,12 +283,39 @@ class TestFitnesses:
         threads = threading.enumerate()
         with cores.Helpers(1) as pool:
             with pytest.raises(RuntimeError, match="^a helper's computation failed$"):
-                ev.fitnesses(masks, pool)
+                ev.fitnesses(rows(*masks), pool)
             assert (ev.computations, ev.hits) == (1, 0)
             assert list(ev._cache) == [masks[0].key()]
             monkeypatch.setattr(FitnessEvaluator, "_accuracies", accuracies)
-            assert ev.fitnesses(masks, pool) == [ev.fitness(m) for m in masks]  # still usable
+            assert (ev.fitnesses(rows(*masks), pool).tolist()
+                    == [ev.fitness(m) for m in masks])  # still usable
         assert threading.enumerate() == threads
+
+    @pytest.mark.parametrize("helpers", [None, 0])
+    def test_a_computation_raising_on_this_thread_leaves_memo_and_counters(
+            self, small_dataset, monkeypatch, helpers):
+        # three new rows, the second's computation raising: the first's
+        # value, computed already, is not stored either
+        rng = np.random.default_rng(5)
+        masks = [random_mask(8, rng) for _ in range(4)]
+        assert len({m.key() for m in masks}) == 4
+        ev = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=6))
+        ev.fitness(masks[0])
+        accuracies, calls = FitnessEvaluator._accuracies, []
+
+        def failing_second(self, idx):
+            calls.append(idx.tolist())
+            if len(calls) == 2:
+                raise RuntimeError("the second computation failed")
+            return accuracies(self, idx)
+
+        monkeypatch.setattr(FitnessEvaluator, "_accuracies", failing_second)
+        with cores.Helpers(helpers or 0) as pool:
+            with pytest.raises(RuntimeError, match="^the second computation failed$"):
+                ev.fitnesses(rows(*masks), None if helpers is None else pool)
+        assert calls == [m.selected_indices().tolist() for m in masks[1:3]]
+        assert (ev.computations, ev.hits) == (1, 0)
+        assert list(ev._cache) == [masks[0].key()]
 
     def test_more_threads_than_cores_under_fast_switching(self):
         # every thread computes into a work matrix of its own: a shared one
@@ -295,7 +332,7 @@ class TestFitnesses:
             for _ in range(5):
                 ev = FitnessEvaluator(d, proto)
                 with cores.Helpers(5) as pool:
-                    assert ev.fitnesses(masks, pool) == expected
+                    assert ev.fitnesses(rows(*masks), pool).tolist() == expected
                 assert (ev.computations, ev.hits) == (alone.computations, alone.hits)
                 assert ev._cache == alone._cache
         finally:

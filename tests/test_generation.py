@@ -155,13 +155,15 @@ def test_run_generation_returns_the_incumbent_for_unmoved_rows():
     out = llh.run_generation(population, mask, cache, 4, 2, 0.1, stats.invocations,
                              stats.improvements)
     _, moved, _ = generation(population, 4, 2, mask, cache)
-    assert [m is not mask for m in out] == moved.tolist()
+    assert out.dtype == bool and out.shape == (12, 6)
     assert 0 < moved.sum() < 12
-    for i, m in enumerate(out):
+    for i, row in enumerate(out):
         expected = llh.run_genes(population[i], mask, cache, np.random.PCG64([4, 1, 2, i]),
                                  0.1, np.zeros(NUM_LLH + 1, dtype=np.int64),
                                  np.zeros(NUM_LLH + 1, dtype=np.int64))
-        assert m == expected and not m.bits.flags.writeable
+        assert row.tolist() == expected.bits.tolist() and not expected.bits.flags.writeable
+        assert (expected is not mask) == moved[i]
+    assert (out[~moved] == mask.bits).all()
 
 
 class TestGenerationArguments:

@@ -505,13 +505,13 @@ class TestPooledGeneration:
         cfg = SupervisorConfig(population_size=12, generations=3, seed=4)
         proto = CvProtocol(folds=3, repeats=1, base_seed=4)
         keys = []
-        memo = FitnessEvaluator.fitness
+        memo = FitnessEvaluator.fitnesses
 
-        def recording(ev, mask):
-            keys.append((mask.key(), mask.key() in ev._cache))
-            return memo(ev, mask)
+        def recording(ev, bits, *helpers):
+            keys.extend((row.tobytes(), row.tobytes() in ev._cache) for row in bits)
+            return memo(ev, bits, *helpers)
 
-        monkeypatch.setattr(FitnessEvaluator, "fitness", recording)
+        monkeypatch.setattr(FitnessEvaluator, "fitnesses", recording)
         result = run_supervisor(d, cfg, proto)
         repeats = 0
         for g in range(cfg.generations):
@@ -524,6 +524,26 @@ class TestPooledGeneration:
         assert result.fitness_computations == len({k for k, _ in keys})
         assert result.fitness_computations + result.fitness_cache_hits == evaluations
         assert result.fitness_computations <= 8
+
+    def test_a_run_builds_a_feature_mask_per_accepted_advance(self, monkeypatch):
+        # a generation's masks stay one bits matrix: only the initial
+        # incumbent and each accepted row become FeatureMask objects
+        d = synthetic_dataset(n_instances=80, n_features=30, n_informative=6, seed=3)
+        cfg = SupervisorConfig(population_size=30, generations=30, seed=2)
+        built, init = [], FeatureMask.__init__
+
+        def counting(mask, bits):
+            built.append(mask)
+            init(mask, bits)
+
+        monkeypatch.setattr(FeatureMask, "__init__", counting)
+        result = run_supervisor(d, cfg, CvProtocol(folds=5, base_seed=2),
+                                {"2x5": CvProtocol(folds=5, repeats=2)})
+        fitness = [result.initial_fitness] + [g.incumbent_fitness for g in result.history]
+        advances = sum(after > before for before, after in zip(fitness, fitness[1:]))
+        assert advances > 1
+        assert len(built) == 1 + advances
+        assert built[-1] is result.mask
 
     def test_runs_in_process_inside_a_pool_worker(self, small_dataset):
         # a caller's daemonic pool worker may not fork; the run must not try
