@@ -49,18 +49,24 @@
    Every buffer is checked against n, the length of the bits, and every
    gene id against 1..16 before any is read.
 
-   nearest(columns, screen, radius, underflow, folds, work, out)
-   The 1NN fitness's neighbours: for the (k, n) selected columns x and each
-   row r of the (R, w) int32 fold labels, out[r][i] = the column j whose
-   label folds[r][j] is not row i's, of least distance from row i, ties to
-   the lowest j. The distance is the sum over l of (x[l][i] - x[l][j])^2,
-   each term rounded and added in ascending l (exact), which is pdist's
+   nearest(columns, screen, radius, underflow, folds, masks, work, out)
+   The 1NN fitness's neighbours: for each row m of the (M, N) bool masks,
+   x the (k, n) rows of the (N, n) columns it selects, and each row r of
+   the (R, w) int32 fold labels, out[m][r][i] = the column j whose label
+   folds[r][j] is not row i's, of least distance from row i, ties to the
+   lowest j. The distance is the sum over l of (x[l][i] - x[l][j])^2, each
+   term rounded and added in ascending l (exact), which is pdist's
    "sqeuclidean" bit for bit. w is n rounded up to SCREEN_LANES (the
-   module's constant, 16); labels past n are never read.
+   module's constant, 16); labels past n are never read. The (T, n, w)
+   work holds a matrix per thread: this one and T - 1 started here (M in
+   all at most) each take the next mask off one cursor, gather its rows
+   into buffers of their own and compute it; a thread that cannot start
+   leaves its share to the others, and all are joined before the call
+   returns, with the same bits whichever thread computed a mask.
 
    It filters in float32 and refines in float64 (Seidl and Kriegel,
    "Optimal multi-step k-nearest neighbor search", SIGMOD 1998). screen is
-   a (k, w) float32 copy y of the columns in units of its own: column l
+   an (N, w) float32 copy y of the columns in units of its own: column l
    less a constant, times one power of two 2^e, and rounded, off that
    exact value by at most radius[l]. work gets the n x w float32 distances
    S of y's rows, summed in the same order, BLOCK rows and SCREEN_LANES
@@ -93,13 +99,13 @@
    underflow is inf. The buffers' kinds and shapes, a finite screen, two
    labels at least in each fold row's first n, and work and out against
    overlapping any other buffer are checked before work is written, and the
-   work runs without the GIL, so threads that each own a work and an out
-   compute at once. */
+   call computes without the GIL, so other Python threads run meanwhile. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <float.h>
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -936,53 +942,112 @@ nearest_rows(const double *x, const float *y, Py_ssize_t k, Py_ssize_t n, Py_ssi
     }
 }
 
+/* A nearest call's buffers (see nearest) and its cursor, the next mask to
+   take, which every thread of the call advances. */
+struct batch {
+    const double *columns, *radius;
+    const float *screen;
+    const int32_t *folds;
+    const char *masks;
+    int64_t *out;
+    Py_ssize_t features, n, w, repeats, count, next;
+    double underflow;
+};
+
+/* One thread of a nearest call: its n x w work and its buffers for a
+   mask's columns x and their float32 copy y, N rows each at most. */
+struct worker {
+    struct batch *batch;
+    float *work, *y;
+    double *x;
+    pthread_t thread;
+    int started;
+};
+
+/* A worker's loop: the next mask off the cursor, until none is left: its
+   columns gathered, in ascending order, its bound's constants from its k
+   and its radii, and its neighbours into its rows of out. */
+static void *
+work_masks(void *arg)
+{
+    const struct worker *me = arg;
+    struct batch *c = me->batch;
+    Py_ssize_t n = c->n, w = c->w, m;
+    while ((m = __atomic_fetch_add(&c->next, 1, __ATOMIC_RELAXED)) < c->count) {
+        const char *mask = c->masks + m * c->features;
+        Py_ssize_t k = 0;
+        double r2 = 0.0;
+        for (Py_ssize_t l = 0; l < c->features; l++) {
+            if (!mask[l])
+                continue;
+            memcpy(me->x + k * n, c->columns + l * n, n * sizeof *me->x);
+            memcpy(me->y + k * w, c->screen + l * w, w * sizeof *me->y);
+            r2 += c->radius[l] * c->radius[l];
+            k++;
+        }
+        double e32 = (double)(k + 2) * 0x1p-24, e64 = (double)(k + 2) * 0x1p-53;
+        struct bound b = {e32 / (1.0 - e32), e64 / (1.0 - e64), 2.0 * sqrt(r2) * (1.0 + 0x1p-40),
+                          (double)k * 0x1p-124, (double)k * c->underflow,
+                          !(e32 < 0.5) || c->underflow == INFINITY};
+        nearest_rows(me->x, me->y, k, n, w, c->folds, c->repeats, &b, me->work,
+                     c->out + m * c->repeats * n);
+    }
+    return NULL;
+}
+
 static PyObject *
 nearest(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 7) {
+    if (nargs != 8) {
         PyErr_Format(PyExc_TypeError,
-                     "nearest(columns, screen, radius, underflow, folds, work, out)"
-                     " takes 7 arguments, %zd given", nargs);
+                     "nearest(columns, screen, radius, underflow, folds, masks, work, out)"
+                     " takes 8 arguments, %zd given", nargs);
         return NULL;
     }
-    Py_buffer columns = {0}, screen = {0}, radius = {0}, folds = {0}, work = {0}, out = {0};
-    Py_buffer *views[] = {&columns, &screen, &radius, &folds, &work, &out};
+    Py_buffer columns = {0}, screen = {0}, radius = {0}, folds = {0}, masks = {0}, work = {0},
+              out = {0};
+    Py_buffer *views[] = {&columns, &screen, &radius, &folds, &masks, &work, &out};
     PyObject *result = NULL;
+    struct worker *workers = NULL;
+    char *gathered = NULL;
     if (get_buffer(args[0], &columns, "columns", FLOAT64, 2, -1, 0) < 0)
         goto done;
-    Py_ssize_t k = columns.shape[0], n = columns.shape[1];
+    Py_ssize_t features = columns.shape[0], n = columns.shape[1];
     Py_ssize_t w = (n + SCREEN_LANES - 1) / SCREEN_LANES * SCREEN_LANES;
     if (get_buffer(args[1], &screen, "screen", FLOAT32, 2, -1, 0) < 0
-        || get_buffer(args[2], &radius, "radius", FLOAT64, 1, k, 0) < 0
+        || get_buffer(args[2], &radius, "radius", FLOAT64, 1, features, 0) < 0
         || get_buffer(args[4], &folds, "folds", INT32, 2, -1, 0) < 0
-        || get_buffer(args[5], &work, "work", FLOAT32, 2, -1, 1) < 0
-        || get_buffer(args[6], &out, "out", INT64, 2, -1, 1) < 0)
+        || get_buffer(args[5], &masks, "masks", BOOL, 2, -1, 0) < 0
+        || get_buffer(args[6], &work, "work", FLOAT32, 3, -1, 1) < 0
+        || get_buffer(args[7], &out, "out", INT64, 3, -1, 1) < 0)
         goto done;
-    Py_ssize_t repeats = folds.shape[0];
-    if (screen.shape[0] != k || screen.shape[1] != w || folds.shape[1] != w
-        || work.shape[0] != n || work.shape[1] != w
-        || out.shape[0] != repeats || out.shape[1] != n) {
+    Py_ssize_t repeats = folds.shape[0], count = masks.shape[0], threads = work.shape[0];
+    if (screen.shape[0] != features || screen.shape[1] != w || folds.shape[1] != w
+        || masks.shape[1] != features || threads < 1 || work.shape[1] != n
+        || work.shape[2] != w || out.shape[0] != count || out.shape[1] != repeats
+        || out.shape[2] != n) {
         PyErr_Format(PyExc_ValueError,
                      "for (%zd, %zd) columns, nearest needs a (%zd, %zd) screen, (R, %zd) folds,"
-                     " a (%zd, %zd) work and an (R, %zd) out", k, n, k, w, w, n, w, n);
+                     " (M, %zd) masks, a (T, %zd, %zd) work of T >= 1 threads and an (M, R, %zd)"
+                     " out", features, n, features, w, w, features, n, w, n);
         goto done;
     }
-    double underflow = PyFloat_AsDouble(args[3]), r2 = 0.0;
+    double underflow = PyFloat_AsDouble(args[3]);
     if (underflow == -1.0 && PyErr_Occurred())
         goto done;
-    for (Py_ssize_t l = 0; l < k; l++)
-        r2 += ((const double *)radius.buf)[l] * ((const double *)radius.buf)[l];
     int finite = 1;  /* so the distances are too, or inf, and never NaN */
-    for (Py_ssize_t v = 0; v < k * w; v++)
+    for (Py_ssize_t v = 0; v < features * w; v++)
         finite &= fabsf(((const float *)screen.buf)[v]) <= FLT_MAX;
-    if (!finite || isnan(r2) || !(underflow >= 0.0)) {
+    for (Py_ssize_t l = 0; l < features; l++)
+        finite &= !isnan(((const double *)radius.buf)[l]);
+    if (!finite || !(underflow >= 0.0)) {
         PyErr_SetString(PyExc_ValueError, "screen must be finite, radius must hold no NaN"
                         " and underflow must be at least 0");
         goto done;
     }
-    Py_buffer *inputs[] = {&columns, &screen, &radius, &folds};
+    Py_buffer *inputs[] = {&columns, &screen, &radius, &folds, &masks};
     int overlaps = overlap(&out, &work);
-    for (int v = 0; v < 4; v++)
+    for (int v = 0; v < 5; v++)
         overlaps |= overlap(&work, inputs[v]) || overlap(&out, inputs[v]);
     if (overlaps) {
         PyErr_SetString(PyExc_ValueError, "work and out must overlap no other buffer");
@@ -998,20 +1063,37 @@ nearest(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
             goto done;
         }
     }
-    struct bound b;
-    double e32 = (double)(k + 2) * 0x1p-24, e64 = (double)(k + 2) * 0x1p-53;
-    b.open = !(e32 < 0.5) || underflow == INFINITY;
-    b.g32 = e32 / (1.0 - e32);
-    b.g64 = e64 / (1.0 - e64);
-    b.rho = 2.0 * sqrt(r2) * (1.0 + 0x1p-40);
-    b.pad32 = (double)k * 0x1p-124;
-    b.pad64 = (double)k * underflow;
+    /* the threads, this one among them (alone where there is no mask), and
+       each one's x, then y */
+    Py_ssize_t started = count < 1 ? 1 : threads < count ? threads : count;
+    Py_ssize_t each = columns.len + screen.len;
+    workers = PyMem_Calloc(started, sizeof *workers);
+    gathered = each && started > PY_SSIZE_T_MAX / each ? NULL : PyMem_Malloc(started * each);
+    if (workers == NULL || gathered == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    struct batch c = {columns.buf, radius.buf, screen.buf, folds.buf, masks.buf, out.buf,
+                      features, n, w, repeats, count, 0, underflow};
+    for (Py_ssize_t t = 0; t < started; t++) {
+        char *mine = gathered + t * each;
+        workers[t] = (struct worker){.batch = &c, .work = (float *)work.buf + t * n * w,
+                                     .y = (float *)(mine + columns.len), .x = (double *)mine};
+    }
     Py_BEGIN_ALLOW_THREADS  /* every buffer is held, so other threads may run */
-    nearest_rows(columns.buf, screen.buf, k, n, w, folds.buf, repeats, &b, work.buf, out.buf);
+    for (Py_ssize_t t = 1; t < started; t++)  /* one refused leaves its share to the rest */
+        workers[t].started = pthread_create(&workers[t].thread, NULL, work_masks,
+                                            &workers[t]) == 0;
+    work_masks(&workers[0]);
+    for (Py_ssize_t t = 1; t < started; t++)
+        if (workers[t].started)
+            pthread_join(workers[t].thread, NULL);
     Py_END_ALLOW_THREADS
     result = Py_NewRef(Py_None);
 done:
-    release(views, 6);
+    PyMem_Free(workers);
+    PyMem_Free(gathered);
+    release(views, 7);
     return result;
 }
 
@@ -1030,8 +1112,9 @@ static PyMethodDef methods[] = {
      " of each consecutive pair of rows, then each gene to another id with probability"
      " p_mutation, in place"},
     {"nearest", (PyCFunction)(void (*)(void))nearest, METH_FASTCALL,
-     "nearest(columns, screen, radius, underflow, folds, work, out): out[r][i] = the"
-     " column in another fold of folds[r] nearest row i, ties to the lowest index"},
+     "nearest(columns, screen, radius, underflow, folds, masks, work, out): out[m][r][i]"
+     " = the column in another fold of folds[r] nearest row i over the columns masks[m]"
+     " selects, ties to the lowest index, on work.shape[0] threads"},
     {NULL, NULL, 0, NULL},
 };
 

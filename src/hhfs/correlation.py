@@ -56,7 +56,7 @@ def kernel_flags() -> list[str]:
     sources and libraries aside."""
     # every function starts a 64-byte line, so the heuristics' hot loops keep
     # their placement, and speed, when other code in the file changes size
-    flags = ["-O3", "-ffp-contract=off", "-falign-functions=64", "-fPIC", "-shared",
+    flags = ["-O3", "-ffp-contract=off", "-falign-functions=64", "-fPIC", "-shared", "-pthread",
              "-I" + sysconfig.get_paths()["include"], "-I" + np.get_include()]
     if sys.platform == "darwin":  # Python's symbols resolve at load, as in sysconfig's LDSHARED
         flags += ["-undefined", "dynamic_lookup"]

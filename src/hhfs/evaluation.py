@@ -22,11 +22,12 @@ matrix with each row's same-fold cells (its own among them) set to inf,
 which the tests check, and most rows need no float64 sum at all. The
 screen reads a float32 copy of the features, made once per evaluator:
 each column less its minimum, times one power of two that takes the
-widest range to at most 1, so no float32 distance overflows. Each thread
-that computes has an n x w float32 work matrix of its own (w is n rounded
-up to the kernel's 16 lanes), made on its first computation, and the
-kernel runs without the GIL, so a generation's masks can be computed on
-helper threads (``cores.Helpers``) beside the calling thread.
+widest range to at most 1, so no float32 distance overflows. A batch of
+masks is one kernel call, which computes them on as many threads as its
+work has n x w float32 matrices (w is n rounded up to the kernel's 16
+lanes), each thread taking the next mask, and joins them before it
+returns: a lone run computes a generation's new masks so, one thread per
+usable core.
 
 An evaluator refuses a dataset with a non-finite feature cell, naming its
 column, and one whose float64 distances could overflow, its column ranges'
@@ -38,12 +39,10 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import cores
 from .correlation import _climb
 from .dataset import Dataset, DatasetError, require_finite, stratified_folds
 from .mask import FeatureMask
@@ -97,13 +96,13 @@ def cv_accuracies(d: Dataset, mask: FeatureMask,
     Protocols of equal folds and base seed share folds, so each such group
     is scored once, at its largest repeats; r repeats read the first r."""
     _check_width(d, mask.n)
-    idx = mask.selected_indices()
-    if idx.size == 0:
+    if not mask.bits.any():
         return dict.fromkeys(protocols, 0.0)
     accs: dict[tuple[int, int], list[float]] = {}
     for p in sorted(protocols.values(), key=lambda p: -p.repeats):  # largest first
         if (p.folds, p.base_seed) not in accs:
-            accs[p.folds, p.base_seed] = FitnessEvaluator(d, p)._accuracies(idx)
+            hits = FitnessEvaluator(d, p)._hits(mask.bits[np.newaxis], 1)[0]
+            accs[p.folds, p.base_seed] = [int(h) / d.n_instances for h in hits]
     return {label: sum(accs[p.folds, p.base_seed][:p.repeats]) / p.repeats
             for label, p in protocols.items()}
 
@@ -115,9 +114,8 @@ class FitnessEvaluator:
     equals ``cv_accuracy`` bitwise. The cache key is the raw bit pattern,
     so a hit returns the stored accuracy with zero classification work.
     ``computations`` counts actual CV evaluations and ``hits`` counts
-    cache returns. Every computation reuses its thread's work matrix for
-    the screen's distances, and ``features.T`` and its float32 copy are
-    kept contiguous, so a mask's columns are one gather from each.
+    cache returns. The kernel reads ``features.T`` and its float32 copy,
+    both contiguous, and gathers each mask's columns from them itself.
     """
 
     def __init__(self, dataset: Dataset, protocol: CvProtocol):
@@ -155,55 +153,54 @@ class FitnessEvaluator:
         self._radius = np.ldexp(span, scale - 23) + 2.0 ** -124
         exponent = 2 * scale - 1020  # above 1023 for subnormal ranges: every column in reach
         self._underflow = math.ldexp(1.0, exponent) if exponent < 1024 else math.inf
-        self._local = threading.local()  # .work: this thread's n x w work matrix
+        self._work = np.empty((0, n, width), dtype=np.float32)  # grown to the threads asked for
         self._cache: dict[bytes, float] = {}
         self.computations = 0
         self.hits = 0
 
-    def _nearest(self, idx: np.ndarray) -> np.ndarray:
-        """Per repeat, each row's 1NN among the rows of other folds, seeing
-        only the (non-empty) columns ``idx``: a (repeats, n) index array."""
-        work = getattr(self._local, "work", None)
-        if work is None:
-            work = self._local.work = np.empty((self.dataset.n_instances,
-                                                self._folds.shape[1]), dtype=np.float32)
-        nearest = np.empty((len(self._folds), self.dataset.n_instances), dtype=np.int64)
-        _climb.nearest(self._columns[idx], self._screen[idx], self._radius[idx],
-                       self._underflow, self._folds, work, nearest)
-        return nearest
-
-    def _accuracies(self, idx: np.ndarray) -> list[float]:
-        """Per repeat, the 1NN accuracy over that repeat's folds, seeing
-        only the (non-empty) columns ``idx``."""
+    def _hits(self, bits: np.ndarray, threads: int) -> np.ndarray:
+        """Per row of ``bits``, a (rows, n_features) bool matrix of
+        non-empty masks, and per repeat, the count of rows whose 1NN in the
+        other folds, over the mask's columns, has their label: a (rows,
+        repeats) array, from one kernel call on ``threads`` threads."""
+        n = self.dataset.n_instances
+        if len(self._work) < threads:
+            self._work = np.empty((threads, n, self._folds.shape[1]), dtype=np.float32)
+        nearest = np.empty((len(bits), len(self._folds), n), dtype=np.int64)
+        _climb.nearest(self._columns, self._screen, self._radius, self._underflow,
+                       self._folds, bits, self._work[:threads], nearest)
         labels = self.dataset.labels
-        hits = np.count_nonzero(labels[self._nearest(idx)] == labels, axis=1)
-        return [int(h) / len(labels) for h in hits]
-
-    def _value(self, idx: np.ndarray) -> float:
-        """The CV accuracy seeing only the columns ``idx``; 0.0 for none."""
-        accs = self._accuracies(idx) if idx.size else [0.0]
-        return sum(accs) / len(accs)
+        return np.count_nonzero(labels[nearest] == labels, axis=2)
 
     def fitness(self, mask: FeatureMask) -> float:
         """The memoized CV accuracy of ``mask``: ``fitnesses`` of its bits
         as one row."""
         return float(self.fitnesses(mask.bits[np.newaxis])[0])
 
-    def fitnesses(self, bits: np.ndarray, helpers: cores.Helpers | None = None) -> np.ndarray:
+    def fitnesses(self, bits: np.ndarray, threads: int = 1) -> np.ndarray:
         """The memoized CV accuracy of each mask in ``bits``, a (rows,
-        n_features) bool matrix of one mask per row, as a float64 array. The
-        memo is keyed by a row's bytes (``FeatureMask.key``): a row seen
-        before, in this call too, is a hit. The distinct others are computed
-        first, in first-occurrence order, by this thread and ``helpers``'
-        threads (if any) pulling from one queue, and only then stored and
-        counted; so a computation that raises, in any thread, leaves the
-        memo and the counters as they were."""
+        n_features) bool matrix of one mask per row, as a float64 array;
+        any other input is refused before the memo is read. The memo is
+        keyed by a row's bytes (``FeatureMask.key``): a row seen before, in
+        this call too, is a hit. The distinct others are computed first, in
+        one kernel call on ``threads`` threads, and only then stored and
+        counted, in first-occurrence order; so a computation that raises
+        leaves the memo and the counters as they were. The work matrices
+        and the memo are the evaluator's: one call at a time per evaluator."""
+        if not (isinstance(bits, np.ndarray) and bits.dtype == np.bool_ and bits.ndim == 2):
+            raise ValueError("fitnesses needs a 2-d bool bits matrix, one mask per row")
         _check_width(self.dataset, bits.shape[1])
         keys = [row.tobytes() for row in bits]
-        todo = {key: np.flatnonzero(row) for key, row in zip(keys, bits)
-                if key not in self._cache}
-        values = (helpers or cores.Helpers(0)).map(self._value, list(todo.values()))
-        self._cache.update(zip(todo, values))
+        todo = list(dict.fromkeys(key for key in keys if key not in self._cache))
+        new = np.frombuffer(b"".join(todo), dtype=np.bool_).reshape(len(todo), bits.shape[1])
+        values = np.zeros(len(todo))  # the empty mask's 0.0
+        chosen = new.any(axis=1)
+        if chosen.any():  # a generation of memo hits calls no kernel
+            hits = self._hits(new[chosen], threads)
+            # each repeat's accuracy added in order, as sum() adds a list
+            sums = np.cumsum(hits / self.dataset.n_instances, axis=1)[:, -1]
+            values[chosen] = sums / len(self._folds)
+        self._cache.update(zip(todo, values.tolist()))
         self.computations += len(todo)
         self.hits += len(keys) - len(todo)
         return np.array([self._cache[key] for key in keys], dtype=np.float64)

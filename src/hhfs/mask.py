@@ -61,7 +61,8 @@ class FeatureMask:
 
     def key(self) -> bytes:
         """Hashable identity of the bit pattern, used as cache key: one
-        byte per bit, 0 or 1."""
+        byte per bit, 0 or 1, the bytes the fitness memo keys a bits
+        matrix's rows by."""
         return self.bits.tobytes()
 
     def to01(self) -> str:

@@ -124,8 +124,8 @@ class SupervisorResult:
     wall_time: float
     # wall seconds spent in each phase of the run: heuristics, fitness (a
     # generation's bits matrix keyed into the memo and its new rows' CV
-    # computations, in this process, on its helper threads too where it has
-    # further cores), ga, report; the rest of wall_time is set-up
+    # computations, one kernel call on a thread per usable core), ga,
+    # report; the rest of wall_time is set-up
     phase_seconds: dict[str, float]
 
     @property
@@ -191,11 +191,12 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     of more folds than instances, before any work starts.
 
     A run is one process: it starts no worker, whatever the cores. A
-    generation's heuristics are one compiled call, and its fitness is
-    computed after them, by this thread and, where ``cores.may_fork()``
-    allows, a helper thread per further usable core (at most one fewer than
-    the population). The helpers start once per run and are stopped and
-    joined before it returns or raises; the results do not depend on them.
+    generation's heuristics are one compiled call, and its new masks'
+    fitness one more after them, on a thread per usable core where
+    ``cores.may_fork()`` allows (at most one per chromosome), else on this
+    thread alone. The kernel starts those threads and joins them before it
+    returns, so none outlives a generation; the results do not depend on
+    them.
     """
     if dataset.n_features < 2:
         raise ValueError("the supervisor needs at least 2 features, "
@@ -222,29 +223,28 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     stats = LlhStats()
     history: list[GenerationRecord] = []
     phases = dict.fromkeys(("heuristics", "fitness", "ga", "report"), 0.0)
-    spare = cores.usable_cores() - 1 if cores.may_fork() else 0
-    with cores.Helpers(min(spare, cfg.population_size - 1)) as helpers:
-        for gen in range(cfg.generations):
-            t0 = time.perf_counter()
-            bits = llh.run_generation(population, incumbent, cache, cfg.seed, gen,
-                                      cfg.mutn_rate, stats.invocations, stats.improvements)
-            t1 = time.perf_counter()
-            fits = evaluator.fitnesses(bits, helpers)
-            t2 = time.perf_counter()
-            best_i = int(np.argmax(fits))
-            if fits[best_i] > incumbent_fitness:
-                incumbent = FeatureMask(bits[best_i])
-                incumbent_fitness = float(fits[best_i])
-            history.append(GenerationRecord(
-                generation=gen,
-                best_chromosome_fitness=float(fits[best_i]),
-                incumbent_fitness=incumbent_fitness,
-                incumbent_m=incumbent.selected_count(),
-            ))
-            population = _next_generation(population, fits, cfg, ga_rng)
-            phases["heuristics"] += t1 - t0
-            phases["fitness"] += t2 - t1
-            phases["ga"] += time.perf_counter() - t2
+    threads = min(cores.usable_cores(), cfg.population_size) if cores.may_fork() else 1
+    for gen in range(cfg.generations):
+        t0 = time.perf_counter()
+        bits = llh.run_generation(population, incumbent, cache, cfg.seed, gen,
+                                  cfg.mutn_rate, stats.invocations, stats.improvements)
+        t1 = time.perf_counter()
+        fits = evaluator.fitnesses(bits, threads)
+        t2 = time.perf_counter()
+        best_i = int(np.argmax(fits))
+        if fits[best_i] > incumbent_fitness:
+            incumbent = FeatureMask(bits[best_i])
+            incumbent_fitness = float(fits[best_i])
+        history.append(GenerationRecord(
+            generation=gen,
+            best_chromosome_fitness=float(fits[best_i]),
+            incumbent_fitness=incumbent_fitness,
+            incumbent_m=incumbent.selected_count(),
+        ))
+        population = _next_generation(population, fits, cfg, ga_rng)
+        phases["heuristics"] += t1 - t0
+        phases["fitness"] += t2 - t1
+        phases["ga"] += time.perf_counter() - t2
 
     t0 = time.perf_counter()
     reported = cv_accuracies(dataset, incumbent, report_protocols)

@@ -418,8 +418,9 @@ def test_run_records_a_column_whose_range_overflows(project, capsys):
     assert not (tmp_path / "out" / "wide").exists()
 
 
-# the message numpy gives when huge's n x n work matrix cannot be allocated
-TOO_LARGE = "Unable to allocate 13.4 GiB for an array with shape (60000, 60000) and data type float32"
+# the message numpy gives when huge's one-thread n x n work cannot be allocated
+TOO_LARGE = ("Unable to allocate 13.4 GiB for an array with shape (1, 60000, 60000) "
+             "and data type float32")
 
 
 def main_with_huge_in_4_gib(project, args):

@@ -14,7 +14,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 from conftest import (cv_accuracy_bruteforce, cv_accuracy_cdist_reference,
                       predict_1nn, random_mask, synthetic_dataset)
-from hhfs import cores, correlation, evaluation
+from hhfs import correlation, evaluation
 from hhfs.correlation import _climb
 from hhfs.dataset import Dataset, DatasetError, min_max_normalize, stratified_folds
 from hhfs.evaluation import CvProtocol, FitnessEvaluator, cv_accuracy, cv_accuracies
@@ -204,13 +204,13 @@ class TestFitnessEvaluator:
         ev = FitnessEvaluator(small_dataset, proto)
         expected = [cv_accuracy(small_dataset, m, proto) for m in (a, b, a, c, b)]
         computed = []
-        accuracies = FitnessEvaluator._accuracies
+        hits = FitnessEvaluator._hits
 
-        def recording(self, idx):
-            computed.append(idx.tolist())
-            return accuracies(self, idx)
+        def recording(self, bits, threads):
+            computed.extend(np.flatnonzero(row).tolist() for row in bits)
+            return hits(self, bits, threads)
 
-        monkeypatch.setattr(FitnessEvaluator, "_accuracies", recording)
+        monkeypatch.setattr(FitnessEvaluator, "_hits", recording)
         first_seen = [m.selected_indices().tolist() for m in (a, b, c)]
         values = [ev.fitness(m) for m in (a, b, a, c, b)]
         assert values == expected
@@ -222,15 +222,23 @@ class TestFitnessEvaluator:
         assert computed == first_seen
 
     def test_failing_fitness_call_leaves_counts_and_memo_unchanged(self, small_dataset):
-        # both entry points: a one-row fitness and a wrong-width fitnesses matrix
+        # both entry points: a one-row fitness and a wrong-width fitnesses
+        # matrix; and fitnesses of what is not a 2-d bool matrix, among them
+        # the memoized mask's bits as numbers, which must not be computed again
         good = FeatureMask([1, 0, 1, 0, 1, 0, 1, 0])
         narrow = np.array([[1, 0, 1], [0, 1, 1]], dtype=bool)
-        for failing in (lambda ev: ev.fitness(FeatureMask(narrow[0])),
-                        lambda ev: ev.fitnesses(narrow)):
+        width = "^mask over 3 features does not match dataset with 8$"
+        kind = "^fitnesses needs a 2-d bool bits matrix, one mask per row$"
+        for failing, message in [(lambda ev: ev.fitness(FeatureMask(narrow[0])), width),
+                                 (lambda ev: ev.fitnesses(narrow), width),
+                                 (lambda ev: ev.fitnesses(good.bits), kind),
+                                 (lambda ev: ev.fitnesses(rows(good) * 1.0), kind),
+                                 (lambda ev: ev.fitnesses(rows(good).astype(np.int64)), kind),
+                                 (lambda ev: ev.fitnesses(rows(good) * np.uint8(2)), kind),
+                                 (lambda ev: ev.fitnesses(rows(good).tolist()), kind)]:
             ev = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=6))
             ev.fitness(good)
-            with pytest.raises(ValueError,
-                               match="^mask over 3 features does not match dataset with 8$"):
+            with pytest.raises(ValueError, match=message):
                 failing(ev)
             assert (ev.computations, ev.hits) == (1, 0)
             assert list(ev._cache) == [good.key()]
@@ -245,8 +253,8 @@ def rows(*masks: FeatureMask) -> np.ndarray:
 
 class TestFitnesses:
     """The batch path: a generation's bits matrix, its distinct new rows
-    computed first, by this thread and the helper threads, then stored in
-    order as consecutive ``fitness`` calls would store them."""
+    computed first, in one kernel call on ``helpers + 1`` threads, then
+    stored in order as consecutive ``fitness`` calls would store them."""
 
     @pytest.mark.parametrize("helpers", [0, 1, 3])
     def test_repeats_are_hits_and_values_are_fresh_cv_accuracies(self, small_dataset,
@@ -256,8 +264,7 @@ class TestFitnesses:
         assert len({a.key(), b.key(), c.key()}) == 3
         proto = CvProtocol(folds=5, base_seed=6)
         ev = FitnessEvaluator(small_dataset, proto)
-        with cores.Helpers(helpers) as pool:
-            values = ev.fitnesses(rows(a, b, a, c, b), pool)
+        values = ev.fitnesses(rows(a, b, a, c, b), helpers + 1)
         fresh = [cv_accuracy(small_dataset, m, proto) for m in (a, b, a, c, b)]
         assert values.dtype == np.float64
         assert values.tobytes() == np.array(fresh).tobytes()
@@ -266,60 +273,56 @@ class TestFitnesses:
 
     def test_a_computation_raising_in_a_helper_leaves_memo_and_counters(self, small_dataset,
                                                                         monkeypatch):
+        # the kernel computes on two threads and joins them, then the call raises
         rng = np.random.default_rng(5)
         masks = [random_mask(8, rng) for _ in range(6)]
         ev = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=6))
         ev.fitness(masks[0])
-        accuracies, helper_started = FitnessEvaluator._accuracies, threading.Event()
+        hits = FitnessEvaluator._hits
 
-        def failing_in_helpers(self, idx):
-            if threading.current_thread() is threading.main_thread():
-                assert helper_started.wait(timeout=30)  # a helper holds another mask
-                return accuracies(self, idx)
-            helper_started.set()
+        def failing_after_the_kernel(self, bits, threads):
+            assert threads == 2
+            hits(self, bits, threads)
             raise RuntimeError("a helper's computation failed")
 
-        monkeypatch.setattr(FitnessEvaluator, "_accuracies", failing_in_helpers)
+        monkeypatch.setattr(FitnessEvaluator, "_hits", failing_after_the_kernel)
         threads = threading.enumerate()
-        with cores.Helpers(1) as pool:
-            with pytest.raises(RuntimeError, match="^a helper's computation failed$"):
-                ev.fitnesses(rows(*masks), pool)
-            assert (ev.computations, ev.hits) == (1, 0)
-            assert list(ev._cache) == [masks[0].key()]
-            monkeypatch.setattr(FitnessEvaluator, "_accuracies", accuracies)
-            assert (ev.fitnesses(rows(*masks), pool).tolist()
-                    == [ev.fitness(m) for m in masks])  # still usable
+        with pytest.raises(RuntimeError, match="^a helper's computation failed$"):
+            ev.fitnesses(rows(*masks), 2)
+        assert (ev.computations, ev.hits) == (1, 0)
+        assert list(ev._cache) == [masks[0].key()]
+        monkeypatch.setattr(FitnessEvaluator, "_hits", hits)
+        assert (ev.fitnesses(rows(*masks), 2).tolist()
+                == [ev.fitness(m) for m in masks])  # still usable
         assert threading.enumerate() == threads
 
     @pytest.mark.parametrize("helpers", [None, 0])
     def test_a_computation_raising_on_this_thread_leaves_memo_and_counters(
             self, small_dataset, monkeypatch, helpers):
-        # three new rows, the second's computation raising: the first's
-        # value, computed already, is not stored either
+        # three new rows, one kernel call computing them all and the call
+        # then raising: the values, computed already, are not stored
         rng = np.random.default_rng(5)
         masks = [random_mask(8, rng) for _ in range(4)]
         assert len({m.key() for m in masks}) == 4
         ev = FitnessEvaluator(small_dataset, CvProtocol(folds=5, base_seed=6))
         ev.fitness(masks[0])
-        accuracies, calls = FitnessEvaluator._accuracies, []
+        hits, calls = FitnessEvaluator._hits, []
 
-        def failing_second(self, idx):
-            calls.append(idx.tolist())
-            if len(calls) == 2:
-                raise RuntimeError("the second computation failed")
-            return accuracies(self, idx)
+        def failing(self, bits, threads):
+            calls.append((bits.tolist(), threads))
+            hits(self, bits, threads)
+            raise RuntimeError("the second computation failed")
 
-        monkeypatch.setattr(FitnessEvaluator, "_accuracies", failing_second)
-        with cores.Helpers(helpers or 0) as pool:
-            with pytest.raises(RuntimeError, match="^the second computation failed$"):
-                ev.fitnesses(rows(*masks), None if helpers is None else pool)
-        assert calls == [m.selected_indices().tolist() for m in masks[1:3]]
+        monkeypatch.setattr(FitnessEvaluator, "_hits", failing)
+        with pytest.raises(RuntimeError, match="^the second computation failed$"):
+            ev.fitnesses(rows(*masks), *([] if helpers is None else [helpers + 1]))
+        assert calls == [(rows(*masks[1:]).tolist(), 1)]
         assert (ev.computations, ev.hits) == (1, 0)
         assert list(ev._cache) == [masks[0].key()]
 
     def test_more_threads_than_cores_under_fast_switching(self):
-        # every thread computes into a work matrix of its own: a shared one
-        # would mix two masks' distances and change some values
+        # every kernel thread computes into a work matrix of its own: a
+        # shared one would mix two masks' distances and change some values
         d = synthetic_dataset(n_instances=200, n_features=30, n_informative=6, seed=9)
         rng = np.random.default_rng(21)
         masks = [random_mask(30, rng) for _ in range(40)] * 2
@@ -331,8 +334,7 @@ class TestFitnesses:
         try:
             for _ in range(5):
                 ev = FitnessEvaluator(d, proto)
-                with cores.Helpers(5) as pool:
-                    assert ev.fitnesses(rows(*masks), pool).tolist() == expected
+                assert ev.fitnesses(rows(*masks), 6).tolist() == expected
                 assert (ev.computations, ev.hits) == (alone.computations, alone.hits)
                 assert ev._cache == alone._cache
         finally:
@@ -485,10 +487,15 @@ class TestSqdist:
                 expected = reference_nearest(d, proto)
                 assert np.array_equal(checked_nearest(baseline, FitnessEvaluator(d, proto)),
                                       expected)
+                assert np.array_equal(mask_nearest(FitnessEvaluator(d, proto), np.arange(k),
+                                                   baseline), expected)
+                # and through the evaluator, whose module is the one patched in
+                hits = np.count_nonzero(d.labels[expected] == d.labels, axis=1)[np.newaxis]
+                everything = np.ones((1, k), dtype=bool)
                 monkeypatch.setattr(evaluation, "_climb", baseline)
-                assert np.array_equal(FitnessEvaluator(d, proto)._nearest(np.arange(k)), expected)
+                assert np.array_equal(FitnessEvaluator(d, proto)._hits(everything, 2), hits)
                 monkeypatch.setattr(evaluation, "_climb", _climb)
-                assert np.array_equal(FitnessEvaluator(d, proto)._nearest(np.arange(k)), expected)
+                assert np.array_equal(FitnessEvaluator(d, proto)._hits(everything, 2), hits)
 
     @pytest.mark.parametrize("case, message", [
         ("no-cc", "hhfs needs a C compiler: no `cc` on PATH to build {tmp}/_climb.c"),
@@ -667,18 +674,33 @@ def reference_nearest(d: Dataset, proto: CvProtocol, idx=None) -> np.ndarray:
     return np.stack([np.where(f[:, None] == f, np.inf, D).argmin(axis=1) for f in folds])
 
 
+def mask_nearest(ev: FitnessEvaluator, idx, climb=_climb) -> np.ndarray:
+    """The kernel's neighbours for ``ev``'s folds and the one mask selecting
+    its columns ``idx``: a one-mask batch on one thread, (repeats, n)."""
+    n = ev.dataset.n_instances
+    bits = np.zeros((1, ev.dataset.n_features), dtype=bool)
+    bits[0, idx] = True
+    work = np.empty((1, n, ev._folds.shape[1]), np.float32)
+    out = np.empty((1, len(ev._folds), n), np.int64)
+    climb.nearest(ev._columns, ev._screen, ev._radius, ev._underflow, ev._folds, bits, work,
+                  out)
+    return out[0]
+
+
 def nearest_in_folds(ev: FitnessEvaluator, folds, climb=_climb) -> tuple[np.ndarray, np.ndarray]:
     """The kernel's neighbours over all of ``ev``'s columns for the given
     fold rows (one label per instance) in place of the protocol's, and its
     float32 screen distances (work, -1 wherever the kernel leaves it: no
-    distance is negative, and -1 is not the NaN it must write)."""
+    distance is negative, and -1 is not the NaN it must write), from a
+    one-mask batch on one thread."""
     n = ev.dataset.n_instances
     padded = np.full((len(folds), ev._folds.shape[1]), -1, dtype=np.int32)
     padded[:, :n] = folds
-    work = np.full((n, padded.shape[1]), -1.0, np.float32)
-    out = np.empty((len(folds), n), np.int64)
-    climb.nearest(ev._columns, ev._screen, ev._radius, ev._underflow, padded, work, out)
-    return out, work
+    work = np.full((1, n, padded.shape[1]), -1.0, np.float32)
+    out = np.empty((1, len(folds), n), np.int64)
+    every = np.ones((1, ev.dataset.n_features), dtype=bool)
+    climb.nearest(ev._columns, ev._screen, ev._radius, ev._underflow, padded, every, work, out)
+    return out[0], work[0]
 
 
 def checked_nearest(climb, ev: FitnessEvaluator) -> np.ndarray:
@@ -751,7 +773,7 @@ class TestFloat32Screen:
         rng = np.random.default_rng(n)
         for idx in [np.arange(k), random_mask(k, rng).selected_indices(), [k - 1]]:
             idx = np.asarray(idx)
-            assert np.array_equal(ev._nearest(idx), reference_nearest(d, proto, idx))
+            assert np.array_equal(mask_nearest(ev, idx), reference_nearest(d, proto, idx))
 
     @pytest.mark.parametrize("k", [1, 2, 17])
     @pytest.mark.parametrize("n", EDGES)
@@ -769,7 +791,7 @@ class TestFloat32Screen:
         d, proto, masks = case
         ev = FitnessEvaluator(d, proto)
         for idx in masks:
-            assert np.array_equal(ev._nearest(idx), reference_nearest(d, proto, idx))
+            assert np.array_equal(mask_nearest(ev, idx), reference_nearest(d, proto, idx))
 
     def test_distances_that_underflow_in_float64_keep_the_reference_neighbours(self):
         # squared differences near 1e-320 are subnormal in float64, where the
@@ -780,8 +802,7 @@ class TestFloat32Screen:
             d, proto = screen_case(scale * rng.normal(size=(60, 4)))
             ev = FitnessEvaluator(d, proto)
             for idx in ([0, 1, 2, 3], [2]):
-                assert np.array_equal(ev._nearest(np.array(idx)),
-                                      reference_nearest(d, proto, idx))
+                assert np.array_equal(mask_nearest(ev, idx), reference_nearest(d, proto, idx))
 
     def test_terms_the_float32_sum_drops_keep_the_reference_neighbour(self):
         # row 2 is nearer row 0 than row 1 is only through 60 terms of row
@@ -811,55 +832,72 @@ class TestFloat32Screen:
         assert out[0, 0] == out[0, 32] == 31
 
     def test_helper_threads_find_what_one_thread_finds(self):
+        # every thread count, more threads than masks too, under fast
+        # switching: each mask taken off the cursor once, every row of out
+        # written (it starts at -1), each mask's rows one thread's bits and
+        # the reference's
         d = synthetic_dataset(n_instances=200, n_features=30, n_informative=6, seed=4)
         proto = CvProtocol(folds=10, repeats=2, base_seed=1)
         rng = np.random.default_rng(3)
-        masks = [random_mask(30, rng).selected_indices() for _ in range(24)]
-        alone = FitnessEvaluator(d, proto)
-        expected = [alone._nearest(idx) for idx in masks]
         ev = FitnessEvaluator(d, proto)
+        bits = np.array([random_mask(30, rng).bits for _ in range(24)])
+        M, n = len(bits), d.n_instances
+        found = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with cores.Helpers(3) as pool:
-                found = pool.map(ev._nearest, masks)
+            for threads in (1, 2, 3, M, M + 3):
+                work = np.empty((threads, n, ev._folds.shape[1]), np.float32)
+                out = np.full((M, proto.repeats, n), -1, np.int64)
+                _climb.nearest(ev._columns, ev._screen, ev._radius, ev._underflow, ev._folds,
+                               bits, work, out)
+                found[threads] = out
         finally:
             sys.setswitchinterval(interval)
-        assert all(np.array_equal(a, b) for a, b in zip(found, expected))
+        for threads, out in found.items():
+            assert (out >= 0).all()
+            assert out.tobytes() == found[1].tobytes(), threads
+        for mask, out in zip(bits, found[1]):
+            assert np.array_equal(out, reference_nearest(d, proto, np.flatnonzero(mask)))
 
     def test_kernel_refuses_what_it_cannot_screen(self):
         d, proto = screen_case(sqdist_data("random", 20, 3, seed=1))
         ev = FitnessEvaluator(d, proto)
-        idx = np.arange(3)
-        columns, screen, radius = ev._columns[idx], ev._screen[idx], ev._radius[idx]
-        work, out = np.empty((20, 32), np.float32), np.empty((3, 20), np.int64)
-        good = [columns, screen, radius, ev._underflow, ev._folds, work, out]
+        columns, screen, masks = ev._columns, ev._screen, np.ones((1, 3), dtype=bool)
+        work, out = np.empty((2, 20, 32), np.float32), np.empty((1, 3, 20), np.int64)
+        good = [columns, screen, ev._radius, ev._underflow, ev._folds, masks, work, out]
         assert _climb.nearest(*good) is None
-        assert np.array_equal(out, reference_nearest(d, proto))
+        assert np.array_equal(out[0], reference_nearest(d, proto))
 
-        def refused(position, value, error=ValueError, count=7):
+        def refused(position, value, error=ValueError, count=8):
             # the kernel refuses before it writes: work and out are as they were
             args = list(good)
             args[position] = value
-            before = [args[5].tobytes(), args[6].tobytes()]
+            before = [args[6].tobytes(), args[7].tobytes()]
             with pytest.raises(error) as info:
                 _climb.nearest(*args[:count])
-            assert [args[5].tobytes(), args[6].tobytes()] == before
+            assert [args[6].tobytes(), args[7].tobytes()] == before
             return str(info.value)
 
-        assert refused(0, columns, TypeError, count=6).endswith("takes 7 arguments, 6 given")
+        assert refused(0, columns, TypeError, count=7).endswith("takes 8 arguments, 7 given")
         assert "columns must hold float64" in refused(0, columns.astype(np.float32))
         assert "columns must be C-contiguous" in refused(0, np.asfortranarray(columns))
         assert "bytes-like object is required" in refused(0, columns.tolist(), TypeError)
-        for position in (5, 6):
+        for position in (6, 7):
             read_only = good[position].copy()
             read_only.flags.writeable = False
             assert "read-only" in refused(position, read_only)
         assert "must hold float32" in refused(1, screen.astype(np.float64))
         assert "must hold int32" in refused(4, ev._folds.astype(np.int64))
-        assert "needs a (3, 32) screen" in refused(1, screen[:, :16].copy())
-        assert "needs a (3, 32) screen" in refused(5, np.empty((20, 20), np.float32))
-        assert "needs a (3, 32) screen" in refused(6, np.empty((2, 20), np.int64))
+        assert "masks must hold bools" in refused(5, masks.astype(np.uint8))
+        assert refused(6, work[0]) == "work must have 3 dimension(s), not 2"
+        assert refused(7, out[0]) == "out must have 3 dimension(s), not 2"
+        shapes = [(1, screen[:, :16].copy()), (5, np.ones((1, 2), dtype=bool)),
+                  (6, np.empty((2, 20, 20), np.float32)), (6, np.empty((0, 20, 32), np.float32)),
+                  (7, np.empty((1, 2, 20), np.int64)), (7, np.empty((2, 3, 20), np.int64))]
+        for position, value in shapes:
+            assert "needs a (3, 32) screen, (R, 32) folds, (M, 3) masks" in refused(position,
+                                                                                    value)
         one_fold = ev._folds.copy()
         one_fold[1, :20] = 4
         assert refused(4, one_fold) == "folds[1] puts every row in one fold"
@@ -868,8 +906,11 @@ class TestFloat32Screen:
                                 (2, np.full(3, np.nan)), (3, -1.0), (3, np.nan)]:
             assert refused(position, value).startswith("screen must be finite")
         assert refused(3, "1", TypeError) == "must be real number, not str"
-        in_work = work.view(np.int64).reshape(-1)[:60].reshape(3, 20)
-        assert refused(6, in_work) == "work and out must overlap no other buffer"
+        in_work = work.view(np.int64).reshape(-1)[:60].reshape(1, 3, 20)
+        in_out = out.view(np.bool_).reshape(-1)[:3].reshape(1, 3)
+        in_work_masks = work.view(np.bool_).reshape(-1)[:3].reshape(1, 3)
+        for position, value in [(7, in_work), (5, in_out), (5, in_work_masks)]:
+            assert refused(position, value) == "work and out must overlap no other buffer"
 
 
 class TestDegenerateFolds:

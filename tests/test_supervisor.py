@@ -17,7 +17,7 @@ from conftest import (MeritScan, OracleContext, StubRng, best_flip_oracle, breed
                       oracle_next_generation, oracle_run_genes, record_call,
                       synthetic_dataset)
 from hhfs import llh
-from hhfs.correlation import build_cache, cfs_merit
+from hhfs.correlation import _climb, build_cache, cfs_merit
 from hhfs.dataset import Dataset, DatasetError, load_csv
 from hhfs.evaluation import CvProtocol, FitnessEvaluator
 from hhfs.experiment import _run_record
@@ -507,9 +507,9 @@ class TestPooledGeneration:
         keys = []
         memo = FitnessEvaluator.fitnesses
 
-        def recording(ev, bits, *helpers):
+        def recording(ev, bits, *threads):
             keys.extend((row.tobytes(), row.tobytes() in ev._cache) for row in bits)
-            return memo(ev, bits, *helpers)
+            return memo(ev, bits, *threads)
 
         monkeypatch.setattr(FitnessEvaluator, "fitnesses", recording)
         result = run_supervisor(d, cfg, proto)
@@ -602,18 +602,18 @@ class TestPooledGeneration:
 @pytest.fixture
 def fitness_pids(monkeypatch, tmp_path):
     """Log the pid of every fitness computation (a call of
-    ``FitnessEvaluator._accuracies``), in whichever process it runs;
-    returns a reader of the logged pids."""
+    ``FitnessEvaluator._hits``), in whichever process it runs; returns a
+    reader of the logged pids."""
     log = tmp_path / "fitness_pids"
     log.touch()
-    accuracies = FitnessEvaluator._accuracies
+    hits = FitnessEvaluator._hits
 
-    def logged(ev, idx):
+    def logged(ev, bits, threads):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return accuracies(ev, idx)
+        return hits(ev, bits, threads)
 
-    monkeypatch.setattr(FitnessEvaluator, "_accuracies", logged)
+    monkeypatch.setattr(FitnessEvaluator, "_hits", logged)
     return lambda: [int(pid) for pid in log.read_text().split()]
 
 
@@ -665,10 +665,29 @@ class TestFitnessWorker:
         assert multiprocessing.active_children() == []
 
 
+def os_threads() -> int | None:
+    """This process's OS thread count, where /proc lists it (Linux), once it
+    holds for 10 ms: a joined Python thread leaves the list a moment after
+    its join returns, as an earlier test's may."""
+    if not os.path.isdir("/proc/self/task"):
+        return None
+    count = None
+    for _ in range(100):
+        now = len(os.listdir("/proc/self/task"))
+        if now == count:
+            break
+        count = now
+        time.sleep(0.01)
+    return count
+
+
 class TestHelperThreads:
-    """A lone run computes each generation's fitness on this thread and one
-    helper thread per further usable core: the results are a one-core
-    run's, and no thread is left after a run, a failure or an interrupt."""
+    """A lone run computes each generation's new masks in one kernel call
+    on a thread per usable core, at most one per chromosome, which the
+    kernel starts and joins (the class keeps the name from when the threads
+    were helpers that lived for a whole run): the results are a one-core
+    run's, the run starts no Python thread, and after a run, a failure or
+    an interrupt the process has the OS threads it had before."""
 
     def run_args(self, dataset):
         cfg = SupervisorConfig(population_size=8, generations=3, seed=6)
@@ -691,10 +710,19 @@ class TestHelperThreads:
     def test_one_helper_per_further_core_and_fewer_than_the_population(
             self, monkeypatch, small_dataset, count, helpers):
         on_cores(monkeypatch, count)
-        threads = threading.enumerate()
-        started = _threads_started_by_run(self.run_args(small_dataset))
-        assert started == ["hhfs-helper"] * helpers
+        shapes, nearest = [], _climb.nearest
+
+        def recording(*args):
+            shapes.append(args[6].shape[0])  # work's first axis: the thread count
+            return nearest(*args)
+
+        monkeypatch.setattr(_climb, "nearest", recording)
+        threads, tasks = threading.enumerate(), os_threads()
+        assert _threads_started_by_run(self.run_args(small_dataset)) == []
+        assert shapes[0] == 1  # the initial incumbent, one mask
+        assert len(shapes) > 1 and set(shapes[1:]) == {helpers + 1}  # each generation's
         assert threading.enumerate() == threads
+        assert os_threads() == tasks
 
     def test_run_inside_a_pool_worker_starts_no_thread(self, monkeypatch, small_dataset):
         on_cores(monkeypatch, 2)  # the forked worker inherits it
@@ -704,22 +732,19 @@ class TestHelperThreads:
         assert started == []
 
     def fail_in(self, monkeypatch, where: str, exc: BaseException) -> None:
-        """Make a generation's fitness raise ``exc`` from a helper's
-        computation or from this thread's, while the other thread computes."""
-        accuracies, other_busy = FitnessEvaluator._accuracies, threading.Event()
+        """Make a generation's fitness raise ``exc`` from its kernel call:
+        once the kernel's threads computed and were joined ("helper"), or
+        on this thread before it starts any ("caller")."""
+        nearest = _climb.nearest
 
-        def failing(ev, idx):
-            if not any(t.name == "hhfs-helper" for t in threading.enumerate()):
-                return accuracies(ev, idx)  # the initial incumbent
-            here = "caller" if threading.current_thread() is threading.main_thread() else "helper"
-            if here != where:
-                other_busy.set()
-                time.sleep(0.05)  # still computing when the other thread raises
-                return accuracies(ev, idx)
-            assert other_busy.wait(timeout=30)
+        def failing(*args):
+            if args[6].shape[0] == 1:
+                return nearest(*args)  # the initial incumbent
+            if where == "helper":
+                nearest(*args)
             raise exc
 
-        monkeypatch.setattr(FitnessEvaluator, "_accuracies", failing)
+        monkeypatch.setattr(_climb, "nearest", failing)
 
     @pytest.mark.parametrize("where", ["helper", "caller"])
     @pytest.mark.parametrize("exc", [RuntimeError("a computation failed"), KeyboardInterrupt()],
@@ -728,7 +753,8 @@ class TestHelperThreads:
                                                              where, exc):
         on_cores(monkeypatch, 2)
         self.fail_in(monkeypatch, where, exc)
-        threads = threading.enumerate()
+        threads, tasks = threading.enumerate(), os_threads()
         with pytest.raises(type(exc)):
             run_supervisor(*self.run_args(small_dataset))
         assert threading.enumerate() == threads
+        assert os_threads() == tasks
