@@ -49,39 +49,42 @@
    Every buffer is checked against n, the length of the bits, and every
    gene id against 1..16 before any is read.
 
-   nearest(columns, screen, radius, underflow, folds, masks, work, out)
-   The 1NN fitness's neighbours: for each row m of the (M, N) bool masks,
-   x the (k, n) rows of the (N, n) columns it selects, and each row r of
-   the (R, w) int32 fold labels, out[m][r][i] = the column j whose label
+   nearest(columns, low, span, folds, masks, work, out)
+   The 1NN fitness's neighbours: for each row m of the (M, N) bool masks, x
+   the (k, n) rows of the (N, n) columns it selects, and each row r of the
+   (R, n) int32 fold labels, out[m][r][i] = the column j whose label
    folds[r][j] is not row i's, of least distance from row i, ties to the
    lowest j. The distance is the sum over l of (x[l][i] - x[l][j])^2, each
    term rounded and added in ascending l (exact), which is pdist's
-   "sqeuclidean" bit for bit. w is n rounded up to SCREEN_LANES (the
-   module's constant, 16); labels past n are never read. The (T, n, w)
-   work holds a matrix per thread: this one and T - 1 started here (M in
-   all at most) each take the next mask off one cursor, gather its rows
-   into buffers of their own and compute it; a thread that cannot start
-   leaves its share to the others, and all are joined before the call
-   returns, with the same bits whichever thread computed a mask.
+   "sqeuclidean" bit for bit. low and span hold each column's least value
+   and range. The (T, n, w) work, w being n rounded up to SCREEN_LANES (16),
+   holds a matrix per thread: this one and T - 1 started here (M in all at
+   most) each take the next mask off one cursor, gather its rows into
+   buffers of their own and compute it; a thread that cannot start leaves
+   its share to the others, and all are joined before the call returns, the
+   bits the same whichever thread computed a mask.
 
-   It filters in float32 and refines in float64 (Seidl and Kriegel,
-   "Optimal multi-step k-nearest neighbor search", SIGMOD 1998). screen is
-   an (N, w) float32 copy y of the columns in units of its own: column l
-   less a constant, times one power of two 2^e, and rounded, off that
-   exact value by at most radius[l]. work gets the n x w float32 distances
-   S of y's rows, summed in the same order, BLOCK rows and SCREEN_LANES
-   columns at a time, in registers, on AVX-512 where the CPU has it
-   (nearest_rows, each term's square there fused into its add). For row i,
-   with m the S of a column in another fold (the least, as a rule:
-   nearest_of), every column in another fold with S <= T(m) is a
-   candidate, and the candidate of least float64 distance, ties to the
-   lowest j, is the neighbour; a lone candidate needs no float64 sum. The
-   bound T, after Higham, "Accuracy and Stability of Numerical Algorithms",
-   2nd ed., 2002, ch. 3-4: write s and d for the exact distances of y and
-   of the scaled columns, and D for the float64 sum times 2^2e. A term's
-   difference, its square and its (at most k - 1) additions round once each
-   (a fused square and add rounds once where this counts two, so within the
-   same bound), every term is non-negative, and so, with u = 2^-24,
+   It filters in float32 and refines in float64 (Seidl and Kriegel, "Optimal
+   multi-step k-nearest neighbor search", SIGMOD 1998). Per mask,
+   nearest_rows copies x to float32: row l less low[l], times the power of
+   two 2^e that takes the widest span to at most 1 (two exact factors past
+   2^1023), rounded once, is y, off that exact value by at most radius[l] =
+   span[l] 2^(e - 23) + 2^-124 (a float64 and a float32 rounding, and
+   subnormals, flushed to zero or not); a y off [0, 1], which only a low or
+   span other than the columns' gives, is taken as 0. work gets the n x w
+   float32 distances S of y's rows, summed in the same order, BLOCK rows and
+   SCREEN_LANES columns at a time, in registers, on AVX-512 where the CPU
+   has it (nearest_rows, each term's square there fused into its add). For
+   row i, with m the S of a column in another fold (the least, as a rule:
+   nearest_of), every column in another fold with S <= T(m) is a candidate,
+   and the candidate of least float64 distance, ties to the lowest j, is the
+   neighbour; a lone candidate needs no float64 sum. The bound T, after
+   Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed., 2002,
+   ch. 3-4: write s and d for the exact distances of y and of the scaled
+   columns, and D for the float64 sum times 2^2e. A term's difference, its
+   square and its (at most k - 1) additions round once each (a fused square
+   and add rounds once where this counts two, so within the same bound),
+   every term is non-negative, and so, with u = 2^-24,
    g32 = (k + 2)u / (1 - (k + 2)u) and g64 the same with u = 2^-53,
        s (1 - g32) - p32 <= S <= s (1 + g32) + p32,
        d (1 - g64) - p64 <= D <= d (1 + g64) + p64,
@@ -95,11 +98,12 @@
        S(i, j) <= T = (1 + g32)(sqrt(B) + rho)^2 + p32,
    so the neighbour is a candidate. T is summed in double, raised by 2^-40
    of itself for that arithmetic's rounding, and rounded up to float32; it
-   is inf, every column a candidate, where (k + 2) 2^-24 >= 1/2 or
-   underflow is inf. The buffers' kinds and shapes, a finite screen, two
-   labels at least in each fold row's first n, and work and out against
-   overlapping any other buffer are checked before work is written, and the
-   call computes without the GIL, so other Python threads run meanwhile. */
+   is inf, every column a candidate, where (k + 2) 2^-24 >= 1/2 or underflow
+   is inf (a subnormal widest span). The buffers' kinds and shapes, a finite
+   low, a finite span >= 0, two labels at least in each fold row, and work
+   and out against overlapping any other buffer are checked before work is
+   written, and the call computes without the GIL, so other Python threads
+   run meanwhile. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -910,17 +914,38 @@ nearest_of(const float *row, const int32_t *fold, struct lanes *st, Py_ssize_t i
     return p.j;
 }
 
-/* nearest's work: the screen's n x w out from the (k, w) float32 columns
-   y, each pair summed once, BLOCK rows at a time (screen_block), then the
-   diagonal and the padded columns NaN; then per row its lanes and, per
-   repeat r, its nearest column in another fold of folds[r], into
-   nearest[r]. The screen's squares are fused into its sums where the clone
-   has FMA (AVX-512); nearest_of, out of line, keeps its sums unfused. */
+/* A nearest call's buffers, e, 2^e as two exact factors and underflow (see
+   nearest), and its cursor, the next mask to take, for all its threads. */
+struct batch {
+    const double *columns, *low, *span;
+    int e;
+    double scale[2], underflow;
+    const int32_t *folds;
+    const char *masks;
+    int64_t *out;
+    Py_ssize_t features, n, w, repeats, count, next;
+};
+
+/* nearest's work for a mask's (k, n) columns x, their least values low:
+   their float32 copy y, the screen's n x w out from it, each pair summed
+   once, BLOCK rows at a time (screen_block), then the diagonal and the
+   padded columns NaN; then per row its lanes and, per repeat r, its nearest
+   column in another fold of folds[r], into nearest[r]. The copy and the
+   screen run on the clone's vector unit, the screen's squares fused into
+   its sums where it has FMA (AVX-512); nearest_of, out of line, keeps its
+   sums unfused. */
 WIDEST_VECTORS __attribute__((optimize("fp-contract=fast"))) static void
-nearest_rows(const double *x, const float *y, Py_ssize_t k, Py_ssize_t n, Py_ssize_t w,
-             const int32_t *folds, Py_ssize_t repeats, const struct bound *b, float *out,
-             int64_t *nearest)
+nearest_rows(const struct batch *c, const double *x, const double *low, Py_ssize_t k,
+             const struct bound *b, float *y, float *out, int64_t *nearest)
 {
+    Py_ssize_t n = c->n, w = c->w;
+    for (Py_ssize_t l = 0; l < k; l++) {
+        for (Py_ssize_t i = 0; i < n; i++) {
+            float v = (float)((x[l * n + i] - low[l]) * c->scale[0] * c->scale[1]);
+            y[l * w + i] = v >= 0.0f && v <= 1.0f ? v : 0.0f;
+        }
+        memset(y + l * w + n, 0, (w - n) * sizeof *y);
+    }
     float nan;
     memcpy(&nan, &(int32_t){QUIET_NAN}, sizeof nan);
     for (Py_ssize_t r = 0; r < n; r += BLOCK) {
@@ -937,29 +962,17 @@ nearest_rows(const double *x, const float *y, Py_ssize_t k, Py_ssize_t n, Py_ssi
     for (Py_ssize_t i = 0; i < n; i++) {
         struct lanes st;
         survey(out + i * w, w, &st);
-        for (Py_ssize_t t = 0; t < repeats; t++)
-            nearest[t * n + i] = nearest_of(out + i * w, folds + t * w, &st, i, b, x, k, n);
+        for (Py_ssize_t t = 0; t < c->repeats; t++)
+            nearest[t * n + i] = nearest_of(out + i * w, c->folds + t * n, &st, i, b, x, k, n);
     }
 }
 
-/* A nearest call's buffers (see nearest) and its cursor, the next mask to
-   take, which every thread of the call advances. */
-struct batch {
-    const double *columns, *radius;
-    const float *screen;
-    const int32_t *folds;
-    const char *masks;
-    int64_t *out;
-    Py_ssize_t features, n, w, repeats, count, next;
-    double underflow;
-};
-
 /* One thread of a nearest call: its n x w work and its buffers for a
-   mask's columns x and their float32 copy y, N rows each at most. */
+   mask's columns x, their least values and their copy y, N rows at most. */
 struct worker {
     struct batch *batch;
     float *work, *y;
-    double *x;
+    double *x, *low;
     pthread_t thread;
     int started;
 };
@@ -972,7 +985,7 @@ work_masks(void *arg)
 {
     const struct worker *me = arg;
     struct batch *c = me->batch;
-    Py_ssize_t n = c->n, w = c->w, m;
+    Py_ssize_t n = c->n, m;
     while ((m = __atomic_fetch_add(&c->next, 1, __ATOMIC_RELAXED)) < c->count) {
         const char *mask = c->masks + m * c->features;
         Py_ssize_t k = 0;
@@ -981,16 +994,16 @@ work_masks(void *arg)
             if (!mask[l])
                 continue;
             memcpy(me->x + k * n, c->columns + l * n, n * sizeof *me->x);
-            memcpy(me->y + k * w, c->screen + l * w, w * sizeof *me->y);
-            r2 += c->radius[l] * c->radius[l];
+            me->low[k] = c->low[l];
+            double radius = ldexp(c->span[l], c->e - 23) + 0x1p-124;
+            r2 += radius * radius;
             k++;
         }
         double e32 = (double)(k + 2) * 0x1p-24, e64 = (double)(k + 2) * 0x1p-53;
         struct bound b = {e32 / (1.0 - e32), e64 / (1.0 - e64), 2.0 * sqrt(r2) * (1.0 + 0x1p-40),
                           (double)k * 0x1p-124, (double)k * c->underflow,
                           !(e32 < 0.5) || c->underflow == INFINITY};
-        nearest_rows(me->x, me->y, k, n, w, c->folds, c->repeats, &b, me->work,
-                     c->out + m * c->repeats * n);
+        nearest_rows(c, me->x, me->low, k, &b, me->y, me->work, c->out + m * c->repeats * n);
     }
     return NULL;
 }
@@ -998,15 +1011,15 @@ work_masks(void *arg)
 static PyObject *
 nearest(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 8) {
+    if (nargs != 7) {
         PyErr_Format(PyExc_TypeError,
-                     "nearest(columns, screen, radius, underflow, folds, masks, work, out)"
-                     " takes 8 arguments, %zd given", nargs);
+                     "nearest(columns, low, span, folds, masks, work, out) takes 7 arguments,"
+                     " %zd given", nargs);
         return NULL;
     }
-    Py_buffer columns = {0}, screen = {0}, radius = {0}, folds = {0}, masks = {0}, work = {0},
+    Py_buffer columns = {0}, low = {0}, span = {0}, folds = {0}, masks = {0}, work = {0},
               out = {0};
-    Py_buffer *views[] = {&columns, &screen, &radius, &folds, &masks, &work, &out};
+    Py_buffer *views[] = {&columns, &low, &span, &folds, &masks, &work, &out};
     PyObject *result = NULL;
     struct worker *workers = NULL;
     char *gathered = NULL;
@@ -1014,38 +1027,33 @@ nearest(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         goto done;
     Py_ssize_t features = columns.shape[0], n = columns.shape[1];
     Py_ssize_t w = (n + SCREEN_LANES - 1) / SCREEN_LANES * SCREEN_LANES;
-    if (get_buffer(args[1], &screen, "screen", FLOAT32, 2, -1, 0) < 0
-        || get_buffer(args[2], &radius, "radius", FLOAT64, 1, features, 0) < 0
-        || get_buffer(args[4], &folds, "folds", INT32, 2, -1, 0) < 0
-        || get_buffer(args[5], &masks, "masks", BOOL, 2, -1, 0) < 0
-        || get_buffer(args[6], &work, "work", FLOAT32, 3, -1, 1) < 0
-        || get_buffer(args[7], &out, "out", INT64, 3, -1, 1) < 0)
+    if (get_buffer(args[1], &low, "low", FLOAT64, 1, features, 0) < 0
+        || get_buffer(args[2], &span, "span", FLOAT64, 1, features, 0) < 0
+        || get_buffer(args[3], &folds, "folds", INT32, 2, -1, 0) < 0
+        || get_buffer(args[4], &masks, "masks", BOOL, 2, -1, 0) < 0
+        || get_buffer(args[5], &work, "work", FLOAT32, 3, -1, 1) < 0
+        || get_buffer(args[6], &out, "out", INT64, 3, -1, 1) < 0)
         goto done;
     Py_ssize_t repeats = folds.shape[0], count = masks.shape[0], threads = work.shape[0];
-    if (screen.shape[0] != features || screen.shape[1] != w || folds.shape[1] != w
-        || masks.shape[1] != features || threads < 1 || work.shape[1] != n
-        || work.shape[2] != w || out.shape[0] != count || out.shape[1] != repeats
-        || out.shape[2] != n) {
+    if (folds.shape[1] != n || masks.shape[1] != features || threads < 1
+        || work.shape[1] != n || work.shape[2] != w || out.shape[0] != count
+        || out.shape[1] != repeats || out.shape[2] != n) {
         PyErr_Format(PyExc_ValueError,
-                     "for (%zd, %zd) columns, nearest needs a (%zd, %zd) screen, (R, %zd) folds,"
-                     " (M, %zd) masks, a (T, %zd, %zd) work of T >= 1 threads and an (M, R, %zd)"
-                     " out", features, n, features, w, w, features, n, w, n);
+                     "for (%zd, %zd) columns, nearest needs (R, %zd) folds, (M, %zd) masks,"
+                     " a (T, %zd, %zd) work of T >= 1 threads and an (M, R, %zd) out",
+                     features, n, n, features, n, w, n);
         goto done;
     }
-    double underflow = PyFloat_AsDouble(args[3]);
-    if (underflow == -1.0 && PyErr_Occurred())
-        goto done;
-    int finite = 1;  /* so the distances are too, or inf, and never NaN */
-    for (Py_ssize_t v = 0; v < features * w; v++)
-        finite &= fabsf(((const float *)screen.buf)[v]) <= FLT_MAX;
-    for (Py_ssize_t l = 0; l < features; l++)
-        finite &= !isnan(((const double *)radius.buf)[l]);
-    if (!finite || !(underflow >= 0.0)) {
-        PyErr_SetString(PyExc_ValueError, "screen must be finite, radius must hold no NaN"
-                        " and underflow must be at least 0");
-        goto done;
+    const double *least = low.buf, *range = span.buf;
+    double widest = 0.0;
+    for (Py_ssize_t l = 0; l < features; l++) {
+        if (!(isfinite(least[l]) && range[l] >= 0.0 && range[l] <= DBL_MAX)) {
+            PyErr_SetString(PyExc_ValueError, "low must be finite, and span finite and at least 0");
+            goto done;
+        }
+        widest = fmax(widest, range[l]);
     }
-    Py_buffer *inputs[] = {&columns, &screen, &radius, &folds, &masks};
+    Py_buffer *inputs[] = {&columns, &low, &span, &folds, &masks};
     int overlaps = overlap(&out, &work);
     for (int v = 0; v < 5; v++)
         overlaps |= overlap(&work, inputs[v]) || overlap(&out, inputs[v]);
@@ -1056,29 +1064,32 @@ nearest(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     const int32_t *label = folds.buf;
     for (Py_ssize_t t = 0; t < repeats; t++) {
         Py_ssize_t i = 1;
-        while (i < n && label[t * w + i] == label[t * w])
+        while (i < n && label[t * n + i] == label[t * n])
             i++;
         if (i == n) {
             PyErr_Format(PyExc_ValueError, "folds[%zd] puts every row in one fold", t);
             goto done;
         }
     }
-    /* the threads, this one among them (alone where there is no mask), and
-       each one's x, then y */
+    /* per thread, this one among them (alone where there is no mask): x, low and y */
     Py_ssize_t started = count < 1 ? 1 : threads < count ? threads : count;
-    Py_ssize_t each = columns.len + screen.len;
+    Py_ssize_t each = columns.len + features * (span.itemsize + w * (Py_ssize_t)sizeof(float));
     workers = PyMem_Calloc(started, sizeof *workers);
     gathered = each && started > PY_SSIZE_T_MAX / each ? NULL : PyMem_Malloc(started * each);
     if (workers == NULL || gathered == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    struct batch c = {columns.buf, radius.buf, screen.buf, folds.buf, masks.buf, out.buf,
-                      features, n, w, repeats, count, 0, underflow};
+    /* 2^e takes the widest span to at most 1; it is no double past 2^1023 */
+    int e = widest > 0.0 ? -ilogb(widest) - 1 : 0, big = e > 1023 ? 1023 : e;
+    struct batch c = {columns.buf, least, range, e, {ldexp(1.0, big), ldexp(1.0, e - big)},
+                      ldexp(1.0, 2 * e - 1020) /* inf past 2^1023 */, folds.buf, masks.buf,
+                      out.buf, features, n, w, repeats, count, 0};
     for (Py_ssize_t t = 0; t < started; t++) {
         char *mine = gathered + t * each;
         workers[t] = (struct worker){.batch = &c, .work = (float *)work.buf + t * n * w,
-                                     .y = (float *)(mine + columns.len), .x = (double *)mine};
+                                     .x = (double *)mine, .low = (double *)(mine + columns.len),
+                                     .y = (float *)(mine + columns.len + span.len)};
     }
     Py_BEGIN_ALLOW_THREADS  /* every buffer is held, so other threads may run */
     for (Py_ssize_t t = 1; t < started; t++)  /* one refused leaves its share to the rest */
@@ -1112,9 +1123,9 @@ static PyMethodDef methods[] = {
      " of each consecutive pair of rows, then each gene to another id with probability"
      " p_mutation, in place"},
     {"nearest", (PyCFunction)(void (*)(void))nearest, METH_FASTCALL,
-     "nearest(columns, screen, radius, underflow, folds, masks, work, out): out[m][r][i]"
-     " = the column in another fold of folds[r] nearest row i over the columns masks[m]"
-     " selects, ties to the lowest index, on work.shape[0] threads"},
+     "nearest(columns, low, span, folds, masks, work, out): out[m][r][i] = the column in"
+     " another fold of folds[r] nearest row i over the columns masks[m] selects (low and span"
+     " their least values and ranges), ties to the lowest index, on work.shape[0] threads"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -20,14 +20,14 @@ and the exact float64 sums, in that order, pick among those, ties to the
 lowest index. So the neighbours are the argmins of the exact distance
 matrix with each row's same-fold cells (its own among them) set to inf,
 which the tests check, and most rows need no float64 sum at all. The
-screen reads a float32 copy of the features, made once per evaluator:
-each column less its minimum, times one power of two that takes the
-widest range to at most 1, so no float32 distance overflows. A batch of
-masks is one kernel call, which computes them on as many threads as its
-work has n x w float32 matrices (w is n rounded up to the kernel's 16
-lanes), each thread taking the next mask, and joins them before it
-returns: a lone run computes a generation's new masks so, one thread per
-usable core.
+screen reads a float32 copy of the mask's columns, which the kernel
+makes from each column's least value and range: each column less its
+least value, times one power of two that takes the widest range to at
+most 1, so no float32 distance overflows. A batch of masks is one kernel
+call, which computes them on as many threads as its work has n x w
+float32 matrices (w is n rounded up to the kernel's 16 lanes), each
+thread taking the next mask, and joins them before it returns: a lone
+run computes a generation's new masks so, one thread per usable core.
 
 An evaluator refuses a dataset with a non-finite feature cell, naming its
 column, and one whose float64 distances could overflow, its column ranges'
@@ -37,7 +37,6 @@ be inf, and all inf distances tie, whichever row is nearer.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -46,6 +45,15 @@ import numpy as np
 from .correlation import _climb
 from .dataset import Dataset, DatasetError, require_finite, stratified_folds
 from .mask import FeatureMask
+
+
+def require_ints(*values) -> None:
+    """Refuse any count or seed in ``values`` that is no int, here, not in a
+    run: a float, or a bool, which ``operator.index`` takes as 0 or 1."""
+    for value in values:
+        if isinstance(value, bool):
+            raise TypeError(f"a count or seed must be an int, not {value!r}")
+        operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -57,8 +65,7 @@ class CvProtocol:
     base_seed: int = 0
 
     def __post_init__(self):
-        for value in (self.folds, self.repeats, self.base_seed):
-            operator.index(value)  # a float is refused here, not in the fitness
+        require_ints(self.folds, self.repeats, self.base_seed)
         if self.folds < 2:
             raise ValueError("need at least 2 folds")
         if self.repeats < 1:
@@ -114,45 +121,32 @@ class FitnessEvaluator:
     equals ``cv_accuracy`` bitwise. The cache key is the raw bit pattern,
     so a hit returns the stored accuracy with zero classification work.
     ``computations`` counts actual CV evaluations and ``hits`` counts
-    cache returns. The kernel reads ``features.T`` and its float32 copy,
-    both contiguous, and gathers each mask's columns from them itself.
+    cache returns. The kernel reads ``features.T``, contiguous, gathers
+    each mask's columns from it and makes their float32 copy itself.
     """
 
     def __init__(self, dataset: Dataset, protocol: CvProtocol):
         self.dataset = dataset
         require_finite(dataset)
+        self._low = dataset.features.min(axis=0)
         with np.errstate(over="ignore"):  # the overflow this looks for
-            reach = np.square(np.ptp(dataset.features, axis=0)).sum()
+            self._span = dataset.features.max(axis=0) - self._low
+            reach = np.square(self._span).sum()
         if not reach <= _DISTANCE_MAX:  # inf distances, which all tie
             raise DatasetError(f"{dataset.name}: the feature ranges are too wide for finite "
                                "1NN distances; normalize the features first")
-        # per repeat r (fold seed base_seed + r), each row's fold, padded to
-        # the screen's width with a label the kernel never reads
+        # per repeat r (fold seed base_seed + r), each row's fold
         n = dataset.n_instances
-        width = -(-n // _climb.SCREEN_LANES) * _climb.SCREEN_LANES
-        self._folds = np.full((protocol.repeats, width), -1, dtype=np.int32)
+        self._folds = np.empty((protocol.repeats, n), dtype=np.int32)
         for r in range(protocol.repeats):
             fold_of = stratified_folds(dataset, protocol.folds, protocol.base_seed + r)
             if (fold_of == fold_of[0]).all():  # no instance would have a training row
                 raise DatasetError(
                     f"{dataset.name}: {protocol.label()} CV puts all {n} instances in "
                     "one fold (every class has one member), leaving no training rows")
-            self._folds[r, :n] = fold_of
+            self._folds[r] = fold_of
         self._columns = np.ascontiguousarray(dataset.features.T)
-        # the screen's copy: x - low times 2**scale, rounded once to float32,
-        # is off the exact value by under 2**-23 of the column's scaled range
-        # (a float64 and a float32 rounding), plus 2**-124 for subnormals,
-        # flushed to zero or not; the float64 sums' underflow, k * 2**-1020
-        # at most over k terms, is also given in these units (see _climb.c)
-        low = self._columns.min(axis=1, keepdims=True)
-        span = self._columns.max(axis=1) - low[:, 0]
-        scale = -int(np.frexp(span.max())[1])
-        shifted = self._columns - low
-        self._screen = np.zeros((len(span), width), dtype=np.float32)
-        self._screen[:, :n] = np.ldexp(shifted, scale, out=shifted)
-        self._radius = np.ldexp(span, scale - 23) + 2.0 ** -124
-        exponent = 2 * scale - 1020  # above 1023 for subnormal ranges: every column in reach
-        self._underflow = math.ldexp(1.0, exponent) if exponent < 1024 else math.inf
+        width = -(-n // _climb.SCREEN_LANES) * _climb.SCREEN_LANES
         self._work = np.empty((0, n, width), dtype=np.float32)  # grown to the threads asked for
         self._cache: dict[bytes, float] = {}
         self.computations = 0
@@ -165,10 +159,10 @@ class FitnessEvaluator:
         repeats) array, from one kernel call on ``threads`` threads."""
         n = self.dataset.n_instances
         if len(self._work) < threads:
-            self._work = np.empty((threads, n, self._folds.shape[1]), dtype=np.float32)
+            self._work = np.empty((threads, *self._work.shape[1:]), dtype=np.float32)
         nearest = np.empty((len(bits), len(self._folds), n), dtype=np.int64)
-        _climb.nearest(self._columns, self._screen, self._radius, self._underflow,
-                       self._folds, bits, self._work[:threads], nearest)
+        _climb.nearest(self._columns, self._low, self._span, self._folds, bits,
+                       self._work[:threads], nearest)
         labels = self.dataset.labels
         return np.count_nonzero(labels[nearest] == labels, axis=2)
 

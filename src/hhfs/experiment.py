@@ -17,7 +17,6 @@ from __future__ import annotations
 import configparser
 import csv
 import json
-import operator
 from dataclasses import Field, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -27,7 +26,7 @@ import numpy as np
 from . import cores
 from .correlation import build_cache, dump_cache_csv
 from .dataset import Dataset, load_csv, min_max_normalize
-from .evaluation import CvProtocol, cv_accuracies, cv_accuracy
+from .evaluation import CvProtocol, cv_accuracies, cv_accuracy, require_ints
 from .mask import FeatureMask
 from .published import BASELINE_REFERENCE, HHFS_REFERENCE
 from .supervisor import SupervisorConfig, SupervisorResult, run_supervisor
@@ -68,8 +67,7 @@ class ExperimentSpec:
     out_dir: str = "results"
 
     def __post_init__(self):
-        for value in (self.runs, self.master_seed):
-            operator.index(value)  # a float is refused here, not in the runs
+        require_ints(self.runs, self.master_seed, *self.report_repeats)  # the rest: CvProtocol
         if self.runs < 1:
             raise ValueError("need at least 1 run")
         if self.master_seed < 0:

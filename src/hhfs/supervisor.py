@@ -24,7 +24,6 @@ per pool row, a coin per gene, then a new id per hit.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -34,7 +33,7 @@ import numpy as np
 from . import cores, llh
 from .correlation import CorrelationCache, _climb, build_cache
 from .dataset import Dataset, stratified_folds
-from .evaluation import CvProtocol, FitnessEvaluator, cv_accuracies
+from .evaluation import CvProtocol, FitnessEvaluator, cv_accuracies, require_ints
 from .llh import NUM_LLH
 from .mask import FeatureMask
 
@@ -58,9 +57,7 @@ class SupervisorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for value in (self.population_size, self.generations, self.nllh, self.elitism,
-                      self.seed):
-            operator.index(value)  # a float is refused here, not in the run
+        require_ints(self.population_size, self.generations, self.nllh, self.elitism, self.seed)
         if self.population_size < 2:
             raise ValueError("population size must be at least 2")
         if self.generations < 1:

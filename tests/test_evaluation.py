@@ -163,6 +163,12 @@ class TestCvProtocol:
             CvProtocol(**{field: 2.5})
         assert CvProtocol(**{field: np.int64(2)}) == CvProtocol(**{field: 2})
 
+    @pytest.mark.parametrize("field", ["folds", "repeats", "base_seed"])
+    def test_a_bool_is_no_count_or_seed(self, field):
+        # operator.index(True) is 1: repeats=True would label itself "Truex10"
+        with pytest.raises(TypeError, match="^a count or seed must be an int, not True$"):
+            CvProtocol(**{field: True})
+
     def test_label(self):
         assert CvProtocol(folds=10, repeats=10).label() == "10x10"
 
@@ -479,6 +485,8 @@ class TestSqdist:
         symbols = subprocess.run(["nm", baseline.__file__], capture_output=True, text=True,
                                  check=True).stdout
         assert not re.search(r"\bnearest_rows\.", symbols)  # no clone, no resolver
+        for span, offset in COPY_CASES:
+            copy_pinned(baseline, copy_column(span, offset))
         edges = [(n, k) for n in TestFloat32Screen.EDGES for k in (1, 2, 17)]
         for n, k in [(476, 83), (208, 30), (366, 17), (7, 3), (13, 5), (211, 9), (474, 1),
                      *edges]:
@@ -674,16 +682,21 @@ def reference_nearest(d: Dataset, proto: CvProtocol, idx=None) -> np.ndarray:
     return np.stack([np.where(f[:, None] == f, np.inf, D).argmin(axis=1) for f in folds])
 
 
+def work_for(n: int, threads: int = 1, fill: float | None = None) -> np.ndarray:
+    """A (threads, n, w) float32 work for the kernel, w being n rounded up
+    to its lanes: uninitialized, or ``fill`` throughout."""
+    shape = (threads, n, -(-n // _climb.SCREEN_LANES) * _climb.SCREEN_LANES)
+    return np.empty(shape, np.float32) if fill is None else np.full(shape, fill, np.float32)
+
+
 def mask_nearest(ev: FitnessEvaluator, idx, climb=_climb) -> np.ndarray:
     """The kernel's neighbours for ``ev``'s folds and the one mask selecting
     its columns ``idx``: a one-mask batch on one thread, (repeats, n)."""
     n = ev.dataset.n_instances
     bits = np.zeros((1, ev.dataset.n_features), dtype=bool)
     bits[0, idx] = True
-    work = np.empty((1, n, ev._folds.shape[1]), np.float32)
     out = np.empty((1, len(ev._folds), n), np.int64)
-    climb.nearest(ev._columns, ev._screen, ev._radius, ev._underflow, ev._folds, bits, work,
-                  out)
+    climb.nearest(ev._columns, ev._low, ev._span, ev._folds, bits, work_for(n), out)
     return out[0]
 
 
@@ -694,12 +707,11 @@ def nearest_in_folds(ev: FitnessEvaluator, folds, climb=_climb) -> tuple[np.ndar
     distance is negative, and -1 is not the NaN it must write), from a
     one-mask batch on one thread."""
     n = ev.dataset.n_instances
-    padded = np.full((len(folds), ev._folds.shape[1]), -1, dtype=np.int32)
-    padded[:, :n] = folds
-    work = np.full((1, n, padded.shape[1]), -1.0, np.float32)
+    work = work_for(n, fill=-1.0)
     out = np.empty((1, len(folds), n), np.int64)
     every = np.ones((1, ev.dataset.n_features), dtype=bool)
-    climb.nearest(ev._columns, ev._screen, ev._radius, ev._underflow, padded, every, work, out)
+    climb.nearest(ev._columns, ev._low, ev._span, np.asarray(folds, dtype=np.int32), every,
+                  work, out)
     return out[0], work[0]
 
 
@@ -710,12 +722,38 @@ def checked_nearest(climb, ev: FitnessEvaluator) -> np.ndarray:
     bit off the diagonal, and the diagonal and the padded columns n..w-1 are
     NaN."""
     n = ev.dataset.n_instances
-    out, work = nearest_in_folds(ev, ev._folds[:, :n], climb)
+    out, work = nearest_in_folds(ev, ev._folds, climb)
     square, off = work[:, :n], ~np.eye(n, dtype=bool)
     assert (np.isfinite(square[off]) & (square[off] >= 0)).all()
     assert np.array_equal(square.view(np.uint32)[off], square.T.view(np.uint32)[off])
     assert np.isnan(np.diag(square)).all() and np.isnan(work[:, n:]).all()
     return out
+
+
+def copy_pinned(climb, x: np.ndarray) -> int:
+    """Check ``climb.nearest``'s work for the one column ``x`` off the
+    diagonal, bit for bit, against the float32 squares of numpy's copy y:
+    x less its least value, times the 2^e that takes its range to at most
+    1, rounded once to float32. One term per pair, so fused or not, the
+    same bits. Returns e."""
+    d, proto = screen_case(x[:, None])
+    ev = FitnessEvaluator(d, proto)
+    _, work = nearest_in_folds(ev, ev._folds, climb)
+    e = -int(np.frexp(x.max() - x.min())[1])
+    y = np.ldexp(x - x.min(), e).astype(np.float32)
+    off = ~np.eye(len(x), dtype=bool)
+    expected = np.square(y[:, None] - y)
+    assert np.array_equal(work[:, :len(x)][off].view(np.uint32), expected[off].view(np.uint32))
+    return e
+
+
+COPY_CASES = [(span, offset) for span in (1e-310, 1e-160, 1.0, 1e150)
+              for offset in (0.0, -7.0, 1e6)]
+
+
+def copy_column(span: float, offset: float) -> np.ndarray:
+    """37 rows, one column: offset plus span times uniform draws."""
+    return offset + span * np.random.default_rng(5).uniform(size=37)
 
 
 def screen_case(X: np.ndarray) -> tuple[Dataset, CvProtocol]:
@@ -847,10 +885,9 @@ class TestFloat32Screen:
         sys.setswitchinterval(1e-6)
         try:
             for threads in (1, 2, 3, M, M + 3):
-                work = np.empty((threads, n, ev._folds.shape[1]), np.float32)
                 out = np.full((M, proto.repeats, n), -1, np.int64)
-                _climb.nearest(ev._columns, ev._screen, ev._radius, ev._underflow, ev._folds,
-                               bits, work, out)
+                _climb.nearest(ev._columns, ev._low, ev._span, ev._folds, bits,
+                               work_for(n, threads), out)
                 found[threads] = out
         finally:
             sys.setswitchinterval(interval)
@@ -860,57 +897,83 @@ class TestFloat32Screen:
         for mask, out in zip(bits, found[1]):
             assert np.array_equal(out, reference_nearest(d, proto, np.flatnonzero(mask)))
 
+    @pytest.mark.parametrize("span, offset", COPY_CASES)
+    def test_the_copy_is_each_column_less_its_least_value_times_one_power_of_two(self, span,
+                                                                                 offset):
+        # 1e-310 at offset 0 takes 2^e past the largest double: two factors
+        e = copy_pinned(_climb, copy_column(span, offset))
+        assert (e > 1023) == (span == 1e-310 and offset == 0.0)
+
     def test_kernel_refuses_what_it_cannot_screen(self):
         d, proto = screen_case(sqdist_data("random", 20, 3, seed=1))
         ev = FitnessEvaluator(d, proto)
-        columns, screen, masks = ev._columns, ev._screen, np.ones((1, 3), dtype=bool)
-        work, out = np.empty((2, 20, 32), np.float32), np.empty((1, 3, 20), np.int64)
-        good = [columns, screen, ev._radius, ev._underflow, ev._folds, masks, work, out]
+        columns, low, span = ev._columns, ev._low, ev._span
+        masks = np.ones((1, 3), dtype=bool)
+        work, out = work_for(20, threads=2), np.empty((1, 3, 20), np.int64)
+        good = [columns, low, span, ev._folds, masks, work, out]
         assert _climb.nearest(*good) is None
         assert np.array_equal(out[0], reference_nearest(d, proto))
 
-        def refused(position, value, error=ValueError, count=8):
+        def refused(position, value, error=ValueError, count=7):
             # the kernel refuses before it writes: work and out are as they were
             args = list(good)
             args[position] = value
-            before = [args[6].tobytes(), args[7].tobytes()]
+            before = [args[5].tobytes(), args[6].tobytes()]
             with pytest.raises(error) as info:
                 _climb.nearest(*args[:count])
-            assert [args[6].tobytes(), args[7].tobytes()] == before
+            assert [args[5].tobytes(), args[6].tobytes()] == before
             return str(info.value)
 
-        assert refused(0, columns, TypeError, count=7).endswith("takes 8 arguments, 7 given")
+        assert refused(0, columns, TypeError, count=6).endswith("takes 7 arguments, 6 given")
         assert "columns must hold float64" in refused(0, columns.astype(np.float32))
         assert "columns must be C-contiguous" in refused(0, np.asfortranarray(columns))
         assert "bytes-like object is required" in refused(0, columns.tolist(), TypeError)
-        for position in (6, 7):
+        for position in (5, 6):
             read_only = good[position].copy()
             read_only.flags.writeable = False
             assert "read-only" in refused(position, read_only)
-        assert "must hold float32" in refused(1, screen.astype(np.float64))
-        assert "must hold int32" in refused(4, ev._folds.astype(np.int64))
-        assert "masks must hold bools" in refused(5, masks.astype(np.uint8))
-        assert refused(6, work[0]) == "work must have 3 dimension(s), not 2"
-        assert refused(7, out[0]) == "out must have 3 dimension(s), not 2"
-        shapes = [(1, screen[:, :16].copy()), (5, np.ones((1, 2), dtype=bool)),
-                  (6, np.empty((2, 20, 20), np.float32)), (6, np.empty((0, 20, 32), np.float32)),
-                  (7, np.empty((1, 2, 20), np.int64)), (7, np.empty((2, 3, 20), np.int64))]
+        assert "low must hold float64" in refused(1, low.astype(np.float32))
+        assert "must hold int32" in refused(3, ev._folds.astype(np.int64))
+        assert "masks must hold bools" in refused(4, masks.astype(np.uint8))
+        assert refused(5, work[0]) == "work must have 3 dimension(s), not 2"
+        assert refused(6, out[0]) == "out must have 3 dimension(s), not 2"
+        assert refused(1, low[:2].copy()) == "low has length 2 along axis 0, expected 3"
+        assert refused(2, np.ones(4)) == "span has length 4 along axis 0, expected 3"
+        shapes = [(3, np.zeros((3, 32), np.int32)), (4, np.ones((1, 2), dtype=bool)),
+                  (5, work_for(20)[:, :, :20].copy()), (5, work_for(20)[:0]),
+                  (6, np.empty((1, 2, 20), np.int64)), (6, np.empty((2, 3, 20), np.int64))]
         for position, value in shapes:
-            assert "needs a (3, 32) screen, (R, 32) folds, (M, 3) masks" in refused(position,
-                                                                                    value)
+            assert "needs (R, 20) folds, (M, 3) masks, a (T, 20, 32) work" in refused(position,
+                                                                                     value)
         one_fold = ev._folds.copy()
-        one_fold[1, :20] = 4
-        assert refused(4, one_fold) == "folds[1] puts every row in one fold"
-        for position, value in [(1, np.where(screen == screen[0, 0], np.inf, screen)),
-                                (1, np.where(screen == screen[0, 0], np.nan, screen)),
-                                (2, np.full(3, np.nan)), (3, -1.0), (3, np.nan)]:
-            assert refused(position, value).startswith("screen must be finite")
-        assert refused(3, "1", TypeError) == "must be real number, not str"
+        one_fold[1] = 4
+        assert refused(3, one_fold) == "folds[1] puts every row in one fold"
+        for position, value in [(1, np.where(low == low[0], np.nan, low)),
+                                (1, np.where(low == low[0], -np.inf, low)),
+                                (2, np.where(span == span[0], np.inf, span)),
+                                (2, np.where(span == span[0], np.nan, span)),
+                                (2, np.where(span == span[0], -span, span))]:
+            assert refused(position, value) == \
+                "low must be finite, and span finite and at least 0"
         in_work = work.view(np.int64).reshape(-1)[:60].reshape(1, 3, 20)
         in_out = out.view(np.bool_).reshape(-1)[:3].reshape(1, 3)
         in_work_masks = work.view(np.bool_).reshape(-1)[:3].reshape(1, 3)
-        for position, value in [(7, in_work), (5, in_out), (5, in_work_masks)]:
+        for position, value in [(6, in_work), (4, in_out), (4, in_work_masks)]:
             assert refused(position, value) == "work and out must overlap no other buffer"
+
+    def test_low_and_span_other_than_the_columns_give_neighbours_in_range(self):
+        # the kernel checks low and span in O(N), not against the columns:
+        # any finite ones still give every row a column of another fold
+        d, proto = screen_case(sqdist_data("scales", 40, 4, seed=2))
+        ev = FitnessEvaluator(d, proto)
+        everything = np.ones((1, 4), dtype=bool)
+        folds = ev._folds
+        for low, span in [(ev._low + 1e3, ev._span), (ev._low, np.zeros(4)),
+                          (ev._low - 1e300, ev._span * 1e-300), (ev._low, ev._span + 1e300)]:
+            out = np.full((1, len(folds), 40), -1, np.int64)
+            _climb.nearest(ev._columns, low, span, folds, everything, work_for(40), out)
+            assert ((out >= 0) & (out < 40)).all()
+            assert (np.take_along_axis(folds, out[0], axis=1) != folds).all()
 
 
 class TestDegenerateFolds:

@@ -251,6 +251,14 @@ class TestSpecValidation:
         assert (ExperimentSpec(datasets=(), **{field: np.int64(3)})
                 == ExperimentSpec(datasets=(), **{field: 3}))
 
+    @pytest.mark.parametrize("changes", [
+        {"runs": True}, {"master_seed": True}, {"cv_folds": True}, {"search_repeats": True},
+        {"report_repeats": (True, 5)}, {"report_repeats": (1, True)}])
+    def test_a_bool_is_no_count_or_seed(self, changes):
+        # report_repeats=(True, 5) would report under "Truex10"
+        with pytest.raises(TypeError, match="^a count or seed must be an int, not True$"):
+            ExperimentSpec(datasets=(), **changes)
+
 
 class TestRunSeeds:
     def test_per_run_seeds_are_master_plus_index(self, tiny_spec):

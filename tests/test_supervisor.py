@@ -60,6 +60,13 @@ class TestSupervisorConfig:
             SupervisorConfig(**{field: 2.5})
         assert SupervisorConfig(**{field: np.int64(2)}) == SupervisorConfig(**{field: 2})
 
+    @pytest.mark.parametrize("field", ["population_size", "generations", "nllh", "elitism",
+                                       "seed"])
+    def test_a_bool_is_no_count_or_seed(self, field):
+        # generations=True would be written to report.json's config as true
+        with pytest.raises(TypeError, match="^a count or seed must be an int, not True$"):
+            SupervisorConfig(**{field: True})
+
 
 def run_genes(cache, seed, genes, incumbent, gen=0, i=0, stats=None):
     """Chromosome i of generation ``gen`` in a run seeded ``seed``, from the
@@ -713,7 +720,7 @@ class TestHelperThreads:
         shapes, nearest = [], _climb.nearest
 
         def recording(*args):
-            shapes.append(args[6].shape[0])  # work's first axis: the thread count
+            shapes.append(args[5].shape[0])  # work's first axis: the thread count
             return nearest(*args)
 
         monkeypatch.setattr(_climb, "nearest", recording)
@@ -738,7 +745,7 @@ class TestHelperThreads:
         nearest = _climb.nearest
 
         def failing(*args):
-            if args[6].shape[0] == 1:
+            if args[5].shape[0] == 1:
                 return nearest(*args)  # the initial incumbent
             if where == "helper":
                 nearest(*args)
