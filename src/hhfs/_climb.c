@@ -11,20 +11,28 @@
    sum_cf / sqrt((double)k + sum_ff), or 0.0 at k == 0.
 
    generation(population, draws, bits, feature_class, feature_feature,
-              mutn_rate, invocations, improvements, masks_out, moved_out)
+              mutn_rate, invocations, improvements, masks_out, moved_out, threads)
    Run each row i of the (P, L) population, a chromosome of heuristics
    (catalog ids 1..16), left to right from the mask ``bits``, each gene on
    the previous one's output: scan the bits as scan does, run a gene, and
    scan its bits afresh when it moved. Every gene counts one invocation,
-   and one improvement where its fresh merit is strictly higher, all rows
-   into the same counters. Row i's final bits go to masks_out[i], and
-   whether any of its genes moved to moved_out[i]. ``draws`` is either a
-   (P, W) uint32 key matrix, row i drawing from numpy's
-   PCG64(SeedSequence(keys[i])), seeded here as numpy seeds it
-   (seed_pcg64) and run as numpy runs it, the same stream draw for draw;
-   or a numpy BitGenerator that the rows draw from in order. So any slice
-   of a call's rows and key rows gives those rows. The keys' layout is
-   hhfs.llh's (stream_keys). Every gene is checked before any row runs.
+   and one improvement where its fresh merit is strictly higher. Row i's
+   final bits go to masks_out[i], and whether any of its genes moved to
+   moved_out[i]. ``draws`` is either a (P, W) uint32 key matrix, row i
+   drawing from numpy's PCG64(SeedSequence(keys[i])), seeded here as numpy
+   seeds it (seed_pcg64) and run as numpy runs it, the same stream draw for
+   draw; or a numpy BitGenerator that the rows draw from in order, on this
+   thread, with the GIL held. So any slice of a call's rows and key rows
+   gives those rows. The keys' layout is hhfs.llh's (stream_keys). On the
+   keys, the call releases the GIL, and min(threads, P) threads (this one
+   and the rest started here, see spread) each take the next row off one
+   cursor, climb it in a mask buffer of their own (rows of a few dozen
+   bytes share cache lines) and copy it to masks_out[i] once; each counts
+   into a counter pair of its own, added to invocations and improvements
+   after the join, so the bits and the counts are the same on any number
+   of threads. threads < 1, and a BitGenerator with threads != 1 (its
+   draws are one stream), are refused. Every gene is checked before any
+   row runs.
 
    The heuristics draw from the bit generator through numpy's random C API,
    with the calls its Generator makes: integers(n) is
@@ -59,10 +67,9 @@
    "sqeuclidean" bit for bit. low and span hold each column's least value
    and range. The (T, n, w) work, w being n rounded up to SCREEN_LANES (16),
    holds a matrix per thread: this one and T - 1 started here (M in all at
-   most) each take the next mask off one cursor, gather its rows into
-   buffers of their own and compute it; a thread that cannot start leaves
-   its share to the others, and all are joined before the call returns, the
-   bits the same whichever thread computed a mask.
+   most, see spread) each take the next mask off one cursor, gather its
+   rows into buffers of their own and compute it, the bits the same
+   whichever thread computed a mask.
 
    It filters in float32 and refines in float64 (Seidl and Kriegel, "Optimal
    multi-step k-nearest neighbor search", SIGMOD 1998). Per mask,
@@ -103,13 +110,25 @@
    low, a finite span >= 0, two labels at least in each fold row, and work
    and out against overlapping any other buffer are checked before work is
    written, and the call computes without the GIL, so other Python threads
-   run meanwhile. */
+   run meanwhile.
+
+   Both entries start their threads through spread. Where the kernel does
+   not balance threads across CPUs (a cpuset with sched_load_balance 0), a
+   new thread stays on its creator's CPU, and two threads on one CPU take
+   twice one's time. So, on Linux with glibc, helper t (1, 2, ...) is
+   started on one CPU of its own: the t-th of the caller's allowed CPUs,
+   less the one the caller runs on, wrapping round them. Where the caller
+   may run on one CPU only, or elsewhere, helpers start unpinned. The
+   caller computes its share itself; a helper that cannot start leaves its
+   share to the others, and every helper is joined before the call
+   returns. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <float.h>
 #include <math.h>
 #include <pthread.h>
+#include <sched.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -191,6 +210,80 @@ overlap(const Py_buffer *a, const Py_buffer *b)
 {
     const char *p = a->buf, *q = b->buf;
     return p < q + b->len && q < p + a->len;
+}
+
+#if defined(__linux__) && defined(__GLIBC__)
+#define PLACE_HELPERS 1
+#define MOST_CPUS CPU_SETSIZE
+#else
+#define MOST_CPUS 1
+#endif
+
+/* The CPUs helpers are placed on (see the header), ascending, into cpu;
+   returns how many, 0 where helpers start unpinned. */
+static int
+helper_cpus(int cpu[MOST_CPUS])
+{
+    int count = 0;
+#ifdef PLACE_HELPERS
+    cpu_set_t allowed;
+    if (pthread_getaffinity_np(pthread_self(), sizeof allowed, &allowed) != 0
+        || CPU_COUNT(&allowed) < 2)
+        return 0;
+    int here = sched_getcpu();
+    for (int c = 0; c < CPU_SETSIZE; c++)
+        if (CPU_ISSET(c, &allowed) && c != here)
+            cpu[count++] = c;
+#else
+    (void)cpu;
+#endif
+    return count;
+}
+
+/* Start fn(arg) on a new thread, *id, on CPU cpu where cpu >= 0 and that
+   start succeeds, else unpinned; returns whether it started. */
+static int
+start_helper(pthread_t *id, void *(*fn)(void *), void *arg, int cpu)
+{
+#ifdef PLACE_HELPERS
+    pthread_attr_t attr;
+    if (cpu >= 0 && pthread_attr_init(&attr) == 0) {
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        int ok = pthread_attr_setaffinity_np(&attr, sizeof one, &one) == 0
+                 && pthread_create(id, &attr, fn, arg) == 0;
+        pthread_attr_destroy(&attr);
+        if (ok)
+            return 1;
+    }
+#else
+    (void)cpu;
+#endif
+    return pthread_create(id, NULL, fn, arg) == 0;
+}
+
+/* fn(arg + t * size) for t in 0..count-1: t = 0 on this thread, each other
+   on a helper started here, on the ((t - 1) mod their count)-th of
+   helper_cpus; then every helper is joined. Each fn takes its work off one
+   cursor, so a helper that cannot start, or no room for the helpers' ids,
+   leaves its share to the others. Needs no GIL. */
+static void
+spread(void *(*fn)(void *), void *arg, size_t size, Py_ssize_t count)
+{
+    struct helper {
+        pthread_t id;
+        int started;
+    } *helper = count > 1 ? PyMem_RawCalloc(count, sizeof *helper) : NULL;
+    int cpu[MOST_CPUS], cpus = helper != NULL ? helper_cpus(cpu) : 0;
+    for (Py_ssize_t t = 1; helper != NULL && t < count; t++)
+        helper[t].started = start_helper(&helper[t].id, fn, (char *)arg + t * size,
+                                         cpus ? cpu[(t - 1) % cpus] : -1);
+    fn(arg);
+    for (Py_ssize_t t = 1; helper != NULL && t < count; t++)
+        if (helper[t].started)
+            pthread_join(helper[t].id, NULL);
+    PyMem_RawFree(helper);
 }
 
 /* The correlation cache for n features: feature_class and feature_feature. */
@@ -441,18 +534,18 @@ check_genes(const int64_t *gene, Py_ssize_t count, Py_ssize_t n)
 }
 
 /* A chromosome: the genes gene[0..count-1] left to right from ``bits``
-   into ``out`` (which may be bits), each counted, and each that moved
-   scanned afresh and counted as an improvement where its merit rose.
-   ``work`` holds the row, then run_gene's n positions and n coins.
-   Returns whether any gene moved. Kept out of line: inlined into
-   generation, gcc laid the heuristics out slower. */
+   into ``out``, each counted, and each that moved scanned afresh and
+   counted as an improvement where its merit rose. ``work`` holds the row,
+   then run_gene's n positions and n coins. Returns whether any gene moved.
+   Kept out of line: inlined into its caller, gcc laid the heuristics out
+   slower. */
 static __attribute__((noinline)) int
 run_chromosome(const int64_t *gene, Py_ssize_t count, bitgen_t *rng, double mutn_rate,
                const char *bits, char *out, const struct cache *c, double *work,
                int64_t *invoked, int64_t *improved)
 {
     int moved = 0;
-    memmove(out, bits, c->n);
+    memcpy(out, bits, c->n);
     struct sums s = scan_bits(out, c, work);
     for (Py_ssize_t i = 0; i < count; i++) {
         int g = (int)gene[i];
@@ -572,14 +665,60 @@ seed_pcg64(const uint32_t *word, Py_ssize_t count, struct pcg64 *p)
     p->uinteger = 0;
 }
 
+/* A generation call's rows, their draws and outputs, and its cursor, the
+   next row to take, for all its threads. */
+struct rows {
+    const int64_t *gene;
+    const uint32_t *key;  /* the key rows, or NULL where all draw from shared */
+    bitgen_t *shared;
+    const char *bits;
+    char *masks, *moved;
+    const struct cache *c;
+    double mutn_rate;
+    Py_ssize_t length, words, count, next;
+};
+
+/* One thread of a generation call: its run_chromosome work, its counter
+   pair (invocations, then improvements) and its mask buffer. */
+struct climber {
+    struct rows *rows;
+    double *work;
+    int64_t *counts;
+    char *mask;
+};
+
+/* A climber's loop: the next row off the cursor, until none is left, on
+   its own stream or the shared one, climbed in its buffer and copied out. */
+static void *
+climb_rows(void *arg)
+{
+    const struct climber *me = arg;
+    struct rows *r = me->rows;
+    Py_ssize_t n = r->c->n, i;
+    struct pcg64 pcg;
+    bitgen_t own = {&pcg, pcg64_next64, pcg64_uint32, pcg64_double, pcg64_next64};
+    while ((i = __atomic_fetch_add(&r->next, 1, __ATOMIC_RELAXED)) < r->count) {
+        if (r->key != NULL)
+            seed_pcg64(r->key + i * r->words, r->words, &pcg);
+        r->moved[i] = (char)run_chromosome(r->gene + i * r->length, r->length,
+                                           r->key != NULL ? &own : r->shared, r->mutn_rate,
+                                           r->bits, me->mask, r->c, me->work, me->counts,
+                                           me->counts + NUM_LLH + 1);
+        memcpy(r->masks + i * n, me->mask, n);
+    }
+    return NULL;
+}
+
+#define LINE 64  /* bytes: each climber's block starts a cache line */
+
 static PyObject *
 generation(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 10) {
+    if (nargs != 11) {
         PyErr_Format(PyExc_TypeError,
                      "generation(population, draws, bits, feature_class, feature_feature,"
-                     " mutn_rate, invocations, improvements, masks_out, moved_out)"
-                     " takes 10 arguments, %zd given", nargs);
+                     " mutn_rate, invocations, improvements, masks_out, moved_out, threads)"
+                     " takes 11 arguments, %zd given", nargs);
         return NULL;
     }
     Py_buffer population = {0}, keys = {0}, bits = {0}, cache[2] = {{0}};
@@ -587,7 +726,8 @@ generation(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     Py_buffer *views[] = {&population, &keys, &bits, &cache[0], &cache[1],
                           &invocations, &improvements, &masks_out, &moved_out};
     PyObject *capsule = NULL, *result = NULL;
-    double *work = NULL;
+    struct climber *climbers = NULL;
+    char *blocks = NULL;
     struct cache c;
     if (get_buffer(args[0], &population, "population", INT64, 2, -1, 0) < 0
         || get_buffer(args[2], &bits, "bits", BOOL, 1, -1, 0) < 0)
@@ -610,9 +750,7 @@ generation(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         goto done;
     }
     /* the draws: a key row per chromosome, or one bit generator for all */
-    struct pcg64 pcg;
-    bitgen_t pcg_rng = {&pcg, pcg64_next64, pcg64_uint32, pcg64_double, pcg64_next64};
-    bitgen_t *rng = &pcg_rng;
+    bitgen_t *shared = NULL;
     if (PyObject_CheckBuffer(args[1])) {
         if (get_buffer(args[1], &keys, "keys", UINT32, 2, -1, 0) < 0)
             goto done;
@@ -621,32 +759,57 @@ generation(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
                          keys.shape[0], rows);
             goto done;
         }
-    } else if ((rng = get_bitgen(args[1], &capsule)) == NULL) {
+    } else if ((shared = get_bitgen(args[1], &capsule)) == NULL) {
         goto done;
     }
+    Py_ssize_t threads;
     double mutn_rate = PyFloat_AsDouble(args[5]);
-    if ((mutn_rate == -1.0 && PyErr_Occurred())
-        || check_genes(population.buf, rows * length, c.n) < 0)
+    if ((mutn_rate == -1.0 && PyErr_Occurred()) || !PyArg_Parse(args[10], "n", &threads))
         goto done;
-    /* the row, then run_gene's n positions and n coins */
-    if ((work = PyMem_Malloc(c.n * (2 * sizeof(double) + sizeof(int64_t)))) == NULL) {
+    if (threads < 1 || (shared != NULL && threads != 1)) {
+        PyErr_SetString(PyExc_ValueError, threads < 1 ? "threads must be at least 1"
+                        : "rows drawing from one bit generator run on one thread");
+        goto done;
+    }
+    if (check_genes(population.buf, rows * length, c.n) < 0)
+        goto done;
+    /* per thread: the row, run_gene's n positions and n coins, the counter
+       pair and the mask, in a block of whole cache lines */
+    Py_ssize_t started = rows < 1 ? 1 : threads < rows ? threads : rows;
+    Py_ssize_t row_bytes = c.n * (2 * sizeof(double) + sizeof(int64_t));
+    Py_ssize_t counts_bytes = 2 * (NUM_LLH + 1) * sizeof(int64_t);
+    Py_ssize_t each = (row_bytes + counts_bytes + c.n + LINE - 1) / LINE * LINE;
+    climbers = PyMem_Calloc(started, sizeof *climbers);
+    blocks = started > (PY_SSIZE_T_MAX - LINE) / each ? NULL
+             : PyMem_Calloc(started * each + LINE, 1);
+    if (climbers == NULL || blocks == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    const int64_t *gene = population.buf;
-    const uint32_t *key = keys.buf;
-    Py_ssize_t words = keys.obj != NULL ? keys.shape[1] : 0;
-    char *masks = masks_out.buf, *moved = moved_out.buf;
-    for (Py_ssize_t i = 0; i < rows; i++) {
-        if (keys.obj != NULL)
-            seed_pcg64(key + i * words, words, &pcg);
-        moved[i] = (char)run_chromosome(gene + i * length, length, rng, mutn_rate, bits.buf,
-                                        masks + i * c.n, &c, work, invocations.buf,
-                                        improvements.buf);
+    struct rows r = {population.buf, keys.buf, shared, bits.buf, masks_out.buf, moved_out.buf,
+                     &c, mutn_rate, length, keys.obj != NULL ? keys.shape[1] : 0, rows, 0};
+    char *line = blocks + (LINE - (uintptr_t)blocks % LINE) % LINE;
+    for (Py_ssize_t t = 0; t < started; t++) {
+        char *mine = line + t * each;
+        climbers[t] = (struct climber){&r, (double *)mine, (int64_t *)(mine + row_bytes),
+                                       mine + row_bytes + counts_bytes};
+    }
+    /* the keys' rows read and write only held buffers, so other threads may run */
+    PyThreadState *saved = shared == NULL ? PyEval_SaveThread() : NULL;
+    spread(climb_rows, climbers, sizeof *climbers, started);
+    if (saved != NULL)
+        PyEval_RestoreThread(saved);
+    int64_t *invoked = invocations.buf, *improved = improvements.buf;
+    for (Py_ssize_t t = 0; t < started; t++) {
+        for (int g = 0; g <= NUM_LLH; g++) {
+            invoked[g] += climbers[t].counts[g];
+            improved[g] += climbers[t].counts[NUM_LLH + 1 + g];
+        }
     }
     result = Py_NewRef(Py_None);
 done:
-    PyMem_Free(work);
+    PyMem_Free(climbers);
+    PyMem_Free(blocks);
     Py_XDECREF(capsule);
     release(views, 9);
     return result;
@@ -973,8 +1136,6 @@ struct worker {
     struct batch *batch;
     float *work, *y;
     double *x, *low;
-    pthread_t thread;
-    int started;
 };
 
 /* A worker's loop: the next mask off the cursor, until none is left: its
@@ -1092,13 +1253,7 @@ nearest(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
                                      .y = (float *)(mine + columns.len + span.len)};
     }
     Py_BEGIN_ALLOW_THREADS  /* every buffer is held, so other threads may run */
-    for (Py_ssize_t t = 1; t < started; t++)  /* one refused leaves its share to the rest */
-        workers[t].started = pthread_create(&workers[t].thread, NULL, work_masks,
-                                            &workers[t]) == 0;
-    work_masks(&workers[0]);
-    for (Py_ssize_t t = 1; t < started; t++)
-        if (workers[t].started)
-            pthread_join(workers[t].thread, NULL);
+    spread(work_masks, workers, sizeof *workers, started);
     Py_END_ALLOW_THREADS
     result = Py_NewRef(Py_None);
 done:
@@ -1114,10 +1269,10 @@ static PyMethodDef methods[] = {
      " -> (k, sum_cf, sum_ff, merit); the row goes to row_out"},
     {"generation", (PyCFunction)(void (*)(void))generation, METH_FASTCALL,
      "generation(population, draws, bits, feature_class, feature_feature, mutn_rate,"
-     " invocations, improvements, masks_out, moved_out): row i of the population's"
+     " invocations, improvements, masks_out, moved_out, threads): row i of the population's"
      " heuristics from bits, drawing from PCG64 seeded from the uint32 entropy words"
-     " draws[i], or from the BitGenerator draws; its mask goes to masks_out[i] and"
-     " whether it moved to moved_out[i]"},
+     " draws[i], on min(threads, rows) threads, or from the BitGenerator draws, on one;"
+     " its mask goes to masks_out[i] and whether it moved to moved_out[i]"},
     {"breed", (PyCFunction)(void (*)(void))breed, METH_FASTCALL,
      "breed(chromosomes, bit_generator, p_crossover, p_mutation): single-point crossover"
      " of each consecutive pair of rows, then each gene to another id with probability"
@@ -1125,7 +1280,8 @@ static PyMethodDef methods[] = {
     {"nearest", (PyCFunction)(void (*)(void))nearest, METH_FASTCALL,
      "nearest(columns, low, span, folds, masks, work, out): out[m][r][i] = the column in"
      " another fold of folds[r] nearest row i over the columns masks[m] selects (low and span"
-     " their least values and ranges), ties to the lowest index, on work.shape[0] threads"},
+     " their least values and ranges), ties to the lowest index, on work.shape[0] threads,"
+     " each helper on a CPU of its own"},
     {NULL, NULL, 0, NULL},
 };
 

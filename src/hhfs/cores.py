@@ -1,9 +1,14 @@
 """The cores a process may use, and the forked workers that share them.
 
 Where ``may_fork`` allows, ``fork_map`` maps a dataset's runs over one
-forked worker per usable core. A lone supervisor run starts no process:
-its fitness kernel (``_climb.nearest``) computes each generation's new
-masks on a thread per usable core, started and joined within the call.
+forked worker per usable core, worker i pinned to the i-th of them. A
+lone supervisor run starts no process: its kernel calls run each
+generation's heuristic rows (``_climb.generation``) and compute its new
+masks (``_climb.nearest``) on a thread per usable core, started and
+joined within the call, each started thread on a CPU other than the
+caller's. Both pin, as the host may not move a thread off the CPU it
+started on: where a cpuset turns scheduler load balancing off, a new
+thread or process shares its creator's CPU for as long as it runs.
 
 The workers are forked, not spawned: a forked worker imports nothing and
 is sent no dataset, and forking starts no ``resource_tracker`` process. Each
@@ -16,6 +21,7 @@ answer is met with None; one that still owes an answer is terminated.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import signal
@@ -39,11 +45,15 @@ def may_fork() -> bool:
             and not multiprocessing.current_process().daemon)
 
 
-def _serve(func, items: Sequence, conn, parent_end) -> None:
-    """A worker's loop: it answers each index ``i`` it is sent with
-    ``func(items[i])`` or what that raised, and returns when sent None."""
+def _serve(func, items: Sequence, conn, parent_end, cpu: int) -> None:
+    """A worker's loop, on CPU ``cpu`` where the platform can pin: it
+    answers each index ``i`` it is sent with ``func(items[i])`` or what
+    that raised, and returns when sent None."""
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
+    if hasattr(os, "sched_setaffinity"):  # missing on some platforms
+        with contextlib.suppress(OSError):  # a CPU taken away since: run unpinned
+            os.sched_setaffinity(0, {cpu})
     while (i := conn.recv()) is not None:
         try:
             answer = func(items[i])
@@ -55,11 +65,13 @@ def _serve(func, items: Sequence, conn, parent_end) -> None:
 def fork_map(func, items: Sequence):
     """``map(func, items)`` on one forked worker per usable core, at most
     one per item; in this process where ``may_fork()`` is false or for
-    fewer than two items. The workers inherit ``func`` and ``items`` at
-    fork; each is sent the next item's index whenever it answers, or None
-    once none is left. The results come in order, an exception ``func``
-    raised is raised at its item's place, and the workers still owing an
-    answer when the iteration ends, is abandoned or raises are terminated."""
+    fewer than two items. Worker i runs on CPU ``cpus[i % len(cpus)]``,
+    ``cpus`` being this process's allowed CPUs in ascending order. The
+    workers inherit ``func`` and ``items`` at fork; each is sent the next
+    item's index whenever it answers, or None once none is left. The
+    results come in order, an exception ``func`` raised is raised at its
+    item's place, and the workers still owing an answer when the iteration
+    ends, is abandoned or raises are terminated."""
     if len(items) < 2 or not may_fork():
         yield from map(func, items)
         return
@@ -67,11 +79,13 @@ def fork_map(func, items: Sequence):
     pool = []  # each worker's process and the parent's end of its pipe
     owed = {}  # the parent's end -> the index sent and not yet answered
     answers: dict[int, object] = {}
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = sorted(affinity(0)) if affinity else [0]
     try:
         for i in range(min(usable_cores(), len(items))):
             conn, child_end = ctx.Pipe()
             process = ctx.Process(target=_serve, daemon=True,
-                                  args=(func, items, child_end, conn))
+                                  args=(func, items, child_end, conn, cpus[i % len(cpus)]))
             process.start()
             child_end.close()
             pool.append((process, conn))

@@ -10,12 +10,15 @@ The heuristics are compiled (``_climb.c``, built by
 ``correlation._load_climb``): ``_climb.generation`` runs a population of
 chromosomes, each a list of gene ids, in one call, every row from the same
 mask. Its rows draw either in turn from one bit generator (``run_genes``
-on a single row; ``apply`` is a one-gene ``run_genes``) or each from its
-own stream key (``run_generation``, row i on ``PCG64([seed, 1, gen,
-i])``). That layout is this module's: ``stream_keys`` splits seed, gen
-and i into numpy's entropy words around the tag 1, and the kernel seeds
-row i from its key row as numpy's ``SeedSequence`` does. The rules, in
-the kernel:
+on a single row, on the calling thread; ``apply`` is a one-gene
+``run_genes``) or each from its own stream key (``run_generation``, row i
+on ``PCG64([seed, 1, gen, i])``). That layout is this module's:
+``stream_keys`` splits seed, gen and i into numpy's entropy words around
+the tag 1, and the kernel seeds row i from its key row as numpy's
+``SeedSequence`` does. With keys, the call runs its rows without the GIL
+on the threads it is asked for, which it starts, each on a CPU of its own
+where it can, and joins: the rows and counts are the same on any number
+of threads. The rules, in the kernel:
 
 - SDHC moves to the first (lowest-index) in-domain flip of highest merit,
   if that merit is strictly above the current one;
@@ -82,16 +85,16 @@ class LlhContext:
 
 
 def _run_rows(population, draws, mask: FeatureMask, cache: CorrelationCache,
-              mutn_rate: float, invocations: np.ndarray,
-              improvements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_climb.generation`` of ``population`` from ``mask`` on ``draws``:
-    the (rows, N) bool final bits in row order, ``mask``'s bits in an
-    unmoved row, and each row's moved flag."""
+              mutn_rate: float, invocations: np.ndarray, improvements: np.ndarray,
+              threads: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_climb.generation`` of ``population`` from ``mask`` on ``draws``
+    and ``threads`` threads: the (rows, N) bool final bits in row order,
+    ``mask``'s bits in an unmoved row, and each row's moved flag."""
     check_fits(mask, cache)
     bits = np.empty((len(population), mask.n), dtype=bool)
     moved = np.empty(len(population), dtype=bool)
-    _climb.generation(population, draws, mask.bits, cache.feature_class,
-                      cache.feature_feature, mutn_rate, invocations, improvements, bits, moved)
+    _climb.generation(population, draws, mask.bits, cache.feature_class, cache.feature_feature,
+                      mutn_rate, invocations, improvements, bits, moved, threads)
     return bits, moved
 
 
@@ -106,7 +109,7 @@ def run_genes(genes: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
     ``mask`` itself when no heuristic moved."""
     with bit_generator.lock:
         bits, moved = _run_rows(genes[np.newaxis], bit_generator, mask, cache, mutn_rate,
-                                invocations, improvements)
+                                invocations, improvements, 1)
     return FeatureMask(bits[0]) if moved[0] else mask
 
 
@@ -136,14 +139,15 @@ def stream_keys(seed: int, gen: int, rows: int) -> np.ndarray:
 
 def run_generation(population: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
                    seed: int, gen: int, mutn_rate: float, invocations: np.ndarray,
-                   improvements: np.ndarray) -> np.ndarray:
+                   improvements: np.ndarray, threads: int = 1) -> np.ndarray:
     """``run_genes`` on each row of ``population`` (C-contiguous int64, a
     chromosome per row) from ``mask``, row i drawing from
-    ``PCG64([seed, 1, gen, i])``, all in one compiled call. Returns the
-    final masks' bits as one (rows, N) bool matrix in row order: ``mask``'s
-    bits in a row where no heuristic moved."""
+    ``PCG64([seed, 1, gen, i])``, all in one compiled call on ``threads``
+    threads (at most one per row). Returns the final masks' bits as one
+    (rows, N) bool matrix in row order: ``mask``'s bits in a row where no
+    heuristic moved; the bits and the counts do not depend on ``threads``."""
     return _run_rows(population, stream_keys(seed, gen, len(population)), mask, cache,
-                     mutn_rate, invocations, improvements)[0]
+                     mutn_rate, invocations, improvements, threads)[0]
 
 
 @dataclass(frozen=True)

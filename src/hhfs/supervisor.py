@@ -119,10 +119,11 @@ class SupervisorResult:
     fitness_computations: int
     fitness_cache_hits: int
     wall_time: float
-    # wall seconds spent in each phase of the run: heuristics, fitness (a
-    # generation's bits matrix keyed into the memo and its new rows' CV
-    # computations, one kernel call on a thread per usable core), ga,
-    # report; the rest of wall_time is set-up
+    # wall seconds spent in each phase of the run: heuristics (a
+    # generation's rows, one kernel call), fitness (its bits matrix keyed
+    # into the memo and its new rows' CV computations, one more kernel
+    # call), each call on a thread per usable core, ga, report; the rest
+    # of wall_time is set-up
     phase_seconds: dict[str, float]
 
     @property
@@ -189,11 +190,11 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
 
     A run is one process: it starts no worker, whatever the cores. A
     generation's heuristics are one compiled call, and its new masks'
-    fitness one more after them, on a thread per usable core where
+    fitness one more after them, each on a thread per usable core where
     ``cores.may_fork()`` allows (at most one per chromosome), else on this
-    thread alone. The kernel starts those threads and joins them before it
-    returns, so none outlives a generation; the results do not depend on
-    them.
+    thread alone. The kernel starts those threads, each further one on a
+    CPU of its own, and joins them before it returns, so none outlives a
+    call; the results do not depend on them.
     """
     if dataset.n_features < 2:
         raise ValueError("the supervisor needs at least 2 features, "
@@ -224,7 +225,7 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     for gen in range(cfg.generations):
         t0 = time.perf_counter()
         bits = llh.run_generation(population, incumbent, cache, cfg.seed, gen,
-                                  cfg.mutn_rate, stats.invocations, stats.improvements)
+                                  cfg.mutn_rate, stats.invocations, stats.improvements, threads)
         t1 = time.perf_counter()
         fits = evaluator.fitnesses(bits, threads)
         t2 = time.perf_counter()

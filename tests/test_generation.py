@@ -4,7 +4,9 @@ rows)``, as ``PCG64([seed, 1, gen, i])``, against ``llh.run_genes`` on
 numpy's own generator, and the refusals of ``generation`` and of the GA's
 ``breed``."""
 
+import contextlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -25,10 +27,11 @@ GENS = [0, 199, 2 ** 32 + 1]
 DRAWING_GENES = [7, 8, 9, 10, 11, 12, 13, 14, 15, 16]
 
 
-def generation(population, seed, gen, mask, cache, mutn_rate=0.1, **replace):
-    """``_climb.generation`` on ``llh.stream_keys(seed, gen, rows)`` with
-    fresh outputs and counters (any of them, or the keys, replaced by
-    keyword): the rows, the moved flags and the LlhStats."""
+def generation(population, seed, gen, mask, cache, mutn_rate=0.1, threads=1, **replace):
+    """``_climb.generation`` on ``llh.stream_keys(seed, gen, rows)`` and
+    ``threads`` threads with fresh outputs and counters (any of them, or
+    the keys, replaced by keyword): the rows, the moved flags and the
+    LlhStats."""
     stats = LlhStats()
     a = dict(population=population, keys=llh.stream_keys(seed, gen, len(population)),
              bits=mask.bits,
@@ -40,7 +43,7 @@ def generation(population, seed, gen, mask, cache, mutn_rate=0.1, **replace):
     a.update(replace)
     _climb.generation(a["population"], a["keys"], a["bits"], a["feature_class"],
                       a["feature_feature"], mutn_rate, a["invocations"], a["improvements"],
-                      a["masks_out"], a["moved_out"])
+                      a["masks_out"], a["moved_out"], threads)
     return a["masks_out"], a["moved_out"], stats
 
 
@@ -146,6 +149,42 @@ def test_rows_on_one_bit_generator_equal_run_genes_in_turn(key, bit_generator):
     np.testing.assert_equal(shared.state, reference.state)
 
 
+@contextlib.contextmanager
+def switching_often():
+    """The interpreter asks for a thread switch every microsecond, so a
+    call that ran Python code on another thread while holding the GIL, or
+    wrote an output unlocked, would show it."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@settings(max_examples=40, deadline=None)
+@given(keys())
+def test_any_thread_count_gives_one_thread_s_rows(key):
+    seed, gen, population, mask, cache = key
+    rows = len(population)
+    start = np.arange(NUM_LLH + 1, dtype=np.int64)  # the counters are added to
+    outcomes = []
+    with switching_often():
+        for threads in (1, 2, 3, rows, rows + 3):
+            stats = LlhStats(start.copy(), start[::-1].copy())
+            masks, moved, _ = generation(  # every row and flag pre-filled, then written
+                population, seed, gen, mask, cache, threads=threads,
+                masks_out=np.tile(~mask.bits, (rows, 1)), moved_out=np.ones(rows, dtype=bool),
+                invocations=stats.invocations, improvements=stats.improvements)
+            outcomes.append((masks.tolist(), moved.tolist(), stats.invocations.tolist(),
+                             stats.improvements.tolist()))
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+    masks, moved, stats = generation(population, seed, gen, mask, cache)
+    assert outcomes[0] == (masks.tolist(), moved.tolist(),
+                           (stats.invocations + start).tolist(),
+                           (stats.improvements + start[::-1]).tolist())
+
+
 def test_run_generation_returns_the_incumbent_for_unmoved_rows():
     cache = random_cache(6, seed=5)
     mask = FeatureMask([1, 0, 1, 1, 0, 0])
@@ -231,6 +270,26 @@ class TestGenerationArguments:
             generation(population, 3, 0, mask, cache, **counts)
         assert not np.any(counts["invocations"])
 
+    @pytest.mark.parametrize("threads", [0, -1, -(2 ** 62)])
+    def test_thread_count_below_one(self, args, threads):
+        counts = np.zeros(NUM_LLH + 1, dtype=np.int64)
+        with pytest.raises(ValueError, match="^threads must be at least 1$"):
+            generation(*args[:1], 3, 0, *args[1:], threads=threads, invocations=counts)
+        assert not counts.any()
+        with pytest.raises(TypeError, match="float"):
+            generation(*args[:1], 3, 0, *args[1:], threads=2.0, invocations=counts)
+
+    @pytest.mark.parametrize("threads", [2, 3, 40])
+    def test_one_bit_generator_runs_on_one_thread(self, args, threads):
+        counts = np.zeros(NUM_LLH + 1, dtype=np.int64)
+        bit_generator = np.random.PCG64(5)
+        state = bit_generator.state
+        with pytest.raises(ValueError, match="^rows drawing from one bit generator run on one "
+                                             "thread$"):
+            generation(*args[:1], 3, 0, *args[1:], threads=threads, keys=bit_generator,
+                       invocations=counts)
+        assert bit_generator.state == state and not counts.any()
+
     def test_masks_out_must_not_overlap_the_bits(self, args):
         population, mask, cache = args
         shared = np.zeros((self.ROWS, self.N), dtype=bool)
@@ -252,7 +311,7 @@ class TestGenerationArguments:
             generation(population, seed, gen, mask, cache)
 
     def test_argument_count(self, args):
-        with pytest.raises(TypeError, match=r"^generation\(population, draws, bits, .* takes 10 "
+        with pytest.raises(TypeError, match=r"^generation\(population, draws, bits, .* takes 11 "
                                             "arguments, 2 given$"):
             _climb.generation(args[0], 0)
         # draws that are no buffer must be a bit generator

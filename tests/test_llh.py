@@ -585,7 +585,7 @@ def call_kernel(name, scan, genes=None, **replace):
     population = b["genes"][np.newaxis] if isinstance(b["genes"], np.ndarray) else b["genes"]
     _climb.generation(population, b["bit_generator"], b["bits"], b["feature_class"],
                       b["feature_feature"], 0.1, b["invocations"], b["improvements"],
-                      b["bits_out"][np.newaxis], moved)
+                      b["bits_out"][np.newaxis], moved, 1)
     return bool(moved[0])
 
 
@@ -819,7 +819,7 @@ class TestKernelEqualsOracle:
                 bits_out, moved = np.empty((1, n), dtype=bool), np.empty(1, dtype=bool)
                 _climb.generation(genes[np.newaxis], bit_generator, scan.bits,
                                   cache.feature_class, cache.feature_feature, 0.1,
-                                  stats.invocations, stats.improvements, bits_out, moved)
+                                  stats.invocations, stats.improvements, bits_out, moved, 1)
                 expected = oracle_run_genes(genes, scan, OracleContext(cache, oracle_rng),
                                             expected_stats)
                 assert bit_generator.state == oracle_rng.bit_generator.state
@@ -1150,7 +1150,7 @@ class TestClimbKernelArguments:
             call_kernel(name, scan, feature_feature=scan.cache.feature_feature.T)
 
     def test_argument_count_and_non_buffers(self, name, scan):
-        with pytest.raises(TypeError, match="takes 10 arguments, 2 given"):
+        with pytest.raises(TypeError, match="takes 11 arguments, 2 given"):
             _climb.generation(scan.bits, scan.cache.feature_feature)
         with pytest.raises(TypeError):
             call_kernel(name, scan, [KERNEL_GENE[name]])
