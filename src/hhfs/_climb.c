@@ -24,15 +24,15 @@
    draw; or a numpy BitGenerator that the rows draw from in order, on this
    thread, with the GIL held. So any slice of a call's rows and key rows
    gives those rows. The keys' layout is hhfs.llh's (stream_keys). On the
-   keys, the call releases the GIL, and min(threads, P) threads (this one
-   and the rest started here, see spread) each take the next row off one
-   cursor, climb it in a mask buffer of their own (rows of a few dozen
-   bytes share cache lines) and copy it to masks_out[i] once; each counts
-   into a counter pair of its own, added to invocations and improvements
-   after the join, so the bits and the counts are the same on any number
-   of threads. threads < 1, and a BitGenerator with threads != 1 (its
-   draws are one stream), are refused. Every gene is checked before any
-   row runs.
+   keys, the call releases the GIL, and min(threads, P) threads at most
+   (this one and the process's helpers, see spread) each take the next row
+   off one cursor, climb it in a mask buffer of their own (rows of a few
+   dozen bytes share cache lines) and copy it to masks_out[i] once; each
+   counts into a counter pair of its own, added to invocations and
+   improvements once every helper is done, so the bits and the counts are
+   the same on any number of threads. threads < 1, and a BitGenerator
+   with threads != 1 (its draws are one stream), are refused. Every gene
+   is checked before any row runs.
 
    The heuristics draw from the bit generator through numpy's random C API,
    with the calls its Generator makes: integers(n) is
@@ -66,10 +66,10 @@
    term rounded and added in ascending l (exact), which is pdist's
    "sqeuclidean" bit for bit. low and span hold each column's least value
    and range. The (T, n, w) work, w being n rounded up to SCREEN_LANES (16),
-   holds a matrix per thread: this one and T - 1 started here (M in all at
-   most, see spread) each take the next mask off one cursor, gather its
-   rows into buffers of their own and compute it, the bits the same
-   whichever thread computed a mask.
+   holds a matrix per thread: this one and T - 1 helpers at most (M
+   threads in all at most, see spread) each take the next mask off one
+   cursor, gather its rows into buffers of their own and compute it, the
+   bits the same whichever thread computed a mask.
 
    It filters in float32 and refines in float64 (Seidl and Kriegel, "Optimal
    multi-step k-nearest neighbor search", SIGMOD 1998). Per mask,
@@ -112,16 +112,24 @@
    written, and the call computes without the GIL, so other Python threads
    run meanwhile.
 
-   Both entries start their threads through spread. Where the kernel does
-   not balance threads across CPUs (a cpuset with sched_load_balance 0), a
-   new thread stays on its creator's CPU, and two threads on one CPU take
-   twice one's time. So, on Linux with glibc, helper t (1, 2, ...) is
-   started on one CPU of its own: the t-th of the caller's allowed CPUs,
-   less the one the caller runs on, wrapping round them. Where the caller
-   may run on one CPU only, or elsewhere, helpers start unpinned. The
-   caller computes its share itself; a helper that cannot start leaves its
-   share to the others, and every helper is joined before the call
-   returns. */
+   Both entries share their work through spread, with one team of helper
+   threads that lives for the process. It starts on the first call that
+   asks for a helper and grows to the most any call asked for, less one,
+   and, on Linux with glibc, to one fewer than the caller's allowed CPUs at
+   most: none where the caller may run on one CPU only. Where the kernel
+   does not balance threads across CPUs (a cpuset with sched_load_balance
+   0), a new thread stays on its creator's CPU, and two threads on one CPU
+   take twice one's time. So there, each call puts helper t (1, 2, ...) on
+   one CPU of its own: the t-th of the caller's allowed CPUs, less the one
+   the caller runs on. A helper starts pinned to it and is moved only
+   when that CPU changes; elsewhere helpers run unpinned. They sleep on a
+   condition variable until a call posts them a share; the caller wakes
+   them, computes its own share and waits for every helper to be done
+   without sleeping, as a caller woken from a sleep may be woken on a
+   helper's CPU, and stay there. A call that finds the team busy with
+   another thread's call computes alone, and a helper that cannot start
+   leaves its share to the others, so the results never depend on the
+   threads. A forked child starts with no team (pthread_atfork). */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -219,71 +227,180 @@ overlap(const Py_buffer *a, const Py_buffer *b)
 #define MOST_CPUS 1
 #endif
 
-/* The CPUs helpers are placed on (see the header), ascending, into cpu;
-   returns how many, 0 where helpers start unpinned. */
+/* The CPUs a call's helpers go on (see the header), ascending, into cpu:
+   the caller's allowed CPUs less the one it runs on, one fewer than the
+   allowed at most; returns how many, or -1 where the allowed set is not
+   known and helpers run unpinned. */
 static int
 helper_cpus(int cpu[MOST_CPUS])
 {
-    int count = 0;
 #ifdef PLACE_HELPERS
     cpu_set_t allowed;
-    if (pthread_getaffinity_np(pthread_self(), sizeof allowed, &allowed) != 0
-        || CPU_COUNT(&allowed) < 2)
-        return 0;
-    int here = sched_getcpu();
-    for (int c = 0; c < CPU_SETSIZE; c++)
+    if (pthread_getaffinity_np(pthread_self(), sizeof allowed, &allowed) != 0)
+        return -1;
+    int count = 0, here = sched_getcpu(), most = CPU_COUNT(&allowed) - 1;
+    for (int c = 0; c < CPU_SETSIZE && count < most; c++)
         if (CPU_ISSET(c, &allowed) && c != here)
             cpu[count++] = c;
+    return count;
 #else
     (void)cpu;
+    return -1;
 #endif
-    return count;
 }
 
-/* Start fn(arg) on a new thread, *id, on CPU cpu where cpu >= 0 and that
-   start succeeds, else unpinned; returns whether it started. */
-static int
-start_helper(pthread_t *id, void *(*fn)(void *), void *arg, int cpu)
+/* A helper of the team: its thread, the CPU it is pinned on (-1: none),
+   and the jobs posted to it, each its share of a call's work. */
+struct helper {
+    pthread_t id;
+    pthread_cond_t wake;
+    int cpu;
+    unsigned long posted;
+    void *share;
+};
+
+/* The process's helpers, started as calls ask for them: busy is held by
+   the call using them, lock guards the job's fn and each helper's posted
+   and share, and pending counts the helpers still on the job. */
+static struct {
+    pthread_mutex_t busy, lock;
+    struct helper **helper;
+    Py_ssize_t size, pending;
+    void *(*fn)(void *);
+} team = {.busy = PTHREAD_MUTEX_INITIALIZER, .lock = PTHREAD_MUTEX_INITIALIZER};
+
+/* A helper's life: asleep until a job is posted to it, then its share, and
+   it counts itself off the job. */
+static void *
+serve(void *arg)
 {
+    struct helper *me = arg;
+    unsigned long done = 0;
+#ifdef PLACE_HELPERS
+    pthread_setname_np(pthread_self(), "hhfs helper");  /* as /proc and top -H list it */
+#endif
+    pthread_mutex_lock(&team.lock);
+    for (;;) {
+        while (me->posted == done)
+            pthread_cond_wait(&me->wake, &team.lock);
+        done = me->posted;
+        void *(*fn)(void *) = team.fn;
+        void *share = me->share;
+        pthread_mutex_unlock(&team.lock);
+        fn(share);
+        __atomic_sub_fetch(&team.pending, 1, __ATOMIC_RELEASE);
+        pthread_mutex_lock(&team.lock);
+    }
+    return NULL;
+}
+
+/* Helper h's thread started on CPU cpu where cpu >= 0 and that start
+   succeeds, else unpinned; returns whether it started. */
+static int
+start_helper(struct helper *h, int cpu)
+{
+    int ok = 0;
 #ifdef PLACE_HELPERS
     pthread_attr_t attr;
     if (cpu >= 0 && pthread_attr_init(&attr) == 0) {
         cpu_set_t one;
         CPU_ZERO(&one);
         CPU_SET(cpu, &one);
-        int ok = pthread_attr_setaffinity_np(&attr, sizeof one, &one) == 0
-                 && pthread_create(id, &attr, fn, arg) == 0;
+        ok = pthread_attr_setaffinity_np(&attr, sizeof one, &one) == 0
+             && pthread_create(&h->id, &attr, serve, h) == 0;
         pthread_attr_destroy(&attr);
-        if (ok)
-            return 1;
     }
-#else
-    (void)cpu;
 #endif
-    return pthread_create(id, NULL, fn, arg) == 0;
+    h->cpu = ok ? cpu : -1;
+    return ok || pthread_create(&h->id, NULL, serve, h) == 0;
 }
 
-/* fn(arg + t * size) for t in 0..count-1: t = 0 on this thread, each other
-   on a helper started here, on the ((t - 1) mod their count)-th of
-   helper_cpus; then every helper is joined. Each fn takes its work off one
-   cursor, so a helper that cannot start, or no room for the helpers' ids,
-   leaves its share to the others. Needs no GIL. */
+/* Helper h moved onto CPU cpu (where helpers are placed); h->cpu where it is. */
+static void
+place(struct helper *h, int cpu)
+{
+#ifdef PLACE_HELPERS
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    h->cpu = pthread_setaffinity_np(h->id, sizeof one, &one) == 0 ? cpu : -1;
+#else
+    (void)h, (void)cpu;
+#endif
+}
+
+/* The team grown to want helpers, helper t started on cpu[t] where cpu is
+   given; a helper that cannot start, or no room for it, leaves it smaller. */
+static void
+grow(Py_ssize_t want, const int *cpu)
+{
+    struct helper **more = realloc(team.helper, want * sizeof *more);
+    if (more == NULL)
+        return;
+    team.helper = more;
+    while (team.size < want) {
+        struct helper *h = malloc(sizeof *h);
+        if (h == NULL)
+            return;
+        *h = (struct helper){.wake = PTHREAD_COND_INITIALIZER};
+        if (!start_helper(h, cpu != NULL ? cpu[team.size] : -1)) {
+            free(h);
+            return;
+        }
+        team.helper[team.size++] = h;
+    }
+}
+
+/* fn(arg + t * size) for t in 0..count-1 at most: t = 0 on this thread
+   and t >= 1 on the team's helper t - 1, as many as helper_cpus counts at
+   most, each first moved onto its CPU there where that changed. Each fn
+   takes its work off one cursor, so a share no helper runs is left to the
+   others: where the team is busy with another thread's call, this one
+   runs alone. Needs no GIL. */
 static void
 spread(void *(*fn)(void *), void *arg, size_t size, Py_ssize_t count)
 {
-    struct helper {
-        pthread_t id;
-        int started;
-    } *helper = count > 1 ? PyMem_RawCalloc(count, sizeof *helper) : NULL;
-    int cpu[MOST_CPUS], cpus = helper != NULL ? helper_cpus(cpu) : 0;
-    for (Py_ssize_t t = 1; helper != NULL && t < count; t++)
-        helper[t].started = start_helper(&helper[t].id, fn, (char *)arg + t * size,
-                                         cpus ? cpu[(t - 1) % cpus] : -1);
+    if (count < 2 || pthread_mutex_trylock(&team.busy) != 0) {
+        fn(arg);
+        return;
+    }
+    int cpu[MOST_CPUS], cpus = helper_cpus(cpu);
+    Py_ssize_t helpers = cpus >= 0 && cpus < count - 1 ? cpus : count - 1;
+    if (helpers > team.size)
+        grow(helpers, cpus > 0 ? cpu : NULL);
+    if (helpers > team.size)
+        helpers = team.size;
+    for (Py_ssize_t t = 0; cpus > 0 && t < helpers; t++)
+        if (team.helper[t]->cpu != cpu[t])
+            place(team.helper[t], cpu[t]);
+    __atomic_store_n(&team.pending, helpers, __ATOMIC_RELAXED);
+    pthread_mutex_lock(&team.lock);
+    team.fn = fn;
+    for (Py_ssize_t t = 0; t < helpers; t++) {
+        team.helper[t]->share = (char *)arg + (t + 1) * size;
+        team.helper[t]->posted++;
+    }
+    pthread_mutex_unlock(&team.lock);
+    for (Py_ssize_t t = 0; t < helpers; t++)
+        pthread_cond_signal(&team.helper[t]->wake);
     fn(arg);
-    for (Py_ssize_t t = 1; helper != NULL && t < count; t++)
-        if (helper[t].started)
-            pthread_join(helper[t].id, NULL);
-    PyMem_RawFree(helper);
+    /* awake: a caller that slept here could be woken on a helper's CPU and stay there */
+    while (__atomic_load_n(&team.pending, __ATOMIC_ACQUIRE) > 0)
+        sched_yield();
+    pthread_mutex_unlock(&team.busy);
+}
+
+/* A forked child has none of the team's threads: its team starts empty. */
+static void
+empty_team(void)
+{
+    for (Py_ssize_t t = 0; t < team.size; t++)
+        free(team.helper[t]);
+    free(team.helper);
+    team.helper = NULL;
+    team.size = 0;
+    pthread_mutex_init(&team.busy, NULL);
+    pthread_mutex_init(&team.lock, NULL);
 }
 
 /* The correlation cache for n features: feature_class and feature_feature. */
@@ -1271,7 +1388,7 @@ static PyMethodDef methods[] = {
      "generation(population, draws, bits, feature_class, feature_feature, mutn_rate,"
      " invocations, improvements, masks_out, moved_out, threads): row i of the population's"
      " heuristics from bits, drawing from PCG64 seeded from the uint32 entropy words"
-     " draws[i], on min(threads, rows) threads, or from the BitGenerator draws, on one;"
+     " draws[i], on min(threads, rows) threads at most, or from the BitGenerator draws, on one;"
      " its mask goes to masks_out[i] and whether it moved to moved_out[i]"},
     {"breed", (PyCFunction)(void (*)(void))breed, METH_FASTCALL,
      "breed(chromosomes, bit_generator, p_crossover, p_mutation): single-point crossover"
@@ -1280,8 +1397,8 @@ static PyMethodDef methods[] = {
     {"nearest", (PyCFunction)(void (*)(void))nearest, METH_FASTCALL,
      "nearest(columns, low, span, folds, masks, work, out): out[m][r][i] = the column in"
      " another fold of folds[r] nearest row i over the columns masks[m] selects (low and span"
-     " their least values and ranges), ties to the lowest index, on work.shape[0] threads,"
-     " each helper on a CPU of its own"},
+     " their least values and ranges), ties to the lowest index, on work.shape[0] threads"
+     " at most, each helper on a CPU of its own"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1295,6 +1412,8 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__climb(void)
 {
+    if (pthread_atfork(NULL, NULL, empty_team) != 0)
+        return PyErr_NoMemory();
     PyObject *m = PyModule_Create(&module);
     if (m != NULL && PyModule_AddIntConstant(m, "SCREEN_LANES", SCREEN_LANES) < 0)
         Py_CLEAR(m);

@@ -4,11 +4,12 @@ Where ``may_fork`` allows, ``fork_map`` maps a dataset's runs over one
 forked worker per usable core, worker i pinned to the i-th of them. A
 lone supervisor run starts no process: its kernel calls run each
 generation's heuristic rows (``_climb.generation``) and compute its new
-masks (``_climb.nearest``) on a thread per usable core, started and
-joined within the call, each started thread on a CPU other than the
-caller's. Both pin, as the host may not move a thread off the CPU it
-started on: where a cpuset turns scheduler load balancing off, a new
-thread or process shares its creator's CPU for as long as it runs.
+masks (``_climb.nearest``) on a thread per usable core: the caller and
+the kernel's helper threads, started on the first call that asks for them
+and kept for the process, each on a CPU other than the caller's. Both pin,
+as the host may not move a thread off the CPU it started on: where a
+cpuset turns scheduler load balancing off, a new thread or process shares
+its creator's CPU for as long as it runs.
 
 The workers are forked, not spawned: a forked worker imports nothing and
 is sent no dataset, and forking starts no ``resource_tracker`` process. Each

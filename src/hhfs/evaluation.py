@@ -25,11 +25,11 @@ makes from each column's least value and range: each column less its
 least value, times one power of two that takes the widest range to at
 most 1, so no float32 distance overflows. A batch of masks is one kernel
 call, which computes them on as many threads as its work has n x w
-float32 matrices (w is n rounded up to the kernel's 16 lanes), each
-thread taking the next mask, each thread it starts on a CPU of its own
-where the caller may use more than one, and joins them before it
-returns: a lone run computes a generation's new masks so, one thread per
-usable core.
+float32 matrices (w is n rounded up to the kernel's 16 lanes) at most,
+each thread taking the next mask: the caller and the kernel's helper
+threads, which live for the process, each on a CPU of its own where the
+caller may use more than one. A lone run computes a generation's new
+masks so, one thread per usable core.
 
 An evaluator refuses a dataset with a non-finite feature cell, naming its
 column, and one whose float64 distances could overflow, its column ranges'

@@ -16,9 +16,10 @@ on ``PCG64([seed, 1, gen, i])``). That layout is this module's:
 ``stream_keys`` splits seed, gen and i into numpy's entropy words around
 the tag 1, and the kernel seeds row i from its key row as numpy's
 ``SeedSequence`` does. With keys, the call runs its rows without the GIL
-on the threads it is asked for, which it starts, each on a CPU of its own
-where it can, and joins: the rows and counts are the same on any number
-of threads. The rules, in the kernel:
+on the threads it is asked for at most: the caller and the kernel's helper
+threads, which live for the process, each on a CPU of its own where it
+can. The rows and counts are the same on any number of threads. The
+rules, in the kernel:
 
 - SDHC moves to the first (lowest-index) in-domain flip of highest merit,
   if that merit is strictly above the current one;

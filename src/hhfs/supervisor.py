@@ -122,8 +122,8 @@ class SupervisorResult:
     # wall seconds spent in each phase of the run: heuristics (a
     # generation's rows, one kernel call), fitness (its bits matrix keyed
     # into the memo and its new rows' CV computations, one more kernel
-    # call), each call on a thread per usable core, ga, report; the rest
-    # of wall_time is set-up
+    # call), each call on the caller and the kernel's helpers, a thread
+    # per usable core, ga, report; the rest of wall_time is set-up
     phase_seconds: dict[str, float]
 
     @property
@@ -192,9 +192,10 @@ def run_supervisor(dataset: Dataset, cfg: SupervisorConfig,
     generation's heuristics are one compiled call, and its new masks'
     fitness one more after them, each on a thread per usable core where
     ``cores.may_fork()`` allows (at most one per chromosome), else on this
-    thread alone. The kernel starts those threads, each further one on a
-    CPU of its own, and joins them before it returns, so none outlives a
-    call; the results do not depend on them.
+    thread alone. The further threads are the kernel's helpers, each on a
+    CPU of its own, started by the first call that asks for them and kept
+    for the process, asleep between calls; the results do not depend on
+    them.
     """
     if dataset.n_features < 2:
         raise ValueError("the supervisor needs at least 2 features, "

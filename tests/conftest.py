@@ -12,6 +12,7 @@ import ctypes
 import itertools
 import math
 import multiprocessing
+import os
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -37,6 +38,21 @@ needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_meth
 def on_cores(monkeypatch, count: int) -> None:
     """Make this process see ``count`` usable cores."""
     monkeypatch.setattr(cores, "usable_cores", lambda: count)
+
+
+def kernel_helpers() -> int:
+    """How many of this process's OS threads are the kernel's helpers, which
+    it names "hhfs helper", where /proc lists them (Linux), else 0."""
+    if not os.path.isdir("/proc/self/task"):
+        return 0
+    count = 0
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/comm") as comm:
+                count += comm.read() == "hhfs helper\n"
+        except OSError:  # the thread has just exited
+            pass
+    return count
 
 
 def synthetic_dataset(n_instances=60, n_features=12, n_informative=4,

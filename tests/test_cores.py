@@ -1,20 +1,25 @@
 """Forked workers: ``fork_map`` keeps its items' order, raises a worker's
 exception at its item's place, fails when a worker dies, maps in this
 process where it may not fork or has one item, pins each worker to one
-CPU and leaves no process behind. And the kernel's threads: each helper
-thread a call starts runs on one CPU."""
+CPU and leaves no process behind. And the kernel's helper threads, one
+team for the process: each helper runs on one CPU, later calls start no
+thread, a forked child computes on a team of its own, and a call that finds
+the team busy computes alone, with the same values."""
 
+import json
 import multiprocessing
 import os
-import re
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import needs_fork, on_cores, random_cache, synthetic_dataset
-from hhfs import cores, llh
+from conftest import needs_fork, on_cores, synthetic_dataset
+from hhfs import build_cache, cores, llh
 from hhfs.evaluation import CvProtocol, FitnessEvaluator
 from hhfs.mask import FeatureMask
 
@@ -104,10 +109,30 @@ def test_fork_map_pins_each_worker_to_one_cpu(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def helper_cpus_during(call) -> dict[str, str]:
-    """Each thread that appears in this process while ``call()`` runs: the
-    ``Cpus_allowed_list`` its ``/proc`` status read last, as the thread
-    may be placed a moment after it appears."""
+# A fresh interpreter's kernel calls, named on its command line, each
+# watched as it runs: the name and the Cpus_allowed_list, read last from
+# /proc, of each thread that appeared meanwhile, and the CPU the caller
+# ran on last, once it returned. Printed as JSON.
+WATCHED_CALLS = r"""
+import json, os, re, sys, threading
+import numpy as np
+from hhfs import Dataset, build_cache, llh, min_max_normalize
+from hhfs.evaluation import CvProtocol, FitnessEvaluator
+from hhfs.mask import FeatureMask
+
+rng = np.random.default_rng(8)
+d = min_max_normalize(Dataset.from_arrays("watched", rng.random((400, 40)), np.arange(400) % 2))
+evaluator, cache = FitnessEvaluator(d, CvProtocol(folds=5)), build_cache(d)
+masks = rng.random((len(sys.argv), 400, 40)) < 0.5  # new masks for every call
+population = rng.integers(1, llh.NUM_LLH + 1, size=(6000, 16))
+counts = np.zeros(llh.NUM_LLH + 1, dtype=np.int64)
+mask = FeatureMask(np.arange(40) % 3 == 0)
+calls = {"fitnesses": lambda i: evaluator.fitnesses(masks[i], 2),
+         "run_generation": lambda i: llh.run_generation(population, mask, cache, 0, i, 0.1,
+                                                        counts, counts, 2)}
+
+
+def started_during(call):
     seen, ready, done = {}, threading.Event(), threading.Event()
 
     def watch():
@@ -117,8 +142,8 @@ def helper_cpus_during(call) -> dict[str, str]:
             for tid in set(os.listdir("/proc/self/task")) - before:
                 try:
                     with open(f"/proc/self/task/{tid}/status") as status:
-                        seen[tid] = re.search(r"^Cpus_allowed_list:\s*(\S+)$", status.read(),
-                                              re.M).group(1)
+                        seen[tid] = re.findall(r"^(?:Name|Cpus_allowed_list):\s*(.*)$",
+                                               status.read(), re.M)
                 except OSError:  # the thread has just exited
                     pass
 
@@ -130,23 +155,89 @@ def helper_cpus_during(call) -> dict[str, str]:
     finally:
         done.set()
         watcher.join()
-    return seen
+    with open("/proc/thread-self/stat") as stat:
+        return seen, stat.read().rsplit(")", 1)[1].split()[36]  # field 39, processor
+
+
+print(json.dumps([started_during(lambda: calls[name](i)) for i, name in enumerate(sys.argv[1:])]))
+"""
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or cores.usable_cores() < 2,
                     reason="needs Linux's /proc and two usable cores")
 def test_each_helper_thread_runs_on_one_cpu():
-    d = synthetic_dataset(n_instances=400, n_features=40, seed=8)
-    evaluator = FitnessEvaluator(d, CvProtocol(folds=5))
-    masks = np.random.default_rng(8).random((800, d.n_features)) < 0.5
-    cache = random_cache(60, seed=8)
-    population = np.random.default_rng(8).integers(1, llh.NUM_LLH + 1, size=(6000, 16))
-    counts = np.zeros(llh.NUM_LLH + 1, dtype=np.int64)
-    mask = FeatureMask(np.arange(60) % 3 == 0)
+    # in a fresh interpreter, whose first 2-thread call starts the team
     allowed = {str(cpu) for cpu in os.sched_getaffinity(0)}
-    for call in (lambda: evaluator.fitnesses(masks, 2),
-                 lambda: llh.run_generation(population, mask, cache, 0, 0, 0.1, counts, counts,
-                                            2)):
-        helpers = helper_cpus_during(call)
-        assert len(helpers) == 1  # the one helper of two threads
-        assert set(helpers.values()) <= allowed  # a single CPU, as "3", not "0-3" or "0,2"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cores.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for first, later in (("fitnesses", "run_generation"), ("run_generation", "fitnesses")):
+        child = subprocess.run([sys.executable, "-c", WATCHED_CALLS, first, later, first],
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        (started, caller), *rest = json.loads(child.stdout)
+        assert len(started) == 1  # the one helper of two threads
+        ((name, cpus),) = started.values()
+        assert name == "hhfs helper"
+        assert cpus in allowed  # a single CPU, as "3", not "0-3" or "0,2"
+        assert cpus != caller
+        assert [helpers for helpers, _ in rest] == [{}, {}]  # later calls start no thread
+
+
+@needs_fork
+def test_a_forked_child_computes_on_a_team_of_its_own():
+    # the team's helpers are not forked: without the team emptied in the
+    # child, its call would wait for a helper it does not have
+    d = synthetic_dataset(n_instances=200, n_features=30, seed=9)
+    masks = np.random.default_rng(9).random((2, 100, d.n_features)) < 0.5
+    evaluator = FitnessEvaluator(d, CvProtocol(folds=5))
+    evaluator.fitnesses(masks[0], 2)  # this process's team, where it has two cores
+    expected = FitnessEvaluator(d, CvProtocol(folds=5)).fitnesses(masks[1], 1)
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.get_context("fork").Process(
+        target=lambda: sender.send(evaluator.fitnesses(masks[1], 2)))  # not daemonic
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child's 2-thread call did not return")
+    assert child.exitcode == 0
+    assert receiver.poll() and np.array_equal(receiver.recv(), expected)
+    assert multiprocessing.active_children() == []
+
+
+def test_concurrent_callers_get_one_thread_values():
+    # one team for the process: a call that finds it busy computes alone;
+    # each caller takes turns at both kernel entries, so a share run with
+    # the other caller's job would show
+    d = synthetic_dataset(n_instances=120, n_features=30, seed=10)
+    cache = build_cache(d)
+    rng = np.random.default_rng(10)
+    masks = rng.random((2, 100, 6, d.n_features)) < 0.5
+    population = rng.integers(1, llh.NUM_LLH + 1, size=(6, 8))
+    start = FeatureMask(np.arange(d.n_features) % 3 == 0)
+
+    def calls(i, threads):
+        evaluator = FitnessEvaluator(d, CvProtocol(folds=5))
+        counts = np.zeros(llh.NUM_LLH + 1, dtype=np.int64)
+        for gen, batch in enumerate(masks[i]):
+            yield evaluator.fitnesses(batch, threads)
+            yield llh.run_generation(population, start, cache, i, gen, 0.1, counts, counts,
+                                     threads)
+        yield counts
+
+    expected = [list(calls(i, 1)) for i in range(2)]
+    got, barrier = [[], []], threading.Barrier(2)
+
+    def call(i):
+        barrier.wait()
+        got[i].extend(calls(i, 2))
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join()
+    for mine, theirs in zip(got, expected):
+        assert len(mine) == len(theirs)
+        assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))

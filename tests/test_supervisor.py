@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (MeritScan, OracleContext, StubRng, best_flip_oracle, breed,
-                      cv_accuracy_cdist_reference, flip, on_cores,
+                      cv_accuracy_cdist_reference, flip, kernel_helpers, on_cores,
                       oracle_next_generation, oracle_run_genes, record_call,
                       synthetic_dataset)
-from hhfs import llh
+from hhfs import cores, llh
 from hhfs.correlation import _climb, build_cache, cfs_merit
 from hhfs.dataset import Dataset, DatasetError, load_csv
 from hhfs.evaluation import CvProtocol, FitnessEvaluator
@@ -690,11 +690,12 @@ def os_threads() -> int | None:
 
 class TestHelperThreads:
     """A lone run computes each generation's new masks in one kernel call
-    on a thread per usable core, at most one per chromosome, which the
-    kernel starts and joins (the class keeps the name from when the threads
-    were helpers that lived for a whole run): the results are a one-core
-    run's, the run starts no Python thread, and after a run, a failure or
-    an interrupt the process has the OS threads it had before."""
+    on a thread per usable core, at most one per chromosome: the caller and
+    the kernel's helpers, which live for the process. The results are a
+    one-core run's, the run starts no Python thread, and once a first
+    multi-thread call has started the helpers, a further run, a failure or
+    an interrupt adds no OS thread, and the process holds one helper per
+    further usable core at most."""
 
     def run_args(self, dataset):
         cfg = SupervisorConfig(population_size=8, generations=3, seed=6)
@@ -716,7 +717,9 @@ class TestHelperThreads:
     @pytest.mark.parametrize("count, helpers", [(1, 0), (2, 1), (3, 2), (40, 7)])
     def test_one_helper_per_further_core_and_fewer_than_the_population(
             self, monkeypatch, small_dataset, count, helpers):
+        most = cores.usable_cores() - 1  # the kernel's own bound, from the CPUs it may use
         on_cores(monkeypatch, count)
+        run_supervisor(*self.run_args(small_dataset))  # starts the helpers it asks for
         shapes, nearest = [], _climb.nearest
 
         def recording(*args):
@@ -730,6 +733,7 @@ class TestHelperThreads:
         assert len(shapes) > 1 and set(shapes[1:]) == {helpers + 1}  # each generation's
         assert threading.enumerate() == threads
         assert os_threads() == tasks
+        assert kernel_helpers() <= most
 
     def test_run_inside_a_pool_worker_starts_no_thread(self, monkeypatch, small_dataset):
         on_cores(monkeypatch, 2)  # the forked worker inherits it
@@ -740,8 +744,8 @@ class TestHelperThreads:
 
     def fail_in(self, monkeypatch, where: str, exc: BaseException) -> None:
         """Make a generation's fitness raise ``exc`` from its kernel call:
-        once the kernel's threads computed and were joined ("helper"), or
-        on this thread before it starts any ("caller")."""
+        once the kernel's threads computed and its helpers were done
+        ("helper"), or on this thread before it wakes any ("caller")."""
         nearest = _climb.nearest
 
         def failing(*args):
@@ -758,10 +762,13 @@ class TestHelperThreads:
                              ids=["error", "interrupt"])
     def test_failing_or_interrupted_fitness_leaves_no_thread(self, monkeypatch, small_dataset,
                                                              where, exc):
+        most = cores.usable_cores() - 1
         on_cores(monkeypatch, 2)
+        run_supervisor(*self.run_args(small_dataset))  # starts the helper, where there are cores
         self.fail_in(monkeypatch, where, exc)
         threads, tasks = threading.enumerate(), os_threads()
         with pytest.raises(type(exc)):
             run_supervisor(*self.run_args(small_dataset))
         assert threading.enumerate() == threads
         assert os_threads() == tasks
+        assert kernel_helpers() <= most
