@@ -110,9 +110,12 @@ def test_fork_map_pins_each_worker_to_one_cpu(monkeypatch):
 
 
 # A fresh interpreter's kernel calls, named on its command line, each
-# watched as it runs: the name and the Cpus_allowed_list, read last from
-# /proc, of each thread that appeared meanwhile, and the CPU the caller
-# ran on last, once it returned. Printed as JSON.
+# watched as it runs: for each thread that appeared meanwhile, its name and
+# its Cpus_allowed_list, read last from /proc, and the CPU the caller ran
+# on when the thread was first seen. The caller does not sleep inside a
+# kernel call, so that is the CPU the call placed its helpers from; once
+# back, the caller may sleep waiting for the GIL and wake on another CPU.
+# Printed as JSON.
 WATCHED_CALLS = r"""
 import json, os, re, sys, threading
 import numpy as np
@@ -130,6 +133,7 @@ mask = FeatureMask(np.arange(40) % 3 == 0)
 calls = {"fitnesses": lambda i: evaluator.fitnesses(masks[i], 2),
          "run_generation": lambda i: llh.run_generation(population, mask, cache, 0, i, 0.1,
                                                         counts, counts, 2)}
+caller = threading.get_native_id()
 
 
 def started_during(call):
@@ -141,11 +145,14 @@ def started_during(call):
         while not done.is_set():
             for tid in set(os.listdir("/proc/self/task")) - before:
                 try:
+                    with open(f"/proc/self/task/{caller}/stat") as stat:
+                        here = stat.read().rsplit(")", 1)[1].split()[36]  # field 39, processor
                     with open(f"/proc/self/task/{tid}/status") as status:
-                        seen[tid] = re.findall(r"^(?:Name|Cpus_allowed_list):\s*(.*)$",
-                                               status.read(), re.M)
+                        name, cpus = re.findall(r"^(?:Name|Cpus_allowed_list):\s*(.*)$",
+                                                status.read(), re.M)
                 except OSError:  # the thread has just exited
-                    pass
+                    continue
+                seen[tid] = [name, cpus, seen.get(tid, [None, None, here])[2]]
 
     watcher = threading.Thread(target=watch)
     watcher.start()
@@ -155,8 +162,7 @@ def started_during(call):
     finally:
         done.set()
         watcher.join()
-    with open("/proc/thread-self/stat") as stat:
-        return seen, stat.read().rsplit(")", 1)[1].split()[36]  # field 39, processor
+    return seen
 
 
 print(json.dumps([started_during(lambda: calls[name](i)) for i, name in enumerate(sys.argv[1:])]))
@@ -174,13 +180,13 @@ def test_each_helper_thread_runs_on_one_cpu():
         child = subprocess.run([sys.executable, "-c", WATCHED_CALLS, first, later, first],
                                env=env, capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr
-        (started, caller), *rest = json.loads(child.stdout)
+        started, *rest = json.loads(child.stdout)
         assert len(started) == 1  # the one helper of two threads
-        ((name, cpus),) = started.values()
+        ((name, cpus, caller),) = started.values()
         assert name == "hhfs helper"
         assert cpus in allowed  # a single CPU, as "3", not "0-3" or "0,2"
         assert cpus != caller
-        assert [helpers for helpers, _ in rest] == [{}, {}]  # later calls start no thread
+        assert rest == [{}, {}]  # later calls start no thread
 
 
 @needs_fork
