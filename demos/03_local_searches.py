@@ -44,7 +44,8 @@ for llh_id in sorted(CATALOG):
           f"{moved}: {out.to01()}")
 
 print("\nchaining heuristics, each consuming the previous output")
-print("(this is exactly what evaluating one supervisor chromosome does):")
+print("(a supervisor chromosome's moves; each call draws a fresh stream, where a")
+print("chromosome draws its genes from one):")
 chain = [1, 4, 13, 1, 7]  # SDHC, NAHC, SWPD, SDHC, DBHC
 mask = start
 ctx = LlhContext(cache=cache, rng=np.random.default_rng(99))

@@ -10,36 +10,33 @@
    feature_feature[i][i] over the selected i; the merit is
    sum_cf / sqrt((double)k + sum_ff), or 0.0 at k == 0.
 
-   generation(population, draws, bits, feature_class, feature_feature,
-              mutn_rate, invocations, improvements, masks_out, moved_out, threads)
+   generation(population, keys, bits, feature_class, feature_feature,
+              mutn_rate, invocations, improvements, masks_out, threads)
    Run each row i of the (P, L) population, a chromosome of heuristics
    (catalog ids 1..16), left to right from the mask ``bits``, each gene on
    the previous one's output: scan the bits as scan does, run a gene, and
    scan its bits afresh when it moved. Every gene counts one invocation,
    and one improvement where its fresh merit is strictly higher. Row i's
-   final bits go to masks_out[i], and whether any of its genes moved to
-   moved_out[i]. ``draws`` is either a (P, W) uint32 key matrix, row i
-   drawing from numpy's PCG64(SeedSequence(keys[i])), seeded here as numpy
-   seeds it (seed_pcg64) and run as numpy runs it, the same stream draw for
-   draw; or a numpy BitGenerator that the rows draw from in order, on this
-   thread, with the GIL held. So any slice of a call's rows and key rows
-   gives those rows. The keys' layout is hhfs.llh's (stream_keys). On the
-   keys, the call releases the GIL, and min(threads, P) threads at most
-   (this one and the process's helpers, see spread) each take the next row
-   off one cursor, climb it in a mask buffer of their own (rows of a few
-   dozen bytes share cache lines) and copy it to masks_out[i] once; each
-   counts into a counter pair of its own, added to invocations and
-   improvements once every helper is done, so the bits and the counts are
-   the same on any number of threads. threads < 1, and a BitGenerator
-   with threads != 1 (its draws are one stream), are refused. Every gene
-   is checked before any row runs.
+   final bits go to masks_out[i]. Row i draws from numpy's
+   PCG64(SeedSequence(keys[i])) for row i of the (P, W) uint32 keys,
+   seeded here as numpy seeds it (seed_pcg64) and run as numpy runs it,
+   the same stream draw for draw, so any slice of a call's rows and key
+   rows gives those rows. The keys' layout is hhfs.llh's (stream_keys).
+   The call releases the GIL, and min(threads, P) threads at most (this
+   one and the process's helpers, see spread) each take the next row off
+   one cursor, climb it in a mask buffer of their own (rows of a few dozen
+   bytes share cache lines) and copy it to masks_out[i] once; each counts
+   into a counter pair of its own, added to invocations and improvements
+   once every helper is done, so the bits and the counts are the same on
+   any number of threads. threads < 1 is refused. Every gene is checked
+   before any row runs.
 
-   The heuristics draw from the bit generator through numpy's random C API,
-   with the calls its Generator makes: integers(n) is
+   The heuristics draw from their stream through numpy's random C API,
+   with the calls a Generator makes: integers(n) is
    random_bounded_uint64_fill over [0, n - 1], random() and random(n) are
    random_standard_uniform[_fill], and permutation(n) shuffles arange(n) by
    random_interval from the top down. So a gene list draws what the Python
-   rules drew on a Generator over the same bit generator, draw for draw.
+   rules drew on a Generator over the same stream, draw for draw.
 
    breed(chromosomes, bit_generator, p_crossover, p_mutation)
    The GA's edits of a (P, L) int64 pool, in place, drawing through the same
@@ -653,15 +650,13 @@ check_genes(const int64_t *gene, Py_ssize_t count, Py_ssize_t n)
 /* A chromosome: the genes gene[0..count-1] left to right from ``bits``
    into ``out``, each counted, and each that moved scanned afresh and
    counted as an improvement where its merit rose. ``work`` holds the row,
-   then run_gene's n positions and n coins. Returns whether any gene moved.
-   Kept out of line: inlined into its caller, gcc laid the heuristics out
-   slower. */
-static __attribute__((noinline)) int
+   then run_gene's n positions and n coins. Kept out of line: inlined into
+   its caller, gcc laid the heuristics out slower. */
+static __attribute__((noinline)) void
 run_chromosome(const int64_t *gene, Py_ssize_t count, bitgen_t *rng, double mutn_rate,
                const char *bits, char *out, const struct cache *c, double *work,
                int64_t *invoked, int64_t *improved)
 {
-    int moved = 0;
     memcpy(out, bits, c->n);
     struct sums s = scan_bits(out, c, work);
     for (Py_ssize_t i = 0; i < count; i++) {
@@ -673,9 +668,7 @@ run_chromosome(const int64_t *gene, Py_ssize_t count, bitgen_t *rng, double mutn
         double before = s.merit;
         s = scan_bits(out, c, work);
         improved[g] += s.merit > before;
-        moved = 1;
     }
-    return moved;
 }
 
 /* The bit generator behind a numpy BitGenerator's capsule, or NULL with an
@@ -782,14 +775,13 @@ seed_pcg64(const uint32_t *word, Py_ssize_t count, struct pcg64 *p)
     p->uinteger = 0;
 }
 
-/* A generation call's rows, their draws and outputs, and its cursor, the
-   next row to take, for all its threads. */
+/* A generation call's rows, their key rows and outputs, and its cursor,
+   the next row to take, for all its threads. */
 struct rows {
     const int64_t *gene;
-    const uint32_t *key;  /* the key rows, or NULL where all draw from shared */
-    bitgen_t *shared;
+    const uint32_t *key;
     const char *bits;
-    char *masks, *moved;
+    char *masks;
     const struct cache *c;
     double mutn_rate;
     Py_ssize_t length, words, count, next;
@@ -805,7 +797,7 @@ struct climber {
 };
 
 /* A climber's loop: the next row off the cursor, until none is left, on
-   its own stream or the shared one, climbed in its buffer and copied out. */
+   its own stream, climbed in its buffer and copied out. */
 static void *
 climb_rows(void *arg)
 {
@@ -815,12 +807,9 @@ climb_rows(void *arg)
     struct pcg64 pcg;
     bitgen_t own = {&pcg, pcg64_next64, pcg64_uint32, pcg64_double, pcg64_next64};
     while ((i = __atomic_fetch_add(&r->next, 1, __ATOMIC_RELAXED)) < r->count) {
-        if (r->key != NULL)
-            seed_pcg64(r->key + i * r->words, r->words, &pcg);
-        r->moved[i] = (char)run_chromosome(r->gene + i * r->length, r->length,
-                                           r->key != NULL ? &own : r->shared, r->mutn_rate,
-                                           r->bits, me->mask, r->c, me->work, me->counts,
-                                           me->counts + NUM_LLH + 1);
+        seed_pcg64(r->key + i * r->words, r->words, &pcg);
+        run_chromosome(r->gene + i * r->length, r->length, &own, r->mutn_rate, r->bits,
+                       me->mask, r->c, me->work, me->counts, me->counts + NUM_LLH + 1);
         memcpy(r->masks + i * n, me->mask, n);
     }
     return NULL;
@@ -831,18 +820,18 @@ climb_rows(void *arg)
 static PyObject *
 generation(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 11) {
+    if (nargs != 10) {
         PyErr_Format(PyExc_TypeError,
-                     "generation(population, draws, bits, feature_class, feature_feature,"
-                     " mutn_rate, invocations, improvements, masks_out, moved_out, threads)"
-                     " takes 11 arguments, %zd given", nargs);
+                     "generation(population, keys, bits, feature_class, feature_feature,"
+                     " mutn_rate, invocations, improvements, masks_out, threads)"
+                     " takes 10 arguments, %zd given", nargs);
         return NULL;
     }
     Py_buffer population = {0}, keys = {0}, bits = {0}, cache[2] = {{0}};
-    Py_buffer invocations = {0}, improvements = {0}, masks_out = {0}, moved_out = {0};
+    Py_buffer invocations = {0}, improvements = {0}, masks_out = {0};
     Py_buffer *views[] = {&population, &keys, &bits, &cache[0], &cache[1],
-                          &invocations, &improvements, &masks_out, &moved_out};
-    PyObject *capsule = NULL, *result = NULL;
+                          &invocations, &improvements, &masks_out};
+    PyObject *result = NULL;
     struct climber *climbers = NULL;
     char *blocks = NULL;
     struct cache c;
@@ -854,8 +843,7 @@ generation(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     if (get_cache(args + 3, cache, &c) < 0
         || get_buffer(args[6], &invocations, "invocations", INT64, 1, NUM_LLH + 1, 1) < 0
         || get_buffer(args[7], &improvements, "improvements", INT64, 1, NUM_LLH + 1, 1) < 0
-        || get_buffer(args[8], &masks_out, "masks_out", BOOL, 2, -1, 1) < 0
-        || get_buffer(args[9], &moved_out, "moved_out", BOOL, 1, rows, 1) < 0)
+        || get_buffer(args[8], &masks_out, "masks_out", BOOL, 2, -1, 1) < 0)
         goto done;
     if (masks_out.shape[0] != rows || masks_out.shape[1] != c.n) {
         PyErr_Format(PyExc_ValueError, "masks_out has shape (%zd, %zd), expected (%zd, %zd)",
@@ -866,26 +854,18 @@ generation(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_ValueError, "masks_out must not overlap bits");
         goto done;
     }
-    /* the draws: a key row per chromosome, or one bit generator for all */
-    bitgen_t *shared = NULL;
-    if (PyObject_CheckBuffer(args[1])) {
-        if (get_buffer(args[1], &keys, "keys", UINT32, 2, -1, 0) < 0)
-            goto done;
-        if (keys.shape[0] != rows) {
-            PyErr_Format(PyExc_ValueError, "keys has %zd rows, expected %zd",
-                         keys.shape[0], rows);
-            goto done;
-        }
-    } else if ((shared = get_bitgen(args[1], &capsule)) == NULL) {
+    if (get_buffer(args[1], &keys, "keys", UINT32, 2, -1, 0) < 0)
+        goto done;
+    if (keys.shape[0] != rows) {
+        PyErr_Format(PyExc_ValueError, "keys has %zd rows, expected %zd", keys.shape[0], rows);
         goto done;
     }
     Py_ssize_t threads;
     double mutn_rate = PyFloat_AsDouble(args[5]);
-    if ((mutn_rate == -1.0 && PyErr_Occurred()) || !PyArg_Parse(args[10], "n", &threads))
+    if ((mutn_rate == -1.0 && PyErr_Occurred()) || !PyArg_Parse(args[9], "n", &threads))
         goto done;
-    if (threads < 1 || (shared != NULL && threads != 1)) {
-        PyErr_SetString(PyExc_ValueError, threads < 1 ? "threads must be at least 1"
-                        : "rows drawing from one bit generator run on one thread");
+    if (threads < 1) {
+        PyErr_SetString(PyExc_ValueError, "threads must be at least 1");
         goto done;
     }
     if (check_genes(population.buf, rows * length, c.n) < 0)
@@ -903,19 +883,17 @@ generation(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         PyErr_NoMemory();
         goto done;
     }
-    struct rows r = {population.buf, keys.buf, shared, bits.buf, masks_out.buf, moved_out.buf,
-                     &c, mutn_rate, length, keys.obj != NULL ? keys.shape[1] : 0, rows, 0};
+    struct rows r = {population.buf, keys.buf, bits.buf, masks_out.buf, &c, mutn_rate,
+                     length, keys.shape[1], rows, 0};
     char *line = blocks + (LINE - (uintptr_t)blocks % LINE) % LINE;
     for (Py_ssize_t t = 0; t < started; t++) {
         char *mine = line + t * each;
         climbers[t] = (struct climber){&r, (double *)mine, (int64_t *)(mine + row_bytes),
                                        mine + row_bytes + counts_bytes};
     }
-    /* the keys' rows read and write only held buffers, so other threads may run */
-    PyThreadState *saved = shared == NULL ? PyEval_SaveThread() : NULL;
+    Py_BEGIN_ALLOW_THREADS  /* every buffer is held, so other threads may run */
     spread(climb_rows, climbers, sizeof *climbers, started);
-    if (saved != NULL)
-        PyEval_RestoreThread(saved);
+    Py_END_ALLOW_THREADS
     int64_t *invoked = invocations.buf, *improved = improvements.buf;
     for (Py_ssize_t t = 0; t < started; t++) {
         for (int g = 0; g <= NUM_LLH; g++) {
@@ -927,8 +905,7 @@ generation(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 done:
     PyMem_Free(climbers);
     PyMem_Free(blocks);
-    Py_XDECREF(capsule);
-    release(views, 9);
+    release(views, 8);
     return result;
 }
 
@@ -1385,11 +1362,10 @@ static PyMethodDef methods[] = {
      "scan(bits, feature_class, feature_feature, row_out)"
      " -> (k, sum_cf, sum_ff, merit); the row goes to row_out"},
     {"generation", (PyCFunction)(void (*)(void))generation, METH_FASTCALL,
-     "generation(population, draws, bits, feature_class, feature_feature, mutn_rate,"
-     " invocations, improvements, masks_out, moved_out, threads): row i of the population's"
+     "generation(population, keys, bits, feature_class, feature_feature, mutn_rate,"
+     " invocations, improvements, masks_out, threads): row i of the population's"
      " heuristics from bits, drawing from PCG64 seeded from the uint32 entropy words"
-     " draws[i], on min(threads, rows) threads at most, or from the BitGenerator draws, on one;"
-     " its mask goes to masks_out[i] and whether it moved to moved_out[i]"},
+     " keys[i], on min(threads, rows) threads at most; its mask goes to masks_out[i]"},
     {"breed", (PyCFunction)(void (*)(void))breed, METH_FASTCALL,
      "breed(chromosomes, bit_generator, p_crossover, p_mutation): single-point crossover"
      " of each consecutive pair of rows, then each gene to another id with probability"

@@ -9,17 +9,15 @@ moves (SWPD, DIMM, HYPM, MUTN) that perturb the mask unconditionally.
 The heuristics are compiled (``_climb.c``, built by
 ``correlation._load_climb``): ``_climb.generation`` runs a population of
 chromosomes, each a list of gene ids, in one call, every row from the same
-mask. Its rows draw either in turn from one bit generator (``run_genes``
-on a single row, on the calling thread; ``apply`` is a one-gene
-``run_genes``) or each from its own stream key (``run_generation``, row i
-on ``PCG64([seed, 1, gen, i])``). That layout is this module's:
-``stream_keys`` splits seed, gen and i into numpy's entropy words around
-the tag 1, and the kernel seeds row i from its key row as numpy's
-``SeedSequence`` does. With keys, the call runs its rows without the GIL
-on the threads it is asked for at most: the caller and the kernel's helper
-threads, which live for the process, each on a CPU of its own where it
-can. The rows and counts are the same on any number of threads. The
-rules, in the kernel:
+mask, row i drawing from its own stream key: numpy's entropy words, which
+the kernel seeds a PCG64 from as numpy's ``SeedSequence`` does. In
+``run_generation`` row i's stream is ``PCG64([seed, 1, gen, i])``, and
+``stream_keys`` splits seed, gen and i into those words around the tag 1;
+``apply`` runs its one gene as a one-row call on a key of its own. The
+call runs its rows without the GIL on the threads it is asked for at most:
+the caller and the kernel's helper threads, which live for the process,
+each on a CPU of its own where it can. The rows and counts are the same on
+any number of threads. The rules, in the kernel:
 
 - SDHC moves to the first (lowest-index) in-domain flip of highest merit,
   if that merit is strictly above the current one;
@@ -37,12 +35,12 @@ Heuristics act on masks: genes go in with a mask and a final mask comes
 out. Inside the call the kernel scans the input bits for the merit, and
 scans a gene's output bits afresh whenever it moved, never carrying sums
 from one gene to the next, so every merit depends on the bits alone. Masks are read-only,
-so running genes is a pure function of (mask, rng state): it cannot
+so running genes is a pure function of (mask, stream key): it cannot
 mutate its input, and replaying a seed replays the output bit-exactly.
-``apply`` and ``run_genes`` return their input object when no bit
-changes, so callers can tell "did not move" by identity; ``run_generation``
-returns a generation's final masks as one (rows, N) bool matrix, an
-unmoved row holding the input's bits.
+``apply`` returns its input object when no bit changes, so callers can
+tell "did not move" by identity; ``run_generation`` returns a
+generation's final masks as one (rows, N) bool matrix, an unmoved row
+holding the input's bits.
 One gene does one bounded pass - SDHC scans one Hamming-1 neighborhood,
 NAHC/DBHC sweep the positions once - so the cost of applying a whole
 chromosome of heuristics stays predictable.
@@ -69,8 +67,8 @@ ONES = "ones"
 @dataclass
 class LlhContext:
     """Shared state a heuristic may consult: the correlation cache behind
-    the merit, its own RNG stream (a ``numpy.random.Generator``, whose bit
-    generator the compiled heuristics draw from), and the MUTN per-bit flip
+    the merit, its own RNG stream (a ``numpy.random.Generator``, which
+    ``apply`` draws each call's seed from), and the MUTN per-bit flip
     rate."""
 
     cache: CorrelationCache
@@ -85,33 +83,16 @@ class LlhContext:
             raise ValueError("mutn_rate must lie in (0, 1)")
 
 
-def _run_rows(population, draws, mask: FeatureMask, cache: CorrelationCache,
+def _run_rows(population, keys, mask: FeatureMask, cache: CorrelationCache,
               mutn_rate: float, invocations: np.ndarray, improvements: np.ndarray,
-              threads: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_climb.generation`` of ``population`` from ``mask`` on ``draws``
-    and ``threads`` threads: the (rows, N) bool final bits in row order,
-    ``mask``'s bits in an unmoved row, and each row's moved flag."""
-    check_fits(mask, cache)
+              threads: int) -> np.ndarray:
+    """``_climb.generation`` of ``population`` from ``mask`` on the stream
+    ``keys`` and ``threads`` threads: the (rows, N) bool final bits in row
+    order, ``mask``'s bits in an unmoved row; ``mask`` must fit ``cache``."""
     bits = np.empty((len(population), mask.n), dtype=bool)
-    moved = np.empty(len(population), dtype=bool)
-    _climb.generation(population, draws, mask.bits, cache.feature_class, cache.feature_feature,
-                      mutn_rate, invocations, improvements, bits, moved, threads)
-    return bits, moved
-
-
-def run_genes(genes: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
-              bit_generator: np.random.BitGenerator, mutn_rate: float,
-              invocations: np.ndarray, improvements: np.ndarray) -> FeatureMask:
-    """Apply the heuristics ``genes`` (ids 1..16, int64) left to right, each
-    to the previous one's output, starting from ``mask``, drawing from
-    ``bit_generator`` (under its lock) as a Generator over it would. Counts
-    every call in ``invocations`` and every strictly higher merit in
-    ``improvements`` (int64, indexed by id). Returns the final mask:
-    ``mask`` itself when no heuristic moved."""
-    with bit_generator.lock:
-        bits, moved = _run_rows(genes[np.newaxis], bit_generator, mask, cache, mutn_rate,
-                                invocations, improvements, 1)
-    return FeatureMask(bits[0]) if moved[0] else mask
+    _climb.generation(population, keys, mask.bits, cache.feature_class, cache.feature_feature,
+                      mutn_rate, invocations, improvements, bits, threads)
+    return bits
 
 
 def entropy_words(value: int, name: str = "value") -> list[int]:
@@ -141,14 +122,18 @@ def stream_keys(seed: int, gen: int, rows: int) -> np.ndarray:
 def run_generation(population: np.ndarray, mask: FeatureMask, cache: CorrelationCache,
                    seed: int, gen: int, mutn_rate: float, invocations: np.ndarray,
                    improvements: np.ndarray, threads: int = 1) -> np.ndarray:
-    """``run_genes`` on each row of ``population`` (C-contiguous int64, a
-    chromosome per row) from ``mask``, row i drawing from
-    ``PCG64([seed, 1, gen, i])``, all in one compiled call on ``threads``
-    threads (at most one per row). Returns the final masks' bits as one
-    (rows, N) bool matrix in row order: ``mask``'s bits in a row where no
-    heuristic moved; the bits and the counts do not depend on ``threads``."""
+    """The heuristics of each row of ``population`` (C-contiguous int64, a
+    chromosome of ids 1..16 per row) left to right from ``mask``, each on the
+    previous one's output, row i drawing from ``PCG64([seed, 1, gen, i])``,
+    all in one compiled call on ``threads`` threads (at most one per row).
+    Counts every call in ``invocations`` and every strictly higher merit in
+    ``improvements`` (int64, indexed by id). Returns the final masks' bits
+    as one (rows, N) bool matrix in row order: ``mask``'s bits in a row
+    where no heuristic moved; the bits and the counts do not depend on
+    ``threads``."""
+    check_fits(mask, cache)
     return _run_rows(population, stream_keys(seed, gen, len(population)), mask, cache,
-                     mutn_rate, invocations, improvements, threads)[0]
+                     mutn_rate, invocations, improvements, threads)
 
 
 @dataclass(frozen=True)
@@ -190,13 +175,22 @@ CATALOG: dict[int, LlhInfo] = _make_catalog()
 
 def apply(llh_id: int, mask: FeatureMask, ctx: LlhContext) -> FeatureMask:
     """Apply the heuristic with the given id (an integer in 1..16) to the
-    mask, uncounted; the input object when no bit changes."""
+    mask, uncounted; the input object when no bit changes.
+
+    Each call draws one seed, ``seed = ctx.rng.bit_generator.random_raw()``,
+    and the gene draws from ``numpy.random.default_rng(seed)``: the kernel
+    row keyed by ``entropy_words(seed)``. So a chain of calls repeats a
+    chromosome's moves but not its stream. An unknown id or a mask of
+    another size is refused before the seed is drawn."""
     if (isinstance(llh_id, bool) or not isinstance(llh_id, (int, np.integer))
             or llh_id not in CATALOG):
         raise ValueError(f"unknown low-level heuristic id {llh_id}")
+    check_fits(mask, ctx.cache)
+    key = np.array([entropy_words(ctx.rng.bit_generator.random_raw())], dtype=np.uint32)
     counts = np.zeros(NUM_LLH + 1, dtype=np.int64)
-    return run_genes(np.array([llh_id], dtype=np.int64), mask, ctx.cache,
-                     ctx.rng.bit_generator, ctx.mutn_rate, counts, counts)
+    bits = _run_rows(np.array([[llh_id]], dtype=np.int64), key, mask, ctx.cache,
+                     ctx.mutn_rate, counts, counts, 1)[0]
+    return mask if bits.tobytes() == mask.bits.tobytes() else FeatureMask(bits)
 
 
 def describe_catalog() -> str:

@@ -518,6 +518,13 @@ def oracle_run_genes(genes, scan, ctx, stats):
     return scan
 
 
+def apply_stream(seed) -> np.random.Generator:
+    """The stream ``llh.apply`` runs its gene on when its context draws from
+    ``np.random.default_rng(seed)``: ``default_rng`` of that generator's
+    first raw draw."""
+    return np.random.default_rng(np.random.default_rng(seed).bit_generator.random_raw())
+
+
 # ------------------------------------------------------------- GA oracle
 
 def oracle_next_generation(population, fits, elitism, p_crossover, p_mutation, rng):

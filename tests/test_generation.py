@@ -1,8 +1,8 @@
 """The kernel's per-generation entry points: ``_climb.generation``, which
 seeds row i's stream itself from row i of ``llh.stream_keys(seed, gen,
-rows)``, as ``PCG64([seed, 1, gen, i])``, against ``llh.run_genes`` on
-numpy's own generator, and the refusals of ``generation`` and of the GA's
-``breed``."""
+rows)``, as ``PCG64([seed, 1, gen, i])``, against the Python rules in
+``conftest`` (``oracle_run_genes``) on numpy's own generator of that key,
+and the refusals of ``generation`` and of the GA's ``breed``."""
 
 import contextlib
 import re
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_cache
+from conftest import MeritScan, OracleContext, oracle_run_genes, random_cache
 from hhfs import llh
 from hhfs.llh import NUM_LLH, _climb
 from hhfs.mask import FeatureMask
@@ -30,21 +30,29 @@ DRAWING_GENES = [7, 8, 9, 10, 11, 12, 13, 14, 15, 16]
 def generation(population, seed, gen, mask, cache, mutn_rate=0.1, threads=1, **replace):
     """``_climb.generation`` on ``llh.stream_keys(seed, gen, rows)`` and
     ``threads`` threads with fresh outputs and counters (any of them, or
-    the keys, replaced by keyword): the rows, the moved flags and the
-    LlhStats."""
+    the keys, replaced by keyword): the rows and the LlhStats."""
     stats = LlhStats()
     a = dict(population=population, keys=llh.stream_keys(seed, gen, len(population)),
              bits=mask.bits,
              feature_class=cache.feature_class,
              feature_feature=cache.feature_feature, invocations=stats.invocations,
              improvements=stats.improvements,
-             masks_out=np.empty((len(population), mask.n), dtype=bool),
-             moved_out=np.empty(len(population), dtype=bool))
+             masks_out=np.empty((len(population), mask.n), dtype=bool))
     a.update(replace)
     _climb.generation(a["population"], a["keys"], a["bits"], a["feature_class"],
                       a["feature_feature"], mutn_rate, a["invocations"], a["improvements"],
-                      a["masks_out"], a["moved_out"], threads)
-    return a["masks_out"], a["moved_out"], stats
+                      a["masks_out"], threads)
+    return a["masks_out"], stats
+
+
+def oracle_rows(population, seed, gen, mask, cache, mutn_rate=0.1):
+    """Each row through ``oracle_run_genes`` from ``mask``, row i on
+    ``np.random.default_rng([seed, 1, gen, i])``: the final scans and the
+    LlhStats."""
+    stats, base = LlhStats(), MeritScan(cache, mask.bits)
+    return [oracle_run_genes(genes, base, OracleContext(
+                cache, np.random.default_rng([seed, 1, gen, i]), mutn_rate), stats)
+            for i, genes in enumerate(population)], stats
 
 
 @st.composite
@@ -83,14 +91,10 @@ def test_stream_key_rows_are_seed_sequence_s(seed, gen, rows):
 @given(keys(), st.sampled_from([0.1, 0.5]))
 def test_generation_equals_run_genes_on_numpy_s_streams(key, mutn_rate):
     seed, gen, population, mask, cache = key
-    masks, moved, stats = generation(population, seed, gen, mask, cache, mutn_rate)
-    expected = LlhStats()
-    for i, genes in enumerate(population):
-        out = llh.run_genes(genes, mask, cache, np.random.PCG64([seed, 1, gen, i]), mutn_rate,
-                            expected.invocations, expected.improvements)
-        assert masks[i].tolist() == out.bits.tolist()
-        assert moved[i] == (out is not mask)
-    assert stats.as_dict() == expected.as_dict()
+    masks, stats = generation(population, seed, gen, mask, cache, mutn_rate)
+    expected, expected_stats = oracle_rows(population, seed, gen, mask, cache, mutn_rate)
+    assert masks.tolist() == [scan.bits.tolist() for scan in expected]
+    assert stats.as_dict() == expected_stats.as_dict()
 
 
 @pytest.mark.parametrize("gen", GENS)
@@ -103,13 +107,10 @@ def test_every_listed_key(seed, gen):
                            [14, 14, 13, 10, 16, 9, 12]], dtype=np.int64)
     cache = random_cache(9, seed=seed % 97)
     mask = FeatureMask([1, 0, 0, 1, 1, 0, 1, 0, 1])
-    masks, moved, stats = generation(population, seed, gen, mask, cache)
-    expected = LlhStats()
-    for i, genes in enumerate(population):
-        out = llh.run_genes(genes, mask, cache, np.random.PCG64([seed, 1, gen, i]), 0.1,
-                            expected.invocations, expected.improvements)
-        assert masks[i].tolist() == out.bits.tolist() and moved[i] == (out is not mask)
-    assert stats.as_dict() == expected.as_dict()
+    masks, stats = generation(population, seed, gen, mask, cache)
+    expected, expected_stats = oracle_rows(population, seed, gen, mask, cache)
+    assert masks.tolist() == [scan.bits.tolist() for scan in expected]
+    assert stats.as_dict() == expected_stats.as_dict()
 
 
 @settings(max_examples=60, deadline=None)
@@ -118,35 +119,16 @@ def test_a_slice_of_rows_and_keys_gives_those_rows(key, data):
     seed, gen, population, mask, cache = key
     a = data.draw(st.integers(0, len(population)))
     b = data.draw(st.integers(a, len(population)))
-    masks, moved, stats = generation(population, seed, gen, mask, cache)
+    masks, stats = generation(population, seed, gen, mask, cache)
     keys = llh.stream_keys(seed, gen, len(population))
-    head, head_moved, head_stats = generation(population[:a], seed, gen, mask, cache,
-                                              keys=keys[:a])
-    part, part_moved, part_stats = generation(population[a:b], seed, gen, mask, cache,
-                                              keys=keys[a:b])
-    tail, tail_moved, tail_stats = generation(population[b:], seed, gen, mask, cache,
-                                              keys=keys[b:])
-    assert part.tolist() == masks[a:b].tolist() and part_moved.tolist() == moved[a:b].tolist()
-    assert (np.concatenate([head, part, tail]).tolist() == masks.tolist()
-            and np.concatenate([head_moved, part_moved, tail_moved]).tolist() == moved.tolist())
+    head, head_stats = generation(population[:a], seed, gen, mask, cache, keys=keys[:a])
+    part, part_stats = generation(population[a:b], seed, gen, mask, cache, keys=keys[a:b])
+    tail, tail_stats = generation(population[b:], seed, gen, mask, cache, keys=keys[b:])
+    assert part.tolist() == masks[a:b].tolist()
+    assert np.concatenate([head, part, tail]).tolist() == masks.tolist()
     for counter in ("invocations", "improvements"):
         parts = [getattr(s, counter) for s in (head_stats, part_stats, tail_stats)]
         assert sum(parts).tolist() == getattr(stats, counter).tolist()
-
-
-@settings(max_examples=60, deadline=None)
-@given(keys(), st.sampled_from([np.random.PCG64, np.random.MT19937, np.random.SFC64]))
-def test_rows_on_one_bit_generator_equal_run_genes_in_turn(key, bit_generator):
-    seed, _, population, mask, cache = key
-    shared, reference = bit_generator(seed), bit_generator(seed)
-    masks, moved, stats = generation(population, 0, 0, mask, cache, keys=shared)
-    expected = LlhStats()
-    for i, genes in enumerate(population):
-        out = llh.run_genes(genes, mask, cache, reference, 0.1, expected.invocations,
-                            expected.improvements)
-        assert masks[i].tolist() == out.bits.tolist() and moved[i] == (out is not mask)
-    assert stats.as_dict() == expected.as_dict()
-    np.testing.assert_equal(shared.state, reference.state)
 
 
 @contextlib.contextmanager
@@ -172,16 +154,15 @@ def test_any_thread_count_gives_one_thread_s_rows(key):
     with switching_often():
         for threads in (1, 2, 3, rows, rows + 3):
             stats = LlhStats(start.copy(), start[::-1].copy())
-            masks, moved, _ = generation(  # every row and flag pre-filled, then written
+            masks, _ = generation(  # every row pre-filled, then written
                 population, seed, gen, mask, cache, threads=threads,
-                masks_out=np.tile(~mask.bits, (rows, 1)), moved_out=np.ones(rows, dtype=bool),
+                masks_out=np.tile(~mask.bits, (rows, 1)),
                 invocations=stats.invocations, improvements=stats.improvements)
-            outcomes.append((masks.tolist(), moved.tolist(), stats.invocations.tolist(),
+            outcomes.append((masks.tolist(), stats.invocations.tolist(),
                              stats.improvements.tolist()))
     assert all(outcome == outcomes[0] for outcome in outcomes[1:])
-    masks, moved, stats = generation(population, seed, gen, mask, cache)
-    assert outcomes[0] == (masks.tolist(), moved.tolist(),
-                           (stats.invocations + start).tolist(),
+    masks, stats = generation(population, seed, gen, mask, cache)
+    assert outcomes[0] == (masks.tolist(), (stats.invocations + start).tolist(),
                            (stats.improvements + start[::-1]).tolist())
 
 
@@ -193,16 +174,13 @@ def test_run_generation_returns_the_incumbent_for_unmoved_rows():
     stats = LlhStats()
     out = llh.run_generation(population, mask, cache, 4, 2, 0.1, stats.invocations,
                              stats.improvements)
-    _, moved, _ = generation(population, 4, 2, mask, cache)
+    expected, expected_stats = oracle_rows(population, 4, 2, mask, cache)
+    moved = np.array([scan.bits.tolist() != mask.bits.tolist() for scan in expected])
     assert out.dtype == bool and out.shape == (12, 6)
     assert 0 < moved.sum() < 12
-    for i, row in enumerate(out):
-        expected = llh.run_genes(population[i], mask, cache, np.random.PCG64([4, 1, 2, i]),
-                                 0.1, np.zeros(NUM_LLH + 1, dtype=np.int64),
-                                 np.zeros(NUM_LLH + 1, dtype=np.int64))
-        assert row.tolist() == expected.bits.tolist() and not expected.bits.flags.writeable
-        assert (expected is not mask) == moved[i]
+    assert out.tolist() == [scan.bits.tolist() for scan in expected]
     assert (out[~moved] == mask.bits).all()
+    assert stats.as_dict() == expected_stats.as_dict()
 
 
 class TestGenerationArguments:
@@ -218,9 +196,9 @@ class TestGenerationArguments:
         return population, FeatureMask([1, 0, 1, 1, 0, 0]), cache
 
     def test_valid_arguments_run(self, args):
-        masks, moved, stats = generation(*args[:1], 3, 0, *args[1:])
+        masks, stats = generation(*args[:1], 3, 0, *args[1:])
         assert stats.invocations[1:].tolist() == [self.ROWS] * NUM_LLH
-        assert masks.shape == (self.ROWS, self.N) and moved.shape == (self.ROWS,)
+        assert masks.shape == (self.ROWS, self.N)
 
     @pytest.mark.parametrize("bad", [0, 17, -(2 ** 62)])
     def test_unknown_gene_id(self, args, bad):
@@ -253,8 +231,8 @@ class TestGenerationArguments:
          "masks_out has shape (5, 6), expected (4, 6)"),
         ("masks_out", np.empty(N, dtype=bool), "masks_out must have 2 dimension(s), not 1"),
         ("masks_out", np.empty((ROWS, N), dtype=np.uint8), "masks_out must hold bools"),
-        ("moved_out", np.empty(ROWS + 1, dtype=bool),
-         "moved_out has length 5 along axis 0, expected 4"),
+        ("improvements", np.zeros(NUM_LLH, dtype=np.int64),
+         "improvements has length 16 along axis 0, expected 17"),
         ("keys", np.ones((ROWS, 4), dtype=np.int64),
          "keys must hold uint32, not format 'l' of 8 bytes"),
         ("keys", np.array([3, 1, 0, 0], dtype=np.uint32), "keys must have 2 dimension(s), not 1"),
@@ -279,17 +257,6 @@ class TestGenerationArguments:
         with pytest.raises(TypeError, match="float"):
             generation(*args[:1], 3, 0, *args[1:], threads=2.0, invocations=counts)
 
-    @pytest.mark.parametrize("threads", [2, 3, 40])
-    def test_one_bit_generator_runs_on_one_thread(self, args, threads):
-        counts = np.zeros(NUM_LLH + 1, dtype=np.int64)
-        bit_generator = np.random.PCG64(5)
-        state = bit_generator.state
-        with pytest.raises(ValueError, match="^rows drawing from one bit generator run on one "
-                                             "thread$"):
-            generation(*args[:1], 3, 0, *args[1:], threads=threads, keys=bit_generator,
-                       invocations=counts)
-        assert bit_generator.state == state and not counts.any()
-
     def test_masks_out_must_not_overlap_the_bits(self, args):
         population, mask, cache = args
         shared = np.zeros((self.ROWS, self.N), dtype=bool)
@@ -311,14 +278,14 @@ class TestGenerationArguments:
             generation(population, seed, gen, mask, cache)
 
     def test_argument_count(self, args):
-        with pytest.raises(TypeError, match=r"^generation\(population, draws, bits, .* takes 11 "
+        with pytest.raises(TypeError, match=r"^generation\(population, keys, bits, .* takes 10 "
                                             "arguments, 2 given$"):
             _climb.generation(args[0], 0)
-        # draws that are no buffer must be a bit generator
-        for draws, name in ((np.random.default_rng(0), "numpy.random._generator.Generator"),
+        # keys must be a uint32 buffer: a bit generator is no longer taken
+        for draws, name in ((np.random.PCG64(0), "numpy.random._pcg64.PCG64"),
                             ([[3, 1, 0, 0]], "list")):
-            with pytest.raises(TypeError, match="^bit_generator must be a numpy BitGenerator, "
-                                                f"not {re.escape(name)}$"):
+            with pytest.raises(TypeError, match="^a bytes-like object is required, "
+                                                f"not '{re.escape(name)}'$"):
                 generation(*args[:1], 3, 0, *args[1:], keys=draws)
 
 

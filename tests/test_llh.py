@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (ALL, HILL_CLIMBER_IDS, MUTATIONAL_IDS, ORACLE, MeritScan,
-                      OracleContext, StubRng, best_flip_oracle,
+                      OracleContext, StubRng, apply_stream, best_flip_oracle,
                       cache_from_values, domain_of, exhaustive_best_mask, flip,
                       oracle_run_genes, python_sweep_climb, random_cache,
                       random_mask, sequential_scan, sweep_reference,
@@ -111,6 +111,33 @@ class TestCatalog:
             for llh_id in (1, 16):
                 with pytest.raises(ValueError, match=message):
                     llh.apply(llh_id, mask, make_ctx(random_cache(5)))
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    def test_each_call_draws_one_seed(self, bit_generator):
+        # apply's docstring: one raw draw from ctx.rng seeds the default_rng
+        # the gene draws from (MT19937 draws 32 bits: a key of one word),
+        # and a refused call draws nothing
+        rng = np.random.default_rng(23)
+        for n in (2, 9, 34):
+            cache = random_cache(n, seed=n)
+            for trial in range(4):
+                scan = MeritScan(cache, rng.integers(0, 2, size=n))
+                for llh_id in range(1, NUM_LLH + 1):
+                    key = [n, trial, llh_id]
+                    ctx = make_ctx(cache, np.random.Generator(bit_generator(key)))
+                    twin = bit_generator(key)
+                    seed = twin.random_raw()
+                    out = on_scans(llh_id)(scan, ctx)
+                    expected = ORACLE[llh_id](scan, OracleContext(cache,
+                                                                 np.random.default_rng(seed)))
+                    assert (out is scan) == (expected is scan), CATALOG[llh_id].name
+                    assert out.bits.tolist() == expected.bits.tolist(), CATALOG[llh_id].name
+                    np.testing.assert_equal(ctx.rng.bit_generator.state, twin.state)
+                    for bad_id, mask in ((0, scan.mask()), (NUM_LLH + 1, scan.mask()),
+                                         (llh_id, FeatureMask([1] * (n + 1)))):
+                        with pytest.raises(ValueError):
+                            llh.apply(bad_id, mask, ctx)
+                    np.testing.assert_equal(ctx.rng.bit_generator.state, twin.state)
 
     def test_inputs_never_mutated(self):
         cache = random_cache(10, seed=3)
@@ -424,7 +451,7 @@ class TestSweepReference:
                              np.zeros(n, dtype=int), np.ones(n, dtype=int)):
                     seed = [c, trial, int(bits.sum())]
                     order = (np.arange(n) if name == "NAHC"
-                             else np.random.default_rng(seed).permutation(n))
+                             else apply_stream(seed).permutation(n))
                     positions = [int(b) for b in order if bit_domain == ALL
                                  or bool(bits[b]) == (bit_domain == ONES)]
                     scan = MeritScan(cache, bits)
@@ -473,7 +500,7 @@ class TestSweepReference:
                         seed = [c, trial, int(bits.sum())]
                         scan = MeritScan(cache, bits)
                         expected, tie = self.rmhc_reference(
-                            scan, cache, bit_domain, np.random.default_rng(seed))
+                            scan, cache, bit_domain, apply_stream(seed))
                         out = func(scan, make_ctx(cache, np.random.default_rng(seed)))
                         assert out.bits.tolist() == expected.bits.tolist()
                         assert out.merit == expected.merit
@@ -570,23 +597,22 @@ KERNEL_GENE = {"sweep": ID_OF["NAHC"], "best": ID_OF["SDHC"]}  # the two climb l
 def call_kernel(name, scan, genes=None, **replace):
     """``_climb.generation`` of the one row ``genes`` (by default the one
     gene that runs the climb loop ``name``: NAHC's sweep or SDHC's best
-    move) on ``scan``'s bits, drawing from ``bit_generator``, with the named
-    buffers replaced; the mask goes to the row ``bits_out``. Returns whether
-    the row moved."""
+    move) on ``scan``'s bits, drawing from the key row ``keys`` (by default
+    ``[[0]]``, the stream of ``np.random.default_rng(0)``), with the named
+    buffers replaced; the mask goes to the row ``bits_out``."""
     cache, n = scan.cache, scan.bits.size
     buffers = dict(genes=np.array([KERNEL_GENE[name]]) if genes is None else genes,
-                   bit_generator=np.random.PCG64(0), bits=scan.bits,
+                   keys=np.zeros((1, 1), dtype=np.uint32), bits=scan.bits,
                    feature_class=cache.feature_class, feature_feature=cache.feature_feature,
                    invocations=np.zeros(NUM_LLH + 1, dtype=np.int64),
                    improvements=np.zeros(NUM_LLH + 1, dtype=np.int64),
                    bits_out=np.empty(n, dtype=bool))
     buffers.update(replace)
-    b, moved = buffers, np.empty(1, dtype=bool)
+    b = buffers
     population = b["genes"][np.newaxis] if isinstance(b["genes"], np.ndarray) else b["genes"]
-    _climb.generation(population, b["bit_generator"], b["bits"], b["feature_class"],
+    _climb.generation(population, b["keys"], b["bits"], b["feature_class"],
                       b["feature_feature"], 0.1, b["invocations"], b["improvements"],
-                      b["bits_out"][np.newaxis], moved, 1)
-    return bool(moved[0])
+                      b["bits_out"][np.newaxis], 1)
 
 
 class TestHotPathReference:
@@ -650,7 +676,7 @@ class TestHotPathReference:
         for c, cache, scan in self.inputs():
             domain = domain_of(scan, bit_domain)
             for name in names:
-                rng = np.random.default_rng([c, scan.k])
+                rng = apply_stream([c, scan.k])
                 if name == "NAHC":
                     positions = domain.tolist()
                 elif name == "DBHC":
@@ -676,7 +702,7 @@ class TestHotPathReference:
             n = cache.n_features
             seed = [c, int(scan.bits.sum())]
             domain = domain_of(scan, bit_domain).tolist()
-            rng = np.random.default_rng(seed)
+            rng = apply_stream(seed)
             if name == "NAHC":
                 positions, accept = domain, operator.gt
             elif name == "DBHC":
@@ -707,21 +733,44 @@ class TestHotPathReference:
 
 
 def oracle_and_kernel(llh_id, scan, seed, mutn_rate=0.1, bit_generator=np.random.PCG64):
-    """Heuristic ``llh_id`` on ``scan`` through its oracle and through the
-    engine, each on a Generator over ``bit_generator(seed)``: both results
-    and both generators' states afterwards."""
-    rngs = (np.random.Generator(bit_generator(seed)),
-            np.random.Generator(bit_generator(seed)))
-    expected = ORACLE[llh_id](scan, OracleContext(scan.cache, rngs[0], mutn_rate))
-    out = on_scans(llh_id)(scan, make_ctx(scan.cache, rngs[1], mutn_rate))
-    return expected, out, rngs[0].bit_generator.state, rngs[1].bit_generator.state
+    """Heuristic ``llh_id`` on ``scan`` through the engine, on a context
+    over ``bit_generator(seed)``, and through its oracle, on the stream that
+    call runs its gene on: ``default_rng`` of the context's one raw draw.
+    Returns both results and that raw draw."""
+    raw = bit_generator(seed).random_raw()
+    expected = ORACLE[llh_id](scan, OracleContext(scan.cache, np.random.default_rng(raw),
+                                                  mutn_rate))
+    ctx = make_ctx(scan.cache, np.random.Generator(bit_generator(seed)), mutn_rate)
+    return expected, on_scans(llh_id)(scan, ctx), raw
+
+
+# after a gene, SWPD draws 32-bit words and HYPM doubles: a gene that drew
+# more or less than its oracle moves what they draw
+WITNESSES = [ID_OF["SWPD"], ID_OF["HYPM"]]
+
+
+def witnessed_row_equals_oracle_chain(llh_id, scan, raw, mutn_rate=0.1):
+    """Gene ``llh_id`` and then the witnesses, as one kernel row keyed by
+    ``entropy_words(raw)``, against the oracle chain on ``default_rng(raw)``:
+    equal bits and counters."""
+    genes = np.array([llh_id, *WITNESSES], dtype=np.int64)
+    stats, expected_stats = LlhStats(), LlhStats()
+    bits_out = np.empty((1, scan.bits.size), dtype=bool)
+    _climb.generation(genes[np.newaxis], np.array([llh.entropy_words(raw)], dtype=np.uint32),
+                      scan.bits, scan.cache.feature_class, scan.cache.feature_feature,
+                      mutn_rate, stats.invocations, stats.improvements, bits_out, 1)
+    expected = oracle_run_genes(genes, scan, OracleContext(scan.cache, np.random.default_rng(raw),
+                                                           mutn_rate), expected_stats)
+    assert bits_out[0].tolist() == expected.bits.tolist(), CATALOG[llh_id].name
+    assert stats.as_dict() == expected_stats.as_dict(), CATALOG[llh_id].name
 
 
 class TestKernelEqualsOracle:
-    """``_climb.generation`` against the Python rules in ``conftest``, draw for
-    draw: equal bits, the input object back exactly when the oracle
-    returns it, equal counters, and the bit generator left in the same
-    state."""
+    """The compiled heuristics against the Python rules in ``conftest`` on
+    the same stream: equal bits, the input object back from ``apply``
+    exactly when the oracle returns it, and equal counters. A gene followed
+    by witness genes shows that it drew what its oracle drew, draw for
+    draw."""
 
     @staticmethod
     def scans(cache, rng):
@@ -739,41 +788,42 @@ class TestKernelEqualsOracle:
 
     @staticmethod
     def every_gene_equals_oracle(scans, seed, bit_generators):
-        """Each gene on each scan, drawing from each of ``bit_generators``;
-        returns how often each gene moved."""
+        """Each gene on each scan, through ``apply`` on a context over each
+        of ``bit_generators`` and as a witnessed kernel row; returns how
+        often each gene moved."""
         moved = np.zeros(NUM_LLH + 1, dtype=int)
         for s, scan in enumerate(scans):
             for g, bit_generator in enumerate(bit_generators):
+                mutn_rate = 0.05 + 0.1 * g
                 for llh_id in range(1, NUM_LLH + 1):
-                    expected, out, state, kernel_state = oracle_and_kernel(
-                        llh_id, scan, [seed, s, g, llh_id], 0.05 + 0.1 * g, bit_generator)
-                    np.testing.assert_equal(kernel_state, state, CATALOG[llh_id].name)
+                    expected, out, raw = oracle_and_kernel(
+                        llh_id, scan, [seed, s, g, llh_id], mutn_rate, bit_generator)
                     assert (out is scan) == (expected is scan), CATALOG[llh_id].name
                     assert scan_fields(out) == scan_fields(expected), CATALOG[llh_id].name
                     assert out.merit == expected.merit
+                    if scan.bits.size > 1:  # SWPD, a witness, needs two dimensions
+                        witnessed_row_equals_oracle_chain(llh_id, scan, raw, mutn_rate)
                     moved[llh_id] += out is not scan
         return moved
 
     @staticmethod
     def chromosome_equals_oracle_chain(scans, seed, rng, trials=3):
-        """Random 16-gene chromosomes on each scan through ``run_genes``
-        and through the oracles: equal bits, counters and draws. Returns
-        the summed improvement counters."""
+        """Random 16-gene chromosomes on each scan through ``run_generation``
+        and through the oracles on row 0's stream, ``PCG64([seed, 1, gen,
+        0])``: equal bits and counters. Returns the summed improvement
+        counters."""
         improvements = np.zeros(NUM_LLH + 1, dtype=np.int64)
         for s, scan in enumerate(scans):
             for trial in range(trials):
                 genes = rng.integers(1, NUM_LLH + 1, size=16)
                 stats, expected_stats = LlhStats(), LlhStats()
-                bit_generator = np.random.PCG64([seed, s, trial])
-                oracle_rng = np.random.default_rng([seed, s, trial])
-                mask = scan.mask()
-                out = llh.run_genes(genes, mask, scan.cache, bit_generator, 0.1,
-                                    stats.invocations, stats.improvements)
+                gen = s * trials + trial
+                out = llh.run_generation(genes[np.newaxis], scan.mask(), scan.cache, seed, gen,
+                                         0.1, stats.invocations, stats.improvements)
+                oracle_rng = np.random.default_rng([seed, 1, gen, 0])
                 expected = oracle_run_genes(genes, scan, OracleContext(scan.cache, oracle_rng),
                                             expected_stats)
-                assert bit_generator.state == oracle_rng.bit_generator.state
-                assert (out is mask) == (expected is scan)
-                assert out.bits.tolist() == expected.bits.tolist()
+                assert out[0].tolist() == expected.bits.tolist()
                 assert stats.as_dict() == expected_stats.as_dict()
                 improvements += stats.improvements
         return improvements
@@ -781,7 +831,8 @@ class TestKernelEqualsOracle:
     @pytest.mark.parametrize("n", [2, 3, 34, 60, 166])
     def test_every_gene_equals_oracle(self, n):
         rng = np.random.default_rng(n)
-        # numpy's bit generators differ in how they make 32-bit draws
+        # MT19937's raw draws have 32 bits, the others' 64: keys of one word
+        # and of two
         moved = self.every_gene_equals_oracle(
             self.scans(random_cache(n, seed=300 + n), rng), n,
             (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64))
@@ -814,22 +865,20 @@ class TestKernelEqualsOracle:
             for trial in range(3):
                 genes = rng.integers(1, NUM_LLH + 1, size=16)
                 stats, expected_stats = LlhStats(), LlhStats()
-                bit_generator = np.random.PCG64([n, s, trial])
-                oracle_rng = np.random.default_rng([n, s, trial])
-                bits_out, moved = np.empty((1, n), dtype=bool), np.empty(1, dtype=bool)
-                _climb.generation(genes[np.newaxis], bit_generator, scan.bits,
-                                  cache.feature_class, cache.feature_feature, 0.1,
-                                  stats.invocations, stats.improvements, bits_out, moved, 1)
-                expected = oracle_run_genes(genes, scan, OracleContext(cache, oracle_rng),
-                                            expected_stats)
-                assert bit_generator.state == oracle_rng.bit_generator.state
-                assert moved[0] == (expected is not scan)
+                bits_out = np.empty((1, n), dtype=bool)
+                _climb.generation(genes[np.newaxis], np.array([[n, s, trial]], dtype=np.uint32),
+                                  scan.bits, cache.feature_class, cache.feature_feature, 0.1,
+                                  stats.invocations, stats.improvements, bits_out, 1)
+                expected = oracle_run_genes(
+                    genes, scan, OracleContext(cache, np.random.default_rng([n, s, trial])),
+                    expected_stats)
                 assert bits_out[0].tolist() == expected.bits.tolist()
                 assert stats.as_dict() == expected_stats.as_dict()
 
     def test_run_genes_returns_input_when_no_gene_moves(self):
         # the zeros domains of a full mask and the ones domains of an empty
-        # one are empty, and an empty chromosome runs nothing
+        # one are empty, and an empty chromosome runs nothing: the row holds
+        # the input's bits, and apply returns the input itself gene by gene
         cache = random_cache(6, seed=9)
         for bits, domain in (([1] * 6, "zeros"), ([0] * 6, "ones")):
             mask = FeatureMask(bits)
@@ -837,11 +886,13 @@ class TestKernelEqualsOracle:
                               for rule in ("SDHC", "NAHC", "DBHC", "RMHC")])
             for genes in (genes, genes[::-1].copy(), np.arange(0)):
                 stats = LlhStats()
-                out = llh.run_genes(genes, mask, cache, np.random.PCG64(1), 0.1,
-                                    stats.invocations, stats.improvements)
-                assert out is mask
+                out = llh.run_generation(genes[np.newaxis], mask, cache, 1, 0, 0.1,
+                                         stats.invocations, stats.improvements)
+                assert out[0].tolist() == mask.bits.tolist()
                 assert stats.invocations.sum() == genes.size
                 assert not stats.improvements.any()
+                ctx = make_ctx(cache, np.random.default_rng(1))
+                assert all(llh.apply(int(g), mask, ctx) is mask for g in genes)
 
     @pytest.mark.parametrize("n", [1, 2, 9, 34, 166])
     def test_scan_equals_sequential_sum(self, n):
@@ -894,14 +945,15 @@ class TestRmhc:
 
     def test_empty_domain_returns_input(self):
         # draws nothing: the oracle on a stub with no draws, and the
-        # compiled heuristic leaves its generator's state as it was
+        # compiled heuristic leaves the witnesses after it the whole stream
         cache = random_cache(4, seed=40)
         for mask, domain in ((FeatureMask([0] * 4), ONES), (FeatureMask([1] * 4), ZEROS)):
             assert oracle["RMHC"](mask, stub_ctx(cache, StubRng()), bit_domain=domain) is mask
-            rng = np.random.default_rng(40)
-            state = rng.bit_generator.state
-            assert rmhc(mask, make_ctx(cache, rng), bit_domain=domain) is mask
-            assert rng.bit_generator.state == state
+            assert rmhc(mask, make_ctx(cache, np.random.default_rng(40)),
+                        bit_domain=domain) is mask
+            for raw in (40, 2 ** 64 - 1):
+                witnessed_row_equals_oracle_chain(ID_OF[f"RMHC-{domain}"],
+                                                  MeritScan(cache, mask.bits), raw)
 
     def test_merit_never_decreases(self):
         cache = random_cache(9, seed=41)
@@ -1089,8 +1141,7 @@ class TestClimbKernelArguments:
     """``_climb.generation`` running each climb loop from the bits: every buffer
     is checked against n = len(bits) and every gene id against 1..16
     before the kernel reads one or draws, so a bad argument is a ValueError
-    or a TypeError that leaves the counters and the bit generator as they
-    were."""
+    or a TypeError that leaves the counters and the output as they were."""
 
     N = 6
 
@@ -1102,10 +1153,10 @@ class TestClimbKernelArguments:
         llh_id = KERNEL_GENE[name]
         expected = ORACLE[llh_id](scan, OracleContext(scan.cache, np.random.default_rng(0)))
         bits_out = np.empty(self.N, dtype=bool)
-        assert call_kernel(name, scan, bits_out=bits_out) is True
+        call_kernel(name, scan, bits_out=bits_out)
         assert expected is not scan
         assert bits_out.tolist() == expected.bits.tolist()
-        assert call_kernel(name, scan, np.arange(0), bits_out=bits_out) is False
+        call_kernel(name, scan, np.arange(0), bits_out=bits_out)
         assert bits_out.tolist() == scan.bits.tolist()
 
     @pytest.mark.parametrize("buffer", ["feature_class"])
@@ -1132,13 +1183,12 @@ class TestClimbKernelArguments:
         bad = bad if bad < 0 else bad - self.N + NUM_LLH + 1
         gene = KERNEL_GENE[name]
         for genes in ([bad], [gene, 1, bad], [bad, gene]):
-            bit_generator = np.random.PCG64(0)
-            state = bit_generator.state
             counts = np.zeros(NUM_LLH + 1, dtype=np.int64)
+            bits_out = ~scan.bits
             with pytest.raises(ValueError, match=f"unknown low-level heuristic id {bad}$"):
-                call_kernel(name, scan, np.array(genes, dtype=np.int64),
-                            bit_generator=bit_generator, invocations=counts)
-            assert bit_generator.state == state and not counts.any()
+                call_kernel(name, scan, np.array(genes, dtype=np.int64), invocations=counts,
+                            bits_out=bits_out)
+            assert not counts.any() and bits_out.tolist() == (~scan.bits).tolist()
 
     def test_non_contiguous(self, name, scan):
         genes = np.array([KERNEL_GENE[name]] * 2)
@@ -1150,13 +1200,13 @@ class TestClimbKernelArguments:
             call_kernel(name, scan, feature_feature=scan.cache.feature_feature.T)
 
     def test_argument_count_and_non_buffers(self, name, scan):
-        with pytest.raises(TypeError, match="takes 11 arguments, 2 given"):
+        with pytest.raises(TypeError, match="takes 10 arguments, 2 given"):
             _climb.generation(scan.bits, scan.cache.feature_feature)
         with pytest.raises(TypeError):
             call_kernel(name, scan, [KERNEL_GENE[name]])
-        with pytest.raises(TypeError, match="^bit_generator must be a numpy BitGenerator, "
-                                            "not numpy.random._generator.Generator$"):
-            call_kernel(name, scan, bit_generator=np.random.default_rng(0))
+        with pytest.raises(TypeError, match="^a bytes-like object is required, not "
+                                            "'numpy.random._generator.Generator'$"):
+            call_kernel(name, scan, keys=np.random.default_rng(0))
 
 
 def test_generation_rejects_a_feature_feature_of_wrong_shape():
@@ -1213,12 +1263,11 @@ class TestScanAndOutputArguments:
 
     def test_swap_needs_two_dimensions_before_any_draw(self):
         scan = MeritScan(random_cache(1), [1])
-        bit_generator = np.random.PCG64(0)
-        state = bit_generator.state
+        counts, bits_out = np.zeros(NUM_LLH + 1, dtype=np.int64), np.zeros(1, dtype=bool)
         with pytest.raises(ValueError, match="^swap needs at least 2 dimensions$"):
             call_kernel("sweep", scan, np.array([ID_OF["DIMM"], ID_OF["SWPD"]]),
-                        bit_generator=bit_generator)
-        assert bit_generator.state == state
+                        invocations=counts, bits_out=bits_out)
+        assert not counts.any() and bits_out.tolist() == [False]
 
 
 def test_every_kernel_entry_has_a_caller():

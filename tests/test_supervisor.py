@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (MeritScan, OracleContext, StubRng, best_flip_oracle, breed,
+from conftest import (ORACLE, MeritScan, OracleContext, StubRng, best_flip_oracle, breed,
                       cv_accuracy_cdist_reference, flip, kernel_helpers, on_cores,
                       oracle_next_generation, oracle_run_genes, record_call,
                       synthetic_dataset)
@@ -21,7 +21,6 @@ from hhfs.correlation import _climb, build_cache, cfs_merit
 from hhfs.dataset import Dataset, DatasetError, load_csv
 from hhfs.evaluation import CvProtocol, FitnessEvaluator
 from hhfs.experiment import _run_record
-from hhfs.llh import LlhContext, apply
 from hhfs.mask import FeatureMask
 from hhfs.supervisor import (LlhStats, SupervisorConfig, SupervisorResult,
                              _next_generation, roulette_select, run_supervisor)
@@ -68,16 +67,20 @@ class TestSupervisorConfig:
             SupervisorConfig(**{field: True})
 
 
-def run_genes(cache, seed, genes, incumbent, gen=0, i=0, stats=None):
+def run_chromosome(cache, seed, genes, incumbent, gen=0, i=0, stats=None):
     """Chromosome i of generation ``gen`` in a run seeded ``seed``, from the
-    incumbent, as ``run_supervisor`` runs it: the final mask (the incumbent
-    object when no heuristic moved) and the LlhStats of its heuristics,
-    counted into ``stats`` when given."""
+    incumbent, as ``run_supervisor`` runs it: a kernel row on row i of
+    ``llh.stream_keys``. Returns the final mask (the incumbent object when
+    its bits come back) and the LlhStats of its heuristics, counted into
+    ``stats`` when given."""
     stats = LlhStats() if stats is None else stats
-    mask = llh.run_genes(np.asarray(genes, dtype=np.int64), incumbent, cache,
-                         np.random.PCG64([seed, 1, gen, i]), SupervisorConfig().mutn_rate,
-                         stats.invocations, stats.improvements)
-    return mask, stats
+    bits = np.empty((1, incumbent.n), dtype=bool)
+    _climb.generation(np.asarray(genes, dtype=np.int64)[np.newaxis],
+                      llh.stream_keys(seed, gen, i + 1)[i:], incumbent.bits, cache.feature_class,
+                      cache.feature_feature, SupervisorConfig().mutn_rate, stats.invocations,
+                      stats.improvements, bits, 1)
+    same = bits[0].tobytes() == incumbent.bits.tobytes()
+    return incumbent if same else FeatureMask(bits[0]), stats
 
 
 class TestEvaluateChromosome:
@@ -94,13 +97,12 @@ class TestEvaluateChromosome:
         assert oracle_run_genes(np.full(16, 14), base, OracleContext(cache, stub), stats) is base
         assert stats.invocations[14] == 16 and sum(stats.improvements) == 0
         for seed in range(4):
-            mask, stats = run_genes(cache, seed, np.full(16, 14), incumbent)
+            mask, stats = run_chromosome(cache, seed, np.full(16, 14), incumbent)
             expected_stats = LlhStats()
             rng = np.random.default_rng([seed, 1, 0, 0])
             expected = oracle_run_genes(np.full(16, 14), base, OracleContext(cache, rng),
                                         expected_stats)
             assert mask.bits.tolist() == expected.bits.tolist()
-            assert (mask is incumbent) == (expected is base)
             assert stats.as_dict() == expected_stats.as_dict()
 
     def test_chromosome_stream_is_the_seeded_generator_s(self):
@@ -113,14 +115,14 @@ class TestEvaluateChromosome:
     def test_incumbent_is_never_modified(self, small_dataset):
         incumbent = FeatureMask([1, 1, 0, 0, 1, 0, 0, 1])
         before = incumbent.bits.copy()
-        mask, _ = run_genes(build_cache(small_dataset), 1, [15] * 16, incumbent)
+        mask, _ = run_chromosome(build_cache(small_dataset), 1, [15] * 16, incumbent)
         assert mask != incumbent
         np.testing.assert_array_equal(incumbent.bits, before)
 
     def test_all_sdhc_chromosome_matches_greedy_replay(self, small_dataset):
         cache = build_cache(small_dataset)
         incumbent = FeatureMask([0, 1, 0, 0, 1, 0, 1, 0])
-        mask, _ = run_genes(cache, 2, np.ones(16, dtype=int), incumbent)
+        mask, _ = run_chromosome(cache, 2, np.ones(16, dtype=int), incumbent)
 
         expected = incumbent
         for _ in range(16):
@@ -137,7 +139,7 @@ class TestEvaluateChromosome:
         for i in range(25):
             genes = rng.integers(1, 13, size=16)  # hill-climbers only
             incumbent = FeatureMask.random(8, rng)
-            mask, _ = run_genes(cache, 3, genes, incumbent, i=i)
+            mask, _ = run_chromosome(cache, 3, genes, incumbent, i=i)
             assert cfs_merit(mask, cache) >= cfs_merit(incumbent, cache)
 
     def test_stats_equal_a_replay_that_recomputes_every_merit(self, small_dataset):
@@ -149,11 +151,11 @@ class TestEvaluateChromosome:
         stats, expected = LlhStats(), LlhStats()
         for i in range(40):
             genes = rng.integers(1, 17, size=16)
-            run_genes(cache, 8, genes, incumbent, gen=5, i=i, stats=stats)
-            replay = LlhContext(cache=cache, rng=np.random.default_rng([8, 1, 5, i]))
+            run_chromosome(cache, 8, genes, incumbent, gen=5, i=i, stats=stats)
+            replay = OracleContext(cache, np.random.default_rng([8, 1, 5, i]))
             mask = incumbent
             for gene in genes:
-                out = apply(int(gene), mask, replay)
+                out = ORACLE[int(gene)](MeritScan(cache, mask.bits), replay).mask()
                 record_call(expected, int(gene), cfs_merit(mask, cache), cfs_merit(out, cache))
                 mask = out
         assert sum(expected.improvements) > 0
@@ -169,7 +171,7 @@ class TestEvaluateChromosome:
         def evaluate_in(order):
             outputs = {}
             for i in order:
-                mask, stats = run_genes(cache, 7, chroms[i], incumbent, i=i)
+                mask, stats = run_chromosome(cache, 7, chroms[i], incumbent, i=i)
                 outputs[i] = mask, evaluator.fitness(mask), stats.as_dict()
             return outputs
 
