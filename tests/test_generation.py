@@ -281,12 +281,24 @@ class TestGenerationArguments:
         with pytest.raises(TypeError, match=r"^generation\(population, keys, bits, .* takes 10 "
                                             "arguments, 2 given$"):
             _climb.generation(args[0], 0)
-        # keys must be a uint32 buffer: a bit generator is no longer taken
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 40])
+    def test_keys_must_be_a_buffer_on_any_thread_count(self, args, threads):
+        # a uint32 key matrix is the only kind of draw: a bit generator is
+        # refused like any other object without a buffer, on every thread
+        # count, before a row writes its output or a counter
+        population, mask, cache = args
         for draws, name in ((np.random.PCG64(0), "numpy.random._pcg64.PCG64"),
                             ([[3, 1, 0, 0]], "list")):
+            stats = LlhStats()
+            masks_out = np.tile(~mask.bits, (self.ROWS, 1))
             with pytest.raises(TypeError, match="^a bytes-like object is required, "
                                                 f"not '{re.escape(name)}'$"):
-                generation(*args[:1], 3, 0, *args[1:], keys=draws)
+                generation(population, 3, 0, mask, cache, threads=threads, keys=draws,
+                           masks_out=masks_out, invocations=stats.invocations,
+                           improvements=stats.improvements)
+            assert (masks_out == ~mask.bits).all()
+            assert not stats.invocations.any() and not stats.improvements.any()
 
 
 # breed's two phases: crossover alone, and mutation alone

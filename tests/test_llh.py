@@ -139,6 +139,27 @@ class TestCatalog:
                             llh.apply(bad_id, mask, ctx)
                     np.testing.assert_equal(ctx.rng.bit_generator.state, twin.state)
 
+    def test_a_chain_of_calls_draws_one_seed_per_call(self):
+        # a chromosome's genes through apply in turn on one context: call j
+        # runs its gene on default_rng of the context's j-th raw draw, so
+        # the chain repeats the oracle chain on those fresh streams
+        rng = np.random.default_rng(29)
+        for n in (2, 9, 34):
+            cache = random_cache(n, seed=n)
+            for trial in range(3):
+                genes = rng.integers(1, NUM_LLH + 1, size=16)
+                key = [n, trial]
+                ctx, twin = make_ctx(cache, np.random.default_rng(key)), np.random.PCG64(key)
+                mask = expected = MeritScan(cache, rng.integers(0, 2, size=n)).mask()
+                for gene in genes.tolist():
+                    mask = llh.apply(gene, mask, ctx)
+                    scan = MeritScan(cache, expected.bits)
+                    out = ORACLE[gene](scan, OracleContext(
+                        cache, np.random.default_rng(twin.random_raw())))
+                    expected = expected if out is scan else out.mask()
+                    assert mask == expected, CATALOG[gene].name
+                np.testing.assert_equal(ctx.rng.bit_generator.state, twin.state)
+
     def test_inputs_never_mutated(self):
         cache = random_cache(10, seed=3)
         rng = np.random.default_rng(5)
