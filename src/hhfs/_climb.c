@@ -118,15 +118,16 @@
    0), a new thread stays on its creator's CPU, and two threads on one CPU
    take twice one's time. So there, each call puts helper t (1, 2, ...) on
    one CPU of its own: the t-th of the caller's allowed CPUs, less the one
-   the caller runs on. A helper starts pinned to it and is moved only
-   when that CPU changes; elsewhere helpers run unpinned. They sleep on a
-   condition variable until a call posts them a share; the caller wakes
-   them, computes its own share and waits for every helper to be done
-   without sleeping, as a caller woken from a sleep may be woken on a
-   helper's CPU, and stay there. A call that finds the team busy with
-   another thread's call computes alone, and a helper that cannot start
-   leaves its share to the others, so the results never depend on the
-   threads. A forked child starts with no team (pthread_atfork). */
+   the caller runs on. A helper starts unpinned, the call that starts it
+   pins it there, and a later call moves it only when that CPU changes;
+   elsewhere helpers run unpinned. They sleep on a condition variable
+   until a call posts them a share; the caller wakes them, computes its
+   own share and waits for every helper to be done without sleeping, as a
+   caller woken from a sleep may be woken on a helper's CPU, and stay
+   there. A call that finds the team busy with another thread's call
+   computes alone, and a helper that cannot start leaves its share to the
+   others, so the results never depend on the threads. A forked child
+   starts with no team (pthread_atfork). */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -247,18 +248,17 @@ helper_cpus(int cpu[MOST_CPUS])
 }
 
 /* A helper of the team: its thread, the CPU it is pinned on (-1: none),
-   and the jobs posted to it, each its share of a call's work. */
+   and its share of the job posted to it (NULL: none posted). */
 struct helper {
     pthread_t id;
     pthread_cond_t wake;
     int cpu;
-    unsigned long posted;
     void *share;
 };
 
 /* The process's helpers, started as calls ask for them: busy is held by
-   the call using them, lock guards the job's fn and each helper's posted
-   and share, and pending counts the helpers still on the job. */
+   the call using them, lock guards the job's fn and each helper's share,
+   and pending counts the helpers still on the job. */
 static struct {
     pthread_mutex_t busy, lock;
     struct helper **helper;
@@ -266,50 +266,28 @@ static struct {
     void *(*fn)(void *);
 } team = {.busy = PTHREAD_MUTEX_INITIALIZER, .lock = PTHREAD_MUTEX_INITIALIZER};
 
-/* A helper's life: asleep until a job is posted to it, then its share, and
-   it counts itself off the job. */
+/* A helper's life: asleep until a share is posted to it, then the share,
+   taken off the helper before it runs, and it counts itself off the job. */
 static void *
 serve(void *arg)
 {
     struct helper *me = arg;
-    unsigned long done = 0;
 #ifdef PLACE_HELPERS
     pthread_setname_np(pthread_self(), "hhfs helper");  /* as /proc and top -H list it */
 #endif
     pthread_mutex_lock(&team.lock);
     for (;;) {
-        while (me->posted == done)
+        while (me->share == NULL)
             pthread_cond_wait(&me->wake, &team.lock);
-        done = me->posted;
         void *(*fn)(void *) = team.fn;
         void *share = me->share;
+        me->share = NULL;
         pthread_mutex_unlock(&team.lock);
         fn(share);
         __atomic_sub_fetch(&team.pending, 1, __ATOMIC_RELEASE);
         pthread_mutex_lock(&team.lock);
     }
     return NULL;
-}
-
-/* Helper h's thread started on CPU cpu where cpu >= 0 and that start
-   succeeds, else unpinned; returns whether it started. */
-static int
-start_helper(struct helper *h, int cpu)
-{
-    int ok = 0;
-#ifdef PLACE_HELPERS
-    pthread_attr_t attr;
-    if (cpu >= 0 && pthread_attr_init(&attr) == 0) {
-        cpu_set_t one;
-        CPU_ZERO(&one);
-        CPU_SET(cpu, &one);
-        ok = pthread_attr_setaffinity_np(&attr, sizeof one, &one) == 0
-             && pthread_create(&h->id, &attr, serve, h) == 0;
-        pthread_attr_destroy(&attr);
-    }
-#endif
-    h->cpu = ok ? cpu : -1;
-    return ok || pthread_create(&h->id, NULL, serve, h) == 0;
 }
 
 /* Helper h moved onto CPU cpu (where helpers are placed); h->cpu where it is. */
@@ -326,10 +304,10 @@ place(struct helper *h, int cpu)
 #endif
 }
 
-/* The team grown to want helpers, helper t started on cpu[t] where cpu is
-   given; a helper that cannot start, or no room for it, leaves it smaller. */
+/* The team grown to want helpers, each started unpinned (spread places
+   it); a helper that cannot start, or no room for it, leaves it smaller. */
 static void
-grow(Py_ssize_t want, const int *cpu)
+grow(Py_ssize_t want)
 {
     struct helper **more = realloc(team.helper, want * sizeof *more);
     if (more == NULL)
@@ -339,8 +317,8 @@ grow(Py_ssize_t want, const int *cpu)
         struct helper *h = malloc(sizeof *h);
         if (h == NULL)
             return;
-        *h = (struct helper){.wake = PTHREAD_COND_INITIALIZER};
-        if (!start_helper(h, cpu != NULL ? cpu[team.size] : -1)) {
+        *h = (struct helper){.wake = PTHREAD_COND_INITIALIZER, .cpu = -1};
+        if (pthread_create(&h->id, NULL, serve, h) != 0) {
             free(h);
             return;
         }
@@ -350,10 +328,11 @@ grow(Py_ssize_t want, const int *cpu)
 
 /* fn(arg + t * size) for t in 0..count-1 at most: t = 0 on this thread
    and t >= 1 on the team's helper t - 1, as many as helper_cpus counts at
-   most, each first moved onto its CPU there where that changed. Each fn
-   takes its work off one cursor, so a share no helper runs is left to the
-   others: where the team is busy with another thread's call, this one
-   runs alone. Needs no GIL. */
+   most, each first pinned to its CPU there where it is not on it yet (a
+   helper just started is on none). Each fn takes its work off one
+   cursor, so a share no helper runs is left to the others: where the
+   team is busy with another thread's call, this one runs alone. Needs no
+   GIL. */
 static void
 spread(void *(*fn)(void *), void *arg, size_t size, Py_ssize_t count)
 {
@@ -364,7 +343,7 @@ spread(void *(*fn)(void *), void *arg, size_t size, Py_ssize_t count)
     int cpu[MOST_CPUS], cpus = helper_cpus(cpu);
     Py_ssize_t helpers = cpus >= 0 && cpus < count - 1 ? cpus : count - 1;
     if (helpers > team.size)
-        grow(helpers, cpus > 0 ? cpu : NULL);
+        grow(helpers);
     if (helpers > team.size)
         helpers = team.size;
     for (Py_ssize_t t = 0; cpus > 0 && t < helpers; t++)
@@ -373,10 +352,8 @@ spread(void *(*fn)(void *), void *arg, size_t size, Py_ssize_t count)
     __atomic_store_n(&team.pending, helpers, __ATOMIC_RELAXED);
     pthread_mutex_lock(&team.lock);
     team.fn = fn;
-    for (Py_ssize_t t = 0; t < helpers; t++) {
+    for (Py_ssize_t t = 0; t < helpers; t++)
         team.helper[t]->share = (char *)arg + (t + 1) * size;
-        team.helper[t]->posted++;
-    }
     pthread_mutex_unlock(&team.lock);
     for (Py_ssize_t t = 0; t < helpers; t++)
         pthread_cond_signal(&team.helper[t]->wake);

@@ -10,8 +10,8 @@ index so evaluation is fully deterministic. The empty mask scores 0.0
 without running the classifier.
 
 Repeating the k-fold split ``repeats`` times with seeds base_seed,
-base_seed+1, ... and averaging gives the "r x k fold CV" protocols used
-for reporting; searches typically run with repeats=1 for speed.
+base_seed+1, ... and averaging (added in order) gives the "r x k fold CV"
+protocols used in reports; searches typically run with repeats=1 for speed.
 
 A computation finds each row's neighbour with ``_climb.nearest``: a
 float32 screen of every pair's distance over the mask's columns keeps, per
@@ -94,7 +94,7 @@ def cv_accuracy(d: Dataset, mask: FeatureMask, proto: CvProtocol) -> float:
 
     Deterministic for fixed inputs: repeat r uses fold seed
     ``base_seed + r``. Equals the mean of the single-repeat values for
-    those seeds, bitwise. An empty mask returns 0.0.
+    those seeds, added in order, bitwise. An empty mask returns 0.0.
     """
     return cv_accuracies(d, mask, {"": proto})[""]
 
@@ -103,16 +103,16 @@ def cv_accuracies(d: Dataset, mask: FeatureMask,
                   protocols: dict[str, CvProtocol]) -> dict[str, float]:
     """``cv_accuracy`` of ``mask`` under each labelled protocol, bitwise.
     Protocols of equal folds and base seed share folds, so each such group
-    is scored once, at its largest repeats; r repeats read the first r."""
+    is scored once, at its largest repeats; r repeats add the first r in order."""
     _check_width(d, mask.n)
     if not mask.bits.any():
         return dict.fromkeys(protocols, 0.0)
-    accs: dict[tuple[int, int], list[float]] = {}
+    sums: dict[tuple[int, int], np.ndarray] = {}  # per group, the running sums
     for p in sorted(protocols.values(), key=lambda p: -p.repeats):  # largest first
-        if (p.folds, p.base_seed) not in accs:
+        if (p.folds, p.base_seed) not in sums:
             hits = FitnessEvaluator(d, p)._hits(mask.bits[np.newaxis], 1)[0]
-            accs[p.folds, p.base_seed] = [int(h) / d.n_instances for h in hits]
-    return {label: sum(accs[p.folds, p.base_seed][:p.repeats]) / p.repeats
+            sums[p.folds, p.base_seed] = np.cumsum(hits / d.n_instances)
+    return {label: float(sums[p.folds, p.base_seed][p.repeats - 1] / p.repeats)
             for label, p in protocols.items()}
 
 
@@ -193,7 +193,7 @@ class FitnessEvaluator:
         chosen = new.any(axis=1)
         if chosen.any():  # a generation of memo hits calls no kernel
             hits = self._hits(new[chosen], threads)
-            # each repeat's accuracy added in order, as sum() adds a list
+            # each repeat's accuracy added in order
             sums = np.cumsum(hits / self.dataset.n_instances, axis=1)[:, -1]
             values[chosen] = sums / len(self._folds)
         self._cache.update(zip(todo, values.tolist()))

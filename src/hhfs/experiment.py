@@ -193,14 +193,14 @@ def _run_record(run_index: int, result: SupervisorResult) -> dict:
 
 
 def aggregate_runs(runs: list[dict], labels: list[str]) -> dict:
-    """Best-of-runs (with its subset size) and arithmetic means, per
-    reporting protocol. Ties on best go to the earliest run."""
+    """Best-of-runs (with its subset size) and arithmetic means (added in
+    order), per reporting protocol. Ties on best go to the earliest run."""
     agg: dict = {}
     for label in labels:
         accs = [r["accuracy"][label] for r in runs]
         best_i = int(np.argmax(accs))
         best = accs[best_i]
-        mean = sum(accs) / len(accs)
+        mean = float(np.cumsum(accs)[-1] / len(accs))
         agg[label] = {
             "best": best,
             "best_percent": best * 100.0,

@@ -12,10 +12,11 @@ import ctypes
 import itertools
 import math
 import multiprocessing
+import operator
 import os
 import threading
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -314,7 +315,7 @@ def cv_accuracy_bruteforce(dataset: Dataset, mask: FeatureMask, folds: int,
                                     dataset.features[t], mask)
                 correct += int(label == dataset.labels[t])
         accs.append(correct / dataset.n_instances)
-    return sum(accs) / len(accs)
+    return reduce(operator.add, accs) / len(accs)  # added in order
 
 
 def cv_accuracy_cdist_reference(d: Dataset, mask: FeatureMask, proto) -> float:
@@ -342,7 +343,7 @@ def cv_accuracy_cdist_reference(d: Dataset, mask: FeatureMask, proto) -> float:
             nn = np.argmin(dists[np.ix_(test, train)], axis=1)
             correct += int(np.sum(d.labels[train[nn]] == d.labels[test]))
         accs.append(correct / d.n_instances)
-    return sum(accs) / len(accs)
+    return reduce(operator.add, accs) / len(accs)  # added in order
 
 
 # ------------------------------------------------------ heuristic oracles

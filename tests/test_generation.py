@@ -89,7 +89,7 @@ def test_stream_key_rows_are_seed_sequence_s(seed, gen, rows):
 
 @settings(max_examples=150, deadline=None)
 @given(keys(), st.sampled_from([0.1, 0.5]))
-def test_generation_equals_run_genes_on_numpy_s_streams(key, mutn_rate):
+def test_generation_equals_the_oracle_on_numpy_s_streams(key, mutn_rate):
     seed, gen, population, mask, cache = key
     masks, stats = generation(population, seed, gen, mask, cache, mutn_rate)
     expected, expected_stats = oracle_rows(population, seed, gen, mask, cache, mutn_rate)

@@ -16,11 +16,13 @@ and record the reason in CHANGES.md.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
 
 from conftest import synthetic_dataset
+from hhfs import evaluation, experiment
 from hhfs.experiment import DatasetConfig, ExperimentSpec, run_experiment
 from hhfs.supervisor import SupervisorConfig
 
@@ -56,6 +58,15 @@ def golden_bytes(workdir: Path) -> bytes:
 
 
 def test_pinned_experiment_reproduces_golden_report(tmp_path):
+    assert golden_bytes(tmp_path) == GOLDEN.read_bytes()
+
+
+def test_golden_report_does_not_depend_on_how_sum_adds(tmp_path, monkeypatch):
+    """From CPython 3.12 built-in ``sum()`` adds floats with compensation.
+    Every accuracy and mean is added in order, so with ``math.fsum`` in
+    place of ``sum`` the bytes hold (the forked run workers inherit it)."""
+    for module in (evaluation, experiment):
+        monkeypatch.setattr(module, "sum", math.fsum, raising=False)
     assert golden_bytes(tmp_path) == GOLDEN.read_bytes()
 
 

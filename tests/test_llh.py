@@ -896,7 +896,7 @@ class TestKernelEqualsOracle:
                 assert bits_out[0].tolist() == expected.bits.tolist()
                 assert stats.as_dict() == expected_stats.as_dict()
 
-    def test_run_genes_returns_input_when_no_gene_moves(self):
+    def test_apply_and_run_generation_return_input_when_no_gene_moves(self):
         # the zeros domains of a full mask and the ones domains of an empty
         # one are empty, and an empty chromosome runs nothing: the row holds
         # the input's bits, and apply returns the input itself gene by gene
